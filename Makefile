@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-PR ?= 10
+PR ?= 12
 BENCH_JSON := BENCH_PR$(PR).json
 
 .PHONY: build test race vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean
@@ -58,7 +58,7 @@ bench-delta:
 # bench-smoke is the CI-sized slice: one iteration of the cheap
 # benchmarks, just enough to catch rot in the bench harness itself.
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkPeriodic|BenchmarkEngine|BenchmarkTable1' -benchtime 1x -benchmem ./... | go run ./cmd/benchjson
+	go test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkPeriodic|BenchmarkTable1' -benchtime 1x -benchmem ./... | go run ./cmd/benchjson
 
 # bigcell-smoke exercises the big-cell scale path at CI size: one
 # process hosting a 50k-node cell for one simulated hour on the sim
@@ -73,11 +73,24 @@ bigcell-smoke:
 	go run ./cmd/flowersim -p 50000 -hours 1 -protocol koorde-global -measure-mem
 
 # fingerprint-check runs the same simulation cell in two separate
-# processes and diffs the run fingerprints (FNV-1a over per-window
-# query/transfer/message counts): any map-order nondeterminism feeding
-# the event stream shows up as a mismatch here, mechanically.
+# processes and compares the run fingerprints (FNV-1a over per-window
+# query/transfer/message counts) with each other and with the value
+# committed here: map-order nondeterminism feeding the event stream
+# shows up as a mismatch between the processes, and an engine edit that
+# reorders events as a mismatch with the pin, mechanically. When a
+# protocol or workload change is meant to move the fingerprint, re-pin:
+# set FINGERPRINT to what both processes print and say why in CHANGES.md.
+FINGERPRINT := c3a11635fa52d1b1
 fingerprint-check:
-	@fp1=$$(go run ./cmd/flowersim -p 200 -hours 4 -print-fingerprint); 	fp2=$$(go run ./cmd/flowersim -p 200 -hours 4 -print-fingerprint); 	echo "process 1: $$fp1"; echo "process 2: $$fp2"; 	if [ "$$fp1" != "$$fp2" ]; then 		echo "FINGERPRINT MISMATCH: runs are not deterministic across processes" >&2; exit 1; 	fi; echo "fingerprints match"
+	@fp1=$$(go run ./cmd/flowersim -p 200 -hours 4 -print-fingerprint); \
+	fp2=$$(go run ./cmd/flowersim -p 200 -hours 4 -print-fingerprint); \
+	echo "process 1: $$fp1"; echo "process 2: $$fp2"; \
+	if [ "$$fp1" != "$$fp2" ]; then \
+		echo "FINGERPRINT MISMATCH: runs are not deterministic across processes" >&2; exit 1; \
+	fi; \
+	if [ "$$fp1" != "$(FINGERPRINT)" ]; then \
+		echo "FINGERPRINT MOVED: want the pinned $(FINGERPRINT); simulated behaviour changed" >&2; exit 1; \
+	fi; echo "fingerprints match each other and the pin"
 
 # realtime-smoke drives the wall-clock backend for a few seconds of real
 # time: the identical protocol code over real timers and the loopback
@@ -144,6 +157,7 @@ fuzz-smoke:
 	go test ./internal/socknet/ -run '^$$' -fuzz FuzzFrameReadPrefix -fuzztime $(FUZZTIME)
 	go test ./internal/dring/ -run '^$$' -fuzz FuzzPositionRoundTrip -fuzztime $(FUZZTIME)
 	go test ./internal/trace/ -run '^$$' -fuzz FuzzRecordWire -fuzztime $(FUZZTIME)
+	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 
 # dist-smoke is the distributed-sweep equality gate: the same CI-sized
 # grid runs once in-process and once sharded across a coordinator plus

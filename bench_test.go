@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"flowercdn/internal/petalup"
-	"flowercdn/internal/sim"
 )
 
 // benchConfig is the shared reduced-scale setup.
@@ -400,24 +399,6 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkEngineThroughput measures the raw discrete-event engine —
-// the substrate every experiment's cost reduces to. The engine's
-// allocation work (slab timers, reused periodic timers, pre-sized
-// heap) is measured in detail by internal/sim's benchmarks; this one
-// tracks the end-to-end schedule+run cost (0 allocs/op steady-state).
-func BenchmarkEngineThroughput(b *testing.B) {
-	eng := sim.NewEngine()
-	rng := sim.NewRNG(1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Schedule(rng.Int63n(1000), func() {})
-		if i%1024 == 1023 {
-			eng.Run(eng.Now() + 1000)
-		}
-	}
-	eng.RunAll()
 }
 
 func benchName(prefix string, v int, unit string) string {

@@ -8,11 +8,25 @@
 // All times are int64 milliseconds of simulated time. The constants
 // Millisecond, Second, Minute and Hour mirror the time package at that
 // resolution.
+//
+// The queue is a hierarchical timing wheel over that millisecond clock:
+// 8 levels of 256 slots, one byte of the firing time per level, which
+// covers every non-negative int64. With base the wheel's position,
+// level l slot i holds, in scheduling order, exactly the pending timers
+// whose firing time agrees with base in every byte above l and has
+// byte l equal to i (for l > 0, i is beyond base's own byte l). So all
+// timers of one millisecond share one slot at any moment. A slot of
+// level l > 0 is refiled, front to back, into the empty levels below
+// at the moment base enters its span, and nothing is filed into it
+// afterwards. Every slot is therefore a FIFO, and FIFO within one
+// millisecond is the (when, scheduling sequence) total order the
+// simulations' determinism rests on — kept without a comparison.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Time unit constants, in simulated milliseconds.
@@ -28,7 +42,7 @@ const (
 // no-op. The zero value is not a valid timer.
 type Timer struct {
 	when      int64
-	seq       uint64
+	next      *Timer // the timer filed after this one in the same wheel slot
 	fn        func()
 	cancelled bool
 	fired     bool
@@ -36,7 +50,8 @@ type Timer struct {
 
 // Cancel prevents the timer's function from running when its time
 // arrives. It reports whether the cancellation had any effect (i.e. the
-// timer had neither fired nor been cancelled already).
+// timer had neither fired nor been cancelled already). The timer stays
+// in its slot until the wheel reaches or refiles it.
 func (t *Timer) Cancel() bool {
 	if t == nil || t.cancelled || t.fired {
 		return false
@@ -56,37 +71,37 @@ func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
 // scheduled to fire.
 func (t *Timer) When() int64 { return t.when }
 
-// eventQueue is a binary heap ordered by (when, seq). The sequence
-// number guarantees FIFO order among events scheduled for the same
-// instant, which keeps runs deterministic.
-type eventQueue []*Timer
+// The wheel's geometry: one byte of the firing time per level, so the
+// 8 levels cover every non-negative int64 and no timer is ever too far
+// ahead to file.
+const (
+	wheelBits   = 8
+	wheelSlots  = 1 << wheelBits
+	wheelLevels = 64 / wheelBits
+)
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
-	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*Timer)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
+// slot is a FIFO of timers, linked through Timer.next.
+type slot struct {
+	head, tail *Timer
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
 // for concurrent use; an entire simulation runs on one goroutine, which
 // is what makes runs bit-for-bit reproducible.
+//
+// Events fire in (when, scheduling sequence) order. The queue is the
+// timing wheel described in the package comment: a timer is filed at
+// the level of the highest byte in which its firing time differs from
+// base (level 0 when none does), into the slot that byte names. base
+// only ever moves to the start of the first occupied slot ahead of it,
+// never past the limit of the Run in progress, and the slot it enters
+// is refiled into the levels below in order; those levels are empty at
+// that moment, so every slot stays in scheduling order and insert, pop
+// and cancel are O(1) with no comparison between timers.
 type Engine struct {
 	now       int64
-	seq       uint64
-	queue     eventQueue
+	base      int64 // wheel position; base <= now whenever a timer is filed
+	pending   int
 	processed uint64
 	stopped   bool
 
@@ -96,20 +111,17 @@ type Engine struct {
 	// are never recycled (callers may hold their handles indefinitely);
 	// the chunk is garbage-collected once every handle into it is gone.
 	slab []Timer
-}
 
-// initialQueueCap pre-sizes the event heap: even tiny runs queue
-// thousands of events, and growing the heap through the append ladder
-// from 0 costs several re-copies of every pending timer.
-const initialQueueCap = 4096
+	// occupied has bit i of level l set while slots[l][i] is non-empty.
+	occupied [wheelLevels][wheelSlots / 64]uint64
+	slots    [wheelLevels][wheelSlots]slot
+}
 
 // timerSlabSize is the bulk-allocation chunk for Timer structs.
 const timerSlabSize = 512
 
 // NewEngine returns an engine with the clock at time zero.
-func NewEngine() *Engine {
-	return &Engine{queue: make(eventQueue, 0, initialQueueCap)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // newTimer hands out the next Timer from the slab.
 func (e *Engine) newTimer() *Timer {
@@ -127,9 +139,11 @@ func (e *Engine) Now() int64 { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events currently queued, including
-// cancelled ones that have not yet been discarded.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending returns the number of timers filed in the wheel. Cancelled
+// timers count until the wheel discards them, which it does when it
+// reaches them or refiles their slot into a lower level, whichever
+// comes first.
+func (e *Engine) Pending() int { return e.pending }
 
 // Schedule runs fn after delay milliseconds of simulated time. A
 // negative delay is treated as zero (fn runs at the current instant,
@@ -148,30 +162,137 @@ func (e *Engine) At(t int64, fn func()) *Timer {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
 	timer := e.newTimer()
-	timer.when, timer.seq, timer.fn = t, e.seq, fn
-	heap.Push(&e.queue, timer)
+	e.arm(timer, t, fn)
 	return timer
 }
 
-// rearm re-queues a timer that has already fired. Only PeriodicTimer
-// uses it: the inner timer is owned exclusively by the periodic
-// wrapper, so reusing the struct cannot confuse an outside handle.
-func (e *Engine) rearm(t *Timer, delay int64, fn func()) {
-	if delay < 0 {
-		delay = 0
+// arm files a timer that is not in the wheel (new, or fired) to run fn
+// at time when, clamped to the current instant.
+func (e *Engine) arm(t *Timer, when int64, fn func()) {
+	if when < e.now {
+		when = e.now
 	}
-	e.seq++
-	t.when = e.now + delay
-	t.seq = e.seq
-	t.fn = fn
-	t.fired = false
-	t.cancelled = false
-	heap.Push(&e.queue, t)
+	if e.pending == 0 {
+		// Draining through cancelled timers can leave base ahead of now.
+		e.base = e.now
+	}
+	t.when, t.fn, t.fired, t.cancelled = when, fn, false, false
+	e.pending++
+	e.file(t)
+}
+
+// file appends t to the slot its firing time and base assign it to.
+// t.when must not be before base.
+func (e *Engine) file(t *Timer) {
+	l := (bits.Len64(uint64(t.when^e.base)|1) - 1) / wheelBits
+	i := uint(t.when>>(l*wheelBits)) % wheelSlots
+	s := &e.slots[l][i]
+	t.next = nil
+	if s.tail == nil {
+		s.head = t
+		e.occupied[l][i/64] |= 1 << (i % 64)
+	} else {
+		s.tail.next = t
+	}
+	s.tail = t
+}
+
+// firstOccupied returns the first non-empty slot of level l at or after
+// index from.
+func (e *Engine) firstOccupied(l int, from uint) (uint, bool) {
+	if from >= wheelSlots {
+		return 0, false
+	}
+	occ := &e.occupied[l]
+	w := from / 64
+	if b := occ[w] >> (from % 64); b != 0 {
+		return from + uint(bits.TrailingZeros64(b)), true
+	}
+	for w++; w < uint(len(occ)); w++ {
+		if occ[w] != 0 {
+			return w*64 + uint(bits.TrailingZeros64(occ[w])), true
+		}
+	}
+	return 0, false
+}
+
+// next unfiles and returns the first timer in (when, sequence) order if
+// it is due at or before limit, discarding the cancelled timers it
+// meets on the way. base follows, but never beyond limit, so whatever
+// is scheduled after a Run(limit) still lies ahead of the wheel.
+func (e *Engine) next(limit int64) *Timer {
+	for e.pending > 0 {
+		if i, ok := e.firstOccupied(0, uint(e.base)%wheelSlots); ok {
+			when := e.base&^(wheelSlots-1) | int64(i)
+			if when > limit {
+				return nil
+			}
+			e.base = when
+			s := &e.slots[0][i]
+			t := s.head
+			if s.head = t.next; s.head == nil {
+				s.tail = nil
+				e.occupied[0][i/64] &^= 1 << (i % 64)
+			}
+			t.next = nil
+			e.pending--
+			if t.cancelled {
+				continue
+			}
+			return t
+		}
+		if !e.cascade(limit) {
+			return nil
+		}
+	}
+	return nil
+}
+
+// cascade moves base to the start of the first occupied slot above
+// level 0 and refiles that slot, in order, into the levels below, which
+// are empty. It reports false, leaving the wheel as it is, when that
+// start lies beyond limit.
+func (e *Engine) cascade(limit int64) bool {
+	for l := 1; l < wheelLevels; l++ {
+		shift := uint(l * wheelBits)
+		i, ok := e.firstOccupied(l, uint(e.base>>shift)%wheelSlots+1)
+		if !ok {
+			continue
+		}
+		// base with byte l set to i and the bytes below cleared.
+		start := int64(uint64(e.base)&(math.MaxUint64<<(shift+wheelBits))) | int64(i)<<shift
+		if start > limit {
+			return false
+		}
+		e.base = start
+		s := &e.slots[l][i]
+		t := s.head
+		*s = slot{}
+		e.occupied[l][i/64] &^= 1 << (i % 64)
+		for t != nil {
+			after := t.next
+			if t.cancelled {
+				t.next = nil
+				e.pending--
+			} else {
+				e.file(t)
+			}
+			t = after
+		}
+		return true
+	}
+	panic("sim: pending timers but no occupied slot")
+}
+
+// fire advances the clock to t's time and runs it.
+func (e *Engine) fire(t *Timer) {
+	e.now = t.when
+	t.fired = true
+	fn := t.fn
+	t.fn = nil
+	e.processed++
+	fn()
 }
 
 // Every schedules fn to run every period milliseconds, with the first
@@ -183,20 +304,21 @@ func (e *Engine) Every(firstDelay, period int64, fn func()) *PeriodicTimer {
 	}
 	p := &PeriodicTimer{eng: e, period: period, fn: fn}
 	p.fire = p.doFire
-	p.inner = e.Schedule(firstDelay, p.fire)
+	e.arm(&p.inner, e.now+firstDelay, p.fire)
 	return p
 }
 
 // PeriodicTimer re-schedules itself after each firing until Cancel is
-// called. It owns its inner Timer exclusively and reuses the struct
-// across firings (plus a single cached fire closure), so steady-state
-// periodic work allocates nothing per firing.
+// called. Its Timer is embedded rather than carved from the engine's
+// slab — a long-lived ticker would otherwise pin a whole slab — and is
+// re-armed across firings (with a single cached fire closure), so
+// steady-state periodic work allocates nothing per firing.
 type PeriodicTimer struct {
 	eng       *Engine
 	period    int64
 	fn        func()
 	fire      func() // cached method value; one allocation per timer, not per firing
-	inner     *Timer
+	inner     Timer
 	cancelled bool
 }
 
@@ -206,7 +328,7 @@ func (p *PeriodicTimer) doFire() {
 	}
 	p.fn()
 	if !p.cancelled {
-		p.eng.rearm(p.inner, p.period, p.fire)
+		p.eng.arm(&p.inner, p.eng.now+p.period, p.fire)
 	}
 }
 
@@ -227,20 +349,12 @@ func (p *PeriodicTimer) Cancelled() bool { return p.cancelled }
 // Step executes the single next event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		t := heap.Pop(&e.queue).(*Timer)
-		if t.cancelled {
-			continue
-		}
-		e.now = t.when
-		t.fired = true
-		fn := t.fn
-		t.fn = nil
-		e.processed++
-		fn()
-		return true
+	t := e.next(math.MaxInt64)
+	if t == nil {
+		return false
 	}
-	return false
+	e.fire(t)
+	return true
 }
 
 // Run executes events until the clock would pass `until` or the queue
@@ -251,16 +365,12 @@ func (e *Engine) Step() bool {
 // Schedule calls behave consistently.
 func (e *Engine) Run(until int64) uint64 {
 	start := e.processed
-	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if next.cancelled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.when > until {
+	for !e.stopped {
+		t := e.next(until)
+		if t == nil {
 			break
 		}
-		e.Step()
+		e.fire(t)
 	}
 	// Advance the clock to the boundary only if we were not stopped
 	// mid-run; a Stop leaves the clock at the last executed event so the
