@@ -8,10 +8,10 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-PR ?= 12
+PR ?= 13
 BENCH_JSON := BENCH_PR$(PR).json
 
-.PHONY: build test race vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean
+.PHONY: build test race race-net wire-bench vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean
 
 build:
 	go build ./...
@@ -26,6 +26,21 @@ test:
 # per-package default under the race detector on slow machines.
 race:
 	go test -race -timeout 40m ./...
+
+# race-net is the slice of `race` that covers the wall-clock run loop
+# and the socket transport — the run loop against reader and writer
+# goroutines, Cancel against Run — repeated, because those races are
+# timing-dependent. Minutes, not the 40 of `race`.
+race-net:
+	go test -race -count=20 ./internal/wallclock ./internal/rtnet ./internal/socknet
+
+# wire-bench runs the repo benchmark's wire-rpc workload once untraced
+# (the seven end-to-end metrics) and once traced (round-trip latency
+# and the request/handler/response legs). For a claim, run parent/change
+# pairs as docs/OPERATIONS.md describes; this is the quick look.
+wire-bench:
+	bash benchmark/run.sh --workload wire-rpc --seed 1 --seconds 10 --trace 0 | grep -E '^[a-z_]+ +[0-9]'
+	bash benchmark/run.sh --workload wire-rpc --seed 1 --seconds 10 --trace 1 | grep -E '^(rtt_|socknet\.[a-z]+_leg_)'
 
 vet:
 	go vet ./...

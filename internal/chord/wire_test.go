@@ -33,3 +33,12 @@ func TestWireRoundTrips(t *testing.T) {
 		wiretest.RoundTrip(t, msg)
 	}
 }
+
+// TestRouteMsgAllocs pins the binary codec's budget for the routed
+// message: nothing to encode it, nested payload included, and to decode
+// it the message and its payload, one object each.
+func TestRouteMsgAllocs(t *testing.T) {
+	e := Entry{Node: 7, ID: ids.ID(0x9e3779b97f4a7c15)}
+	wiretest.BinaryAllocs(t, routeMsg{Key: ids.ID(1), ReqID: 9, Origin: 3}, 1)
+	wiretest.BinaryAllocs(t, routeMsg{Key: ids.ID(42), Payload: GatewayAnnounce{E: e}, ReqID: 9, Origin: 3, Hops: 2}, 2)
+}

@@ -3,7 +3,6 @@ package runtime
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/topology"
@@ -53,14 +52,12 @@ type SocketConfig struct {
 	// DefaultCodec. Every process of a group must configure the same
 	// codec — the handshake rejects mixed groups.
 	Codec string
-	// BatchWindow bounds how long the write side may hold a frame to
-	// coalesce it with successors into one batch (0 = backend default;
-	// negative = flush every frame immediately). The effective window
-	// adapts per connection to the observed frame rate, from immediate
-	// flushing when idle up to this bound under load.
-	BatchWindow time.Duration
-	// BatchBytes caps the bytes coalesced into one batch before an
-	// immediate flush (0 = backend default).
+	// BatchBytes caps the bytes of one batch on the wire, which is what
+	// a reader buffers before it dispatches the batch's first frame
+	// (0 = backend default, 64 KiB). It is not a flush threshold: the
+	// write side holds nothing back — frames coalesce only while an
+	// earlier write is in flight — and one write may carry several
+	// batches.
 	BatchBytes int
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 )
 
 // The binary codec: a hand-rolled, append-based encoding for the
@@ -16,8 +17,11 @@ import (
 //
 // Compared to gob this removes the per-message type description, the
 // reflection walk and nearly every allocation: the encode path appends
-// into a pooled buffer, the decode path allocates only the decoded
-// values themselves.
+// into the caller's buffer and allocates nothing, the decode path
+// allocates only the decoded values themselves. (The writer and reader
+// are handed to the message through the WireMessage interface, so they
+// would escape to the heap on every call; they are pooled instead, and
+// point back at the codec rather than carrying bound-method values.)
 
 // WireMessage is the contract a wire type implements to ride the
 // binary codec: append your fields to w, and decode a fresh value from
@@ -35,8 +39,10 @@ func init() {
 }
 
 type binaryCodec struct {
-	byType map[reflect.Type]byte
-	protos []WireMessage // indexed by tag-1
+	byType  map[reflect.Type]byte
+	protos  []WireMessage // indexed by tag-1
+	writers sync.Pool     // *WireWriter
+	readers sync.Pool     // *WireReader
 }
 
 // typeKey returns the fully qualified name a type sorts under —
@@ -68,6 +74,8 @@ func newBinaryCodec() (Codec, error) {
 		return nil, fmt.Errorf("runtime: %d binary wire types exceed the one-byte tag space", len(cands))
 	}
 	c := &binaryCodec{byType: make(map[reflect.Type]byte, len(cands))}
+	c.writers.New = func() any { return new(WireWriter) }
+	c.readers.New = func() any { return new(WireReader) }
 	for i, cd := range cands {
 		t := reflect.TypeOf(cd.proto)
 		if _, dup := c.byType[t]; dup {
@@ -82,26 +90,46 @@ func newBinaryCodec() (Codec, error) {
 func (c *binaryCodec) Name() string { return "binary" }
 
 func (c *binaryCodec) AppendMessage(buf []byte, msg any) ([]byte, error) {
+	w := c.writers.Get().(*WireWriter)
+	*w = WireWriter{buf: buf, codec: c}
+	c.appendAny(w, msg)
+	buf, err := w.buf, w.err
+	w.buf = nil
+	c.writers.Put(w)
+	if err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// appendAny appends one tagged value — tag 0 for nil — to w; nested
+// interface-typed fields come back here through WireWriter.Any.
+func (c *binaryCodec) appendAny(w *WireWriter, msg any) {
 	if msg == nil {
-		return append(buf, 0), nil
+		w.U8(0)
+		return
 	}
 	tag, ok := c.byType[reflect.TypeOf(msg)]
 	if !ok {
-		return nil, fmt.Errorf("runtime: %T is not binary-marshallable — implement runtime.WireMessage next to its RegisterWireType call", msg)
+		w.Fail(fmt.Errorf("runtime: %T is not binary-marshallable — implement runtime.WireMessage next to its RegisterWireType call", msg))
+		return
 	}
-	w := WireWriter{buf: append(buf, tag), appendAny: c.AppendMessage}
-	msg.(WireMessage).AppendWire(&w)
-	return w.buf, w.err
+	w.U8(tag)
+	msg.(WireMessage).AppendWire(w)
 }
 
 func (c *binaryCodec) DecodeMessage(b []byte) (any, error) {
-	r := WireReader{buf: b, decodeAny: c.decodeAny}
+	r := c.readers.Get().(*WireReader)
+	*r = WireReader{buf: b, codec: c}
 	v := r.Any()
-	if r.err != nil {
-		return nil, r.err
+	rest, err := r.Len(), r.err
+	r.buf = nil
+	c.readers.Put(r)
+	if err != nil {
+		return nil, err
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("runtime: %d trailing bytes after message", r.Len())
+	if rest != 0 {
+		return nil, fmt.Errorf("runtime: %d trailing bytes after message", rest)
 	}
 	return v, nil
 }

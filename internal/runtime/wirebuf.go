@@ -37,10 +37,10 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 // themselves so nested interface-typed fields can be tagged.
 type WireWriter struct {
 	buf []byte
-	// appendAny encodes a nested interface-typed value (tag +
-	// payload); set by the binary codec.
-	appendAny func(b []byte, msg any) ([]byte, error)
-	err       error
+	// codec tags and encodes nested interface-typed values; set by the
+	// binary codec.
+	codec *binaryCodec
+	err   error
 }
 
 // NewWireWriter wraps buf for appending. Writers built this way append
@@ -140,16 +140,11 @@ func (w *WireWriter) Any(msg any) {
 	if w.err != nil {
 		return
 	}
-	if w.appendAny == nil {
+	if w.codec == nil {
 		w.Fail(errors.New("runtime: WireWriter.Any outside a codec"))
 		return
 	}
-	b, err := w.appendAny(w.buf, msg)
-	if err != nil {
-		w.Fail(err)
-		return
-	}
-	w.buf = b
+	w.codec.appendAny(w, msg)
 }
 
 // maxAnyDepth bounds nested Any decoding so hostile bytes cannot
@@ -164,10 +159,10 @@ const maxAnyDepth = 32
 type WireReader struct {
 	buf []byte
 	pos int
-	// decodeAny decodes a nested tagged value; set by the binary codec.
-	decodeAny func(r *WireReader) (any, error)
-	depth     int
-	err       error
+	// codec decodes nested tagged values; set by the binary codec.
+	codec *binaryCodec
+	depth int
+	err   error
 }
 
 // NewWireReader wraps b for decoding. Readers built this way decode
@@ -338,7 +333,7 @@ func (r *WireReader) Any() any {
 	if r.err != nil {
 		return nil
 	}
-	if r.decodeAny == nil {
+	if r.codec == nil {
 		r.Fail(errors.New("runtime: WireReader.Any outside a codec"))
 		return nil
 	}
@@ -347,7 +342,7 @@ func (r *WireReader) Any() any {
 		return nil
 	}
 	r.depth++
-	v, err := r.decodeAny(r)
+	v, err := r.codec.decodeAny(r)
 	r.depth--
 	if err != nil {
 		r.Fail(err)

@@ -12,11 +12,11 @@ import (
 	"flowercdn/internal/wallclock"
 )
 
-// newLocalGroup assembles n socknet transports meshed over localhost
-// TCP inside the test process: each instance listens on an ephemeral
-// port, dials the others, and gets its own wall-clock run loop — the
-// same wiring as n separate OS processes, minus the fork.
-func newLocalGroup(t *testing.T, n int, topoSeed uint64, lossRate float64, lossSeed uint64, codec string) *transporttest.World {
+// newMesh assembles n socknet transports meshed over localhost TCP
+// inside the test process, not yet bound to a clock: each instance
+// listens on an ephemeral port and dials the others — the same wiring
+// as n separate OS processes, minus the fork.
+func newMesh(t *testing.T, n int, topoSeed uint64, lossRate float64, lossSeed uint64, codec string) []*Transport {
 	t.Helper()
 	listeners := make([]net.Listener, n)
 	addrs := make([]string, n)
@@ -54,6 +54,14 @@ func newLocalGroup(t *testing.T, n int, topoSeed uint64, lossRate float64, lossS
 			t.Fatalf("instance %d failed to mesh: %v", i, err)
 		}
 	}
+	return transports
+}
+
+// newLocalGroup gives every instance of a newMesh its own wall-clock
+// run loop.
+func newLocalGroup(t *testing.T, n int, topoSeed uint64, lossRate float64, lossSeed uint64, codec string) *transporttest.World {
+	t.Helper()
+	transports := newMesh(t, n, topoSeed, lossRate, lossSeed, codec)
 
 	clocks := make([]*wallclock.Clock, n)
 	world := &transporttest.World{}

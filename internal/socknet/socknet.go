@@ -33,6 +33,14 @@
 // runtime.Codec ("gob" by default, "binary" for the hand-rolled hot
 // path) — which is the honest price of crossing a process boundary
 // (WireStats reports it).
+//
+// Batching is group commit, with no timer on either side. A
+// connection's writer goroutine writes as soon as it is woken and, while
+// that write is in flight, the run loop keeps appending: whatever has
+// gathered goes out in the next write, so an idle connection sends a
+// frame at once and a busy one coalesces by itself. The reader hands
+// the deliverable frames of each batch it reads to the run loop as one
+// callback, in wire order.
 package socknet
 
 import (
@@ -119,13 +127,9 @@ type Config struct {
 	ReadyTimeout time.Duration
 }
 
-// Batching defaults: a sub-millisecond Nagle-style window bounds the
-// latency cost, the byte cap bounds batch size (and memory) under
-// load. cfg.Socket can override both.
-const (
-	defaultBatchWindow = 200 * time.Microsecond
-	defaultBatchBytes  = 64 << 10
-)
+// defaultBatchBytes caps one batch — what the reader must buffer before
+// it can dispatch the first frame — unless cfg.Socket.BatchBytes does.
+const defaultBatchBytes = 64 << 10
 
 // maxPendBytes bounds the bytes queued toward one peer; a peer that
 // far behind is as good as dead (the batching-era analogue of the old
@@ -140,52 +144,58 @@ type nodeState struct {
 	local   bool
 }
 
-// pendingReq is one outstanding cross-process RPC on the requester.
+// pendingReq is one outstanding RPC on the requester. Records are
+// recycled through Transport.freeReqs, each with its deadline callback
+// bound once.
 type pendingReq struct {
+	id       uint64
 	from     runtime.NodeID
 	cb       func(resp any, err error)
 	deadline runtime.Timer
+	timeout  func() // t.requestTimeout(this record)
 }
 
-// conn is one mesh connection. Writes coalesce: the run loop appends
-// encoded frames to the pending batch and moves on; a dedicated writer
-// goroutine flushes the batch — one length prefix, one syscall — when
-// the coalescing window elapses or the byte cap is hit. A stalled peer
-// therefore never blocks the run loop; one that falls maxPendBytes
-// behind (or cannot take one batch within writeDeadline) is treated as
-// gone.
+// conn is one mesh connection. Writes coalesce by group commit: the run
+// loop appends encoded frames to pend and moves on; a dedicated writer
+// goroutine, woken by the first frame, takes whatever has gathered and
+// writes it with one syscall, and what arrives during that write waits
+// for the next. A stalled peer therefore never blocks the run loop; one
+// that falls maxPendBytes behind (or cannot take one write within
+// writeDeadline) is treated as gone.
 type conn struct {
 	c net.Conn
 
-	mu         sync.Mutex
-	pend       []byte // batch under assembly (starts with the length placeholder)
-	spare      []byte // previous batch buffer, recycled by the flusher
-	pendFrames int
-	pendMsgs   int // message-bearing frames pending (drop accounting)
-	firstAt    time.Time
-	rate       rateEstimator // scales the coalescing window with load
+	mu          sync.Mutex
+	pend        []byte // batches under assembly: sealed ones, then the open one
+	open        int    // where the open batch's length placeholder sits in pend
+	spare       []byte // previous pend buffer, recycled by the writer
+	pendBatches int    // sealed batches in pend
+	pendFrames  int
+	pendMsgs    int  // message-bearing frames pending (drop accounting)
+	dead        bool // connBroken has run: pend takes no more frames
 
-	kick     chan struct{} // cap 1: pending data / early-flush signal
+	kick     chan struct{} // cap 1: pend went from empty to not
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
-// take swaps the pending batch out for flushing (nil if empty).
-func (cn *conn) take() (batch []byte, frames int) {
+// take closes the open batch and swaps pend out for writing (no frames
+// if empty).
+func (cn *conn) take() (out []byte, frames, batches int) {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
 	if cn.pendFrames == 0 {
-		return nil, 0
+		return nil, 0, 0
 	}
-	batch, frames = cn.pend, cn.pendFrames
+	finishBatch(cn.pend[cn.open:])
+	out, frames, batches = cn.pend, cn.pendFrames, cn.pendBatches+1
 	if cn.spare == nil {
 		cn.spare = make([]byte, batchHeader, defaultBatchBytes+batchHeader)
 	}
 	cn.pend = cn.spare[:batchHeader]
 	cn.spare = nil
-	cn.pendFrames = 0
-	cn.pendMsgs = 0
-	return batch, frames
+	cn.open, cn.pendBatches, cn.pendFrames, cn.pendMsgs = 0, 0, 0, 0
+	return out, frames, batches
 }
 
 // shutdown terminates the writer and closes the socket (idempotent).
@@ -194,8 +204,8 @@ func (cn *conn) shutdown() {
 	cn.c.Close()
 }
 
-// writeDeadline bounds one batch write; a peer stalled longer than
-// this is treated as gone.
+// writeDeadline bounds one write; a peer stalled longer than this is
+// treated as gone.
 const writeDeadline = 10 * time.Second
 
 // Transport implements runtime.Transport (and runtime.Bus) over the
@@ -210,12 +220,14 @@ type Transport struct {
 	group  int
 	groups int
 
-	codec       runtime.Codec
-	batchWindow time.Duration
-	batchBytes  int
+	codec      runtime.Codec
+	batchBytes int
+
+	// clock is written once, by Bind under mu, before the run starts:
+	// the run-loop side reads it without the lock, readers under it.
+	clock runtime.Clock
 
 	mu          sync.Mutex
-	clock       runtime.Clock
 	nextLocal   runtime.NodeID
 	nodes       map[runtime.NodeID]*nodeState
 	total       int
@@ -226,6 +238,7 @@ type Transport struct {
 	lossRNG     *rnd.RNG
 	reqSeq      uint64
 	pending     map[uint64]*pendingReq
+	freeReqs    []*pendingReq
 	subs        []func(msg any)
 	conns       []*conn               // indexed by group; nil = self or down
 	handshakes  map[net.Conn]struct{} // accepted conns still reading hello
@@ -283,13 +296,6 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 		lis.Close()
 		return nil, fmt.Errorf("socknet: %w", err)
 	}
-	batchWindow := cfg.Socket.BatchWindow
-	switch {
-	case batchWindow == 0:
-		batchWindow = defaultBatchWindow
-	case batchWindow < 0:
-		batchWindow = 0 // flush every frame immediately
-	}
 	batchBytes := cfg.Socket.BatchBytes
 	if batchBytes <= 0 {
 		batchBytes = defaultBatchBytes
@@ -301,7 +307,6 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 		group:             cfg.Socket.Group,
 		groups:            groups,
 		codec:             codec,
-		batchWindow:       batchWindow,
 		batchBytes:        batchBytes,
 		nextLocal:         runtime.NodeID(cfg.Socket.Group),
 		nodes:             make(map[runtime.NodeID]*nodeState),
@@ -357,21 +362,23 @@ func (t *Transport) waitReady(d time.Duration) error {
 	return nil
 }
 
-// Bind attaches the run-loop clock and flushes any deliverable frames
+// Bind attaches the run-loop clock and hands it any deliverable frames
 // that raced mesh formation. Must be called exactly once, before the
 // run starts.
 func (t *Transport) Bind(clock runtime.Clock) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.clock != nil {
-		t.mu.Unlock()
 		panic("socknet: Bind called twice")
 	}
 	t.clock = clock
-	buffered := t.buffered
-	t.buffered = nil
-	t.mu.Unlock()
-	for _, f := range buffered {
-		t.dispatch(f)
+	if len(t.buffered) > 0 {
+		// Scheduled under mu, so that no reader can see the clock and get
+		// a later batch of the same connection in ahead of these.
+		in := t.newInbox()
+		in.frames = append(in.frames, t.buffered...)
+		clock.Schedule(0, in.run)
+		t.buffered = nil
 	}
 }
 
@@ -508,84 +515,38 @@ func (t *Transport) register(group int, c net.Conn) {
 	go t.writeLoop(group, cn)
 }
 
-// writeLoop flushes one connection's pending batches. Woken by the
-// first frame of a batch (and again when the byte cap is crossed), it
-// holds the batch open for the coalescing window, then writes it with
-// one syscall. Runs until the connection breaks or the transport shuts
-// it down.
+// writeLoop is one connection's writer: it writes whatever has
+// gathered in pend, and only when there is nothing sleeps until the run
+// loop's next frame kicks it. Runs until the connection breaks or the
+// transport shuts it down.
 func (t *Transport) writeLoop(group int, cn *conn) {
 	defer t.wg.Done()
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	for {
-		select {
-		case <-cn.stop:
-			return
-		case <-cn.kick:
-		}
-		for {
-			cn.mu.Lock()
-			size := len(cn.pend) - batchHeader
-			firstAt := cn.firstAt
-			// The window adapts to the observed frame rate: full
-			// t.batchWindow on a busy connection, zero on an idle one
-			// (flush immediately — waiting would coalesce nothing).
-			window := cn.rate.window(t.batchWindow)
-			cn.mu.Unlock()
-			if size <= 0 {
-				break // batch flushed under us; wait for the next kick
-			}
-			if size < t.batchBytes {
-				if wait := window - time.Since(firstAt); wait > 0 {
-					timer.Reset(wait)
-					select {
-					case <-cn.stop:
-						timer.Stop()
-						return
-					case <-cn.kick:
-						// Byte cap crossed mid-window: re-evaluate now.
-						if !timer.Stop() {
-							<-timer.C
-						}
-						continue
-					case <-timer.C:
-					}
-				}
-			}
-			if !t.flushConn(group, cn) {
+		out, frames, batches := cn.take()
+		if frames == 0 {
+			select {
+			case <-cn.stop:
 				return
+			case <-cn.kick:
+				continue
 			}
 		}
+		cn.c.SetWriteDeadline(time.Now().Add(writeDeadline))
+		if _, err := cn.c.Write(out); err != nil {
+			t.connBroken(group)
+			return
+		}
+		t.mu.Lock()
+		t.wire.BatchesSent += uint64(batches)
+		t.wire.FramesSent += uint64(frames)
+		t.wire.BytesSent += uint64(len(out))
+		t.mu.Unlock()
+		cn.mu.Lock()
+		if cn.spare == nil {
+			cn.spare = out[:batchHeader] // recycle for the next swap
+		}
+		cn.mu.Unlock()
 	}
-}
-
-// flushConn writes the pending batch (if any) as one frame-batch.
-// Returns false when the connection broke.
-func (t *Transport) flushConn(group int, cn *conn) bool {
-	batch, frames := cn.take()
-	if frames == 0 {
-		return true
-	}
-	finishBatch(batch)
-	cn.c.SetWriteDeadline(time.Now().Add(writeDeadline))
-	_, err := cn.c.Write(batch)
-	if err != nil {
-		t.connBroken(group)
-		return false
-	}
-	t.mu.Lock()
-	t.wire.BatchesSent++
-	t.wire.FramesSent += uint64(frames)
-	t.wire.BytesSent += uint64(len(batch))
-	t.mu.Unlock()
-	cn.mu.Lock()
-	if cn.spare == nil {
-		cn.spare = batch[:batchHeader] // recycle for the next swap
-	}
-	cn.mu.Unlock()
-	return true
 }
 
 // failHandshake records the first mesh-formation error and unblocks
@@ -608,24 +569,73 @@ func (t *Transport) isClosed() bool {
 	return t.closed
 }
 
-// readLoop slices batches off one connection until it breaks. The body
-// buffer is reused across batches — decoded frames never alias it (the
-// wire vocabulary copies, codecs guarantee no aliasing).
+// inbox carries the deliverable frames of one read batch to the run
+// loop: one callback delivers them in wire order and recycles the
+// record, frame slice included.
+type inbox struct {
+	t      *Transport
+	frames []frame
+	run    func() // in.deliver, bound once
+}
+
+var inboxPool sync.Pool
+
+func (t *Transport) newInbox() *inbox {
+	in, ok := inboxPool.Get().(*inbox)
+	if !ok {
+		in = &inbox{}
+		in.run = in.deliver
+	}
+	in.t = t
+	return in
+}
+
+func (in *inbox) deliver() {
+	for i := range in.frames {
+		in.t.deliver(&in.frames[i])
+	}
+	clear(in.frames) // release the payloads
+	in.t, in.frames = nil, in.frames[:0]
+	inboxPool.Put(in)
+}
+
+// readLoop slices batches off one connection until it breaks. Mirror
+// frames apply at once; the rest of a batch goes to the run loop
+// together. The body buffer is reused across batches — decoded frames
+// never alias it (the wire vocabulary copies, codecs guarantee no
+// aliasing).
 func (t *Transport) readLoop(group int, cn *conn) {
 	defer t.wg.Done()
 	var body []byte
+	in := t.newInbox()
+	visit := func(f frame) {
+		if f.Kind == frameJoin || f.Kind == frameFail {
+			t.mirror(f)
+		} else {
+			in.frames = append(in.frames, f)
+		}
+	}
 	for {
 		n, err := readBatch(cn.c, &body)
 		if err != nil {
 			t.connBroken(group)
 			return
 		}
-		frames, err := forEachFrame(body, t.codec, t.dispatch)
+		frames, err := forEachFrame(body, t.codec, visit)
 		t.mu.Lock()
 		t.wire.BatchesRead++
 		t.wire.FramesRead += uint64(frames)
 		t.wire.BytesRead += uint64(n)
+		clock := t.clock
+		if clock == nil { // before Bind, which will deliver these
+			t.buffered = append(t.buffered, in.frames...)
+			in.frames = in.frames[:0]
+		}
 		t.mu.Unlock()
+		if len(in.frames) > 0 {
+			clock.Schedule(0, in.run)
+			in = t.newInbox()
+		}
 		if err != nil {
 			t.connBroken(group)
 			return
@@ -653,8 +663,9 @@ func (t *Transport) connBroken(group int) {
 		cn.mu.Lock()
 		t.wire.FramesDropped += uint64(cn.pendFrames)
 		t.stats.MessagesDropped += uint64(cn.pendMsgs)
-		cn.pendFrames = 0
-		cn.pendMsgs = 0
+		cn.dead = true
+		cn.pend = cn.pend[:batchHeader]
+		cn.open, cn.pendBatches, cn.pendFrames, cn.pendMsgs = 0, 0, 0, 0
 		cn.mu.Unlock()
 	}
 	t.mu.Unlock()
@@ -669,14 +680,14 @@ var framePool = sync.Pool{New: func() any { return &frameScratch{} }}
 
 type frameScratch struct{ b []byte }
 
-// writeFrame serializes f into one group's pending batch and wakes its
-// flusher. Encode failures are programming bugs (an unregistered or
-// unmarshallable wire type) and panic with the offending type. Frames
-// toward a group whose connection is down — or whose pending batch has
-// grown past maxPendBytes, meaning the peer is hopelessly behind — are
-// dropped; message-bearing kinds also count as MessagesDropped, so the
-// Sent = Delivered + Dropped reconciliation the other backends satisfy
-// survives a peer's death here too.
+// writeFrame serializes f into one group's pending batch and, if that
+// was empty, wakes its writer. Encode failures are programming bugs (an
+// unregistered or unmarshallable wire type) and panic with the
+// offending type. Frames toward a group whose connection is down — or
+// whose pending batch has grown past maxPendBytes, meaning the peer is
+// hopelessly behind — are dropped; message-bearing kinds also count as
+// MessagesDropped, so the Sent = Delivered + Dropped reconciliation the
+// other backends satisfy survives a peer's death here too.
 func (t *Transport) writeFrame(group int, f frame) {
 	fs := framePool.Get().(*frameScratch)
 	b, err := appendFrame(fs.b[:0], f, t.codec)
@@ -695,22 +706,26 @@ func (t *Transport) writeFrame(group int, f frame) {
 	t.mu.Unlock()
 
 	cn.mu.Lock()
-	if len(cn.pend)+len(b) > maxPendBytes {
+	if cn.dead || len(cn.pend)+len(b) > maxPendBytes {
 		cn.mu.Unlock()
 		framePool.Put(fs)
 		t.mu.Lock()
 		t.dropFrameLocked(f)
 		t.mu.Unlock()
 		// maxPendBytes behind: the peer is stalled beyond our tolerance.
-		// Cut it loose like a write timeout would.
+		// Cut it loose like a write timeout would (no-op if it broke as
+		// this frame was on its way here).
 		t.connBroken(group)
 		return
 	}
-	now := time.Now()
-	cn.rate.observe(now.UnixNano())
 	first := cn.pendFrames == 0
-	if first {
-		cn.firstAt = now
+	if len(cn.pend)-cn.open-batchHeader >= t.batchBytes {
+		// The open batch is full: seal it where it lies and open the
+		// next behind it. One write still takes them all.
+		finishBatch(cn.pend[cn.open:])
+		cn.open = len(cn.pend)
+		cn.pend = append(cn.pend, make([]byte, batchHeader)...)
+		cn.pendBatches++
 	}
 	cn.pend = appendSubFrame(cn.pend, b)
 	cn.pendFrames++
@@ -718,16 +733,43 @@ func (t *Transport) writeFrame(group int, f frame) {
 	case frameSend, frameRequest, frameResponse:
 		cn.pendMsgs++
 	}
-	capped := len(cn.pend)-batchHeader >= t.batchBytes
 	cn.mu.Unlock()
 	framePool.Put(fs)
 
-	if first || capped {
+	if first {
 		select {
 		case cn.kick <- struct{}{}:
 		default:
 		}
 	}
+}
+
+// delayed is a frame waiting out its modeled link latency on the
+// clock; records are pooled, each with its callback bound once.
+type delayed struct {
+	t     *Transport
+	group int
+	f     frame
+	run   func() // d.send
+}
+
+var delayedPool sync.Pool
+
+// writeFrameAfter writes f toward group once delay ms have passed.
+func (t *Transport) writeFrameAfter(delay int64, group int, f frame) {
+	d, ok := delayedPool.Get().(*delayed)
+	if !ok {
+		d = &delayed{}
+		d.run = d.send
+	}
+	d.t, d.group, d.f = t, group, f
+	t.clock.Schedule(delay, d.run)
+}
+
+func (d *delayed) send() {
+	d.t.writeFrame(d.group, d.f)
+	d.t, d.f = nil, frame{} // release the payload
+	delayedPool.Put(d)
 }
 
 // dropFrameLocked accounts one undeliverable frame (mu held). Send,
@@ -752,46 +794,36 @@ func (t *Transport) broadcast(f frame) {
 	}
 }
 
-// dispatch routes one received frame. Mirror updates apply
-// immediately (no clock needed — they are state, not behavior);
-// deliverable frames are handed to the run loop so handlers only ever
-// execute there.
-func (t *Transport) dispatch(f frame) {
+// mirror applies a received join or fail frame to the node mirror — at
+// once, on the reader's goroutine: it is state, not behavior, and needs
+// no clock.
+func (t *Transport) mirror(f frame) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	st, known := t.nodes[f.ID]
+	switch {
+	case f.Kind == frameJoin && !known:
+		t.nodes[f.ID] = &nodeState{place: f.Place, alive: true}
+		t.total++
+		t.alive++
+	case f.Kind == frameFail && known && st.alive:
+		st.alive = false
+		t.alive--
+	}
+}
+
+// deliver routes one received deliverable frame (clock goroutine, so
+// handlers only ever execute there).
+func (t *Transport) deliver(f *frame) {
 	switch f.Kind {
-	case frameJoin:
-		t.mu.Lock()
-		if _, dup := t.nodes[f.ID]; !dup {
-			t.nodes[f.ID] = &nodeState{place: f.Place, alive: true}
-			t.total++
-			t.alive++
-		}
-		t.mu.Unlock()
-	case frameFail:
-		t.mu.Lock()
-		if st, ok := t.nodes[f.ID]; ok && st.alive {
-			st.alive = false
-			t.alive--
-		}
-		t.mu.Unlock()
-	case frameSend, frameRequest, frameResponse, frameAnnounce:
-		t.mu.Lock()
-		clock := t.clock
-		if clock == nil {
-			t.buffered = append(t.buffered, f)
-			t.mu.Unlock()
-			return
-		}
-		t.mu.Unlock()
-		switch f.Kind {
-		case frameSend:
-			clock.Schedule(0, func() { t.deliverLocal(f.From, f.To, f.Payload) })
-		case frameRequest:
-			clock.Schedule(0, func() { t.serveRemoteRequest(f) })
-		case frameResponse:
-			clock.Schedule(0, func() { t.resolveRequest(f.ReqID, f.Payload, f.HasErr, f.Err) })
-		case frameAnnounce:
-			clock.Schedule(0, func() { t.deliverAnnounce(f.Payload) })
-		}
+	case frameSend:
+		t.deliverLocal(f.From, f.To, f.Payload)
+	case frameRequest:
+		t.serveRemoteRequest(f)
+	case frameResponse:
+		t.resolveRequest(f.ReqID, f.Payload, f.HasErr, f.Err)
+	case frameAnnounce:
+		t.deliverAnnounce(f.Payload)
 	}
 }
 
@@ -1013,14 +1045,11 @@ func (t *Transport) Send(from, to runtime.NodeID, msg any) {
 		return
 	}
 	delay := t.latencyLocked(from, to)
-	clock := t.clock
 	t.mu.Unlock()
 	if owner == t.group {
-		clock.Schedule(delay, func() { t.deliverLocal(from, to, msg) })
+		t.clock.Schedule(delay, func() { t.deliverLocal(from, to, msg) })
 	} else {
-		clock.Schedule(delay, func() {
-			t.writeFrame(owner, frame{Kind: frameSend, From: from, To: to, Payload: msg})
-		})
+		t.writeFrameAfter(delay, owner, frame{Kind: frameSend, From: from, To: to, Payload: msg})
 	}
 }
 
@@ -1066,33 +1095,45 @@ func (t *Transport) Request(from, to runtime.NodeID, req any, timeout int64, cb 
 	t.stats.BytesSent += uint64(messageBytes(req))
 	t.reqSeq++
 	id := t.reqSeq
-	t.pending[id] = &pendingReq{from: from, cb: cb}
+	var pr *pendingReq
+	if n := len(t.freeReqs); n > 0 {
+		pr, t.freeReqs = t.freeReqs[n-1], t.freeReqs[:n-1]
+	} else {
+		pr = &pendingReq{}
+		pr.timeout = func() { t.requestTimeout(pr) }
+	}
+	pr.id, pr.from, pr.cb = id, from, cb
+	t.pending[id] = pr
+	// Under mu: the deadline is in place before the run loop can reach
+	// the record (the clock never calls out under its own lock).
+	pr.deadline = t.clock.Schedule(timeout, pr.timeout)
 	lost := t.lostLocked()
 	if lost {
 		t.stats.MessagesDropped++
 	}
 	delay := t.latencyLocked(from, to)
-	clock := t.clock
-	t.mu.Unlock()
-
-	dl := clock.Schedule(timeout, func() { t.requestTimeout(id) })
-	t.mu.Lock()
-	if pr, ok := t.pending[id]; ok {
-		pr.deadline = dl
-	} else {
-		dl.Cancel()
-	}
 	t.mu.Unlock()
 	if lost {
 		return // request leg dropped in transit; the deadline will fire
 	}
 	if owner == t.group {
-		clock.Schedule(delay, func() { t.serveLocalRequest(id, from, to, req) })
+		t.clock.Schedule(delay, func() { t.serveLocalRequest(id, from, to, req) })
 	} else {
-		clock.Schedule(delay, func() {
-			t.writeFrame(owner, frame{Kind: frameRequest, ReqID: id, From: from, To: to, Payload: req})
-		})
+		t.writeFrameAfter(delay, owner, frame{Kind: frameRequest, ReqID: id, From: from, To: to, Payload: req})
 	}
+}
+
+// retireLocked takes a request that has its outcome off the books and
+// returns its callback (mu held). The record is reused only once its
+// deadline can no longer fire.
+func (t *Transport) retireLocked(pr *pendingReq, deadlineDone bool) (cb func(resp any, err error), alive bool) {
+	delete(t.pending, pr.id)
+	cb, alive = pr.cb, t.aliveLocked(pr.from) // a dead requester never observes the outcome
+	if deadlineDone {
+		pr.cb, pr.deadline = nil, nil
+		t.freeReqs = append(t.freeReqs, pr)
+	}
+	return cb, alive
 }
 
 // serveLocalRequest runs the target handler for a same-process RPC and
@@ -1102,20 +1143,17 @@ func (t *Transport) serveLocalRequest(id uint64, from, to runtime.NodeID, req an
 	if !ok {
 		return // dropped; the deadline will fire
 	}
-	t.clockNow().Schedule(back, func() { t.resolveRequest(id, resp, hasErr, errStr) })
+	t.clock.Schedule(back, func() { t.resolveRequest(id, resp, hasErr, errStr) })
 }
 
 // serveRemoteRequest runs the target handler for a cross-process RPC
 // and schedules the response frame (clock goroutine).
-func (t *Transport) serveRemoteRequest(f frame) {
+func (t *Transport) serveRemoteRequest(f *frame) {
 	resp, hasErr, errStr, back, ok := t.runHandler(f.From, f.To, f.Payload)
 	if !ok {
 		return
 	}
-	origin := t.owner(f.From)
-	t.clockNow().Schedule(back, func() {
-		t.writeFrame(origin, frame{Kind: frameResponse, ReqID: f.ReqID, Payload: resp, HasErr: hasErr, Err: errStr})
-	})
+	t.writeFrameAfter(back, t.owner(f.From), frame{Kind: frameResponse, ReqID: f.ReqID, Payload: resp, HasErr: hasErr, Err: errStr})
 }
 
 // runHandler is the shared owner-side RPC logic: deliver to the target
@@ -1153,27 +1191,18 @@ func (t *Transport) runHandler(from, to runtime.NodeID, req any) (resp any, hasE
 	return r, hasErr, errStr, back, true
 }
 
-// clockNow returns the bound clock (never nil after Bind).
-func (t *Transport) clockNow() runtime.Clock {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clock
-}
-
 // requestTimeout fires a pending request's deadline (clock goroutine).
-func (t *Transport) requestTimeout(id uint64) {
+func (t *Transport) requestTimeout(pr *pendingReq) {
 	t.mu.Lock()
-	pr, ok := t.pending[id]
-	if !ok {
+	if t.pending[pr.id] != pr {
 		t.mu.Unlock()
-		return
+		return // resolved, by a clock whose Cancel could not stop this
 	}
-	delete(t.pending, id)
 	t.stats.RequestsTimedOut++
-	alive := t.aliveLocked(pr.from)
+	cb, alive := t.retireLocked(pr, true)
 	t.mu.Unlock()
-	if alive { // a dead requester never observes the outcome
-		pr.cb(nil, runtime.ErrTimeout)
+	if alive {
+		cb(nil, runtime.ErrTimeout)
 	}
 }
 
@@ -1186,13 +1215,10 @@ func (t *Transport) resolveRequest(id uint64, resp any, hasErr bool, errStr stri
 		t.mu.Unlock()
 		return // deadline beat the response
 	}
-	delete(t.pending, id)
-	alive := t.aliveLocked(pr.from)
-	dl := pr.deadline
+	// The deadline has not fired — the request would not be pending —
+	// and fires only on this goroutine, so the cancel takes.
+	cb, alive := t.retireLocked(pr, pr.deadline.Cancel())
 	t.mu.Unlock()
-	if dl != nil {
-		dl.Cancel()
-	}
 	if !alive {
 		return
 	}
@@ -1200,7 +1226,7 @@ func (t *Transport) resolveRequest(id uint64, resp any, hasErr bool, errStr stri
 	if hasErr {
 		err = RemoteError(errStr)
 	}
-	pr.cb(resp, err)
+	cb(resp, err)
 }
 
 // ---- runtime.Bus ----

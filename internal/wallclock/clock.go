@@ -12,7 +12,6 @@
 package wallclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 
@@ -27,10 +26,14 @@ type timer struct {
 	when      int64
 	seq       uint64
 	fn        func()
+	pos       int // index in the clock's heap; meaningless once fired or cancelled
 	fired     bool
 	cancelled bool
 }
 
+// Cancel takes a queued timer out of the heap at once, so the queue
+// never holds dead deadlines: RPC timeouts are scheduled seconds ahead
+// and nearly all of them are cancelled microseconds later.
 func (t *timer) Cancel() bool {
 	t.c.mu.Lock()
 	defer t.c.mu.Unlock()
@@ -39,6 +42,7 @@ func (t *timer) Cancel() bool {
 	}
 	t.cancelled = true
 	t.fn = nil
+	t.c.queue.remove(t.pos)
 	return true
 }
 
@@ -56,33 +60,81 @@ func (t *timer) Cancelled() bool {
 
 func (t *timer) When() int64 { return t.when }
 
-// timerHeap orders by (when, seq) like the engine's event queue, so
-// same-deadline timers fire in schedule order.
+// timerHeap is a binary min-heap on (when, seq) — the engine's event
+// order, so same-deadline timers fire in schedule order — in which
+// every timer knows its index.
 type timerHeap []*timer
 
-func (q timerHeap) Len() int { return len(q) }
-func (q timerHeap) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (t *timer) before(u *timer) bool {
+	if t.when != u.when {
+		return t.when < u.when
 	}
-	return q[i].seq < q[j].seq
+	return t.seq < u.seq
 }
-func (q timerHeap) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *timerHeap) Push(x any)   { *q = append(*q, x.(*timer)) }
-func (q *timerHeap) Pop() any {
+
+func (q timerHeap) set(i int, t *timer) {
+	q[i] = t
+	t.pos = i
+}
+
+// up moves t from the hole at i toward the root; down toward the leaves.
+func (q timerHeap) up(i int, t *timer) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !t.before(q[parent]) {
+			break
+		}
+		q.set(i, q[parent])
+		i = parent
+	}
+	q.set(i, t)
+}
+
+func (q timerHeap) down(i int, t *timer) {
+	for {
+		child := 2*i + 1
+		if child >= len(q) {
+			break
+		}
+		if child+1 < len(q) && q[child+1].before(q[child]) {
+			child++
+		}
+		if !q[child].before(t) {
+			break
+		}
+		q.set(i, q[child])
+		i = child
+	}
+	q.set(i, t)
+}
+
+func (q *timerHeap) push(t *timer) {
+	*q = append(*q, t)
+	q.up(len(*q)-1, t)
+}
+
+// remove takes out the timer at index i, filling the hole with the
+// last one.
+func (q *timerHeap) remove(i int) {
 	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
+	last := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	if i == len(*q) {
+		return
+	}
+	if i > 0 && last.before((*q)[(i-1)/2]) {
+		q.up(i, last)
+	} else {
+		q.down(i, last)
+	}
 }
 
 // Clock is the wall-clock implementation of runtime.Clock. Time is
-// int64 milliseconds since the clock was created; deadlines are kept in
-// a heap and executed by Run — the single run loop — when the wall
-// clock reaches them. Scheduling is safe from any goroutine; callbacks
-// run only on the goroutine inside Run, one at a time.
+// int64 milliseconds since the clock was created; live deadlines are
+// kept in a heap and executed by Run — the single run loop — when the
+// wall clock reaches them. Scheduling is safe from any goroutine;
+// callbacks run only on the goroutine inside Run, one at a time.
 type Clock struct {
 	mu        sync.Mutex
 	start     time.Time
@@ -90,9 +142,14 @@ type Clock struct {
 	seq       uint64
 	processed uint64
 	stopped   bool
-	// wake kicks Run out of its idle sleep when an earlier deadline is
-	// scheduled from outside the loop or Stop is called.
-	wake chan struct{}
+	// reached is the latest clock reading Run has acted on. No timer is
+	// filed before it, so one scheduled with a reading taken just before
+	// cannot sort ahead of timers that have already fired.
+	reached int64
+	// sleeping is set while Run waits for the next deadline; only then
+	// does a new earliest deadline need to send on wake. Stop sends too.
+	sleeping bool
+	wake     chan struct{}
 }
 
 // NewClock starts a wall clock at time zero (= now).
@@ -100,36 +157,36 @@ func NewClock() *Clock {
 	return &Clock{start: time.Now(), wake: make(chan struct{}, 1)}
 }
 
-// elapsed is Now without the lock dance; callers hold no lock (reads
-// only immutable start).
-func (c *Clock) elapsed() int64 { return int64(time.Since(c.start) / time.Millisecond) }
-
-// Now returns wall-clock milliseconds since the run started.
-func (c *Clock) Now() int64 { return c.elapsed() }
+// Now returns wall-clock milliseconds since the run started (reads
+// only the immutable start, so it takes no lock).
+func (c *Clock) Now() int64 { return int64(time.Since(c.start) / time.Millisecond) }
 
 // Schedule runs fn after delay wall-clock milliseconds.
 func (c *Clock) Schedule(delay int64, fn func()) runtime.Timer {
 	if delay < 0 {
 		delay = 0
 	}
-	return c.At(c.elapsed()+delay, fn)
+	now := c.Now()
+	return c.at(now+delay, now, fn)
 }
 
 // At runs fn when the wall clock reaches t (clamped to now).
-func (c *Clock) At(t int64, fn func()) runtime.Timer {
+func (c *Clock) At(t int64, fn func()) runtime.Timer { return c.at(t, c.Now(), fn) }
+
+func (c *Clock) at(t, now int64, fn func()) *timer {
 	if fn == nil {
 		panic("wallclock: At called with nil function")
 	}
 	c.mu.Lock()
-	now := c.elapsed()
-	if t < now {
-		t = now
-	}
+	t = max(t, now, c.reached)
 	c.seq++
 	tm := &timer{c: c, when: t, seq: c.seq, fn: fn}
-	heap.Push(&c.queue, tm)
+	c.queue.push(tm)
+	wake := c.sleeping && tm.pos == 0
 	c.mu.Unlock()
-	c.kick()
+	if wake {
+		c.kick()
+	}
 	return tm
 }
 
@@ -160,7 +217,7 @@ func (p *ticker) fire() {
 		// engine's PeriodicTimer: cadence stays `period` regardless of
 		// callback duration or loop latency (At clamps a missed deadline
 		// to now, so a slow callback catches up instead of backlogging).
-		p.inner = p.c.At(fired+p.period, p.fire).(*timer)
+		p.inner = p.c.at(fired+p.period, p.c.Now(), p.fire)
 	}
 	p.mu.Unlock()
 }
@@ -208,7 +265,7 @@ func (c *Clock) Stop() {
 	c.kick()
 }
 
-// kick wakes an idle Run (non-blocking; a pending wake is enough).
+// kick wakes a sleeping Run (non-blocking; a pending wake is enough).
 func (c *Clock) kick() {
 	select {
 	case c.wake <- struct{}{}:
@@ -223,8 +280,8 @@ func (c *Clock) Processed() uint64 {
 	return c.processed
 }
 
-// Pending returns the number of queued timers, including cancelled ones
-// not yet discarded.
+// Pending returns the number of queued timers. Cancelled ones are not
+// among them: Cancel removes a timer from the queue.
 func (c *Clock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -236,21 +293,23 @@ func (c *Clock) Pending() int {
 // passes `until` (ms since clock start) or Stop is called. Timers due
 // at or before `until` are executed; later ones remain queued. It
 // returns the number of callbacks executed by this call.
+//
+// The wall clock is read once per turn: a turn runs every timer due at
+// that reading, and only a turn that found none goes to sleep.
 func (c *Clock) Run(until int64) uint64 {
 	var executed uint64
+	idle := time.NewTimer(time.Hour) // reset before every sleep
+	defer idle.Stop()
 	for {
+		now := c.Now()
+		due := min(now, until)
+		ran := false
 		c.mu.Lock()
-		if c.stopped {
-			c.stopped = false
-			c.mu.Unlock()
-			return executed
-		}
-		for len(c.queue) > 0 && c.queue[0].cancelled {
-			heap.Pop(&c.queue)
-		}
-		now := c.elapsed()
-		if len(c.queue) > 0 && c.queue[0].when <= until && c.queue[0].when <= now {
-			t := heap.Pop(&c.queue).(*timer)
+		c.reached = now
+		c.sleeping = false
+		for !c.stopped && len(c.queue) > 0 && c.queue[0].when <= due {
+			t := c.queue[0]
+			c.queue.remove(0)
 			t.fired = true
 			fn := t.fn
 			t.fn = nil
@@ -258,9 +317,18 @@ func (c *Clock) Run(until int64) uint64 {
 			c.mu.Unlock()
 			fn() // outside the lock: callbacks schedule freely
 			executed++
-			continue
+			ran = true
+			c.mu.Lock()
 		}
-		// Nothing due yet: sleep until the next deadline or the horizon.
+		if c.stopped {
+			c.stopped = false
+			c.mu.Unlock()
+			return executed
+		}
+		if ran {
+			c.mu.Unlock()
+			continue // callbacks took time: look again before sleeping
+		}
 		if now >= until {
 			c.mu.Unlock()
 			return executed
@@ -269,14 +337,12 @@ func (c *Clock) Run(until int64) uint64 {
 		if len(c.queue) > 0 && c.queue[0].when < target {
 			target = c.queue[0].when
 		}
+		c.sleeping = true
 		c.mu.Unlock()
-		if d := time.Duration(target-now) * time.Millisecond; d > 0 {
-			idle := time.NewTimer(d)
-			select {
-			case <-idle.C:
-			case <-c.wake:
-				idle.Stop()
-			}
+		idle.Reset(time.Duration(target-now) * time.Millisecond)
+		select {
+		case <-idle.C:
+		case <-c.wake:
 		}
 	}
 }

@@ -54,3 +54,26 @@ func RoundTrip(t *testing.T, msg any) {
 		}
 	}
 }
+
+// BinaryAllocs pins the binary codec's allocation budget for msg:
+// encoding into a buffer with room allocates nothing, and decoding
+// allocates decodeAllocs objects — the decoded value itself (boxing it
+// into the returned interface is one) and whatever it points to.
+func BinaryAllocs(t *testing.T, msg any, decodeAllocs float64) {
+	t.Helper()
+	c, err := runtime.NewCodec("binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 4096)
+	enc, err := c.AppendMessage(buf, msg)
+	if err != nil {
+		t.Fatalf("encode %T: %v", msg, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.AppendMessage(buf, msg) }); n != 0 {
+		t.Errorf("encoding %T allocates %v objects per call, want 0", msg, n)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.DecodeMessage(enc) }); n != decodeAllocs {
+		t.Errorf("decoding %T allocates %v objects per call, want %v", msg, n, decodeAllocs)
+	}
+}
