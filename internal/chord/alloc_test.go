@@ -1,0 +1,83 @@
+package chord
+
+import (
+	"fmt"
+	"testing"
+
+	"flowercdn/internal/ids"
+	"flowercdn/internal/runtime"
+)
+
+// quietRing builds a stabilised 32-node ring and freezes it, so that
+// while a pin below runs the engine, nothing executes but the one duty
+// the pin fired by hand.
+func quietRing(t *testing.T) (f *ringFixture, src, far *testPeer) {
+	t.Helper()
+	f = newRing(t, 77)
+	for i := 0; i < 32; i++ {
+		f.addPeer(ids.HashString(fmt.Sprintf("alloc-%d", i)))
+	}
+	f.settle(30 * runtime.Minute)
+	f.checkRingConsistent()
+	f.freeze()
+	alive := f.aliveSorted()
+	// The predecessor's position is the farthest key there is: routing
+	// to it takes the most hops the ring has.
+	return f, alive[1], alive[0]
+}
+
+// TestAllocPins pins the allocation count of each steady-state
+// maintenance duty, start to finish: the call, every message and RPC it
+// causes on other nodes, and the callbacks that come home. The sim
+// backend's own records are pooled and its timers come from slabs of
+// 512, which AllocsPerRun's integer mean rounds away.
+func TestAllocPins(t *testing.T) {
+	f, src, far := quietRing(t)
+	n := src.node
+	key := far.node.Self().ID
+	var resolved, hops int
+	onOwner := func(owner Entry, h int, err error) {
+		if err != nil || owner != far.node.Self() {
+			t.Errorf("lookup: owner %v, err %v, want %v", owner, err, far.node.Self())
+		}
+		resolved++
+		hops = h
+	}
+	var payload any = GatewayAnnounce{E: n.Self()}
+	run := func() { f.eng.Run(f.eng.Now() + 5*runtime.Second) }
+
+	pins := []struct {
+		name string
+		max  float64
+		duty func()
+	}{
+		{"Lookup", 0, func() { n.Lookup(key, onOwner) }},
+		{"pingFingers", 0, n.pingFingers},
+		{"checkPredecessor", 0, n.checkPredecessor},
+		{"notifySuccessor", 0, n.notifySuccessor},
+		{"stabilize", 2, n.stabilize}, // the successor's snapshot of its list, and its box
+		{"Route", 1, func() { // the message; nobody brings it back
+			n.Route(key, payload)
+			far.routed = far.routed[:0]
+		}},
+	}
+	for _, pin := range pins {
+		sent := f.net.Stats().MessagesSent
+		got := testing.AllocsPerRun(200, func() {
+			pin.duty()
+			run()
+		})
+		if f.net.Stats().MessagesSent == sent {
+			t.Errorf("%s sent nothing: the pin measured an idle ring", pin.name)
+		}
+		if got > pin.max {
+			t.Errorf("%s allocates %v objects per round, want at most %v", pin.name, got, pin.max)
+		}
+	}
+	if resolved != 201 || hops < 2 {
+		t.Errorf("lookups resolved %d times over %d hops, want 201 times over several hops", resolved, hops)
+	}
+	if len(n.pending) != 0 {
+		t.Errorf("%d lookups still pending on a quiet ring", len(n.pending))
+	}
+}

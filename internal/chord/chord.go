@@ -19,6 +19,31 @@
 // implements runtime.Handler and delegates Chord traffic to the node via
 // HandleMessage/HandleRequest (both report whether they consumed the
 // input).
+//
+// Steady-state maintenance allocates nothing. Three things make that
+// so, and each comes with a rule:
+//
+//   - A lookup is one *routeMsg for its whole life. The origin takes it
+//     from its free list, every hop bumps Hops and forwards the same
+//     pointer, the owner flips it into the answer (Reply, Owner) and
+//     sends it home, and the origin puts it back. Whoever passes the
+//     message to Send gives it up (runtime.Transport's ownership rule);
+//     a message that is lost, or routed one-way with a payload, ends as
+//     ordinary garbage.
+//   - Three free lists per ring member: those messages, pendingLookup
+//     records (one per Lookup, retries included) and probe records (one
+//     per stabilize / check-predecessor / finger-ping RPC). Each record
+//     binds its callback once, when it is first made, and goes back on
+//     its list before the caller's callback runs, because callbacks
+//     start new lookups. A reply to an attempt that already timed out
+//     finds no pending entry under its request ID and is dropped; it is
+//     never matched to the record's next tenant. A non-member Client
+//     has no lists and lets the collector have its few records.
+//   - The 64-entry finger table has an index of its distinct nodes,
+//     rebuilt only after an entry changed value: in table order for the
+//     rotating liveness probe, and in top-down order for the greedy
+//     routing step, which so considers the same nodes in the same order
+//     as a scan of the whole table would.
 package chord
 
 import (
@@ -177,18 +202,20 @@ func init() {
 	// backend; register them with the shared wire-type registry so the
 	// gob codec can decode them out of interface-typed frame fields.
 	runtime.RegisterWireType(
-		routeMsg{}, lookupReply{}, notifyMsg{},
+		&routeMsg{}, notifyMsg{},
 		neighborsReq{}, neighborsResp{},
 		pingReq{}, pingResp{},
 		claimReq{}, claimResp{}, claimTransfer{},
 	)
 }
 
-// routeMsg is forwarded greedily toward the owner of Key.
+// routeMsg is forwarded greedily toward the owner of Key. It travels by
+// pointer and each holder mutates it in place, so a node must not touch
+// one after handing it to Send.
 type routeMsg struct {
 	Key     ids.ID
 	Payload any    // nil for pure lookups
-	ReqID   uint64 // nonzero: owner must send lookupReply to Origin
+	ReqID   uint64 // nonzero: owner must send the message back to Origin as the reply
 	Origin  runtime.NodeID
 	Hops    int
 	Deliver bool // set on the final hop: receiver is the owner
@@ -197,13 +224,10 @@ type routeMsg struct {
 	// tracing path allocates nothing.
 	Traced bool
 	Path   []trace.Hop
-}
-
-// lookupReply answers a Lookup directly to its origin.
-type lookupReply struct {
-	ReqID uint64
+	// Reply marks the answer to lookup ReqID on its way home: the owner
+	// set Owner to itself and left Hops as the lookup arrived with it.
+	Reply bool
 	Owner Entry
-	Hops  int
 }
 
 // notifyMsg implements Chord's notify(n').
@@ -247,11 +271,27 @@ type claimTransfer struct {
 	Claimant Entry
 }
 
+// noFinger is the finger argument of a lookup that reports to a
+// callback instead of refreshing a finger-table entry.
+const noFinger = -1
+
+// pendingLookup is the record of one lookup across all its attempts.
+// The timeout handed to the clock is bound once, when the record is
+// made; ring members recycle records through Node.freeLookups.
 type pendingLookup struct {
-	cb      func(owner Entry, hops int, err error)
+	r  *resolver
+	cb func(owner Entry, hops int, err error)
+	// finger, when cb is nil, is the finger-table entry the result
+	// refreshes — fixFingers' lookups carry an index, not a closure.
+	finger  int
 	timer   runtime.Timer
 	retries int
+	req     uint64 // the current attempt's key in resolver.pending
 	key     ids.ID
+	// via is where each attempt is injected: a gateway's address, or
+	// the resolver's own for a member routing by itself.
+	via       runtime.NodeID
+	onTimeout func()
 }
 
 // reqCounter hands out lookup request IDs unique across every resolver
@@ -266,50 +306,168 @@ func nextReqID() uint64 {
 	return reqCounter.Add(1)
 }
 
-// resolver matches lookupReply messages to pending lookups. Both full
-// nodes and non-member Clients embed it.
+// resolver issues lookups and matches the replies to them. Both full
+// nodes and non-member Clients embed it, and it holds the one copy of
+// what they share: a Client exists once per peer, so every word here is
+// paid for twenty thousand times over on a big cell.
 type resolver struct {
+	net     runtime.Transport
+	eng     runtime.Clock
+	self    Entry // a Client has an address but no ring position
+	timeout int64
+	retries int
 	pending map[uint64]*pendingLookup
+	// ring is the member this resolver belongs to: it routes attempts
+	// injected at self and owns the free lists. Nil on a Client.
+	ring    *Node
+	stopped bool
 }
 
-func (r *resolver) init() { r.pending = make(map[uint64]*pendingLookup) }
+func (r *resolver) init(cfg Config, net runtime.Transport, self Entry, ring *Node) {
+	*r = resolver{
+		net:     net,
+		eng:     net.Clock(),
+		self:    self,
+		timeout: cfg.LookupTimeout,
+		retries: cfg.LookupRetries,
+		pending: make(map[uint64]*pendingLookup),
+		ring:    ring,
+	}
+}
+
+// lookup resolves key's owner through via, retrying on timeout. The
+// result goes to cb, or with a nil cb to the ring member's finger-table
+// entry finger.
+func (r *resolver) lookup(via runtime.NodeID, key ids.ID, finger int, cb func(Entry, int, error)) {
+	var p *pendingLookup
+	if r.ring != nil {
+		p = pop(&r.ring.freeLookups)
+	}
+	if p == nil {
+		p = &pendingLookup{r: r}
+		p.onTimeout = p.timedOut
+	}
+	p.cb, p.finger, p.key, p.via, p.retries = cb, finger, key, via, r.retries-1
+	r.launch(p)
+}
+
+// launch starts one attempt under a fresh request ID, so a straggler
+// reply to an earlier attempt matches nothing.
+func (r *resolver) launch(p *pendingLookup) {
+	p.req = nextReqID()
+	r.pending[p.req] = p
+	p.timer = r.eng.Schedule(r.timeout, p.onTimeout)
+	n := r.ring
+	var m *routeMsg
+	if n != nil {
+		m = pop(&n.freeMsgs)
+	}
+	if m == nil {
+		m = new(routeMsg)
+	}
+	m.Key, m.ReqID, m.Origin = p.key, p.req, r.self.Node
+	if n != nil && p.via == r.self.Node {
+		n.routeStep(m) // may resolve at once, recycling p and m
+		return
+	}
+	r.net.Send(r.self.Node, p.via, m)
+}
+
+// pop takes the newest record off a free list; nil when it is empty.
+func pop[T any](free *[]*T) *T {
+	l := *free
+	if len(l) == 0 {
+		return nil
+	}
+	*free = l[:len(l)-1]
+	return l[len(l)-1]
+}
+
+func (p *pendingLookup) timedOut() {
+	r := p.r
+	if r.pending[p.req] != p {
+		return
+	}
+	delete(r.pending, p.req)
+	switch {
+	case r.stopped:
+		r.finish(p, NoEntry, 0, ErrStopped)
+	case p.retries <= 0:
+		r.finish(p, NoEntry, 0, ErrLookupFailed)
+	default:
+		p.retries--
+		r.launch(p)
+	}
+}
+
+// finish recycles the record and only then reports the outcome: the
+// callback may start the lookup that reuses it.
+func (r *resolver) finish(p *pendingLookup, owner Entry, hops int, err error) {
+	cb, finger := p.cb, p.finger
+	p.cb, p.timer = nil, nil
+	if r.ring != nil {
+		r.ring.freeLookups = append(r.ring.freeLookups, p)
+	}
+	if cb != nil {
+		cb(owner, hops, err)
+		return
+	}
+	r.ring.fingerResolved(finger, owner, err)
+}
 
 // consumeReply reports whether the reply belonged to this resolver; an
 // unknown ID may belong to another component of the same peer (or be a
 // stale retry), so the caller must keep dispatching on false.
-func (r *resolver) consumeReply(m lookupReply) bool {
+func (r *resolver) consumeReply(m *routeMsg) bool {
 	p, ok := r.pending[m.ReqID]
 	if !ok {
 		return false
 	}
 	delete(r.pending, m.ReqID)
 	p.timer.Cancel()
-	p.cb(m.Owner, m.Hops, nil)
+	owner, hops := m.Owner, m.Hops
+	if r.ring != nil {
+		*m = routeMsg{} // a listed message holds no payload, path or stale flag
+		r.ring.freeMsgs = append(r.ring.freeMsgs, m)
+	}
+	r.finish(p, owner, hops, nil)
 	return true
 }
 
 // Node is one Chord ring member.
 type Node struct {
-	resolver
-	cfg  Config
-	net  runtime.Transport
-	eng  runtime.Clock
-	rng  *rnd.RNG
-	app  App
-	self Entry
+	resolver // net, eng, self and stopped live there
+	cfg      Config
+	rng      *rnd.RNG
+	app      App
 
 	pred     Entry
 	succs    []Entry // succs[0] is the immediate successor; never empty once started
-	fingers  []Entry
+	fingers  []Entry // write through setFinger, which keeps the index honest
 	nextFix  int
 	nextPing int
 
-	// succsSpare and pingScratch are reusable backing arrays for the
-	// per-round successor-list rebuild and the finger-ping dedup — both
-	// fire on every node every maintenance interval, so allocating there
-	// dominates a run's garbage (see BenchmarkFig3HitRatioOverTime).
-	succsSpare  []Entry
-	pingScratch []Entry
+	// The distinct-finger index, rebuilt by fingerIndex after a finger
+	// changed value. Neither view holds self or an empty entry.
+	// fingerPing lists the table's distinct nodes in table order, each as
+	// its first entry; fingerScan lists its distinct entries in top-down
+	// order, the order closestPreceding has always considered them in.
+	fingerPing  []Entry
+	fingerScan  []Entry
+	fingerStale bool
+
+	// succsSpare is the reusable backing array for the per-round
+	// successor-list rebuild, which fires on every node every
+	// maintenance interval.
+	succsSpare []Entry
+
+	// Free lists of the records steady-state maintenance would otherwise
+	// allocate per use (see the package comment), and the one boxed
+	// notify this node ever sends.
+	freeMsgs    []*routeMsg
+	freeLookups []*pendingLookup
+	freeProbes  []*probe
+	notify      any
 
 	claims map[ids.ID]claim // position reservations this node granted
 
@@ -320,7 +478,6 @@ type Node struct {
 	contacts []Entry
 
 	timers  []runtime.Ticker
-	stopped bool
 	started bool
 }
 
@@ -342,11 +499,8 @@ func NewNode(cfg Config, net runtime.Transport, rng *rnd.RNG, app App, nodeID ru
 	}
 	n := &Node{
 		cfg:     cfg,
-		net:     net,
-		eng:     net.Clock(),
 		rng:     rng,
 		app:     app,
-		self:    Entry{Node: nodeID, ID: ringID},
 		pred:    NoEntry,
 		fingers: make([]Entry, ids.Bits),
 		claims:  make(map[ids.ID]claim),
@@ -354,7 +508,8 @@ func NewNode(cfg Config, net runtime.Transport, rng *rnd.RNG, app App, nodeID ru
 	for i := range n.fingers {
 		n.fingers[i] = NoEntry
 	}
-	n.resolver.init()
+	n.resolver.init(cfg, net, Entry{Node: nodeID, ID: ringID}, n)
+	n.notify = notifyMsg{From: n.self}
 	return n, nil
 }
 
@@ -395,7 +550,7 @@ func (n *Node) Join(gateway Entry, cb func(error)) {
 	if n.started {
 		panic("chord: Join on started node")
 	}
-	n.lookupVia(gateway, n.self.ID, func(owner Entry, _ int, err error) {
+	n.lookup(gateway.Node, n.self.ID, noFinger, func(owner Entry, _ int, err error) {
 		if n.stopped {
 			return
 		}
@@ -443,4 +598,8 @@ func (n *Node) Stop() {
 		p.timer.Cancel()
 		delete(n.pending, id)
 	}
+	// The owning peer may outlive its membership by hours; what a member
+	// keeps ready for its next round need not.
+	n.freeMsgs, n.freeLookups, n.freeProbes = nil, nil, nil
+	n.fingerScan, n.fingerPing = nil, nil
 }

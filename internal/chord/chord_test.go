@@ -16,9 +16,10 @@ import (
 
 // testPeer is the minimal application peer wrapping a chord Node.
 type testPeer struct {
-	node   *Node
-	nid    runtime.NodeID
-	routed []routedRecord
+	node      *Node
+	nid       runtime.NodeID
+	routed    []routedRecord
+	unclaimed int // messages the node declined, e.g. replies to attempts it gave up on
 }
 
 type routedRecord struct {
@@ -33,8 +34,8 @@ func (p *testPeer) OnRouted(key ids.ID, payload any, origin runtime.NodeID, hops
 }
 
 func (p *testPeer) HandleMessage(from runtime.NodeID, msg any) {
-	if p.node.HandleMessage(from, msg) {
-		return
+	if !p.node.HandleMessage(from, msg) {
+		p.unclaimed++
 	}
 }
 
@@ -125,6 +126,18 @@ func (f *ringFixture) addPeer(id ids.ID) *testPeer {
 // settle runs enough simulated time for stabilization to converge.
 func (f *ringFixture) settle(d int64) {
 	f.eng.Run(f.eng.Now() + d)
+}
+
+// freeze cancels every node's periodic maintenance and drains the RPCs
+// in flight, so that from here on only what the test starts runs and
+// the ring's pointers stay as they are.
+func (f *ringFixture) freeze() {
+	for _, p := range f.peers {
+		for _, tk := range p.node.timers {
+			tk.Cancel()
+		}
+	}
+	f.settle(runtime.Minute)
 }
 
 // aliveSorted returns alive peers sorted by ring ID.
@@ -635,5 +648,21 @@ func TestStopCancelsPendingLookups(t *testing.T) {
 		if !a.node.Stopped() {
 			t.Fatal("node not stopped")
 		}
+	}
+}
+
+// TestLookupOnStoppedNodeReportsStopped: a lookup issued after Stop goes
+// nowhere, and its timeout says why instead of retrying.
+func TestLookupOnStoppedNodeReportsStopped(t *testing.T) {
+	f := newRing(t, 15)
+	a := f.addPeer(1 << 20)
+	f.addPeer(1 << 40)
+	f.settle(5 * runtime.Minute)
+	a.node.Stop()
+	var got []error
+	a.node.Lookup(ids.ID(1<<30), func(_ Entry, _ int, err error) { got = append(got, err) })
+	f.settle(f.cfg.LookupTimeout + runtime.Second)
+	if len(got) != 1 || !errors.Is(got[0], ErrStopped) {
+		t.Fatalf("lookup on a stopped node reported %v, want one ErrStopped", got)
 	}
 }

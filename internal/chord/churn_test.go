@@ -174,7 +174,7 @@ func TestAnnounceRestoresVisibility(t *testing.T) {
 	a.node.succs = []Entry{a.node.self}
 	a.node.pred = a.node.self
 	for i := range a.node.fingers {
-		a.node.fingers[i] = NoEntry
+		a.node.setFinger(i, NoEntry)
 	}
 	// b announces itself to a.
 	b.node.Announce(a.node.Self())

@@ -75,7 +75,7 @@ func (n *Node) JoinAt(gateway Entry, cb func(current Entry, err error)) {
 		panic("chord: JoinAt on started node")
 	}
 	pos := n.self.ID
-	n.lookupVia(gateway, pos, func(owner Entry, _ int, err error) {
+	n.lookup(gateway.Node, pos, noFinger, func(owner Entry, _ int, err error) {
 		if n.stopped {
 			return
 		}

@@ -12,10 +12,6 @@ import (
 // joining the structured layer themselves.
 type Client struct {
 	resolver
-	cfg Config
-	net runtime.Transport
-	eng runtime.Clock
-	me  runtime.NodeID
 }
 
 // NewClient builds a lookup client for the peer at me.
@@ -23,48 +19,22 @@ func NewClient(cfg Config, net runtime.Transport, me runtime.NodeID) (*Client, e
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Client{cfg: cfg, net: net, eng: net.Clock(), me: me}
-	c.resolver.init()
+	c := &Client{}
+	c.resolver.init(cfg, net, Entry{Node: me}, nil)
 	return c, nil
 }
 
 // LookupVia resolves key's owner through the gateway ring member,
 // retrying on timeout like Node.Lookup.
 func (c *Client) LookupVia(gateway Entry, key ids.ID, cb func(owner Entry, hops int, err error)) {
-	c.attempt(gateway, key, c.cfg.LookupRetries, cb)
-}
-
-func (c *Client) attempt(gateway Entry, key ids.ID, attempts int, cb func(Entry, int, error)) {
-	req := nextReqID()
-	p := &pendingLookup{cb: cb, retries: attempts - 1, key: key}
-	c.pending[req] = p
-	p.timer = c.eng.Schedule(c.cfg.LookupTimeout, func() { c.timedOut(req, gateway) })
-	c.net.Send(c.me, gateway.Node, routeMsg{Key: key, ReqID: req, Origin: c.me})
-}
-
-func (c *Client) timedOut(req uint64, gateway Entry) {
-	p, ok := c.pending[req]
-	if !ok {
-		return
-	}
-	if p.retries <= 0 {
-		delete(c.pending, req)
-		p.cb(NoEntry, 0, ErrLookupFailed)
-		return
-	}
-	p.retries--
-	delete(c.pending, req)
-	fresh := nextReqID()
-	c.pending[fresh] = p
-	p.timer = c.eng.Schedule(c.cfg.LookupTimeout, func() { c.timedOut(fresh, gateway) })
-	c.net.Send(c.me, gateway.Node, routeMsg{Key: p.key, ReqID: fresh, Origin: c.me})
+	c.lookup(gateway.Node, key, noFinger, cb)
 }
 
 // RouteVia sends an application payload toward key's owner through the
 // gateway. One-way and best-effort; the owner's application answers the
 // origin directly.
 func (c *Client) RouteVia(gateway Entry, key ids.ID, payload any) {
-	c.net.Send(c.me, gateway.Node, routeMsg{Key: key, Payload: payload, Origin: c.me})
+	c.net.Send(c.self.Node, gateway.Node, &routeMsg{Key: key, Payload: payload, Origin: c.self.Node})
 }
 
 // RouteViaTraced is RouteVia with hop tracing: path (owned by the
@@ -72,13 +42,13 @@ func (c *Client) RouteVia(gateway Entry, key ids.ID, payload any) {
 // forwarding. The gateway handoff itself is not a ring forwarding and
 // adds no hop, matching the Hops accounting.
 func (c *Client) RouteViaTraced(gateway Entry, key ids.ID, payload any, path []trace.Hop) {
-	c.net.Send(c.me, gateway.Node, routeMsg{Key: key, Payload: payload, Origin: c.me, Traced: true, Path: path})
+	c.net.Send(c.self.Node, gateway.Node, &routeMsg{Key: key, Payload: payload, Origin: c.self.Node, Traced: true, Path: path})
 }
 
 // HandleMessage consumes lookup replies addressed to this client. It
 // reports whether the message was Chord client traffic.
 func (c *Client) HandleMessage(_ runtime.NodeID, msg any) bool {
-	if m, ok := msg.(lookupReply); ok {
+	if m, ok := msg.(*routeMsg); ok && m.Reply {
 		return c.consumeReply(m)
 	}
 	return false

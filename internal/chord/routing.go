@@ -1,6 +1,8 @@
 package chord
 
 import (
+	"slices"
+
 	"flowercdn/internal/ids"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/trace"
@@ -11,50 +13,7 @@ import (
 // ErrLookupFailed). The accumulated simulated time until cb runs is the
 // lookup latency the metrics record.
 func (n *Node) Lookup(key ids.ID, cb func(owner Entry, hops int, err error)) {
-	n.lookupAttempt(key, n.cfg.LookupRetries, cb, n.routeLocal)
-}
-
-// lookupVia resolves key through an external gateway — used while
-// joining, before this node can route itself.
-func (n *Node) lookupVia(gateway Entry, key ids.ID, cb func(Entry, int, error)) {
-	n.lookupAttempt(key, n.cfg.LookupRetries, cb, func(m routeMsg) {
-		n.net.Send(n.self.Node, gateway.Node, m)
-	})
-}
-
-// lookupAttempt registers a pending lookup and injects the route
-// message with the given starter, retrying until attempts run out.
-func (n *Node) lookupAttempt(key ids.ID, attempts int, cb func(Entry, int, error), start func(routeMsg)) {
-	req := nextReqID()
-	p := &pendingLookup{cb: cb, retries: attempts - 1, key: key}
-	n.pending[req] = p
-	p.timer = n.eng.Schedule(n.cfg.LookupTimeout, func() { n.lookupTimedOut(req, start) })
-	start(routeMsg{Key: key, ReqID: req, Origin: n.self.Node})
-}
-
-func (n *Node) lookupTimedOut(req uint64, start func(routeMsg)) {
-	p, ok := n.pending[req]
-	if !ok {
-		return
-	}
-	if n.stopped {
-		delete(n.pending, req)
-		p.cb(NoEntry, 0, ErrStopped)
-		return
-	}
-	if p.retries <= 0 {
-		delete(n.pending, req)
-		p.cb(NoEntry, 0, ErrLookupFailed)
-		return
-	}
-	p.retries--
-	// Re-key the pending entry under a fresh request id so a straggler
-	// reply to the old attempt is ignored (it would double-fire cb).
-	delete(n.pending, req)
-	fresh := nextReqID()
-	n.pending[fresh] = p
-	p.timer = n.eng.Schedule(n.cfg.LookupTimeout, func() { n.lookupTimedOut(fresh, start) })
-	start(routeMsg{Key: p.key, ReqID: fresh, Origin: n.self.Node})
+	n.lookup(n.self.Node, key, noFinger, cb)
 }
 
 // Route forwards an application payload to the owner of key; the
@@ -62,24 +21,20 @@ func (n *Node) lookupTimedOut(req uint64, start func(routeMsg)) {
 // like the paper's query routing: a lost query is recovered by the
 // application's own retry (a client re-submits).
 func (n *Node) Route(key ids.ID, payload any) {
-	n.routeLocal(routeMsg{Key: key, Payload: payload, Origin: n.self.Node})
+	n.routeStep(&routeMsg{Key: key, Payload: payload, Origin: n.self.Node})
 }
 
 // RouteTraced is Route with hop tracing: path (owned by the message
 // from here on) accumulates one HopRoute per overlay forwarding and
 // arrives at the owner's OnRouted.
 func (n *Node) RouteTraced(key ids.ID, payload any, path []trace.Hop) {
-	n.routeLocal(routeMsg{Key: key, Payload: payload, Origin: n.self.Node, Traced: true, Path: path})
+	n.routeStep(&routeMsg{Key: key, Payload: payload, Origin: n.self.Node, Traced: true, Path: path})
 }
 
-// routeLocal treats this node as the current routing step without
-// consuming network latency (a node consulting itself is local work).
-func (n *Node) routeLocal(m routeMsg) {
-	n.routeStep(m)
-}
-
-// routeStep implements one step of recursive Chord routing.
-func (n *Node) routeStep(m routeMsg) {
+// routeStep implements one step of recursive Chord routing. The origin
+// calls it directly for its own first step, which so costs no network
+// latency (a node consulting itself is local work).
+func (n *Node) routeStep(m *routeMsg) {
 	if n.stopped {
 		return
 	}
@@ -100,7 +55,7 @@ func (n *Node) routeStep(m routeMsg) {
 		// Our successor owns the key: final hop.
 		m.Deliver = true
 		m.Hops++
-		n.traceForward(&m, succ.Node)
+		n.traceForward(m, succ.Node)
 		n.net.Send(n.self.Node, succ.Node, m)
 		return
 	}
@@ -111,7 +66,7 @@ func (n *Node) routeStep(m routeMsg) {
 		next = succ
 	}
 	m.Hops++
-	n.traceForward(&m, next.Node)
+	n.traceForward(m, next.Node)
 	n.net.Send(n.self.Node, next.Node, m)
 }
 
@@ -130,44 +85,89 @@ func (n *Node) traceForward(m *routeMsg, dest runtime.NodeID) {
 	})
 }
 
-// deliver terminates routing at this node.
-func (n *Node) deliver(m routeMsg) {
+// deliver terminates routing at this node. A lookup's message is
+// flipped into its own reply and sent home — without payload or path,
+// which a reply has no use for and a socket would encode again — so
+// everything the rest of the function needs is read out of it first.
+func (n *Node) deliver(m *routeMsg) {
+	key, payload, origin, hops, path := m.Key, m.Payload, m.Origin, m.Hops, m.Path
 	if m.ReqID != 0 {
-		reply := lookupReply{ReqID: m.ReqID, Owner: n.self, Hops: m.Hops}
-		if m.Origin == n.self.Node {
+		m.Reply, m.Owner = true, n.self
+		m.Payload, m.Path = nil, nil
+		if origin == n.self.Node {
 			// Local lookup that resolved to ourselves.
-			n.consumeReply(reply)
+			n.consumeReply(m)
 		} else {
-			n.net.Send(n.self.Node, m.Origin, reply)
+			n.net.Send(n.self.Node, origin, m)
 		}
 	}
-	if m.Payload != nil {
-		n.app.OnRouted(m.Key, m.Payload, m.Origin, m.Hops, m.Path)
+	if payload != nil {
+		n.app.OnRouted(key, payload, origin, hops, path)
 	}
 }
 
-// closestPreceding scans fingers and the successor list for the node
-// with the largest ID in (self, key) — the classic greedy step.
+// closestPreceding picks, among the distinct fingers and the successor
+// list, the node with the largest ID in (self, key) — the classic
+// greedy step. Candidates tie on ID when D-ring re-fills a position
+// under a new address; the first one considered wins, which is why the
+// index keeps the full table's top-down order.
 func (n *Node) closestPreceding(key ids.ID) Entry {
 	best := NoEntry
-	consider := func(e Entry) {
-		if !e.Valid() || e.Node == n.self.Node {
-			return
-		}
-		if !ids.Between(e.ID, n.self.ID, key) {
-			return
-		}
-		if !best.Valid() || ids.Between(best.ID, n.self.ID, e.ID) {
+	fingers, _ := n.fingerIndex()
+	for _, e := range fingers {
+		if ids.Between(e.ID, n.self.ID, key) &&
+			(!best.Valid() || ids.Between(best.ID, n.self.ID, e.ID)) {
 			best = e
 		}
 	}
-	for i := len(n.fingers) - 1; i >= 0; i-- {
-		consider(n.fingers[i])
-	}
-	for _, s := range n.succs {
-		consider(s)
+	for _, e := range n.succs {
+		if e.Valid() && e.Node != n.self.Node && ids.Between(e.ID, n.self.ID, key) &&
+			(!best.Valid() || ids.Between(best.ID, n.self.ID, e.ID)) {
+			best = e
+		}
 	}
 	return best
+}
+
+// setFinger is the only writer of the finger table: a write that
+// changes an entry's value marks the distinct-finger index stale.
+func (n *Node) setFinger(i int, e Entry) {
+	if n.fingers[i] != e {
+		n.fingers[i] = e
+		n.fingerStale = true
+	}
+}
+
+// fingerIndex returns the two deduplicated views of the finger table
+// (see Node), rebuilding them if a finger changed since the last call.
+// Fingers change on joins and failures, not per maintenance round, so
+// on a quiet ring every firing and every routing step reads ~log N
+// cached entries instead of scanning 64.
+func (n *Node) fingerIndex() (scan, ping []Entry) {
+	if !n.fingerStale {
+		return n.fingerScan, n.fingerPing
+	}
+	n.fingerStale = false
+	scan, ping = n.fingerScan[:0], n.fingerPing[:0]
+	// Neighbouring slots mostly hold one value (every low finger is the
+	// successor): a repeat is skipped before the view is searched.
+	last := NoEntry
+	for _, f := range n.fingers {
+		if f != last && f.Valid() && f.Node != n.self.Node && !containsNode(ping, f.Node) {
+			ping = append(ping, f)
+		}
+		last = f
+	}
+	last = NoEntry
+	for i := len(n.fingers) - 1; i >= 0; i-- {
+		f := n.fingers[i]
+		if f != last && f.Valid() && f.Node != n.self.Node && !slices.Contains(scan, f) {
+			scan = append(scan, f)
+		}
+		last = f
+	}
+	n.fingerScan, n.fingerPing = scan, ping
+	return scan, ping
 }
 
 // HandleMessage consumes Chord one-way messages. It reports whether the
@@ -175,11 +175,12 @@ func (n *Node) closestPreceding(key ids.ID) Entry {
 // when it returns false.
 func (n *Node) HandleMessage(from runtime.NodeID, msg any) bool {
 	switch m := msg.(type) {
-	case routeMsg:
+	case *routeMsg:
+		if m.Reply {
+			return n.consumeReply(m)
+		}
 		n.routeStep(m)
 		return true
-	case lookupReply:
-		return n.consumeReply(m)
 	case notifyMsg:
 		n.onNotify(m.From)
 		return true

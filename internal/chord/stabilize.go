@@ -2,10 +2,62 @@ package chord
 
 import (
 	"flowercdn/internal/runtime"
-	"sort"
+	"slices"
 
 	"flowercdn/internal/ids"
 )
+
+// probe is the pooled callback record of one maintenance RPC. Like
+// simnet's rpcState it binds the callback it hands the transport once,
+// when the record is made, and says through kind what the answer is for.
+type probe struct {
+	n      *Node
+	kind   probeKind
+	target Entry
+	onDone func(resp any, err error)
+}
+
+type probeKind uint8
+
+const (
+	probeSuccessor   probeKind = iota // stabilize: neighborsReq to the successor
+	probePredecessor                  // checkPredecessor: pingReq
+	probeFinger                       // pingFingers: pingReq
+)
+
+// request sends one maintenance RPC to target; done handles the outcome
+// as kind says, unless the node has stopped by then.
+func (n *Node) request(kind probeKind, target Entry, req any) {
+	p := pop(&n.freeProbes)
+	if p == nil {
+		p = &probe{n: n}
+		p.onDone = p.done
+	}
+	p.kind, p.target = kind, target
+	n.net.Request(n.self.Node, target.Node, req, n.cfg.RPCTimeout, p.onDone)
+}
+
+func (p *probe) done(resp any, err error) {
+	n, kind, target := p.n, p.kind, p.target
+	if n.stopped {
+		return // Stop let the free lists go; do not start one again
+	}
+	n.freeProbes = append(n.freeProbes, p)
+	switch kind {
+	case probeSuccessor:
+		n.onStabilized(target, resp, err)
+	case probePredecessor:
+		if err != nil && n.pred.Node == target.Node {
+			n.pred = NoEntry
+			n.clearFingersFor(target)
+		}
+	case probeFinger:
+		if err != nil {
+			n.clearFingersFor(target)
+			n.dropIfSuccessor(target)
+		}
+	}
+}
 
 // stabilize is Chord's periodic successor repair: ask the successor for
 // its predecessor and successor list, adopt a closer successor if one
@@ -26,25 +78,24 @@ func (n *Node) stabilize() {
 		n.rescue()
 		return
 	}
-	n.net.Request(n.self.Node, succ.Node, neighborsReq{}, n.cfg.RPCTimeout,
-		func(resp any, err error) {
-			if n.stopped {
-				return
-			}
-			if err != nil {
-				n.dropSuccessor(succ)
-				return
-			}
-			nb := resp.(neighborsResp)
-			if nb.Pred.Valid() && nb.Pred.Node != n.self.Node &&
-				ids.Between(nb.Pred.ID, n.self.ID, succ.ID) {
-				// A node slid in between us and our successor.
-				n.adoptSuccessor(nb.Pred, nil)
-			} else {
-				n.mergeSuccList(succ, nb.Succs)
-			}
-			n.notifySuccessor()
-		})
+	n.request(probeSuccessor, succ, neighborsReq{})
+}
+
+// onStabilized finishes a stabilize round with succ's answer.
+func (n *Node) onStabilized(succ Entry, resp any, err error) {
+	if err != nil {
+		n.dropSuccessor(succ)
+		return
+	}
+	nb := resp.(neighborsResp)
+	if nb.Pred.Valid() && nb.Pred.Node != n.self.Node &&
+		ids.Between(nb.Pred.ID, n.self.ID, succ.ID) {
+		// A node slid in between us and our successor.
+		n.adoptSuccessor(nb.Pred, nil)
+	} else {
+		n.mergeSuccList(succ, nb.Succs)
+	}
+	n.notifySuccessor()
 }
 
 // rememberContact keeps a bounded, deduplicated cache of ring members
@@ -83,7 +134,7 @@ func (n *Node) rescue() {
 		if c.Node == n.self.Node {
 			continue
 		}
-		n.lookupVia(c, n.self.ID, func(owner Entry, _ int, err error) {
+		n.lookup(c.Node, n.self.ID, noFinger, func(owner Entry, _ int, err error) {
 			if n.stopped || err != nil {
 				return
 			}
@@ -178,7 +229,7 @@ func (n *Node) notifySuccessor() {
 	if succ.Node == n.self.Node {
 		return
 	}
-	n.net.Send(n.self.Node, succ.Node, notifyMsg{From: n.self})
+	n.net.Send(n.self.Node, succ.Node, n.notify)
 }
 
 // onNotify implements notify(n'): adopt n' as predecessor if closer.
@@ -216,7 +267,7 @@ func (n *Node) transferClaims(old, new Entry) {
 	for pos := range n.claims {
 		positions = append(positions, pos)
 	}
-	sort.Slice(positions, func(i, j int) bool { return positions[i] < positions[j] })
+	slices.Sort(positions)
 	for _, pos := range positions {
 		c := n.claims[pos]
 		if pos == new.ID {
@@ -266,17 +317,7 @@ func (n *Node) checkPredecessor() {
 	if n.stopped || !n.pred.Valid() || n.pred.Node == n.self.Node {
 		return
 	}
-	pred := n.pred
-	n.net.Request(n.self.Node, pred.Node, pingReq{}, n.cfg.RPCTimeout,
-		func(_ any, err error) {
-			if n.stopped {
-				return
-			}
-			if err != nil && n.pred.Node == pred.Node {
-				n.pred = NoEntry
-				n.clearFingersFor(pred)
-			}
-		})
+	n.request(probePredecessor, n.pred, pingReq{})
 }
 
 // fixFingers refreshes FingersPerFix finger entries per firing, cycling
@@ -288,23 +329,19 @@ func (n *Node) fixFingers() {
 	for k := 0; k < n.cfg.FingersPerFix; k++ {
 		i := n.nextFix
 		n.nextFix = (n.nextFix + 1) % ids.Bits
-		target := n.self.ID.AddPow2(i)
-		idx := i
-		n.Lookup(target, func(owner Entry, _ int, err error) {
-			if n.stopped {
-				return
-			}
-			if err != nil {
-				n.fingers[idx] = NoEntry
-				return
-			}
-			if owner.Node == n.self.Node {
-				n.fingers[idx] = NoEntry // own arc: no shortcut needed
-				return
-			}
-			n.fingers[idx] = owner
-		})
+		n.lookup(n.self.Node, n.self.ID.AddPow2(i), i, nil)
 	}
+}
+
+// fingerResolved installs the outcome of fixFingers' lookup for entry i.
+func (n *Node) fingerResolved(i int, owner Entry, err error) {
+	if n.stopped {
+		return
+	}
+	if err != nil || owner.Node == n.self.Node {
+		owner = NoEntry // unresolved, or our own arc: no shortcut needed
+	}
+	n.setFinger(i, owner)
 }
 
 // pingFingers probes a rotating window of distinct finger nodes and
@@ -316,20 +353,7 @@ func (n *Node) pingFingers() {
 	if n.stopped {
 		return
 	}
-	// Collect distinct finger nodes in table order, reusing the node's
-	// scratch slice (this fires every FingerPingInterval on every node;
-	// the distinct-node count is small, so linear dedup beats a map).
-	nodes := n.pingScratch[:0]
-	for _, f := range n.fingers {
-		if !f.Valid() || f.Node == n.self.Node {
-			continue
-		}
-		if containsNode(nodes, f.Node) {
-			continue
-		}
-		nodes = append(nodes, f)
-	}
-	n.pingScratch = nodes
+	_, nodes := n.fingerIndex()
 	if len(nodes) == 0 {
 		return
 	}
@@ -340,15 +364,7 @@ func (n *Node) pingFingers() {
 	}
 	n.nextPing += count
 	for k := 0; k < count; k++ {
-		target := nodes[(start+k)%len(nodes)]
-		n.net.Request(n.self.Node, target.Node, pingReq{}, n.cfg.RPCTimeout,
-			func(_ any, err error) {
-				if n.stopped || err == nil {
-					return
-				}
-				n.clearFingersFor(target)
-				n.dropIfSuccessor(target)
-			})
+		n.request(probeFinger, nodes[(start+k)%len(nodes)], pingReq{})
 	}
 }
 
@@ -366,7 +382,7 @@ func (n *Node) dropIfSuccessor(dead Entry) {
 func (n *Node) clearFingersFor(dead Entry) {
 	for i, f := range n.fingers {
 		if f.Valid() && f.Node == dead.Node {
-			n.fingers[i] = NoEntry
+			n.setFinger(i, NoEntry)
 		}
 	}
 }
@@ -379,7 +395,7 @@ func (n *Node) Announce(to Entry) {
 	if n.stopped || !to.Valid() || to.Node == n.self.Node {
 		return
 	}
-	n.net.Send(n.self.Node, to.Node, notifyMsg{From: n.self})
+	n.net.Send(n.self.Node, to.Node, n.notify)
 }
 
 // Neighbors fetches target's predecessor and successor list — the same

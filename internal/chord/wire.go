@@ -47,7 +47,7 @@ func DecodeEntriesWire(r *runtime.WireReader) []Entry {
 	return out
 }
 
-func (m routeMsg) AppendWire(w *runtime.WireWriter) {
+func (m *routeMsg) AppendWire(w *runtime.WireWriter) {
 	w.U64(uint64(m.Key))
 	w.Any(m.Payload)
 	w.Uvarint(m.ReqID)
@@ -56,10 +56,13 @@ func (m routeMsg) AppendWire(w *runtime.WireWriter) {
 	w.Bool(m.Deliver)
 	w.Bool(m.Traced)
 	trace.AppendHopsWire(w, m.Path)
+	w.Bool(m.Reply)
+	m.Owner.AppendWire(w)
 }
 
-func (routeMsg) DecodeWire(r *runtime.WireReader) any {
-	var m routeMsg
+// DecodeWire returns a *routeMsg, matching the registered pointer type.
+func (*routeMsg) DecodeWire(r *runtime.WireReader) any {
+	m := new(routeMsg)
 	m.Key = ids.ID(r.U64())
 	m.Payload = r.Any()
 	m.ReqID = r.Uvarint()
@@ -68,20 +71,8 @@ func (routeMsg) DecodeWire(r *runtime.WireReader) any {
 	m.Deliver = r.Bool()
 	m.Traced = r.Bool()
 	m.Path = trace.DecodeHopsWire(r)
-	return m
-}
-
-func (m lookupReply) AppendWire(w *runtime.WireWriter) {
-	w.Uvarint(m.ReqID)
-	m.Owner.AppendWire(w)
-	w.Int(m.Hops)
-}
-
-func (lookupReply) DecodeWire(r *runtime.WireReader) any {
-	var m lookupReply
-	m.ReqID = r.Uvarint()
+	m.Reply = r.Bool()
 	m.Owner = DecodeEntryWire(r)
-	m.Hops = r.Int()
 	return m
 }
 

@@ -171,13 +171,20 @@ type Transport interface {
 	// Send delivers msg to `to` after the one-way link latency. If the
 	// target is dead at delivery time the message is dropped. Sends to
 	// unregistered IDs panic (protocol bug, not churn).
+	//
+	// msg passes to the transport, and through it to the receiver, which
+	// may change it and send it on (chord forwards one pointer-typed
+	// message hop by hop): the sender must not touch it again, and a
+	// transport that duplicates must copy. A value nobody changes, such
+	// as a boxed struct, may be sent any number of times.
 	Send(from, to NodeID, msg any)
 	// Request performs an RPC: req travels to the target, the target's
 	// HandleRequest runs, and the response travels back. cb runs exactly
 	// once: with the response, with the handler's application error, or
 	// with ErrTimeout if either leg fails or the deadline expires first.
 	// A timeout <= 0 selects the transport's default. If the requester
-	// is dead when the response arrives, cb is not run.
+	// is dead when the response arrives, cb is not run. req, and the
+	// handler's response, pass to the transport as Send's msg does.
 	Request(from, to NodeID, req any, timeout int64, cb func(resp any, err error))
 
 	// Stats returns a snapshot of the traffic counters.
