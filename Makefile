@@ -88,24 +88,42 @@ bigcell-smoke:
 	go run ./cmd/flowersim -p 50000 -hours 1 -protocol koorde-global -measure-mem
 
 # fingerprint-check runs the same simulation cell in two separate
-# processes and compares the run fingerprints (FNV-1a over per-window
-# query/transfer/message counts) with each other and with the value
-# committed here: map-order nondeterminism feeding the event stream
-# shows up as a mismatch between the processes, and an engine edit that
-# reorders events as a mismatch with the pin, mechanically. When a
-# protocol or workload change is meant to move the fingerprint, re-pin:
-# set FINGERPRINT to what both processes print and say why in CHANGES.md.
-FINGERPRINT := c3a11635fa52d1b1
+# processes for every registered protocol and compares the run
+# fingerprints (FNV-1a over per-window query/transfer/message counts)
+# with each other and with the table committed here: map-order
+# nondeterminism feeding the event stream shows up as a mismatch between
+# the processes, and an engine or driver edit that reorders events or
+# random draws as a mismatch with the pin, mechanically. A registered
+# protocol without a pin fails too, so a new driver cannot slip past.
+# When a protocol or workload change is meant to move a fingerprint,
+# re-pin: set its entry to what both processes print and say why in
+# CHANGES.md.
+FINGERPRINTS := \
+	flower=c3a11635fa52d1b1 \
+	petalup=d53c60dcc1eb076e \
+	squirrel=2c070cfa64efa562 \
+	chord-global=2c0714349f4a8af2 \
+	koorde-global=591a953529cad4e0 \
+	origin-only=81f17edfa0243202
 fingerprint-check:
-	@fp1=$$(go run ./cmd/flowersim -p 200 -hours 4 -print-fingerprint); \
-	fp2=$$(go run ./cmd/flowersim -p 200 -hours 4 -print-fingerprint); \
-	echo "process 1: $$fp1"; echo "process 2: $$fp2"; \
-	if [ "$$fp1" != "$$fp2" ]; then \
-		echo "FINGERPRINT MISMATCH: runs are not deterministic across processes" >&2; exit 1; \
-	fi; \
-	if [ "$$fp1" != "$(FINGERPRINT)" ]; then \
-		echo "FINGERPRINT MOVED: want the pinned $(FINGERPRINT); simulated behaviour changed" >&2; exit 1; \
-	fi; echo "fingerprints match each other and the pin"
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go build -o "$$tmp/flowersim" ./cmd/flowersim; \
+	for p in $$("$$tmp/flowersim" -protocols | cut -d' ' -f1); do \
+		want=; for kv in $(FINGERPRINTS); do \
+			if [ "$${kv%%=*}" = "$$p" ]; then want=$${kv#*=}; fi; done; \
+		if [ -z "$$want" ]; then \
+			echo "NO FINGERPRINT PIN for registered protocol $$p: add it to FINGERPRINTS" >&2; exit 1; \
+		fi; \
+		fp1=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-fingerprint); \
+		fp2=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-fingerprint); \
+		printf '%-14s process 1: %s  process 2: %s\n' "$$p" "$$fp1" "$$fp2"; \
+		if [ "$$fp1" != "$$fp2" ]; then \
+			echo "FINGERPRINT MISMATCH ($$p): runs are not deterministic across processes" >&2; exit 1; \
+		fi; \
+		if [ "$$fp1" != "$$want" ]; then \
+			echo "FINGERPRINT MOVED ($$p): want the pinned $$want; simulated behaviour changed" >&2; exit 1; \
+		fi; \
+	done; echo "fingerprints match each other and the pins"
 
 # alloc-check runs the allocation pins: the tests that hold a hot path
 # to an exact object count with testing.AllocsPerRun — the engine's
