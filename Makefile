@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-PR ?= 17
+PR ?= 19
 BENCH_JSON := BENCH_PR$(PR).json
 
 .PHONY: build test race race-net wire-bench vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean

@@ -1,595 +1,25 @@
 package baseline
 
-import (
-	"errors"
-	"flowercdn/internal/rnd"
-	"flowercdn/internal/runtime"
-	"fmt"
+import "flowercdn/internal/proto"
 
-	"flowercdn/internal/chord"
-	"flowercdn/internal/content"
-	"flowercdn/internal/ids"
-	"flowercdn/internal/metrics"
-	"flowercdn/internal/proto"
-	"flowercdn/internal/trace"
-	"flowercdn/internal/workload"
-)
-
-// chord-global: every peer joins one global Chord ring; each website
-// hashes to a *home node* (the ring successor of hash(site)) that
-// keeps a directory of which peers cache which of the site's objects.
-// Queries route to the home and are redirected to a RANDOM provider —
-// there is no locality notion anywhere, which is exactly what this
-// baseline isolates: directory caching without Flower-CDN's petals.
-//
-// The directory lives only at the current home. When the home fails it
-// is lost abruptly (as in Squirrel); peers rebuild it lazily through
-// periodic content-summary refreshes to their site's current home.
-
+// chord-global is Squirrel's ring directory with one home per website and
+// content-summary refreshes — directory caching without Flower-CDN's
+// petals (see the package comment).
 func init() {
-	proto.Register(proto.Info{
-		Name:         "chord-global",
-		Summary:      "one global Chord directory per website, no locality petals",
-		Compare:      true,
-		Order:        3,
-		CheckOptions: CheckChordGlobalOptions,
-	}, NewChordGlobalDriver)
-	// Socket-backend wire types (interface-typed payloads).
-	runtime.RegisterWireType(cgQuery{}, cgHomeResp{}, cgSummary{})
-}
-
-// chordGlobalConfig tunes the baseline.
-type chordGlobalConfig struct {
-	Chord chord.Config
-	// ProvidersPerReply bounds how many providers a home suggests.
-	ProvidersPerReply int
-	// IndexCap bounds remembered providers per object.
-	IndexCap int
-	// RefreshInterval is the period of content-summary pushes to the
-	// site's current home (the lazy index rebuild after home churn).
-	RefreshInterval int64
-	// QueryTimeout bounds one routed query attempt; QueryRetries is
-	// the number of attempts before the origin fallback.
-	QueryTimeout int64
-	QueryRetries int
-}
-
-// Option keys the driver reads (defaults in parentheses):
-//
-//	providers-per-reply  int       providers suggested per query (1, Squirrel's single random redirect)
-//	index-cap            int       providers remembered per object (4, Squirrel's delegate cap)
-//	refresh-interval     int64 ms  summary push period (2 x keepalive-interval, else 2 h —
-//	                               summaries are bulk messages, so they refresh at half
-//	                               the keepalive rate)
-//	keepalive-interval   int64 ms  shared-vocabulary base for the refresh default
-//	cache-policy         string    per-peer store eviction policy ("none")
-//	cache-capacity       int       per-peer store capacity, objects
-//
-// The redirect and cap defaults deliberately match Squirrel's, so the
-// baseline differs from it in exactly two ways — site-granular homes
-// and the summary refresh — and from Flower-CDN in exactly one:
-// locality. Unknown keys are ignored.
-
-// lowerChordGlobalOptions resolves the option map into a validated
-// config — shared by the factory and the registry's static
-// CheckOptions hook.
-func lowerChordGlobalOptions(opts proto.Options) (chordGlobalConfig, proto.CacheConfig, error) {
-	chordCfg := chord.DefaultConfig()
-	if opts.Bool("chord-demo", false) {
-		chordCfg = chord.DemoConfig()
-	}
-	cfg := chordGlobalConfig{
-		Chord:             chordCfg,
-		ProvidersPerReply: opts.Int("providers-per-reply", 1),
-		IndexCap:          opts.Int("index-cap", 4),
-		RefreshInterval:   opts.Duration("refresh-interval", 2*opts.Duration("keepalive-interval", runtime.Hour)),
-		QueryTimeout:      opts.Duration("query-timeout", 10*runtime.Second),
-		QueryRetries:      3,
-	}
-	cacheCfg, err := proto.CacheConfigFromOptions(opts)
-	if err != nil {
-		return cfg, cacheCfg, fmt.Errorf("baseline: %w", err)
-	}
-	if cfg.ProvidersPerReply < 1 || cfg.IndexCap < 1 {
-		return cfg, cacheCfg, fmt.Errorf("baseline: chord-global provider/index bounds must be positive (%d, %d)",
-			cfg.ProvidersPerReply, cfg.IndexCap)
-	}
-	if cfg.RefreshInterval <= 0 {
-		return cfg, cacheCfg, errors.New("baseline: chord-global refresh interval must be positive")
-	}
-	return cfg, cacheCfg, nil
-}
-
-// CheckChordGlobalOptions statically validates the driver's options.
-func CheckChordGlobalOptions(opts proto.Options) error {
-	_, _, err := lowerChordGlobalOptions(opts)
-	return err
-}
-
-// NewChordGlobalDriver builds a chord-global deployment.
-func NewChordGlobalDriver(env proto.Env, opts proto.Options) (proto.System, error) {
-	if env.Net == nil || env.RNG == nil || env.Workload == nil || env.Origins == nil || env.Metrics == nil {
-		return nil, errors.New("baseline: missing dependency for chord-global")
-	}
-	cfg, cacheCfg, err := lowerChordGlobalOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	d := &cgDriver{cfg: cfg, env: env, idRNG: env.RNG.Split("identities"),
-		newStore: cacheCfg.StoreFactory(env)}
-	d.registry.BindBus(env.Net)
-	return d, nil
-}
-
-type cgDriver struct {
-	cfg      chordGlobalConfig
-	env      proto.Env
-	idRNG    *rnd.RNG
-	newStore func() *content.Store
-
-	// registry is the ring-member gateway set, mirrored across
-	// processes on multi-process backends (chord.Registry).
-	registry chord.Registry
-	// peers tracks every peer ever spawned in creation order — the
-	// RingInspector snapshot source (dead peers are skipped).
-	peers    []*cgPeer
-	spawned  uint64
-	alive    int
-	querySeq uint64
-}
-
-func (d *cgDriver) Start() {}
-func (d *cgDriver) Stop()  {}
-
-func (d *cgDriver) SeedCount() int { return proto.DefaultSeedCount(d.env) }
-
-func (d *cgDriver) SpawnSeed(int) (proto.Individual, func()) {
-	ind := d.NewIndividual()
-	return ind, d.Spawn(ind)
-}
-
-func (d *cgDriver) NewIndividual() proto.Individual {
-	return Identity{
-		Site:      d.env.Workload.AssignInterest(d.idRNG),
-		Placement: d.env.Topo.Place(d.idRNG),
-		Store:     d.newStore(),
-	}
-}
-
-func (d *cgDriver) Spawn(ind proto.Individual) func() {
-	id := ind.(Identity)
-	d.spawned++
-	d.alive++
-	p := &cgPeer{
-		d:     d,
-		site:  id.Site,
-		store: id.Store,
-		rng:   d.env.RNG.Split(fmt.Sprintf("cg-peer-%d", d.spawned)),
-		index: make(map[content.Key][]runtime.NodeID),
-	}
-	p.nid = d.env.Net.Join(p, id.Placement)
-	ringID := ids.HashString(fmt.Sprintf("cg-peer-%d", p.nid))
-	node, err := chord.NewNode(d.cfg.Chord, d.env.Net, p.rng.Split("chord"), p, p.nid, ringID)
-	if err != nil {
-		panic(err) // config validated at build time
-	}
-	p.node = node
-	d.peers = append(d.peers, p)
-	p.enterRing(3)
-	return p.kill
-}
-
-func (d *cgDriver) Stats() proto.Stats {
-	return proto.Stats{
-		proto.StatPeersSpawned: float64(d.spawned),
-		proto.StatAlivePeers:   float64(d.alive),
-	}
-}
-
-// RingMembers implements proto.RingInspector: one snapshot record per
-// alive, joined ring member, in creation order.
-func (d *cgDriver) RingMembers() []proto.RingMember {
-	var out []proto.RingMember
-	for _, p := range d.peers {
-		if p.dead || !p.joined {
-			continue
-		}
-		out = append(out, ringMemberOf(p.node))
-	}
-	return out
-}
-
-// ringMemberOf snapshots one chord node's ring pointers.
-func ringMemberOf(n *chord.Node) proto.RingMember {
-	self := n.Self()
-	m := proto.RingMember{Node: self.Node, ID: self.ID, Pred: ringNodeOf(n.Predecessor())}
-	for _, s := range n.SuccessorList() {
-		m.Succs = append(m.Succs, ringNodeOf(s))
-	}
-	return m
-}
-
-func ringNodeOf(e chord.Entry) proto.RingNode {
-	if !e.Valid() {
-		return proto.RingNode{Node: runtime.None}
-	}
-	return proto.RingNodeOf(e.Node, e.ID)
-}
-
-func (d *cgDriver) nextSeq() uint64 {
-	d.querySeq++
-	return d.querySeq
-}
-
-// gateway returns an alive registry entry, pruning dead ones lazily.
-func (d *cgDriver) gateway() chord.Entry {
-	return d.registry.PickAlive(d.idRNG, d.env.Net.Alive, runtime.None)
-}
-
-// siteKey hashes a website onto the ring; its successor is the site's
-// directory home.
-func siteKey(site content.SiteID) ids.ID {
-	return ids.HashString(fmt.Sprintf("cg-site-%d", site))
-}
-
-// ---- wire messages ----
-
-// cgQuery routes over Chord to the home node of the queried site.
-type cgQuery struct {
-	Seq    uint64
-	Key    content.Key
-	Client runtime.NodeID
-}
-
-// cgHomeResp is the home's redirect, sent directly to the client.
-type cgHomeResp struct {
-	Seq       uint64
-	Providers []runtime.NodeID
-	// Path carries the query's overlay route plus the home hop back to
-	// the client on traced runs (nil otherwise).
-	Path []trace.Hop
-}
-
-// cgSummary re-registers a peer's cached keys with the site's current
-// home — the only mechanism that restores a directory after the home
-// node fails.
-type cgSummary struct {
-	Node runtime.NodeID
-	Keys []content.Key
-}
-
-// WireBytes sizes the summary by its key list.
-func (s cgSummary) WireBytes() int { return 32 + 8*len(s.Keys) }
-
-// cgPeer is one chord-global participant.
-type cgPeer struct {
-	d     *cgDriver
-	nid   runtime.NodeID
-	rng   *rnd.RNG
-	site  content.SiteID
-	store *content.Store
-	node  *chord.Node
-
-	// index is this node's slice of the directory: for every site this
-	// node is currently home of, object → providers, capped at
-	// IndexCap. It dies with the node.
-	index map[content.Key][]runtime.NodeID
-
-	query      *cgActiveQuery
-	queryTimer runtime.Timer
-	refresh    runtime.Ticker
-	joined     bool
-	dead       bool
-}
-
-type cgActiveQuery struct {
-	seq        uint64
-	key        content.Key
-	start      int64
-	attempt    int
-	timeout    runtime.Timer
-	candidates []runtime.NodeID
-	// redirected marks the first home response consumed; retries share
-	// the query's seq, so a late duplicate must not restart the probe
-	// chain mid-probe.
-	redirected bool
-	// path is the hop-by-hop trace on traced runs (nil otherwise).
-	path []trace.Hop
-}
-
-func (p *cgPeer) enterRing(attempts int) {
-	if p.dead {
-		return
-	}
-	gw := p.d.gateway()
-	if !gw.Valid() {
-		if p.d.env.Follower {
-			// Never found a second ring on a follower process; wait for
-			// an announced gateway instead.
-			p.d.env.Clock.Schedule(200*runtime.Millisecond, func() { p.enterRing(attempts) })
-			return
-		}
-		p.node.Create()
-		p.onJoined()
-		return
-	}
-	p.node.Join(gw, func(err error) {
-		if p.dead {
-			return
-		}
-		if err != nil {
-			if attempts > 1 {
-				p.d.env.Clock.Schedule(10*runtime.Second, func() { p.enterRing(attempts - 1) })
-			}
-			return
-		}
-		p.onJoined()
+	RegisterRingDirectory(RingSpec{
+		Info: proto.Info{
+			Name:    "chord-global",
+			Summary: "one global Chord directory per website, no locality petals",
+			Compare: true,
+			Order:   3,
+		},
+		Router:        ChordRouter,
+		HomeKey:       SiteHome("cg-site-%d"),
+		PushSummaries: true,
+		RedirectsKey:  "providers-per-reply",
+		CapKey:        "index-cap",
+		PeerStream:    "cg-peer-%d",
+		RingID:        "cg-peer-%d",
+		RouterStream:  "chord",
 	})
-}
-
-func (p *cgPeer) onJoined() {
-	p.joined = true
-	p.d.registry.Add(p.node.Self())
-	if p.d.env.Workload.Active(p.site) {
-		p.scheduleNextQuery(p.d.env.Workload.FirstQueryDelay(p.rng))
-	}
-	// Content summaries refresh the site's directory at the current
-	// home — jittered so a whole petal-less population doesn't push in
-	// lockstep.
-	p.refresh = p.d.env.Clock.Every(
-		p.rng.UniformDuration(0, p.d.cfg.RefreshInterval), p.d.cfg.RefreshInterval, p.pushSummary)
-	// A re-joining individual may carry a full cache from earlier
-	// sessions; announce it without waiting a whole refresh period.
-	if p.store.Len() > 0 {
-		p.pushSummary()
-	}
-}
-
-func (p *cgPeer) pushSummary() {
-	if p.dead || !p.joined || p.store.Len() == 0 {
-		return
-	}
-	p.node.Route(siteKey(p.site), cgSummary{Node: p.nid, Keys: p.store.Keys()})
-	p.d.env.Metrics.Emit(metrics.CounterEvent(p.d.env.Clock.Now(), "summary_pushes", 1))
-}
-
-func (p *cgPeer) scheduleNextQuery(delay int64) {
-	p.queryTimer = p.d.env.Clock.Schedule(delay, func() {
-		if p.dead {
-			return
-		}
-		p.issueQuery()
-		p.scheduleNextQuery(p.d.env.Workload.NextQueryDelay(p.rng))
-	})
-}
-
-func (p *cgPeer) kill() {
-	if p.dead {
-		return
-	}
-	p.dead = true
-	p.d.alive--
-	p.node.Stop()
-	if p.queryTimer != nil {
-		p.queryTimer.Cancel()
-	}
-	if p.refresh != nil {
-		p.refresh.Cancel()
-	}
-	p.query = nil
-	p.d.env.Net.Fail(p.nid)
-}
-
-func (p *cgPeer) issueQuery() {
-	if p.dead || p.query != nil || !p.joined {
-		return
-	}
-	key, ok := p.d.env.Workload.PickObject(p.rng, p.site, p.store)
-	if !ok {
-		return
-	}
-	q := &cgActiveQuery{seq: p.d.nextSeq(), key: key, start: p.d.env.Clock.Now()}
-	if p.d.env.Trace.Enabled() {
-		q.path = trace.Append(q.path, trace.Hop{
-			Kind: trace.HopIssue, Node: p.nid, Loc: p.d.env.Net.Locality(p.nid), At: q.start})
-	}
-	p.query = q
-	p.sendQuery(q)
-}
-
-func (p *cgPeer) sendQuery(q *cgActiveQuery) {
-	if p.dead || p.query != q {
-		return
-	}
-	q.attempt++
-	msg := cgQuery{Seq: q.seq, Key: q.key, Client: p.nid}
-	if p.d.env.Trace.Enabled() {
-		// The routed path segment starts empty; the home ships it back
-		// (with its own hop appended) in cgHomeResp.Path.
-		p.node.RouteTraced(siteKey(q.key.Site), msg, nil)
-	} else {
-		p.node.Route(siteKey(q.key.Site), msg)
-	}
-	q.timeout = p.d.env.Clock.Schedule(p.d.cfg.QueryTimeout, func() {
-		if p.dead || p.query != q {
-			return
-		}
-		if q.attempt < p.d.cfg.QueryRetries {
-			p.sendQuery(q)
-			return
-		}
-		p.resolve(q, metrics.Miss, p.d.env.Origins.Node(q.key.Site))
-	})
-}
-
-// OnRouted implements chord.App: this node currently terminates
-// routing for some site key (it is that site's home) or receives a
-// summary for it.
-func (p *cgPeer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path []trace.Hop) {
-	if p.dead {
-		return
-	}
-	switch m := payload.(type) {
-	case cgQuery:
-		// Hop accounting at the home: the overlay forwardings this
-		// query took, surfaced as the run's mean-hops stat.
-		now := p.d.env.Clock.Now()
-		p.d.env.Metrics.Emit(metrics.CounterEvent(now, "lookup_hops", float64(hops)))
-		p.d.env.Metrics.Emit(metrics.CounterEvent(now, "routed_queries", 1))
-		p.d.env.Trace.Delivered(hops)
-		providers := p.index[m.Key]
-		resp := cgHomeResp{Seq: m.Seq}
-		if p.d.env.Trace.Enabled() {
-			resp.Path = trace.Append(path, trace.Hop{
-				Kind: trace.HopHome, Node: p.nid, Loc: p.d.env.Net.Locality(p.nid), At: now})
-		}
-		// Random redirection — no locality information exists.
-		for _, i := range p.rng.Perm(len(providers)) {
-			if len(resp.Providers) >= p.d.cfg.ProvidersPerReply {
-				break
-			}
-			if providers[i] != m.Client {
-				resp.Providers = append(resp.Providers, providers[i])
-			}
-		}
-		// The requester is about to hold the object (from a provider
-		// or the origin): index it optimistically.
-		p.addProvider(m.Key, m.Client)
-		p.d.env.Net.Send(p.nid, m.Client, resp)
-	case cgSummary:
-		for _, k := range m.Keys {
-			p.addProvider(k, m.Node)
-		}
-	}
-}
-
-func (p *cgPeer) addProvider(k content.Key, nid runtime.NodeID) {
-	ps := p.index[k]
-	for _, existing := range ps {
-		if existing == nid {
-			return
-		}
-	}
-	ps = append(ps, nid)
-	if len(ps) > p.d.cfg.IndexCap {
-		ps = ps[len(ps)-p.d.cfg.IndexCap:]
-	}
-	p.index[k] = ps
-}
-
-func (p *cgPeer) onHomeResp(m cgHomeResp) {
-	q := p.query
-	if q == nil || q.seq != m.Seq || q.redirected {
-		return
-	}
-	q.redirected = true
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
-	q.candidates = m.Providers
-	q.path = trace.Concat(q.path, m.Path)
-	p.probeProvider(q)
-}
-
-func (p *cgPeer) probeProvider(q *cgActiveQuery) {
-	if p.dead || p.query != q {
-		return
-	}
-	if len(q.candidates) == 0 {
-		p.resolve(q, metrics.Miss, p.d.env.Origins.Node(q.key.Site))
-		return
-	}
-	target := q.candidates[0]
-	q.candidates = q.candidates[1:]
-	timeout := 2*p.d.env.Net.Latency(p.nid, target) + 300*runtime.Millisecond
-	p.d.env.Net.Request(p.nid, target, workload.FetchReq{Key: q.key}, timeout,
-		func(resp any, err error) {
-			if p.dead || p.query != q {
-				return
-			}
-			served := err == nil && resp.(workload.FetchResp).Served
-			if p.d.env.Trace.Enabled() {
-				q.path = trace.Append(q.path, trace.Hop{
-					Kind: trace.HopProbe, Node: target,
-					Loc: p.d.env.Net.Locality(target), At: p.d.env.Clock.Now(),
-					// A probe that answered but could not serve is a stale
-					// directory entry — the summary false-positive flag.
-					FalsePositive: err == nil && !served,
-				})
-			}
-			if !served {
-				p.probeProvider(q)
-				return
-			}
-			p.resolve(q, metrics.HitDirectory, target)
-		})
-}
-
-// resolve records metrics and performs the transfer — the same
-// lookup-latency definition as the other deployments (time to reach
-// the destination that will provide the object).
-func (p *cgPeer) resolve(q *cgActiveQuery, outcome metrics.Outcome, provider runtime.NodeID) {
-	if p.query != q {
-		return
-	}
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
-	p.query = nil
-	env := p.d.env
-	now := env.Clock.Now()
-	dist := env.Net.Latency(p.nid, provider)
-	lookup := now - q.start
-	if outcome == metrics.Miss {
-		lookup += dist
-	} else if lookup > dist {
-		lookup -= dist
-	}
-	env.Metrics.Emit(metrics.QueryEvent(now, outcome, lookup, dist))
-	if tr := env.Trace; tr.Enabled() {
-		tr.Emit(now, &trace.Record{
-			Query: q.seq, Client: p.nid, Loc: env.Net.Locality(p.nid),
-			Key: q.key.Uint64(), Outcome: outcome, Attempts: q.attempt,
-			Hops: trace.Append(q.path, trace.Hop{
-				Kind: trace.HopServe, Node: provider, Loc: env.Net.Locality(provider), At: now}),
-		})
-	}
-	if outcome == metrics.Miss {
-		env.Net.Request(p.nid, provider, workload.FetchReq{Key: q.key}, 0,
-			func(_ any, err error) {
-				if p.dead || err != nil {
-					return
-				}
-				p.store.Add(q.key)
-			})
-		return
-	}
-	p.store.Add(q.key)
-}
-
-// ---- runtime.Handler ----
-
-func (p *cgPeer) HandleMessage(from runtime.NodeID, msg any) {
-	if p.dead {
-		return
-	}
-	if p.node.HandleMessage(from, msg) {
-		return
-	}
-	if m, ok := msg.(cgHomeResp); ok {
-		p.onHomeResp(m)
-	}
-}
-
-func (p *cgPeer) HandleRequest(from runtime.NodeID, req any) (any, error) {
-	if p.dead {
-		return nil, errors.New("baseline: dead peer")
-	}
-	if resp, err, ok := p.node.HandleRequest(from, req); ok {
-		return resp, err
-	}
-	if r, ok := req.(workload.FetchReq); ok {
-		return workload.FetchResp{Key: r.Key, Served: p.store.Has(r.Key)}, nil
-	}
-	return nil, fmt.Errorf("baseline: unhandled request %T", req)
 }

@@ -1,18 +1,55 @@
-// Package baseline provides the two reference deployments that bracket
-// Flower-CDN in the evaluation:
+// Package baseline provides the reference deployments the evaluation
+// compares Flower-CDN against. It holds two drivers.
 //
-//   - origin-only: no P2P system at all — every query goes straight to
-//     the website's origin server. This is the floor any CDN must beat:
-//     hit ratio zero by construction, transfer distance equal to the
-//     client-origin latency.
-//   - chord-global: a single global Chord directory with no locality
-//     petals — peers index their cached content at a per-website home
-//     node and queries are redirected to random providers. It isolates
-//     how much of Flower-CDN's win comes from locality awareness
-//     versus from having a P2P directory at all.
+// origin-only (originonly.go) is no P2P system at all — every query
+// goes straight to the website's origin server. This is the floor any
+// CDN must beat: hit ratio zero by construction, transfer distance equal
+// to the client-origin latency.
 //
-// Both register with the protocol runtime (internal/proto) and are
-// driven by the harness exactly like the paper's protocols.
+// The ring-directory deployment (ringdir.go) is Squirrel's scheme and
+// the two baselines cut from it: every peer joins one global ring, an
+// object's directory — which peers cache it, a few per object — lives at
+// the *home node* owning the object's ring key, a query routes to the
+// home and is redirected to a RANDOM provider, and the directory dies
+// with its home. There is no locality notion anywhere. One driver runs
+// all three protocols; a protocol is a RingSpec registered with
+// RegisterRingDirectory, and the spec is the complete list of what may
+// differ:
+//
+//   - Router: the overlay the ring is (chord-demo and the overlay's own
+//     options are lowered here). squirrel and chord-global route over
+//     Chord fingers (ChordRouter), koorde-global over Koorde's de Bruijn
+//     edges — the only difference between those two, so their hit ratios
+//     match and their hop counts compare the routing geometries.
+//   - HomeKey: which key an object's directory lives at. squirrel hashes
+//     (site, object), as the Squirrel paper does; the two -global
+//     protocols hash the site alone (SiteHome), one home per website
+//     like a Flower-CDN directory peer.
+//   - PushSummaries: whether peers re-register everything they cache with
+//     their site's home every refresh-interval. Off for squirrel, whose
+//     lost directories stay lost (Sec. 2 — what breaks its hit ratio
+//     under churn in Fig. 3); on for the -global protocols, where it is
+//     the only thing that rebuilds a directory after its home fails.
+//   - RedirectsKey, CapKey: the option names for providers suggested per
+//     query and remembered per object. squirrel keeps its paper's
+//     vocabulary (provider-attempts, directory-cap), the others say
+//     providers-per-reply and index-cap; the defaults are Squirrel's
+//     (1 and 4) for all three.
+//   - PeerStream, RingID, RouterStream, RootDraws: the names of each
+//     protocol's random streams and ring-position hash, and squirrel's
+//     habit of drawing placements and gateway picks from the root stream.
+//     They carry no meaning; they differ because the three drivers were
+//     written separately and every run fingerprint depends on them.
+//
+// So chord-global differs from squirrel in exactly two ways (site-granular
+// homes, the summary refresh) and from Flower-CDN in exactly one,
+// locality: it isolates how much of Flower-CDN's win comes from
+// locality awareness versus from having a P2P directory at all.
+// chord-global is registered here (chordglobal.go); internal/squirrel
+// and internal/koorde register the other two.
+//
+// All of them register with the protocol runtime (internal/proto) and
+// are driven by the harness exactly like the paper's protocols.
 package baseline
 
 import (
@@ -46,8 +83,10 @@ func CheckOriginOnlyOptions(opts proto.Options) error {
 	return err
 }
 
-// Identity is the persistent participant state both baselines share:
-// interest, placement and cache survive offline periods.
+// Identity is the persistent participant state of both drivers'
+// individuals: interest, placement and cache survive offline periods;
+// the network address and ring position are per session, and a
+// directory slice belongs to whatever node is currently home.
 type Identity struct {
 	Site      content.SiteID
 	Placement topology.Placement

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"flowercdn/internal/sim"
+	"flowercdn/internal/rnd"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -30,7 +30,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 	const n = 5000
 	const target = 0.01
 	fl := NewForCapacity(n, target)
-	rng := sim.NewRNG(1)
+	rng := rnd.New(1)
 	present := make(map[uint64]bool, n)
 	for i := 0; i < n; i++ {
 		k := rng.Uint64()
@@ -55,7 +55,7 @@ func TestFalsePositiveRateNearTarget(t *testing.T) {
 
 func TestEmptyFilterContainsNothing(t *testing.T) {
 	fl := New(1024, 4)
-	rng := sim.NewRNG(2)
+	rng := rnd.New(2)
 	for i := 0; i < 1000; i++ {
 		if fl.Contains(rng.Uint64()) {
 			t.Fatal("empty filter reported a key present")

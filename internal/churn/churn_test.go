@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"flowercdn/internal/rnd"
 	"flowercdn/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func TestMeanInterarrival(t *testing.T) {
 
 func TestNewProcessValidation(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(1)
+	rng := rnd.New(1)
 	if _, err := NewProcess(Config{}, eng.Clock(), rng, func() func() { return nil }); err == nil {
 		t.Fatal("invalid config accepted")
 	}
@@ -46,7 +47,7 @@ func TestPopulationConvergesToTarget(t *testing.T) {
 	// The defining property of the model: starting empty, the alive
 	// population converges to ~P and stays there.
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(2)
+	rng := rnd.New(2)
 	cfg := Config{TargetPopulation: 500, MeanUptime: 30 * sim.Minute}
 	alive := 0
 	p, err := NewProcess(cfg, eng.Clock(), rng, func() func() {
@@ -72,7 +73,7 @@ func TestPopulationConvergesToTarget(t *testing.T) {
 
 func TestSpawnInitialSeedsImmediately(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(3)
+	rng := rnd.New(3)
 	alive := 0
 	p, _ := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rng, func() func() {
 		alive++
@@ -97,7 +98,7 @@ func TestSpawnInitialSeedsImmediately(t *testing.T) {
 
 func TestStopHaltsArrivals(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(4)
+	rng := rnd.New(4)
 	spawned := 0
 	p, _ := NewProcess(Config{TargetPopulation: 1000, MeanUptime: sim.Hour}, eng.Clock(), rng, func() func() {
 		spawned++
@@ -115,7 +116,7 @@ func TestStopHaltsArrivals(t *testing.T) {
 
 func TestNilKillDeclinesArrival(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(5)
+	rng := rnd.New(5)
 	p, _ := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rng, func() func() {
 		return nil // decline every arrival
 	})
@@ -131,7 +132,7 @@ func TestNilKillDeclinesArrival(t *testing.T) {
 
 func TestLifetimeDistribution(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(6)
+	rng := rnd.New(6)
 	p, _ := NewProcess(DefaultConfig(), eng.Clock(), rng, func() func() { return func() {} })
 	var sum float64
 	const n = 20000

@@ -198,21 +198,9 @@ func (d *runtimeDriver) RingMembers() []proto.RingMember {
 		if p.dead || p.chordNode == nil || p.dir == nil {
 			continue
 		}
-		self := p.chordNode.Self()
-		m := proto.RingMember{Node: self.Node, ID: self.ID, Pred: ringNodeOf(p.chordNode.Predecessor())}
-		for _, s := range p.chordNode.SuccessorList() {
-			m.Succs = append(m.Succs, ringNodeOf(s))
-		}
-		out = append(out, m)
+		out = append(out, proto.RingMemberOf(p.chordNode))
 	}
 	return out
-}
-
-func ringNodeOf(e chord.Entry) proto.RingNode {
-	if !e.Valid() {
-		return proto.RingNode{Node: runtime.None}
-	}
-	return proto.RingNodeOf(e.Node, e.ID)
 }
 
 func (d *runtimeDriver) Stats() proto.Stats {

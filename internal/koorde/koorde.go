@@ -122,10 +122,6 @@ type dbRouteMsg struct {
 	Path   []trace.Hop
 }
 
-// App receives application payloads routed over the de Bruijn edges —
-// the same contract as chord.App.
-type App = chord.App
-
 // Node is one Koorde ring member: a chord substrate node plus the de
 // Bruijn pointer set and routing.
 type Node struct {
@@ -133,7 +129,7 @@ type Node struct {
 	net  runtime.Transport
 	eng  runtime.Clock
 	rng  *rnd.RNG
-	app  App
+	app  chord.App
 	ring *chord.Node
 
 	// dbSet is the de Bruijn pointer candidate set: the predecessor of
@@ -157,10 +153,11 @@ func (a ringApp) OnRouted(key ids.ID, payload any, origin runtime.NodeID, hops i
 }
 
 // NewNode constructs a ring member for the application peer at nodeID
-// sitting at ring position ringID. Call Create or Join to enter a
-// ring, then deliver all overlay traffic via HandleMessage /
-// HandleRequest.
-func NewNode(cfg Config, net runtime.Transport, rng *rnd.RNG, app App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
+// sitting at ring position ringID; app receives the payloads routed over
+// the de Bruijn edges, the same contract as on a chord.Node. Call
+// Create or Join to enter a ring, then deliver all overlay traffic via
+// HandleMessage / HandleRequest.
+func NewNode(cfg Config, net runtime.Transport, rng *rnd.RNG, app chord.App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -1,14 +1,12 @@
 package koorde
 
 import (
-	"flowercdn/internal/content"
 	"flowercdn/internal/ids"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/trace"
 )
 
-// Binary wire marshallers for the de Bruijn route message and the
-// koorde-global driver's messages.
+// Binary wire marshaller for the de Bruijn route message.
 
 func (m dbRouteMsg) AppendWire(w *runtime.WireWriter) {
 	w.U64(uint64(m.Key))
@@ -35,45 +33,5 @@ func (dbRouteMsg) DecodeWire(r *runtime.WireReader) any {
 	m.Deliver = r.Bool()
 	m.Traced = r.Bool()
 	m.Path = trace.DecodeHopsWire(r)
-	return m
-}
-
-func (m kgQuery) AppendWire(w *runtime.WireWriter) {
-	w.Uvarint(m.Seq)
-	m.Key.AppendWire(w)
-	w.Node(m.Client)
-}
-
-func (kgQuery) DecodeWire(r *runtime.WireReader) any {
-	var m kgQuery
-	m.Seq = r.Uvarint()
-	m.Key = content.DecodeKeyWire(r)
-	m.Client = r.Node()
-	return m
-}
-
-func (m kgHomeResp) AppendWire(w *runtime.WireWriter) {
-	w.Uvarint(m.Seq)
-	w.Nodes(m.Providers)
-	trace.AppendHopsWire(w, m.Path)
-}
-
-func (kgHomeResp) DecodeWire(r *runtime.WireReader) any {
-	var m kgHomeResp
-	m.Seq = r.Uvarint()
-	m.Providers = r.Nodes()
-	m.Path = trace.DecodeHopsWire(r)
-	return m
-}
-
-func (m kgSummary) AppendWire(w *runtime.WireWriter) {
-	w.Node(m.Node)
-	content.AppendKeysWire(w, m.Keys)
-}
-
-func (kgSummary) DecodeWire(r *runtime.WireReader) any {
-	var m kgSummary
-	m.Node = r.Node()
-	m.Keys = content.DecodeKeysWire(r)
 	return m
 }

@@ -5,24 +5,24 @@ import (
 
 	"flowercdn/internal/content"
 	"flowercdn/internal/ids"
-	"flowercdn/internal/runtime"
+	"flowercdn/internal/trace"
 	"flowercdn/internal/wiretest"
+	"flowercdn/internal/workload"
 )
 
-// TestWireRoundTrips covers the de Bruijn routing message (with a
-// nested registered payload) and the driver's query/summary messages.
+// TestWireRoundTrips covers the de Bruijn routing message, bare, with a
+// nested registered payload, and carrying a traced run's path.
 func TestWireRoundTrips(t *testing.T) {
 	k := content.Key{Site: 6, Object: 1}
 	for _, msg := range []any{
 		dbRouteMsg{
 			Key: ids.ID(11), I: ids.ID(22), KShift: 1 << 60, BitsLeft: 12,
-			Payload: kgQuery{Seq: 2, Key: k, Client: 4},
+			Payload: workload.FetchReq{Key: k},
 			Origin:  4, Hops: 3, Deliver: true,
 		},
 		dbRouteMsg{Key: ids.ID(1)},
-		kgQuery{Seq: 2, Key: k, Client: 4},
-		kgHomeResp{Seq: 2, Providers: []runtime.NodeID{8}},
-		kgSummary{Node: 3, Keys: []content.Key{k}},
+		dbRouteMsg{Key: ids.ID(11), Payload: workload.FetchReq{Key: k}, Origin: 4, Hops: 1, Traced: true,
+			Path: []trace.Hop{{Kind: trace.HopRoute, Node: 5, Loc: 2, At: 1500}}},
 	} {
 		wiretest.RoundTrip(t, msg)
 	}

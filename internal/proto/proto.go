@@ -66,7 +66,8 @@ type Individual any
 // Stats is the generic counter/gauge map a deployment reports at the
 // end of a run. Well-known keys the harness and formatters understand:
 //
-//	alive_peers    gauge: participants alive at measurement time
+//	alive_peers    gauge: sessions this process started and has not killed
+//	               (a peer still joining its overlay counts)
 //	peers_spawned  counter: sessions ever started
 //
 // Everything else is protocol vocabulary (alive_directories,

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"flowercdn/internal/chord"
 	"flowercdn/internal/ids"
 	"flowercdn/internal/runtime"
 )
@@ -50,4 +51,34 @@ type RingInspector interface {
 // RingNodeOf is a convenience for the common chord.Entry shape.
 func RingNodeOf(node runtime.NodeID, id ids.ID) RingNode {
 	return RingNode{Node: node, ID: id}
+}
+
+// RingPointers is the part of an overlay node a snapshot reads;
+// *chord.Node and *koorde.Node both have it.
+type RingPointers interface {
+	Self() chord.Entry
+	Predecessor() chord.Entry
+	SuccessorList() []chord.Entry
+}
+
+// RingMemberOf snapshots one overlay node's ring pointers (DeBruijn is
+// left nil: plain Chord).
+func RingMemberOf(n RingPointers) RingMember {
+	self, pred := n.Self(), n.Predecessor()
+	return RingMember{
+		Node:  self.Node,
+		ID:    self.ID,
+		Pred:  RingNode{Node: pred.Node, ID: pred.ID},
+		Succs: RingNodesOf(n.SuccessorList()),
+	}
+}
+
+// RingNodesOf converts routing-table entries to references (chord.NoEntry
+// becomes an invalid one); the result is never nil.
+func RingNodesOf(es []chord.Entry) []RingNode {
+	out := make([]RingNode, len(es))
+	for i, e := range es {
+		out[i] = RingNode{Node: e.Node, ID: e.ID}
+	}
+	return out
 }

@@ -28,13 +28,6 @@ func init() {
 	})
 }
 
-// Clock aliases the shared wall-clock run loop so existing callers keep
-// compiling; new code should name internal/wallclock directly.
-type Clock = wallclock.Clock
-
-// NewClock starts a wall clock at time zero (= now).
-func NewClock() *Clock { return wallclock.NewClock() }
-
 // Runtime implements runtime.Runtime over the wall clock and the
 // in-process loopback transport. The transport is the same delivery
 // logic as the deterministic simulation (internal/simnet) — latency

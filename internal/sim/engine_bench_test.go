@@ -26,13 +26,17 @@ package sim
 // spends inside the sim.push span wrapping each callback, which no
 // engine can take away.
 
-import "testing"
+import (
+	"testing"
+
+	"flowercdn/internal/rnd"
+)
 
 // BenchmarkScheduleRun measures raw one-shot event throughput: schedule
 // batches and drain them, the pattern every protocol message reduces to.
 func BenchmarkScheduleRun(b *testing.B) {
 	eng := NewEngine()
-	rng := NewRNG(1)
+	rng := rnd.New(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

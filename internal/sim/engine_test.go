@@ -3,6 +3,8 @@ package sim
 import (
 	"testing"
 	"testing/quick"
+
+	"flowercdn/internal/rnd"
 )
 
 func TestEngineStartsAtZero(t *testing.T) {
@@ -263,7 +265,7 @@ func TestClockNeverGoesBackwards(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func() []int64 {
 		e := NewEngine()
-		rng := NewRNG(42)
+		rng := rnd.New(42)
 		var out []int64
 		for i := 0; i < 200; i++ {
 			e.Schedule(rng.Int63n(1000), func() { out = append(out, e.Now()) })

@@ -5,6 +5,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"flowercdn/internal/rnd"
 )
 
 // This file checks the wheel against the definition of its contract: a
@@ -394,7 +396,7 @@ func FuzzEngineOrder(f *testing.F) {
 // every `go test` covers more of the operation space than the
 // hand-written seeds do.
 func TestEngineOrderRandomScripts(t *testing.T) {
-	rng := NewRNG(12)
+	rng := rnd.New(12)
 	for n := 0; n < 2000; n++ {
 		script := make([]byte, 8+rng.Intn(120))
 		for i := range script {

@@ -1,13 +1,17 @@
 package simnet
 
-import "testing"
+import (
+	"testing"
+
+	"flowercdn/internal/runtime"
+)
 
 // nopNode discards everything: the alloc guards must measure the
 // transport, not a recording handler's slice growth.
 type nopNode struct{}
 
-func (nopNode) HandleMessage(NodeID, any)              {}
-func (nopNode) HandleRequest(NodeID, any) (any, error) { return nil, nil }
+func (nopNode) HandleMessage(runtime.NodeID, any)              {}
+func (nopNode) HandleRequest(runtime.NodeID, any) (any, error) { return nil, nil }
 
 // TestSendDeliveryAllocs pins Send plus its delivery at zero
 // steady-state allocations: the pooled delivery records (with their

@@ -5,7 +5,8 @@ import (
 	"math"
 	"testing"
 
-	"flowercdn/internal/sim"
+	"flowercdn/internal/rnd"
+	"flowercdn/internal/runtime"
 )
 
 func TestLossRateValidation(t *testing.T) {
@@ -38,7 +39,7 @@ func TestSendLossRateEmpirical(t *testing.T) {
 	bn := &echoNode{}
 	b := f.join(bn)
 	const p = 0.3
-	f.net.SetLossRate(p, sim.NewRNG(99))
+	f.net.SetLossRate(p, rnd.New(99))
 	const n = 5000
 	for i := 0; i < n; i++ {
 		f.net.Send(a, b, i)
@@ -59,13 +60,13 @@ func TestRequestSurvivesLossViaTimeout(t *testing.T) {
 	f := newFixture(t)
 	a := f.join(&echoNode{})
 	b := f.join(&echoNode{})
-	f.net.SetLossRate(0.4, sim.NewRNG(7))
+	f.net.SetLossRate(0.4, rnd.New(7))
 	const n = 500
 	completions, timeouts := 0, 0
 	for i := 0; i < n; i++ {
 		f.net.Request(a, b, i, 2000, func(_ any, err error) {
 			completions++
-			if errors.Is(err, ErrTimeout) {
+			if errors.Is(err, runtime.ErrTimeout) {
 				timeouts++
 			}
 		})
@@ -84,7 +85,7 @@ func TestZeroLossIsReliable(t *testing.T) {
 	a := f.join(&echoNode{})
 	bn := &echoNode{}
 	b := f.join(bn)
-	f.net.SetLossRate(0.5, sim.NewRNG(3))
+	f.net.SetLossRate(0.5, rnd.New(3))
 	f.net.SetLossRate(0, nil) // restore reliability
 	for i := 0; i < 200; i++ {
 		f.net.Send(a, b, i)

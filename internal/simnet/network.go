@@ -23,39 +23,8 @@ import (
 	"flowercdn/internal/topology"
 )
 
-// The vocabulary types of the message layer are defined by the
-// backend-agnostic seam (internal/runtime) and aliased here, so code
-// written against the concrete simulated network and code written
-// against the Transport interface interoperate without conversion.
-type (
-	// NodeID names a node for the lifetime of a run.
-	NodeID = runtime.NodeID
-	// Handler is implemented by every protocol node.
-	Handler = runtime.Handler
-	// Sizer lets a message report its approximate wire size.
-	Sizer = runtime.Sizer
-	// Stats accumulates traffic counters for a run.
-	Stats = runtime.TransportStats
-)
-
-// None is the zero-ish sentinel for "no node".
-const None = runtime.None
-
-// Errors surfaced to Request callers.
-var (
-	// ErrTimeout: no response within the deadline (dead target, dead
-	// requester-side delivery, or dropped en route).
-	ErrTimeout = runtime.ErrTimeout
-	// ErrNoSuchNode: the target NodeID was never registered.
-	ErrNoSuchNode = runtime.ErrNoSuchNode
-)
-
-// DefaultMessageBytes approximates a small control message (headers +
-// a few identifiers).
-const DefaultMessageBytes = runtime.DefaultMessageBytes
-
 type nodeState struct {
-	handler Handler
+	handler runtime.Handler
 	place   topology.Placement
 	alive   bool
 	joined  int64
@@ -77,7 +46,7 @@ type Network struct {
 	topo  *topology.Topology
 	nodes []nodeState
 	alive int
-	stats Stats
+	stats runtime.TransportStats
 
 	// DefaultRPCTimeout is used when Request is called with timeout <= 0.
 	DefaultRPCTimeout int64
@@ -104,7 +73,7 @@ type Network struct {
 // runs, so reentrant Sends can reuse it immediately.
 type delivery struct {
 	n        *Network
-	from, to NodeID
+	from, to runtime.NodeID
 	msg      any
 	run      func()
 }
@@ -141,7 +110,7 @@ func (d *delivery) deliver() {
 // record's fields.
 type rpcState struct {
 	n        *Network
-	from, to NodeID
+	from, to runtime.NodeID
 	resp     any
 	err      error
 	cb       func(resp any, err error)
@@ -200,7 +169,7 @@ func (r *rpcState) deadlineFire() {
 	if !r.done {
 		r.n.stats.RequestsTimedOut++
 	}
-	r.finish(nil, ErrTimeout)
+	r.finish(nil, runtime.ErrTimeout)
 	r.maybeRecycle()
 }
 
@@ -258,7 +227,7 @@ func (n *Network) Clock() runtime.Clock { return n.clock }
 func (n *Network) Topology() *topology.Topology { return n.topo }
 
 // Stats returns a snapshot of the traffic counters.
-func (n *Network) Stats() Stats { return n.stats }
+func (n *Network) Stats() runtime.TransportStats { return n.stats }
 
 // SetLossRate enables random message loss: every one-way transmission
 // (sends, RPC requests and RPC responses independently) is dropped with
@@ -283,11 +252,11 @@ func (n *Network) lost() bool {
 
 // Join registers a handler at the given placement and returns its fresh
 // NodeID.
-func (n *Network) Join(h Handler, place topology.Placement) NodeID {
+func (n *Network) Join(h runtime.Handler, place topology.Placement) runtime.NodeID {
 	if h == nil {
 		panic("simnet: Join with nil handler")
 	}
-	id := NodeID(len(n.nodes))
+	id := runtime.NodeID(len(n.nodes))
 	n.nodes = append(n.nodes, nodeState{
 		handler: h,
 		place:   place,
@@ -302,7 +271,7 @@ func (n *Network) Join(h Handler, place topology.Placement) NodeID {
 // Fail marks a node dead. In-flight messages to it will be dropped on
 // delivery; it stops receiving forever (re-joining means a new NodeID).
 // Failing an already-dead node is a no-op.
-func (n *Network) Fail(id NodeID) {
+func (n *Network) Fail(id runtime.NodeID) {
 	if !n.valid(id) {
 		return
 	}
@@ -316,12 +285,12 @@ func (n *Network) Fail(id NodeID) {
 	n.alive--
 }
 
-func (n *Network) valid(id NodeID) bool {
+func (n *Network) valid(id runtime.NodeID) bool {
 	return id >= 0 && int(id) < len(n.nodes)
 }
 
 // Alive reports whether id is registered and not failed.
-func (n *Network) Alive(id NodeID) bool {
+func (n *Network) Alive(id runtime.NodeID) bool {
 	return n.valid(id) && n.nodes[id].alive
 }
 
@@ -333,7 +302,7 @@ func (n *Network) TotalJoined() int { return len(n.nodes) }
 
 // Placement returns where a node sits in the topology. It remains valid
 // after the node fails (used for post-mortem metrics).
-func (n *Network) Placement(id NodeID) topology.Placement {
+func (n *Network) Placement(id runtime.NodeID) topology.Placement {
 	if !n.valid(id) {
 		panic(fmt.Sprintf("simnet: Placement of unknown node %d", id))
 	}
@@ -341,20 +310,20 @@ func (n *Network) Placement(id NodeID) topology.Placement {
 }
 
 // Locality returns the physical locality of a node.
-func (n *Network) Locality(id NodeID) topology.Locality {
+func (n *Network) Locality(id runtime.NodeID) topology.Locality {
 	return n.Placement(id).Loc
 }
 
 // Latency returns the one-way latency between two nodes in ms.
-func (n *Network) Latency(a, b NodeID) int64 {
+func (n *Network) Latency(a, b runtime.NodeID) int64 {
 	return n.topo.Latency(n.Placement(a).Pos, n.Placement(b).Pos)
 }
 
 func messageBytes(msg any) int {
-	if s, ok := msg.(Sizer); ok {
+	if s, ok := msg.(runtime.Sizer); ok {
 		return s.WireBytes()
 	}
-	return DefaultMessageBytes
+	return runtime.DefaultMessageBytes
 }
 
 // Send delivers msg to `to` after the one-way link latency. If the
@@ -363,7 +332,7 @@ func messageBytes(msg any) int {
 // the mental model for zero-delay sequences, and it keeps protocol code
 // simpler); sends to unregistered IDs panic, because they indicate a
 // protocol bug rather than churn.
-func (n *Network) Send(from, to NodeID, msg any) {
+func (n *Network) Send(from, to runtime.NodeID, msg any) {
 	if !n.valid(to) {
 		panic(fmt.Sprintf("simnet: Send to unregistered node %d", to))
 	}
@@ -388,7 +357,7 @@ func (n *Network) Send(from, to NodeID, msg any) {
 //
 // If the *requester* is dead when the response arrives, cb is not run:
 // dead peers take no actions.
-func (n *Network) Request(from, to NodeID, req any, timeout int64, cb func(resp any, err error)) {
+func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb func(resp any, err error)) {
 	if cb == nil {
 		panic("simnet: Request with nil callback")
 	}
@@ -421,10 +390,10 @@ func (n *Network) Request(from, to NodeID, req any, timeout int64, cb func(resp 
 
 // ForEachAlive visits every alive node id (ascending). The visitor must
 // not join or fail nodes while iterating.
-func (n *Network) ForEachAlive(visit func(id NodeID)) {
+func (n *Network) ForEachAlive(visit func(id runtime.NodeID)) {
 	for i := range n.nodes {
 		if n.nodes[i].alive {
-			visit(NodeID(i))
+			visit(runtime.NodeID(i))
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 
+	"flowercdn/internal/rnd"
+	"flowercdn/internal/runtime"
 	"flowercdn/internal/sim"
 	"flowercdn/internal/topology"
 )
@@ -11,17 +13,17 @@ import (
 // echoNode records messages and answers RPCs by echoing the request.
 type echoNode struct {
 	msgs []any
-	from []NodeID
+	from []runtime.NodeID
 	rpcs int
 	err  error // returned from HandleRequest when non-nil
 }
 
-func (e *echoNode) HandleMessage(from NodeID, msg any) {
+func (e *echoNode) HandleMessage(from runtime.NodeID, msg any) {
 	e.msgs = append(e.msgs, msg)
 	e.from = append(e.from, from)
 }
 
-func (e *echoNode) HandleRequest(from NodeID, req any) (any, error) {
+func (e *echoNode) HandleRequest(from runtime.NodeID, req any) (any, error) {
 	e.rpcs++
 	if e.err != nil {
 		return nil, e.err
@@ -33,13 +35,13 @@ type fixture struct {
 	eng  *sim.Engine
 	topo *topology.Topology
 	net  *Network
-	rng  *sim.RNG
+	rng  *rnd.RNG
 }
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(11)
+	rng := rnd.New(11)
 	topo, err := topology.New(topology.DefaultConfig(), rng)
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +49,7 @@ func newFixture(t *testing.T) *fixture {
 	return &fixture{eng: eng, topo: topo, net: New(eng.Clock(), topo), rng: rng}
 }
 
-func (f *fixture) join(h Handler) NodeID {
+func (f *fixture) join(h runtime.Handler) runtime.NodeID {
 	return f.net.Join(h, f.topo.Place(f.rng))
 }
 
@@ -154,7 +156,7 @@ func TestRequestToDeadNodeTimesOut(t *testing.T) {
 	called := 0
 	f.net.Request(a, b, "q", 1000, func(_ any, err error) { called++; gotErr = err })
 	f.eng.RunAll()
-	if called != 1 || !errors.Is(gotErr, ErrTimeout) {
+	if called != 1 || !errors.Is(gotErr, runtime.ErrTimeout) {
 		t.Fatalf("called=%d err=%v, want one timeout", called, gotErr)
 	}
 	if f.eng.Now() < 1000 {
@@ -206,20 +208,20 @@ func TestAliveBookkeeping(t *testing.T) {
 	if f.net.Alive(a) || !f.net.Alive(b) {
 		t.Fatal("Alive() wrong")
 	}
-	if f.net.Alive(None) || f.net.Alive(NodeID(99)) {
+	if f.net.Alive(runtime.None) || f.net.Alive(runtime.NodeID(99)) {
 		t.Fatal("Alive() true for invalid ids")
 	}
 }
 
 func TestForEachAlive(t *testing.T) {
 	f := newFixture(t)
-	var all []NodeID
+	var all []runtime.NodeID
 	for i := 0; i < 5; i++ {
 		all = append(all, f.join(&echoNode{}))
 	}
 	f.net.Fail(all[2])
-	var seen []NodeID
-	f.net.ForEachAlive(func(id NodeID) { seen = append(seen, id) })
+	var seen []runtime.NodeID
+	f.net.ForEachAlive(func(id runtime.NodeID) { seen = append(seen, id) })
 	if len(seen) != 4 {
 		t.Fatalf("visited %d nodes, want 4", len(seen))
 	}
@@ -251,8 +253,8 @@ func TestByteAccounting(t *testing.T) {
 	f.net.Send(a, b, "plain")
 	f.eng.RunAll()
 	st := f.net.Stats()
-	if st.BytesSent != 1000+DefaultMessageBytes {
-		t.Fatalf("BytesSent = %d, want %d", st.BytesSent, 1000+DefaultMessageBytes)
+	if st.BytesSent != 1000+runtime.DefaultMessageBytes {
+		t.Fatalf("BytesSent = %d, want %d", st.BytesSent, 1000+runtime.DefaultMessageBytes)
 	}
 	if st.MessagesSent != 2 || st.MessagesDelivered != 2 {
 		t.Fatalf("message counts: %+v", st)
@@ -279,7 +281,7 @@ func TestPanicsOnProtocolBugs(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("Send to unregistered", func() { f.net.Send(a, NodeID(99), "x") })
+	mustPanic("Send to unregistered", func() { f.net.Send(a, runtime.NodeID(99), "x") })
 	mustPanic("Request nil cb", func() { f.net.Request(a, a, "x", 0, nil) })
 	mustPanic("Join nil handler", func() { f.net.Join(nil, topology.Placement{}) })
 }

@@ -1,4 +1,4 @@
-// Package squirrel implements the comparison baseline of the paper's
+// Package squirrel registers the comparison baseline of the paper's
 // evaluation: Squirrel (Iyer, Rowstron, Druschel, PODC 2002), the
 // decentralized P2P web cache, in its *directory* (redirection)
 // variant — the one the paper describes as sharing "some similarities
@@ -12,560 +12,40 @@
 // The directory lives only at the home node: when the home fails, the
 // directory is "abruptly lost" (Sec. 2), which is what breaks
 // Squirrel's hit ratio under churn in Fig. 3.
+//
+// The deployment itself is internal/baseline's ring-directory driver;
+// this package is Squirrel's parameters for it.
 package squirrel
 
 import (
-	"errors"
-	"flowercdn/internal/rnd"
-	"flowercdn/internal/runtime"
-	"fmt"
-
-	"flowercdn/internal/chord"
+	"flowercdn/internal/baseline"
 	"flowercdn/internal/content"
 	"flowercdn/internal/ids"
-	"flowercdn/internal/metrics"
-	"flowercdn/internal/topology"
-	"flowercdn/internal/trace"
-	"flowercdn/internal/workload"
+	"flowercdn/internal/proto"
 )
 
-// Config tunes the baseline.
-type Config struct {
-	// Chord configures the overlay all peers join.
-	Chord chord.Config
-	// DirectoryCap bounds the number of delegates a home remembers per
-	// object (Squirrel's paper uses ~4).
-	DirectoryCap int
-	// ProviderAttempts bounds how many suggested delegates a client
-	// probes before the origin.
-	ProviderAttempts int
-	// QueryTimeout bounds one routed query attempt; QueryRetries is the
-	// number of attempts.
-	QueryTimeout int64
-	QueryRetries int
-}
-
-// DefaultConfig returns the baseline parameters. ProviderAttempts is 1
-// because Squirrel's home redirects the client to a single randomly
-// chosen delegate; the protocol was designed for a stable corporate
-// LAN and has no delegate-failure recovery — exactly the behaviour the
-// paper's churn evaluation exposes.
-func DefaultConfig() Config {
-	return Config{
-		Chord:            chord.DefaultConfig(),
-		DirectoryCap:     4,
-		ProviderAttempts: 1,
-		QueryTimeout:     10 * runtime.Second,
-		QueryRetries:     3,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if err := c.Chord.Validate(); err != nil {
-		return fmt.Errorf("squirrel: %w", err)
-	}
-	if c.DirectoryCap < 1 {
-		return errors.New("squirrel: directory cap must be at least 1")
-	}
-	if c.ProviderAttempts < 1 {
-		return errors.New("squirrel: need at least one provider attempt")
-	}
-	if c.QueryTimeout <= 0 || c.QueryRetries < 1 {
-		return errors.New("squirrel: query timeout/retries out of range")
-	}
-	return nil
-}
-
-// Deps are the substrate handles (identical shape to flower.Deps so the
-// harness can drive both protocols uniformly).
-type Deps struct {
-	Net      runtime.Transport
-	RNG      *rnd.RNG
-	Workload *workload.Workload
-	Origins  *workload.Origins
-	Metrics  metrics.Emitter
-	// NewStore builds each individual's content store; nil means
-	// unbounded (content.NewStore — the paper's storage model).
-	NewStore func() *content.Store
-	// Follower marks a process that must not found the ring (see
-	// proto.Env.Follower); meaningful only on multi-process backends.
-	Follower bool
-	// Trace is the optional per-query lookup tracer (nil = disabled).
-	Trace *trace.Tracer
-}
-
-// System is one Squirrel deployment.
-type System struct {
-	cfg      Config
-	net      runtime.Transport
-	eng      runtime.Clock
-	rng      *rnd.RNG
-	work     *workload.Workload
-	origins  *workload.Origins
-	coll     metrics.Emitter
-	tracer   *trace.Tracer
-	newStore func() *content.Store
-
-	// registry is the ring-member gateway set, mirrored across
-	// processes on multi-process backends (chord.Registry).
-	registry chord.Registry
-	// peers tracks every peer ever spawned in creation order, for
-	// ring-state inspection (dead peers are skipped).
-	peers    []*Peer
-	follower bool
-	spawned  uint64
-	querySeq uint64
-}
-
-// NewSystem validates and builds a deployment.
-func NewSystem(cfg Config, d Deps) (*System, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if d.Net == nil || d.RNG == nil || d.Workload == nil || d.Origins == nil || d.Metrics == nil {
-		return nil, errors.New("squirrel: missing dependency")
-	}
-	newStore := d.NewStore
-	if newStore == nil {
-		newStore = content.NewStore
-	}
-	s := &System{
-		cfg:      cfg,
-		net:      d.Net,
-		eng:      d.Net.Clock(),
-		rng:      d.RNG,
-		work:     d.Workload,
-		origins:  d.Origins,
-		coll:     d.Metrics,
-		tracer:   d.Trace,
-		newStore: newStore,
-		follower: d.Follower,
-	}
-	s.registry.BindBus(d.Net)
-	return s, nil
-}
-
-func (s *System) gateway(exclude runtime.NodeID) chord.Entry {
-	return s.registry.PickAlive(s.rng, s.net.Alive, exclude)
-}
-
-// Identity is the persistent part of a participant (see
-// flower.Identity): interest, location and cached content survive
-// offline periods; only the network address and ring position are per
-// session. Squirrel's distributed directory does NOT survive — it
-// lives at whatever node is currently home.
-type Identity struct {
-	Site      content.SiteID
-	Placement topology.Placement
-	Store     *content.Store
-}
-
-// NewIdentity draws a fresh individual at a random placement.
-func (s *System) NewIdentity(site content.SiteID) Identity {
-	return Identity{
-		Site:      site,
-		Placement: s.net.Topology().Place(s.rng),
-		Store:     s.newStore(),
-	}
-}
-
-// SpawnPeer creates a brand-new participant with the given interest at
-// a random placement and returns it with its kill function.
-func (s *System) SpawnPeer(site content.SiteID) (*Peer, func()) {
-	return s.SpawnIdentity(s.NewIdentity(site))
-}
-
-// SpawnIdentity brings an individual online for one session.
-func (s *System) SpawnIdentity(id Identity) (*Peer, func()) {
-	s.spawned++
-	store := id.Store
-	if store == nil {
-		store = s.newStore()
-	}
-	p := &Peer{
-		sys:   s,
-		site:  id.Site,
-		store: store,
-		rng:   s.rng.Split(fmt.Sprintf("squirrel-%d", s.spawned)),
-		dir:   make(map[content.Key][]runtime.NodeID),
-	}
-	p.nid = s.net.Join(p, id.Placement)
-	ringID := ids.HashString(fmt.Sprintf("squirrel-peer-%d", p.nid))
-	node, err := chord.NewNode(s.cfg.Chord, s.net, p.rng.Split("chord"), p, p.nid, ringID)
-	if err != nil {
-		panic(err) // config validated
-	}
-	p.node = node
-	s.peers = append(s.peers, p)
-	p.enterRing(3)
-	return p, p.kill
-}
-
-// Peers returns every peer ever spawned, in creation order (dead ones
-// included; callers filter by Alive).
-func (s *System) Peers() []*Peer { return s.peers }
-
-func (s *System) nextSeq() uint64 {
-	s.querySeq++
-	return s.querySeq
-}
-
-// AliveMembers counts registered alive ring members (diagnostics).
-func (s *System) AliveMembers() int {
-	n := 0
-	for _, e := range s.registry.Entries {
-		if s.net.Alive(e.Node) {
-			n++
-		}
-	}
-	return n
-}
-
-// ---- wire messages ----
-
-// queryMsg routes over Chord to the home node of Key.
-type queryMsg struct {
-	Seq    uint64
-	Key    content.Key
-	Client runtime.NodeID
-}
-
-// homeResp is the home node's redirect, sent directly to the client.
-type homeResp struct {
-	Seq       uint64
-	Providers []runtime.NodeID
-	// Path carries the query's overlay route plus the home hop back to
-	// the client on traced runs (nil otherwise).
-	Path []trace.Hop
-}
-
-// Peer is one Squirrel participant.
-type Peer struct {
-	sys   *System
-	nid   runtime.NodeID
-	rng   *rnd.RNG
-	site  content.SiteID
-	store *content.Store
-	node  *chord.Node
-
-	// dir is this node's slice of the distributed directory: object →
-	// recent delegates, newest last, capped at DirectoryCap. It dies
-	// with the node.
-	dir map[content.Key][]runtime.NodeID
-
-	query      *activeQuery
-	queryTimer runtime.Timer
-	joined     bool
-	dead       bool
-}
-
-type activeQuery struct {
-	seq        uint64
-	key        content.Key
-	start      int64
-	attempt    int
-	timeout    runtime.Timer
-	candidates []runtime.NodeID
-	// redirected marks the first home response consumed; retries share
-	// the query's seq, so a late duplicate must not restart the probe
-	// chain mid-probe.
-	redirected bool
-	// path is the hop-by-hop trace on traced runs (nil otherwise).
-	path []trace.Hop
-}
-
-// NodeID returns the peer's network address.
-func (p *Peer) NodeID() runtime.NodeID { return p.nid }
-
-// Store exposes the local cache.
-func (p *Peer) Store() *content.Store { return p.store }
-
-// Joined reports ring membership.
-func (p *Peer) Joined() bool { return p.joined }
-
-// DirectorySize returns the number of objects this home node indexes.
-func (p *Peer) DirectorySize() int { return len(p.dir) }
-
-// Alive reports liveness.
-func (p *Peer) Alive() bool { return !p.dead }
-
-// enterRing joins the Chord overlay, retrying a few times during
-// bootstrap storms; the first peer creates the ring. On a follower
-// process a peer never creates a ring of its own — it waits for a
-// gateway announced over the bus instead.
-func (p *Peer) enterRing(attempts int) {
-	if p.dead {
-		return
-	}
-	gw := p.sys.gateway(runtime.None)
-	if !gw.Valid() {
-		if p.sys.follower {
-			p.sys.eng.Schedule(200*runtime.Millisecond, func() { p.enterRing(attempts) })
-			return
-		}
-		p.node.Create()
-		p.onJoined()
-		return
-	}
-	p.node.Join(gw, func(err error) {
-		if p.dead {
-			return
-		}
-		if err != nil {
-			if attempts > 1 {
-				p.sys.eng.Schedule(10*runtime.Second, func() { p.enterRing(attempts - 1) })
-			}
-			return
-		}
-		p.onJoined()
+func init() {
+	baseline.RegisterRingDirectory(baseline.RingSpec{
+		Info: proto.Info{
+			Name:    "squirrel",
+			Summary: "Squirrel (PODC 2002): one Chord ring, per-object home directories, random redirection",
+			Compare: true,
+			Order:   2,
+		},
+		Router: baseline.ChordRouter,
+		HomeKey: func(k content.Key) ids.ID {
+			return ids.Hash2(uint64(uint32(k.Site)), uint64(uint32(k.Object)))
+		},
+		// A home redirects to a single random delegate out of the ~4 it
+		// remembers (the Squirrel paper's numbers): the protocol was
+		// designed for a stable corporate LAN and has no delegate-failure
+		// recovery and no directory rebuild — exactly what the paper's
+		// churn evaluation exposes.
+		RedirectsKey: "provider-attempts",
+		CapKey:       "directory-cap",
+		PeerStream:   "squirrel-%d",
+		RingID:       "squirrel-peer-%d",
+		RouterStream: "chord",
+		RootDraws:    true,
 	})
-}
-
-func (p *Peer) onJoined() {
-	p.joined = true
-	p.sys.registry.Add(p.node.Self())
-	if p.sys.work.Active(p.site) {
-		p.scheduleNextQuery(p.sys.work.FirstQueryDelay(p.rng))
-	}
-}
-
-func (p *Peer) scheduleNextQuery(delay int64) {
-	p.queryTimer = p.sys.eng.Schedule(delay, func() {
-		if p.dead {
-			return
-		}
-		p.issueQuery()
-		p.scheduleNextQuery(p.sys.work.NextQueryDelay(p.rng))
-	})
-}
-
-func (p *Peer) kill() {
-	if p.dead {
-		return
-	}
-	p.dead = true
-	p.node.Stop()
-	if p.queryTimer != nil {
-		p.queryTimer.Cancel()
-	}
-	p.query = nil
-	p.sys.net.Fail(p.nid)
-}
-
-// objectKey hashes an object name onto the ring (home = successor).
-func objectKey(k content.Key) ids.ID {
-	return ids.Hash2(uint64(uint32(k.Site)), uint64(uint32(k.Object)))
-}
-
-// issueQuery starts one query through the distributed directory.
-func (p *Peer) issueQuery() {
-	if p.dead || p.query != nil || !p.joined {
-		return
-	}
-	key, ok := p.sys.work.PickObject(p.rng, p.site, p.store)
-	if !ok {
-		return
-	}
-	q := &activeQuery{seq: p.sys.nextSeq(), key: key, start: p.sys.eng.Now()}
-	if p.sys.tracer.Enabled() {
-		q.path = trace.Append(q.path, trace.Hop{
-			Kind: trace.HopIssue, Node: p.nid, Loc: p.sys.net.Locality(p.nid), At: q.start})
-	}
-	p.query = q
-	p.sendQuery(q)
-}
-
-func (p *Peer) sendQuery(q *activeQuery) {
-	if p.dead || p.query != q {
-		return
-	}
-	q.attempt++
-	msg := queryMsg{Seq: q.seq, Key: q.key, Client: p.nid}
-	if p.sys.tracer.Enabled() {
-		// The routed path segment starts empty; the home ships it back
-		// (with its own hop appended) in homeResp.Path.
-		p.node.RouteTraced(objectKey(q.key), msg, nil)
-	} else {
-		p.node.Route(objectKey(q.key), msg)
-	}
-	q.timeout = p.sys.eng.Schedule(p.sys.cfg.QueryTimeout, func() {
-		if p.dead || p.query != q {
-			return
-		}
-		if q.attempt < p.sys.cfg.QueryRetries {
-			p.sendQuery(q)
-			return
-		}
-		// The overlay failed us entirely: origin.
-		p.resolve(q, metrics.Miss, p.sys.origins.Node(q.key.Site))
-	})
-}
-
-// OnRouted implements chord.App: this node is the home for the queried
-// object.
-func (p *Peer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path []trace.Hop) {
-	m, ok := payload.(queryMsg)
-	if !ok || p.dead {
-		return
-	}
-	// Hop accounting at the home: the overlay forwardings this query
-	// took, surfaced as the run's mean-hops stat.
-	now := p.sys.eng.Now()
-	p.sys.coll.Emit(metrics.CounterEvent(now, "lookup_hops", float64(hops)))
-	p.sys.coll.Emit(metrics.CounterEvent(now, "routed_queries", 1))
-	p.sys.tracer.Delivered(hops)
-	delegates := p.dir[m.Key]
-	// Random redirection — Squirrel has no locality information.
-	resp := homeResp{Seq: m.Seq}
-	if p.sys.tracer.Enabled() {
-		resp.Path = trace.Append(path, trace.Hop{
-			Kind: trace.HopHome, Node: p.nid, Loc: p.sys.net.Locality(p.nid), At: now})
-	}
-	perm := p.rng.Perm(len(delegates))
-	for _, i := range perm {
-		if len(resp.Providers) >= p.sys.cfg.ProviderAttempts {
-			break
-		}
-		if delegates[i] != m.Client {
-			resp.Providers = append(resp.Providers, delegates[i])
-		}
-	}
-	// Optimistically record the requester as a future delegate: it is
-	// about to fetch the object (from a delegate or the origin).
-	p.addDelegate(m.Key, m.Client)
-	p.sys.net.Send(p.nid, m.Client, resp)
-}
-
-func (p *Peer) addDelegate(k content.Key, nid runtime.NodeID) {
-	ds := p.dir[k]
-	for _, d := range ds {
-		if d == nid {
-			return
-		}
-	}
-	ds = append(ds, nid)
-	if len(ds) > p.sys.cfg.DirectoryCap {
-		ds = ds[len(ds)-p.sys.cfg.DirectoryCap:]
-	}
-	p.dir[k] = ds
-}
-
-// onHomeResp continues the query with the home's redirect.
-func (p *Peer) onHomeResp(m homeResp) {
-	q := p.query
-	if q == nil || q.seq != m.Seq || q.redirected {
-		return
-	}
-	q.redirected = true
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
-	q.candidates = m.Providers
-	q.path = trace.Concat(q.path, m.Path)
-	p.probeDelegate(q)
-}
-
-func (p *Peer) probeDelegate(q *activeQuery) {
-	if p.dead || p.query != q {
-		return
-	}
-	if len(q.candidates) == 0 {
-		p.resolve(q, metrics.Miss, p.sys.origins.Node(q.key.Site))
-		return
-	}
-	target := q.candidates[0]
-	q.candidates = q.candidates[1:]
-	timeout := 2*p.sys.net.Latency(p.nid, target) + 300*runtime.Millisecond
-	p.sys.net.Request(p.nid, target, workload.FetchReq{Key: q.key}, timeout,
-		func(resp any, err error) {
-			if p.dead || p.query != q {
-				return
-			}
-			served := err == nil && resp.(workload.FetchResp).Served
-			if p.sys.tracer.Enabled() {
-				q.path = trace.Append(q.path, trace.Hop{
-					Kind: trace.HopProbe, Node: target,
-					Loc: p.sys.net.Locality(target), At: p.sys.eng.Now(),
-					// A probe that answered but could not serve is a stale
-					// delegate entry — the summary false-positive flag.
-					FalsePositive: err == nil && !served,
-				})
-			}
-			if !served {
-				p.probeDelegate(q)
-				return
-			}
-			p.resolve(q, metrics.HitDirectory, target)
-		})
-}
-
-// resolve records metrics and performs the transfer.
-func (p *Peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime.NodeID) {
-	if p.query != q {
-		return
-	}
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
-	p.query = nil
-	now := p.sys.eng.Now()
-	dist := p.sys.net.Latency(p.nid, provider)
-	// Same lookup-latency definition as Flower-CDN: time to reach the
-	// destination that will provide the object (see flower.resolve).
-	lookup := now - q.start
-	if outcome == metrics.Miss {
-		lookup += dist
-	} else if lookup > dist {
-		lookup -= dist
-	}
-	p.sys.coll.Emit(metrics.QueryEvent(now, outcome, lookup, dist))
-	if tr := p.sys.tracer; tr.Enabled() {
-		tr.Emit(now, &trace.Record{
-			Query: q.seq, Client: p.nid, Loc: p.sys.net.Locality(p.nid),
-			Key: q.key.Uint64(), Outcome: outcome, Attempts: q.attempt,
-			Hops: trace.Append(q.path, trace.Hop{
-				Kind: trace.HopServe, Node: provider, Loc: p.sys.net.Locality(provider), At: now}),
-		})
-	}
-	if outcome == metrics.Miss {
-		p.sys.net.Request(p.nid, provider, workload.FetchReq{Key: q.key}, 0,
-			func(_ any, err error) {
-				if p.dead || err != nil {
-					return
-				}
-				p.store.Add(q.key)
-			})
-		return
-	}
-	p.store.Add(q.key)
-}
-
-// ---- runtime.Handler ----
-
-// HandleMessage dispatches Chord traffic and protocol messages.
-func (p *Peer) HandleMessage(from runtime.NodeID, msg any) {
-	if p.dead {
-		return
-	}
-	if p.node.HandleMessage(from, msg) {
-		return
-	}
-	if m, ok := msg.(homeResp); ok {
-		p.onHomeResp(m)
-	}
-}
-
-// HandleRequest dispatches Chord RPCs and content fetches.
-func (p *Peer) HandleRequest(from runtime.NodeID, req any) (any, error) {
-	if p.dead {
-		return nil, errors.New("squirrel: dead peer")
-	}
-	if resp, err, ok := p.node.HandleRequest(from, req); ok {
-		return resp, err
-	}
-	if r, ok := req.(workload.FetchReq); ok {
-		return workload.FetchResp{Key: r.Key, Served: p.store.Has(r.Key)}, nil
-	}
-	return nil, fmt.Errorf("squirrel: unhandled request %T", req)
 }

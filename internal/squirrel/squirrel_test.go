@@ -1,220 +1,426 @@
-package squirrel
+package squirrel_test
 
 import (
+	"testing"
+
+	"flowercdn/internal/baseline"
+	"flowercdn/internal/content"
+	_ "flowercdn/internal/koorde" // registers koorde-global
+	"flowercdn/internal/metrics"
+	"flowercdn/internal/proto"
+	"flowercdn/internal/ringcheck"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/simrt"
-	"testing"
-
-	"flowercdn/internal/content"
-	"flowercdn/internal/metrics"
+	_ "flowercdn/internal/squirrel"
 	"flowercdn/internal/topology"
+	"flowercdn/internal/trace"
 	"flowercdn/internal/workload"
 )
 
-type fixture struct {
-	t       *testing.T
-	eng     *simrt.Runtime
-	net     runtime.Transport
-	rng     *rnd.RNG
-	work    *workload.Workload
-	origins *workload.Origins
-	coll    *metrics.Collector
-	sys     *System
-	peers   []*Peer
-	kills   []func()
+// This suite drives the ring-directory deployment (internal/baseline)
+// through each of its three registrations, black-box: peers come and go
+// through proto.System, and everything asserted is read from the
+// metrics stream, the query traces and the RingInspector snapshot. It
+// lives beside Squirrel, the paper's baseline, whose behaviours these
+// are; the two -global protocols must show the same ones, plus the one
+// the summary switch adds (TestHomeFailureLosesDirectory).
+
+type protocol struct {
+	name string
+	// capKey and redirectsKey are the option names the protocol reads
+	// for delegates remembered per object and suggested per query.
+	capKey, redirectsKey string
+	// summaries: peers re-register their content with the site's home
+	// every refresh-interval.
+	summaries bool
 }
 
-func newFixture(t *testing.T, seed uint64) *fixture {
+var protocols = []protocol{
+	{name: "squirrel", capKey: "directory-cap", redirectsKey: "provider-attempts"},
+	{name: "chord-global", capKey: "index-cap", redirectsKey: "providers-per-reply", summaries: true},
+	{name: "koorde-global", capKey: "index-cap", redirectsKey: "providers-per-reply", summaries: true},
+}
+
+func eachProtocol(t *testing.T, fn func(t *testing.T, p protocol)) {
+	for _, p := range protocols {
+		t.Run(p.name, func(t *testing.T) { fn(t, p) })
+	}
+}
+
+// joinSpy reports the address the deployment's last Join was given, so
+// a test can tell which ring member or trace hop is which of its peers.
+type joinSpy struct {
+	runtime.Transport
+	last runtime.NodeID
+}
+
+func (j *joinSpy) Join(h runtime.Handler, p topology.Placement) runtime.NodeID {
+	j.last = j.Transport.Join(h, p)
+	return j.last
+}
+
+// session is one online peer.
+type session struct {
+	node  runtime.NodeID
+	store *content.Store
+	kill  func()
+}
+
+type fixture struct {
+	rt     *simrt.Runtime
+	net    *joinSpy
+	rng    *rnd.RNG
+	coll   *metrics.Collector
+	traces *trace.Collector
+	sys    proto.System
+	peers  map[runtime.NodeID]*session
+}
+
+// newFixture builds a deployment of p over the sim backend: 4 sites of
+// objects objects, sites 0 and 1 queried, a query every 2 minutes.
+func newFixture(t *testing.T, p protocol, seed uint64, objects int, opts proto.Options) *fixture {
 	t.Helper()
 	rng := rnd.New(seed)
 	topo := topology.MustNew(topology.DefaultConfig(), rng.Split("topo"))
-	eng := simrt.New(topo)
-	net := eng.Net()
+	rt := simrt.New(topo)
+	net := &joinSpy{Transport: rt.Net()}
 	wcfg := workload.DefaultConfig()
 	wcfg.Sites = 4
-	wcfg.ObjectsPerSite = 50
+	wcfg.ObjectsPerSite = objects
 	wcfg.ActiveSites = 2
 	wcfg.QueryMeanInterval = 2 * runtime.Minute
 	work, err := workload.New(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	origins := workload.NewOrigins(work, net, rng.Split("origins"))
-	coll := metrics.NewCollector(runtime.Hour)
-	sys, err := NewSystem(DefaultConfig(), Deps{Net: net, RNG: rng.Split("squirrel"), Workload: work, Origins: origins, Metrics: coll})
+	f := &fixture{rt: rt, net: net, rng: rng,
+		coll: metrics.NewCollector(runtime.Hour), traces: &trace.Collector{},
+		peers: map[runtime.NodeID]*session{}}
+	pipe := metrics.NewPipeline(f.coll, f.traces)
+	f.sys, err = proto.New(p.name, proto.Env{
+		Clock:    rt.Clock(),
+		Net:      net,
+		Topo:     topo,
+		RNG:      rng.Split(p.name),
+		Workload: work,
+		Origins:  workload.NewOrigins(work, net, rng.Split("origins")),
+		Metrics:  pipe,
+		Trace:    trace.New(pipe),
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, eng: eng, net: net, rng: rng, work: work, origins: origins, coll: coll, sys: sys}
+	return f
 }
 
-func (f *fixture) spawn(site content.SiteID) *Peer {
-	p, kill := f.sys.SpawnPeer(site)
-	f.peers = append(f.peers, p)
-	f.kills = append(f.kills, kill)
-	return p
+// spawn brings a new individual online — interested in site, caching
+// store (nil: nothing) — and runs the simulation for settle.
+func (f *fixture) spawn(site content.SiteID, store *content.Store, settle int64) *session {
+	if store == nil {
+		store = content.NewStore()
+	}
+	s := &session{store: store}
+	s.kill = f.sys.Spawn(baseline.Identity{Site: site, Placement: f.net.Topology().Place(f.rng), Store: store})
+	s.node = f.net.last
+	f.peers[s.node] = s
+	f.run(settle)
+	return s
 }
 
-func (f *fixture) run(d int64) { f.eng.Run(f.eng.Now() + d) }
+func (f *fixture) run(d int64) { f.rt.Run(f.rt.Now() + d) }
 
-func TestConfigValidation(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	bads := []func(*Config){
-		func(c *Config) { c.DirectoryCap = 0 },
-		func(c *Config) { c.ProviderAttempts = 0 },
-		func(c *Config) { c.QueryTimeout = 0 },
-		func(c *Config) { c.QueryRetries = 0 },
-		func(c *Config) { c.Chord.SuccessorListLen = 0 },
-	}
-	for i, mut := range bads {
-		c := DefaultConfig()
-		mut(&c)
-		if c.Validate() == nil {
-			t.Errorf("bad config %d accepted", i)
+func (f *fixture) members() []proto.RingMember {
+	return f.sys.(proto.RingInspector).RingMembers()
+}
+
+func (f *fixture) hits() uint64 { return f.coll.Count(metrics.HitDirectory) }
+
+// homes returns every node that answered a query as its home in
+// records[from:].
+func (f *fixture) homes(from int) map[runtime.NodeID]bool {
+	out := map[runtime.NodeID]bool{}
+	for _, rec := range f.traces.Records()[from:] {
+		if home := homeOf(rec); home != runtime.None {
+			out[home] = true
 		}
 	}
-	if _, err := NewSystem(DefaultConfig(), Deps{}); err == nil {
-		t.Fatal("missing deps accepted")
+	return out
+}
+
+// homeOf returns the node that answered rec's query as its home (None
+// if the overlay never delivered it).
+func homeOf(rec *trace.Record) runtime.NodeID {
+	for _, h := range rec.Hops {
+		if h.Kind == trace.HopHome {
+			return h.Node
+		}
 	}
+	return runtime.None
+}
+
+// bystanders is how many ring members on a site nobody queries the two
+// home-failure scenarios start with, so that homes are mostly not the
+// peers under test. A ring position hashes from a peer's address, which
+// counts joins: this number, not the seed, decides who is home, and the
+// scenarios' "setup:" checks say so if it stops suiting them.
+const bystanders = 18
+
+// siteStore returns a store holding objects [from, n) of site.
+func siteStore(site content.SiteID, from, n int) *content.Store {
+	s := content.NewStore()
+	for o := from; o < n; o++ {
+		s.Add(content.Key{Site: site, Object: content.ObjectID(o)})
+	}
+	return s
+}
+
+func TestConfigValidation(t *testing.T) {
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		if err := proto.Check(p.name, nil); err != nil {
+			t.Fatalf("defaults rejected: %v", err)
+		}
+		bads := []proto.Options{
+			{p.capKey: 0},
+			{p.redirectsKey: 0},
+			{"query-timeout": int64(0)},
+			{"cache-policy": "bogus"},
+			{"cache-capacity": 8},
+		}
+		if p.summaries {
+			bads = append(bads, proto.Options{"refresh-interval": int64(-1)})
+		} else if err := proto.Check(p.name, proto.Options{"refresh-interval": int64(-1)}); err != nil {
+			t.Errorf("refresh-interval is not this protocol's key, yet: %v", err)
+		}
+		if p.name == "koorde-global" {
+			bads = append(bads, proto.Options{"koorde-degree-bits": 3})
+		}
+		for _, opts := range bads {
+			if proto.Check(p.name, opts) == nil {
+				t.Errorf("bad options %v accepted", opts)
+			}
+		}
+		if _, err := proto.New(p.name, proto.Env{}, nil); err == nil {
+			t.Error("missing dependencies accepted")
+		}
+	})
 }
 
 func TestPeersFormRing(t *testing.T) {
-	f := newFixture(t, 1)
-	for i := 0; i < 12; i++ {
-		f.spawn(content.SiteID(i % 4))
-		f.run(30 * runtime.Second)
-	}
-	f.run(10 * runtime.Minute)
-	for i, p := range f.peers {
-		if !p.Joined() {
-			t.Fatalf("peer %d never joined the ring", i)
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 1, 50, nil)
+		for i := 0; i < 12; i++ {
+			f.spawn(content.SiteID(i%4), nil, 30*runtime.Second)
 		}
-	}
-	if f.sys.AliveMembers() != 12 {
-		t.Fatalf("AliveMembers = %d, want 12", f.sys.AliveMembers())
-	}
+		f.run(10 * runtime.Minute)
+		members := f.members()
+		joined := map[runtime.NodeID]bool{}
+		for _, m := range members {
+			joined[m.Node] = true
+		}
+		for node := range f.peers {
+			if !joined[node] {
+				t.Errorf("peer %d never joined the ring", node)
+			}
+		}
+		if rep := ringcheck.Check(members, ringcheck.Options{}); len(members) != 12 || !rep.OK() {
+			t.Fatalf("%d members, violations %v; want one ordered ring of 12", len(members), rep.Violations)
+		}
+		if st := f.sys.Stats(); st[proto.StatAlivePeers] != 12 || st[proto.StatPeersSpawned] != 12 {
+			t.Fatalf("stats %v, want 12 alive of 12 spawned", st)
+		}
+	})
 }
 
 func TestFirstQueryMissesThenDelegateHit(t *testing.T) {
-	f := newFixture(t, 2)
-	for i := 0; i < 10; i++ {
-		f.spawn(0) // all on the active site
-		f.run(30 * runtime.Second)
-	}
-	f.run(3 * runtime.Hour)
-	if f.coll.Count(metrics.Miss) == 0 {
-		t.Fatal("no misses: first fetches must come from the origin")
-	}
-	if f.coll.Count(metrics.HitDirectory) == 0 {
-		t.Fatal("no delegate hits despite popular Zipf objects and shared homes")
-	}
-	// The directory state must actually live on home nodes.
-	totalDir := 0
-	for _, p := range f.peers {
-		totalDir += p.DirectorySize()
-	}
-	if totalDir == 0 {
-		t.Fatal("no home node holds any directory entries")
-	}
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 2, 50, nil)
+		for i := 0; i < 10; i++ {
+			f.spawn(0, nil, 30*runtime.Second) // all on the active site
+		}
+		f.run(3 * runtime.Hour)
+		if f.coll.Count(metrics.Miss) == 0 {
+			t.Fatal("no misses: first fetches must come from the origin")
+		}
+		if f.hits() == 0 {
+			t.Fatal("no delegate hits despite popular Zipf objects and shared homes")
+		}
+		// Every hit is a home's redirect to another peer that served.
+		for _, rec := range f.traces.Records() {
+			if rec.Outcome != metrics.HitDirectory {
+				continue
+			}
+			var home, probe, serve *trace.Hop
+			for i := range rec.Hops {
+				switch h := &rec.Hops[i]; h.Kind {
+				case trace.HopHome:
+					home = h
+				case trace.HopProbe:
+					probe = h
+				case trace.HopServe:
+					serve = h
+				}
+			}
+			if home == nil || probe == nil || serve == nil || f.peers[home.Node] == nil ||
+				probe.Node != serve.Node || serve.Node == rec.Client || f.peers[serve.Node] == nil {
+				t.Fatalf("query %d hit without home → delegate → serve: %+v", rec.Query, rec.Hops)
+			}
+		}
+	})
 }
 
+// A directory lives only at its home and dies with it. Squirrel never
+// rebuilds it: the holders are known to nobody until they query again,
+// and a peer that holds an object does not. With the summary switch on,
+// every holder re-registers at the site's new home within one
+// refresh-interval, so directory hits come back.
 func TestHomeFailureLosesDirectory(t *testing.T) {
-	f := newFixture(t, 3)
-	for i := 0; i < 10; i++ {
-		f.spawn(0)
-		f.run(30 * runtime.Second)
-	}
-	f.run(2 * runtime.Hour)
-	// Kill the peer holding the largest directory slice.
-	var victim *Peer
-	for _, p := range f.peers {
-		if victim == nil || p.DirectorySize() > victim.DirectorySize() {
-			victim = p
+	const objects, refresh = 20, 10 * runtime.Minute
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 3, objects, proto.Options{"refresh-interval": int64(refresh)})
+		for i := 0; i < bystanders; i++ {
+			f.spawn(3, nil, 30*runtime.Second)
 		}
-	}
-	if victim.DirectorySize() == 0 {
-		t.Fatal("setup: no directory accumulated")
-	}
-	victim.kill()
-	if victim.Alive() {
-		t.Fatal("kill did not mark peer dead")
-	}
-	// The directory died with it; the ring heals and new homes start
-	// empty. Fresh peers keep querying and the system keeps operating.
-	before := f.coll.Total()
-	for i := 0; i < 3; i++ {
-		f.spawn(0)
-	}
-	f.run(2 * runtime.Hour)
-	if f.coll.Total() == before {
-		t.Fatal("queries stopped after a home failure")
-	}
+		// Holders lack objects 0-2 of site 0 and query nothing else: the
+		// first fetches them from the origin, the later ones from it.
+		var holders []*session
+		for i := 0; i < 4; i++ {
+			holders = append(holders, f.spawn(0, siteStore(0, 3, objects), 10*runtime.Minute))
+		}
+		f.run(10 * runtime.Minute)
+		if f.hits() == 0 {
+			t.Fatal("setup: no directory hit before the failure")
+		}
+		dead := f.homes(0)
+		for node := range dead {
+			f.peers[node].kill()
+		}
+		alive := 0
+		for _, h := range holders {
+			if !dead[h.node] && h.store.Len() == objects {
+				alive++
+			}
+		}
+		if alive < 2 {
+			t.Fatalf("setup: %d complete holders left after killing the homes %v", alive, dead)
+		}
+		f.run(refresh + runtime.Minute)
+
+		before, queries, records := f.hits(), f.coll.Total(), f.traces.Len()
+		client := f.spawn(0, siteStore(0, 3, objects), 30*runtime.Minute)
+		if client.store.Len() != objects || f.coll.Total() != queries+3 {
+			t.Fatalf("queries stopped after the home failure: client holds %d of %d objects after %d queries",
+				client.store.Len(), objects, f.coll.Total()-queries)
+		}
+		for node := range f.homes(records) {
+			if dead[node] {
+				t.Fatalf("dead node %d still answers as home", node)
+			}
+		}
+		switch got := f.hits() - before; {
+		case p.summaries && got == 0:
+			t.Fatal("no directory hit one refresh-interval after the home died: summaries did not rebuild it")
+		case !p.summaries && got != 0:
+			t.Fatalf("%d directory hits after every home died, with nothing to rebuild a directory from", got)
+		}
+	})
 }
 
 func TestNonActivePeersDoNotQuery(t *testing.T) {
-	f := newFixture(t, 4)
-	p := f.spawn(3) // inactive site
-	f.run(runtime.Hour)
-	if !p.Joined() {
-		t.Fatal("inactive-site peer should still join the ring (churn load)")
-	}
-	if p.Store().Len() != 0 {
-		t.Fatal("inactive-site peer fetched content")
-	}
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 4, 50, nil)
+		s := f.spawn(3, nil, runtime.Hour) // inactive site
+		if m := f.members(); len(m) != 1 || m[0].Node != s.node {
+			t.Fatal("inactive-site peer should still join the ring (churn load)")
+		}
+		if s.store.Len() != 0 || f.coll.Total() != 0 {
+			t.Fatal("inactive-site peer queried")
+		}
+	})
 }
 
+// A home remembers at most the capped number of delegates per object,
+// however many registered and however many it may suggest per query.
 func TestDelegateCapBounded(t *testing.T) {
-	f := newFixture(t, 5)
-	home := f.spawn(3)
-	f.run(runtime.Minute)
-	k := content.Key{Site: 0, Object: 1}
-	for i := 0; i < 20; i++ {
-		home.addDelegate(k, runtime.NodeID(100+i))
-	}
-	if got := len(home.dir[k]); got != f.sys.cfg.DirectoryCap {
-		t.Fatalf("directory holds %d delegates, want cap %d", got, f.sys.cfg.DirectoryCap)
-	}
-	// Most recent delegates are retained.
-	last := home.dir[k][len(home.dir[k])-1]
-	if last != runtime.NodeID(119) {
-		t.Fatalf("newest delegate lost: tail is %d", last)
-	}
-	// Duplicates are not re-added.
-	home.addDelegate(k, runtime.NodeID(119))
-	if len(home.dir[k]) != f.sys.cfg.DirectoryCap {
-		t.Fatal("duplicate delegate changed directory size")
-	}
+	const objects, limit = 20, 2
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 5, objects, proto.Options{p.capKey: limit, p.redirectsKey: 8})
+		for i := 0; i < bystanders; i++ {
+			f.spawn(3, nil, 30*runtime.Second)
+		}
+		// Six peers fetch object 0 of site 0, one after the other, and so
+		// register as its delegates; then all six die, leaving the home's
+		// entries stale.
+		var holders []*session
+		for i := 0; i < 6; i++ {
+			holders = append(holders, f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute))
+		}
+		records := f.traces.Records()
+		if len(records) != len(holders) {
+			t.Fatalf("setup: %d queries from %d holders", len(records), len(holders))
+		}
+		// More registered at the final home than it may remember, and it
+		// is not one of the peers about to die.
+		home := homeOf(records[len(records)-1])
+		for _, rec := range records[len(records)-limit-1:] {
+			if homeOf(rec) != home {
+				t.Fatalf("setup: the home moved from %d to %d within the last %d registrations", homeOf(rec), home, limit+1)
+			}
+		}
+		for _, h := range holders {
+			if h.node == home {
+				t.Fatalf("setup: the home %d is a holder", home)
+			}
+			h.kill()
+		}
+		f.run(5 * runtime.Minute) // the ring closes over the dead
+		// A fresh client is sent to every remembered delegate in turn —
+		// each probe times out — before it falls back to the origin.
+		f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute)
+		all := f.traces.Records()
+		if len(all) != len(records)+1 {
+			t.Fatalf("client issued %d queries, want 1", len(all)-len(records))
+		}
+		probes := 0
+		for _, h := range all[len(all)-1].Hops {
+			if h.Kind == trace.HopProbe {
+				probes++
+			}
+		}
+		if probes != limit {
+			t.Fatalf("client probed %d delegates of the %d that registered, want the cap %d: %+v",
+				probes, len(holders), limit, all[len(all)-1].Hops)
+		}
+	})
 }
 
 func TestLookupLatencyReflectsMultiHopRouting(t *testing.T) {
-	f := newFixture(t, 6)
-	const n = 24
-	for i := 0; i < n; i++ {
-		f.spawn(0)
-		f.run(20 * runtime.Second)
-	}
-	f.run(4 * runtime.Hour)
-	if f.coll.Total() < 50 {
-		t.Fatalf("too few queries recorded: %d", f.coll.Total())
-	}
-	// Multi-hop DHT routing across random localities must produce mean
-	// lookup latencies far above one intra-locality RTT.
-	if mean := f.coll.MeanLookupLatency(); mean < 200 {
-		t.Fatalf("mean lookup latency %.0f ms suspiciously low for DHT routing", mean)
-	}
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 6, 50, nil)
+		for i := 0; i < 24; i++ {
+			f.spawn(0, nil, 20*runtime.Second)
+		}
+		f.run(4 * runtime.Hour)
+		if f.coll.Total() < 50 {
+			t.Fatalf("too few queries recorded: %d", f.coll.Total())
+		}
+		// Multi-hop DHT routing across random localities must produce mean
+		// lookup latencies far above one intra-locality RTT.
+		if mean := f.coll.MeanLookupLatency(); mean < 200 {
+			t.Fatalf("mean lookup latency %.0f ms suspiciously low for DHT routing", mean)
+		}
+	})
 }
 
 func TestKillIdempotentAndSilent(t *testing.T) {
-	f := newFixture(t, 7)
-	p := f.spawn(0)
-	f.run(runtime.Minute)
-	p.kill()
-	p.kill()
-	f.run(runtime.Hour) // no panics from stray timers
-	if p.Alive() {
-		t.Fatal("peer alive after kill")
-	}
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 7, 50, nil)
+		s := f.spawn(0, nil, runtime.Minute)
+		s.kill()
+		s.kill()
+		f.run(runtime.Hour) // no panics from stray timers
+		if st := f.sys.Stats(); st[proto.StatAlivePeers] != 0 || len(f.members()) != 0 {
+			t.Fatalf("peer alive after kill: stats %v, %d ring members", st, len(f.members()))
+		}
+	})
 }

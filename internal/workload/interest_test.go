@@ -3,7 +3,7 @@ package workload
 import (
 	"testing"
 
-	"flowercdn/internal/sim"
+	"flowercdn/internal/rnd"
 )
 
 func TestAssignInterestUniformByDefault(t *testing.T) {
@@ -11,7 +11,7 @@ func TestAssignInterestUniformByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := sim.NewRNG(1)
+	rng := rnd.New(1)
 	counts := make(map[int]int)
 	const draws = 20000
 	for i := 0; i < draws; i++ {
@@ -31,7 +31,7 @@ func TestAssignInterestSkewConcentrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := sim.NewRNG(1)
+	rng := rnd.New(1)
 	counts := make(map[int]int)
 	const draws = 20000
 	for i := 0; i < draws; i++ {

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"flowercdn/internal/content"
+	"flowercdn/internal/rnd"
+	"flowercdn/internal/runtime"
 	"flowercdn/internal/sim"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/topology"
@@ -47,7 +49,7 @@ func TestZipfMonotoneDecreasing(t *testing.T) {
 
 func TestZipfEmpiricalSkew(t *testing.T) {
 	z, _ := NewZipf(500, 0.8)
-	rng := sim.NewRNG(1)
+	rng := rnd.New(1)
 	counts := make([]int, 500)
 	const n = 200000
 	for i := 0; i < n; i++ {
@@ -80,7 +82,7 @@ func TestZipfAlphaZeroIsUniform(t *testing.T) {
 
 func TestZipfRankInBounds(t *testing.T) {
 	z, _ := NewZipf(7, 1.2)
-	rng := sim.NewRNG(2)
+	rng := rnd.New(2)
 	for i := 0; i < 10000; i++ {
 		r := z.Rank(rng)
 		if r < 0 || r >= 7 {
@@ -108,7 +110,7 @@ func TestWorkloadValidation(t *testing.T) {
 
 func TestAssignInterestCoversAllSites(t *testing.T) {
 	w, _ := New(DefaultConfig())
-	rng := sim.NewRNG(3)
+	rng := rnd.New(3)
 	seen := map[content.SiteID]bool{}
 	for i := 0; i < 20000; i++ {
 		s := w.AssignInterest(rng)
@@ -138,7 +140,7 @@ func TestActiveSites(t *testing.T) {
 
 func TestNextQueryDelayMean(t *testing.T) {
 	w, _ := New(DefaultConfig())
-	rng := sim.NewRNG(4)
+	rng := rnd.New(4)
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -153,7 +155,7 @@ func TestNextQueryDelayMean(t *testing.T) {
 
 func TestPickObjectSkipsOwned(t *testing.T) {
 	w, _ := New(DefaultConfig())
-	rng := sim.NewRNG(5)
+	rng := rnd.New(5)
 	store := content.NewStore()
 	// Own the 5 most popular objects; picks must avoid them.
 	for i := 0; i < 5; i++ {
@@ -180,7 +182,7 @@ func TestPickObjectExhaustedCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := sim.NewRNG(6)
+	rng := rnd.New(6)
 	store := content.NewStore()
 	for i := 0; i < 10; i++ {
 		store.Add(content.Key{Site: 2, Object: content.ObjectID(i)})
@@ -201,7 +203,7 @@ func TestPickObjectExhaustedCatalog(t *testing.T) {
 
 func TestOriginsServeEverything(t *testing.T) {
 	eng := sim.NewEngine()
-	rng := sim.NewRNG(7)
+	rng := rnd.New(7)
 	topo := topology.MustNew(topology.DefaultConfig(), rng)
 	net := simnet.New(eng.Clock(), topo)
 	w, _ := New(DefaultConfig())
@@ -236,7 +238,7 @@ func TestOriginRejectsJunk(t *testing.T) {
 
 type clientStub struct{}
 
-func (clientStub) HandleMessage(simnet.NodeID, any) {}
-func (clientStub) HandleRequest(simnet.NodeID, any) (any, error) {
+func (clientStub) HandleMessage(runtime.NodeID, any) {}
+func (clientStub) HandleRequest(runtime.NodeID, any) (any, error) {
 	return nil, nil
 }
