@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-PR ?= 19
+PR ?= 20
 BENCH_JSON := BENCH_PR$(PR).json
 
 .PHONY: build test race race-net wire-bench vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean
@@ -128,12 +128,16 @@ fingerprint-check:
 # alloc-check runs the allocation pins: the tests that hold a hot path
 # to an exact object count with testing.AllocsPerRun — the engine's
 # one-shot timers, simnet's pooled deliveries, chord's steady-state
-# maintenance (a resolved lookup, a ping round, a notify: zero), the
-# bounded content store, and the binary codec's budget per wire message
-# (the packages whose wire tests call wiretest.BinaryAllocs). A count
-# repeats exactly, so unlike a timing these gate on one run.
+# maintenance (a resolved lookup, a ping round, a notify: zero),
+# flower's query path on a frozen petal (a query-loop tick and a
+# gossip-path hit: zero; a directory-path hit: the request, plus the
+# directory's provider list and reply), the LRU policy (an admission
+# with its eviction, a touch: zero) and the bounded content store over
+# it, and the binary codec's budget per wire message (the packages whose
+# wire tests call wiretest.BinaryAllocs). A count repeats exactly, so
+# unlike a timing these gate on one run.
 alloc-check:
-	go test -count=1 -run Alloc ./internal/sim ./internal/simnet ./internal/chord ./internal/content ./internal/workload
+	go test -count=1 -run Alloc ./internal/sim ./internal/simnet ./internal/chord ./internal/flower ./internal/cache ./internal/content ./internal/workload
 
 # realtime-smoke drives the wall-clock backend for a few seconds of real
 # time: the identical protocol code over real timers and the loopback

@@ -195,7 +195,7 @@ func (p *originPeer) issueQuery() {
 	// same distance back.
 	env.Metrics.Emit(metrics.QueryEvent(now, metrics.Miss, dist, dist))
 	env.Metrics.Emit(metrics.CounterEvent(now, "origin_fetches", 1))
-	env.Net.Request(p.nid, origin, workload.FetchReq{Key: key}, 0,
+	env.Net.Request(p.nid, origin, env.Workload.FetchReqMsg(key), 0,
 		func(_ any, err error) {
 			if p.dead || err != nil {
 				return
@@ -227,7 +227,7 @@ func (p *originPeer) HandleRequest(_ runtime.NodeID, req any) (any, error) {
 		return nil, errors.New("baseline: dead peer")
 	}
 	if r, ok := req.(workload.FetchReq); ok {
-		return workload.FetchResp{Key: r.Key, Served: p.store.Has(r.Key)}, nil
+		return p.d.env.Workload.FetchRespMsg(r.Key, p.store.Has(r.Key)), nil
 	}
 	return nil, fmt.Errorf("baseline: unhandled request %T", req)
 }

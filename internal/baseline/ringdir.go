@@ -536,7 +536,7 @@ func (p *peer) probeProvider(q *activeQuery) {
 	target := q.candidates[0]
 	q.candidates = q.candidates[1:]
 	timeout := 2*p.d.env.Net.Latency(p.nid, target) + 300*runtime.Millisecond
-	p.d.env.Net.Request(p.nid, target, workload.FetchReq{Key: q.key}, timeout,
+	p.d.env.Net.Request(p.nid, target, p.d.env.Workload.FetchReqMsg(q.key), timeout,
 		func(resp any, err error) {
 			if p.dead || p.query != q {
 				return
@@ -589,7 +589,7 @@ func (p *peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 		})
 	}
 	if outcome == metrics.Miss {
-		env.Net.Request(p.nid, provider, workload.FetchReq{Key: q.key}, 0,
+		env.Net.Request(p.nid, provider, env.Workload.FetchReqMsg(q.key), 0,
 			func(_ any, err error) {
 				if p.dead || err != nil {
 					return
@@ -625,7 +625,7 @@ func (p *peer) HandleRequest(from runtime.NodeID, req any) (any, error) {
 		return resp, err
 	}
 	if r, ok := req.(workload.FetchReq); ok {
-		return workload.FetchResp{Key: r.Key, Served: p.store.Has(r.Key)}, nil
+		return p.d.env.Workload.FetchRespMsg(r.Key, p.store.Has(r.Key)), nil
 	}
 	return nil, fmt.Errorf("baseline: unhandled request %T", req)
 }

@@ -1,7 +1,5 @@
 package cache
 
-import "container/list"
-
 // The built-in policies. All of them treat capacity <= 0 as unbounded
 // and break victim ties deterministically by smallest key, so bounded
 // runs replay bit-identically.
@@ -15,11 +13,7 @@ func init() {
 		Name:    "lru",
 		Summary: "least-recently-used eviction, capacity in objects",
 	}, func(capacity int64) Policy {
-		return &lruPolicy{
-			capacity: capacity,
-			order:    list.New(),
-			items:    make(map[uint64]*list.Element),
-		}
+		return newLRU(capacity)
 	})
 	Register(Info{
 		Name:    "lfu",
@@ -46,28 +40,73 @@ func (p *nonePolicy) Victim() (uint64, bool) { return 0, false }
 func (p *nonePolicy) Remove(uint64)          { p.n-- }
 func (p *nonePolicy) Len() int               { return p.n }
 
-// lruPolicy evicts the least-recently-touched key. O(1) everywhere:
-// an intrusive recency list plus a key → element map.
+// lruPolicy evicts the least-recently-touched key. O(1) everywhere and,
+// once the slab has grown to the store's working size, no allocation
+// anywhere: the recency list is threaded through one slice of nodes by
+// index instead of through heap elements, so admitting, touching and
+// evicting a key move four int32 links. A bounded store evicts on nearly
+// every admission, which made the two objects container/list cost per
+// PushFront the largest single allocator of a busy petal.
+//
+// nodes[0] is the list's sentinel: its next is the most recently used
+// node, its prev the least. Removed nodes are chained through next from
+// free (0 = none) and handed out again before the slab grows, so the
+// slab never holds more than the peak resident count plus one.
 type lruPolicy struct {
 	capacity int64
 	used     int64
-	order    *list.List // front = most recently used
-	items    map[uint64]*list.Element
+	nodes    []lruNode
+	free     int32
+	items    map[uint64]int32
 }
 
-type lruEntry struct {
-	key  uint64
-	cost int64
+type lruNode struct {
+	key        uint64
+	cost       int64
+	prev, next int32
+}
+
+func newLRU(capacity int64) *lruPolicy {
+	return &lruPolicy{
+		capacity: capacity,
+		nodes:    make([]lruNode, 1), // the sentinel, linked to itself
+		items:    make(map[uint64]int32),
+	}
+}
+
+// unlink takes node i out of the recency list.
+func (p *lruPolicy) unlink(i int32) {
+	n := &p.nodes[i]
+	p.nodes[n.prev].next = n.next
+	p.nodes[n.next].prev = n.prev
+}
+
+// pushFront makes node i the most recently used.
+func (p *lruPolicy) pushFront(i int32) {
+	first := p.nodes[0].next
+	p.nodes[i].prev, p.nodes[i].next = 0, first
+	p.nodes[first].prev = i
+	p.nodes[0].next = i
 }
 
 func (p *lruPolicy) OnAdd(key uint64, cost int64) {
-	p.items[key] = p.order.PushFront(lruEntry{key: key, cost: cost})
+	i := p.free
+	if i != 0 {
+		p.free = p.nodes[i].next
+	} else {
+		p.nodes = append(p.nodes, lruNode{})
+		i = int32(len(p.nodes) - 1)
+	}
+	p.nodes[i].key, p.nodes[i].cost = key, cost
+	p.pushFront(i)
+	p.items[key] = i
 	p.used += cost
 }
 
 func (p *lruPolicy) OnHit(key uint64) {
-	if el, ok := p.items[key]; ok {
-		p.order.MoveToFront(el)
+	if i, ok := p.items[key]; ok {
+		p.unlink(i)
+		p.pushFront(i)
 	}
 }
 
@@ -75,16 +114,18 @@ func (p *lruPolicy) Victim() (uint64, bool) {
 	if p.capacity <= 0 || p.used <= p.capacity {
 		return 0, false
 	}
-	return p.order.Back().Value.(lruEntry).key, true
+	return p.nodes[p.nodes[0].prev].key, true
 }
 
 func (p *lruPolicy) Remove(key uint64) {
-	el, ok := p.items[key]
+	i, ok := p.items[key]
 	if !ok {
 		return
 	}
-	p.used -= el.Value.(lruEntry).cost
-	p.order.Remove(el)
+	p.used -= p.nodes[i].cost
+	p.unlink(i)
+	p.nodes[i].next = p.free
+	p.free = i
 	delete(p.items, key)
 }
 

@@ -50,8 +50,15 @@ func Position(site content.SiteID, loc topology.Locality, instance int) ids.ID {
 	if instance < 0 || instance >= MaxInstances {
 		panic(fmt.Sprintf("dring: instance %d out of range", instance))
 	}
-	prefix := uint64(ids.Hash2(uint64(site), 0x5eed)) & sitePrefixMask
-	return ids.ID(prefix | uint64(loc)<<InstanceBits | uint64(instance))
+	return ids.ID(SitePrefixOf(site) | uint64(loc)<<InstanceBits | uint64(instance))
+}
+
+// SitePrefixOf returns the site prefix every position of site carries —
+// what SitePrefix extracts from them. It hashes (SHA-1): callers that
+// test many identifiers against one site compute it, or one of the
+// site's positions, once and compare prefixes.
+func SitePrefixOf(site content.SiteID) uint64 {
+	return uint64(ids.Hash2(uint64(site), 0x5eed)) & sitePrefixMask
 }
 
 // SitePrefix returns the 48-bit site prefix of an identifier (shifted
@@ -74,5 +81,5 @@ func SamePetal(id ids.ID, site content.SiteID, loc topology.Locality) bool {
 
 // SameSite reports whether id belongs to site (any locality/instance).
 func SameSite(id ids.ID, site content.SiteID) bool {
-	return SitePrefix(id) == SitePrefix(Position(site, 0, 0))
+	return SitePrefix(id) == SitePrefixOf(site)
 }

@@ -95,3 +95,27 @@ func TestPositionPanicsOutOfRange(t *testing.T) {
 		}()
 	}
 }
+
+// TestSameSiteIsAPrefixComparison pins what lets a directory hash its
+// site once and then test ring entries by prefix: for any identifier —
+// a position of the site, of another site, or no position at all —
+// SameSite agrees with comparing SitePrefix to SitePrefixOf.
+func TestSameSiteIsAPrefixComparison(t *testing.T) {
+	f := func(raw uint64, site, other uint16, loc, inst uint8) bool {
+		s, o := content.SiteID(site%1000), content.SiteID(other%1000)
+		for _, id := range []ids.ID{
+			ids.ID(raw),
+			Position(s, topology.Locality(loc), int(inst)),
+			Position(o, topology.Locality(loc), int(inst)),
+		} {
+			if SameSite(id, s) != (SitePrefix(id) == SitePrefixOf(s)) {
+				return false
+			}
+		}
+		return SameSite(Position(s, topology.Locality(loc), int(inst)), s) &&
+			SitePrefix(Position(s, 0, 0)) == SitePrefixOf(s)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -1,0 +1,181 @@
+package flower
+
+import (
+	"testing"
+
+	"flowercdn/internal/cache"
+	"flowercdn/internal/content"
+	"flowercdn/internal/dring"
+	"flowercdn/internal/metrics"
+	"flowercdn/internal/runtime"
+)
+
+// quietPetal builds the petal the allocation pins run on: a client c
+// with an LRU store of 8, three holders that cache all of keys (32
+// objects, so c never holds the one it asks for), and their directory —
+// all content peers after half an hour of ordinary life, then frozen:
+// every query loop, keepalive, gossip round and D-ring duty is
+// cancelled and pushes are switched off, so that while a pin runs the
+// engine nothing executes but the query the pin started by hand.
+func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, keys []content.Key) {
+	t.Helper()
+	f = newFixture(t, 31, nil)
+	f.seedRing()
+	dir = f.findSeed(0, 0)
+	pol, err := cache.New("lru", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := f.sys.NewIdentity(0, 0)
+	id.Store = content.NewStoreWith(content.StoreOptions{Policy: pol})
+	c, _ = f.sys.SpawnIdentity(id)
+	for i := 0; i < 3; i++ {
+		holders = append(holders, f.spawn(0, 0))
+	}
+	f.run(30 * runtime.Minute)
+	for _, p := range append([]*Peer{c}, holders...) {
+		if p.Role() != RoleContent || p.DirInfo().Node != dir.NodeID() {
+			t.Fatalf("peer %d: role %v, directory %d; want a content peer of %d",
+				p.NodeID(), p.Role(), p.DirInfo().Node, dir.NodeID())
+		}
+	}
+	for _, p := range f.sys.Peers() {
+		if p.queryTimer != nil {
+			p.queryTimer.Cancel()
+		}
+		if p.keepaliveTimer != nil {
+			p.keepaliveTimer.Cancel()
+		}
+		p.gsp.Stop()
+		if p.chordNode != nil {
+			p.chordNode.Stop()
+		}
+		if p.dir != nil {
+			p.dir.sweep.Cancel()
+			p.dir.audit.Cancel()
+		}
+	}
+	f.run(runtime.Minute)
+	f.sys.cfg.PushThreshold = 2 // never reached: the pins price the query path, not pushes
+	for o := 0; o < 32; o++ {
+		k := content.Key{Site: 0, Object: content.ObjectID(o)}
+		keys = append(keys, k)
+		for _, h := range holders {
+			h.store.Add(k)
+			dir.dir.addProvider(k, h.NodeID())
+		}
+	}
+	return f, c, holders, dir, keys
+}
+
+// startQuery is issueQuery for a key the test picks.
+func startQuery(p *Peer, key content.Key) *activeQuery {
+	q := p.getQuery()
+	q.seq = p.sys.nextQuerySeq()
+	q.key = key
+	q.start = p.eng().Now()
+	p.query = q
+	return q
+}
+
+// cannedDirectory answers every request with one reply boxed in
+// advance, so a pin that asks it counts the client's objects only.
+type cannedDirectory struct{ reply any }
+
+func (cannedDirectory) HandleMessage(runtime.NodeID, any) {}
+
+func (d cannedDirectory) HandleRequest(runtime.NodeID, any) (any, error) { return d.reply, nil }
+
+// TestAllocPins pins the allocation count of a petal member's query,
+// start to finish: ranking, every RPC it causes on other peers, and the
+// callbacks that come home. The sim backend's records are pooled and
+// its timers come from slabs of 512, which AllocsPerRun's integer mean
+// rounds away, like the collector's growing sample slices.
+//
+// At the parent of the change that introduced this file (closures per
+// step, sort.Slice, container/list, fetches boxed per send) the same
+// pins read 2, 8, 8 and 13.
+func TestAllocPins(t *testing.T) {
+	f, c, holders, dir, keys := quietPetal(t)
+	setView := func(contacts []*Peer) {
+		for _, e := range c.gsp.Entries() {
+			c.gsp.RemoveContact(e.Peer)
+		}
+		for _, h := range contacts {
+			c.gsp.AddContact(h.NodeID(), ContactMeta{Summary: h.store.Summary(), Dir: h.dirInfo})
+		}
+	}
+	setDirectory := func(node runtime.NodeID) {
+		c.dirInfo = DirInfo{Pos: dring.Position(0, 0, 0), Node: node}
+		c.syncedDir = node
+	}
+	canned := f.net.Join(cannedDirectory{reply: dirQueryReply{
+		Providers: []runtime.NodeID{holders[0].NodeID(), holders[1].NodeID()},
+	}}, f.net.Placement(dir.NodeID()))
+	next := 0
+	query := func() {
+		c.contentQuery(startQuery(c, keys[next%len(keys)]))
+		next++
+		f.run(2 * runtime.Second)
+	}
+	busy := &activeQuery{}
+
+	pins := []struct {
+		name    string
+		max     float64
+		outcome metrics.Outcome // counted once per round; Miss = the round resolves nothing
+		setup   func()
+		duty    func()
+	}{
+		{"query loop tick", 0, metrics.Miss, func() { c.query = busy }, func() {
+			// A tick while a query is in flight: skip the round, draw the
+			// next delay, arm the same bound callback again.
+			c.scheduleNextQuery(1)
+			armed := c.queryTimer
+			f.run(runtime.Second)
+			if c.queryTimer == armed {
+				t.Fatal("the query loop did not tick")
+			}
+			c.queryTimer.Cancel()
+		}},
+		{"gossip hit", 0, metrics.HitLocalGossip, func() {
+			c.query = nil
+			setView(holders)
+			setDirectory(dir.NodeID())
+		}, query},
+		// The request to the directory is the one object.
+		{"directory hit, canned directory", 1, metrics.HitDirectory, func() {
+			setView(nil)
+			setDirectory(canned)
+		}, query},
+		// And at the directory the provider list and the reply holding it.
+		{"directory hit", 3, metrics.HitDirectory, func() { setDirectory(dir.NodeID()) }, query},
+	}
+	for _, pin := range pins {
+		pin.setup()
+		for i := 0; i < len(keys); i++ {
+			pin.duty() // every key once: stores, slabs and interned messages reach their size
+		}
+		sent, resolved := f.net.Stats().MessagesSent, f.coll.Count(pin.outcome)
+		const rounds = 200
+		got := testing.AllocsPerRun(rounds, pin.duty)
+		if pin.outcome != metrics.Miss {
+			if f.net.Stats().MessagesSent == sent {
+				t.Errorf("%s sent nothing: the pin measured an idle petal", pin.name)
+			}
+			if n := f.coll.Count(pin.outcome) - resolved; n != rounds+1 {
+				t.Errorf("%s: %d queries resolved as %v, want %d", pin.name, n, pin.outcome, rounds+1)
+			}
+		}
+		if got > pin.max {
+			t.Errorf("%s allocates %v objects per round, want at most %v", pin.name, got, pin.max)
+		}
+	}
+	if c.query != nil {
+		t.Error("a query is still in flight on a quiet petal")
+	}
+	if c.store.Len() != 8 || c.store.Evictions() == 0 {
+		t.Errorf("client store holds %d objects after %d evictions, want 8 and some: the pins must cross the eviction path",
+			c.store.Len(), c.store.Evictions())
+	}
+}

@@ -3,7 +3,7 @@ package flower
 import (
 	"flowercdn/internal/runtime"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
@@ -381,11 +381,7 @@ func (p *Peer) onMemberQuery(from runtime.NodeID, r dirQueryReq) (any, error) {
 		p.admitMember(from)
 	}
 	p.dir.queriesHandled++
-	providers, fromSummary := p.dir.lookupProviders(p, r.Key, from)
-	// The directory itself may cache the object.
-	if p.store.Has(r.Key) && from != p.nid && len(providers) < p.sys.cfg.ProviderAttempts+1 {
-		providers = append(providers, p.nid)
-	}
+	providers, fromSummary := p.providersFor(r.Key, from, from != p.nid)
 	reply := dirQueryReply{Providers: providers, FromSummary: fromSummary}
 	if len(providers) == 0 && !r.Foreign {
 		reply.CollabWith = p.collabSiblings()
@@ -406,15 +402,20 @@ func (p *Peer) collabSiblings() []chord.Entry {
 	}
 	const maxSiblings = 5 // at most k-1 other localities matter
 	var out []chord.Entry
-	seen := map[runtime.NodeID]bool{p.nid: true}
+	prefix := dring.SitePrefix(p.petalPos)
 	consider := func(e chord.Entry) {
-		if len(out) >= maxSiblings || !e.Valid() || seen[e.Node] {
+		if len(out) >= maxSiblings || !e.Valid() || e.Node == p.nid || dring.SitePrefix(e.ID) != prefix {
 			return
 		}
-		if dring.SameSite(e.ID, p.site) {
-			out = append(out, e)
-			seen[e.Node] = true
+		for _, o := range out {
+			if o.Node == e.Node {
+				return
+			}
 		}
+		if out == nil {
+			out = make([]chord.Entry, 0, maxSiblings)
+		}
+		out = append(out, e)
 	}
 	for _, e := range p.chordNode.SuccessorList() {
 		consider(e)
@@ -423,39 +424,60 @@ func (p *Peer) collabSiblings() []chord.Entry {
 	return out
 }
 
-// lookupProviders resolves a key to candidate content peers: the
+// rankProviders resolves a key to candidate content peers: the
 // directory-index first, then (within the trust window) the promoted
 // peer's old content summaries. Providers are ordered by latency to the
 // asking client — the locality-aware server selection that keeps
-// transfer distances short. The asker itself is never returned.
-func (d *directoryState) lookupProviders(p *Peer, key content.Key, asker runtime.NodeID) (providers []runtime.NodeID, fromSummary bool) {
+// transfer distances short — and cut to ProviderAttempts+1. The asker
+// itself is never returned. The result is the System's scratch buffer:
+// read it before anything else ranks.
+func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.NodeID) (ranked []provCand, fromSummary bool) {
+	ranked = p.sys.candScratch[:0]
 	for _, nid := range d.index[key] {
 		if nid != asker {
-			providers = append(providers, nid)
+			ranked = append(ranked, provCand{peer: nid, lat: p.net().Latency(asker, nid)})
 		}
 	}
-	if len(providers) == 0 && d.oldSummaries != nil {
+	if len(ranked) == 0 && d.oldSummaries != nil {
 		for _, e := range d.oldSummaries {
 			meta, ok := e.Meta.(ContactMeta)
 			if !ok || meta.Summary == nil || e.Peer == asker {
 				continue
 			}
 			if meta.Summary.Contains(key.Uint64()) {
-				providers = append(providers, e.Peer)
+				ranked = append(ranked, provCand{peer: e.Peer, lat: p.net().Latency(asker, e.Peer)})
 			}
 		}
-		fromSummary = len(providers) > 0
+		fromSummary = len(ranked) > 0
 	}
-	sort.Slice(providers, func(i, j int) bool {
-		li, lj := p.net().Latency(asker, providers[i]), p.net().Latency(asker, providers[j])
-		if li != lj {
-			return li < lj
-		}
-		return providers[i] < providers[j]
-	})
-	max := p.sys.cfg.ProviderAttempts + 1
-	if len(providers) > max {
-		providers = providers[:max]
+	p.sys.candScratch = ranked[:0]
+	slices.SortFunc(ranked, nearestFirst)
+	if limit := p.sys.cfg.ProviderAttempts + 1; len(ranked) > limit {
+		ranked = ranked[:limit]
+	}
+	return ranked, fromSummary
+}
+
+// providersFor is rankProviders as a reply carries it: a slice of its
+// own, with the directory — a content peer too — offered last when
+// offerSelf is set, it caches the object and the list has room.
+func (p *Peer) providersFor(key content.Key, asker runtime.NodeID, offerSelf bool) (providers []runtime.NodeID, fromSummary bool) {
+	ranked, fromSummary := p.dir.rankProviders(p, key, asker)
+	// Has comes first: on a bounded store it is a touch, asked for or not.
+	offerSelf = p.store.Has(key) && offerSelf && len(ranked) < p.sys.cfg.ProviderAttempts+1
+	n := len(ranked)
+	if offerSelf {
+		n++
+	}
+	if n == 0 {
+		return nil, fromSummary
+	}
+	providers = make([]runtime.NodeID, 0, n)
+	for _, c := range ranked {
+		providers = append(providers, c.peer)
+	}
+	if offerSelf {
+		providers = append(providers, p.nid)
 	}
 	return providers, fromSummary
 }
@@ -472,7 +494,7 @@ func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 			nids = append(nids, nid)
 		}
 	}
-	sort.Slice(nids, func(i, j int) bool { return nids[i] < nids[j] })
+	slices.Sort(nids)
 	p.rng.Shuffle(len(nids), func(i, j int) { nids[i], nids[j] = nids[j], nids[i] })
 	if len(nids) > seedSize {
 		nids = nids[:seedSize]
@@ -578,12 +600,7 @@ func (p *Peer) handleClientQuery(routedKey ids.ID, m clientQueryMsg, path []trac
 		Seed: p.viewSeed(m.Client),
 	}
 	if !m.JoinOnly {
-		resp.Providers, resp.FromSummary = p.dir.lookupProviders(p, m.Key, m.Client)
-		// The directory itself may cache the object (it is a content
-		// peer too): offer ourselves last.
-		if p.store.Has(m.Key) && len(resp.Providers) < p.sys.cfg.ProviderAttempts+1 {
-			resp.Providers = append(resp.Providers, p.nid)
-		}
+		resp.Providers, resp.FromSummary = p.providersFor(m.Key, m.Client, true)
 		if len(resp.Providers) == 0 {
 			resp.CollabWith = p.collabSiblings()
 		}
@@ -690,7 +707,7 @@ func (p *Peer) Leave() {
 			for nid := range p.dir.members {
 				h.Members = append(h.Members, nid)
 			}
-			sort.Slice(h.Members, func(i, j int) bool { return h.Members[i] < h.Members[j] })
+			slices.Sort(h.Members)
 			p.net().Send(p.nid, best, h)
 		}
 	}

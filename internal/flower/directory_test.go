@@ -64,7 +64,7 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 		d.addProvider(key, m.NodeID())
 	}
 	asker := members[0].NodeID()
-	providers, fromSummary := d.lookupProviders(dir, key, asker)
+	providers, fromSummary := dir.providersFor(key, asker, false)
 	if fromSummary {
 		t.Fatal("index hit reported as summary hit")
 	}
@@ -97,7 +97,9 @@ func TestLookupProvidersFallsBackToSummaries(t *testing.T) {
 	store := content.NewStore()
 	store.Add(key)
 	d.oldSummaries = append(d.oldSummaries, gossipEntryFor(other.NodeID(), store))
-	providers, fromSummary := d.lookupProviders(dir, key, runtime.NodeID(9999))
+	// Any third party asks: ranking prices every candidate for the asker,
+	// so it has to be a node the network knows.
+	providers, fromSummary := dir.providersFor(key, f.findSeed(0, 0).NodeID(), false)
 	if !fromSummary {
 		t.Fatal("summary fallback not flagged")
 	}
@@ -105,7 +107,7 @@ func TestLookupProvidersFallsBackToSummaries(t *testing.T) {
 		t.Fatalf("providers = %v", providers)
 	}
 	// The asker itself is excluded even on the summary path.
-	providers, _ = d.lookupProviders(dir, key, other.NodeID())
+	providers, _ = dir.providersFor(key, other.NodeID(), false)
 	if len(providers) != 0 {
 		t.Fatal("asker suggested to itself via summaries")
 	}

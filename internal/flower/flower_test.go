@@ -30,6 +30,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, seed uint64, mut func(*Config)) *fixture {
 	t.Helper()
+	return newFixtureWith(t, seed, mut, nil)
+}
+
+// newFixtureWith is newFixture for tests that also change what the
+// system runs on (a tracer, a wrapped metrics emitter).
+func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), depsMut func(*Deps)) *fixture {
+	t.Helper()
 	rng := rnd.New(seed)
 	tcfg := topology.DefaultConfig()
 	tcfg.Localities = 2
@@ -55,7 +62,11 @@ func newFixture(t *testing.T, seed uint64, mut func(*Config)) *fixture {
 	if mut != nil {
 		mut(&cfg)
 	}
-	sys, err := NewSystem(cfg, Deps{Net: net, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll})
+	deps := Deps{Net: net, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll}
+	if depsMut != nil {
+		depsMut(&deps)
+	}
+	sys, err := NewSystem(cfg, deps)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,18 @@ func (r Role) String() string {
 // Peer is one Flower-CDN participant. It implements runtime.Handler and
 // dispatches to its Chord, gossip and protocol components.
 type Peer struct {
-	sys  *System
+	sys *System
+	rng *rnd.RNG
+	// nid and site share a word: a big cell holds tens of thousands of
+	// peers and this struct sits right on a size-class edge (192 B).
 	nid  runtime.NodeID
-	rng  *rnd.RNG
 	site content.SiteID
 	loc  topology.Locality
+	// petalPos is the D-ring position of the petal's first directory
+	// instance, dring.Position(site, loc, 0): where routed queries and
+	// vacancy claims go, and — through its site prefix — how sibling
+	// directories are recognised. Hashed once, at spawn.
+	petalPos ids.ID
 
 	role  Role
 	store *content.Store
@@ -70,17 +77,18 @@ type Peer struct {
 	// Active query state machine (a peer has at most one outstanding
 	// query: the mean think time of 6 minutes dwarfs resolution time).
 	query *activeQuery
-	// qspare recycles the previous activeQuery; candScratch is the
-	// reusable candidate-selection buffer of contentQuery. Both exist
-	// because a query fires every few simulated minutes on every active
-	// peer, so per-query allocations add up across a whole run.
-	qspare      *activeQuery
-	candScratch []provCand
+	// qspare recycles the previous activeQuery: a query fires every few
+	// simulated minutes on every active peer, so per-query allocations
+	// add up across a whole run.
+	qspare *activeQuery
 
 	keepaliveTimer runtime.Ticker
-	queryTimer     runtime.Timer
-	dead           bool
-	replacing      bool // a directory-replacement attempt is in flight
+	// queryTimer is the query loop's pending tick and onQueryTick its
+	// callback, bound once when the loop starts.
+	queryTimer  runtime.Timer
+	onQueryTick func()
+	dead        bool
+	replacing   bool // a directory-replacement attempt is in flight
 	// lastDeadDir remembers the most recently detected dead directory so
 	// stale gossip cannot re-install a pointer to it.
 	lastDeadDir runtime.NodeID
@@ -152,13 +160,18 @@ func (p *Peer) startLife() {
 // scheduleNextQuery arms the query loop: a peer submits queries "on a
 // regular basis, as soon as it arrives until it fails" (Sec. 6.1).
 func (p *Peer) scheduleNextQuery(delay int64) {
-	p.queryTimer = p.eng().Schedule(delay, func() {
-		if p.dead {
-			return
-		}
-		p.issueQuery()
-		p.scheduleNextQuery(p.sys.work.NextQueryDelay(p.rng))
-	})
+	if p.onQueryTick == nil {
+		p.onQueryTick = p.queryTick
+	}
+	p.queryTimer = p.eng().Schedule(delay, p.onQueryTick)
+}
+
+func (p *Peer) queryTick() {
+	if p.dead {
+		return
+	}
+	p.issueQuery()
+	p.scheduleNextQuery(p.sys.work.NextQueryDelay(p.rng))
 }
 
 // kill fails the peer: all components stop and the network drops it.
@@ -265,7 +278,7 @@ func (p *Peer) HandleRequest(from runtime.NodeID, req any) (any, error) {
 	}
 	switch r := req.(type) {
 	case workload.FetchReq:
-		return workload.FetchResp{Key: r.Key, Served: p.store.Has(r.Key)}, nil
+		return p.sys.work.FetchRespMsg(r.Key, p.store.Has(r.Key)), nil
 	case keepaliveReq:
 		return p.onKeepalive(from, r)
 	case pushReq:

@@ -4,6 +4,7 @@ import (
 	"flowercdn/internal/runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"flowercdn/internal/bloom"
 	"flowercdn/internal/content"
@@ -100,5 +101,18 @@ func TestDirInfoStringsViaSummary(t *testing.T) {
 	}
 	if d.QueriesHandled() > 1000000 {
 		t.Fatal("implausible query counter")
+	}
+}
+
+// TestPerPeerRecordsStayInTheirSizeClass guards the big cell's memory
+// budget (4 KiB per node, `make bigcell-smoke`): every peer has one Peer
+// and, after its first query, one activeQuery, and both sit exactly on
+// an allocator size class — one more word costs each of them 16 bytes.
+func TestPerPeerRecordsStayInTheirSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(Peer{}); got > 192 {
+		t.Errorf("Peer is %d bytes, over the 192-byte size class", got)
+	}
+	if got := unsafe.Sizeof(activeQuery{}); got > 144 {
+		t.Errorf("activeQuery is %d bytes, over the 144-byte size class", got)
 	}
 }

@@ -1,8 +1,9 @@
 package flower
 
 import (
+	"cmp"
 	"flowercdn/internal/runtime"
-	"sort"
+	"slices"
 
 	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
@@ -14,7 +15,7 @@ import (
 
 // querySource tags which resolution path produced the provider, mapping
 // onto the metrics outcome taxonomy.
-type querySource int
+type querySource uint8
 
 const (
 	srcGossip querySource = iota
@@ -33,61 +34,120 @@ func (s querySource) outcome() metrics.Outcome {
 	}
 }
 
-// provCand is one gossip-path provider candidate during selection.
+// provCand is one provider candidate during selection: a petal contact
+// on the gossip path, an index or summary entry at a directory.
 type provCand struct {
 	peer runtime.NodeID
 	lat  int64
+}
+
+// nearestFirst ranks candidates by latency, ties by NodeID. Peers are
+// distinct, so the order is total and any sort gives the same ranking.
+func nearestFirst(a, b provCand) int {
+	if c := cmp.Compare(a.lat, b.lat); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.peer, b.peer)
 }
 
 // activeQuery is the in-flight query state machine. A peer runs at most
 // one at a time (think time, 6 min mean, dwarfs resolution time).
 //
 // Queries are pooled per peer (getQuery/putQuery): every callback that
-// may outlive a query captures the seq it was created for and checks it
+// may outlive a query carries the seq it was created for and checks it
 // against q.seq, because after recycling the same *activeQuery pointer
 // identifies a different query. seq values are process-unique, so a
-// stale callback can never pass the check.
+// stale callback can never pass the check. The state of one RPC step
+// (who was asked, on which path) is not kept here but in the step
+// record of that RPC — see steps.go for why.
 type activeQuery struct {
-	seq      uint64
-	key      content.Key
-	start    int64
-	joinOnly bool
+	seq   uint64
+	key   content.Key
+	start int64
 
-	attempt int // gateway attempts for D-ring routed queries
-	timeout runtime.Timer
+	// timeout is the pending deadline of a D-ring routed attempt;
+	// onTimeout is its callback, bound to p once, when the record first
+	// arms one. At most one deadline is pending per record and putQuery
+	// cancels it, so the bound callback never fires for a later query.
+	timeout   runtime.Timer
+	onTimeout func()
+	p         *Peer
 
-	source     querySource
-	candidates []runtime.NodeID // remaining providers to probe
+	// candidates is the provider list being probed and next the cursor
+	// into it. The buffer is the record's own: provider lists are copied
+	// in (setCandidates), never adopted, so it survives recycling and
+	// nothing written here lands in a message somebody else still holds.
+	candidates []runtime.NodeID
 
 	// collab holds same-website sibling directories still to consult
 	// before declaring a miss. Siblings never hand out further siblings
 	// (Foreign queries carry no CollabWith), so collaboration is one
-	// level deep.
+	// level deep. The slice is the reply's and only ever read.
 	collab []chord.Entry
 
 	// path accumulates trace hops while tracing is enabled; always
 	// empty otherwise. The backing array survives recycling.
 	path []trace.Hop
+
+	next     int32 // cursor into candidates
+	attempt  int32 // gateway attempts for D-ring routed queries
+	source   querySource
+	joinOnly bool
 }
 
 // getQuery takes the recycled query record (or allocates the peer's
 // first); putQuery returns it once the query fully resolved. The
-// candidate buffer's backing array survives recycling.
+// candidate and path buffers and the bound timeout callback survive
+// recycling.
 func (p *Peer) getQuery() *activeQuery {
 	q := p.qspare
 	if q == nil {
 		return &activeQuery{}
 	}
 	p.qspare = nil
-	*q = activeQuery{candidates: q.candidates[:0], path: q.path[:0]}
+	*q = activeQuery{
+		candidates: q.candidates[:0], path: q.path[:0],
+		onTimeout: q.onTimeout, p: q.p,
+	}
 	return q
 }
 
 func (p *Peer) putQuery(q *activeQuery) {
-	q.timeout = nil
+	if q.timeout != nil {
+		// Usually fired or cancelled by the answer already. Cancelling
+		// here, before the record can serve another query, is what lets
+		// the bound callback do without a seq of its own.
+		q.timeout.Cancel()
+		q.timeout = nil
+	}
 	q.collab = nil
 	p.qspare = q
 }
+
+// setCandidates replaces the provider list with a copy of providers.
+func (q *activeQuery) setCandidates(providers []runtime.NodeID) {
+	q.candidates = append(q.candidates[:0], providers...)
+	q.next = 0
+}
+
+// setRanked is setCandidates for a ranking still in the scratch buffer.
+func (q *activeQuery) setRanked(ranked []provCand) {
+	q.candidates, q.next = q.candidates[:0], 0
+	for _, c := range ranked {
+		q.candidates = append(q.candidates, c.peer)
+	}
+}
+
+// armTimeout starts the deadline of one routed attempt.
+func (p *Peer) armTimeout(q *activeQuery) {
+	if q.onTimeout == nil {
+		q.p = p
+		q.onTimeout = q.timedOut
+	}
+	q.timeout = p.eng().Schedule(p.sys.cfg.QueryTimeout, q.onTimeout)
+}
+
+func (q *activeQuery) timedOut() { q.p.routedQueryTimedOut(q) }
 
 // traceHop appends one hop to the active query's path when tracing is
 // enabled; a no-op otherwise.
@@ -171,7 +231,7 @@ func (p *Peer) sendRoutedQuery(q *activeQuery) {
 		}
 		p.chordClient = cl
 	}
-	pos := dringPosition(p.site, p.loc, 0)
+	pos := p.petalPos
 	msg := clientQueryMsg{
 		Seq:      q.seq,
 		Key:      q.key,
@@ -189,15 +249,17 @@ func (p *Peer) sendRoutedQuery(q *activeQuery) {
 		p.chordClient.RouteVia(gw, pos, msg)
 	}
 	q.attempt++
-	seq := q.seq
-	q.timeout = p.eng().Schedule(p.sys.cfg.QueryTimeout, func() { p.routedQueryTimedOut(q, seq) })
+	p.armTimeout(q)
 }
 
-func (p *Peer) routedQueryTimedOut(q *activeQuery, seq uint64) {
-	if p.dead || p.query != q || q.seq != seq {
+// routedQueryTimedOut runs when a routed attempt's deadline passes. The
+// deadline of a finished query is cancelled before its record recycles
+// (putQuery), so p.query == q also means "the query that armed it".
+func (p *Peer) routedQueryTimedOut(q *activeQuery) {
+	if p.dead || p.query != q {
 		return
 	}
-	if q.attempt < p.sys.cfg.QueryRetries {
+	if int(q.attempt) < p.sys.cfg.QueryRetries {
 		p.sendRoutedQuery(q)
 		return
 	}
@@ -225,7 +287,7 @@ func (p *Peer) claimFromQuery(q *activeQuery) {
 		p.directoryQuery(q)
 		return
 	}
-	pos := dringPosition(p.site, p.loc, 0)
+	pos := p.petalPos
 	seq := q.seq
 	p.claimDirectoryPosition(pos, runtime.None, func(current chord.Entry, err error) {
 		if p.dead || p.query != q || q.seq != seq {
@@ -251,7 +313,7 @@ func (p *Peer) claimFromQuery(q *activeQuery) {
 				Seq: q.seq, Key: q.key, Client: p.nid,
 				Site: p.site, Loc: p.loc, JoinOnly: q.joinOnly,
 			})
-			q.timeout = p.eng().Schedule(p.sys.cfg.QueryTimeout, func() { p.routedQueryTimedOut(q, seq) })
+			p.armTimeout(q)
 			return
 		}
 		// Ring unreachable altogether.
@@ -292,12 +354,8 @@ func (p *Peer) onDirQueryResp(m dirQueryResp) {
 		p.finishJoinOnly(q)
 		return
 	}
-	if m.FromSummary {
-		q.source = srcDirSummary
-	} else {
-		q.source = srcDirectory
-	}
-	q.candidates = m.Providers
+	q.source = sourceOf(m.FromSummary)
+	q.setCandidates(m.Providers)
 	q.collab = m.CollabWith
 	p.probeCandidate(q, false)
 }
@@ -348,7 +406,7 @@ func (p *Peer) finishJoinOnly(q *activeQuery) {
 func (p *Peer) contentQuery(q *activeQuery) {
 	// Locality-aware candidate selection: every petal contact whose
 	// summary claims the object, nearest first.
-	cands := p.candScratch[:0]
+	cands := p.sys.candScratch[:0]
 	for _, e := range p.gsp.View() {
 		meta, ok := e.Meta.(ContactMeta)
 		if !ok || meta.Summary == nil {
@@ -358,22 +416,13 @@ func (p *Peer) contentQuery(q *activeQuery) {
 			cands = append(cands, provCand{peer: e.Peer, lat: p.net().Latency(p.nid, e.Peer)})
 		}
 	}
-	p.candScratch = cands[:0]
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].lat != cands[j].lat {
-			return cands[i].lat < cands[j].lat
-		}
-		return cands[i].peer < cands[j].peer
-	})
-	limit := p.sys.cfg.GossipCandidates
-	if len(cands) > limit {
+	p.sys.candScratch = cands[:0]
+	slices.SortFunc(cands, nearestFirst)
+	if limit := p.sys.cfg.GossipCandidates; len(cands) > limit {
 		cands = cands[:limit]
 	}
 	q.source = srcGossip
-	q.candidates = q.candidates[:0]
-	for _, c := range cands {
-		q.candidates = append(q.candidates, c.peer)
-	}
+	q.setRanked(cands)
 	if len(q.candidates) > 0 {
 		p.probeCandidate(q, true)
 		return
@@ -381,57 +430,60 @@ func (p *Peer) contentQuery(q *activeQuery) {
 	p.directoryQuery(q)
 }
 
-// probeCandidate fetch-probes the head of q.candidates; gossipPath
+// probeCandidate fetch-probes the next of q.candidates; gossipPath
 // selects the fallback when candidates run out.
 func (p *Peer) probeCandidate(q *activeQuery, gossipPath bool) {
 	if p.dead || p.query != q {
 		return
 	}
-	if len(q.candidates) == 0 {
+	if int(q.next) == len(q.candidates) {
 		if gossipPath {
 			p.directoryQuery(q)
 		} else if len(q.collab) > 0 {
-			p.collabQuery(q)
+			p.collabQuery(q, nil)
 		} else {
 			p.fallbackOrigin(q)
 		}
 		return
 	}
-	target := q.candidates[0]
-	q.candidates = q.candidates[1:]
+	target := q.candidates[q.next]
+	q.next++
 	// The prober knows its RTT estimate to the target; waiting a fixed
 	// multi-second timeout for a neighbour 40 ms away would dominate
 	// lookup latency under churn.
 	timeout := 2*p.net().Latency(p.nid, target) + 300*runtime.Millisecond
-	seq := q.seq
-	p.net().Request(p.nid, target, workload.FetchReq{Key: q.key}, timeout,
-		func(resp any, err error) {
-			if p.dead || p.query != q || q.seq != seq {
-				return
-			}
-			served := err == nil && resp.(workload.FetchResp).Served
-			// An answered probe without the object is a stale summary or
-			// Bloom false positive — the flag the per-hop report keys on.
-			p.traceHop(q, trace.HopProbe, target, err == nil && !served)
-			if err != nil {
-				if gossipPath {
-					// The contact is gone; drop it from the view so
-					// searches stop considering it.
-					p.gsp.RemoveContact(target)
-				} else if p.dirInfo.Valid() {
-					// Tell the directory its pointer is stale so the
-					// index stops advertising a dead provider.
-					p.net().Send(p.nid, p.dirInfo.Node, deadProviderReport{Dead: target})
-				}
-				p.probeCandidate(q, gossipPath)
-				return
-			}
-			if !served {
-				p.probeCandidate(q, gossipPath)
-				return
-			}
-			p.resolve(q, q.source.outcome(), target)
-		})
+	st := p.sys.getStep(stepProbe, p, q, target)
+	st.gossipPath = gossipPath
+	p.net().Request(p.nid, target, p.sys.work.FetchReqMsg(q.key), timeout, st.onDone)
+}
+
+// probed is probeCandidate's answer.
+func (p *Peer) probed(q *activeQuery, seq uint64, target runtime.NodeID, gossipPath bool, resp any, err error) {
+	if p.dead || p.query != q || q.seq != seq {
+		return
+	}
+	served := err == nil && resp.(workload.FetchResp).Served
+	// An answered probe without the object is a stale summary or
+	// Bloom false positive — the flag the per-hop report keys on.
+	p.traceHop(q, trace.HopProbe, target, err == nil && !served)
+	if err != nil {
+		if gossipPath {
+			// The contact is gone; drop it from the view so
+			// searches stop considering it.
+			p.gsp.RemoveContact(target)
+		} else if p.dirInfo.Valid() {
+			// Tell the directory its pointer is stale so the
+			// index stops advertising a dead provider.
+			p.net().Send(p.nid, p.dirInfo.Node, deadProviderReport{Dead: target})
+		}
+		p.probeCandidate(q, gossipPath)
+		return
+	}
+	if !served {
+		p.probeCandidate(q, gossipPath)
+		return
+	}
+	p.resolve(q, q.source.outcome(), target)
 }
 
 // directoryQuery consults the peer's directory (its own index when the
@@ -442,13 +494,9 @@ func (p *Peer) directoryQuery(q *activeQuery) {
 	}
 	if p.dir != nil {
 		// We are a directory: resolve from our own index/summaries.
-		providers, fromSummary := p.dir.lookupProviders(p, q.key, p.nid)
-		if fromSummary {
-			q.source = srcDirSummary
-		} else {
-			q.source = srcDirectory
-		}
-		q.candidates = providers
+		ranked, fromSummary := p.dir.rankProviders(p, q.key, p.nid)
+		q.source = sourceOf(fromSummary)
+		q.setRanked(ranked)
 		p.traceHop(q, trace.HopHome, p.nid, false)
 		p.probeCandidate(q, false)
 		return
@@ -460,33 +508,39 @@ func (p *Peer) directoryQuery(q *activeQuery) {
 		return
 	}
 	dirNode := p.dirInfo.Node
-	seq := q.seq
-	p.net().Request(p.nid, dirNode, dirQueryReq{Key: q.key, Client: p.nid}, p.sys.cfg.Chord.RPCTimeout,
-		func(resp any, err error) {
-			if p.dead || p.query != q || q.seq != seq {
-				if err != nil && !p.dead {
-					p.dirContactFailed(dirNode)
-				}
-				return
-			}
-			if err != nil {
-				p.dirContactFailed(dirNode)
-				p.fallbackOrigin(q)
-				return
-			}
-			p.dirMisses = 0
-			p.dirInfo.Age = 0 // fresh contact
-			p.traceHop(q, trace.HopHome, dirNode, false)
-			rep := resp.(dirQueryReply)
-			if rep.FromSummary {
-				q.source = srcDirSummary
-			} else {
-				q.source = srcDirectory
-			}
-			q.candidates = rep.Providers
-			q.collab = rep.CollabWith
-			p.probeCandidate(q, false)
-		})
+	st := p.sys.getStep(stepDirectory, p, q, dirNode)
+	p.net().Request(p.nid, dirNode, dirQueryReq{Key: q.key, Client: p.nid}, p.sys.cfg.Chord.RPCTimeout, st.onDone)
+}
+
+// directoryAnswered is directoryQuery's answer.
+func (p *Peer) directoryAnswered(q *activeQuery, seq uint64, dirNode runtime.NodeID, resp any, err error) {
+	if p.dead || p.query != q || q.seq != seq {
+		if err != nil && !p.dead {
+			p.dirContactFailed(dirNode)
+		}
+		return
+	}
+	if err != nil {
+		p.dirContactFailed(dirNode)
+		p.fallbackOrigin(q)
+		return
+	}
+	p.dirMisses = 0
+	p.dirInfo.Age = 0 // fresh contact
+	p.traceHop(q, trace.HopHome, dirNode, false)
+	rep := resp.(dirQueryReply)
+	q.source = sourceOf(rep.FromSummary)
+	q.setCandidates(rep.Providers)
+	q.collab = rep.CollabWith
+	p.probeCandidate(q, false)
+}
+
+// sourceOf names the directory path a provider list came from.
+func sourceOf(fromSummary bool) querySource {
+	if fromSummary {
+		return srcDirSummary
+	}
+	return srcDirectory
 }
 
 // collabQuery asks the next same-website sibling directory for
@@ -494,8 +548,10 @@ func (p *Peer) directoryQuery(q *activeQuery) {
 // collaboration). A sibling hit is served from another locality's
 // petal — farther than the local petal but still a P2P hit. Siblings
 // are consulted sequentially until one yields providers or the list
-// runs out.
-func (p *Peer) collabQuery(q *activeQuery) {
+// runs out. req is the boxed request the previous sibling was sent, nil
+// for the first: every sibling gets the same value, so a query boxes it
+// once.
+func (p *Peer) collabQuery(q *activeQuery, req any) {
 	if p.dead || p.query != q {
 		return
 	}
@@ -505,26 +561,32 @@ func (p *Peer) collabQuery(q *activeQuery) {
 	}
 	sib := q.collab[0]
 	q.collab = q.collab[1:]
-	seq := q.seq
-	p.net().Request(p.nid, sib.Node, dirQueryReq{Key: q.key, Client: p.nid, Foreign: true},
-		p.sys.cfg.Chord.RPCTimeout, func(resp any, err error) {
-			if p.dead || p.query != q || q.seq != seq {
-				return
-			}
-			if err != nil {
-				p.collabQuery(q)
-				return
-			}
-			p.traceHop(q, trace.HopHome, sib.Node, false)
-			rep := resp.(dirQueryReply)
-			if len(rep.Providers) == 0 {
-				p.collabQuery(q)
-				return
-			}
-			q.source = srcDirectory
-			q.candidates = rep.Providers
-			p.probeCandidate(q, false)
-		})
+	if req == nil {
+		req = dirQueryReq{Key: q.key, Client: p.nid, Foreign: true}
+	}
+	st := p.sys.getStep(stepCollab, p, q, sib.Node)
+	st.req = req
+	p.net().Request(p.nid, sib.Node, req, p.sys.cfg.Chord.RPCTimeout, st.onDone)
+}
+
+// siblingAnswered is collabQuery's answer.
+func (p *Peer) siblingAnswered(q *activeQuery, seq uint64, sib runtime.NodeID, req, resp any, err error) {
+	if p.dead || p.query != q || q.seq != seq {
+		return
+	}
+	if err != nil {
+		p.collabQuery(q, req)
+		return
+	}
+	p.traceHop(q, trace.HopHome, sib, false)
+	rep := resp.(dirQueryReply)
+	if len(rep.Providers) == 0 {
+		p.collabQuery(q, req)
+		return
+	}
+	q.source = srcDirectory
+	q.setCandidates(rep.Providers)
+	p.probeCandidate(q, false)
 }
 
 // fallbackOrigin resolves the query at the origin web server — a miss
@@ -542,9 +604,6 @@ func (p *Peer) fallbackOrigin(q *activeQuery) {
 func (p *Peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime.NodeID) {
 	if p.query != q {
 		return
-	}
-	if q.timeout != nil {
-		q.timeout.Cancel()
 	}
 	p.query = nil
 	now := p.eng().Now()
@@ -570,24 +629,22 @@ func (p *Peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 			Loc:      p.loc,
 			Key:      q.key.Uint64(),
 			Outcome:  outcome,
-			Attempts: q.attempt,
+			Attempts: int(q.attempt),
 			Hops: trace.Append(trace.CopyHops(q.path), trace.Hop{
 				Kind: trace.HopServe, Node: provider,
 				Loc: p.net().Locality(provider), At: now,
 			}),
 		})
 	}
-	key := q.key // q recycles now; the fetch callback outlives it
+	key := q.key // q recycles now; the fetch outlives it
 	p.putQuery(q)
 	if outcome == metrics.Miss {
-		// The object still has to travel from the origin.
-		p.net().Request(p.nid, provider, workload.FetchReq{Key: key}, 0,
-			func(resp any, err error) {
-				if p.dead || err != nil {
-					return
-				}
-				p.acquire(key)
-			})
+		// The object still has to travel from the origin. A peer's next
+		// query may resolve before this fetch returns, so the fetch is a
+		// step of its own carrying the key, not state of the peer.
+		st := p.sys.getStep(stepOriginFetch, p, nil, provider)
+		st.key = key
+		p.net().Request(p.nid, provider, p.sys.work.FetchReqMsg(key), 0, st.onDone)
 		return
 	}
 	// Hit paths already verified the provider served the object.

@@ -18,13 +18,48 @@
 // gossip and its directory, and serving other peers in turn. Content
 // peers may be promoted to *directory peers* to replace failures
 // (Sec. 5.2) or to absorb load (Sec. 4).
+//
+// # A query's life cycle
+//
+// The query loop ticks on a callback bound to the peer once. A tick
+// picks an object the peer lacks and takes the peer's recycled
+// activeQuery. A client routes it over D-ring (with a deadline bound to
+// the record once, retried through other gateways) and waits for the
+// directory's answer; a petal member ranks the contacts of its gossip
+// view whose summary claims the object, nearest first, and fetch-probes
+// them, then asks its directory, then the same website's directories in
+// other localities, then the origin (query.go). Whatever path found the
+// provider, resolve emits the query's one metrics event, recycles the
+// record and stores the object.
+//
+// Every RPC on that path — probe, directory question, sibling question,
+// origin fetch — is one step record (steps.go), taken from a free list
+// on the System and handed to the transport with a callback bound when
+// the record was made. It returns to the list before its answer is
+// handled. An answer is acted on only under the three guards the path
+// has always had: the peer is alive, the peer's current query is still
+// the record's (p.query == q), and it is still the same query and not
+// the recycled record's next one (q.seq == seq). What one RPC needs to
+// remember lives in its step, not in activeQuery, because a query can
+// have two chains of steps in flight: a routed query that was retried is
+// answered once per attempt under the same Seq, and each answer starts
+// probing. The chains share the query's candidate list and cursor; the
+// first to resolve wins and the guards drop what the other brings home.
+//
+// In steady state this path allocates nothing at the client but the
+// request it sends its directory (alloc_test.go pins it): provider
+// rankings sort a scratch buffer on the System, candidate lists are
+// copied into a buffer the query owns, and fetch messages are interned
+// by the workload. Replies built at directories are still boxed per
+// call.
 package flower
 
 import (
+	"cmp"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
@@ -65,6 +100,12 @@ type System struct {
 	// peers tracks every spawned peer for measurement only; protocol
 	// logic never consults it (that would be cheating the distribution).
 	peers []*Peer
+
+	// freeSteps recycles the per-RPC records of the query path (steps.go);
+	// candScratch is the ranking buffer of contentQuery and rankProviders,
+	// used and released within one call.
+	freeSteps   []*step
+	candScratch []provCand
 
 	peersSpawned   uint64
 	dirPromotions  uint64
@@ -211,7 +252,7 @@ func (s *System) PetalDirectories(site content.SiteID, loc topology.Locality) []
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].dir.instance < out[j].dir.instance })
+	slices.SortFunc(out, func(a, b *Peer) int { return cmp.Compare(a.dir.instance, b.dir.instance) })
 	return out
 }
 
@@ -271,8 +312,7 @@ func (s *System) SpawnSeedDirectory(site content.SiteID, loc topology.Locality) 
 // individual.
 func (s *System) SpawnSeedDirectoryIdentity(id Identity) (*Peer, func()) {
 	p := s.newPeer(id)
-	site, loc := id.Site, id.Placement.Loc
-	pos := dringPosition(site, loc, 0)
+	pos := p.petalPos
 	switch {
 	case s.registry.Len() > 0:
 		p.seedClaim(pos, 5)
@@ -347,11 +387,12 @@ func (s *System) newPeer(id Identity) *Peer {
 		store = s.newStore()
 	}
 	p := &Peer{
-		sys:   s,
-		site:  id.Site,
-		loc:   id.Placement.Loc,
-		store: store,
-		rng:   s.rng.Split(fmt.Sprintf("peer-%d", s.peersSpawned)),
+		sys:      s,
+		site:     id.Site,
+		loc:      id.Placement.Loc,
+		petalPos: dringPosition(id.Site, id.Placement.Loc, 0),
+		store:    store,
+		rng:      s.rng.Split(fmt.Sprintf("peer-%d", s.peersSpawned)),
 	}
 	p.nid = s.net.Join(p, id.Placement)
 	p.initGossip()

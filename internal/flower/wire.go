@@ -1,9 +1,10 @@
 package flower
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
@@ -168,13 +169,16 @@ func (promotedMsg) DecodeWire(r *runtime.WireReader) any {
 	return promotedMsg{NewDir: chord.DecodeEntryWire(r)}
 }
 
+// byPackedKey orders keys as content.Store does: by (site, object).
+func byPackedKey(a, b content.Key) int { return cmp.Compare(a.Uint64(), b.Uint64()) }
+
 func (m handoffMsg) AppendWire(w *runtime.WireWriter) {
 	w.U64(uint64(m.Pos))
 	keys := make([]content.Key, 0, len(m.Index))
 	for k := range m.Index {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Uint64() < keys[j].Uint64() })
+	slices.SortFunc(keys, byPackedKey)
 	w.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		k.AppendWire(w)
@@ -236,7 +240,7 @@ func (s exactSummary) AppendWire(w *runtime.WireWriter) {
 	for k := range s {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].Uint64() < keys[j].Uint64() })
+	slices.SortFunc(keys, byPackedKey)
 	content.AppendKeysWire(w, keys)
 }
 

@@ -1,21 +1,29 @@
 package metrics
 
-import "sort"
+import "slices"
 
 // Percentile returns the p-quantile (0 < p <= 1) of the recorded
 // lookup latencies using nearest-rank on a sorted copy. Returns 0 with
 // no observations.
 func (c *Collector) LookupPercentile(p float64) int64 {
-	return percentile(c.lookups, p)
+	return nearestRank(sortedCopy(c.lookups), p)
 }
 
 // TransferPercentile is Percentile over transfer distances.
 func (c *Collector) TransferPercentile(p float64) int64 {
-	return percentile(c.transfers, p)
+	return nearestRank(sortedCopy(c.transfers), p)
 }
 
-func percentile(values []int64, p float64) int64 {
-	if len(values) == 0 {
+func sortedCopy(values []int64) []int64 {
+	sorted := slices.Clone(values)
+	slices.Sort(sorted)
+	return sorted
+}
+
+// nearestRank reads the p-quantile off an ascending sample: p <= 0 is
+// the minimum, p > 1 the maximum, an empty sample 0.
+func nearestRank(sorted []int64, p float64) int64 {
+	if len(sorted) == 0 {
 		return 0
 	}
 	if p <= 0 {
@@ -24,9 +32,6 @@ func percentile(values []int64, p float64) int64 {
 	if p > 1 {
 		p = 1
 	}
-	sorted := make([]int64, len(values))
-	copy(sorted, values)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	rank := int(p*float64(len(sorted))+0.5) - 1
 	if rank < 0 {
 		rank = 0
@@ -44,19 +49,18 @@ type LatencySummary struct {
 }
 
 // LookupSummary returns lookup-latency quantiles.
-func (c *Collector) LookupSummary() LatencySummary {
-	return LatencySummary{
-		P50: c.LookupPercentile(0.50),
-		P90: c.LookupPercentile(0.90),
-		P99: c.LookupPercentile(0.99),
-	}
-}
+func (c *Collector) LookupSummary() LatencySummary { return summarize(c.lookups) }
 
 // TransferSummary returns transfer-distance quantiles.
-func (c *Collector) TransferSummary() LatencySummary {
+func (c *Collector) TransferSummary() LatencySummary { return summarize(c.transfers) }
+
+// summarize sorts one copy of the series and reads the three ranks from
+// it: a run keeps every query's sample, so the sort is the cost.
+func summarize(values []int64) LatencySummary {
+	sorted := sortedCopy(values)
 	return LatencySummary{
-		P50: c.TransferPercentile(0.50),
-		P90: c.TransferPercentile(0.90),
-		P99: c.TransferPercentile(0.99),
+		P50: nearestRank(sorted, 0.50),
+		P90: nearestRank(sorted, 0.90),
+		P99: nearestRank(sorted, 0.99),
 	}
 }

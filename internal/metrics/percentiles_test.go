@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -114,5 +116,62 @@ func TestSummaries(t *testing.T) {
 	ts := c.TransferSummary()
 	if ts.P50 != 100 {
 		t.Fatalf("transfer summary %+v", ts)
+	}
+}
+
+// oldPercentile is the function nearestRank and summarize replaced: a
+// full copy and sort.Slice per quantile.
+func oldPercentile(values []int64, p float64) int64 {
+	if len(values) == 0 {
+		return 0
+	}
+	if p <= 0 {
+		p = 0.0000001
+	}
+	if p > 1 {
+		p = 1
+	}
+	sorted := make([]int64, len(values))
+	copy(sorted, values)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	rank := int(p*float64(len(sorted))+0.5) - 1
+	if rank < 0 {
+		rank = 0
+	}
+	if rank >= len(sorted) {
+		rank = len(sorted) - 1
+	}
+	return sorted[rank]
+}
+
+func TestPercentileMatchesOldFunction(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 7))
+	samples := [][]int64{nil, {}, {42}, {5, 5, 5, 5}}
+	for _, n := range []int{2, 3, 10, 99, 100, 101, 1000, 4999} {
+		s := make([]int64, n)
+		for i := range s {
+			s[i] = rng.Int64N(500) // duplicates on purpose
+		}
+		samples = append(samples, s)
+	}
+	ps := []float64{-1, 0, 1e-9, 0.001, 0.1, 0.5, 0.9, 0.99, 0.999, 1, 1.5}
+	for i := 0; i < 20; i++ {
+		ps = append(ps, rng.Float64())
+	}
+	for _, s := range samples {
+		c := collectorWith(s)
+		for _, p := range ps {
+			if got, want := c.LookupPercentile(p), oldPercentile(s, p); got != want {
+				t.Fatalf("n=%d p=%g: LookupPercentile %d, old function %d", len(s), p, got, want)
+			}
+		}
+		want := LatencySummary{oldPercentile(s, 0.50), oldPercentile(s, 0.90), oldPercentile(s, 0.99)}
+		if got := c.LookupSummary(); got != want {
+			t.Fatalf("n=%d: LookupSummary %+v, old function %+v", len(s), got, want)
+		}
+		want.P50, want.P90, want.P99 = want.P50*2, want.P90*2, want.P99*2
+		if got := c.TransferSummary(); got != want {
+			t.Fatalf("n=%d: TransferSummary %+v, old function %+v", len(s), got, want)
+		}
 	}
 }

@@ -52,6 +52,9 @@ type Workload struct {
 	zipf    *Zipf
 	// interest is nil when InterestSkew == 0 (uniform assignment).
 	interest *Zipf
+	// fetch interns the boxed fetch messages (FetchReqMsg, FetchRespMsg):
+	// one row per site, made when the site is first fetched from.
+	fetch [][]fetchMsgs
 }
 
 // Validate checks the full workload configuration. It is also what
@@ -92,7 +95,7 @@ func New(cfg Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{cfg: cfg, catalog: cat, zipf: z}
+	w := &Workload{cfg: cfg, catalog: cat, zipf: z, fetch: make([][]fetchMsgs, cfg.Sites)}
 	if cfg.InterestSkew > 0 {
 		if w.interest, err = NewZipf(cfg.Sites, cfg.InterestSkew); err != nil {
 			return nil, err
@@ -178,6 +181,7 @@ func (w *Workload) PickObject(rng *rnd.RNG, site content.SiteID, store *content.
 // P2P participants — they are the infrastructure the P2P CDN relieves.
 type originServer struct {
 	site content.SiteID
+	w    *Workload
 }
 
 func init() {
@@ -204,12 +208,64 @@ type FetchResp struct {
 // transfers from control traffic).
 func (FetchResp) WireBytes() int { return 8 * 1024 }
 
+// fetchMsgs holds one object's fetch messages already converted to the
+// `any` the transport takes, so sending one does not box it again. A
+// fetch is the most frequent message of a busy petal and there are only
+// sites × objects × 3 distinct ones.
+type fetchMsgs struct {
+	req, served, refused any
+}
+
+// fetchRow returns the interned messages of k, or nil for a key outside
+// the catalog (a decoded request may name anything).
+func (w *Workload) fetchRow(k content.Key) *fetchMsgs {
+	if !w.catalog.Valid(k) {
+		return nil
+	}
+	row := w.fetch[k.Site]
+	if row == nil {
+		row = make([]fetchMsgs, w.cfg.ObjectsPerSite)
+		w.fetch[k.Site] = row
+	}
+	return &row[k.Object]
+}
+
+// FetchReqMsg returns FetchReq{Key: k} as a message ready to send. The
+// value is shared by every sender of that request and, like any boxed
+// struct, immutable. Like the rest of a Workload it belongs to one run.
+func (w *Workload) FetchReqMsg(k content.Key) any {
+	m := w.fetchRow(k)
+	if m == nil {
+		return FetchReq{Key: k}
+	}
+	if m.req == nil {
+		m.req = FetchReq{Key: k}
+	}
+	return m.req
+}
+
+// FetchRespMsg is FetchReqMsg for FetchResp{Key: k, Served: served}.
+func (w *Workload) FetchRespMsg(k content.Key, served bool) any {
+	m := w.fetchRow(k)
+	if m == nil {
+		return FetchResp{Key: k, Served: served}
+	}
+	slot := &m.refused
+	if served {
+		slot = &m.served
+	}
+	if *slot == nil {
+		*slot = FetchResp{Key: k, Served: served}
+	}
+	return *slot
+}
+
 func (o *originServer) HandleMessage(runtime.NodeID, any) {}
 
 func (o *originServer) HandleRequest(_ runtime.NodeID, req any) (any, error) {
 	switch r := req.(type) {
 	case FetchReq:
-		return FetchResp{Key: r.Key, Served: true}, nil
+		return o.w.FetchRespMsg(r.Key, true), nil
 	default:
 		return nil, fmt.Errorf("workload: origin got unexpected request %T", req)
 	}
@@ -228,7 +284,7 @@ func NewOrigins(w *Workload, net runtime.Transport, rng *rnd.RNG) *Origins {
 	for s := 0; s < w.cfg.Sites; s++ {
 		pos := topology.Point{X: rng.Float64(), Y: rng.Float64()}
 		pl := topology.Placement{Pos: pos, Loc: net.Topology().LocalityOf(pos)}
-		o.nodes[s] = net.Join(&originServer{site: content.SiteID(s)}, pl)
+		o.nodes[s] = net.Join(&originServer{site: content.SiteID(s), w: w}, pl)
 	}
 	return o
 }

@@ -242,3 +242,43 @@ func (clientStub) HandleMessage(runtime.NodeID, any) {}
 func (clientStub) HandleRequest(runtime.NodeID, any) (any, error) {
 	return nil, nil
 }
+
+// TestFetchMsgsAreInterned pins what the query path's allocation count
+// rests on: the fetch messages of one key are boxed once per Workload,
+// equal what a sender would have built by hand, and a key outside the
+// catalog (a decoded request may name anything) still gets an answer.
+func TestFetchMsgsAreInterned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Sites, cfg.ObjectsPerSite, cfg.ActiveSites = 4, 10, 2
+	w, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := content.Key{Site: 3, Object: 9}
+	if got := w.FetchReqMsg(k); got != any(FetchReq{Key: k}) {
+		t.Fatalf("FetchReqMsg = %#v", got)
+	}
+	for _, served := range []bool{true, false} {
+		if got := w.FetchRespMsg(k, served); got != any(FetchResp{Key: k, Served: served}) {
+			t.Fatalf("FetchRespMsg(%v) = %#v", served, got)
+		}
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		_ = w.FetchReqMsg(k)
+		_ = w.FetchRespMsg(k, true)
+		_ = w.FetchRespMsg(k, false)
+	}); got != 0 {
+		t.Errorf("interned fetch messages allocate %v objects per use, want 0", got)
+	}
+	if len(w.fetch) != 4 || w.fetch[3] == nil || w.fetch[0] != nil {
+		t.Errorf("rows are made per site on first use; got %d rows, site 0 made: %v", len(w.fetch), w.fetch[0] != nil)
+	}
+	for _, out := range []content.Key{{Site: 4, Object: 0}, {Site: 0, Object: 10}, {Site: -1, Object: 0}, {Site: 0, Object: -1}} {
+		if got := w.FetchReqMsg(out); got != any(FetchReq{Key: out}) {
+			t.Errorf("FetchReqMsg(%v) = %#v", out, got)
+		}
+		if got := w.FetchRespMsg(out, true); got != any(FetchResp{Key: out, Served: true}) {
+			t.Errorf("FetchRespMsg(%v) = %#v", out, got)
+		}
+	}
+}
