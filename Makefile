@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-PR ?= 20
+PR ?= 21
 BENCH_JSON := BENCH_PR$(PR).json
 
 .PHONY: build test race race-net wire-bench vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean
@@ -134,10 +134,16 @@ fingerprint-check:
 # directory's provider list and reply), the LRU policy (an admission
 # with its eviction, a touch: zero) and the bounded content store over
 # it, and the binary codec's budget per wire message (the packages whose
-# wire tests call wiretest.BinaryAllocs). A count repeats exactly, so
-# unlike a timing these gate on one run.
+# wire tests call wiretest.BinaryAllocs) — or to a byte count, a
+# TotalAlloc delta over thousands of rounds, where the thing pinned is a
+# timer: 32 bytes of a 512-timer slab, which an object count rounds to
+# nothing. Released timers cost zero bytes on the engine and on the wall
+# clock (schedule-release-fire, schedule-cancel-release, a ticker), a
+# simnet Send or Request zero bytes all told, and a socknet Request
+# round trip over loopback TCP under one object. A count repeats
+# exactly, so unlike a timing these gate on one run.
 alloc-check:
-	go test -count=1 -run Alloc ./internal/sim ./internal/simnet ./internal/chord ./internal/flower ./internal/cache ./internal/content ./internal/workload
+	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/cache ./internal/content ./internal/workload
 
 # realtime-smoke drives the wall-clock backend for a few seconds of real
 # time: the identical protocol code over real timers and the loopback

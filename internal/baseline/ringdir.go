@@ -517,9 +517,7 @@ func (p *peer) onHomeResp(m homeResp) {
 		return
 	}
 	q.redirected = true
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
+	runtime.DropTimer(&q.timeout)
 	q.candidates = m.Providers
 	q.path = trace.Concat(q.path, m.Path)
 	p.probeProvider(q)
@@ -566,9 +564,7 @@ func (p *peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 	if p.query != q {
 		return
 	}
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
+	runtime.DropTimer(&q.timeout)
 	p.query = nil
 	env := p.d.env
 	now := env.Clock.Now()

@@ -396,6 +396,7 @@ func (p *pendingLookup) timedOut() {
 		r.finish(p, NoEntry, 0, ErrLookupFailed)
 	default:
 		p.retries--
+		p.timer.Release() // fired; launch arms the next attempt's
 		r.launch(p)
 	}
 }
@@ -404,6 +405,7 @@ func (p *pendingLookup) timedOut() {
 // callback may start the lookup that reuses it.
 func (r *resolver) finish(p *pendingLookup, owner Entry, hops int, err error) {
 	cb, finger := p.cb, p.finger
+	p.timer.Release() // fired, or cancelled by the reply
 	p.cb, p.timer = nil, nil
 	if r.ring != nil {
 		r.ring.freeLookups = append(r.ring.freeLookups, p)

@@ -113,13 +113,10 @@ func (p *Peer) getQuery() *activeQuery {
 }
 
 func (p *Peer) putQuery(q *activeQuery) {
-	if q.timeout != nil {
-		// Usually fired or cancelled by the answer already. Cancelling
-		// here, before the record can serve another query, is what lets
-		// the bound callback do without a seq of its own.
-		q.timeout.Cancel()
-		q.timeout = nil
-	}
+	// Usually fired or cancelled by the answer already. Cancelling here,
+	// before the record can serve another query, is what lets the bound
+	// callback do without a seq of its own.
+	runtime.DropTimer(&q.timeout)
 	q.collab = nil
 	p.qspare = q
 }
@@ -331,9 +328,7 @@ func (p *Peer) onDirQueryResp(m dirQueryResp) {
 	if q == nil || q.seq != m.Seq {
 		return // stale or duplicate answer
 	}
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
+	runtime.DropTimer(&q.timeout)
 	if p.sys.tracer.Enabled() {
 		// Merge the directory-side segment (ring route + scan forwards +
 		// the answering directory) behind the client's issue hop.
@@ -367,9 +362,7 @@ func (p *Peer) onVacantResp(m vacantResp) {
 	if q == nil || q.seq != m.Seq {
 		return
 	}
-	if q.timeout != nil {
-		q.timeout.Cancel()
-	}
+	runtime.DropTimer(&q.timeout)
 	p.claimFromQuery(q)
 }
 

@@ -90,6 +90,13 @@ type TransportStats struct {
 // Timer is the handle for a one-shot scheduled event. It can be
 // cancelled before it fires; cancelling an already-fired or
 // already-cancelled timer is a no-op.
+//
+// The handle belongs to whoever scheduled it, and the record behind it
+// to the clock: a handle that is kept stays valid for ever — the clock
+// never reuses its record, and a stale Cancel is a no-op — while a
+// handle given back with Release lets the clock hand the record to a
+// later Schedule. That is the rule Transport.Send states for messages,
+// for timers: after Release the caller must not touch the handle again.
 type Timer interface {
 	// Cancel prevents the timer's function from running. It reports
 	// whether the cancellation had any effect.
@@ -102,6 +109,27 @@ type Timer interface {
 	// When returns the time at which the timer is (or was) scheduled to
 	// fire.
 	When() int64
+	// Release tells the clock the caller will not use this handle again.
+	// The timer still fires unless it was cancelled; once it has fired or
+	// been discarded, its clock may reuse the record for the next
+	// Schedule. A caller that drops the handle at once releases it in the
+	// statement that schedules it; one that stores it releases it where
+	// it clears the field (DropTimer does both). Any call on a released
+	// handle, a second Release included, is a bug: it may reach the
+	// record's next tenant.
+	Release()
+}
+
+// DropTimer is how the owner of a stored handle lets go of it: cancel
+// the timer if it is still pending, give the handle back to its clock,
+// and clear the field so that nothing can touch it again. A nil *t — no
+// timer armed, or dropped already — is left alone.
+func DropTimer(t *Timer) {
+	if *t != nil {
+		(*t).Cancel()
+		(*t).Release()
+		*t = nil
+	}
 }
 
 // Ticker is the handle for a periodic event, firing until cancelled.

@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+
+	"flowercdn/internal/transporttest"
+)
 
 // TestPeriodicFiringAllocs pins the engine's periodic-timer hot path at
 // zero allocations per firing: every experiment reduces to millions of
@@ -46,5 +51,76 @@ func TestOneShotAllocs(t *testing.T) {
 	}
 	if avg > 1 {
 		t.Errorf("%d one-shot events allocate %.2f objects; want 1, the slab", timerSlabSize, avg)
+	}
+}
+
+// TestReleasedTimerAllocBytes is the guard TestOneShotAllocs cannot be:
+// bytes, not objects, over enough timers that a slab would show. A timer
+// whose handle is released is recycled as it leaves the wheel, so
+// scheduling, releasing and firing — what the message layer does per
+// delivery — and scheduling, cancelling and releasing — what it does
+// per RPC deadline — allocate nothing once the free list holds the
+// working set.
+func TestReleasedTimerAllocBytes(t *testing.T) {
+	const timers = 4 * timerSlabSize
+	fn := func() {}
+	for _, tc := range []struct {
+		name  string
+		batch func(eng *Engine)
+	}{
+		{"Schedule+Release+fire", func(eng *Engine) {
+			for i := int64(0); i < timers; i++ {
+				eng.Schedule(i*i, fn).Release() // up to 2^22 ms ahead: three levels
+			}
+		}},
+		{"Schedule+Cancel+Release", func(eng *Engine) {
+			for i := int64(0); i < timers; i++ {
+				d := eng.Schedule(4000+i, fn)
+				d.Cancel()
+				d.Release()
+			}
+			eng.Schedule(1<<22, fn).Release() // the wheel discards the cancelled ones on its way here
+		}},
+	} {
+		eng := NewEngine()
+		got := transporttest.AllocBytes(20, func() {
+			tc.batch(eng)
+			eng.RunAll()
+		})
+		if got != 0 {
+			t.Errorf("%s: %d bytes over 20 rounds of %d timers; want 0", tc.name, got, timers)
+		}
+	}
+
+	// A released timer is free again before its function runs: a chain of
+	// events, each scheduling the next, lives in one record.
+	eng := NewEngine()
+	left := 0
+	var hop func()
+	hop = func() {
+		if left--; left > 0 {
+			eng.Schedule(3, hop).Release()
+		}
+	}
+	got := transporttest.AllocBytes(2, func() {
+		left = timers
+		hop()
+		eng.RunAll()
+	})
+	records := 0
+	for t := eng.free; t != nil; t = t.next {
+		records++
+	}
+	if got != 0 || records != 1 {
+		t.Errorf("a chain of %d events allocated %d bytes and used %d records; want 0 and 1", timers, got, records)
+	}
+}
+
+// TestTimerAllocSize keeps a Timer at four words, the size class it is
+// carved from slabs in: the released flag shares the word of the other
+// two, and the free list reuses the slot link.
+func TestTimerAllocSize(t *testing.T) {
+	if got := unsafe.Sizeof(Timer{}); got != 32 {
+		t.Errorf("sim.Timer is %d bytes; want 32", got)
 	}
 }

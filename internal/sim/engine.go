@@ -21,6 +21,14 @@
 // afterwards. Every slot is therefore a FIFO, and FIFO within one
 // millisecond is the (when, scheduling sequence) total order the
 // simulations' determinism rests on — kept without a comparison.
+//
+// Timer records are carved from slabs and recycled only on request: a
+// handle the caller keeps is never reused, so a stale Cancel stays a
+// no-op; a handle given back with Timer.Release rejoins the engine's
+// free list when the timer fires or the wheel discards it cancelled,
+// and the next Schedule takes it from there. The message layer releases
+// every timer it schedules, which is nearly all of them, so a run's
+// timer memory follows the depth of the queue, not the event count.
 package sim
 
 import (
@@ -42,10 +50,11 @@ const (
 // no-op. The zero value is not a valid timer.
 type Timer struct {
 	when      int64
-	next      *Timer // the timer filed after this one in the same wheel slot
+	next      *Timer // the timer filed after this one in the same wheel slot, or free after it
 	fn        func()
 	cancelled bool
 	fired     bool
+	released  bool
 }
 
 // Cancel prevents the timer's function from running when its time
@@ -68,8 +77,26 @@ func (t *Timer) Fired() bool { return t != nil && t.fired }
 func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
 
 // When returns the simulated time at which the timer is (or was)
-// scheduled to fire.
-func (t *Timer) When() int64 { return t.when }
+// scheduled to fire; zero for a nil timer.
+func (t *Timer) When() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.when
+}
+
+// Release gives the handle up: the caller will not use it again. The
+// timer still fires unless it was cancelled; the engine takes the record
+// back at the moment it leaves the wheel — as it fires, or as a cancelled
+// one is discarded — and hands it to a later Schedule. A timer has no
+// pointer to its engine (that would be a fourth word on every timer), so
+// one released only after it left the wheel goes to the collector as an
+// unreleased one does. Releasing a nil timer is a no-op.
+func (t *Timer) Release() {
+	if t != nil {
+		t.released = true
+	}
+}
 
 // The wheel's geometry: one byte of the firing time per level, so the
 // 8 levels cover every non-negative int64 and no timer is ever too far
@@ -107,10 +134,16 @@ type Engine struct {
 
 	// slab is the current chunk of bulk-allocated Timer structs. Timers
 	// are handed out pointer-by-pointer from the chunk, amortizing one
-	// heap allocation over timerSlabSize Schedule calls. Fired timers
-	// are never recycled (callers may hold their handles indefinitely);
-	// the chunk is garbage-collected once every handle into it is gone.
+	// heap allocation over timerSlabSize Schedule calls, and only when
+	// free is empty. A timer whose handle the caller kept is never
+	// recycled (the handle may be held indefinitely); its chunk is
+	// garbage-collected once every handle into it is gone.
 	slab []Timer
+
+	// free lists, through Timer.next, the released timers that have left
+	// the wheel: newTimer takes from here first. Last in, first out, so
+	// the record a message's delivery just vacated carries the reply.
+	free *Timer
 
 	// occupied has bit i of level l set while slots[l][i] is non-empty.
 	occupied [wheelLevels][wheelSlots / 64]uint64
@@ -123,8 +156,12 @@ const timerSlabSize = 512
 // NewEngine returns an engine with the clock at time zero.
 func NewEngine() *Engine { return &Engine{} }
 
-// newTimer hands out the next Timer from the slab.
+// newTimer hands out a recycled Timer, or the next one from the slab.
 func (e *Engine) newTimer() *Timer {
+	if t := e.free; t != nil {
+		e.free, t.next = t.next, nil
+		return t
+	}
 	if len(e.slab) == 0 {
 		e.slab = make([]Timer, timerSlabSize)
 	}
@@ -177,7 +214,7 @@ func (e *Engine) arm(t *Timer, when int64, fn func()) {
 		// Draining through cancelled timers can leave base ahead of now.
 		e.base = e.now
 	}
-	t.when, t.fn, t.fired, t.cancelled = when, fn, false, false
+	t.when, t.fn, t.fired, t.cancelled, t.released = when, fn, false, false, false
 	e.pending++
 	e.file(t)
 }
@@ -238,6 +275,7 @@ func (e *Engine) next(limit int64) *Timer {
 			t.next = nil
 			e.pending--
 			if t.cancelled {
+				e.recycle(t)
 				continue
 			}
 			return t
@@ -275,6 +313,7 @@ func (e *Engine) cascade(limit int64) bool {
 			if t.cancelled {
 				t.next = nil
 				e.pending--
+				e.recycle(t)
 			} else {
 				e.file(t)
 			}
@@ -285,13 +324,24 @@ func (e *Engine) cascade(limit int64) bool {
 	panic("sim: pending timers but no occupied slot")
 }
 
-// fire advances the clock to t's time and runs it.
+// recycle takes back a timer that has just left the wheel, if its
+// handle was released; t.next must be nil.
+func (e *Engine) recycle(t *Timer) {
+	if t.released {
+		e.free, t.next = t, e.free
+	}
+}
+
+// fire advances the clock to t's time and runs it. A released timer is
+// back on the free list before its function runs, so what the function
+// schedules first reuses it.
 func (e *Engine) fire(t *Timer) {
 	e.now = t.when
 	t.fired = true
 	fn := t.fn
 	t.fn = nil
 	e.processed++
+	e.recycle(t)
 	fn()
 }
 

@@ -283,3 +283,36 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		}
 	}
 }
+
+// TestNilTimerIsInert: every method of a nil *Timer is a no-op, so code
+// that may or may not have armed one need not check.
+func TestNilTimerIsInert(t *testing.T) {
+	var tm *Timer
+	if tm.Cancel() || tm.Fired() || tm.Cancelled() || tm.When() != 0 {
+		t.Fatal("a nil timer reports state")
+	}
+	tm.Release()
+}
+
+// TestUnreleasedTimerIsNeverReused is the contract a kept handle relies
+// on: its record is its own for good, whatever else is recycled, so a
+// Cancel long after it fired touches nobody else's timer.
+func TestUnreleasedTimerIsNeverReused(t *testing.T) {
+	e := NewEngine()
+	kept := e.Schedule(1, func() {})
+	e.RunAll()
+	fired := false
+	for i := 0; i < 3*timerSlabSize; i++ {
+		tm := e.Schedule(1, func() { fired = true })
+		if tm == kept {
+			t.Fatal("a timer whose handle was kept was handed out again")
+		}
+		tm.Release()
+		kept.Cancel() // stale: must not reach whatever was just scheduled
+		fired = false
+		e.RunAll()
+		if !fired {
+			t.Fatalf("round %d: a stale Cancel stopped somebody else's timer", i)
+		}
+	}
+}

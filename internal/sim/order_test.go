@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -14,8 +16,18 @@ import (
 // sorted by (when, seq). A byte string is decoded into engine operations
 // and played on both; everything either one lets a caller observe must
 // agree after every operation.
+//
+// The reference never reuses a timer. The engine does, for handles the
+// script gives back with Release, and must be none the wiser: the same
+// script is played a third time on an engine whose handles ignore
+// Release, which must also agree with the recycling one on Pending; and
+// after every operation the recycling engine's wheel and free list are
+// walked (wheelSched.check).
 
-type handle interface{ Cancel() bool }
+type handle interface {
+	Cancel() bool
+	Release()
+}
 type ticker interface{ Cancel() }
 
 // scheduler is what the script drives, on the engine and on the
@@ -30,14 +42,92 @@ type scheduler interface {
 	Run(until int64) uint64
 	RunAll() uint64
 	Stop()
+	// pending is Engine.Pending; the reference, which drops a cancelled
+	// timer when it pleases, is not compared on it.
+	pending() int
+	// check returns what is wrong with the scheduler's own state, if
+	// anything.
+	check() error
 }
 
-type wheelSched struct{ *Engine }
+// wheelSched plays a script on the engine. With recycle set a released
+// handle is released; without, Release is ignored, which is the engine
+// as it was before it recycled anything.
+type wheelSched struct {
+	*Engine
+	recycle bool
+	// tenant is the handle each record was last handed out under. The
+	// script keeps every handle, so no record is ever collected and a
+	// record seen twice is one the engine reused.
+	tenant map[*Timer]*wheelHandle
+	err    error // the first violation seen at a hand-out
+}
 
-func (w wheelSched) schedule(d int64, fn func()) handle { return w.Schedule(d, fn) }
-func (w wheelSched) at(t int64, fn func()) handle       { return w.At(t, fn) }
-func (w wheelSched) every(first, period int64, fn func()) ticker {
+type wheelHandle struct {
+	w        *wheelSched
+	t        *Timer
+	released bool
+}
+
+func (h *wheelHandle) Cancel() bool { return h.t.Cancel() }
+func (h *wheelHandle) Release() {
+	h.released = true
+	if h.w.recycle {
+		h.t.Release()
+	}
+}
+
+// adopt wraps a record the engine just handed out.
+func (w *wheelSched) adopt(t *Timer) handle {
+	if prev := w.tenant[t]; prev != nil && !prev.released && w.err == nil {
+		w.err = fmt.Errorf("timer for %d handed out again, its handle was never released", t.when)
+	}
+	h := &wheelHandle{w: w, t: t}
+	w.tenant[t] = h
+	return h
+}
+
+func (w *wheelSched) schedule(d int64, fn func()) handle { return w.adopt(w.Schedule(d, fn)) }
+func (w *wheelSched) at(t int64, fn func()) handle       { return w.adopt(w.At(t, fn)) }
+func (w *wheelSched) every(first, period int64, fn func()) ticker {
 	return w.Every(first, period, fn)
+}
+func (w *wheelSched) pending() int { return w.Pending() }
+
+// check walks the wheel and the free list: the wheel files exactly
+// Pending timers; a free record is a released one, filed nowhere and
+// listed once.
+func (w *wheelSched) check() error {
+	if w.err != nil {
+		return w.err
+	}
+	e := w.Engine
+	filed := map[*Timer]bool{}
+	for l := range e.slots {
+		for word, occ := range e.occupied[l] {
+			for ; occ != 0; occ &= occ - 1 {
+				for t := e.slots[l][word*64+bits.TrailingZeros64(occ)].head; t != nil; t = t.next {
+					filed[t] = true
+				}
+			}
+		}
+	}
+	if len(filed) != e.pending {
+		return fmt.Errorf("%d timers filed in the wheel, Pending is %d", len(filed), e.pending)
+	}
+	free := map[*Timer]bool{}
+	for t := e.free; t != nil; t = t.next {
+		switch {
+		case free[t]:
+			return fmt.Errorf("timer for %d is on the free list twice", t.when)
+		case filed[t]:
+			return fmt.Errorf("timer for %d is on the free list while filed in the wheel", t.when)
+		case !t.released:
+			return fmt.Errorf("timer for %d is on the free list, its handle was never released", t.when)
+		}
+		free[t] = true
+	}
+	return nil
 }
 
 // refEngine is the reference: every pending timer in one slice sorted
@@ -61,6 +151,8 @@ func (t *refTimer) Cancel() bool {
 	return !was
 }
 
+func (t *refTimer) Release() {}
+
 type refTicker struct {
 	t         handle
 	cancelled bool
@@ -74,6 +166,8 @@ func (p *refTicker) Cancel() {
 func (r *refEngine) Now() int64        { return r.now }
 func (r *refEngine) Processed() uint64 { return r.processed }
 func (r *refEngine) Stop()             { r.stopped = true }
+func (r *refEngine) pending() int      { return 0 }
+func (r *refEngine) check() error      { return nil }
 
 func (r *refEngine) schedule(delay int64, fn func()) handle {
 	return r.at(r.now+max(delay, 0), fn)
@@ -181,6 +275,9 @@ const (
 	opRun // until = now + delay
 	opStop
 	opRunAll
+	opRelease         // which timer: pending (it fires later, released), fired or cancelled
+	opCancelRelease   // which timer: Cancel then Release, as a reply does to an RPC deadline
+	opScheduleRelease // delay, action, arg: released in the statement that schedules it
 	opCount
 )
 
@@ -192,26 +289,30 @@ const (
 	actCancel      // timer number arg
 	actCancelEvery // periodic timer number arg
 	actStop
-	actBurst // two children at the same later instant
+	actBurst   // two children at the same later instant
+	actRelease // timer number arg, possibly the one now firing
 	actCount
 )
 
 // event is one observation: a firing, or the state after an operation.
 type event struct {
-	kind   byte // 'f' fired, 'o' after an operation
-	id     int64
-	now    int64
-	result uint64 // processed count, or what the operation returned
+	kind    byte // 'f' fired, 'o' after an operation
+	id      int64
+	now     int64
+	result  uint64 // processed count, or what the operation returned
+	pending int
 }
 
-// play runs the script on s and returns everything observable.
-func play(s scheduler, script []byte) []event {
+// play runs the script on s and returns everything observable, or the
+// first thing s.check found wrong.
+func play(s scheduler, script []byte) ([]event, error) {
 	var (
-		log     []event
-		timers  []handle
-		tickers []ticker
-		nextID  int64
-		pos     int
+		log      []event
+		timers   []handle
+		released []bool // timers[i] has been given back: the script may not touch it again
+		tickers  []ticker
+		nextID   int64
+		pos      int
 	)
 	read := func() byte {
 		if pos >= len(script) {
@@ -220,20 +321,40 @@ func play(s scheduler, script []byte) []event {
 		pos++
 		return script[pos-1]
 	}
+	keep := func(hs ...handle) {
+		timers = append(timers, hs...)
+		released = append(released, make([]bool, len(hs))...)
+	}
+	// pick is the timer a script byte names, or -1 if there is none or
+	// the script has released it.
+	pick := func(k byte) int {
+		if len(timers) == 0 || released[int(k)%len(timers)] {
+			return -1
+		}
+		return int(k) % len(timers)
+	}
+	release := func(i int) {
+		released[i] = true
+		timers[i].Release()
+	}
 	var callback func(action, arg byte) func()
 	act := func(action, arg byte) {
 		switch action % actCount {
 		case actSchedule:
-			timers = append(timers, s.schedule(delayOf(arg), callback(actNone, 0)))
+			keep(s.schedule(delayOf(arg), callback(actNone, 0)))
 		case actSameInstant:
 			if arg%4 > 0 {
-				timers = append(timers, s.schedule(0, callback(actSameInstant, arg%4-1)))
+				keep(s.schedule(0, callback(actSameInstant, arg%4-1)))
 			} else {
-				timers = append(timers, s.schedule(-1, callback(actNone, 0)))
+				keep(s.schedule(-1, callback(actNone, 0)))
 			}
 		case actCancel:
-			if len(timers) > 0 {
-				timers[int(arg)%len(timers)].Cancel()
+			if i := pick(arg); i >= 0 {
+				timers[i].Cancel()
+			}
+		case actRelease:
+			if i := pick(arg); i >= 0 {
+				release(i)
 			}
 		case actCancelEvery:
 			if len(tickers) > 0 {
@@ -242,8 +363,7 @@ func play(s scheduler, script []byte) []event {
 		case actStop:
 			s.Stop()
 		case actBurst:
-			timers = append(timers,
-				s.schedule(delayOf(arg), callback(actNone, 0)),
+			keep(s.schedule(delayOf(arg), callback(actNone, 0)),
 				s.schedule(delayOf(arg), callback(actNone, 0)))
 		}
 	}
@@ -251,7 +371,7 @@ func play(s scheduler, script []byte) []event {
 		id := nextID
 		nextID++
 		return func() {
-			log = append(log, event{'f', id, s.Now(), s.Processed()})
+			log = append(log, event{'f', id, s.Now(), s.Processed(), s.pending()})
 			act(action, arg)
 		}
 	}
@@ -266,10 +386,10 @@ func play(s scheduler, script []byte) []event {
 		switch read() % opCount {
 		case opSchedule:
 			d := delayOf(read())
-			timers = append(timers, s.schedule(d, callback(read(), read())))
+			keep(s.schedule(d, callback(read(), read())))
 		case opAt:
 			t := delayOf(read())
-			timers = append(timers, s.at(t, callback(read(), read())))
+			keep(s.at(t, callback(read(), read())))
 		case opEvery:
 			first, period := delayOf(read()), max(delayOf(read()), 1)
 			left := int(read()%8) + 1
@@ -283,9 +403,22 @@ func play(s scheduler, script []byte) []event {
 			})
 			tickers = append(tickers, tk)
 		case opCancel:
-			if k := int(read()); len(timers) > 0 {
-				result = b2u(timers[k%len(timers)].Cancel())
+			if i := pick(read()); i >= 0 {
+				result = b2u(timers[i].Cancel())
 			}
+		case opRelease:
+			if i := pick(read()); i >= 0 {
+				release(i)
+			}
+		case opCancelRelease:
+			if i := pick(read()); i >= 0 {
+				result = b2u(timers[i].Cancel())
+				release(i)
+			}
+		case opScheduleRelease:
+			d := delayOf(read())
+			keep(s.schedule(d, callback(read(), read())))
+			release(len(timers) - 1)
 		case opCancelEvery:
 			if k := int(read()); len(tickers) > 0 {
 				tickers[k%len(tickers)].Cancel()
@@ -299,27 +432,47 @@ func play(s scheduler, script []byte) []event {
 		case opRunAll:
 			result = s.RunAll()
 		}
-		log = append(log, event{'o', int64(s.Processed()), s.Now(), result})
+		log = append(log, event{'o', int64(s.Processed()), s.Now(), result, s.pending()})
+		if err := s.check(); err != nil {
+			return log, fmt.Errorf("after operation %d: %w", len(log), err)
+		}
 	}
 	// Whatever is still filed must come out in order too.
 	s.RunAll()
-	return append(log, event{'o', int64(s.Processed()), s.Now(), 0})
+	return append(log, event{'o', int64(s.Processed()), s.Now(), 0, s.pending()}), s.check()
 }
 
-// checkOrder plays the script on the engine and on the reference and
-// fails at the first observation in which they differ.
+// checkOrder plays the script on the engine, on an engine that is never
+// given a timer back, and on the reference, and fails at the first
+// observation in which they differ — the reference in anything but
+// Pending, the two engines in anything at all.
 func checkOrder(t *testing.T, script []byte) {
 	t.Helper()
-	got := play(wheelSched{NewEngine()}, script)
-	want := play(&refEngine{}, script)
+	wheel := func(recycle bool) *wheelSched {
+		return &wheelSched{Engine: NewEngine(), recycle: recycle, tenant: map[*Timer]*wheelHandle{}}
+	}
+	got, err := play(wheel(true), script)
+	if err != nil {
+		t.Fatalf("script %v: %v", script, err)
+	}
+	kept, err := play(wheel(false), script)
+	if err != nil {
+		t.Fatalf("script %v, Release ignored: %v", script, err)
+	}
+	want, _ := play(&refEngine{}, script)
 	for i := range min(len(got), len(want)) {
-		if got[i] != want[i] {
+		if got[i] != kept[i] {
+			t.Fatalf("script %v: observation %d is %c%+v, with Release ignored it is %c%+v",
+				script, i, got[i].kind, got[i], kept[i].kind, kept[i])
+		}
+		if got[i].pending = 0; got[i] != want[i] {
 			t.Fatalf("script %v: observation %d is %c%+v, the reference has %c%+v",
 				script, i, got[i].kind, got[i], want[i].kind, want[i])
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("script %v: %d observations, the reference has %d", script, len(got), len(want))
+	if len(got) != len(want) || len(got) != len(kept) {
+		t.Fatalf("script %v: %d observations, %d with Release ignored, the reference has %d",
+			script, len(got), len(kept), len(want))
 	}
 }
 
@@ -373,13 +526,31 @@ var orderSeeds = [][]byte{
 		opSchedule, edge(1<<32 + 1), actSameInstant, 2,
 		opCancelEvery, 1, opRun, edge(1<<41 + 12345), opRunAll,
 	},
+	// Timers given back in every state — pending (fires later),
+	// cancelled but still filed, fired, firing — between and inside
+	// schedules that would take a free record at once if there were one.
+	{
+		opScheduleRelease, small(5), actSchedule, small(5), // fires into its own record
+		opSchedule, edge(1 << 16), actNone, 0,
+		opCancelRelease, 1, // filed at level 2 until the wheel gets there
+		opSchedule, small(7), actRelease, 2, // releases itself as it fires
+		opSchedule, small(9), actBurst, small(1),
+		opRelease, 3,
+		opRun, small(8),
+		opSchedule, small(1), actCancel, 4, // the child of timer 0, due at 10
+		opRelease, 2, // fired and released before: ignored
+		opRun, edge(1<<16 + 1),
+		opScheduleRelease, edge(0), actSameInstant, 3,
+		opRunAll,
+	},
 }
 
 // FuzzEngineOrder decodes its input into Schedule, At, Every, both
-// Cancels, Step, Run, RunAll and Stop — between runs and from inside
-// callbacks — and requires the engine to fire the same events at the
-// same times as the reference, with the same Now and Processed after
-// every operation. Plain `go test` runs the seeds.
+// Cancels, Release, Step, Run, RunAll and Stop — between runs and from
+// inside callbacks — and requires the engine to fire the same events at
+// the same times as the reference, with the same Now and Processed after
+// every operation, whether or not the released timers are recycled.
+// Plain `go test` runs the seeds.
 func FuzzEngineOrder(f *testing.F) {
 	for _, seed := range orderSeeds {
 		f.Add(seed)

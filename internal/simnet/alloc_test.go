@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flowercdn/internal/runtime"
+	"flowercdn/internal/transporttest"
 )
 
 // nopNode discards everything: the alloc guards must measure the
@@ -33,5 +34,34 @@ func TestSendDeliveryAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("Send+delivery allocates %.2f objects per message; want 0", avg)
+	}
+}
+
+// TestMessageAllocBytes holds both message paths to zero bytes, timers
+// included: the delivery and RPC records are pooled and every timer the
+// layer schedules is released to the engine, which recycles it. The
+// object count above cannot see a timer — a slab of 512 is one object —
+// so this counts bytes, over more messages than a slab has timers.
+func TestMessageAllocBytes(t *testing.T) {
+	f := newFixture(t)
+	a := f.join(nopNode{})
+	b := f.join(nopNode{})
+	replied := 0
+	onReply := func(any, error) { replied++ }
+	const rounds = 2000
+	if got := transporttest.AllocBytes(rounds, func() {
+		f.net.Send(a, b, "steady")
+		f.eng.RunAll()
+	}); got != 0 {
+		t.Errorf("Send+delivery allocated %d bytes over %d messages; want 0", got, rounds)
+	}
+	if got := transporttest.AllocBytes(rounds, func() {
+		f.net.Request(a, b, "steady", 0, onReply)
+		f.eng.RunAll()
+	}); got != 0 {
+		t.Errorf("Request+reply allocated %d bytes over %d calls; want 0", got, rounds)
+	}
+	if replied == 0 {
+		t.Fatal("no request was answered")
 	}
 }

@@ -13,6 +13,13 @@
 //
 // Messages to dead nodes are silently dropped, so failure detection is
 // always timeout-driven, like on a real network.
+//
+// Every timer the layer schedules goes back to its clock
+// (runtime.Timer.Release): a delivery and the two legs of an RPC in the
+// statement that schedules them, since nothing keeps those handles, and
+// an RPC's deadline where the reply cancels it or it fires. With the
+// pooled delivery and RPC records that makes a steady-state Send or
+// Request allocate nothing at all, timers included.
 package simnet
 
 import (
@@ -165,6 +172,7 @@ func (r *rpcState) maybeRecycle() {
 
 func (r *rpcState) deadlineFire() {
 	r.deadlineFired = true
+	r.deadline.Release()
 	r.refs--
 	if !r.done {
 		r.n.stats.RequestsTimedOut++
@@ -195,7 +203,7 @@ func (r *rpcState) deliverReq() {
 	}
 	r.resp, r.err = resp, err
 	r.refs++
-	n.clock.Schedule(n.Latency(r.to, r.from), r.onRespond)
+	n.clock.Schedule(n.Latency(r.to, r.from), r.onRespond).Release()
 }
 
 func (r *rpcState) deliverResp() {
@@ -203,6 +211,7 @@ func (r *rpcState) deliverResp() {
 	if !r.deadlineFired {
 		// The deadline can no longer fire; release its reference too.
 		r.deadline.Cancel()
+		r.deadline.Release()
 		r.refs--
 	}
 	r.finish(r.resp, r.err)
@@ -345,7 +354,7 @@ func (n *Network) Send(from, to runtime.NodeID, msg any) {
 	delay := n.Latency(from, to)
 	d := n.getDelivery()
 	d.from, d.to, d.msg = from, to, msg
-	n.clock.Schedule(delay, d.run)
+	n.clock.Schedule(delay, d.run).Release()
 }
 
 // Request performs an RPC: req travels to the target (one-way latency),
@@ -385,7 +394,7 @@ func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb fu
 		return
 	}
 	r.refs++
-	n.clock.Schedule(n.Latency(from, to), r.onDeliver)
+	n.clock.Schedule(n.Latency(from, to), r.onDeliver).Release()
 }
 
 // ForEachAlive visits every alive node id (ascending). The visitor must

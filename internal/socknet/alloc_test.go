@@ -1,0 +1,97 @@
+package socknet
+
+import (
+	goruntime "runtime"
+	"testing"
+	"time"
+
+	"flowercdn/internal/runtime"
+	"flowercdn/internal/transporttest"
+	"flowercdn/internal/wallclock"
+)
+
+// pongHandler answers every request with one prebuilt response.
+type pongHandler struct{ resp any }
+
+func (pongHandler) HandleMessage(runtime.NodeID, any)                {}
+func (h pongHandler) HandleRequest(runtime.NodeID, any) (any, error) { return h.resp, nil }
+
+// TestRequestRoundTripAllocs pins what the transport itself allocates
+// for a cross-process RPC — request frame out, handler, response frame
+// back, over real loopback TCP between two transports — at under one
+// object, counted process-wide over a closed loop of 64 in flight. The
+// payloads are a Ping and a Pong small enough to box without an
+// allocation, so nothing here is the codec's; a real payload adds its
+// decoded copy on each side (the repo benchmark's wire-rpc reads about
+// four). The pending-request, delayed-frame and inbox records are
+// pooled, and the timers a round trip schedules (its deadline, a delayed
+// frame each way, its share of the batch hand-offs) are released to the
+// clocks, which recycle them; while each was an object this read three.
+func TestRequestRoundTripAllocs(t *testing.T) {
+	trs := newMesh(t, 2, 1, 0, 0, "binary")
+	a, b := trs[0], trs[1]
+	clocks := [2]*wallclock.Clock{wallclock.NewClock(), wallclock.NewClock()}
+	loops := make(chan struct{})
+	for i, tr := range trs {
+		tr.Bind(clocks[i])
+		go func(c *wallclock.Clock) { c.Run(60_000); loops <- struct{}{} }(clocks[i])
+	}
+	defer func() {
+		for _, c := range clocks {
+			c.Stop()
+			<-loops
+		}
+		a.Close()
+		b.Close()
+	}()
+	server := b.Join(pongHandler{resp: transporttest.Pong{N: 1}}, midPlace)
+	client := a.Join(nopHandler{}, midPlace)
+	waitFor(t, "the server's join to reach the client", func() bool { return a.Alive(server) })
+
+	const inFlight, warm, rounds = 64, 1_000, 6_000
+	var (
+		req           any = transporttest.Ping{N: 1}
+		before, after goruntime.MemStats
+		issued, done  int
+		failed        int
+		finished      = make(chan struct{})
+		onReply       func(resp any, err error)
+	)
+	issue := func() {
+		if issued < warm+rounds {
+			issued++
+			a.Request(client, server, req, 0, onReply)
+		}
+	}
+	onReply = func(_ any, err error) { // on the client's run loop, like issue
+		if err != nil {
+			failed++
+		}
+		switch done++; done {
+		case warm:
+			goruntime.ReadMemStats(&before)
+		case warm + rounds:
+			goruntime.ReadMemStats(&after)
+			close(finished)
+		}
+		issue()
+	}
+	clocks[0].Schedule(0, func() {
+		for i := 0; i < inFlight; i++ {
+			issue()
+		}
+	})
+	select {
+	case <-finished:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%d of %d round trips after 60 s", done, warm+rounds)
+	}
+	if failed != 0 {
+		t.Fatalf("%d of %d requests failed", failed, warm+rounds)
+	}
+	perOp := float64(after.Mallocs-before.Mallocs) / rounds
+	t.Logf("%.2f objects, %.1f bytes per round trip", perOp, float64(after.TotalAlloc-before.TotalAlloc)/rounds)
+	if perOp >= 1 && !raceEnabled { // the race detector makes sync.Pool drop records at random
+		t.Errorf("a Request round trip allocates %.2f objects; want under 1", perOp)
+	}
+}

@@ -377,7 +377,7 @@ func (t *Transport) Bind(clock runtime.Clock) {
 		// a later batch of the same connection in ahead of these.
 		in := t.newInbox()
 		in.frames = append(in.frames, t.buffered...)
-		clock.Schedule(0, in.run)
+		clock.Schedule(0, in.run).Release()
 		t.buffered = nil
 	}
 }
@@ -633,7 +633,7 @@ func (t *Transport) readLoop(group int, cn *conn) {
 		}
 		t.mu.Unlock()
 		if len(in.frames) > 0 {
-			clock.Schedule(0, in.run)
+			clock.Schedule(0, in.run).Release()
 			in = t.newInbox()
 		}
 		if err != nil {
@@ -763,7 +763,7 @@ func (t *Transport) writeFrameAfter(delay int64, group int, f frame) {
 		d.run = d.send
 	}
 	d.t, d.group, d.f = t, group, f
-	t.clock.Schedule(delay, d.run)
+	t.clock.Schedule(delay, d.run).Release()
 }
 
 func (d *delayed) send() {
@@ -1047,7 +1047,7 @@ func (t *Transport) Send(from, to runtime.NodeID, msg any) {
 	delay := t.latencyLocked(from, to)
 	t.mu.Unlock()
 	if owner == t.group {
-		t.clock.Schedule(delay, func() { t.deliverLocal(from, to, msg) })
+		t.clock.Schedule(delay, func() { t.deliverLocal(from, to, msg) }).Release()
 	} else {
 		t.writeFrameAfter(delay, owner, frame{Kind: frameSend, From: from, To: to, Payload: msg})
 	}
@@ -1117,7 +1117,7 @@ func (t *Transport) Request(from, to runtime.NodeID, req any, timeout int64, cb 
 		return // request leg dropped in transit; the deadline will fire
 	}
 	if owner == t.group {
-		t.clock.Schedule(delay, func() { t.serveLocalRequest(id, from, to, req) })
+		t.clock.Schedule(delay, func() { t.serveLocalRequest(id, from, to, req) }).Release()
 	} else {
 		t.writeFrameAfter(delay, owner, frame{Kind: frameRequest, ReqID: id, From: from, To: to, Payload: req})
 	}
@@ -1130,6 +1130,7 @@ func (t *Transport) retireLocked(pr *pendingReq, deadlineDone bool) (cb func(res
 	delete(t.pending, pr.id)
 	cb, alive = pr.cb, t.aliveLocked(pr.from) // a dead requester never observes the outcome
 	if deadlineDone {
+		pr.deadline.Release()
 		pr.cb, pr.deadline = nil, nil
 		t.freeReqs = append(t.freeReqs, pr)
 	}
@@ -1143,7 +1144,7 @@ func (t *Transport) serveLocalRequest(id uint64, from, to runtime.NodeID, req an
 	if !ok {
 		return // dropped; the deadline will fire
 	}
-	t.clock.Schedule(back, func() { t.resolveRequest(id, resp, hasErr, errStr) })
+	t.clock.Schedule(back, func() { t.resolveRequest(id, resp, hasErr, errStr) }).Release()
 }
 
 // serveRemoteRequest runs the target handler for a cross-process RPC

@@ -9,6 +9,15 @@
 // transport). Scheduling is safe from any goroutine — transport reader
 // goroutines hand deliveries to the loop through Schedule — but
 // callbacks only ever execute inside Run, one at a time.
+//
+// Timer records are recycled only on request, as on the engine: a
+// handle the caller keeps is never reused; one given back with Release
+// goes on the clock's free list as soon as it is out of the heap — at
+// once if it has fired or been cancelled (Cancel unlinks immediately),
+// otherwise when Run pops it — and the next Schedule takes it. The
+// transports release every timer they schedule and a ticker releases
+// each firing's, so a steady stream of deliveries, RPC deadlines and
+// ticks allocates no timers.
 package wallclock
 
 import (
@@ -29,6 +38,7 @@ type timer struct {
 	pos       int // index in the clock's heap; meaningless once fired or cancelled
 	fired     bool
 	cancelled bool
+	released  bool
 }
 
 // Cancel takes a queued timer out of the heap at once, so the queue
@@ -59,6 +69,18 @@ func (t *timer) Cancelled() bool {
 }
 
 func (t *timer) When() int64 { return t.when }
+
+// Release gives the handle up; see runtime.Timer. A timer already out
+// of the heap is recycled here, a queued one when Run pops it.
+func (t *timer) Release() {
+	c := t.c
+	c.mu.Lock()
+	t.released = true
+	if t.fired || t.cancelled {
+		c.free = append(c.free, t)
+	}
+	c.mu.Unlock()
+}
 
 // timerHeap is a binary min-heap on (when, seq) — the engine's event
 // order, so same-deadline timers fire in schedule order — in which
@@ -139,6 +161,7 @@ type Clock struct {
 	mu        sync.Mutex
 	start     time.Time
 	queue     timerHeap
+	free      []*timer // released and out of the heap: at takes from here first
 	seq       uint64
 	processed uint64
 	stopped   bool
@@ -180,7 +203,13 @@ func (c *Clock) at(t, now int64, fn func()) *timer {
 	c.mu.Lock()
 	t = max(t, now, c.reached)
 	c.seq++
-	tm := &timer{c: c, when: t, seq: c.seq, fn: fn}
+	var tm *timer
+	if n := len(c.free); n > 0 {
+		tm, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		tm = new(timer)
+	}
+	*tm = timer{c: c, when: t, seq: c.seq, fn: fn}
 	c.queue.push(tm)
 	wake := c.sleeping && tm.pos == 0
 	c.mu.Unlock()
@@ -190,12 +219,14 @@ func (c *Clock) at(t, now int64, fn func()) *timer {
 	return tm
 }
 
-// ticker implements runtime.Ticker by rearming a fresh one-shot timer
-// after every firing.
+// ticker implements runtime.Ticker by arming a one-shot timer after
+// every firing — the record of the firing before, released as it is
+// rearmed, so a running ticker allocates nothing.
 type ticker struct {
 	c         *Clock
 	period    int64
 	fn        func()
+	run       func() // p.fire, bound once
 	mu        sync.Mutex
 	inner     *timer
 	cancelled bool
@@ -217,7 +248,8 @@ func (p *ticker) fire() {
 		// engine's PeriodicTimer: cadence stays `period` regardless of
 		// callback duration or loop latency (At clamps a missed deadline
 		// to now, so a slow callback catches up instead of backlogging).
-		p.inner = p.c.at(fired+p.period, p.c.Now(), p.fire)
+		p.inner.Release()
+		p.inner = p.c.at(fired+p.period, p.c.Now(), p.run)
 	}
 	p.mu.Unlock()
 }
@@ -248,11 +280,12 @@ func (c *Clock) Every(firstDelay, period int64, fn func()) runtime.Ticker {
 		panic("wallclock: Every called with non-positive period")
 	}
 	p := &ticker{c: c, period: period, fn: fn}
+	p.run = p.fire
 	// Hold p.mu across the first arm: if the timer is due immediately,
 	// fire() on the run loop blocks on p.mu until p.inner is assigned,
 	// so its locked rearm cannot race this write.
 	p.mu.Lock()
-	p.inner = c.Schedule(firstDelay, p.fire).(*timer)
+	p.inner = c.Schedule(firstDelay, p.run).(*timer)
 	p.mu.Unlock()
 	return p
 }
@@ -313,6 +346,9 @@ func (c *Clock) Run(until int64) uint64 {
 			t.fired = true
 			fn := t.fn
 			t.fn = nil
+			if t.released {
+				c.free = append(c.free, t)
+			}
 			c.processed++
 			c.mu.Unlock()
 			fn() // outside the lock: callbacks schedule freely

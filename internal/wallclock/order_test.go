@@ -1,6 +1,7 @@
 package wallclock
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -16,13 +17,61 @@ import (
 // so the reference is built after the run from what every goroutine
 // did: the timers it scheduled, with the deadline and sequence number
 // the clock gave each, less those whose Cancel returned true.
+//
+// The reference never reuses a timer. The clock does, for handles the
+// scripts give back with Release — pending, cancelled, fired, or in the
+// statement that schedules them — and the firing sequence must not
+// show it; handOuts and checkFree look at what the sequence would only
+// show late.
 
 // rec is one one-shot timer or one firing of a ticker.
 type rec struct {
 	when      int64
 	seq       uint64
-	h         runtime.Timer
-	cancelled atomic.Bool // set once Cancel has returned true
+	h         runtime.Timer // one-shot timers only
+	cancelled atomic.Bool   // set once Cancel has returned true
+	ran       atomic.Bool   // the callback has run
+	released  bool          // the script gave h back and may not touch it again (its goroutine only)
+}
+
+// handOuts is the handle each record was last handed out under, across
+// goroutines. The scripts keep every handle, so no record is collected
+// and a record seen twice is one the clock reused: its earlier handle
+// must have been released.
+type handOuts struct {
+	mu     sync.Mutex
+	tenant map[*timer]*rec
+}
+
+func (h *handOuts) adopt(t *testing.T, tm *timer, r *rec) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	// prev.released is written by prev's goroutine before Release, which
+	// takes the clock's mutex, as did the Schedule that reused the record.
+	if prev := h.tenant[tm]; prev != nil && !prev.released {
+		t.Errorf("timer (when %d, seq %d) handed out again, its handle was never released", prev.when, prev.seq)
+	}
+	h.tenant[tm] = r
+}
+
+// checkFree looks at the clock's free list: a free record is a released
+// one, out of the heap and listed once.
+func checkFree(c *Clock) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	seen := map[*timer]bool{}
+	for _, tm := range c.free {
+		switch {
+		case seen[tm]:
+			return fmt.Errorf("timer (when %d, seq %d) is on the free list twice", tm.when, tm.seq)
+		case tm.pos < len(c.queue) && c.queue[tm.pos] == tm:
+			return fmt.Errorf("timer (when %d, seq %d) is on the free list while in the heap", tm.when, tm.seq)
+		case !tm.released:
+			return fmt.Errorf("timer (when %d, seq %d) is on the free list, its handle was never released", tm.when, tm.seq)
+		}
+		seen[tm] = true
+	}
+	return nil
 }
 
 func sortRecs(rs []*rec) {
@@ -45,24 +94,40 @@ type tick struct {
 type script struct {
 	timers []*rec
 	ticks  []*tick
+	out    *handOuts
 }
 
 // play runs n random operations against c. Every callback appends to
 // *fired, which only the loop goroutine touches.
 func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*rec) {
 	for i := 0; i < n; i++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(14); {
 		case op < 4: // Schedule, delays from 0 (and below) to 30 ms
 			s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(int64(rng.Intn(32)-1), fn) })
 		case op < 6: // At, deadlines on either side of now
 			s.add(t, fired, func(fn func()) runtime.Timer { return c.At(c.Now()+int64(rng.Intn(40)-10), fn) })
-		case op < 7:
+		case op < 8: // Schedule and give the handle back at once, as a transport does
+			r := s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(int64(rng.Intn(32)-1), fn) })
+			r.release()
+		case op < 11 && len(s.timers) > 0: // Release one: pending, fired or cancelled; or Cancel it first
+			r := s.timers[rng.Intn(len(s.timers))]
+			if r.released {
+				break
+			}
+			if op == 10 && r.h.Cancel() {
+				r.cancelled.Store(true)
+			}
+			r.release()
+			if err := checkFree(c); err != nil {
+				t.Error(err)
+			}
+		case op < 12:
 			tk := &tick{period: int64(2 + rng.Intn(6))}
 			ready := make(chan struct{}) // the first firing may come before Every returns
 			tk.h = c.Every(int64(rng.Intn(10)), tk.period, func() {
 				<-ready
-				in := tk.h.(*ticker).inner // the timer now firing; rearmed after this returns
-				r := &rec{when: in.when, seq: in.seq, h: in}
+				in := tk.h.(*ticker).inner // the timer now firing; released and rearmed after this returns
+				r := &rec{when: in.when, seq: in.seq}
 				tk.fired = append(tk.fired, r)
 				*fired = append(*fired, r)
 			})
@@ -70,6 +135,9 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 			s.ticks = append(s.ticks, tk)
 		case len(s.timers) > 0: // Cancel one of this goroutine's timers
 			r := s.timers[rng.Intn(len(s.timers))]
+			if r.released {
+				break
+			}
 			if r.h.Cancel() {
 				r.cancelled.Store(true)
 				if r.h.Cancel() {
@@ -83,7 +151,7 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 }
 
 // add schedules one timer through mk, whose callback logs the firing.
-func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Timer) {
+func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Timer) *rec {
 	r := &rec{}
 	ready := make(chan struct{}) // the callback may run before mk returns
 	r.h = mk(func() {
@@ -91,11 +159,23 @@ func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Tim
 		if r.cancelled.Load() {
 			t.Error("callback ran after Cancel returned true")
 		}
+		if r.ran.Swap(true) {
+			t.Error("callback ran twice")
+		}
 		*fired = append(*fired, r)
 	})
 	r.when, r.seq = r.h.When(), r.h.(*timer).seq
+	s.out.adopt(t, r.h.(*timer), r)
 	close(ready)
 	s.timers = append(s.timers, r)
+	return r
+}
+
+// release gives the handle back; the record keeps what the reference
+// needs.
+func (r *rec) release() {
+	r.released = true
+	r.h.Release()
 }
 
 // TestOrderAgainstReference drives Schedule, At, Every and Cancel from
@@ -106,6 +186,10 @@ func TestOrderAgainstReference(t *testing.T) {
 		c := NewClock()
 		var fired []*rec
 		var scripts [4]script
+		out := &handOuts{tenant: map[*timer]*rec{}}
+		for g := range scripts {
+			scripts[g].out = out
+		}
 		// Part of every script is queued before the loop starts, the rest
 		// races it.
 		for g := range scripts {
@@ -139,6 +223,12 @@ func TestOrderAgainstReference(t *testing.T) {
 				if !r.cancelled.Load() {
 					want = append(want, r)
 				}
+				if r.ran.Load() == r.cancelled.Load() {
+					t.Fatalf("seed %d: timer ran=%v cancelled=%v", seed, r.ran.Load(), r.cancelled.Load())
+				}
+				if r.released {
+					continue
+				}
 				if r.h.Cancel() {
 					t.Fatalf("seed %d: Cancel returned true after the run ended", seed)
 				}
@@ -167,6 +257,9 @@ func TestOrderAgainstReference(t *testing.T) {
 		}
 		if c.Pending() != 0 {
 			t.Fatalf("seed %d: %d timers pending after everything fired or was cancelled", seed, c.Pending())
+		}
+		if err := checkFree(c); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
