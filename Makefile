@@ -2,16 +2,13 @@
 # .github/workflows/ci.yml), so a green `make check bench-smoke` locally
 # predicts a green pipeline.
 
-# pipefail: the bench targets pipe `go test` into benchjson, and a
-# benchmark failure must fail the target, not vanish behind the
-# pipe's last exit status.
+# pipefail: wire-bench pipes the benchmark into grep, and a benchmark
+# failure must fail the target, not vanish behind the pipe's last exit
+# status.
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-PR ?= 21
-BENCH_JSON := BENCH_PR$(PR).json
-
-.PHONY: build test race race-net wire-bench vet fmt check bench bench-smoke bench-delta bigcell-smoke fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck clean
+.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck
 
 build:
 	go build ./...
@@ -51,29 +48,12 @@ fmt:
 
 check: fmt vet build test
 
-# bench runs the full benchmark suite and records the trajectory file
-# for this PR (BENCH_PR$(PR).json): every table/figure regeneration
-# bench with its headline custom metrics, plus the engine
-# microbenchmarks. Takes a few minutes.
-bench:
-	go test -run '^$$' -bench . -benchmem ./... | tee /dev/stderr | go run ./cmd/benchjson > $(BENCH_JSON)
-	@echo "wrote $(BENCH_JSON)"
-
-# bench-delta diffs this PR's committed trajectory against the
-# previous PR's: per-benchmark ns/op and allocs/op movement, slowdowns
-# past 10% flagged (informational — trajectory files may come from
-# different machines) — plus the machine-portable memory metrics
-# (bytes/node, allocs/query), which ARE a gate: a >20% regression
-# exits non-zero. BENCH_DELTA_WARN_ONLY=1 downgrades the gate to a
-# warning for PRs that intentionally trade memory away.
-PREV_PR ?= $(shell echo $$(( $(PR) - 1 )))
-bench-delta:
-	go run ./cmd/benchjson -delta BENCH_PR$(PREV_PR).json $(BENCH_JSON)
-
-# bench-smoke is the CI-sized slice: one iteration of the cheap
-# benchmarks, just enough to catch rot in the bench harness itself.
+# bench-smoke is the CI-sized slice of the `go test` benchmarks: one
+# iteration of the cheap ones, just enough to catch rot in the bench
+# harness itself. (The performance trajectory is the benchmark/ suite —
+# see wire-bench and docs/OPERATIONS.md.)
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkPeriodic|BenchmarkTable1' -benchtime 1x -benchmem ./... | go run ./cmd/benchjson
+	go test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkPeriodic|BenchmarkTable1' -benchtime 1x -benchmem ./...
 
 # bigcell-smoke exercises the big-cell scale path at CI size: one
 # process hosting a 50k-node cell for one simulated hour on the sim
@@ -81,8 +61,8 @@ bench-smoke:
 # ~100 directory nodes on the ring) and koorde-global (every peer in
 # one global overlay, the memory-hostile extreme). Each run prints
 # live-heap bytes/node; the 4 KiB/node budget itself is enforced at
-# P=100k by BenchmarkBigCell (see `make bench`), which `make race`
-# excludes via a build tag.
+# P=100k by BenchmarkBigCell (`go test -run '^$' -bench BigCell .`),
+# which `make race` excludes via a build tag.
 bigcell-smoke:
 	go run ./cmd/flowersim -p 50000 -hours 1 -protocol flower -measure-mem
 	go run ./cmd/flowersim -p 50000 -hours 1 -protocol koorde-global -measure-mem
@@ -251,6 +231,3 @@ docs-check:
 # adds on top of the paper (see README "Cache policies").
 cache-grid-smoke:
 	go run ./cmd/flowerbench -grid capacity -scenario cache-pressure -seeds 1 -p 250
-
-clean:
-	rm -f BENCH_PR*.json.tmp

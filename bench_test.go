@@ -140,9 +140,10 @@ const bigCellBudgetBytes = 4096
 // BenchmarkBigCell runs the big-cell scale path: one process hosting a
 // P=100k flower cell on the sim backend over a short horizon, reporting
 // live-heap bytes/node (forced-GC heap over population) and failing the
-// benchmark if the footprint leaves the 4 KiB/node budget. Excluded
-// from race builds — the detector's shadow memory would both blow the
-// budget it measures and dominate the run time.
+// benchmark if the footprint leaves the 4 KiB/node budget. Run it with
+// `go test -run '^$' -bench BigCell .`. Excluded from race builds — the
+// detector's shadow memory would both blow the budget it measures and
+// dominate the run time.
 func BenchmarkBigCell(b *testing.B) {
 	if raceEnabled {
 		b.Skip("100k-node cell skipped under the race detector")

@@ -63,7 +63,8 @@ func Protocols() []Protocol {
 	return toProtocols(proto.Names())
 }
 
-// Backends returns the registered runtime backends ("sim", "realtime").
+// Backends returns the registered runtime backends ("realtime", "sim",
+// "socket").
 func Backends() []string { return runtime.Backends() }
 
 // CachePolicies returns the registered cache-eviction policies ("none"
@@ -73,13 +74,6 @@ func CachePolicies() []string { return cache.Names() }
 // Codecs returns the registered wire codecs the socket backend can
 // frame payloads with ("gob", "binary").
 func Codecs() []string { return runtime.Codecs() }
-
-// CachePolicySummary returns the one-line description of a registered
-// cache policy ("" for unknown names).
-func CachePolicySummary(name string) string {
-	info, _ := cache.Lookup(name)
-	return info.Summary
-}
 
 // CompareProtocols returns the protocols that belong in head-to-head
 // comparison grids (everything registered except degenerate floors
@@ -111,17 +105,10 @@ type Config struct {
 	Protocol Protocol
 	// Backend selects the runtime backend: "" or "sim" is the
 	// deterministic discrete-event simulation; "realtime" executes the
-	// identical protocol code on wall-clock timers (the run genuinely
-	// takes Hours of wall time — use harness.RealtimeDemoConfig-style
-	// compressed settings, or the flowersim -backend realtime demo, for
-	// seconds-scale live runs); "socket" executes it across cooperating
-	// OS processes over TCP (set Socket; every process runs the same
-	// Config differing only in Socket.Group). Backends lists the
-	// registered names.
+	// identical protocol code on wall-clock timers and genuinely takes
+	// Hours of wall time. (Seconds-scale live runs and the multi-process
+	// "socket" backend are flowersim's, not expressible here.)
 	Backend string
-	// Socket describes this process's slot in a socket-backend group.
-	// Required when Backend is "socket"; leave nil otherwise.
-	Socket *SocketConfig
 	// Seed makes runs reproducible: equal seeds, equal results.
 	Seed uint64
 	// Population is P, the mean number of concurrently-online peers.
@@ -188,26 +175,6 @@ type Config struct {
 	Trace bool
 }
 
-// SocketConfig describes one process of a socket-backend group: the
-// full index-ordered peer address list (identical in every process)
-// and this process's position in it. See the README's "Backends"
-// section for the process-group topology.
-type SocketConfig struct {
-	// Listen is this process's TCP listen address (host:port).
-	Listen string
-	// Peers lists every group's address, index-ordered; Peers[Group]
-	// names this process.
-	Peers []string
-	// Group is this process's index into Peers.
-	Group int
-	// Codec names the wire codec framing message payloads: "" or "gob"
-	// for the self-describing compatibility default, "binary" for the
-	// hand-rolled canonical encoding (~10× faster per frame). Every
-	// process of a group must agree; the connection handshake enforces
-	// it.
-	Codec string
-}
-
 // DefaultConfig returns the paper's Table 1 parameters (P = 3000,
 // 24 h, 100 websites with 6 active, 500 objects each, k = 6,
 // m = 60 min, one query per 6 min, gossip/keepalive hourly, push
@@ -245,12 +212,13 @@ func QuickConfig() Config {
 	return cfg
 }
 
-// lower translates the façade config into the internal harness config:
+// Lower translates the façade config into the internal harness config:
 // generic experiment knobs map onto harness fields, protocol knobs onto
 // the generic options map each registered driver reads its own keys
 // from (keys a protocol does not understand are ignored, so one option
-// set serves a whole comparison grid).
-func (c Config) lower() (harness.Config, error) {
+// set serves a whole comparison grid). It is exported for the in-module
+// tools that run the lowered config themselves (cmd/flowersim).
+func (c Config) Lower() (harness.Config, error) {
 	hc := harness.DefaultConfig()
 	switch {
 	case c.Protocol == "":
@@ -261,14 +229,6 @@ func (c Config) lower() (harness.Config, error) {
 		return hc, fmt.Errorf("flowercdn: unknown protocol %q (have %v)", c.Protocol, Protocols())
 	}
 	hc.Backend = c.Backend
-	if c.Socket != nil {
-		hc.Socket = &runtime.SocketConfig{
-			Listen: c.Socket.Listen,
-			Peers:  c.Socket.Peers,
-			Group:  c.Socket.Group,
-			Codec:  c.Socket.Codec,
-		}
-	}
 	hc.Seed = c.Seed
 	hc.Population = c.Population
 	hc.Duration = int64(c.Hours) * runtime.Hour
@@ -406,7 +366,7 @@ func (r *Result) HopLatency() trace.LatencyFunc { return r.inner.HopLatency }
 
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
-	hc, err := cfg.lower()
+	hc, err := cfg.Lower()
 	if err != nil {
 		return nil, err
 	}
@@ -420,7 +380,7 @@ func Run(cfg Config) (*Result, error) {
 // RunComparison runs Flower-CDN and Squirrel on identical settings and
 // seed — the paper's head-to-head setup behind Fig. 3–5.
 func RunComparison(cfg Config) (flower, squirrel *Result, err error) {
-	hc, err := cfg.lower()
+	hc, err := cfg.Lower()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -440,7 +400,7 @@ type ScalabilityRow struct {
 
 // RunScalability sweeps populations, reproducing Table 2.
 func RunScalability(cfg Config, populations []int) ([]ScalabilityRow, error) {
-	hc, err := cfg.lower()
+	hc, err := cfg.Lower()
 	if err != nil {
 		return nil, err
 	}
@@ -457,7 +417,7 @@ func RunScalability(cfg Config, populations []int) ([]ScalabilityRow, error) {
 
 // FormatTable1 renders the parameter sheet of the run.
 func FormatTable1(cfg Config) (string, error) {
-	hc, err := cfg.lower()
+	hc, err := cfg.Lower()
 	if err != nil {
 		return "", err
 	}

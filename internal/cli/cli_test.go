@@ -1,0 +1,158 @@
+package cli
+
+import (
+	"errors"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestMain doubles as the child process of TestSpawnRelaysAndCollects:
+// Spawn forks the running executable, which here is the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("CLI_TEST_CHILD") != "" {
+		fmt.Println("out", os.Args[1])
+		fmt.Fprintln(os.Stderr, "err", os.Args[1])
+		if os.Args[1] == "fail" {
+			os.Exit(3)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// captureStdout runs fn with os.Stdout redirected and returns what it
+// wrote.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- string(b)
+	}()
+	fn()
+	os.Stdout = saved
+	w.Close()
+	return <-done
+}
+
+func TestSpawnRelaysAndCollects(t *testing.T) {
+	t.Setenv("CLI_TEST_CHILD", "1")
+	var errs []error
+	out := captureStdout(t, func() {
+		wait, err := Spawn("c", [][]string{{"ok"}, {"fail"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs = wait()
+	})
+	for _, want := range []string{"[c0] out ok\n", "[c0] err ok\n", "[c1] out fail\n", "[c1] err fail\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("relayed output lacks %q:\n%s", want, out)
+		}
+	}
+	if len(errs) != 2 || errs[0] != nil {
+		t.Fatalf("exit errors = %v, want [nil, exit status 3]", errs)
+	}
+	var exit *exec.ExitError
+	if !errors.As(errs[1], &exit) || exit.ExitCode() != 3 {
+		t.Errorf("child 1 error = %v, want exit status 3", errs[1])
+	}
+}
+
+// TestArgsFromParsedFlags pins that child arguments come from the parsed
+// flag set — every spelling flag.Parse accepts selects the same flag —
+// and that defaults come from the bound variables.
+func TestArgsFromParsedFlags(t *testing.T) {
+	const keep, drop Tag = 1, 2
+	var (
+		name = "dflt"
+		n    = 7
+		on   bool
+		d    = time.Second
+		out  string
+	)
+	f := NewFlags(flag.NewFlagSet("t", flag.ContinueOnError))
+	Bind(f, keep, &name, "name", "")
+	Bind(f, keep, &n, "n", "")
+	Bind(f, keep, &on, "on", "")
+	Bind(f, keep, &d, "d", "")
+	Bind(f, drop, &out, "out", "")
+	if got := f.Lookup("n").DefValue; got != "7" {
+		t.Errorf("default of -n = %q, want the bound variable's 7", got)
+	}
+	if err := f.Parse([]string{"--out", "x", "-on", "--n=9", "-d", "2s"}); err != nil {
+		t.Fatal(err)
+	}
+	got := f.Args(func(t Tag) bool { return t == keep })
+	if want := []string{"-d=2s", "-n=9", "-on=true"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Args = %v, want %v (set flags only, none tagged drop)", got, want)
+	}
+	if _, ok := f.Tag("name"); !ok {
+		t.Error("Tag(name) not recorded")
+	}
+	if _, ok := f.Tag("nope"); ok {
+		t.Error("Tag reports an undeclared flag")
+	}
+}
+
+func TestWriteTo(t *testing.T) {
+	write := func(w io.Writer) error {
+		_, err := io.WriteString(w, "payload\n")
+		return err
+	}
+	path := filepath.Join(t.TempDir(), "a.csv")
+	if err := WriteTo(path, write); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := os.ReadFile(path); string(b) != "payload\n" {
+		t.Errorf("file holds %q", b)
+	}
+	if out := captureStdout(t, func() {
+		if err := WriteTo("-", write); err != nil {
+			t.Error(err)
+		}
+	}); out != "payload\n" {
+		t.Errorf(`"-" wrote %q to stdout`, out)
+	}
+	if err := WriteTo(filepath.Join(t.TempDir(), "no", "dir"), write); err == nil {
+		t.Error("unwritable path: no error")
+	}
+}
+
+func TestProfiledWritesBothFiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	ran := false
+	if err := Profiled(cpu, mem, func() error { ran = true; return nil }); err != nil || !ran {
+		t.Fatalf("err %v, body ran %v", err, ran)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("%s: missing or empty (%v)", p, err)
+		}
+	}
+	boom := errors.New("boom")
+	if err := Profiled("", filepath.Join(dir, "skipped.out"), func() error { return boom }); err != boom {
+		t.Errorf("body's error = %v, want it returned as is", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "skipped.out")); err == nil {
+		t.Error("heap profile written after a failed body")
+	}
+	if err := Profiled(filepath.Join(dir, "no", "dir"), "", func() error { return nil }); err == nil {
+		t.Error("unwritable cpu profile path: no error")
+	}
+}

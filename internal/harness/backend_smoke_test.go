@@ -74,9 +74,9 @@ func TestCacheBoundedSmokeSim(t *testing.T) {
 }
 
 // TestCrossBackendSmokeRealtime runs every registered protocol on the
-// wall-clock backend for a short horizon each — this test genuinely
-// takes ~1.5 s per protocol — and asserts clean completion with live
-// queries. Hit assertions are limited to the query-dense flower family:
+// wall-clock backend for a short horizon each — a run genuinely takes
+// its 1.5 s, so the protocols run side by side — and asserts clean
+// completion with live queries. Hit assertions are limited to the query-dense flower family:
 // at seconds-scale horizons the sparser protocols' hit counts are
 // legitimately noisy (that's what the deterministic leg above pins
 // down).
@@ -87,6 +87,7 @@ func TestCrossBackendSmokeRealtime(t *testing.T) {
 	for _, name := range proto.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel() // independent clocks and populations: sleep through the horizon together
 			cfg := RealtimeDemoConfig(50, 1500)
 			cfg.Protocol = Protocol(name)
 			res, err := Run(cfg)
@@ -111,8 +112,8 @@ func TestCrossBackendSmokeRealtime(t *testing.T) {
 
 // TestCacheBoundedSmokeRealtime repeats the bounded-cache smoke on the
 // wall-clock backend: the eviction path runs outside the simulator
-// too, with live eviction counters and a clean shutdown. ~1.5 s per
-// protocol.
+// too, with live eviction counters and a clean shutdown. 1.5 s per
+// protocol, side by side.
 func TestCacheBoundedSmokeRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
@@ -120,6 +121,7 @@ func TestCacheBoundedSmokeRealtime(t *testing.T) {
 	for _, name := range proto.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel() // independent clocks and populations: sleep through the horizon together
 			cfg := RealtimeDemoConfig(50, 1500)
 			cfg.Protocol = Protocol(name)
 			cfg.Options["cache-policy"] = "lru"

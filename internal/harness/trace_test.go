@@ -161,8 +161,9 @@ func TestTraceConformanceSim(t *testing.T) {
 }
 
 // TestTraceConformanceRealtime repeats the conformance check on the
-// wall-clock backend (~1.5 s per protocol): the same invariants hold
-// when hops are stamped from a real clock on live goroutines.
+// wall-clock backend (1.5 s per protocol, side by side): the same
+// invariants hold when hops are stamped from a real clock on live
+// goroutines.
 func TestTraceConformanceRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
@@ -170,6 +171,7 @@ func TestTraceConformanceRealtime(t *testing.T) {
 	for _, name := range proto.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel() // independent clocks and populations: sleep through the horizon together
 			cfg := RealtimeDemoConfig(50, 1500)
 			cfg.Protocol = Protocol(name)
 			cfg.Trace = &TraceConfig{}

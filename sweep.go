@@ -82,7 +82,7 @@ func Sweep(cells []SweepCell, seeds []uint64, workers int) (*SweepResult, error)
 func lowerSpec(cells []SweepCell, seeds []uint64, workers int) (sweep.Spec, error) {
 	spec := sweep.Spec{Seeds: seeds, Workers: workers}
 	for _, c := range cells {
-		hc, err := c.Config.lower()
+		hc, err := c.Config.Lower()
 		if err != nil {
 			return sweep.Spec{}, fmt.Errorf("flowercdn: sweep cell %q: %w", c.Name, err)
 		}

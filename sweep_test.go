@@ -145,7 +145,7 @@ func TestScenarios(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
-		if _, err := cfg.lower(); err != nil {
+		if _, err := cfg.Lower(); err != nil {
 			t.Fatalf("%s: lower: %v", s, err)
 		}
 	}
@@ -196,7 +196,7 @@ func TestCapacityGridExpansion(t *testing.T) {
 	}
 	// Every expanded cell must lower and validate.
 	for _, c := range cells {
-		if _, err := c.Config.lower(); err != nil {
+		if _, err := c.Config.Lower(); err != nil {
 			t.Fatalf("cell %q: %v", c.Name, err)
 		}
 	}
