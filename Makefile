@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck
+.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck
 
 build:
 	go build ./...
@@ -66,6 +66,26 @@ bench-smoke:
 bigcell-smoke:
 	go run ./cmd/flowersim -p 50000 -hours 1 -protocol flower -measure-mem
 	go run ./cmd/flowersim -p 50000 -hours 1 -protocol koorde-global -measure-mem
+
+# heap-growth-check holds live heap per node flat in simulated time:
+# under the paper's churn model every re-join is a fresh network
+# identity, so a run spawns ~one session per population slot per hour,
+# and a dead session that stays reachable (a roster that only appends, a
+# ticker nobody cancelled, a kept kill closure) shows as B/node growing
+# linearly with -hours. For one protocol of each deployment family the
+# 16 h figure must stay within 2x the 4 h one (a deployment that keeps
+# its dead reachable reads 3.5x to 4.1x). ~10 s.
+heap-growth-check:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go build -o "$$tmp/flowersim" ./cmd/flowersim; \
+	bytes_per_node() { "$$tmp/flowersim" -p 400 -hours $$2 -protocol $$1 -measure-mem | sed -n 's/^memory: \([0-9]*\) B\/node.*/\1/p'; }; \
+	for p in flower squirrel koorde-global; do \
+		b4=$$(bytes_per_node $$p 4); b16=$$(bytes_per_node $$p 16); \
+		printf '%-14s 4 h: %6d B/node  16 h: %6d B/node\n' "$$p" "$$b4" "$$b16"; \
+		if [ "$$b16" -gt $$((2 * b4)) ]; then \
+			echo "HEAP GROWS WITH SIMULATED TIME ($$p): dead peers are staying reachable" >&2; exit 1; \
+		fi; \
+	done; echo "live heap per node is flat in simulated time"
 
 # fingerprint-check runs the same simulation cell in two separate
 # processes for every registered protocol and compares the run
@@ -132,19 +152,21 @@ realtime-smoke:
 	go run ./cmd/flowersim -backend realtime -population 50 -horizon 3s
 
 # socket-smoke runs one population across three cooperating OS
-# processes on the socket backend: real TCP between peer groups, live
-# queries answered in every process, clean shutdown. Each child exits
+# processes on the socket backend: real TCP between peer groups — every
+# payload through the default binary codec's per-type marshallers and
+# the write-side batching path — live queries answered in every
+# process, clean shutdown. Each child exits
 # non-zero unless its queries were answered, and the parent propagates
 # any failure, so this is the full distributed-deployment assertion in
 # one command.
 socket-smoke:
 	go run ./cmd/flowersim -backend socket -spawn-local 3 -population 50 -horizon 6s
 
-# codec-smoke is socket-smoke under the hand-rolled binary wire codec:
-# the same 3-process TCP population, every payload moving through the
-# per-type marshallers and the write-side batching path instead of gob.
+# codec-smoke is socket-smoke under the gob compatibility codec: the
+# same 3-process TCP population with self-describing frames, the one
+# end-to-end run the compatibility path keeps while it exists.
 codec-smoke:
-	go run ./cmd/flowersim -backend socket -spawn-local 3 -population 50 -horizon 6s -codec binary
+	go run ./cmd/flowersim -backend socket -spawn-local 3 -population 50 -horizon 6s -codec gob
 
 # staticcheck runs the pinned version through `go run`, so CI and local
 # invocations cannot drift (CI calls this same target). Needs network

@@ -17,6 +17,7 @@ import (
 	"flowercdn/internal/flower"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/petalup"
+	"flowercdn/internal/proto"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/simrt"
@@ -53,7 +54,7 @@ func build(seed uint64, cfg flower.Config) (*world, error) {
 	origins := workload.NewOrigins(work, net, rng.Split("origins"))
 	cfg.Gossip.Period = 5 * runtime.Minute
 	cfg.KeepaliveInterval = 10 * runtime.Minute
-	sys, err := flower.NewSystem(cfg, flower.Deps{
+	sys, err := flower.NewSystem(cfg, proto.Env{
 		Net: net, RNG: rng.Split("flower"), Workload: work,
 		Origins: origins, Metrics: metrics.NewCollector(runtime.Hour),
 	})

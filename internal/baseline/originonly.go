@@ -61,74 +61,44 @@ import (
 	"flowercdn/internal/content"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/proto"
-	"flowercdn/internal/topology"
 	"flowercdn/internal/workload"
 )
 
 func init() {
+	// origin-only reads only the shared cache keys: its peers still cache
+	// what they fetch, the cache just never serves anyone else.
 	proto.Register(proto.Info{
-		Name:         "origin-only",
-		Summary:      "no P2P system: every query fetches from the origin server (the floor)",
-		Compare:      false, // degenerate floor; reachable by name, excluded from default grids
-		Order:        4,
-		CheckOptions: CheckOriginOnlyOptions,
-	}, NewOriginOnlyDriver)
-}
-
-// CheckOriginOnlyOptions statically validates the driver's options —
-// origin-only reads only the shared cache keys (its peers still cache
-// what they fetch, the cache just never serves anyone else).
-func CheckOriginOnlyOptions(opts proto.Options) error {
-	_, err := proto.CacheConfigFromOptions(opts)
-	return err
-}
-
-// Identity is the persistent participant state of both drivers'
-// individuals: interest, placement and cache survive offline periods;
-// the network address and ring position are per session, and a
-// directory slice belongs to whatever node is currently home.
-type Identity struct {
-	Site      content.SiteID
-	Placement topology.Placement
-	Store     *content.Store
-}
-
-// NewOriginOnlyDriver builds the origin-only deployment. It reads only
-// the shared cache options.
-func NewOriginOnlyDriver(env proto.Env, opts proto.Options) (proto.System, error) {
-	if env.Net == nil || env.RNG == nil || env.Workload == nil || env.Origins == nil || env.Metrics == nil {
-		return nil, errors.New("baseline: missing dependency for origin-only")
-	}
-	cacheCfg, err := proto.CacheConfigFromOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &originDriver{env: env, idRNG: env.RNG.Split("identities"),
-		newStore: cacheCfg.StoreFactory(env)}, nil
+		Name:    "origin-only",
+		Summary: "no P2P system: every query fetches from the origin server (the floor)",
+		Compare: false, // degenerate floor; reachable by name, excluded from default grids
+		Order:   4,
+	}, func(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
+		cacheCfg, err := proto.CacheConfigFromOptions(opts)
+		if err != nil {
+			return nil, err
+		}
+		return func(env proto.Env) (proto.System, error) {
+			return &originDriver{env: env, idRNG: env.RNG.Split("identities"),
+				newStore: cacheCfg.StoreFactory(env)}, nil
+		}, nil
+	})
 }
 
 type originDriver struct {
 	env      proto.Env
 	idRNG    *rnd.RNG
 	newStore func() *content.Store
-	spawned  uint64
-	alive    int
+	peers    proto.Roster[*originPeer]
 }
 
-func (d *originDriver) Start() {}
-func (d *originDriver) Stop()  {}
-
-// SeedCount matches the other deployments' bootstrap population so the
-// ramps are comparable; origin-only seeds are ordinary clients.
-func (d *originDriver) SeedCount() int { return proto.DefaultSeedCount(d.env) }
-
+// SpawnSeed: origin-only seeds are ordinary clients.
 func (d *originDriver) SpawnSeed(int) (proto.Individual, func()) {
 	ind := d.NewIndividual()
 	return ind, d.Spawn(ind)
 }
 
 func (d *originDriver) NewIndividual() proto.Individual {
-	return Identity{
+	return proto.Identity{
 		Site:      d.env.Workload.AssignInterest(d.idRNG),
 		Placement: d.env.Topo.Place(d.idRNG),
 		Store:     d.newStore(),
@@ -136,16 +106,15 @@ func (d *originDriver) NewIndividual() proto.Individual {
 }
 
 func (d *originDriver) Spawn(ind proto.Individual) func() {
-	id := ind.(Identity)
-	d.spawned++
-	d.alive++
+	id := ind.(proto.Identity)
 	p := &originPeer{
 		d:     d,
 		site:  id.Site,
 		store: id.Store,
-		rng:   d.env.RNG.Split(fmt.Sprintf("origin-peer-%d", d.spawned)),
+		rng:   d.env.RNG.Split(fmt.Sprintf("origin-peer-%d", d.peers.Spawned()+1)),
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
+	d.peers.Add(p)
 	if d.env.Workload.Active(p.site) {
 		p.scheduleNextQuery(p.d.env.Workload.FirstQueryDelay(p.rng))
 	}
@@ -154,8 +123,8 @@ func (d *originDriver) Spawn(ind proto.Individual) func() {
 
 func (d *originDriver) Stats() proto.Stats {
 	return proto.Stats{
-		proto.StatPeersSpawned: float64(d.spawned),
-		proto.StatAlivePeers:   float64(d.alive),
+		proto.StatPeersSpawned: float64(d.peers.Spawned()),
+		proto.StatAlivePeers:   float64(d.peers.Alive()),
 	}
 }
 
@@ -190,10 +159,10 @@ func (p *originPeer) issueQuery() {
 	origin := env.Origins.Node(key.Site)
 	now := env.Clock.Now()
 	dist := env.Net.Latency(p.nid, origin)
-	// The provider is known a priori; the lookup "resolves" in the one
-	// leg it takes to reach the origin, and the transfer covers the
-	// same distance back.
-	env.Metrics.Emit(metrics.QueryEvent(now, metrics.Miss, dist, dist))
+	// The provider is known a priori: the query resolves the instant it
+	// is issued, a miss with the one leg to the origin still to travel,
+	// and the transfer covers the same distance back.
+	env.Metrics.Emit(metrics.QueryEvent(now, metrics.Miss, metrics.LookupLatency(now, now, metrics.Miss, dist), dist))
 	env.Metrics.Emit(metrics.CounterEvent(now, "origin_fetches", 1))
 	env.Net.Request(p.nid, origin, env.Workload.FetchReqMsg(key), 0,
 		func(_ any, err error) {
@@ -209,12 +178,15 @@ func (p *originPeer) kill() {
 		return
 	}
 	p.dead = true
-	p.d.alive--
+	p.d.peers.Drop()
 	if p.timer != nil {
 		p.timer.Cancel()
 	}
 	p.d.env.Net.Fail(p.nid)
 }
+
+// Alive implements the proto.Roster entry.
+func (p *originPeer) Alive() bool { return !p.dead }
 
 // HandleMessage implements runtime.Handler; origin-only peers receive
 // no protocol traffic.

@@ -39,8 +39,7 @@ type NewRouter func(net runtime.Transport, rng *rnd.RNG, app chord.App, nid runt
 // protocol's random streams were named before the drivers were merged
 // and a run's fingerprint depends on every one of them.
 type RingSpec struct {
-	// Info is the registry entry; RegisterRingDirectory fills in
-	// CheckOptions.
+	// Info is the registry entry.
 	Info proto.Info
 	// Router lowers and validates the overlay's own options
 	// (chord-demo, koorde-degree-bits) into a node constructor.
@@ -86,29 +85,7 @@ func SiteHome(label string) func(content.Key) ids.ID {
 
 // RegisterRingDirectory registers the ring-directory deployment
 // described by s under s.Info.Name.
-func RegisterRingDirectory(s RingSpec) {
-	s.Info.CheckOptions = func(opts proto.Options) error {
-		_, _, err := s.lower(opts)
-		return err
-	}
-	proto.Register(s.Info, func(env proto.Env, opts proto.Options) (proto.System, error) {
-		if env.Net == nil || env.RNG == nil || env.Workload == nil || env.Origins == nil || env.Metrics == nil {
-			return nil, fmt.Errorf("baseline: missing dependency for %s", s.Info.Name)
-		}
-		cfg, cacheCfg, err := s.lower(opts)
-		if err != nil {
-			return nil, err
-		}
-		d := &ringDriver{spec: &s, cfg: cfg, env: env, idRNG: env.RNG.Split("identities"),
-			newStore: cacheCfg.StoreFactory(env)}
-		d.drawRNG = d.idRNG
-		if s.RootDraws {
-			d.drawRNG = env.RNG
-		}
-		d.registry.BindBus(env.Net)
-		return d, nil
-	})
-}
+func RegisterRingDirectory(s RingSpec) { proto.Register(s.Info, s.lower) }
 
 // ringConfig is a spec's options, lowered.
 type ringConfig struct {
@@ -126,13 +103,13 @@ type ringConfig struct {
 // fallback.
 const queryRetries = 3
 
-// lower resolves the option map into a validated config — shared by the
-// factory and the registry's static CheckOptions hook. Beyond the keys
-// the spec names it reads query-timeout (10 s), the shared cache keys,
-// and with PushSummaries refresh-interval (2 x keepalive-interval, else
-// 2 h — summaries are bulk messages, so they refresh at half the
+// lower is the spec's proto.Lowering: it resolves the option map into a
+// validated config and returns the deployment's constructor. Beyond the
+// keys the spec names it reads query-timeout (10 s), the shared cache
+// keys, and with PushSummaries refresh-interval (2 x keepalive-interval,
+// else 2 h — summaries are bulk messages, so they refresh at half the
 // keepalive rate). Unknown keys are ignored.
-func (s *RingSpec) lower(opts proto.Options) (ringConfig, proto.CacheConfig, error) {
+func (s *RingSpec) lower(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
 	cfg := ringConfig{
 		redirects:    opts.Int(s.RedirectsKey, 1),
 		indexCap:     opts.Int(s.CapKey, 4),
@@ -141,25 +118,34 @@ func (s *RingSpec) lower(opts proto.Options) (ringConfig, proto.CacheConfig, err
 	name := s.Info.Name
 	cacheCfg, err := proto.CacheConfigFromOptions(opts)
 	if err != nil {
-		return cfg, cacheCfg, fmt.Errorf("%s: %w", name, err)
+		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	if cfg.newRouter, err = s.Router(opts); err != nil {
-		return cfg, cacheCfg, err // names its overlay already
+		return nil, err // names its overlay already
 	}
 	if cfg.redirects < 1 || cfg.indexCap < 1 {
-		return cfg, cacheCfg, fmt.Errorf("%s: %s and %s must be at least 1 (%d, %d)",
+		return nil, fmt.Errorf("%s: %s and %s must be at least 1 (%d, %d)",
 			name, s.RedirectsKey, s.CapKey, cfg.redirects, cfg.indexCap)
 	}
 	if cfg.queryTimeout <= 0 {
-		return cfg, cacheCfg, fmt.Errorf("%s: query-timeout must be positive", name)
+		return nil, fmt.Errorf("%s: query-timeout must be positive", name)
 	}
 	if s.PushSummaries {
 		cfg.refresh = opts.Duration("refresh-interval", 2*opts.Duration("keepalive-interval", runtime.Hour))
 		if cfg.refresh <= 0 {
-			return cfg, cacheCfg, fmt.Errorf("%s: refresh-interval must be positive", name)
+			return nil, fmt.Errorf("%s: refresh-interval must be positive", name)
 		}
 	}
-	return cfg, cacheCfg, nil
+	return func(env proto.Env) (proto.System, error) {
+		d := &ringDriver{spec: s, cfg: cfg, env: env, idRNG: env.RNG.Split("identities"),
+			newStore: cacheCfg.StoreFactory(env)}
+		d.drawRNG = d.idRNG
+		if s.RootDraws {
+			d.drawRNG = env.RNG
+		}
+		d.registry.BindBus(env.Net)
+		return d, nil
+	}, nil
 }
 
 type ringDriver struct {
@@ -173,28 +159,20 @@ type ringDriver struct {
 	// registry is the ring-member gateway set, mirrored across
 	// processes on multi-process backends (chord.Registry).
 	registry chord.Registry
-	// peers tracks every peer ever spawned in creation order — the
-	// RingInspector snapshot source (dead peers are skipped).
-	peers    []*peer
-	spawned  uint64
-	alive    int
+	// peers is the RingInspector snapshot source and the population
+	// count; protocol logic never consults it.
+	peers    proto.Roster[*peer]
 	querySeq uint64
 }
 
-func (d *ringDriver) Start() {}
-func (d *ringDriver) Stop()  {}
-
-// SeedCount matches the Flower deployments' bootstrap population so the
-// ramps are comparable; the seeds are ordinary ring members.
-func (d *ringDriver) SeedCount() int { return proto.DefaultSeedCount(d.env) }
-
+// SpawnSeed: the seeds are ordinary ring members.
 func (d *ringDriver) SpawnSeed(int) (proto.Individual, func()) {
 	ind := d.NewIndividual()
 	return ind, d.Spawn(ind)
 }
 
 func (d *ringDriver) NewIndividual() proto.Individual {
-	return Identity{
+	return proto.Identity{
 		Site:      d.env.Workload.AssignInterest(d.idRNG),
 		Placement: d.env.Topo.Place(d.drawRNG),
 		Store:     d.newStore(),
@@ -202,14 +180,12 @@ func (d *ringDriver) NewIndividual() proto.Individual {
 }
 
 func (d *ringDriver) Spawn(ind proto.Individual) func() {
-	id := ind.(Identity)
-	d.spawned++
-	d.alive++
+	id := ind.(proto.Identity)
 	p := &peer{
 		d:     d,
 		site:  id.Site,
 		store: id.Store,
-		rng:   d.env.RNG.Split(fmt.Sprintf(d.spec.PeerStream, d.spawned)),
+		rng:   d.env.RNG.Split(fmt.Sprintf(d.spec.PeerStream, d.peers.Spawned()+1)),
 		index: make(map[content.Key][]runtime.NodeID),
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
@@ -219,15 +195,15 @@ func (d *ringDriver) Spawn(ind proto.Individual) func() {
 		panic(err) // config validated at build time
 	}
 	p.node = node
-	d.peers = append(d.peers, p)
+	d.peers.Add(p)
 	p.enterRing(3)
 	return p.kill
 }
 
 func (d *ringDriver) Stats() proto.Stats {
 	return proto.Stats{
-		proto.StatPeersSpawned: float64(d.spawned),
-		proto.StatAlivePeers:   float64(d.alive),
+		proto.StatPeersSpawned: float64(d.peers.Spawned()),
+		proto.StatAlivePeers:   float64(d.peers.Alive()),
 	}
 }
 
@@ -235,8 +211,8 @@ func (d *ringDriver) Stats() proto.Stats {
 // alive, joined ring member, in creation order.
 func (d *ringDriver) RingMembers() []proto.RingMember {
 	var out []proto.RingMember
-	for _, p := range d.peers {
-		if p.dead || !p.joined {
+	for _, p := range d.peers.Online() {
+		if !p.joined {
 			continue
 		}
 		m := proto.RingMemberOf(p.node)
@@ -397,7 +373,7 @@ func (p *peer) kill() {
 		return
 	}
 	p.dead = true
-	p.d.alive--
+	p.d.peers.Drop()
 	p.node.Stop()
 	if p.queryTimer != nil {
 		p.queryTimer.Cancel()
@@ -408,6 +384,9 @@ func (p *peer) kill() {
 	p.query = nil
 	p.d.env.Net.Fail(p.nid)
 }
+
+// Alive implements the proto.Roster entry.
+func (p *peer) Alive() bool { return !p.dead }
 
 // issueQuery starts one query through the distributed directory.
 func (p *peer) issueQuery() {
@@ -557,9 +536,7 @@ func (p *peer) probeProvider(q *activeQuery) {
 		})
 }
 
-// resolve records metrics and performs the transfer — the same
-// lookup-latency definition as Flower-CDN: time to reach the
-// destination that will provide the object (see flower.resolve).
+// resolve records metrics and performs the transfer.
 func (p *peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime.NodeID) {
 	if p.query != q {
 		return
@@ -569,13 +546,7 @@ func (p *peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 	env := p.d.env
 	now := env.Clock.Now()
 	dist := env.Net.Latency(p.nid, provider)
-	lookup := now - q.start
-	if outcome == metrics.Miss {
-		lookup += dist
-	} else if lookup > dist {
-		lookup -= dist
-	}
-	env.Metrics.Emit(metrics.QueryEvent(now, outcome, lookup, dist))
+	env.Metrics.Emit(metrics.QueryEvent(now, outcome, metrics.LookupLatency(q.start, now, outcome, dist), dist))
 	if tr := env.Trace; tr.Enabled() {
 		tr.Emit(now, &trace.Record{
 			Query: q.seq, Client: p.nid, Loc: env.Net.Locality(p.nid),

@@ -19,12 +19,6 @@ import (
 // dead or wedged worker ever forfeits.
 const DefaultLease = 2 * time.Minute
 
-// DefaultCodec is the wire codec of the coordinator/worker protocol
-// when none is named. Binary is the natural choice: the messages all
-// carry canonical marshallers and the result records reuse the same
-// encoding on disk.
-const DefaultCodec = "binary"
-
 // CoordinatorConfig describes one coordinator.
 type CoordinatorConfig struct {
 	// Listen is the TCP address workers dial ("127.0.0.1:0" binds an
@@ -35,7 +29,9 @@ type CoordinatorConfig struct {
 	Spec sweep.Spec
 	// OutDir holds the resumable per-cell record files.
 	OutDir string
-	// Codec names the wire codec (DefaultCodec when empty).
+	// Codec names the wire codec; empty is runtime.DefaultCodec, binary —
+	// the messages all carry canonical marshallers and the result records
+	// reuse the same encoding on disk.
 	Codec string
 	// Lease is the per-job deadline (DefaultLease when <= 0).
 	Lease time.Duration
@@ -92,11 +88,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.OutDir == "" {
 		return nil, errors.New("distsweep: coordinator needs an out-dir for resumable result files")
 	}
-	codec := cfg.Codec
-	if codec == "" {
-		codec = DefaultCodec
-	}
-	if _, err := runtime.NewCodec(codec); err != nil {
+	if _, err := runtime.NewCodec(cfg.Codec); err != nil {
 		return nil, fmt.Errorf("distsweep: %w", err)
 	}
 	leaseFor := cfg.Lease
@@ -120,7 +112,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:      cfg,
 		spec:     cfg.Spec,
 		sum:      sum,
-		codec:    codec,
+		codec:    cfg.Codec,
 		lease:    leaseFor,
 		ln:       ln,
 		logs:     logs,
@@ -515,18 +507,4 @@ func (c *Coordinator) scanLeases() {
 			c.event("%d lease(s) expired; job(s) requeued for reassignment", expired)
 		}
 	}
-}
-
-// RunCoordinator is StartCoordinator + Wait + Close in one call — the
-// simple entry point when no worker spawning needs the address first.
-func RunCoordinator(cfg CoordinatorConfig) (*sweep.Result, error) {
-	c, err := StartCoordinator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res, werr := c.Wait()
-	if cerr := c.Close(); werr == nil && cerr != nil {
-		werr = cerr
-	}
-	return res, werr
 }

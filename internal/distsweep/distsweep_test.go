@@ -11,6 +11,7 @@ import (
 	"flowercdn/internal/harness"
 	"flowercdn/internal/metrics"
 	_ "flowercdn/internal/protocols" // register the built-in drivers
+	"flowercdn/internal/runtime"
 	"flowercdn/internal/sim"
 	"flowercdn/internal/socknet"
 	"flowercdn/internal/sweep"
@@ -216,7 +217,7 @@ func TestWorkerKillMidJobReassigns(t *testing.T) {
 
 	// The doomed worker: a raw stream that takes one job and dies
 	// without a word — the kill -9 shape of worker loss.
-	s, err := socknet.DialStream(coord.Addr(), DefaultCodec, time.Second)
+	s, err := socknet.DialStream(coord.Addr(), runtime.DefaultCodec, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestStragglerResultDiscardedByEpoch(t *testing.T) {
 	defer coord.Close()
 
 	// The straggler: takes a job, never heartbeats, stays connected.
-	s, err := socknet.DialStream(coord.Addr(), DefaultCodec, time.Second)
+	s, err := socknet.DialStream(coord.Addr(), runtime.DefaultCodec, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

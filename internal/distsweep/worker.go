@@ -29,7 +29,7 @@ type WorkerConfig struct {
 	// from the same flags by the same binary. The handshake compares
 	// SpecSum fingerprints.
 	Spec sweep.Spec
-	// Codec names the wire codec (DefaultCodec when empty); it must
+	// Codec names the wire codec (runtime.DefaultCodec when empty); it must
 	// match the coordinator's.
 	Codec string
 	// Name labels this worker in coordinator events; defaults to
@@ -55,10 +55,6 @@ func RunWorker(cfg WorkerConfig) error {
 	if err := Validate(cfg.Spec); err != nil {
 		return err
 	}
-	codec := cfg.Codec
-	if codec == "" {
-		codec = DefaultCodec
-	}
 	name := cfg.Name
 	if name == "" {
 		name = fmt.Sprintf("worker-%d", os.Getpid())
@@ -69,7 +65,7 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 	}
 
-	s, err := dialRetry(cfg.Coordinator, codec, cfg.DialTimeout)
+	s, err := dialRetry(cfg.Coordinator, cfg.Codec, cfg.DialTimeout)
 	if err != nil {
 		return err
 	}

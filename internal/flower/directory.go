@@ -97,6 +97,28 @@ func (d *directoryState) removeProvider(k content.Key, nid runtime.NodeID) {
 	}
 }
 
+// stopTickers ends the sweep and audit loops — on demotion and on
+// death: a ticker left armed re-arms for the rest of the run and pins
+// the peer, its directory state and its chord node.
+func (d *directoryState) stopTickers() {
+	d.sweep.Cancel()
+	d.audit.Cancel()
+}
+
+// freshestMember picks the most recently seen member — likeliest to be
+// alive — or runtime.None from an empty view. Ties (same millisecond)
+// break by NodeID so the choice never depends on map-iteration order.
+func (d *directoryState) freshestMember() runtime.NodeID {
+	var best runtime.NodeID = runtime.None
+	var bestSeen int64 = -1
+	for nid, m := range d.members {
+		if m.lastSeen > bestSeen || (m.lastSeen == bestSeen && nid < best) {
+			best, bestSeen = nid, m.lastSeen
+		}
+	}
+	return best
+}
+
 // Pos returns the directory's ring position.
 func (d *directoryState) Pos() ids.ID { return d.pos }
 
@@ -213,7 +235,6 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 		for _, e := range p.gsp.View() {
 			if meta, ok := e.Meta.(ContactMeta); ok && meta.Summary != nil {
 				p.dir.oldSummaries = append(p.dir.oldSummaries, e)
-				_ = meta
 			}
 		}
 		p.dir.summaryDeadline = p.eng().Now() + 2*p.sys.cfg.KeepaliveInterval
@@ -235,7 +256,9 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 	// A directory is still a petal member: keep gossiping so its own
 	// summary and (self-pointing) dir-info spread.
 	p.gsp.Start()
-	p.sys.registerDirectory(chord.Entry{Node: p.nid, ID: pos})
+	// A new ring member is a bootstrap gateway (announced to the other
+	// processes on multi-process backends).
+	p.sys.registry.Add(chord.Entry{Node: p.nid, ID: pos})
 	// Directory peers of active websites query like any other peer.
 	p.ensureQueryLoop()
 }
@@ -311,16 +334,13 @@ func (p *Peer) demoteToContentPeer(winner chord.Entry) {
 	}
 	p.chordNode.Stop()
 	p.chordNode = nil
-	if p.dir.sweep != nil {
-		p.dir.sweep.Cancel()
-	}
-	if p.dir.audit != nil {
-		p.dir.audit.Cancel()
-	}
+	p.dir.stopTickers()
 	p.dir = nil
 	p.role = RoleContent
 	p.sys.demotions++
-	p.sys.unregisterDirectory(p.nid)
+	// Dead gateways are pruned lazily, but a demoted one is alive and
+	// would otherwise swallow routed queries.
+	p.sys.registry.Remove(p.nid)
 	p.dirInfo = DirInfo{Pos: winner.ID, Node: winner.Node, Age: 0}
 	p.syncedDir = runtime.None
 	p.startKeepalive()
@@ -558,7 +578,7 @@ func (p *Peer) onDirectClientQuery(m clientQueryMsg) {
 		p.handleClientQuery(p.dir.pos, m, m.Path)
 		return
 	}
-	p.net().Send(p.nid, m.Client, vacantResp{Seq: m.Seq, Pos: dringPosition(m.Site, m.Loc, 0)})
+	p.net().Send(p.nid, m.Client, vacantResp{Seq: m.Seq, Pos: dring.Position(m.Site, m.Loc, 0)})
 }
 
 // handleClientQuery serves a routed or directly-sent client query.
@@ -576,7 +596,7 @@ func (p *Peer) handleClientQuery(routedKey ids.ID, m clientQueryMsg, path []trac
 	// the query along to d^{i+1}; the final instance absorbs it and, if
 	// itself overloaded, recruits a new instance.
 	if p.overloaded() {
-		next := dringPosition(m.Site, m.Loc, p.dir.instance+1)
+		next := dring.Position(m.Site, m.Loc, p.dir.instance+1)
 		succ := p.chordNode.Successor()
 		if succ.Valid() && succ.ID == next && m.Scanned < dring.MaxInstances {
 			m.Scanned++
@@ -631,16 +651,7 @@ func (p *Peer) maybePromoteInstance(pos ids.ID) {
 	if dring.InstanceOf(pos) >= dring.MaxInstances-1 {
 		return
 	}
-	// Pick the most recently seen member: likeliest to be alive. Ties
-	// (same millisecond) break by NodeID so the choice never depends on
-	// map-iteration order.
-	var best runtime.NodeID = runtime.None
-	var bestSeen int64 = -1
-	for nid, m := range d.members {
-		if m.lastSeen > bestSeen || (m.lastSeen == bestSeen && nid < best) {
-			best, bestSeen = nid, m.lastSeen
-		}
-	}
+	best := d.freshestMember()
 	if best == runtime.None {
 		return
 	}
@@ -692,14 +703,7 @@ func (p *Peer) Leave() {
 		return
 	}
 	if p.dir != nil {
-		var best runtime.NodeID = runtime.None
-		var bestSeen int64 = -1
-		for nid, m := range p.dir.members {
-			if m.lastSeen > bestSeen || (m.lastSeen == bestSeen && nid < best) {
-				best, bestSeen = nid, m.lastSeen
-			}
-		}
-		if best != runtime.None {
+		if best := p.dir.freshestMember(); best != runtime.None {
 			h := handoffMsg{Pos: p.dir.pos, Index: make(map[content.Key][]runtime.NodeID, len(p.dir.index))}
 			for k, ps := range p.dir.index {
 				h.Index[k] = append([]runtime.NodeID(nil), ps...) // already sorted

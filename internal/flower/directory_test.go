@@ -271,7 +271,7 @@ func TestDemotionYieldsToWinner(t *testing.T) {
 	if dir.DirInfo().Node != winner.NodeID() {
 		t.Fatal("demoted peer does not point at the winner")
 	}
-	if f.sys.Stats().Demotions == 0 {
+	if f.sys.Stats()["demotions"] == 0 {
 		t.Fatal("demotion not counted")
 	}
 	// Demoted peers are pruned from the gateway registry.

@@ -5,11 +5,13 @@ import (
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/simrt"
 	"fmt"
+	"strings"
 	"testing"
 
 	"flowercdn/internal/content"
 	"flowercdn/internal/dring"
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/proto"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/workload"
 )
@@ -35,7 +37,7 @@ func newFixture(t *testing.T, seed uint64, mut func(*Config)) *fixture {
 
 // newFixtureWith is newFixture for tests that also change what the
 // system runs on (a tracer, a wrapped metrics emitter).
-func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), depsMut func(*Deps)) *fixture {
+func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), envMut func(*proto.Env)) *fixture {
 	t.Helper()
 	rng := rnd.New(seed)
 	tcfg := topology.DefaultConfig()
@@ -62,11 +64,11 @@ func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), depsMut func(*
 	if mut != nil {
 		mut(&cfg)
 	}
-	deps := Deps{Net: net, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll}
-	if depsMut != nil {
-		depsMut(&deps)
+	env := proto.Env{Net: net, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll}
+	if envMut != nil {
+		envMut(&env)
 	}
-	sys, err := NewSystem(cfg, deps)
+	sys, err := NewSystem(cfg, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,9 +133,18 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// The substrate is vetted by the registry (proto.New checks the Env
+// once for every protocol); what NewSystem itself checks is its Config.
 func TestNewSystemRequiresDeps(t *testing.T) {
-	if _, err := NewSystem(DefaultConfig(), Deps{}); err == nil {
-		t.Fatal("missing deps accepted")
+	for _, name := range []string{"flower", "petalup"} {
+		if _, err := proto.New(name, proto.Env{}, nil); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("%s: missing deps accepted or unnamed: %v", name, err)
+		}
+	}
+	bad := DefaultConfig()
+	bad.QueryRetries = 0
+	if _, err := NewSystem(bad, proto.Env{}); err == nil {
+		t.Fatal("invalid config accepted")
 	}
 }
 
@@ -308,7 +319,7 @@ func TestDirectoryFailureReplacedByContentPeer(t *testing.T) {
 	if newDir.Directory().Pos() != dring.Position(0, loc, 0) {
 		t.Fatal("replacement took the wrong position")
 	}
-	if f.sys.Stats().DirReplacements == 0 {
+	if f.sys.Stats()["dir_replacements"] == 0 {
 		t.Fatal("replacement counter not bumped")
 	}
 	// Survivors converge on the new directory via gossip/keepalive.
@@ -342,7 +353,7 @@ func TestVacantPositionClaimedByNewClient(t *testing.T) {
 	if c.Role() != RoleDirectory {
 		t.Fatalf("client role = %v, want directory (vacancy claim)", c.Role())
 	}
-	if f.sys.Stats().VacancyClaims == 0 {
+	if f.sys.Stats()["vacancy_claims"] == 0 {
 		t.Fatal("vacancy claim counter not bumped")
 	}
 	// Its first query was still resolved (via origin).
@@ -362,7 +373,7 @@ func TestPetalUpPromotesUnderLoad(t *testing.T) {
 	}
 	f.run(30 * runtime.Minute)
 	st := f.sys.Stats()
-	if st.DirPromotions == 0 {
+	if st["dir_promotions"] == 0 {
 		t.Fatal("no PetalUp promotions despite load limit 3 and 12 arrivals")
 	}
 	// No instance should be wildly above the limit (new members keep
@@ -392,7 +403,7 @@ func TestPetalUpScanReachesSecondInstance(t *testing.T) {
 	found := false
 	f.net.ForEachAlive(func(id runtime.NodeID) {})
 	// Inspect via stats: promotions imply instance >= 1 joined.
-	if f.sys.Stats().DirPromotions == 0 {
+	if f.sys.Stats()["dir_promotions"] == 0 {
 		t.Fatal("expected at least one promotion")
 	}
 	_ = found
@@ -467,10 +478,37 @@ func TestStatsSnapshot(t *testing.T) {
 	f := newFixture(t, 14, nil)
 	f.seedRing()
 	st := f.sys.Stats()
-	if st.PeersSpawned == 0 {
+	if st[proto.StatPeersSpawned] == 0 {
 		t.Fatal("spawn counter not tracking")
 	}
 	if fmt.Sprint(RoleClient, RoleContent, RoleDirectory) == "" {
 		t.Fatal("role strings empty")
+	}
+}
+
+// A killed peer leaves nothing armed: once every peer of a deployment
+// is dead the event queue drains — cancelled timers are discarded as
+// the wheel reaches them and nothing re-arms. A dead directory's sweep
+// or audit ticker left armed would tick on for the rest of the run,
+// pinning its Peer, directory state and chord node.
+func TestKilledDeploymentDrainsTheEventQueue(t *testing.T) {
+	f := newFixture(t, 23, nil)
+	f.seedRing()
+	for i := 0; i < 12; i++ {
+		f.spawn(content.SiteID(i%3), topology.Locality(i%2))
+	}
+	f.run(2 * runtime.Hour)
+	dirs := f.sys.DirectoryCount()
+	for _, p := range f.sys.Peers() {
+		p.kill()
+	}
+	st := f.sys.Stats()
+	if dirs == 0 || st[proto.StatAlivePeers] != 0 || st[proto.StatPeersSpawned] != 20 || len(f.sys.Peers()) != 0 {
+		t.Fatalf("%d directories before the kill; after it alive %g, spawned %g, %d online",
+			dirs, st[proto.StatAlivePeers], st[proto.StatPeersSpawned], len(f.sys.Peers()))
+	}
+	f.run(6 * runtime.Hour)
+	if n := f.eng.Engine().Pending(); n != 0 {
+		t.Fatalf("%d timers still pending 6 h after the last peer died: something re-arms", n)
 	}
 }

@@ -33,21 +33,35 @@ func (p *Peer) keepaliveTick() {
 		p.maybePush()
 		return
 	}
-	dirNode := p.dirInfo.Node
-	p.net().Request(p.nid, dirNode, keepaliveReq{Site: p.site, Loc: p.loc},
-		p.sys.cfg.Chord.RPCTimeout, func(_ any, err error) {
-			if p.dead {
-				return
-			}
-			if err != nil {
-				p.dirContactFailed(dirNode)
-				return
-			}
-			if p.dirInfo.Node == dirNode {
-				p.dirMisses = 0
-				p.dirInfo.Age = 0
-			}
-		})
+	p.sendKeepalive(p.dirInfo.Node, p.dirAnswered(p.dirInfo.Node, false))
+}
+
+func (p *Peer) sendKeepalive(dirNode runtime.NodeID, cb func(any, error)) {
+	p.net().Request(p.nid, dirNode, keepaliveReq{Site: p.site, Loc: p.loc}, p.sys.cfg.Chord.RPCTimeout, cb)
+}
+
+// dirAnswered is the callback of every exchange that doubles as a
+// liveness check of directory dirNode — keepalive, push (synced: the
+// directory now holds our full store) and confirming probe. A failure
+// counts towards replacement; an answer from what is still our
+// directory resets the miss count and the dir-info age.
+func (p *Peer) dirAnswered(dirNode runtime.NodeID, synced bool) func(any, error) {
+	return func(_ any, err error) {
+		if p.dead {
+			return
+		}
+		if err != nil {
+			p.dirContactFailed(dirNode)
+			return
+		}
+		if p.dirInfo.Node == dirNode {
+			p.dirMisses = 0
+			p.dirInfo.Age = 0
+		}
+		if synced {
+			p.syncedDir = dirNode
+		}
+	}
 }
 
 // needsFullPush reports whether the current directory has never
@@ -80,22 +94,8 @@ func (p *Peer) maybePush() {
 	if len(keys) == 0 {
 		return
 	}
-	dirNode := p.dirInfo.Node
-	p.net().Request(p.nid, dirNode, pushReq{Site: p.site, Loc: p.loc, Keys: keys},
-		p.sys.cfg.Chord.RPCTimeout, func(_ any, err error) {
-			if p.dead {
-				return
-			}
-			if err != nil {
-				p.dirContactFailed(dirNode)
-				return
-			}
-			if p.dirInfo.Node == dirNode {
-				p.dirMisses = 0
-				p.dirInfo.Age = 0
-			}
-			p.syncedDir = dirNode
-		})
+	p.net().Request(p.nid, p.dirInfo.Node, pushReq{Site: p.site, Loc: p.loc, Keys: keys},
+		p.sys.cfg.Chord.RPCTimeout, p.dirAnswered(p.dirInfo.Node, true))
 }
 
 // dirContactFailed handles one failed exchange with the directory. A
@@ -110,23 +110,9 @@ func (p *Peer) dirContactFailed(dirNode runtime.NodeID) {
 	p.dirMisses++
 	if p.dirMisses < 2 {
 		p.eng().Schedule(2*runtime.Second, func() {
-			if p.dead || p.dirInfo.Node != dirNode {
-				return
+			if !p.dead && p.dirInfo.Node == dirNode {
+				p.sendKeepalive(dirNode, p.dirAnswered(dirNode, false))
 			}
-			p.net().Request(p.nid, dirNode, keepaliveReq{Site: p.site, Loc: p.loc},
-				p.sys.cfg.Chord.RPCTimeout, func(_ any, err error) {
-					if p.dead {
-						return
-					}
-					if err != nil {
-						p.dirContactFailed(dirNode)
-						return
-					}
-					if p.dirInfo.Node == dirNode {
-						p.dirMisses = 0
-						p.dirInfo.Age = 0
-					}
-				})
 		})
 		return
 	}
@@ -174,15 +160,11 @@ func (p *Peer) onDirectoryDead(deadNode runtime.NodeID) {
 				p.maybePush()
 				return
 			}
-			p.net().Request(p.nid, current.Node, keepaliveReq{Site: p.site, Loc: p.loc},
-				p.sys.cfg.Chord.RPCTimeout, func(_ any, kerr error) {
-					if p.dead {
-						return
-					}
-					if kerr != nil && p.dirInfo.Node == current.Node {
-						p.dirInfo = DirInfo{Pos: pos, Node: runtime.None}
-					}
-				})
+			p.sendKeepalive(current.Node, func(_ any, kerr error) {
+				if !p.dead && kerr != nil && p.dirInfo.Node == current.Node {
+					p.dirInfo = DirInfo{Pos: pos, Node: runtime.None}
+				}
+			})
 			return
 		}
 		// Claim failed without a visible incumbent (ring trouble).

@@ -7,17 +7,11 @@ import (
 
 	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
-	"flowercdn/internal/dring"
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/ids"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/workload"
 )
-
-// dringPosition is a thin alias so protocol code reads like the paper.
-func dringPosition(site content.SiteID, loc topology.Locality, instance int) ids.ID {
-	return dring.Position(site, loc, instance)
-}
 
 // Role describes what a peer currently is.
 type Role int
@@ -123,9 +117,6 @@ func (p *Peer) Store() *content.Store { return p.store }
 // DirInfo returns the peer's current record of its directory.
 func (p *Peer) DirInfo() DirInfo { return p.dirInfo }
 
-// ViewSize returns the gossip view size (tests and load metrics).
-func (p *Peer) ViewSize() int { return p.gsp.Size() }
-
 // Directory exposes directory-role state, nil for non-directories.
 func (p *Peer) Directory() *directoryState { return p.dir }
 
@@ -174,15 +165,21 @@ func (p *Peer) queryTick() {
 	p.scheduleNextQuery(p.sys.work.NextQueryDelay(p.rng))
 }
 
-// kill fails the peer: all components stop and the network drops it.
+// kill fails the peer: all components stop, every ticker it armed is
+// cancelled and the network and the roster drop it — after which
+// nothing the deployment holds can reach the Peer (see internal/proto).
 func (p *Peer) kill() {
 	if p.dead {
 		return
 	}
 	p.dead = true
+	p.sys.peers.Drop()
 	p.gsp.Stop()
 	if p.chordNode != nil {
 		p.chordNode.Stop()
+	}
+	if p.dir != nil {
+		p.dir.stopTickers()
 	}
 	if p.keepaliveTimer != nil {
 		p.keepaliveTimer.Cancel()

@@ -601,18 +601,7 @@ func (p *Peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 	p.query = nil
 	now := p.eng().Now()
 	dist := p.net().Latency(p.nid, provider)
-	// Lookup latency is the paper's "latency taken to resolve a query
-	// and reach the destination that will provide the requested
-	// object". For verified hits the destination was reached one
-	// response leg before now; for misses the query still has to travel
-	// to the origin.
-	lookup := now - q.start
-	if outcome == metrics.Miss {
-		lookup += dist
-	} else if lookup > dist {
-		lookup -= dist
-	}
-	p.sys.coll.Emit(metrics.QueryEvent(now, outcome, lookup, dist))
+	p.sys.coll.Emit(metrics.QueryEvent(now, outcome, metrics.LookupLatency(q.start, now, outcome, dist), dist))
 	if p.sys.tracer.Enabled() {
 		// The record owns a copy of the path: q recycles below and its
 		// backing array will be reused by the peer's next query.

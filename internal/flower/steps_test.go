@@ -7,6 +7,7 @@ import (
 	"flowercdn/internal/content"
 	"flowercdn/internal/dring"
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/proto"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/topology"
@@ -97,7 +98,7 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 		f := newFixtureWith(t, 41, func(c *Config) {
 			c.QueryTimeout = 300 * runtime.Millisecond
 			c.QueryRetries = 3
-		}, func(d *Deps) {
+		}, func(d *proto.Env) {
 			coll := d.Metrics
 			sink := emitFunc(func(ev metrics.Event) {
 				if ev.Kind == metrics.KindQuery {

@@ -66,6 +66,7 @@ import (
 	"flowercdn/internal/dring"
 	"flowercdn/internal/ids"
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/proto"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/trace"
 	"flowercdn/internal/workload"
@@ -97,9 +98,16 @@ type System struct {
 	// follower marks a process that must wait for an announced gateway
 	// instead of founding the D-ring (multi-process backends only).
 	follower bool
-	// peers tracks every spawned peer for measurement only; protocol
-	// logic never consults it (that would be cheating the distribution).
-	peers []*Peer
+	// peers is the online roster, for measurement only; protocol logic
+	// never consults it (that would be cheating the distribution).
+	peers proto.Roster[*Peer]
+	// idRNG draws arriving individuals' interests and localities —
+	// through locZipf when the run skews arrivals over localities. It is
+	// split off rng on first use (identities); the registered driver
+	// forces that at build, so that it is a run's first draw on rng —
+	// the order every pinned fingerprint depends on.
+	idRNG   *rnd.RNG
+	locZipf *workload.Zipf
 
 	// freeSteps recycles the per-RPC records of the query path (steps.go);
 	// candScratch is the ranking buffer of contentQuery and rankProviders,
@@ -107,7 +115,6 @@ type System struct {
 	freeSteps   []*step
 	candScratch []provCand
 
-	peersSpawned   uint64
 	dirPromotions  uint64
 	dirReplacement uint64
 	vacancyClaims  uint64
@@ -115,86 +122,51 @@ type System struct {
 	querySeq       uint64
 }
 
-// Deps are the substrate handles a System runs on. Metrics is any
-// event emitter — the harness passes a full metrics.Pipeline, library
-// callers and tests can pass a bare *metrics.Collector.
-type Deps struct {
-	Net      runtime.Transport
-	RNG      *rnd.RNG
-	Workload *workload.Workload
-	Origins  *workload.Origins
-	Metrics  metrics.Emitter
-	// NewStore builds each individual's content store; nil means
-	// unbounded (content.NewStore — the paper's storage model).
-	NewStore func() *content.Store
-	// Follower marks a process that must not found the D-ring (see
-	// proto.Env.Follower); meaningful only on multi-process backends.
-	Follower bool
-	// Trace is the optional per-query tracer; nil disables tracing.
-	Trace *trace.Tracer
-}
-
-// NewSystem validates the config and builds an empty deployment.
-func NewSystem(cfg Config, d Deps) (*System, error) {
+// NewSystem validates the config and builds an empty deployment on
+// env — of which it reads Net (and the clock and topology behind it),
+// RNG, Workload, Origins, Metrics, Trace, LocalitySkew and Follower.
+// Metrics is any event emitter: the harness passes a full
+// metrics.Pipeline, library callers and tests a bare
+// *metrics.Collector. Stores are unbounded (content.NewStore — the
+// paper's storage model) unless the registered driver's cache options
+// say otherwise. proto.New vets env for registry callers; direct
+// callers own its completeness.
+func NewSystem(cfg Config, env proto.Env) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if d.Net == nil || d.RNG == nil || d.Workload == nil || d.Origins == nil || d.Metrics == nil {
-		return nil, fmt.Errorf("flower: missing dependency in %+v", d)
-	}
-	newStore := d.NewStore
-	if newStore == nil {
-		newStore = content.NewStore
-	}
 	s := &System{
 		cfg:      cfg,
-		net:      d.Net,
-		eng:      d.Net.Clock(),
-		rng:      d.RNG,
-		work:     d.Workload,
-		origins:  d.Origins,
-		coll:     d.Metrics,
-		tracer:   d.Trace,
-		newStore: newStore,
-		follower: d.Follower,
+		net:      env.Net,
+		eng:      env.Net.Clock(),
+		rng:      env.RNG,
+		work:     env.Workload,
+		origins:  env.Origins,
+		coll:     env.Metrics,
+		tracer:   env.Trace,
+		newStore: content.NewStore,
+		follower: env.Follower,
+	}
+	if env.LocalitySkew > 0 {
+		var err error
+		if s.locZipf, err = workload.NewZipf(env.Net.Topology().Localities(), env.LocalitySkew); err != nil {
+			return nil, err
+		}
 	}
 	// On a multi-process backend, mirror the gateway registry over the
 	// bus: ring-member registrations announced by other processes feed
 	// our registry and vice versa, so a client anywhere can discover a
 	// directory anywhere.
-	s.registry.BindBus(d.Net)
+	s.registry.BindBus(env.Net)
 	return s, nil
-}
-
-// Config returns the deployment's configuration.
-func (s *System) Config() Config { return s.cfg }
-
-// Stats exposes protocol-level counters for the harness.
-type Stats struct {
-	PeersSpawned    uint64
-	DirPromotions   uint64 // PetalUp splits
-	DirReplacements uint64 // failure repairs (Sec. 5.2.1)
-	VacancyClaims   uint64 // new-client joins at vacant positions
-	Demotions       uint64 // duplicate-position audits resolved
-}
-
-// Stats returns a snapshot of protocol counters.
-func (s *System) Stats() Stats {
-	return Stats{
-		PeersSpawned:    s.peersSpawned,
-		DirPromotions:   s.dirPromotions,
-		DirReplacements: s.dirReplacement,
-		VacancyClaims:   s.vacancyClaims,
-		Demotions:       s.demotions,
-	}
 }
 
 // DuplicatePositions counts alive directory peers beyond one per
 // position — the invariant the audit protocol drives back to zero.
 func (s *System) DuplicatePositions() int {
 	per := map[ids.ID]int{}
-	for _, p := range s.peers {
-		if p.Alive() && p.dir != nil {
+	for _, p := range s.peers.Online() {
+		if p.dir != nil {
 			per[p.dir.pos]++
 		}
 	}
@@ -205,19 +177,6 @@ func (s *System) DuplicatePositions() int {
 		}
 	}
 	return dups
-}
-
-// registerDirectory records a new ring member as a bootstrap gateway
-// and, on multi-process backends, announces it to the other processes.
-func (s *System) registerDirectory(e chord.Entry) {
-	s.registry.Add(e)
-}
-
-// unregisterDirectory removes a demoted peer from the gateway registry
-// (dead ones are pruned lazily, but a demoted peer is alive and would
-// otherwise swallow routed queries) and mirrors the removal.
-func (s *System) unregisterDirectory(nid runtime.NodeID) {
-	s.registry.Remove(nid)
 }
 
 // gateway returns an alive registry entry, excluding one node (usually
@@ -239,16 +198,16 @@ func (s *System) DirectoryCount() int {
 	return n
 }
 
-// Peers returns every peer ever spawned (measurement only; includes
-// dead ones — filter with Peer.Alive).
-func (s *System) Peers() []*Peer { return s.peers }
+// Peers returns the online peers in spawn order (measurement only). The
+// slice is the roster's: read it before the next spawn.
+func (s *System) Peers() []*Peer { return s.peers.Online() }
 
 // PetalDirectories returns the alive directory instances currently
 // serving petal (site, loc), in instance order (measurement only).
 func (s *System) PetalDirectories(site content.SiteID, loc topology.Locality) []*Peer {
 	var out []*Peer
-	for _, p := range s.peers {
-		if p.Alive() && p.dir != nil && dring.SamePetal(p.dir.pos, site, loc) {
+	for _, p := range s.peers.Online() {
+		if p.dir != nil && dring.SamePetal(p.dir.pos, site, loc) {
 			out = append(out, p)
 		}
 	}
@@ -256,34 +215,10 @@ func (s *System) PetalDirectories(site content.SiteID, loc topology.Locality) []
 	return out
 }
 
-// AlivePeerCount returns the number of alive peers (diagnostic).
-func (s *System) AlivePeerCount() int {
-	n := 0
-	for _, p := range s.peers {
-		if p.Alive() {
-			n++
-		}
-	}
-	return n
-}
-
-// Identity is the persistent part of a participant. The paper's churn
-// model (total network size 1.3·P) cycles a fixed population of
-// individuals through online sessions: every session gets a fresh
-// network address, but the individual's interest, physical location
-// and — crucially — its cached content survive offline periods ("a
-// content peer has enough storage potential to avoid replacing its
-// content through the experiment's duration").
-type Identity struct {
-	Site      content.SiteID
-	Placement topology.Placement
-	Store     *content.Store
-}
-
 // NewIdentity draws a fresh individual interested in site, located in
 // loc, with an empty cache.
-func (s *System) NewIdentity(site content.SiteID, loc topology.Locality) Identity {
-	return Identity{
+func (s *System) NewIdentity(site content.SiteID, loc topology.Locality) proto.Identity {
+	return proto.Identity{
 		Site:      site,
 		Placement: s.net.Topology().PlaceAt(loc, s.rng),
 		Store:     s.newStore(),
@@ -293,7 +228,7 @@ func (s *System) NewIdentity(site content.SiteID, loc topology.Locality) Identit
 // SpawnIdentity brings an individual online as a new client; its
 // persistent store comes back with it (and will be re-indexed by its
 // petal's directory through the full push on re-join).
-func (s *System) SpawnIdentity(id Identity) (*Peer, func()) {
+func (s *System) SpawnIdentity(id proto.Identity) (*Peer, func()) {
 	p := s.newPeer(id)
 	p.startLife()
 	return p, p.kill
@@ -310,7 +245,7 @@ func (s *System) SpawnSeedDirectory(site content.SiteID, loc topology.Locality) 
 
 // SpawnSeedDirectoryIdentity is SpawnSeedDirectory for a persistent
 // individual.
-func (s *System) SpawnSeedDirectoryIdentity(id Identity) (*Peer, func()) {
+func (s *System) SpawnSeedDirectoryIdentity(id proto.Identity) (*Peer, func()) {
 	p := s.newPeer(id)
 	pos := p.petalPos
 	switch {
@@ -365,23 +300,16 @@ func (p *Peer) seedClaim(pos ids.ID, attempts int) {
 	})
 }
 
-// SpawnClient creates a fresh participant with the given interest at a
-// random placement: an active-site client starts its query loop, any
+// SpawnClientAt creates a fresh participant with the given interest in
+// the given locality: an active-site client starts its query loop, any
 // other peer immediately requests petal membership. The returned kill
-// function fails the peer (fail-only churn).
-func (s *System) SpawnClient(site content.SiteID) (*Peer, func()) {
-	loc := topology.Locality(s.rng.Intn(s.net.Topology().Localities()))
-	return s.SpawnClientAt(site, loc)
-}
-
-// SpawnClientAt is SpawnClient pinned to a locality — used by the
-// PetalUp flash-crowd experiments.
+// function fails the peer (fail-only churn). The PetalUp flash-crowd
+// experiments use it.
 func (s *System) SpawnClientAt(site content.SiteID, loc topology.Locality) (*Peer, func()) {
 	return s.SpawnIdentity(s.NewIdentity(site, loc))
 }
 
-func (s *System) newPeer(id Identity) *Peer {
-	s.peersSpawned++
+func (s *System) newPeer(id proto.Identity) *Peer {
 	store := id.Store
 	if store == nil {
 		store = s.newStore()
@@ -390,13 +318,13 @@ func (s *System) newPeer(id Identity) *Peer {
 		sys:      s,
 		site:     id.Site,
 		loc:      id.Placement.Loc,
-		petalPos: dringPosition(id.Site, id.Placement.Loc, 0),
+		petalPos: dring.Position(id.Site, id.Placement.Loc, 0),
 		store:    store,
-		rng:      s.rng.Split(fmt.Sprintf("peer-%d", s.peersSpawned)),
+		rng:      s.rng.Split(fmt.Sprintf("peer-%d", s.peers.Spawned()+1)),
 	}
 	p.nid = s.net.Join(p, id.Placement)
 	p.initGossip()
-	s.peers = append(s.peers, p)
+	s.peers.Add(p)
 	return p
 }
 

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"flowercdn/internal/metrics"
 	"flowercdn/internal/proto"
 	"flowercdn/internal/runtime"
 )
@@ -147,10 +146,3 @@ func FormatSummary(r *Result) string {
 	}
 	return b.String()
 }
-
-// Fig4Bounds re-exports the metric bucket bounds for callers printing
-// their own headers.
-var Fig4Bounds = metrics.Fig4Bounds
-
-// Fig5Bounds re-exports the transfer bucket bounds.
-var Fig5Bounds = metrics.Fig5Bounds

@@ -23,7 +23,6 @@ import (
 
 	"flowercdn/internal/churn"
 	"flowercdn/internal/metrics"
-	"flowercdn/internal/obs"
 	"flowercdn/internal/proto"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
@@ -35,7 +34,9 @@ import (
 	// importing the built-in backends keeps every harness caller able to
 	// name them, the same way internal/protocols registers the drivers.
 	// socknet is additionally imported for its WireStats type, the
-	// serialized-traffic report the socket backend alone can produce.
+	// serialized-traffic report the socket backend alone can produce —
+	// the one concrete type this package still takes from a layer below
+	// the runtime seam (ROADMAP item 1(a)).
 	_ "flowercdn/internal/rtnet"
 	_ "flowercdn/internal/simrt"
 	"flowercdn/internal/socknet"
@@ -153,13 +154,20 @@ type Config struct {
 	// announcement bus, so group 0 collects the whole population's.
 	Trace *TraceConfig
 
-	// Obs, when set, is attached to the run's metrics pipeline so the
-	// live observability server sees queries, counters and traces as
-	// they happen (realtime/socket runs; works on sim too). The caller
-	// builds and starts the server; the harness stops it when the run
-	// returns (Stop is idempotent, so a caller-side stop stays safe),
-	// keeping the endpoint's lifetime tied to the run it reports on.
-	Obs *obs.Server
+	// Obs, when set, is attached to the run's metrics pipeline so a live
+	// observability server (*obs.Server is the one implementation) sees
+	// queries, counters and traces as they happen (realtime/socket runs;
+	// works on sim too). The caller builds and starts the server; the
+	// harness stops it when the run returns (Stop must be idempotent, so
+	// a caller-side stop stays safe), keeping the endpoint's lifetime
+	// tied to the run it reports on.
+	Obs interface {
+		metrics.Sink
+		// AddTrace takes a record that reached this process over the
+		// group bus rather than through the pipeline.
+		AddTrace(*trace.Record)
+		Stop() error
+	}
 }
 
 // TraceConfig opts a run into per-query lookup tracing.
@@ -530,11 +538,11 @@ func Run(cfg Config) (*Result, error) {
 		traceColl = &trace.Collector{}
 		pipe.Attach(traceColl)
 		if fn := cfg.Trace.OnRecord; fn != nil {
-			pipe.Attach(traceTap{fn})
+			pipe.Attach(traceSink(fn))
 		}
 		if bus := runtime.BusOf(net); bus != nil {
 			if group > 0 {
-				pipe.Attach(traceShip{bus})
+				pipe.Attach(traceSink(func(rec *trace.Record) { bus.Announce(rec) }))
 			} else {
 				bus.Subscribe(func(msg any) {
 					rec, ok := msg.(*trace.Record)
@@ -574,7 +582,7 @@ func Run(cfg Config) (*Result, error) {
 	// window aggregates through cfg.OnWindow.
 	obs := newWindowObserver(cfg, clock, net, coll)
 
-	processed, err := drive(cfg, rt, master, sys)
+	processed, err := drive(cfg, rt, master, sys, proto.DefaultSeedCount(env))
 	if err != nil {
 		return nil, err
 	}
@@ -621,7 +629,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.EventsProcessed = processed
 	res.Fingerprint = fingerprint(coll.Windows(), obs.windowMessages(), res.NetStats)
-	if _, groups := cfg.groupInfo(); cfg.MeasureMem && groups == 1 {
+	if cfg.MeasureMem && groups == 1 {
 		// Sample while sys (and through it every peer) is still
 		// reachable, so the forced GC cannot collect the deployment we
 		// are trying to weigh.
@@ -639,31 +647,17 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// traceTap forwards each emitted trace record to the run's OnRecord
-// callback.
-type traceTap struct{ fn func(*trace.Record) }
+// traceSink hands each trace record the pipeline carries to a func: the
+// run's OnRecord callback, or the group bus a follower ships home on.
+type traceSink func(*trace.Record)
 
 // Observe implements metrics.Sink.
-func (t traceTap) Observe(ev metrics.Event) {
+func (fn traceSink) Observe(ev metrics.Event) {
 	if ev.Kind != metrics.KindTrace {
 		return
 	}
 	if rec, ok := ev.Trace.(*trace.Record); ok {
-		t.fn(rec)
-	}
-}
-
-// traceShip announces each locally-emitted record on the process-group
-// bus so group 0 collects the whole population's traces.
-type traceShip struct{ bus runtime.Bus }
-
-// Observe implements metrics.Sink.
-func (t traceShip) Observe(ev metrics.Event) {
-	if ev.Kind != metrics.KindTrace {
-		return
-	}
-	if rec, ok := ev.Trace.(*trace.Record); ok {
-		t.bus.Announce(rec)
+		fn(rec)
 	}
 }
 
@@ -713,18 +707,23 @@ func (p *pool) release(idx int) {
 // session is one tracked online session. A session's kill closure may
 // be claimed by several schedulers at once — its churn lifetime timer
 // and a ChurnSchedule mass failure race freely — so stop is idempotent:
-// whichever fires first wins, every later call is a no-op.
+// whichever fires first wins, every later call is a no-op. A stopped
+// session drops the closure: a timer still holding the session must not
+// keep the deployment's dead peer reachable through it.
 type session struct {
-	kill func()
-	dead bool
+	kill func() // nil once stopped
+	live *proto.Roster[*session]
 }
 
+// Alive implements the proto.Roster entry.
+func (s *session) Alive() bool { return s.kill != nil }
+
 func (s *session) stop() {
-	if s.dead {
-		return
+	if kill := s.kill; kill != nil {
+		s.kill = nil
+		s.live.Drop()
+		kill()
 	}
-	s.dead = true
-	s.kill()
 }
 
 // drive runs the protocol-agnostic experiment choreography: spawn the
@@ -739,7 +738,7 @@ func (s *session) stop() {
 // global stagger slot, so the join storm looks identical — and runs a
 // churn process targeting its share of the population. The union over
 // processes is the same experiment a single process would run.
-func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System) (uint64, error) {
+func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System, seeds int) (uint64, error) {
 	clock := rt.Clock()
 	group, groups := cfg.groupInfo()
 	churnRNG := master.Split("churn")
@@ -763,11 +762,16 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System) (u
 	// Every online session is tracked so scheduled mass failures can
 	// pick victims from the genuinely-alive set without double-killing
 	// sessions whose own departure timer fires later.
-	var live []*session
-	track := func(kill func()) *session {
-		s := &session{kill: kill}
-		live = append(live, s)
-		return s
+	// track returns the stop func of a new session of individual idx,
+	// who goes back to the offline pool when it ends.
+	var live proto.Roster[*session]
+	track := func(kill func(), idx int) func() {
+		s := &session{live: &live, kill: func() {
+			kill()
+			pl.release(idx)
+		}}
+		live.Add(s)
+		return s.stop
 	}
 	spawn := func() func() {
 		idx, ind, ok := pl.take()
@@ -778,12 +782,7 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System) (u
 			ind = sys.NewIndividual()
 			idx = pl.add(ind)
 		}
-		kill := sys.Spawn(ind)
-		i := idx
-		return track(func() {
-			kill()
-			pl.release(i)
-		}).stop
+		return track(sys.Spawn(ind), idx)
 	}
 	churnCfg := churn.Config{TargetPopulation: churnTarget, MeanUptime: cfg.MeanUptime}
 	proc, err := churn.NewProcess(churnCfg, clock, churnRNG, spawn)
@@ -791,8 +790,6 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System) (u
 		return 0, err
 	}
 
-	sys.Start()
-	seeds := sys.SeedCount()
 	for i := 0; i < seeds; i++ {
 		if i%groups != group {
 			continue // another process hosts this seed
@@ -800,34 +797,24 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System) (u
 		i := i
 		clock.Schedule(int64(i)*cfg.SeedStagger, func() {
 			ind, kill := sys.SpawnSeed(i)
-			idx := pl.add(ind)
-			clock.Schedule(proc.Lifetime(), track(func() {
-				kill()
-				pl.release(idx)
-			}).stop)
+			clock.Schedule(proc.Lifetime(), track(kill, pl.add(ind)))
 		})
 	}
 	// Client arrivals start once the bootstrap population is up.
 	clock.Schedule(int64(seeds)*cfg.SeedStagger, proc.Start)
 
 	// Scheduled adversarial churn: failures pick victims by a
-	// deterministic permutation of the (ordered) live-session slice, so
+	// deterministic permutation of the live sessions in spawn order, so
 	// sim runs replay bit-identically; joins go through the same pool
 	// and get ordinary exponential lifetimes.
 	for _, ev := range cfg.ChurnSchedule {
 		ev := ev
 		clock.Schedule(ev.At, func() {
-			kept := live[:0]
-			for _, s := range live {
-				if !s.dead {
-					kept = append(kept, s)
-				}
-			}
-			live = kept
-			if n := int(ev.FailFraction*float64(len(live)) + 0.5); n > 0 {
-				perm := churnRNG.Perm(len(live))
+			online := live.Online()
+			if n := int(ev.FailFraction*float64(len(online)) + 0.5); n > 0 {
+				perm := churnRNG.Perm(len(online))
 				for _, j := range perm[:n] {
-					live[j].stop()
+					online[j].stop()
 				}
 			}
 			for i := 0; i < groupShare(ev.Join, group, groups); i++ {
@@ -844,9 +831,7 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System) (u
 			clock.Schedule(at, func() { cfg.OnCheckpoint(clock.Now(), sys) })
 		}
 	}
-	processed := rt.Run(cfg.Duration)
-	sys.Stop()
-	return processed, nil
+	return rt.Run(cfg.Duration), nil
 }
 
 // RunComparison executes the same configuration under Flower-CDN and

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowercdn/internal/proto"
 	_ "flowercdn/internal/protocols" // register the built-in drivers
 	"flowercdn/internal/sim"
 )
@@ -75,6 +76,55 @@ func TestBadOptionsFailValidation(t *testing.T) {
 	for i, c := range cases {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: bad options passed Validate", i)
+		}
+	}
+}
+
+// TestValidateCheckAndNewAgreeOnBadOptions: a driver is one lowering,
+// so for each driver's bad-option cases Validate (through proto.Check)
+// and proto.New report the very same error — there is no second
+// validation path that could drift from the first — and the error says
+// which knob.
+func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
+	cases := []struct {
+		p    Protocol
+		opts proto.Options
+		want string
+	}{
+		{ProtocolPetalUp, proto.Options{"load-limit": -5}, "load-limit must be positive"},
+		{ProtocolFlower, proto.Options{"push-threshold": 2.0}, "push threshold"},
+		{ProtocolFlower, proto.Options{"cache-policy": "bogus"}, `unknown cache policy "bogus"`},
+		{ProtocolPetalUp, proto.Options{"cache-policy": "lru"}, "cache-capacity >= 1"},
+		{ProtocolSquirrel, proto.Options{"directory-cap": 0}, "directory-cap must be at least 1"},
+		{ProtocolSquirrel, proto.Options{"query-timeout": int64(0)}, "query-timeout must be positive"},
+		{ProtocolChordGlobal, proto.Options{"refresh-interval": int64(-1)}, "refresh-interval must be positive"},
+		{ProtocolChordGlobal, proto.Options{"providers-per-reply": 0}, "providers-per-reply and index-cap"},
+		{ProtocolKoordeGlobal, proto.Options{"koorde-degree-bits": 3}, "koorde"},
+		{ProtocolKoordeGlobal, proto.Options{"cache-capacity": 4}, "without a bounding cache-policy"},
+		{ProtocolOriginOnly, proto.Options{"cache-policy": "lfu", "cache-capacity": 0}, "cache-capacity >= 1"},
+	}
+	for _, c := range cases {
+		name := string(c.p)
+		cerr := proto.Check(name, c.opts)
+		if cerr == nil || !strings.Contains(cerr.Error(), c.want) {
+			t.Errorf("%s %v: Check = %v, want an error mentioning %q", name, c.opts, cerr, c.want)
+			continue
+		}
+		cfg := tinyConfig()
+		cfg.Protocol, cfg.Options = c.p, c.opts
+		if verr := cfg.Validate(); verr == nil || verr.Error() != "harness: "+cerr.Error() {
+			t.Errorf("%s %v: Validate = %v, want Check's %q wrapped", name, c.opts, verr, cerr)
+		}
+		if _, nerr := proto.New(name, proto.Env{}, c.opts); nerr == nil || nerr.Error() != cerr.Error() {
+			t.Errorf("%s %v: New = %v, want Check's %q", name, c.opts, nerr, cerr)
+		}
+	}
+	// With good options the one thing New still vets is the Env, once,
+	// for every protocol alike, naming the protocol.
+	for _, name := range proto.Names() {
+		_, err := proto.New(name, proto.Env{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "incomplete Env for "+name) {
+			t.Errorf("%s: New with an empty Env = %v", name, err)
 		}
 	}
 }

@@ -53,6 +53,25 @@ func QueryEvent(when int64, o Outcome, lookup, transfer int64) Event {
 	return Event{When: when, Kind: KindQuery, Outcome: o, LookupLatency: lookup, TransferDistance: transfer}
 }
 
+// LookupLatency is the paper's lookup latency (Fig. 4) of a query
+// issued at start and resolved at now with the provider dist away:
+// "the latency taken to resolve a query and reach the destination that
+// will provide the requested object". A miss resolves at the client
+// and still has to travel to the origin (+dist); a hit was verified by
+// a probe the provider answered, so the destination was reached one
+// response leg before now (−dist, when there was that much). Every
+// deployment's QueryEvent takes its lookup figure from here.
+func LookupLatency(start, now int64, o Outcome, dist int64) int64 {
+	lookup := now - start
+	switch {
+	case o == Miss:
+		lookup += dist
+	case lookup > dist:
+		lookup -= dist
+	}
+	return lookup
+}
+
 // CounterEvent builds a KindCounter event.
 func CounterEvent(when int64, name string, delta float64) Event {
 	return Event{When: when, Kind: KindCounter, Counter: name, Delta: delta}
@@ -201,9 +220,6 @@ func NewWindowed(window int64) *Windowed {
 	}
 	return &Windowed{window: window}
 }
-
-// Window returns the bucket width in simulated ms.
-func (w *Windowed) Window() int64 { return w.window }
 
 // Len returns the number of windows touched so far.
 func (w *Windowed) Len() int { return len(w.wins) }

@@ -145,3 +145,53 @@ func TestCollectorForwardsEvictionsToWindows(t *testing.T) {
 		t.Fatalf("series = %+v", series)
 	}
 }
+
+// The three formulas LookupLatency replaced, as the drivers had them.
+func flowerResolveLookup(start, now int64, o Outcome, dist int64) int64 {
+	lookup := now - start
+	if o == Miss {
+		lookup += dist
+	} else if lookup > dist {
+		lookup -= dist
+	}
+	return lookup
+}
+
+// ringdir.resolve was "the same definition as flower.resolve", written
+// out again.
+var ringdirResolveLookup = flowerResolveLookup
+
+// originonly.issueQuery: the provider is known a priori, the lookup is
+// the one leg it takes to reach the origin.
+func originOnlyLookup(dist int64) int64 { return dist }
+
+func TestLookupLatencyIsTheThreeFormulasItReplaced(t *testing.T) {
+	cases := []struct {
+		name             string
+		start, now, dist int64
+		o                Outcome
+		want             int64
+	}{
+		{"miss: the query still travels to the origin", 1000, 1400, 90, Miss, 490},
+		{"miss resolved at once", 1000, 1000, 90, Miss, 90},
+		{"hit, lookup > dist: reached one response leg ago", 1000, 1400, 90, HitDirectory, 310},
+		{"gossip hit, lookup > dist", 1000, 1181, 90, HitLocalGossip, 91},
+		{"hit, lookup == dist: nothing to take off", 1000, 1090, 90, HitDirectorySummary, 90},
+		{"hit, lookup < dist", 1000, 1040, 90, HitLocalGossip, 40},
+		{"hit at zero distance", 1000, 1040, 0, HitDirectory, 40},
+	}
+	for _, c := range cases {
+		got := LookupLatency(c.start, c.now, c.o, c.dist)
+		if got != c.want || got != flowerResolveLookup(c.start, c.now, c.o, c.dist) ||
+			got != ringdirResolveLookup(c.start, c.now, c.o, c.dist) {
+			t.Errorf("%s: LookupLatency = %d, want %d (flower/ringdir had %d)", c.name, got, c.want,
+				flowerResolveLookup(c.start, c.now, c.o, c.dist))
+		}
+	}
+	// origin-only resolves every query the instant it issues it.
+	for _, dist := range []int64{0, 1, 37, 250} {
+		if got := LookupLatency(5000, 5000, Miss, dist); got != originOnlyLookup(dist) {
+			t.Errorf("origin-only at dist %d: LookupLatency = %d, want %d", dist, got, originOnlyLookup(dist))
+		}
+	}
+}

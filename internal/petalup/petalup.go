@@ -3,7 +3,8 @@
 // per-directory load limit enabled, so that a petal's directory role
 // splits across successive D-ring instances d^0, d^1, ... as the petal
 // grows. The mechanism itself lives in internal/flower (the scan,
-// promotion and old-view seeding paths are shared protocol code); this
+// promotion and old-view seeding paths are shared protocol code, and
+// the "petalup" driver is registered there beside "flower"); this
 // package provides the preset, the flash-crowd workload that stresses
 // it, and the load-bounding measurements DESIGN.md's extension
 // experiment reports.
@@ -91,7 +92,7 @@ func (r LoadReport) String() string {
 
 // Measure inspects the directory instances of one petal.
 func Measure(sys *flower.System, site content.SiteID, loc topology.Locality) LoadReport {
-	rep := LoadReport{Promotions: sys.Stats().DirPromotions}
+	rep := LoadReport{Promotions: uint64(sys.Stats()["dir_promotions"])}
 	for _, p := range sys.PetalDirectories(site, loc) {
 		rep.Instances++
 		m := p.Directory().MemberCount()

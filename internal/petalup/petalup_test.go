@@ -9,6 +9,7 @@ import (
 	"flowercdn/internal/content"
 	"flowercdn/internal/flower"
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/proto"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/workload"
 )
@@ -40,7 +41,7 @@ func buildWorld(t *testing.T, seed uint64, cfg flower.Config) *world {
 	coll := metrics.NewCollector(runtime.Hour)
 	cfg.Gossip.Period = 5 * runtime.Minute
 	cfg.KeepaliveInterval = 10 * runtime.Minute
-	sys, err := flower.NewSystem(cfg, flower.Deps{
+	sys, err := flower.NewSystem(cfg, proto.Env{
 		Net: net, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll,
 	})
 	if err != nil {

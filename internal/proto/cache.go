@@ -33,9 +33,8 @@ type CacheConfig struct {
 }
 
 // CacheConfigFromOptions reads and validates the shared cache options.
-// Drivers call it from both their factory and their CheckOptions hook,
-// so a bad policy name or capacity fails a sweep before any simulation
-// runs.
+// Drivers call it from their lowering, so a bad policy name or
+// capacity fails a sweep before any simulation runs.
 func CacheConfigFromOptions(opts Options) (CacheConfig, error) {
 	c := CacheConfig{
 		Policy:   opts.String(OptCachePolicy, cache.PolicyNone),

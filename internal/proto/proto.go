@@ -3,16 +3,37 @@
 // aggregation — internal/harness) and a protocol deployment (Flower-CDN,
 // PetalUp-CDN, Squirrel, the baselines — or any future overlay).
 //
-// A protocol package implements System, wraps its construction in a
-// Factory, and Registers itself under a name in an init function; the
-// harness resolves deployments solely through this registry and drives
-// them through the System interface. Nothing above the protocol layer
-// mentions a concrete protocol type: configuration flows down as an
-// opaque Options map, measurements flow up as a typed event stream
+// It is also the skeleton every deployment is cut from, so that what
+// the drivers share exists once:
+//
+//   - A driver is one Lowering, Registered under a name in an init
+//     function: options in, a deployment constructor out. Check runs the
+//     lowering and drops the result; New vets the Env — once, for every
+//     protocol — lowers, and builds. There is no second validation path
+//     to keep in step with the first.
+//   - Identity is the persistent individual every built-in deployment
+//     cycles through sessions: interest, placement, cache.
+//   - Roster is who is online: a deployment's live peers (and the
+//     harness's live sessions) in spawn order, with the spawned/alive
+//     counts behind the well-known Stats keys. It forgets the dead.
+//
+// That last point is a contract, not an optimisation. The paper's churn
+// model gives every re-join a fresh network identity, so a 24 h run
+// spawns ~24 sessions per population slot; a session's kill func must
+// leave nothing that can reach its peer — no roster entry, no armed
+// ticker, no kept closure — so that after kill nobody holds the *Peer
+// and it is garbage. Live heap per node is then flat in simulated time
+// (make heap-growth-check).
+//
+// The harness resolves deployments solely through the registry and
+// drives them through the System interface. Nothing above the protocol
+// layer mentions a concrete protocol type: configuration flows down as
+// an opaque Options map, measurements flow up as a typed event stream
 // (internal/metrics.Emitter) plus a generic Stats map.
 package proto
 
 import (
+	"flowercdn/internal/content"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
@@ -56,12 +77,24 @@ type Env struct {
 	Follower bool
 }
 
-// Individual is the persistent half of a participant: interest,
-// physical placement, and cached content survive offline periods while
-// every online session gets a fresh network identity. The concrete
-// type is the protocol's own; the harness only shuttles individuals
-// between its churn pool and Spawn.
+// Individual is the persistent half of a participant as the harness
+// sees it: an opaque value shuttled between its churn pool and Spawn.
+// Every built-in deployment's individuals are Identity values.
 type Individual any
+
+// Identity is the persistent part of a participant. The paper's churn
+// model (total network size 1.3·P) cycles a fixed population of
+// individuals through online sessions: every session gets a fresh
+// network address (and ring position, and whatever directory slice its
+// node is home of), but the individual's interest, physical location
+// and — crucially — its cached content survive offline periods ("a
+// content peer has enough storage potential to avoid replacing its
+// content through the experiment's duration").
+type Identity struct {
+	Site      content.SiteID
+	Placement topology.Placement
+	Store     *content.Store
+}
 
 // Stats is the generic counter/gauge map a deployment reports at the
 // end of a run. Well-known keys the harness and formatters understand:
@@ -83,24 +116,13 @@ const (
 // System is one protocol deployment driven by the harness. All calls
 // happen on the engine goroutine.
 //
-// Run shape: Start fires once at time zero; the harness then spawns
-// SeedCount bootstrap participants (staggered), starts the churn
-// process which mints and revives Individuals through
-// NewIndividual/Spawn, runs the engine to the horizon, and finally
-// calls Stop and Stats.
+// Run shape: the harness spawns SeedCount bootstrap participants
+// (staggered), starts the churn process which mints and revives
+// Individuals through NewIndividual/Spawn, runs the engine to the
+// horizon, and finally reads Stats.
 type System interface {
-	// Start runs once before any participant exists — the hook for
-	// deployment-wide periodic work.
-	Start()
-	// Stop runs after the simulation horizon.
-	Stop()
-	// SeedCount is the number of bootstrap participants spawned before
-	// churn begins (the paper seeds one directory peer per (website,
-	// locality); member-ring protocols seed the same count of ordinary
-	// members so population ramps stay comparable).
-	SeedCount() int
 	// SpawnSeed mints and brings online the i-th bootstrap participant
-	// (0 <= i < SeedCount). The returned Individual joins the churn
+	// (0 <= i < SeedCount(env)). The returned Individual joins the churn
 	// pool when its session ends; the kill func ends the session.
 	SpawnSeed(i int) (Individual, func())
 	// NewIndividual mints a fresh persistent individual (drawing
@@ -126,22 +148,21 @@ type Info struct {
 	// Order sorts listings and comparison grids (ties break by name);
 	// the paper's protocols come first, baselines after.
 	Order int
-	// CheckOptions statically validates the driver's options without
-	// building a deployment (nil = nothing to check). Harness config
-	// validation calls it, so a bad knob fails a sweep before any
-	// simulation runs rather than minutes into the worker pool.
-	CheckOptions func(Options) error
 }
 
-// Factory builds a deployment from the run environment and its opaque
-// options. Factories must not consult any global state besides the
-// registry: everything a run needs arrives through env and opts.
-type Factory func(env Env, opts Options) (System, error)
+// Lowering is a driver's whole registration: it resolves and validates
+// the option map and returns the constructor of a deployment so
+// configured. Check runs it and drops the result, New runs it and calls
+// build with the (already vetted) Env. A lowering must not consult any
+// global state besides the registries: everything a run needs arrives
+// through opts and env.
+type Lowering func(opts Options) (build func(Env) (System, error), err error)
 
-// DefaultSeedCount is the bootstrap population every built-in
-// deployment uses — one participant per (website, locality), the size
-// of the paper's initial D-ring — so population ramps stay comparable
-// across protocols in one grid.
+// DefaultSeedCount is the bootstrap population of every run: one
+// participant per (website, locality), the size of the paper's initial
+// D-ring (one directory peer per couple). Member-ring protocols seed
+// the same count of ordinary members, so population ramps stay
+// comparable across protocols in one grid.
 func DefaultSeedCount(env Env) int {
 	return env.Workload.Config().Sites * env.Topo.Localities()
 }

@@ -3,10 +3,11 @@ package proto
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-func stubFactory(Env, Options) (System, error) { return nil, errors.New("stub") }
+func stubFactory(Options) (func(Env) (System, error), error) { return nil, errors.New("stub") }
 
 func TestRegistryResolvesByName(t *testing.T) {
 	Register(Info{Name: "test-a", Summary: "a", Compare: true, Order: 10}, stubFactory)
@@ -113,5 +114,39 @@ func TestOptionsGetters(t *testing.T) {
 	}
 	if Options(nil).Int("x", 5) != 5 {
 		t.Fatal("nil Options getter wrong")
+	}
+}
+
+// A driver is one lowering: Check's verdict is the lowering's error and
+// nothing else, New's too, and New is where an incomplete Env is turned
+// away — before build is called, naming the protocol.
+func TestCheckAndNewShareOneLowering(t *testing.T) {
+	errBad := errors.New("bad knob")
+	var lowered, built int
+	Register(Info{Name: "test-lowering"}, func(opts Options) (func(Env) (System, error), error) {
+		lowered++
+		if opts.Bool("bad", false) {
+			return nil, errBad
+		}
+		return func(Env) (System, error) { built++; return nil, nil }, nil
+	})
+	if err := Check("test-lowering", Options{"bad": true}); err != errBad {
+		t.Fatalf("Check = %v, want the lowering's own error", err)
+	}
+	if _, err := New("test-lowering", Env{}, Options{"bad": true}); err != errBad {
+		t.Fatalf("New = %v, want the lowering's own error", err)
+	}
+	if err := Check("test-lowering", nil); err != nil {
+		t.Fatalf("Check(good) = %v", err)
+	}
+	if lowered != 3 || built != 0 {
+		t.Fatalf("lowered %d times, built %d; Check and a failed New must lower once each and never build", lowered, built)
+	}
+	_, err := New("test-lowering", Env{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "incomplete Env for test-lowering") || built != 0 {
+		t.Fatalf("New with an empty Env: err %v, built %d", err, built)
+	}
+	if err := Check("test-nope", nil); err == nil {
+		t.Fatal("Check accepted an unknown protocol")
 	}
 }

@@ -12,8 +12,8 @@ import (
 // sweep workers at once, hence the lock.
 
 type driver struct {
-	info    Info
-	factory Factory
+	info  Info
+	lower Lowering
 }
 
 var (
@@ -22,63 +22,71 @@ var (
 )
 
 // Register adds a protocol driver under info.Name. It panics on an
-// empty name, a nil factory, or a duplicate registration — all
+// empty name, a nil lowering, or a duplicate registration — all
 // programmer errors surfaced at init time.
-func Register(info Info, f Factory) {
+func Register(info Info, lower Lowering) {
 	if info.Name == "" {
 		panic("proto: Register with empty name")
 	}
-	if f == nil {
-		panic("proto: Register with nil factory for " + info.Name)
+	if lower == nil {
+		panic("proto: Register with nil lowering for " + info.Name)
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, dup := registry[info.Name]; dup {
 		panic("proto: duplicate registration of " + info.Name)
 	}
-	registry[info.Name] = driver{info: info, factory: f}
+	registry[info.Name] = driver{info: info, lower: lower}
 }
 
-// New builds a deployment of the named protocol.
-func New(name string, env Env, opts Options) (System, error) {
+func find(name string) (driver, bool) {
 	regMu.RLock()
+	defer regMu.RUnlock()
 	d, ok := registry[name]
-	regMu.RUnlock()
+	return d, ok
+}
+
+// lowered runs the named protocol's lowering over opts.
+func lowered(name string, opts Options) (func(Env) (System, error), error) {
+	d, ok := find(name)
 	if !ok {
 		return nil, fmt.Errorf("proto: unknown protocol %q (registered: %v)", name, Names())
 	}
-	return d.factory(env, opts)
+	return d.lower(opts)
 }
 
-// Check statically validates opts for the named protocol: unknown
-// names error, and a driver's CheckOptions hook (when present) vets
-// the knobs it understands.
+// New builds a deployment of the named protocol: it lowers opts, vets
+// env — here, once, for every protocol — and builds.
+func New(name string, env Env, opts Options) (System, error) {
+	build, err := lowered(name, opts)
+	if err != nil {
+		return nil, err
+	}
+	if env.Clock == nil || env.Net == nil || env.Topo == nil || env.RNG == nil ||
+		env.Workload == nil || env.Origins == nil || env.Metrics == nil {
+		return nil, fmt.Errorf("proto: incomplete Env for %s: Clock, Net, Topo, RNG, Workload, Origins and Metrics are all required", name)
+	}
+	return build(env)
+}
+
+// Check statically validates opts for the named protocol — unknown
+// names error, anything else is exactly its lowering's verdict — so a
+// bad knob fails a sweep before any simulation runs rather than
+// minutes into the worker pool.
 func Check(name string, opts Options) error {
-	regMu.RLock()
-	d, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("proto: unknown protocol %q (registered: %v)", name, Names())
-	}
-	if d.info.CheckOptions != nil {
-		return d.info.CheckOptions(opts)
-	}
-	return nil
+	_, err := lowered(name, opts)
+	return err
 }
 
 // Registered reports whether name resolves to a driver.
 func Registered(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
+	_, ok := find(name)
 	return ok
 }
 
 // Lookup returns a registered protocol's descriptor.
 func Lookup(name string) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	d, ok := registry[name]
+	d, ok := find(name)
 	return d.info, ok
 }
 

@@ -7,8 +7,7 @@ package protocols
 
 import (
 	_ "flowercdn/internal/baseline" // origin-only, chord-global
-	_ "flowercdn/internal/flower"   // flower
+	_ "flowercdn/internal/flower"   // flower, petalup
 	_ "flowercdn/internal/koorde"   // koorde-global
-	_ "flowercdn/internal/petalup"  // petalup
 	_ "flowercdn/internal/squirrel" // squirrel
 )

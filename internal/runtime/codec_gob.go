@@ -9,10 +9,11 @@ import (
 
 // The gob codec: every payload is an independent, self-describing gob
 // stream. It needs no per-type code — any gob-encodable registered
-// wire type works — which is why it stays the compatibility default;
-// the price is type information in every message and ~300 allocations
-// per frame round trip (see BenchmarkFrameRoundTrip), which is what
-// the binary codec exists to remove.
+// wire type works — which is why it stays as the compatibility codec
+// (-codec gob; nothing selects it by default); the price is type
+// information in every message and ~300 allocations per frame round
+// trip (see BenchmarkFrameRoundTrip), which is what the binary codec,
+// the default, exists to remove.
 
 func init() {
 	RegisterCodec("gob", func() (Codec, error) {

@@ -4,20 +4,25 @@
 // latency and loss semantics, delivery stats) and a Runtime bundling
 // the two with run control.
 //
-// Protocol code — the drivers under internal/flower, internal/petalup,
-// internal/squirrel, internal/baseline, the chord and gossip substrates
-// — depends only on these interfaces. Two backends implement them:
+// Protocol code — the drivers under internal/flower, internal/baseline,
+// internal/squirrel and internal/koorde, the chord and gossip substrates
+// — depends only on these interfaces. Three backends implement them:
 //
-//   - internal/simrt adapts the deterministic discrete-event engine
-//     (internal/sim) and the simulated message layer (internal/simnet);
-//     it is the reference implementation, bit-for-bit reproducible.
-//   - internal/rtnet runs the identical protocol code in real time:
-//     wall-clock timers serialized onto a single run loop, with the
-//     in-process loopback transport injecting latency sampled from the
-//     same topology model.
+//   - internal/simrt ("sim") adapts the deterministic discrete-event
+//     engine (internal/sim) and the simulated message layer
+//     (internal/simnet); it is the reference implementation, bit-for-bit
+//     reproducible.
+//   - internal/rtnet ("realtime") runs the identical protocol code in
+//     real time: wall-clock timers serialized onto a single run loop
+//     (internal/wallclock), with the in-process loopback transport
+//     injecting latency sampled from the same topology model.
+//   - internal/socknet ("socket") is realtime with the population split
+//     over cooperating OS processes: the same run loop, messages
+//     serialized by a Codec ("binary" by default) and batched over
+//     localhost or real TCP, bootstrap state mirrored over the Bus.
 //
 // All times are int64 milliseconds; on the sim backend they are
-// simulated milliseconds, on the realtime backend they are wall-clock
+// simulated milliseconds, on the realtime and socket backends wall-clock
 // milliseconds since the run started. The constants Millisecond,
 // Second, Minute and Hour mirror the time package at that resolution.
 package runtime

@@ -30,8 +30,8 @@
 // code stays lock-free here too. Like the realtime backend, runs are
 // NOT reproducible; unlike it, messages genuinely serialize — batched,
 // length-prefixed frames whose payloads go through a pluggable
-// runtime.Codec ("gob" by default, "binary" for the hand-rolled hot
-// path) — which is the honest price of crossing a process boundary
+// runtime.Codec ("binary", the hand-rolled one, by default; "gob" for
+// compatibility) — which is the honest price of crossing a process boundary
 // (WireStats reports it).
 //
 // Batching is group commit, with no timer on either side. A

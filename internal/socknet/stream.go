@@ -44,8 +44,8 @@ type Stream struct {
 const streamHandshakeTimeout = 10 * time.Second
 
 // DialStream connects to a stream endpoint at addr and performs the
-// preamble handshake under the named codec ("" = gob, the registry
-// default).
+// preamble handshake under the named codec ("" = runtime.DefaultCodec,
+// binary).
 func DialStream(addr, codecName string, timeout time.Duration) (*Stream, error) {
 	if timeout <= 0 {
 		timeout = streamHandshakeTimeout

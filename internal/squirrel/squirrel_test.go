@@ -3,7 +3,7 @@ package squirrel_test
 import (
 	"testing"
 
-	"flowercdn/internal/baseline"
+	_ "flowercdn/internal/baseline" // registers chord-global
 	"flowercdn/internal/content"
 	_ "flowercdn/internal/koorde" // registers koorde-global
 	"flowercdn/internal/metrics"
@@ -121,7 +121,7 @@ func (f *fixture) spawn(site content.SiteID, store *content.Store, settle int64)
 		store = content.NewStore()
 	}
 	s := &session{store: store}
-	s.kill = f.sys.Spawn(baseline.Identity{Site: site, Placement: f.net.Topology().Place(f.rng), Store: store})
+	s.kill = f.sys.Spawn(proto.Identity{Site: site, Placement: f.net.Topology().Place(f.rng), Store: store})
 	s.node = f.net.last
 	f.peers[s.node] = s
 	f.run(settle)
@@ -421,6 +421,34 @@ func TestKillIdempotentAndSilent(t *testing.T) {
 		f.run(runtime.Hour) // no panics from stray timers
 		if st := f.sys.Stats(); st[proto.StatAlivePeers] != 0 || len(f.members()) != 0 {
 			t.Fatalf("peer alive after kill: stats %v, %d ring members", st, len(f.members()))
+		}
+	})
+}
+
+// A killed peer leaves nothing armed: with every peer of a deployment
+// dead the event queue drains (cancelled timers go as the wheel reaches
+// them, nothing re-arms) and the deployment's roster is empty, so
+// nothing it holds can reach a dead peer.
+func TestKilledDeploymentDrainsTheEventQueue(t *testing.T) {
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 9, 50, nil)
+		var sessions []*session
+		for i := 0; i < 12; i++ {
+			sessions = append(sessions, f.spawn(content.SiteID(i%4), nil, 30*runtime.Second))
+		}
+		f.run(2 * runtime.Hour)
+		if f.coll.Total() == 0 || len(f.members()) != 12 {
+			t.Fatalf("%d queries, %d ring members before the kill", f.coll.Total(), len(f.members()))
+		}
+		for _, s := range sessions {
+			s.kill()
+		}
+		f.run(6 * runtime.Hour)
+		if n := f.rt.Engine().Pending(); n != 0 {
+			t.Fatalf("%d timers still pending 6 h after the last peer died: something re-arms", n)
+		}
+		if st := f.sys.Stats(); st[proto.StatAlivePeers] != 0 || st[proto.StatPeersSpawned] != 12 || len(f.members()) != 0 {
+			t.Fatalf("after the kill: stats %v, %d ring members", st, len(f.members()))
 		}
 	})
 }

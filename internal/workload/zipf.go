@@ -21,8 +21,7 @@ import (
 // precomputed CDF and binary search, which is exact and fast for the
 // 500-object catalogs used here.
 type Zipf struct {
-	cdf   []float64
-	alpha float64
+	cdf []float64
 }
 
 // NewZipf builds the distribution. n must be positive; alpha may be 0
@@ -44,7 +43,7 @@ func NewZipf(n int, alpha float64) (*Zipf, error) {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1.0 // guard against rounding
-	return &Zipf{cdf: cdf, alpha: alpha}, nil
+	return &Zipf{cdf: cdf}, nil
 }
 
 // Rank draws a rank in [0, n).
@@ -55,9 +54,6 @@ func (z *Zipf) Rank(rng *rnd.RNG) int {
 
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
-
-// Alpha returns the exponent.
-func (z *Zipf) Alpha() float64 { return z.alpha }
 
 // Prob returns the probability of rank i.
 func (z *Zipf) Prob(i int) float64 {
