@@ -215,11 +215,13 @@ fuzz-smoke:
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
 
 # dist-smoke is the distributed-sweep equality gate: the same CI-sized
-# grid runs once in-process and once sharded across a coordinator plus
-# two spawned worker processes (resuming from a fresh out-dir), and the
-# aggregate and per-window series CSVs must match byte for byte. This
-# is the PR's headline invariant — distribution changes scheduling,
-# never results.
+# grid runs once in-process, once sharded across a coordinator plus two
+# spawned worker processes (starting from a fresh out-dir), and once
+# more as a coordinator restarted on that out-dir with no worker at all
+# — every job is already complete, so it finishes from the record files
+# alone, which is the decode path end to end. All three passes'
+# aggregate and per-window series CSVs must match byte for byte:
+# distribution changes scheduling, never results.
 DIST_TMP := /tmp/flowercdn-dist-smoke
 dist-smoke:
 	go build -o $(DIST_TMP)-bench ./cmd/flowerbench
@@ -231,7 +233,12 @@ dist-smoke:
 		-csv $(DIST_TMP)-b.csv -series-csv $(DIST_TMP)-bs.csv
 	cmp $(DIST_TMP)-a.csv $(DIST_TMP)-b.csv
 	cmp $(DIST_TMP)-as.csv $(DIST_TMP)-bs.csv
-	@echo "dist-smoke OK: distributed aggregates byte-identical to in-process"
+	$(DIST_TMP)-bench -grid compare -seeds 2 -p 100 \
+		-dist-coordinator 127.0.0.1:0 -out-dir $(DIST_TMP)-out \
+		-csv $(DIST_TMP)-c.csv -series-csv $(DIST_TMP)-cs.csv
+	cmp $(DIST_TMP)-a.csv $(DIST_TMP)-c.csv
+	cmp $(DIST_TMP)-as.csv $(DIST_TMP)-cs.csv
+	@echo "dist-smoke OK: distributed and resumed aggregates byte-identical to in-process"
 
 # docs-check keeps the documentation surfaces honest: every internal
 # package must open with a real godoc package comment, and the files

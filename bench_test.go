@@ -68,8 +68,8 @@ func BenchmarkFig4LookupLatencyDistribution(b *testing.B) {
 		}
 		b.ReportMetric(f.MeanLookupMs, "flower-lookup-ms")
 		b.ReportMetric(s.MeanLookupMs, "squirrel-lookup-ms")
-		b.ReportMetric(100*f.LookupWithin150ms, "flower-within-150ms-%")
-		b.ReportMetric(100*s.LookupBeyond1200ms, "squirrel-beyond-1200ms-%")
+		b.ReportMetric(100*f.LookupWithin150ms(), "flower-within-150ms-%")
+		b.ReportMetric(100*s.LookupBeyond1200ms(), "squirrel-beyond-1200ms-%")
 	}
 }
 
@@ -85,8 +85,8 @@ func BenchmarkFig5TransferDistanceDistribution(b *testing.B) {
 		}
 		b.ReportMetric(f.MeanTransferMs, "flower-transfer-ms")
 		b.ReportMetric(s.MeanTransferMs, "squirrel-transfer-ms")
-		b.ReportMetric(100*f.TransferWithin100ms, "flower-within-100ms-%")
-		b.ReportMetric(100*s.TransferWithin100ms, "squirrel-within-100ms-%")
+		b.ReportMetric(100*f.TransferWithin100ms(), "flower-within-100ms-%")
+		b.ReportMetric(100*s.TransferWithin100ms(), "squirrel-within-100ms-%")
 	}
 }
 
@@ -392,10 +392,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if traced != (len(res.Traces()) > 0) {
-					b.Fatalf("traced=%v but %d trace records", traced, len(res.Traces()))
+				if traced != (len(res.Traces) > 0) {
+					b.Fatalf("traced=%v but %d trace records", traced, len(res.Traces))
 				}
-				b.ReportMetric(float64(len(res.Traces())), "trace-records")
+				b.ReportMetric(float64(len(res.Traces)), "trace-records")
 				b.ReportMetric(res.TailHitRatio, "hit")
 			}
 		})

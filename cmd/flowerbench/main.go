@@ -190,7 +190,7 @@ func (o *options) main() error {
 				fmt.Println(format(f, s))
 			}
 		}
-		fmt.Println(f.Summary() + s.Summary())
+		fmt.Println(flowercdn.FormatSummary(f) + flowercdn.FormatSummary(s))
 	}
 
 	if all || o.table == 2 {
@@ -391,7 +391,7 @@ func runTraceBreakdown(cfg flowercdn.Config) error {
 			p, c.Population, c.Hours, c.Seed,
 			res.Queries, res.TailHitRatio, res.MeanLookupMs,
 			time.Since(start).Round(time.Millisecond))
-		fmt.Print(trace.Analyze(res.Traces(), res.HopLatency()).Format())
+		fmt.Print(trace.Analyze(res.Traces, res.HopLatency).Format())
 		fmt.Println()
 	}
 	return nil

@@ -322,8 +322,8 @@ func (o *options) report(hc harness.Config, res *harness.Result, elapsed time.Du
 	}
 	fmt.Print(harness.FormatSummary(res))
 	fmt.Printf("lookup: %.0f%% within 150 ms, %.0f%% beyond 1200 ms\n",
-		100*res.Lookup.CDFAt(150), 100*res.Lookup.TailFraction(1200))
-	fmt.Printf("transfer: %.0f%% within 100 ms\n", 100*res.Transfer.CDFAt(100))
+		100*res.LookupWithin150ms(), 100*res.LookupBeyond1200ms())
+	fmt.Printf("transfer: %.0f%% within 100 ms\n", 100*res.TransferWithin100ms())
 	if m := res.MemStats; m != nil {
 		fmt.Printf("memory: %.0f B/node live heap (%.1f MiB total, %d mallocs)\n",
 			m.BytesPerNode, float64(m.HeapAllocBytes)/(1<<20), m.Mallocs)

@@ -76,14 +76,11 @@ func DistSweepCoordinator(cells []SweepCell, seeds []uint64, opts DistSweepOptio
 	if opts.OnListen != nil {
 		opts.OnListen(coord.Addr())
 	}
-	res, werr := coord.Wait()
-	if cerr := coord.Close(); werr == nil && cerr != nil {
-		werr = cerr
+	res, err := coord.Wait()
+	if cerr := coord.Close(); err == nil && cerr != nil {
+		return nil, cerr
 	}
-	if werr != nil {
-		return nil, werr
-	}
-	return wrapSweep(res), nil
+	return res, err
 }
 
 // DistSweepWorker runs one worker process against a coordinator: it

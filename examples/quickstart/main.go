@@ -24,17 +24,17 @@ func main() {
 	fmt.Printf("Flower-CDN with P=%d peers under heavy churn:\n\n", res.Population)
 	fmt.Printf("  hit ratio        %.3f (final hours: %.3f)\n", res.HitRatio, res.TailHitRatio)
 	fmt.Printf("  lookup latency   %.0f ms mean, %.0f%% within 150 ms\n",
-		res.MeanLookupMs, 100*res.LookupWithin150ms)
+		res.MeanLookupMs, 100*res.LookupWithin150ms())
 	fmt.Printf("  transfer distance %.0f ms mean, %.0f%% within 100 ms\n",
-		res.MeanTransferMs, 100*res.TransferWithin100ms)
+		res.MeanTransferMs, 100*res.TransferWithin100ms())
 	fmt.Printf("  queries          %d (%d hits, %d misses)\n\n", res.Queries, res.Hits, res.Misses)
 
 	fmt.Println("hour  hit-ratio")
-	for _, pt := range res.Series {
+	for hour, pt := range res.Series {
 		bar := ""
 		for i := 0; i < int(pt.HitRatio*40); i++ {
 			bar += "#"
 		}
-		fmt.Printf("%4d  %.3f %s\n", pt.Hour, pt.HitRatio, bar)
+		fmt.Printf("%4d  %.3f %s\n", hour+1, pt.HitRatio, bar)
 	}
 }

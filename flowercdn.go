@@ -5,15 +5,21 @@
 // churn-maintenance protocols, and the simulation study comparing them
 // against the Squirrel decentralized web cache.
 //
-// The package is a façade over the full machinery in internal/: a
+// The package is the front door to the machinery in internal/: a
 // discrete-event engine, a landmark latency topology, a complete Chord
 // DHT, Cyclon-style gossip, the protocols themselves, workload and
-// churn generators, and the experiment harness. Typical use:
+// churn generators, and the experiment harness. What it adds is the
+// friendly side of an experiment — Config in hours and minutes, Grid,
+// the Scenario presets, SeedSet, the distributed-sweep options. What
+// comes back is the internal value itself: Result, Protocol,
+// SweepResult, SweepCellResult and ScalabilityRow are aliases of the
+// harness and sweep types. Typical use:
 //
 //	cfg := flowercdn.DefaultConfig()
 //	cfg.Population = 3000
 //	res, err := flowercdn.Run(cfg)
-//	fmt.Println(res.HitRatio, res.MeanLookupMs)
+//	fmt.Println(res.HitRatio, res.MeanLookupMs, res.LookupWithin150ms())
+//	fmt.Print(flowercdn.FormatSummary(res))
 //
 // or, for the paper's head-to-head figures:
 //
@@ -26,36 +32,34 @@ import (
 
 	"flowercdn/internal/cache"
 	"flowercdn/internal/harness"
-	"flowercdn/internal/metrics"
 	"flowercdn/internal/proto"
 	_ "flowercdn/internal/protocols" // register every built-in protocol driver
 	"flowercdn/internal/runtime"
-	"flowercdn/internal/trace"
 )
 
 // Protocol selects which system a run simulates. Any name registered
 // with the protocol runtime is valid; Protocols lists them.
-type Protocol string
+type Protocol = harness.Protocol
 
 // The built-in deployable systems.
 const (
 	// Flower is classic Flower-CDN (Sec. 3 of the paper).
-	Flower Protocol = "flower"
+	Flower = harness.ProtocolFlower
 	// PetalUp is Flower-CDN with directory splitting (Sec. 4).
-	PetalUp Protocol = "petalup"
+	PetalUp = harness.ProtocolPetalUp
 	// Squirrel is the baseline P2P web cache the paper compares against.
-	Squirrel Protocol = "squirrel"
+	Squirrel = harness.ProtocolSquirrel
 	// ChordGlobal is a single global Chord directory with no locality
 	// petals — it isolates how much of Flower-CDN's win comes from
 	// locality awareness versus from directory caching at all.
-	ChordGlobal Protocol = "chord-global"
+	ChordGlobal = harness.ProtocolChordGlobal
 	// KoordeGlobal is ChordGlobal's deployment routed over a Koorde de
 	// Bruijn overlay (Kaashoek & Karger, IPTPS 2003) instead of Chord
 	// fingers — same directory scheme, O(log n / log b) lookup hops.
-	KoordeGlobal Protocol = "koorde-global"
+	KoordeGlobal = harness.ProtocolKoordeGlobal
 	// OriginOnly sends every query to the origin server — the floor any
 	// CDN must beat (hit ratio zero by construction).
-	OriginOnly Protocol = "origin-only"
+	OriginOnly = harness.ProtocolOriginOnly
 )
 
 // Protocols returns every registered protocol, in presentation order.
@@ -222,9 +226,9 @@ func (c Config) Lower() (harness.Config, error) {
 	hc := harness.DefaultConfig()
 	switch {
 	case c.Protocol == "":
-		hc.Protocol = harness.ProtocolFlower
+		hc.Protocol = Flower
 	case proto.Registered(string(c.Protocol)):
-		hc.Protocol = harness.Protocol(c.Protocol)
+		hc.Protocol = c.Protocol
 	default:
 		return hc, fmt.Errorf("flowercdn: unknown protocol %q (have %v)", c.Protocol, Protocols())
 	}
@@ -263,106 +267,14 @@ func (c Config) Lower() (harness.Config, error) {
 	return hc, nil
 }
 
-// SeriesPoint is one window of the hit-ratio time series (Fig. 3).
-type SeriesPoint struct {
-	Hour     int
-	HitRatio float64
-	Queries  uint64
-}
-
-// Result is the outcome of one run — the paper's three metrics plus
-// diagnostics.
-type Result struct {
-	Protocol   Protocol
-	Population int
-
-	// HitRatio is cumulative; TailHitRatio covers the final hours (the
-	// numbers Table 2 reports).
-	HitRatio     float64
-	TailHitRatio float64
-	// MeanLookupMs is the mean lookup latency over served queries.
-	MeanLookupMs float64
-	// MeanTransferMs is the mean client→provider distance.
-	MeanTransferMs float64
-	// MeanHops is the mean overlay hop count per routed directory query
-	// (0 for deployments without an overlay).
-	MeanHops float64
-
-	// LookupWithin150ms and TransferWithin100ms are the headline
-	// distribution points of Fig. 4 and Fig. 5.
-	LookupWithin150ms   float64
-	LookupBeyond1200ms  float64
-	TransferWithin100ms float64
-
-	Series []SeriesPoint
-
-	Queries uint64
-	Hits    uint64
-	Misses  uint64
-
-	// Backend is the runtime backend the run executed on.
-	Backend string
-	// Fingerprint is the FNV-1a hash over the run's per-window query,
-	// transfer and message counts; on the sim backend it is a
-	// deterministic function of the configuration (see the harness
-	// documentation and make fingerprint-check).
-	Fingerprint uint64
-	// MemStats is the end-of-run heap sample (nil unless
-	// Config.MeasureMem was set).
-	MemStats *harness.MemStats
-
-	inner *harness.Result
-}
-
-func wrap(r *harness.Result) *Result {
-	out := &Result{
-		Protocol:            Protocol(r.Protocol),
-		Population:          r.Population,
-		HitRatio:            r.HitRatio,
-		TailHitRatio:        r.TailHitRatio,
-		MeanLookupMs:        r.MeanLookupMs,
-		MeanTransferMs:      r.MeanTransferMs,
-		MeanHops:            r.MeanHops,
-		LookupWithin150ms:   r.Lookup.CDFAt(150),
-		LookupBeyond1200ms:  r.Lookup.TailFraction(1200),
-		TransferWithin100ms: r.Transfer.CDFAt(100),
-		Queries:             r.Queries,
-		Hits:                r.Hits,
-		Misses:              r.Misses,
-		Backend:             r.Backend,
-		Fingerprint:         r.Fingerprint,
-		MemStats:            r.MemStats,
-		inner:               r,
-	}
-	for i, p := range r.Series {
-		out.Series = append(out.Series, SeriesPoint{Hour: i + 1, HitRatio: p.HitRatio, Queries: p.Queries})
-	}
-	return out
-}
-
-// LookupDistribution returns the Fig. 4 histogram.
-func (r *Result) LookupDistribution() metrics.Distribution { return r.inner.Lookup }
-
-// TransferDistribution returns the Fig. 5 histogram.
-func (r *Result) TransferDistribution() metrics.Distribution { return r.inner.Transfer }
-
-// Summary renders the run's headline numbers.
-func (r *Result) Summary() string { return harness.FormatSummary(r.inner) }
-
-// ProtoStat reads one of the run's generic protocol counters/gauges
-// ("alive_directories", "dir_promotions", "summary_pushes", ... — each
-// driver documents its vocabulary; 0 when absent).
-func (r *Result) ProtoStat(name string) float64 { return r.inner.ProtoStat(name) }
-
-// Traces returns the run's per-query trace records (nil unless
-// Config.Trace was set). See internal/trace for the record model and
-// the Analyze/WriteCSV helpers.
-func (r *Result) Traces() []*trace.Record { return r.inner.Traces }
-
-// HopLatency returns the run's modeled link-latency function — the
-// attribution input trace.Analyze uses to split each hop's latency
-// contribution into link vs queue/processing time.
-func (r *Result) HopLatency() trace.LatencyFunc { return r.inner.HopLatency }
+// Result is the outcome of one run: the embedded Summary (the paper's
+// three metrics, the query tallies, the Fig. 3 Series — window i is hour
+// i+1 — and the run fingerprint) plus what only the process that ran it
+// holds: the Fig. 4/5 histograms Lookup and Transfer with their headline
+// points LookupWithin150ms, LookupBeyond1200ms and TransferWithin100ms,
+// ProtoStat, MemStats, and on traced runs Traces and HopLatency (see
+// internal/trace for the record model and the Analyze/WriteCSV helpers).
+type Result = harness.Result
 
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
@@ -370,11 +282,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := harness.Run(hc)
-	if err != nil {
-		return nil, err
-	}
-	return wrap(res), nil
+	return harness.Run(hc)
 }
 
 // RunComparison runs Flower-CDN and Squirrel on identical settings and
@@ -384,19 +292,12 @@ func RunComparison(cfg Config) (flower, squirrel *Result, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	f, s, err := harness.RunComparison(hc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return wrap(f), wrap(s), nil
+	return harness.RunComparison(hc)
 }
 
-// ScalabilityRow is one Table 2 data point.
-type ScalabilityRow struct {
-	Population int
-	Flower     *Result
-	Squirrel   *Result
-}
+// ScalabilityRow is one Table 2 data point: a population with its
+// Flower and Squirrel results.
+type ScalabilityRow = harness.Table2Row
 
 // RunScalability sweeps populations, reproducing Table 2.
 func RunScalability(cfg Config, populations []int) ([]ScalabilityRow, error) {
@@ -404,15 +305,7 @@ func RunScalability(cfg Config, populations []int) ([]ScalabilityRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := harness.RunTable2(hc, populations)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ScalabilityRow, len(rows))
-	for i, r := range rows {
-		out[i] = ScalabilityRow{Population: r.Population, Flower: wrap(r.Flower), Squirrel: wrap(r.Squirrel)}
-	}
-	return out, nil
+	return harness.RunTable2(hc, populations)
 }
 
 // FormatTable1 renders the parameter sheet of the run.
@@ -424,20 +317,17 @@ func FormatTable1(cfg Config) (string, error) {
 	return harness.FormatTable1(hc), nil
 }
 
+// FormatSummary renders one run's headline numbers.
+func FormatSummary(r *Result) string { return harness.FormatSummary(r) }
+
 // FormatFig3 renders the hit-ratio-over-time comparison.
-func FormatFig3(f, s *Result) string { return harness.FormatFig3(f.inner, s.inner) }
+func FormatFig3(f, s *Result) string { return harness.FormatFig3(f, s) }
 
 // FormatFig4 renders the lookup-latency distributions.
-func FormatFig4(f, s *Result) string { return harness.FormatFig4(f.inner, s.inner) }
+func FormatFig4(f, s *Result) string { return harness.FormatFig4(f, s) }
 
 // FormatFig5 renders the transfer-distance distributions.
-func FormatFig5(f, s *Result) string { return harness.FormatFig5(f.inner, s.inner) }
+func FormatFig5(f, s *Result) string { return harness.FormatFig5(f, s) }
 
 // FormatTable2 renders the scalability sweep.
-func FormatTable2(rows []ScalabilityRow) string {
-	inner := make([]harness.Table2Row, len(rows))
-	for i, r := range rows {
-		inner[i] = harness.Table2Row{Population: r.Population, Flower: r.Flower.inner, Squirrel: r.Squirrel.inner}
-	}
-	return harness.FormatTable2(inner)
-}
+func FormatTable2(rows []ScalabilityRow) string { return harness.FormatTable2(rows) }

@@ -3,6 +3,8 @@ package flowercdn
 import (
 	"strings"
 	"testing"
+
+	"flowercdn/internal/runtime"
 )
 
 func tiny() Config {
@@ -26,16 +28,16 @@ func TestRunFlowerFacade(t *testing.T) {
 	if res.Queries == 0 || res.Hits == 0 {
 		t.Fatalf("no activity: queries=%d hits=%d", res.Queries, res.Hits)
 	}
-	if len(res.Series) == 0 || res.Series[0].Hour != 1 {
+	if len(res.Series) != tiny().Hours || res.Series[0].Start != 0 || res.Series[1].Start != runtime.Hour {
 		t.Fatalf("series malformed: %+v", res.Series)
 	}
 	if res.HitRatio <= 0 || res.HitRatio > 1 {
 		t.Fatalf("hit ratio out of range: %g", res.HitRatio)
 	}
-	if !strings.Contains(res.Summary(), "hit ratio") {
+	if !strings.Contains(FormatSummary(res), "hit ratio") {
 		t.Fatal("summary render broken")
 	}
-	if res.LookupDistribution().Total == 0 || res.TransferDistribution().Total == 0 {
+	if res.Lookup.Total == 0 || res.Transfer.Total == 0 {
 		t.Fatal("distributions empty")
 	}
 }

@@ -167,7 +167,7 @@ func (c *Coordinator) Wait() (*sweep.Result, error) {
 	ns := len(c.spec.Seeds)
 	results := make([]*harness.Result, len(c.spec.Cells)*ns)
 	for k, rec := range c.done {
-		results[k.cell*ns+k.seed] = rec.Result()
+		results[k.cell*ns+k.seed] = &harness.Result{Summary: *rec}
 	}
 	res := sweep.Aggregate(c.spec, results)
 	res.Workers = len(c.workers)

@@ -21,12 +21,13 @@
 // Completed results append to per-cell record files under the
 // coordinator's out-dir (one canonical-binary record per (cell, seed)),
 // so a restarted coordinator resumes: records already on disk are
-// loaded, their jobs never re-run. Final aggregation converts records
-// back to harness results and reduces them through sweep.Aggregate —
-// the same function the in-process sweep uses, over the same job
-// ordering, with float64s carried bit-exactly — so a distributed
-// sweep's aggregates are bit-identical to an in-process run's at any
-// worker count.
+// loaded, their jobs never re-run. A record is the run's
+// harness.Summary itself — the worker sends &res.Summary, nothing is
+// projected or copied — and final aggregation reduces
+// harness.Result{Summary: record} through sweep.Aggregate, the same
+// function the in-process sweep uses, over the same job ordering, with
+// float64s carried bit-exactly, so a distributed sweep's aggregates are
+// bit-identical to an in-process run's at any worker count.
 //
 // Example (the flowerbench -dist-coordinator / -dist-worker surface):
 //

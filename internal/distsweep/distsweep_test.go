@@ -94,8 +94,9 @@ func assertSameResult(t *testing.T, want, got *sweep.Result) {
 		t.Errorf("series CSVs differ")
 	}
 	for i := range want.Cells {
-		// Compare aggregate statistics only: records deliberately project
-		// away per-run bulk, so the Runs slices differ by design.
+		// Compare aggregate statistics only: a record is the run's Summary,
+		// the per-run bulk stays on the worker, so the Runs slices differ
+		// by design.
 		w, g := want.Cells[i], got.Cells[i]
 		w.Runs, g.Runs = nil, nil
 		if !reflect.DeepEqual(w, g) {

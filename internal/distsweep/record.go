@@ -14,81 +14,23 @@ import (
 	"flowercdn/internal/sweep"
 )
 
-// RunRecord is the portable projection of a harness.Result: exactly the
-// fields the sweep's aggregation and CSV/series renderers consume,
-// carried with bit-exact float64s (fixed 8-byte IEEE encoding — never
-// text) so a record written on one machine and aggregated on another
-// reproduces the in-process sweep's output byte for byte. Per-run bulk
-// that aggregation never touches (distributions, quantiles, traces,
-// per-protocol counter maps) deliberately stays behind on the worker.
-type RunRecord struct {
-	Protocol   string
-	Population int
-	Duration   int64
-	Backend    string
+// RunRecord is what crosses the wire and sits in the record files: the
+// run's harness.Summary itself, not a projection of it — exactly the
+// fields the sweep's aggregation and CSV/series renderers consume; per-run
+// bulk (distributions, quantiles, traces, counter maps) stays behind on
+// the worker. The encoder and decoder below are the one explicit field
+// list, and their byte layout is the contract (golden_test.go pins it; the
+// spec sum does not cover it): float64s travel as fixed 8-byte IEEE, never
+// text, so a record written on another machine or by an earlier build
+// reproduces the in-process sweep's output byte for byte. A new Summary
+// field is appended and bumps recordVersion.
+type RunRecord = harness.Summary
 
-	HitRatio       float64
-	TailHitRatio   float64
-	MeanLookupMs   float64
-	MeanTransferMs float64
-	MeanHops       float64
-
-	Queries    uint64
-	Hits       uint64
-	Misses     uint64
-	Unresolved uint64
-
-	Fingerprint uint64
-	Series      []metrics.SeriesPoint
-}
-
-// newRecord projects a completed run onto its portable record.
-func newRecord(res *harness.Result) *RunRecord {
-	return &RunRecord{
-		Protocol:       string(res.Protocol),
-		Population:     res.Population,
-		Duration:       res.Duration,
-		Backend:        res.Backend,
-		HitRatio:       res.HitRatio,
-		TailHitRatio:   res.TailHitRatio,
-		MeanLookupMs:   res.MeanLookupMs,
-		MeanTransferMs: res.MeanTransferMs,
-		MeanHops:       res.MeanHops,
-		Queries:        res.Queries,
-		Hits:           res.Hits,
-		Misses:         res.Misses,
-		Unresolved:     res.Unresolved,
-		Fingerprint:    res.Fingerprint,
-		Series:         res.Series,
-	}
-}
-
-// Result reconstitutes the harness result the aggregation consumes.
-func (rec *RunRecord) Result() *harness.Result {
-	return &harness.Result{
-		Protocol:       harness.Protocol(rec.Protocol),
-		Population:     rec.Population,
-		Duration:       rec.Duration,
-		Backend:        rec.Backend,
-		HitRatio:       rec.HitRatio,
-		TailHitRatio:   rec.TailHitRatio,
-		MeanLookupMs:   rec.MeanLookupMs,
-		MeanTransferMs: rec.MeanTransferMs,
-		MeanHops:       rec.MeanHops,
-		Queries:        rec.Queries,
-		Hits:           rec.Hits,
-		Misses:         rec.Misses,
-		Unresolved:     rec.Unresolved,
-		Fingerprint:    rec.Fingerprint,
-		Series:         rec.Series,
-	}
-}
-
-// appendWire writes the record body — shared between ResultMsg (the
+// appendRecord writes the record body — shared between ResultMsg (the
 // wire) and the per-cell record files (disk), so both are the same
 // canonical encoding.
-func (rec *RunRecord) appendWire(w *runtime.WireWriter) {
-	w.String(rec.Protocol)
+func appendRecord(w *runtime.WireWriter, rec *RunRecord) {
+	w.String(string(rec.Protocol))
 	w.Int(rec.Population)
 	w.Varint(rec.Duration)
 	w.String(rec.Backend)
@@ -115,7 +57,7 @@ func (rec *RunRecord) appendWire(w *runtime.WireWriter) {
 
 func decodeRunRecord(r *runtime.WireReader) *RunRecord {
 	rec := &RunRecord{
-		Protocol:       r.String(),
+		Protocol:       harness.Protocol(r.String()),
 		Population:     r.Int(),
 		Duration:       r.Varint(),
 		Backend:        r.String(),
@@ -273,7 +215,7 @@ func openCellLog(dir string, cell int, sum uint64) (*cellLog, map[int]*RunRecord
 func (l *cellLog) append(seed int, rec *RunRecord) error {
 	w := runtime.NewWireWriter(append(l.buf[:0], 0, 0, 0, 0))
 	w.Uvarint(uint64(seed))
-	rec.appendWire(w)
+	appendRecord(w, rec)
 	if err := w.Err(); err != nil {
 		return err
 	}

@@ -146,7 +146,7 @@ func (m *ResultMsg) AppendWire(w *runtime.WireWriter) {
 	w.Uvarint(m.Epoch)
 	w.Bool(m.Rec != nil)
 	if m.Rec != nil {
-		m.Rec.appendWire(w)
+		appendRecord(w, m.Rec)
 	}
 }
 

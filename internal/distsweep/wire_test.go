@@ -7,11 +7,10 @@ import (
 	"flowercdn/internal/wiretest"
 )
 
-// Fully-populated exemplars through every codec: DeepEqual round
-// trips, byte-identical binary re-encode (the canonical-encoding
-// property the record files rely on).
-func TestWireRoundTrips(t *testing.T) {
-	rec := &RunRecord{
+// exemplarRecord is a record with every field set — the value the golden
+// bytes in golden_test.go encode.
+func exemplarRecord() *RunRecord {
+	return &RunRecord{
 		Protocol:       "flower",
 		Population:     400,
 		Duration:       28800000,
@@ -31,6 +30,13 @@ func TestWireRoundTrips(t *testing.T) {
 			{Start: 3600000, HitRatio: 0.75, Queries: 150, MeanLookupMs: 120, MeanTransferMs: 60},
 		},
 	}
+}
+
+// Fully-populated exemplars through every codec: DeepEqual round
+// trips, byte-identical binary re-encode (the canonical-encoding
+// property the record files rely on).
+func TestWireRoundTrips(t *testing.T) {
+	rec := exemplarRecord()
 	for _, msg := range []any{
 		&Hello{Worker: "worker-7", SpecSum: 0x1234567890abcdef},
 		&Welcome{Total: 40, Done: 13},

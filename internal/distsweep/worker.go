@@ -158,7 +158,7 @@ func runJob(cfg WorkerConfig, s *socknet.Stream, m *JobAssign) (*RunRecord, erro
 	if err != nil {
 		return nil, err
 	}
-	return newRecord(res), nil
+	return &res.Summary, nil
 }
 
 // dialRetry keeps dialing until the coordinator answers or the timeout

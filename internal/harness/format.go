@@ -67,9 +67,9 @@ func FormatFig4(f, s *Result) string {
 	fmt.Fprintf(&b, "  Flower-CDN : %s\n", f.Lookup)
 	fmt.Fprintf(&b, "  Squirrel   : %s\n", s.Lookup)
 	fmt.Fprintf(&b, "  within 150 ms: Flower %.0f%%, Squirrel %.0f%% (paper: 66%% vs n/a)\n",
-		100*f.Lookup.CDFAt(150), 100*s.Lookup.CDFAt(150))
+		100*f.LookupWithin150ms(), 100*s.LookupWithin150ms())
 	fmt.Fprintf(&b, "  beyond 1200 ms: Flower %.0f%%, Squirrel %.0f%% (paper: n/a vs 75%%)\n",
-		100*f.Lookup.TailFraction(1200), 100*s.Lookup.TailFraction(1200))
+		100*f.LookupBeyond1200ms(), 100*s.LookupBeyond1200ms())
 	return b.String()
 }
 
@@ -80,7 +80,7 @@ func FormatFig5(f, s *Result) string {
 	fmt.Fprintf(&b, "  Flower-CDN : %s\n", f.Transfer)
 	fmt.Fprintf(&b, "  Squirrel   : %s\n", s.Transfer)
 	fmt.Fprintf(&b, "  within 100 ms: Flower %.0f%%, Squirrel %.0f%% (paper: 62%% vs 22%%)\n",
-		100*f.Transfer.CDFAt(100), 100*s.Transfer.CDFAt(100))
+		100*f.TransferWithin100ms(), 100*s.TransferWithin100ms())
 	return b.String()
 }
 

@@ -6,6 +6,10 @@
 // distribution), Fig. 5 (transfer distance distribution) and Table 2
 // (scalability sweep), plus the Table 1 parameter sheet.
 //
+// What a run reports is declared once: Summary is the portable part
+// (what sweeps aggregate and distributed-sweep records store), Result
+// embeds it next to what stays with the process that ran the experiment.
+//
 // The harness knows no concrete protocol: deployments are resolved by
 // name through the internal/proto registry and driven through the
 // proto.System interface, configuration flows down as an opaque
@@ -369,11 +373,17 @@ func (c Config) Validate() error {
 	return c.Workload.Validate()
 }
 
-// Result is the outcome of one run.
-type Result struct {
+// Summary is the portable part of a run's outcome: what a sweep
+// aggregates and renders, what a distributed-sweep worker sends home and
+// what the coordinator's record files store (internal/distsweep encodes
+// exactly this field set, float64s bit-exact). The rest of a run's
+// outcome is Result's and stays in the process that ran it.
+type Summary struct {
 	Protocol   Protocol
 	Population int
 	Duration   int64
+	// Backend names the runtime backend the run executed on.
+	Backend string
 
 	// HitRatio is cumulative over the run; TailHitRatio covers the
 	// final TailWindows windows (the "after 24 simulation hours" view).
@@ -388,18 +398,34 @@ type Result struct {
 	// overlays do; origin-only has no overlay and reports 0).
 	MeanHops float64
 
-	// Quantiles complement the paper's means.
-	LookupQuantiles   metrics.LatencySummary
-	TransferQuantiles metrics.LatencySummary
-
-	Series   []metrics.SeriesPoint
-	Lookup   metrics.Distribution
-	Transfer metrics.Distribution
-
 	Queries    uint64
 	Hits       uint64
 	Misses     uint64
 	Unresolved uint64
+
+	// Fingerprint is an FNV-1a hash over the run's per-window query,
+	// transfer and message counts. On the sim backend it is a
+	// deterministic function of the configuration: two processes
+	// running the same cell must produce the same value, so diffing
+	// fingerprints across processes catches map-order nondeterminism
+	// mechanically (see make fingerprint-check).
+	Fingerprint uint64
+	// Series is the per-window time series (Fig. 3), one point per SeriesWindow.
+	Series []metrics.SeriesPoint
+}
+
+// Result is the outcome of one run: the Summary plus what only the process
+// that ran it holds (one rebuilt from a sweep record is its Summary alone).
+type Result struct {
+	Summary
+
+	// Quantiles complement the paper's means.
+	LookupQuantiles   metrics.LatencySummary
+	TransferQuantiles metrics.LatencySummary
+
+	// Lookup and Transfer are the Fig. 4 and Fig. 5 histograms.
+	Lookup   metrics.Distribution
+	Transfer metrics.Distribution
 
 	// Outcome breakdown (outcomes a protocol never produces stay 0).
 	GossipHits     uint64
@@ -409,15 +435,6 @@ type Result struct {
 	// AlivePeers is the population at the end of the run (the
 	// well-known "alive_peers" gauge every deployment reports).
 	AlivePeers int
-	// Backend names the runtime backend the run executed on.
-	Backend string
-	// Fingerprint is an FNV-1a hash over the run's per-window query,
-	// transfer and message counts. On the sim backend it is a
-	// deterministic function of the configuration: two processes
-	// running the same cell must produce the same value, so diffing
-	// fingerprints across processes catches map-order nondeterminism
-	// mechanically (see make fingerprint-check).
-	Fingerprint uint64
 	// Proto holds the deployment's generic counters and gauges: its
 	// Stats() snapshot merged over the counter events it streamed
 	// through the metrics pipeline during the run.
@@ -465,8 +482,22 @@ type MemStats struct {
 	BytesPerNode float64
 }
 
-// ProtoStat reads one generic protocol stat (0 when absent).
+// ProtoStat reads one generic protocol stat ("alive_directories",
+// "dir_promotions", "summary_pushes", ... — each driver documents its
+// vocabulary; 0 when absent).
 func (r *Result) ProtoStat(name string) float64 { return r.Proto[name] }
+
+// LookupWithin150ms is Fig. 4's headline point for Flower-CDN: the share
+// of served queries resolved within 150 ms (paper: 66%).
+func (r *Result) LookupWithin150ms() float64 { return r.Lookup.CDFAt(150) }
+
+// LookupBeyond1200ms is Fig. 4's headline point for Squirrel: the share
+// of served queries that took longer than 1 200 ms (paper: 75%).
+func (r *Result) LookupBeyond1200ms() float64 { return r.Lookup.TailFraction(1200) }
+
+// TransferWithin100ms is Fig. 5's headline point: the share of transfers
+// from a provider at most 100 ms away (paper: 62% vs 22%).
+func (r *Result) TransferWithin100ms() float64 { return r.Transfer.CDFAt(100) }
 
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) {
@@ -587,7 +618,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	res := &Result{Protocol: cfg.Protocol, Population: cfg.Population, Duration: cfg.Duration, Backend: cfg.ResolvedBackend()}
+	res := &Result{Summary: Summary{Protocol: cfg.Protocol, Population: cfg.Population, Duration: cfg.Duration, Backend: cfg.ResolvedBackend()}}
 	res.HitRatio = coll.HitRatio()
 	res.TailHitRatio = coll.TailHitRatio(cfg.TailWindows)
 	res.MeanLookupMs = coll.MeanLookupLatency()

@@ -90,8 +90,9 @@ func TestSocketBackendSmoke(t *testing.T) {
 }
 
 // TestSocketBackendSmokeAllProtocols runs every registered protocol
-// once over two groups at toy scale: the backend seam is genuinely
-// protocol-agnostic, gob wire registrations included.
+// once over two groups at toy scale, on the default (binary) codec: the
+// backend seam is genuinely protocol-agnostic, every driver's wire
+// marshallers included.
 func TestSocketBackendSmokeAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock runs")
@@ -99,6 +100,7 @@ func TestSocketBackendSmokeAllProtocols(t *testing.T) {
 	for _, name := range proto.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
+			t.Parallel() // each group reserves its own ports: sleep through the horizon together
 			results := runSocketGroup(t, Protocol(name), 2, 24, 4_000)
 			var queries, answered uint64
 			for _, res := range results {

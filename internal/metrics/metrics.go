@@ -59,20 +59,6 @@ func (o Outcome) IsHit() bool {
 	return o == HitLocalGossip || o == HitDirectory || o == HitDirectorySummary
 }
 
-// Query is one completed query observation.
-type Query struct {
-	// When is the completion time.
-	When int64
-	// Outcome classifies the provider.
-	Outcome Outcome
-	// LookupLatency is the simulated time from issuing the query to
-	// knowing the provider, in ms.
-	LookupLatency int64
-	// TransferDistance is the one-way latency from the querying peer to
-	// the provider (content peer or origin), in ms.
-	TransferDistance int64
-}
-
 // Collector accumulates query observations for one run. It is a Sink
 // (and an Emitter, for callers that use it standalone) over the typed
 // event stream; its per-window series delegates to the generic
@@ -97,11 +83,6 @@ func NewCollector(window int64) *Collector {
 		window = runtime.Hour
 	}
 	return &Collector{win: NewWindowed(window)}
-}
-
-// Record ingests one query observation.
-func (c *Collector) Record(q Query) {
-	c.Observe(QueryEvent(q.When, q.Outcome, q.LookupLatency, q.TransferDistance))
 }
 
 // Observe implements Sink: query events feed the run-level aggregates
@@ -252,27 +233,29 @@ func (d Distribution) Fraction(i int) float64 {
 	return float64(d.Counts[i]) / float64(d.Total)
 }
 
-// CDFAt returns the fraction of values <= bound, where bound must be
-// one of the bucket bounds (the paper quotes e.g. "66% of queries
-// resolved within 150 ms").
+// CDFAt returns the fraction of values known to be <= bound: the
+// cumulative share at the largest bucket edge <= bound. On an edge that
+// is exact (the paper quotes e.g. "66% of queries resolved within
+// 150 ms"); off an edge it is a true lower bound, because the bucket
+// straddling bound is left out — the histogram cannot say how much of it
+// lies below — and so 0 below the first edge.
 func (d Distribution) CDFAt(bound int64) float64 {
 	if d.Total == 0 {
 		return 0
 	}
 	var cum uint64
 	for i, b := range d.Bounds {
-		cum += d.Counts[i]
-		if b == bound {
-			return float64(cum) / float64(d.Total)
-		}
 		if b > bound {
 			break
 		}
+		cum += d.Counts[i]
 	}
 	return float64(cum) / float64(d.Total)
 }
 
-// TailFraction returns the share of values strictly above bound.
+// TailFraction returns 1 - CDFAt(bound): the share of values strictly
+// above bound when bound is a bucket edge, an upper bound on it
+// otherwise.
 func (d Distribution) TailFraction(bound int64) float64 {
 	if d.Total == 0 {
 		return 0

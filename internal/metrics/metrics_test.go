@@ -32,10 +32,10 @@ func TestOutcomeClassification(t *testing.T) {
 func TestHitRatio(t *testing.T) {
 	c := NewCollector(sim.Hour)
 	for i := 0; i < 6; i++ {
-		c.Record(Query{When: 0, Outcome: HitDirectory, LookupLatency: 100, TransferDistance: 50})
+		c.Observe(QueryEvent(0, HitDirectory, 100, 50))
 	}
 	for i := 0; i < 4; i++ {
-		c.Record(Query{When: 0, Outcome: Miss, LookupLatency: 1000, TransferDistance: 300})
+		c.Observe(QueryEvent(0, Miss, 1000, 300))
 	}
 	if got := c.HitRatio(); math.Abs(got-0.6) > 1e-9 {
 		t.Fatalf("HitRatio = %g, want 0.6", got)
@@ -63,11 +63,11 @@ func TestEmptyCollectorSafe(t *testing.T) {
 
 func TestMeans(t *testing.T) {
 	c := NewCollector(sim.Hour)
-	c.Record(Query{Outcome: HitDirectory, LookupLatency: 100, TransferDistance: 40})
-	c.Record(Query{Outcome: Miss, LookupLatency: 300, TransferDistance: 200})
+	c.Observe(QueryEvent(0, HitDirectory, 100, 40))
+	c.Observe(QueryEvent(0, Miss, 300, 200))
 	// Unresolved queries contribute to hit ratio denominator but not to
 	// latency means (there is no provider to measure).
-	c.Record(Query{Outcome: Unresolved})
+	c.Observe(QueryEvent(0, Unresolved, 0, 0))
 	if got := c.MeanLookupLatency(); math.Abs(got-200) > 1e-9 {
 		t.Fatalf("MeanLookupLatency = %g, want 200", got)
 	}
@@ -82,10 +82,10 @@ func TestMeans(t *testing.T) {
 func TestHitRatioSeriesWindows(t *testing.T) {
 	c := NewCollector(sim.Hour)
 	// Window 0: 1 hit, 1 miss. Window 2: 2 hits.
-	c.Record(Query{When: 10 * sim.Minute, Outcome: HitLocalGossip})
-	c.Record(Query{When: 50 * sim.Minute, Outcome: Miss})
-	c.Record(Query{When: 2*sim.Hour + 1, Outcome: HitDirectory})
-	c.Record(Query{When: 2*sim.Hour + 2, Outcome: HitDirectory})
+	c.Observe(QueryEvent(10*sim.Minute, HitLocalGossip, 0, 0))
+	c.Observe(QueryEvent(50*sim.Minute, Miss, 0, 0))
+	c.Observe(QueryEvent(2*sim.Hour+1, HitDirectory, 0, 0))
+	c.Observe(QueryEvent(2*sim.Hour+2, HitDirectory, 0, 0))
 	s := c.HitRatioSeries()
 	if len(s) != 3 {
 		t.Fatalf("series length %d, want 3", len(s))
@@ -108,11 +108,11 @@ func TestTailHitRatio(t *testing.T) {
 	c := NewCollector(sim.Hour)
 	// Hour 0: all misses; hours 1-2: all hits.
 	for i := 0; i < 10; i++ {
-		c.Record(Query{When: int64(i), Outcome: Miss})
+		c.Observe(QueryEvent(int64(i), Miss, 0, 0))
 	}
 	for i := 0; i < 10; i++ {
-		c.Record(Query{When: sim.Hour + int64(i), Outcome: HitDirectory})
-		c.Record(Query{When: 2*sim.Hour + int64(i), Outcome: HitDirectory})
+		c.Observe(QueryEvent(sim.Hour+int64(i), HitDirectory, 0, 0))
+		c.Observe(QueryEvent(2*sim.Hour+int64(i), HitDirectory, 0, 0))
 	}
 	if got := c.TailHitRatio(2); got != 1 {
 		t.Fatalf("TailHitRatio(2) = %g, want 1", got)
@@ -145,6 +145,50 @@ func TestDistributionBinning(t *testing.T) {
 	}
 }
 
+// CDFAt answers at the largest edge <= its argument: exact on an edge, a
+// lower bound off one (the straddling bucket is never counted), 0 below
+// the first edge; TailFraction is its complement everywhere.
+func TestCDFAtIsTheLowerBoundAtTheEdgeBelow(t *testing.T) {
+	check := func(d Distribution, bound int64, want float64) {
+		t.Helper()
+		if got := d.CDFAt(bound); math.Abs(got-want) > 1e-12 {
+			t.Errorf("bounds %v: CDFAt(%d) = %g, want %g", d.Bounds, bound, got, want)
+		}
+		if got := d.TailFraction(bound); math.Abs(got-(1-want)) > 1e-12 {
+			t.Errorf("bounds %v: TailFraction(%d) = %g, want %g", d.Bounds, bound, got, 1-want)
+		}
+	}
+	d := NewDistribution([]int64{150, 300}, []int64{100, 250, 250, 400})
+	for _, c := range []struct {
+		bound int64
+		want  float64
+	}{
+		{100, 0}, {149, 0}, {150, 0.25}, {200, 0.25}, {299, 0.25}, {300, 0.75}, {5000, 0.75},
+	} {
+		check(d, c.bound, c.want)
+	}
+	// Every edge of the figure histograms, with one value exactly on each
+	// edge, one just past it and one past the last: edge i has seen i+1
+	// on-edge values and i just-past ones.
+	for _, bounds := range [][]int64{Fig4Bounds, Fig5Bounds} {
+		var vals []int64
+		for _, b := range bounds {
+			vals = append(vals, b, b+1)
+		}
+		d := NewDistribution(bounds, vals)
+		n := float64(len(vals))
+		check(d, bounds[0]-1, 0)
+		for i, b := range bounds {
+			check(d, b, float64(2*i+1)/n)
+			check(d, b+1, float64(2*i+1)/n)
+		}
+		check(d, bounds[len(bounds)-1]*10, (n-1)/n)
+	}
+	if e := (Distribution{}); e.CDFAt(150) != 0 || e.TailFraction(150) != 0 {
+		t.Error("an empty distribution reports 0 for both")
+	}
+}
+
 func TestDistributionCDFIsMonotone(t *testing.T) {
 	f := func(raw []uint16) bool {
 		vals := make([]int64, len(raw))
@@ -170,8 +214,8 @@ func TestDistributionCDFIsMonotone(t *testing.T) {
 
 func TestCollectorDistributions(t *testing.T) {
 	c := NewCollector(sim.Hour)
-	c.Record(Query{Outcome: HitDirectory, LookupLatency: 120, TransferDistance: 40})
-	c.Record(Query{Outcome: Miss, LookupLatency: 1500, TransferDistance: 250})
+	c.Observe(QueryEvent(0, HitDirectory, 120, 40))
+	c.Observe(QueryEvent(0, Miss, 1500, 250))
 	ld := c.LookupDistribution(Fig4Bounds)
 	if ld.Total != 2 || math.Abs(ld.CDFAt(150)-0.5) > 1e-9 {
 		t.Fatalf("lookup distribution wrong: %+v", ld)
@@ -195,7 +239,7 @@ func TestDistributionString(t *testing.T) {
 
 func TestInvalidOutcomeCoercedToUnresolved(t *testing.T) {
 	c := NewCollector(sim.Hour)
-	c.Record(Query{Outcome: Outcome(42)})
+	c.Observe(QueryEvent(0, Outcome(42), 0, 0))
 	if c.Count(Unresolved) != 1 {
 		t.Fatal("invalid outcome not coerced")
 	}

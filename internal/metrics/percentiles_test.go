@@ -12,7 +12,7 @@ import (
 func collectorWith(lookups []int64) *Collector {
 	c := NewCollector(sim.Hour)
 	for _, v := range lookups {
-		c.Record(Query{Outcome: HitDirectory, LookupLatency: v, TransferDistance: v * 2})
+		c.Observe(QueryEvent(0, HitDirectory, v, v*2))
 	}
 	return c
 }

@@ -94,7 +94,7 @@ func TestCollectorIsAnEmitter(t *testing.T) {
 		t.Fatal("Emit did not record")
 	}
 	// Record remains equivalent to Emit for existing callers.
-	c.Record(Query{When: 1, Outcome: Miss, LookupLatency: 20, TransferDistance: 10})
+	c.Observe(QueryEvent(1, Miss, 20, 10))
 	if c.Total() != 2 || c.Count(Miss) != 1 {
 		t.Fatal("Record did not route through Observe")
 	}

@@ -23,10 +23,11 @@ func (h pongHandler) HandleRequest(runtime.NodeID, any) (any, error) { return h.
 // payloads are a Ping and a Pong small enough to box without an
 // allocation, so nothing here is the codec's; a real payload adds its
 // decoded copy on each side (the repo benchmark's wire-rpc reads about
-// four). The pending-request, delayed-frame and inbox records are
-// pooled, and the timers a round trip schedules (its deadline, a delayed
-// frame each way, its share of the batch hand-offs) are released to the
-// clocks, which recycle them; while each was an object this read three.
+// four). The pending-request and delayed-frame records are pooled,
+// inbound frames queue in two slices the transport keeps, and the timers
+// a round trip schedules (its deadline, a delayed frame each way, its
+// share of the drains) are released to the clocks, which recycle them;
+// while each was an object this read three.
 func TestRequestRoundTripAllocs(t *testing.T) {
 	trs := newMesh(t, 2, 1, 0, 0, "binary")
 	a, b := trs[0], trs[1]

@@ -10,7 +10,7 @@ import (
 	"flowercdn/internal/wallclock"
 )
 
-// These tests pin what group commit and the per-batch hand-off must
+// These tests pin what group commit and the inbound queue must
 // keep: wire order into the handlers, mirror state ahead of the frames
 // that depend on it, coalescing without a timer, and a writer that
 // lets go of a dead connection.

@@ -38,9 +38,11 @@
 // connection's writer goroutine writes as soon as it is woken and, while
 // that write is in flight, the run loop keeps appending: whatever has
 // gathered goes out in the next write, so an idle connection sends a
-// frame at once and a busy one coalesces by itself. The reader hands
-// the deliverable frames of each batch it reads to the run loop as one
-// callback, in wire order.
+// frame at once and a busy one coalesces by itself. The read side is the
+// same shape: readers append the deliverable frames of each batch they
+// read to one inbound queue, and one run-loop callback takes whatever
+// has gathered and delivers it in arrival order — wire order per
+// connection.
 package socknet
 
 import (
@@ -242,12 +244,21 @@ type Transport struct {
 	subs        []func(msg any)
 	conns       []*conn               // indexed by group; nil = self or down
 	handshakes  map[net.Conn]struct{} // accepted conns still reading hello
-	buffered    []frame               // deliverable frames that arrived before Bind
 	missing     int                   // groups not yet connected
 	readyCh     chan struct{}
 	readyClosed bool
 	handErr     error // first handshake error, surfaced by Dial
 	closed      bool
+
+	// inbound is the read side's group commit: the deliverable frames
+	// the readers have decoded and the run loop has not taken yet, in
+	// arrival order (before Bind they wait here for the clock). draining
+	// says a drain is scheduled and has not swapped inbound out yet;
+	// inboundSpare is the slice the last drain emptied.
+	inbound      []frame
+	inboundSpare []frame
+	draining     bool
+	drainFn      func() // t.drain, bound once
 
 	defaultRPCTimeout int64
 
@@ -320,6 +331,7 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 		defaultRPCTimeout: cfg.DefaultRPCTimeout,
 		lis:               lis,
 	}
+	t.drainFn = t.drain
 	if t.missing == 0 {
 		t.readyClosed = true
 		close(t.readyCh)
@@ -372,13 +384,9 @@ func (t *Transport) Bind(clock runtime.Clock) {
 		panic("socknet: Bind called twice")
 	}
 	t.clock = clock
-	if len(t.buffered) > 0 {
-		// Scheduled under mu, so that no reader can see the clock and get
-		// a later batch of the same connection in ahead of these.
-		in := t.newInbox()
-		in.frames = append(in.frames, t.buffered...)
-		clock.Schedule(0, in.run).Release()
-		t.buffered = nil
+	if len(t.inbound) > 0 {
+		t.draining = true
+		clock.Schedule(0, t.drainFn).Release()
 	}
 }
 
@@ -569,50 +577,41 @@ func (t *Transport) isClosed() bool {
 	return t.closed
 }
 
-// inbox carries the deliverable frames of one read batch to the run
-// loop: one callback delivers them in wire order and recycles the
-// record, frame slice included.
-type inbox struct {
-	t      *Transport
-	frames []frame
-	run    func() // in.deliver, bound once
-}
-
-var inboxPool sync.Pool
-
-func (t *Transport) newInbox() *inbox {
-	in, ok := inboxPool.Get().(*inbox)
-	if !ok {
-		in = &inbox{}
-		in.run = in.deliver
+// drain is the run loop's end of the read side: it takes every frame
+// the readers have gathered since the last drain and delivers them in
+// arrival order — wire order per connection. Two slices serve a
+// transport for life: the readers fill one while the run loop works
+// through the other.
+func (t *Transport) drain() {
+	t.mu.Lock()
+	frames := t.inbound
+	t.inbound, t.inboundSpare = t.inboundSpare, nil
+	t.draining = false
+	t.mu.Unlock()
+	for i := range frames {
+		t.deliver(&frames[i])
 	}
-	in.t = t
-	return in
-}
-
-func (in *inbox) deliver() {
-	for i := range in.frames {
-		in.t.deliver(&in.frames[i])
-	}
-	clear(in.frames) // release the payloads
-	in.t, in.frames = nil, in.frames[:0]
-	inboxPool.Put(in)
+	clear(frames) // release the payloads
+	t.mu.Lock()
+	t.inboundSpare = frames[:0]
+	t.mu.Unlock()
 }
 
 // readLoop slices batches off one connection until it breaks. Mirror
-// frames apply at once; the rest of a batch goes to the run loop
-// together. The body buffer is reused across batches — decoded frames
-// never alias it (the wire vocabulary copies, codecs guarantee no
-// aliasing).
+// frames apply at once; the rest of a batch joins the inbound queue
+// together, and the reader that finds no drain on its way schedules
+// one. The body buffer and the batch's frame slice are reused across
+// batches — decoded frames never alias the body (the wire vocabulary
+// copies, codecs guarantee no aliasing).
 func (t *Transport) readLoop(group int, cn *conn) {
 	defer t.wg.Done()
 	var body []byte
-	in := t.newInbox()
+	var batch []frame
 	visit := func(f frame) {
 		if f.Kind == frameJoin || f.Kind == frameFail {
 			t.mirror(f)
 		} else {
-			in.frames = append(in.frames, f)
+			batch = append(batch, f)
 		}
 	}
 	for {
@@ -626,15 +625,18 @@ func (t *Transport) readLoop(group int, cn *conn) {
 		t.wire.BatchesRead++
 		t.wire.FramesRead += uint64(frames)
 		t.wire.BytesRead += uint64(n)
+		t.inbound = append(t.inbound, batch...)
+		// Before Bind there is no clock; Bind schedules the drain then.
 		clock := t.clock
-		if clock == nil { // before Bind, which will deliver these
-			t.buffered = append(t.buffered, in.frames...)
-			in.frames = in.frames[:0]
+		kick := clock != nil && len(batch) > 0 && !t.draining
+		if kick {
+			t.draining = true
 		}
 		t.mu.Unlock()
-		if len(in.frames) > 0 {
-			clock.Schedule(0, in.run).Release()
-			in = t.newInbox()
+		clear(batch) // release the payloads
+		batch = batch[:0]
+		if kick {
+			clock.Schedule(0, t.drainFn).Release()
 		}
 		if err != nil {
 			t.connBroken(group)

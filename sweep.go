@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"flowercdn/internal/metrics"
 	"flowercdn/internal/sweep"
 )
 
@@ -17,48 +16,17 @@ type SweepCell struct {
 }
 
 // SweepCellResult aggregates one cell over every seed: the paper's
-// metrics as mean / stddev / 95% CI (Stat), plus the per-seed Results.
-type SweepCellResult struct {
-	Name       string
-	Protocol   Protocol
-	Population int
-	Seeds      []uint64
+// metrics as mean / stddev / 95% CI (metrics.Stat), plus the per-seed
+// Results in Runs, index-aligned with Seeds. After a DistSweepCoordinator
+// each Runs[i] carries its Summary and nothing else — the rest of a
+// Result stays in the worker process that ran it.
+type SweepCellResult = sweep.CellResult
 
-	HitRatio       metrics.Stat
-	TailHitRatio   metrics.Stat
-	MeanLookupMs   metrics.Stat
-	MeanTransferMs metrics.Stat
-	// MeanHops is the overlay routing cost per routed query (0 for
-	// deployments without an overlay).
-	MeanHops   metrics.Stat
-	Queries    metrics.Stat
-	Unresolved metrics.Stat
-
-	// Runs holds the underlying per-seed results, index-aligned with
-	// Seeds.
-	Runs []*Result
-}
-
-// SweepResult is the outcome of a Sweep. Its aggregates depend only on
-// the grid and seed set — never on the worker count.
-type SweepResult struct {
-	Cells     []SweepCellResult
-	Workers   int
-	TotalRuns int
-
-	inner *sweep.Result
-}
-
-// Table renders the sweep as an aligned text table.
-func (r *SweepResult) Table() string { return r.inner.Table() }
-
-// CSV renders the sweep as comma-separated values with a header row.
-func (r *SweepResult) CSV() string { return r.inner.CSV() }
-
-// SeriesCSV renders every run's per-window hit-ratio/latency series as
-// plot-friendly CSV: one row per (cell, seed, window). flowerbench
-// -series-csv writes it next to the aggregate CSV.
-func (r *SweepResult) SeriesCSV() string { return r.inner.SeriesCSV() }
+// SweepResult is the outcome of a Sweep; Table, CSV and SeriesCSV render
+// it (flowerbench -csv / -series-csv write the latter two). Its
+// aggregates depend only on the grid and seed set — never on the worker
+// count.
+type SweepResult = sweep.Result
 
 // Sweep runs every cell under every seed, fanning the independent
 // simulations out over at most workers goroutines (workers <= 0 uses
@@ -69,11 +37,7 @@ func Sweep(cells []SweepCell, seeds []uint64, workers int) (*SweepResult, error)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sweep.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	return wrapSweep(res), nil
+	return sweep.Run(spec)
 }
 
 // lowerSpec lowers public sweep cells onto the internal spec — the
@@ -89,31 +53,6 @@ func lowerSpec(cells []SweepCell, seeds []uint64, workers int) (sweep.Spec, erro
 		spec.Cells = append(spec.Cells, sweep.Cell{Name: c.Name, Config: hc})
 	}
 	return spec, nil
-}
-
-// wrapSweep lifts an internal sweep result onto the public facade.
-func wrapSweep(res *sweep.Result) *SweepResult {
-	out := &SweepResult{Workers: res.Workers, TotalRuns: res.TotalRuns, inner: res}
-	for _, c := range res.Cells {
-		cr := SweepCellResult{
-			Name:           c.Name,
-			Protocol:       Protocol(c.Protocol),
-			Population:     c.Population,
-			Seeds:          c.Seeds,
-			HitRatio:       c.HitRatio,
-			TailHitRatio:   c.TailHitRatio,
-			MeanLookupMs:   c.MeanLookupMs,
-			MeanTransferMs: c.MeanTransferMs,
-			MeanHops:       c.MeanHops,
-			Queries:        c.Queries,
-			Unresolved:     c.Unresolved,
-		}
-		for _, r := range c.Runs {
-			cr.Runs = append(cr.Runs, wrap(r))
-		}
-		out.Cells = append(out.Cells, cr)
-	}
-	return out
 }
 
 // SeedSet returns n consecutive seeds starting at base — the usual way

@@ -71,7 +71,7 @@ func TestSweepFacade(t *testing.T) {
 	if fl.HitRatio.Mean <= 0 {
 		t.Fatal("flower hit ratio zero")
 	}
-	// Façade Runs are fully wrapped results.
+	// Runs are the per-seed results themselves.
 	if fl.Runs[0].Queries == 0 || len(fl.Runs[0].Series) == 0 {
 		t.Fatal("wrapped run empty")
 	}
