@@ -186,7 +186,7 @@ func (d *ringDriver) Spawn(ind proto.Individual) func() {
 		site:  id.Site,
 		store: id.Store,
 		rng:   d.env.RNG.Split(fmt.Sprintf(d.spec.PeerStream, d.peers.Spawned()+1)),
-		index: make(map[content.Key][]runtime.NodeID),
+		index: content.Holders{Bound: d.cfg.indexCap},
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
 	ringID := ids.HashString(fmt.Sprintf(d.spec.RingID, p.nid))
@@ -272,9 +272,9 @@ type peer struct {
 	node  Router
 
 	// index is this node's slice of the directory: for every key this
-	// node is currently home of, object → providers, newest last, capped
-	// at indexCap. It dies with the node.
-	index map[content.Key][]runtime.NodeID
+	// node is currently home of, the newest indexCap providers. It dies
+	// with the node.
+	index content.Holders
 
 	query      *activeQuery
 	queryTimer runtime.Timer
@@ -446,7 +446,7 @@ func (p *peer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path 
 		p.d.env.Metrics.Emit(metrics.CounterEvent(now, "lookup_hops", float64(hops)))
 		p.d.env.Metrics.Emit(metrics.CounterEvent(now, "routed_queries", 1))
 		p.d.env.Trace.Delivered(hops)
-		providers := p.index[m.Key]
+		providers := p.index.Of(m.Key)
 		resp := homeResp{Seq: m.Seq}
 		if p.d.env.Trace.Enabled() {
 			resp.Path = trace.Append(path, trace.Hop{
@@ -463,30 +463,16 @@ func (p *peer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path 
 		}
 		// The requester is about to hold the object (from a provider
 		// or the origin): index it optimistically.
-		p.addProvider(m.Key, m.Client)
+		p.index.Add(m.Key, m.Client)
 		p.d.env.Net.Send(p.nid, m.Client, resp)
 	case summary:
 		if !p.d.spec.PushSummaries {
 			return
 		}
 		for _, k := range m.Keys {
-			p.addProvider(k, m.Node)
+			p.index.Add(k, m.Node)
 		}
 	}
-}
-
-func (p *peer) addProvider(k content.Key, nid runtime.NodeID) {
-	ps := p.index[k]
-	for _, existing := range ps {
-		if existing == nid {
-			return
-		}
-	}
-	ps = append(ps, nid)
-	if len(ps) > p.d.cfg.indexCap {
-		ps = ps[len(ps)-p.d.cfg.indexCap:]
-	}
-	p.index[k] = ps
 }
 
 // onHomeResp continues the query with the home's redirect.
@@ -512,7 +498,7 @@ func (p *peer) probeProvider(q *activeQuery) {
 	}
 	target := q.candidates[0]
 	q.candidates = q.candidates[1:]
-	timeout := 2*p.d.env.Net.Latency(p.nid, target) + 300*runtime.Millisecond
+	timeout := workload.ProbeTimeout(p.d.env.Net.Latency(p.nid, target))
 	p.d.env.Net.Request(p.nid, target, p.d.env.Workload.FetchReqMsg(q.key), timeout,
 		func(resp any, err error) {
 			if p.dead || p.query != q {

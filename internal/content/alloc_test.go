@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"flowercdn/internal/cache"
+	"flowercdn/internal/runtime"
 )
 
 // TestBoundedAddAllocs pins the bounded-store Add path's steady-state
@@ -37,5 +38,37 @@ func TestBoundedAddAllocs(t *testing.T) {
 	}
 	if s.Len() != 8 || s.Evictions() == 0 {
 		t.Errorf("%d residents after %d evictions, want 8 and some", s.Len(), s.Evictions())
+	}
+}
+
+// TestHoldersAllocs pins the holder index at zero allocations once warm:
+// a key emptied by Remove keeps its list for the next Add, and Add at
+// the bound shifts in place — re-slicing the oldest away instead drops
+// capacity and reallocates every few insertions.
+func TestHoldersAllocs(t *testing.T) {
+	var h Holders
+	k := Key{Site: 1, Object: 2}
+	h.Add(k, 1)
+	h.Remove(k, 1)
+	if avg := testing.AllocsPerRun(200, func() {
+		h.Add(k, 1)
+		h.Remove(k, 1)
+	}); avg != 0 {
+		t.Errorf("warm Add+Remove allocates %.2f objects, want 0", avg)
+	}
+	capped := Holders{Bound: 4}
+	for i := 0; i < 4; i++ {
+		capped.Add(k, runtime.NodeID(i))
+	}
+	// A hundred Adds per run: AllocsPerRun truncates its average, and a
+	// list that reallocates every few insertions averages below one.
+	nid := runtime.NodeID(4)
+	if avg := testing.AllocsPerRun(50, func() {
+		for range 100 {
+			capped.Add(k, nid)
+			nid++
+		}
+	}); avg != 0 {
+		t.Errorf("100 Adds at the bound allocate %.0f objects, want 0", avg)
 	}
 }

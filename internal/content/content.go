@@ -2,7 +2,8 @@
 // websites: object naming, per-peer stores with the push-delta
 // accounting the maintenance protocol needs (paper Sec. 5.1: a content
 // peer pushes updates "whenever the percentage of its changes reaches a
-// threshold"), and Bloom summaries for gossip.
+// threshold"), Bloom summaries for gossip, and Holders, the "which peers
+// hold object k" index of both directory designs.
 //
 // The paper assumes "a content peer has enough storage potential to
 // avoid replacing its content through the experiment's duration" —
@@ -14,9 +15,11 @@ package content
 
 import (
 	"fmt"
+	"slices"
 
 	"flowercdn/internal/bloom"
 	"flowercdn/internal/cache"
+	"flowercdn/internal/runtime"
 )
 
 // SiteID identifies a website in W.
@@ -280,4 +283,63 @@ func (s *Store) Summary() *bloom.Filter {
 	}
 	s.summary = f
 	return f
+}
+
+// Holders is a directory's "which peers hold object k": each key's
+// distinct holders, oldest first. Bound > 0 keeps only the newest Bound
+// per key. The zero value is an empty unbounded index, so it embeds by
+// value; set Bound before the first Add. A key's list keeps its backing
+// array when it empties, so a warm index allocates nothing on Add or
+// Remove, at the bound included. Ranking is the caller's.
+type Holders struct {
+	Bound int
+	m     map[Key][]runtime.NodeID
+	n     int // keys with at least one holder
+}
+
+// Add records nid as a holder of k, evicting k's oldest holder at the
+// bound. A known holder keeps its place.
+func (h *Holders) Add(k Key, nid runtime.NodeID) {
+	hs := h.m[k]
+	switch {
+	case slices.Contains(hs, nid):
+		return
+	case len(hs) == 0:
+		if h.m == nil {
+			h.m = make(map[Key][]runtime.NodeID)
+		}
+		h.n++
+	case len(hs) == h.Bound:
+		hs = hs[:copy(hs, hs[1:])]
+	}
+	h.m[k] = append(hs, nid)
+}
+
+// Remove forgets nid as a holder of k.
+func (h *Holders) Remove(k Key, nid runtime.NodeID) {
+	hs := h.m[k]
+	if i := slices.Index(hs, nid); i >= 0 {
+		h.m[k] = slices.Delete(hs, i, i+1)
+		if len(hs) == 1 {
+			h.n--
+		}
+	}
+}
+
+// Of returns k's holders, oldest first. The slice is the index's own:
+// read it before the next Add or Remove, and never send it.
+func (h *Holders) Of(k Key) []runtime.NodeID { return h.m[k] }
+
+// Len returns how many keys have at least one holder.
+func (h *Holders) Len() int { return h.n }
+
+// Clone copies the non-empty lists out, for a handoff to another peer.
+func (h *Holders) Clone() map[Key][]runtime.NodeID {
+	out := make(map[Key][]runtime.NodeID, h.n)
+	for k, hs := range h.m {
+		if len(hs) > 0 {
+			out[k] = slices.Clone(hs)
+		}
+	}
+	return out
 }

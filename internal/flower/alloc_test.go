@@ -62,7 +62,7 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 		keys = append(keys, k)
 		for _, h := range holders {
 			h.store.Add(k)
-			dir.dir.addProvider(k, h.NodeID())
+			dir.dir.index.Add(k, h.NodeID())
 		}
 	}
 	return f, c, holders, dir, keys

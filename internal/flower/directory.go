@@ -3,6 +3,7 @@ package flower
 import (
 	"flowercdn/internal/runtime"
 	"fmt"
+	"maps"
 	"slices"
 
 	"flowercdn/internal/chord"
@@ -24,11 +25,8 @@ type directoryState struct {
 	pos      ids.ID
 	instance int
 
-	// index maps each object to the sorted NodeIDs of the content peers
-	// caching it. A sorted slice instead of a per-key set: 8 bytes per
-	// pointer, deterministic iteration by construction, and provider
-	// lists are short (bounded in practice by petal size).
-	index   map[content.Key][]runtime.NodeID
+	// index is the directory-index; rankProviders orders it for an asker.
+	index   content.Holders
 	members map[runtime.NodeID]*memberInfo
 
 	// oldSummaries is the gossip-view snapshot taken at promotion.
@@ -52,49 +50,6 @@ type directoryState struct {
 type memberInfo struct {
 	lastSeen int64
 	keys     map[content.Key]struct{}
-}
-
-// searchNode locates nid in a sorted NodeID slice: the insertion index
-// and whether it is present.
-func searchNode(ps []runtime.NodeID, nid runtime.NodeID) (int, bool) {
-	lo, hi := 0, len(ps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ps[mid] < nid {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(ps) && ps[lo] == nid
-}
-
-// addProvider records nid as a provider of k, keeping the list sorted.
-func (d *directoryState) addProvider(k content.Key, nid runtime.NodeID) {
-	ps := d.index[k]
-	i, ok := searchNode(ps, nid)
-	if ok {
-		return
-	}
-	ps = append(ps, 0)
-	copy(ps[i+1:], ps[i:])
-	ps[i] = nid
-	d.index[k] = ps
-}
-
-// removeProvider forgets nid as a provider of k.
-func (d *directoryState) removeProvider(k content.Key, nid runtime.NodeID) {
-	ps := d.index[k]
-	i, ok := searchNode(ps, nid)
-	if !ok {
-		return
-	}
-	ps = append(ps[:i], ps[i+1:]...)
-	if len(ps) == 0 {
-		delete(d.index, k)
-	} else {
-		d.index[k] = ps
-	}
 }
 
 // stopTickers ends the sweep and audit loops — on demotion and on
@@ -129,9 +84,6 @@ func (d *directoryState) Instance() int { return d.instance }
 // content peers in its view" (Sec. 4).
 func (d *directoryState) MemberCount() int { return len(d.members) }
 
-// IndexSize returns the number of indexed objects.
-func (d *directoryState) IndexSize() int { return len(d.index) }
-
 // QueriesHandled returns how many client queries this instance
 // processed.
 func (d *directoryState) QueriesHandled() uint64 { return d.queriesHandled }
@@ -141,10 +93,7 @@ func (d *directoryState) QueriesHandled() uint64 { return d.queriesHandled }
 type exactSummary map[content.Key]struct{}
 
 func (s exactSummary) Contains(key uint64) bool {
-	_, ok := s[content.Key{
-		Site:   content.SiteID(key >> 32),
-		Object: content.ObjectID(uint32(key)),
-	}]
+	_, ok := s[content.KeyFromUint64(key)]
 	return ok
 }
 
@@ -225,7 +174,6 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 	p.dir = &directoryState{
 		pos:      pos,
 		instance: dring.InstanceOf(pos),
-		index:    make(map[content.Key][]runtime.NodeID),
 		members:  make(map[runtime.NodeID]*memberInfo),
 	}
 	// Keep the content summaries gathered while a content peer; they
@@ -354,7 +302,7 @@ func (p *Peer) removeMember(nid runtime.NodeID) {
 	}
 	delete(p.dir.members, nid)
 	for k := range m.keys {
-		p.dir.removeProvider(k, nid)
+		p.dir.index.Remove(k, nid)
 	}
 }
 
@@ -388,7 +336,7 @@ func (p *Peer) onPush(from runtime.NodeID, r pushReq) (any, error) {
 	m := p.admitMember(from)
 	for _, k := range r.Keys {
 		m.keys[k] = struct{}{}
-		p.dir.addProvider(k, from)
+		p.dir.index.Add(k, from)
 	}
 	return pushResp{}, nil
 }
@@ -453,29 +401,16 @@ func (p *Peer) collabSiblings() []chord.Entry {
 // read it before anything else ranks.
 func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.NodeID) (ranked []provCand, fromSummary bool) {
 	ranked = p.sys.candScratch[:0]
-	for _, nid := range d.index[key] {
+	for _, nid := range d.index.Of(key) {
 		if nid != asker {
 			ranked = append(ranked, provCand{peer: nid, lat: p.net().Latency(asker, nid)})
 		}
 	}
 	if len(ranked) == 0 && d.oldSummaries != nil {
-		for _, e := range d.oldSummaries {
-			meta, ok := e.Meta.(ContactMeta)
-			if !ok || meta.Summary == nil || e.Peer == asker {
-				continue
-			}
-			if meta.Summary.Contains(key.Uint64()) {
-				ranked = append(ranked, provCand{peer: e.Peer, lat: p.net().Latency(asker, e.Peer)})
-			}
-		}
+		ranked = p.summaryCands(ranked, d.oldSummaries, key, asker)
 		fromSummary = len(ranked) > 0
 	}
-	p.sys.candScratch = ranked[:0]
-	slices.SortFunc(ranked, nearestFirst)
-	if limit := p.sys.cfg.ProviderAttempts + 1; len(ranked) > limit {
-		ranked = ranked[:limit]
-	}
-	return ranked, fromSummary
+	return p.sys.nearest(ranked, p.sys.cfg.ProviderAttempts+1), fromSummary
 }
 
 // providersFor is rankProviders as a reply carries it: a slice of its
@@ -529,6 +464,8 @@ func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 		seed = append(seed, gossip.Entry{
 			Peer: nid,
 			Meta: ContactMeta{
+				// The member's live key set, not a snapshot: on in-process
+				// backends the client sees later pushes too (ROADMAP 2(b)).
 				Summary: exactSummary(p.dir.members[nid].keys),
 				Dir:     p.dirInfo,
 			},
@@ -704,15 +641,8 @@ func (p *Peer) Leave() {
 	}
 	if p.dir != nil {
 		if best := p.dir.freshestMember(); best != runtime.None {
-			h := handoffMsg{Pos: p.dir.pos, Index: make(map[content.Key][]runtime.NodeID, len(p.dir.index))}
-			for k, ps := range p.dir.index {
-				h.Index[k] = append([]runtime.NodeID(nil), ps...) // already sorted
-			}
-			for nid := range p.dir.members {
-				h.Members = append(h.Members, nid)
-			}
-			slices.Sort(h.Members)
-			p.net().Send(p.nid, best, h)
+			p.net().Send(p.nid, best, handoffMsg{Pos: p.dir.pos, Index: p.dir.index.Clone(),
+				Members: slices.Sorted(maps.Keys(p.dir.members))})
 		}
 	}
 	p.kill()
@@ -732,19 +662,17 @@ func (p *Peer) onHandoff(m handoffMsg) {
 			return
 		}
 		p.sys.dirReplacement++
-		now := p.eng().Now()
 		for _, nid := range members {
-			if nid == p.nid {
-				continue
+			if nid != p.nid {
+				p.admitMember(nid)
 			}
-			p.dir.members[nid] = &memberInfo{lastSeen: now, keys: make(map[content.Key]struct{})}
 		}
 		for k, ps := range index {
 			for _, nid := range ps {
 				if nid == p.nid {
 					continue
 				}
-				p.dir.addProvider(k, nid)
+				p.dir.index.Add(k, nid)
 				if mi, ok := p.dir.members[nid]; ok {
 					mi.keys[k] = struct{}{}
 				}

@@ -61,7 +61,7 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 	for _, m := range members {
 		mi := dir.admitMember(m.NodeID())
 		mi.keys[key] = struct{}{}
-		d.addProvider(key, m.NodeID())
+		d.index.Add(key, m.NodeID())
 	}
 	asker := members[0].NodeID()
 	providers, fromSummary := dir.providersFor(key, asker, false)
@@ -158,13 +158,13 @@ func TestMemberExpiryRemovesIndexEntries(t *testing.T) {
 	ghost := runtime.NodeID(31337) // never sends keepalives
 	mi := dir.admitMember(ghost)
 	mi.keys[key] = struct{}{}
-	d.addProvider(key, ghost)
+	d.index.Add(key, ghost)
 	// Two sweeps beyond the TTL clear it.
 	f.run(3 * f.sys.cfg.KeepaliveInterval)
 	if _, ok := d.members[ghost]; ok {
 		t.Fatal("silent member survived the TTL sweep")
 	}
-	if _, ok := d.index[key]; ok {
+	if len(d.index.Of(key)) != 0 {
 		t.Fatal("expired member's index entries survived")
 	}
 }
@@ -178,12 +178,12 @@ func TestDeadProviderReportPrunesIndex(t *testing.T) {
 	dead := runtime.NodeID(777)
 	mi := dir.admitMember(dead)
 	mi.keys[key] = struct{}{}
-	d.addProvider(key, dead)
+	d.index.Add(key, dead)
 	dir.HandleMessage(runtime.NodeID(1), deadProviderReport{Dead: dead})
 	if _, ok := d.members[dead]; ok {
 		t.Fatal("reported-dead member still in view")
 	}
-	if _, ok := d.index[key]; ok {
+	if len(d.index.Of(key)) != 0 {
 		t.Fatal("reported-dead member still indexed")
 	}
 }

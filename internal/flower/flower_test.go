@@ -223,7 +223,7 @@ func TestPushPopulatesDirectoryIndex(t *testing.T) {
 	if dir == nil {
 		t.Fatal("no directory seed found")
 	}
-	if dir.Directory().IndexSize() == 0 {
+	if dir.Directory().index.Len() == 0 {
 		t.Fatal("directory index empty after client's first push")
 	}
 	if dir.Directory().MemberCount() == 0 {
@@ -424,7 +424,7 @@ func TestGracefulLeaveHandsOffDirectory(t *testing.T) {
 			dir = p
 		}
 	}
-	indexBefore := dir.Directory().IndexSize()
+	indexBefore := dir.Directory().index.Len()
 	if indexBefore == 0 {
 		t.Fatal("setup: directory index empty")
 	}
@@ -439,7 +439,7 @@ func TestGracefulLeaveHandsOffDirectory(t *testing.T) {
 	if newDir == nil {
 		t.Fatal("handoff recipient did not take the position")
 	}
-	if newDir.Directory().IndexSize() == 0 {
+	if newDir.Directory().index.Len() == 0 {
 		t.Fatal("handoff lost the directory index")
 	}
 }

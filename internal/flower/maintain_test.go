@@ -31,7 +31,7 @@ func TestFullPushOnDirectoryChange(t *testing.T) {
 	}
 	total := 0
 	for _, d := range dirs {
-		total += d.Directory().IndexSize()
+		total += d.Directory().index.Len()
 	}
 	if c.Alive() && c.Role() == RoleContent && total < objects {
 		t.Fatalf("index holds %d objects, want >= %d (full push on re-sync)", total, objects)

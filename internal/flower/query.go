@@ -50,6 +50,27 @@ func nearestFirst(a, b provCand) int {
 	return cmp.Compare(a.peer, b.peer)
 }
 
+// nearest sorts cands nearestFirst and cuts them to limit. cands is the
+// System's scratch buffer, kept for the next ranking.
+func (s *System) nearest(cands []provCand, limit int) []provCand {
+	s.candScratch = cands[:0]
+	slices.SortFunc(cands, nearestFirst)
+	return cands[:min(len(cands), limit)]
+}
+
+// summaryCands appends every entry but asker whose content summary
+// claims key, priced from asker: the gossip path's scan of the view and
+// a promoted directory's scan of its old summaries.
+func (p *Peer) summaryCands(cands []provCand, entries []gossip.Entry, key content.Key, asker runtime.NodeID) []provCand {
+	for _, e := range entries {
+		meta, ok := e.Meta.(ContactMeta)
+		if ok && meta.Summary != nil && e.Peer != asker && meta.Summary.Contains(key.Uint64()) {
+			cands = append(cands, provCand{peer: e.Peer, lat: p.net().Latency(asker, e.Peer)})
+		}
+	}
+	return cands
+}
+
 // activeQuery is the in-flight query state machine. A peer runs at most
 // one at a time (think time, 6 min mean, dwarfs resolution time).
 //
@@ -399,23 +420,9 @@ func (p *Peer) finishJoinOnly(q *activeQuery) {
 func (p *Peer) contentQuery(q *activeQuery) {
 	// Locality-aware candidate selection: every petal contact whose
 	// summary claims the object, nearest first.
-	cands := p.sys.candScratch[:0]
-	for _, e := range p.gsp.View() {
-		meta, ok := e.Meta.(ContactMeta)
-		if !ok || meta.Summary == nil {
-			continue
-		}
-		if meta.Summary.Contains(q.key.Uint64()) {
-			cands = append(cands, provCand{peer: e.Peer, lat: p.net().Latency(p.nid, e.Peer)})
-		}
-	}
-	p.sys.candScratch = cands[:0]
-	slices.SortFunc(cands, nearestFirst)
-	if limit := p.sys.cfg.GossipCandidates; len(cands) > limit {
-		cands = cands[:limit]
-	}
+	cands := p.summaryCands(p.sys.candScratch[:0], p.gsp.View(), q.key, p.nid)
 	q.source = srcGossip
-	q.setRanked(cands)
+	q.setRanked(p.sys.nearest(cands, p.sys.cfg.GossipCandidates))
 	if len(q.candidates) > 0 {
 		p.probeCandidate(q, true)
 		return
@@ -441,13 +448,10 @@ func (p *Peer) probeCandidate(q *activeQuery, gossipPath bool) {
 	}
 	target := q.candidates[q.next]
 	q.next++
-	// The prober knows its RTT estimate to the target; waiting a fixed
-	// multi-second timeout for a neighbour 40 ms away would dominate
-	// lookup latency under churn.
-	timeout := 2*p.net().Latency(p.nid, target) + 300*runtime.Millisecond
 	st := p.sys.getStep(stepProbe, p, q, target)
 	st.gossipPath = gossipPath
-	p.net().Request(p.nid, target, p.sys.work.FetchReqMsg(q.key), timeout, st.onDone)
+	p.net().Request(p.nid, target, p.sys.work.FetchReqMsg(q.key),
+		workload.ProbeTimeout(p.net().Latency(p.nid, target)), st.onDone)
 }
 
 // probed is probeCandidate's answer.

@@ -1,11 +1,29 @@
 package harness
 
 import (
+	"sync"
 	"testing"
 
 	"flowercdn/internal/proto"
 	_ "flowercdn/internal/protocols"
 )
+
+// eachProtocolAtOnce runs cell as one subtest per registered protocol,
+// all of them at once whatever -parallel says: wall-clock cells sleep
+// through their horizons on their own clocks and ports, so side by side
+// they cost one horizon, where t.Parallel subtests would still queue
+// GOMAXPROCS at a time.
+func eachProtocolAtOnce(t *testing.T, cell func(t *testing.T, name string)) {
+	var wg sync.WaitGroup
+	for _, name := range proto.Names() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			t.Run(name, func(t *testing.T) { cell(t, name) })
+		}()
+	}
+	wg.Wait()
+}
 
 // TestCrossBackendSmokeSim runs every registered protocol at toy scale
 // on the deterministic backend with the compressed demo timescales and
@@ -84,30 +102,26 @@ func TestCrossBackendSmokeRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
-	for _, name := range proto.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel() // independent clocks and populations: sleep through the horizon together
-			cfg := RealtimeDemoConfig(50, 1500)
-			cfg.Protocol = Protocol(name)
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Backend != "realtime" {
-				t.Fatalf("result backend %q", res.Backend)
-			}
-			if res.Queries == 0 {
-				t.Fatal("no queries at all on the realtime backend")
-			}
-			if res.AlivePeers == 0 {
-				t.Fatal("no peers alive at the end of the run")
-			}
-			if (name == "flower" || name == "petalup") && res.Hits == 0 {
-				t.Fatalf("%s served zero hits over %d queries", name, res.Queries)
-			}
-		})
-	}
+	eachProtocolAtOnce(t, func(t *testing.T, name string) {
+		cfg := RealtimeDemoConfig(50, 1500)
+		cfg.Protocol = Protocol(name)
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Backend != "realtime" {
+			t.Fatalf("result backend %q", res.Backend)
+		}
+		if res.Queries == 0 {
+			t.Fatal("no queries at all on the realtime backend")
+		}
+		if res.AlivePeers == 0 {
+			t.Fatal("no peers alive at the end of the run")
+		}
+		if (name == "flower" || name == "petalup") && res.Hits == 0 {
+			t.Fatalf("%s served zero hits over %d queries", name, res.Queries)
+		}
+	})
 }
 
 // TestCacheBoundedSmokeRealtime repeats the bounded-cache smoke on the
@@ -118,30 +132,26 @@ func TestCacheBoundedSmokeRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
-	for _, name := range proto.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel() // independent clocks and populations: sleep through the horizon together
-			cfg := RealtimeDemoConfig(50, 1500)
-			cfg.Protocol = Protocol(name)
-			cfg.Options["cache-policy"] = "lru"
-			cfg.Options["cache-capacity"] = 2
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Backend != "realtime" {
-				t.Fatalf("result backend %q", res.Backend)
-			}
-			if res.Queries == 0 {
-				t.Fatal("no queries at all on the realtime backend")
-			}
-			if res.AlivePeers == 0 {
-				t.Fatal("no peers alive at the end of the run")
-			}
-			if res.ProtoStat("evictions") == 0 {
-				t.Fatalf("%s at capacity 2 never evicted over %d queries", name, res.Queries)
-			}
-		})
-	}
+	eachProtocolAtOnce(t, func(t *testing.T, name string) {
+		cfg := RealtimeDemoConfig(50, 1500)
+		cfg.Protocol = Protocol(name)
+		cfg.Options["cache-policy"] = "lru"
+		cfg.Options["cache-capacity"] = 2
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Backend != "realtime" {
+			t.Fatalf("result backend %q", res.Backend)
+		}
+		if res.Queries == 0 {
+			t.Fatal("no queries at all on the realtime backend")
+		}
+		if res.AlivePeers == 0 {
+			t.Fatal("no peers alive at the end of the run")
+		}
+		if res.ProtoStat("evictions") == 0 {
+			t.Fatalf("%s at capacity 2 never evicted over %d queries", name, res.Queries)
+		}
+	})
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"testing"
 
-	"flowercdn/internal/proto"
 	_ "flowercdn/internal/protocols"
 	"flowercdn/internal/runtime"
 )
@@ -97,24 +96,20 @@ func TestSocketBackendSmokeAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock runs")
 	}
-	for _, name := range proto.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel() // each group reserves its own ports: sleep through the horizon together
-			results := runSocketGroup(t, Protocol(name), 2, 24, 4_000)
-			var queries, answered uint64
-			for _, res := range results {
-				queries += res.Queries
-				answered += res.Hits + res.Misses
-			}
-			if queries == 0 {
-				t.Fatal("no queries at all")
-			}
-			if answered == 0 {
-				t.Fatal("no query ever resolved")
-			}
-		})
-	}
+	eachProtocolAtOnce(t, func(t *testing.T, name string) {
+		results := runSocketGroup(t, Protocol(name), 2, 24, 4_000)
+		var queries, answered uint64
+		for _, res := range results {
+			queries += res.Queries
+			answered += res.Hits + res.Misses
+		}
+		if queries == 0 {
+			t.Fatal("no queries at all")
+		}
+		if answered == 0 {
+			t.Fatal("no query ever resolved")
+		}
+	})
 }
 
 // TestSocketConfigValidation pins the config surface errors.

@@ -168,23 +168,19 @@ func TestTraceConformanceRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
-	for _, name := range proto.Names() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel() // independent clocks and populations: sleep through the horizon together
-			cfg := RealtimeDemoConfig(50, 1500)
-			cfg.Protocol = Protocol(name)
-			cfg.Trace = &TraceConfig{}
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkWellFormed(t, res.Traces)
-			if got, want := res.TraceStats.MeanHops(), res.MeanHops; got != want {
-				t.Fatalf("trace-derived mean hops %v != counter-derived %v", got, want)
-			}
-		})
-	}
+	eachProtocolAtOnce(t, func(t *testing.T, name string) {
+		cfg := RealtimeDemoConfig(50, 1500)
+		cfg.Protocol = Protocol(name)
+		cfg.Trace = &TraceConfig{}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWellFormed(t, res.Traces)
+		if got, want := res.TraceStats.MeanHops(), res.MeanHops; got != want {
+			t.Fatalf("trace-derived mean hops %v != counter-derived %v", got, want)
+		}
+	})
 }
 
 // TestGoldenTraces pins the routing structure the traces must reveal

@@ -244,6 +244,12 @@ func (w *Workload) FetchReqMsg(k content.Key) any {
 	return m.req
 }
 
+// ProbeTimeout bounds a FetchReq probe to a content peer a one-way
+// latency ms away: the round trip plus 300 ms. The prober knows its RTT
+// estimate; a fixed multi-second timeout for a neighbour 40 ms away
+// would dominate lookup latency under churn.
+func ProbeTimeout(latency int64) int64 { return 2*latency + 300*runtime.Millisecond }
+
 // FetchRespMsg is FetchReqMsg for FetchResp{Key: k, Served: served}.
 func (w *Workload) FetchRespMsg(k content.Key, served bool) any {
 	m := w.fetchRow(k)
