@@ -26,10 +26,14 @@ race:
 
 # race-net is the slice of `race` that covers the wall-clock run loop
 # and the socket transport — the run loop against reader and writer
-# goroutines, Cancel against Run — repeated, because those races are
-# timing-dependent. Minutes, not the 40 of `race`.
+# goroutines, Cancel against Run, and simnet's network, which the
+# socket backend shares between its run loop and its readers — repeated,
+# because those races are timing-dependent. The wire-rpc smoke test is
+# the one caller that joins and polls Alive from outside a running loop.
+# Minutes, not the 40 of `race`.
 race-net:
-	go test -race -count=20 ./internal/wallclock ./internal/rtnet ./internal/socknet
+	go test -race -count=20 ./internal/wallclock ./internal/simnet ./internal/rtnet ./internal/socknet
+	go test -race -count=10 -run TestWireWorkloadSmoke ./benchmark
 
 # wire-bench runs the repo benchmark's wire-rpc workload once untraced
 # (the seven end-to-end metrics) and once traced (round-trip latency
@@ -139,9 +143,10 @@ fingerprint-check:
 # timer: 32 bytes of a 512-timer slab, which an object count rounds to
 # nothing. Released timers cost zero bytes on the engine and on the wall
 # clock (schedule-release-fire, schedule-cancel-release, a ticker), a
-# simnet Send or Request zero bytes all told, and a socknet Request
-# round trip over loopback TCP under one object. A count repeats
-# exactly, so unlike a timing these gate on one run.
+# simnet Send or Request zero bytes all told — on the socket backend too,
+# for the legs that stay in one process — and a socknet Request round
+# trip over loopback TCP under one object. A count repeats exactly, so
+# unlike a timing these gate on one run.
 alloc-check:
 	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/cache ./internal/content ./internal/workload
 

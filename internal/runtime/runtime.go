@@ -17,8 +17,9 @@
 //     (internal/wallclock), with the in-process loopback transport
 //     injecting latency sampled from the same topology model.
 //   - internal/socknet ("socket") is realtime with the population split
-//     over cooperating OS processes: the same run loop, messages
-//     serialized by a Codec ("binary" by default) and batched over
+//     over cooperating OS processes: the same run loop and the same
+//     simnet network, plus a wire — a leg toward another process's node
+//     is serialized by a Codec ("binary" by default) and batched over
 //     localhost or real TCP, bootstrap state mirrored over the Bus.
 //
 // All times are int64 milliseconds; on the sim backend they are

@@ -1,6 +1,7 @@
 // Package simnet is the message layer every protocol node in this
-// repository communicates through. It binds the discrete-event engine
-// (internal/sim) to the latency model (internal/topology) and provides:
+// repository communicates through. It binds a clock (the discrete-event
+// engine of internal/sim, or the wall clock of internal/wallclock) to
+// the latency model (internal/topology) and provides:
 //
 //   - a registry of nodes with join/fail lifecycle (fail-only churn, as
 //     in the paper's evaluation: peers never leave gracefully unless a
@@ -14,6 +15,12 @@
 // Messages to dead nodes are silently dropped, so failure detection is
 // always timeout-driven, like on a real network.
 //
+// A network can also be one process of a group sharing an id space, as
+// on the socket backend (InGroup). The nodes the others own are mirrored
+// here (Mirror, Fail, FailOwner); a leg toward one runs the same records
+// as a local leg until it would reach the handler, where a Remote takes
+// it over the wire, and Deliver, Serve and Resolve bring it back.
+//
 // Every timer the layer schedules goes back to its clock
 // (runtime.Timer.Release): a delivery and the two legs of an RPC in the
 // statement that schedules them, since nothing keeps those handles, and
@@ -24,18 +31,34 @@ package simnet
 
 import (
 	"fmt"
+	"sync"
 
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/topology"
 )
 
+// rpcTimeout is the deadline of a Request called with timeout <= 0.
+const rpcTimeout = 4 * runtime.Second
+
 type nodeState struct {
-	handler runtime.Handler
+	handler runtime.Handler // nil once dead, and for a node another process owns
 	place   topology.Placement
+	known   bool // false for the ids of a group's table nobody has joined yet
 	alive   bool
-	joined  int64
-	died    int64
+}
+
+// Remote carries the legs whose far end another process of the group
+// owns. Its methods run on the clock's goroutine with no lock held.
+type Remote interface {
+	// Send carries a one-way message to the process that owns `to`.
+	Send(from, to runtime.NodeID, msg any)
+	// Request carries an RPC's request leg to the process that owns
+	// `to`; the reply comes back through Resolve under id.
+	Request(id uint64, from, to runtime.NodeID, req any)
+	// Respond carries the reply to the request Serve took under id back
+	// to the process that owns `to`, the requester.
+	Respond(id uint64, to runtime.NodeID, resp any, err error)
 }
 
 // Network implements the full Transport seam.
@@ -47,16 +70,18 @@ var _ runtime.Transport = (*Network)(nil)
 // simulation, via internal/simrt) or the wall-clock loop
 // (internal/rtnet), with identical latency, loss and accounting
 // semantics. Like the engine it is single-goroutine: every call must
-// happen on the clock's callback goroutine (or before the run starts).
+// happen on the clock's callback goroutine (or before the run starts) —
+// unless it is a group member, whose methods lock.
 type Network struct {
 	clock runtime.Clock
 	topo  *topology.Topology
-	nodes []nodeState
+	nodes []nodeState // indexed by NodeID
 	alive int
+	total int
 	stats runtime.TransportStats
 
-	// DefaultRPCTimeout is used when Request is called with timeout <= 0.
-	DefaultRPCTimeout int64
+	// next is the NodeID Join mints next; stride steps it.
+	next, stride runtime.NodeID
 
 	// lossRate drops each one-way transmission with this probability —
 	// failure injection beyond churn. Zero (the default) is the paper's
@@ -68,10 +93,32 @@ type Network struct {
 	// records. Every Send schedules one closure and every Request up to
 	// three; allocating those closures per call dominated object churn
 	// in whole-run profiles. The records carry pre-bound closures, so a
-	// steady-state Send or Request allocates nothing. Single-goroutine
-	// like the rest of the switch, so plain slices suffice.
+	// steady-state Send or Request allocates nothing.
 	deliveryPool []*delivery
 	rpcPool      []*rpcState
+
+	// A group member's (InGroup): the lock over everything above (nil on
+	// a network of its own, and an interface so that lock and unlock
+	// inline to a nil check there; held across Clock.Schedule, which
+	// never calls out), its first NodeID, the leg to the other processes,
+	// and the requests waiting there for a reply, by id.
+	mu      sync.Locker
+	group   runtime.NodeID
+	remote  Remote
+	reqSeq  uint64
+	pending map[uint64]*rpcState
+}
+
+func (n *Network) lock() {
+	if n.mu != nil {
+		n.mu.Lock()
+	}
+}
+
+func (n *Network) unlock() {
+	if n.mu != nil {
+		n.mu.Unlock()
+	}
 }
 
 // delivery is the pooled one-way message-delivery record: the closure
@@ -97,16 +144,43 @@ func (n *Network) getDelivery() *delivery {
 }
 
 func (d *delivery) deliver() {
-	n, from, to, msg := d.n, d.from, d.to, d.msg
+	n := d.n
+	n.lock()
+	from, to, msg := d.from, d.to, d.msg
 	d.msg = nil
 	n.deliveryPool = append(n.deliveryPool, d)
-	st := &n.nodes[to]
-	if !st.alive {
-		n.stats.MessagesDropped++
+	if !n.local(to) {
+		n.unlock()
+		n.remote.Send(from, to, msg)
 		return
 	}
+	h := n.receiver(to)
+	n.unlock()
+	if h != nil {
+		h.HandleMessage(from, msg)
+	}
+}
+
+// Deliver hands msg, which crossed the wire from another process, to
+// `to`, a node this process owns, now. A dead target drops it.
+func (n *Network) Deliver(from, to runtime.NodeID, msg any) {
+	n.lock()
+	h := n.receiver(to)
+	n.unlock()
+	if h != nil {
+		h.HandleMessage(from, msg)
+	}
+}
+
+// receiver counts a message that has reached `to`: delivered, with the
+// handler to run returned, or dropped, with nil, when `to` is dead.
+func (n *Network) receiver(to runtime.NodeID) runtime.Handler {
+	if !n.isAlive(to) {
+		n.stats.MessagesDropped++
+		return nil
+	}
 	n.stats.MessagesDelivered++
-	st.handler.HandleMessage(from, msg)
+	return n.nodes[to].handler
 }
 
 // rpcState is the pooled per-Request record. Up to three scheduled
@@ -116,12 +190,15 @@ func (d *delivery) deliver() {
 // recycling earlier would let a stale response leg fire with a reused
 // record's fields.
 type rpcState struct {
-	n        *Network
-	from, to runtime.NodeID
-	resp     any
-	err      error
-	cb       func(resp any, err error)
-	deadline runtime.Timer
+	n         *Network
+	from, to  runtime.NodeID
+	req, resp any
+	err       error
+	cb        func(resp any, err error) // nil on a request served for another process
+	deadline  runtime.Timer
+	// id names an RPC that crosses to another process: the requester's
+	// key in pending, which a served request carries back. 0 otherwise.
+	id uint64
 
 	refs          int
 	done          bool
@@ -130,8 +207,6 @@ type rpcState struct {
 	onDeadline func()
 	onDeliver  func()
 	onRespond  func()
-
-	req any
 }
 
 func (n *Network) getRPC() *rpcState {
@@ -147,17 +222,19 @@ func (n *Network) getRPC() *rpcState {
 	return r
 }
 
-// finish runs the callback exactly once; a dead requester never
-// observes the outcome.
-func (r *rpcState) finish(resp any, err error) {
-	if r.done {
-		return
+// outcome marks the RPC done and returns the callback to run with its
+// outcome: nil if one ran already or the requester has died (dead peers
+// take no actions). A reply from another process finds it no more.
+func (r *rpcState) outcome() func(resp any, err error) {
+	if r.id != 0 {
+		delete(r.n.pending, r.id)
 	}
+	done := r.done
 	r.done = true
-	if !r.n.Alive(r.from) {
-		return
+	if done || !r.n.isAlive(r.from) {
+		return nil
 	}
-	r.cb(resp, err)
+	return r.cb
 }
 
 func (r *rpcState) maybeRecycle() {
@@ -167,65 +244,149 @@ func (r *rpcState) maybeRecycle() {
 	n := r.n
 	r.req, r.resp, r.err, r.cb = nil, nil, nil, nil
 	r.deadline = nil
+	r.id = 0
 	n.rpcPool = append(n.rpcPool, r)
 }
 
 func (r *rpcState) deadlineFire() {
+	n := r.n
+	n.lock()
 	r.deadlineFired = true
 	r.deadline.Release()
 	r.refs--
 	if !r.done {
-		r.n.stats.RequestsTimedOut++
+		n.stats.RequestsTimedOut++
 	}
-	r.finish(nil, runtime.ErrTimeout)
+	cb := r.outcome()
 	r.maybeRecycle()
+	n.unlock()
+	if cb != nil {
+		cb(nil, runtime.ErrTimeout)
+	}
 }
 
 func (r *rpcState) deliverReq() {
-	r.refs--
 	n := r.n
-	st := &n.nodes[r.to]
-	if !st.alive {
-		// Dropped on the floor; the deadline will fire.
-		n.stats.MessagesDropped++
+	n.lock()
+	r.refs--
+	from, to, req := r.from, r.to, r.req
+	if !n.local(to) {
+		// The target's process runs the handler; Resolve takes the reply.
+		id := r.id
+		r.req = nil
 		r.maybeRecycle()
+		n.unlock()
+		n.remote.Request(id, from, to, req)
 		return
 	}
-	n.stats.MessagesDelivered++
-	resp, err := st.handler.HandleRequest(r.from, r.req)
+	h := n.receiver(to)
+	if h == nil {
+		// Dropped on the floor; the deadline will fire.
+		r.maybeRecycle()
+		n.unlock()
+		return
+	}
+	n.unlock()
+	resp, err := h.HandleRequest(from, req)
+	n.lock()
 	// Response leg.
 	n.stats.MessagesSent++
 	n.stats.BytesSent += uint64(messageBytes(resp))
 	if n.lost() {
 		n.stats.MessagesDropped++
 		r.maybeRecycle()
-		return
+	} else {
+		r.resp, r.err = resp, err
+		r.refs++
+		n.clock.Schedule(n.latency(to, from), r.onRespond).Release()
 	}
-	r.resp, r.err = resp, err
-	r.refs++
-	n.clock.Schedule(n.Latency(r.to, r.from), r.onRespond).Release()
+	n.unlock()
 }
 
 func (r *rpcState) deliverResp() {
+	n := r.n
+	n.lock()
 	r.refs--
+	if r.cb == nil {
+		// Served for another process: the reply crosses back to it.
+		id, to, resp, err := r.id, r.from, r.resp, r.err
+		r.maybeRecycle()
+		n.unlock()
+		n.remote.Respond(id, to, resp, err)
+		return
+	}
+	r.reply(r.resp, r.err)
+}
+
+// reply completes the RPC with the response. It is called with the lock
+// held and releases it before the callback runs.
+func (r *rpcState) reply(resp any, err error) {
+	n := r.n
 	if !r.deadlineFired {
 		// The deadline can no longer fire; release its reference too.
 		r.deadline.Cancel()
 		r.deadline.Release()
 		r.refs--
 	}
-	r.finish(r.resp, r.err)
+	cb := r.outcome()
 	r.maybeRecycle()
+	n.unlock()
+	if cb != nil {
+		cb(resp, err)
+	}
+}
+
+// Serve runs the request another process's node `from` sent under id to
+// `to`, a node this process owns, and sends the reply back through the
+// Remote: the request and response legs of a local RPC, without the
+// deadline, which stays with the requester.
+func (n *Network) Serve(id uint64, from, to runtime.NodeID, req any) {
+	n.lock()
+	r := n.getRPC()
+	r.from, r.to, r.req, r.id = from, to, req, id
+	r.refs = 1
+	n.unlock()
+	r.deliverReq()
+}
+
+// Resolve completes the request this process sent another under id
+// with the reply that came back. A reply its deadline beat finds
+// nothing and is dropped.
+func (n *Network) Resolve(id uint64, resp any, err error) {
+	n.lock()
+	r := n.pending[id]
+	if r == nil {
+		n.unlock()
+		return
+	}
+	r.reply(resp, err)
 }
 
 // New builds an empty network delivering through the given clock and
-// sampling link latency from the given topology.
+// sampling link latency from the given topology. A nil clock is bound
+// later, with Bind.
 func New(clock runtime.Clock, topo *topology.Topology) *Network {
-	return &Network{
-		clock:             clock,
-		topo:              topo,
-		DefaultRPCTimeout: 4 * runtime.Second,
-	}
+	return &Network{clock: clock, topo: topo, stride: 1}
+}
+
+// InGroup makes n process `group` of `groups` sharing one id space:
+// Join mints group, group+groups, … so an id names its owner, and legs
+// toward the others' nodes go through remote. Every method is then safe
+// to call from any goroutine. Call it before the first Join.
+func (n *Network) InGroup(group, groups int, remote Remote) {
+	n.next, n.stride = runtime.NodeID(group), runtime.NodeID(groups)
+	n.group, n.remote = n.next, remote
+	n.mu = new(sync.Mutex)
+	n.pending = make(map[uint64]*rpcState)
+}
+
+// Bind gives a network built without a clock the one it delivers
+// through, before anything is sent and before the run starts.
+func (n *Network) Bind(clock runtime.Clock) { n.clock = clock }
+
+// local reports whether this process owns id.
+func (n *Network) local(id runtime.NodeID) bool {
+	return n.remote == nil || id%n.stride == n.group
 }
 
 // Clock exposes the clock driving deliveries (protocol nodes schedule
@@ -236,7 +397,11 @@ func (n *Network) Clock() runtime.Clock { return n.clock }
 func (n *Network) Topology() *topology.Topology { return n.topo }
 
 // Stats returns a snapshot of the traffic counters.
-func (n *Network) Stats() runtime.TransportStats { return n.stats }
+func (n *Network) Stats() runtime.TransportStats {
+	n.lock()
+	defer n.unlock()
+	return n.stats
+}
 
 // SetLossRate enables random message loss: every one-way transmission
 // (sends, RPC requests and RPC responses independently) is dropped with
@@ -265,57 +430,115 @@ func (n *Network) Join(h runtime.Handler, place topology.Placement) runtime.Node
 	if h == nil {
 		panic("simnet: Join with nil handler")
 	}
-	id := runtime.NodeID(len(n.nodes))
-	n.nodes = append(n.nodes, nodeState{
-		handler: h,
-		place:   place,
-		alive:   true,
-		joined:  n.clock.Now(),
-		died:    -1,
-	})
-	n.alive++
+	n.lock()
+	defer n.unlock()
+	id := n.next
+	n.next += n.stride
+	n.add(id, nodeState{handler: h, place: place})
 	return id
+}
+
+// Mirror records a node another process of the group has joined, under
+// the id its owner minted. A node already known stays as it is.
+func (n *Network) Mirror(id runtime.NodeID, place topology.Placement) {
+	n.lock()
+	defer n.unlock()
+	if id >= 0 && !n.local(id) && !n.known(id) {
+		n.add(id, nodeState{place: place})
+	}
+}
+
+// add records a node as joined and alive at id, growing the table over
+// the ids other processes of a group have not joined yet.
+func (n *Network) add(id runtime.NodeID, st nodeState) {
+	for int(id) >= len(n.nodes) {
+		n.nodes = append(n.nodes, nodeState{})
+	}
+	st.known, st.alive = true, true
+	n.nodes[id] = st
+	n.total++
+	n.alive++
 }
 
 // Fail marks a node dead. In-flight messages to it will be dropped on
 // delivery; it stops receiving forever (re-joining means a new NodeID).
-// Failing an already-dead node is a no-op.
+// Failing an already-dead node is a no-op. On a group member it also
+// records the failure of a node another process owns.
 func (n *Network) Fail(id runtime.NodeID) {
-	if !n.valid(id) {
-		return
+	n.lock()
+	defer n.unlock()
+	if n.isAlive(id) {
+		n.kill(id)
 	}
+}
+
+// FailOwner marks every node process `owner` of the group owns dead:
+// the process is gone, and ids are never reused.
+func (n *Network) FailOwner(owner int) {
+	n.lock()
+	defer n.unlock()
+	for id := runtime.NodeID(owner); int(id) < len(n.nodes); id += n.stride {
+		if n.nodes[id].alive {
+			n.kill(id)
+		}
+	}
+}
+
+func (n *Network) kill(id runtime.NodeID) {
 	st := &n.nodes[id]
-	if !st.alive {
-		return
-	}
 	st.alive = false
-	st.died = n.clock.Now()
 	st.handler = nil // release protocol state for GC
 	n.alive--
 }
 
-func (n *Network) valid(id runtime.NodeID) bool {
-	return id >= 0 && int(id) < len(n.nodes)
+func (n *Network) known(id runtime.NodeID) bool {
+	return id >= 0 && int(id) < len(n.nodes) && n.nodes[id].known
 }
 
-// Alive reports whether id is registered and not failed.
+func (n *Network) isAlive(id runtime.NodeID) bool {
+	return id >= 0 && int(id) < len(n.nodes) && n.nodes[id].alive
+}
+
+// Alive reports whether id is registered and not failed. For a node
+// another process owns it can be a round trip stale; the owner decides.
 func (n *Network) Alive(id runtime.NodeID) bool {
-	return n.valid(id) && n.nodes[id].alive
+	n.lock()
+	ok := n.isAlive(id)
+	n.unlock()
+	return ok
 }
 
 // AliveCount returns the number of currently-alive nodes.
-func (n *Network) AliveCount() int { return n.alive }
+func (n *Network) AliveCount() int {
+	n.lock()
+	defer n.unlock()
+	return n.alive
+}
 
 // TotalJoined returns how many nodes have ever joined.
-func (n *Network) TotalJoined() int { return len(n.nodes) }
+func (n *Network) TotalJoined() int {
+	n.lock()
+	defer n.unlock()
+	return n.total
+}
 
 // Placement returns where a node sits in the topology. It remains valid
-// after the node fails (used for post-mortem metrics).
+// after the node fails (used for post-mortem metrics). A node another
+// process owns whose join has not arrived yet sits at the zero Placement.
 func (n *Network) Placement(id runtime.NodeID) topology.Placement {
-	if !n.valid(id) {
-		panic(fmt.Sprintf("simnet: Placement of unknown node %d", id))
+	n.lock()
+	defer n.unlock()
+	return n.placement(id)
+}
+
+func (n *Network) placement(id runtime.NodeID) topology.Placement {
+	if n.known(id) {
+		return n.nodes[id].place
 	}
-	return n.nodes[id].place
+	if id >= 0 && !n.local(id) {
+		return topology.Placement{}
+	}
+	panic(fmt.Sprintf("simnet: Placement of unknown node %d", id))
 }
 
 // Locality returns the physical locality of a node.
@@ -325,7 +548,23 @@ func (n *Network) Locality(id runtime.NodeID) topology.Locality {
 
 // Latency returns the one-way latency between two nodes in ms.
 func (n *Network) Latency(a, b runtime.NodeID) int64 {
-	return n.topo.Latency(n.Placement(a).Pos, n.Placement(b).Pos)
+	n.lock()
+	l := n.latency(a, b)
+	n.unlock()
+	return l
+}
+
+// latency is Latency's body. A group member that has not mirrored one
+// end yet delivers without modeled delay rather than guess; only a
+// network of its own, which holds no lock, panics here.
+func (n *Network) latency(a, b runtime.NodeID) int64 {
+	if n.known(a) && n.known(b) {
+		return n.topo.Latency(n.nodes[a].place.Pos, n.nodes[b].place.Pos)
+	}
+	if n.remote == nil {
+		panic(fmt.Sprintf("simnet: latency between %d and %d, one of them unknown", a, b))
+	}
+	return 0
 }
 
 func messageBytes(msg any) int {
@@ -342,27 +581,29 @@ func messageBytes(msg any) int {
 // simpler); sends to unregistered IDs panic, because they indicate a
 // protocol bug rather than churn.
 func (n *Network) Send(from, to runtime.NodeID, msg any) {
-	if !n.valid(to) {
+	n.lock()
+	if !n.known(to) && (to < 0 || n.local(to)) { // another process's node is its owner's to judge
+		n.unlock()
 		panic(fmt.Sprintf("simnet: Send to unregistered node %d", to))
 	}
 	n.stats.MessagesSent++
 	n.stats.BytesSent += uint64(messageBytes(msg))
 	if n.lost() {
 		n.stats.MessagesDropped++
-		return
+	} else {
+		d := n.getDelivery()
+		d.from, d.to, d.msg = from, to, msg
+		n.clock.Schedule(n.latency(from, to), d.run).Release()
 	}
-	delay := n.Latency(from, to)
-	d := n.getDelivery()
-	d.from, d.to, d.msg = from, to, msg
-	n.clock.Schedule(delay, d.run).Release()
+	n.unlock()
 }
 
 // Request performs an RPC: req travels to the target (one-way latency),
 // the target's HandleRequest runs, and the response travels back
 // (one-way latency). cb runs exactly once: with the response, with the
 // handler's application error, or with ErrTimeout if either leg fails
-// or the deadline expires first. A timeout <= 0 selects
-// DefaultRPCTimeout.
+// or the deadline expires first. A timeout <= 0 selects 4 s. Timeouts
+// are always decided on the requester's clock.
 //
 // If the *requester* is dead when the response arrives, cb is not run:
 // dead peers take no actions.
@@ -370,11 +611,13 @@ func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb fu
 	if cb == nil {
 		panic("simnet: Request with nil callback")
 	}
-	if !n.valid(to) {
-		panic(fmt.Sprintf("simnet: Request to unregistered node %d", to))
-	}
 	if timeout <= 0 {
-		timeout = n.DefaultRPCTimeout
+		timeout = rpcTimeout
+	}
+	n.lock()
+	if !n.known(to) && (to < 0 || n.local(to)) {
+		n.unlock()
+		panic(fmt.Sprintf("simnet: Request to unregistered node %d", to))
 	}
 	n.stats.RequestsIssued++
 	n.stats.MessagesSent++
@@ -383,6 +626,11 @@ func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb fu
 	r := n.getRPC()
 	r.from, r.to, r.req, r.cb = from, to, req, cb
 	r.done, r.deadlineFired = false, false
+	if !n.local(to) {
+		n.reqSeq++
+		r.id = n.reqSeq
+		n.pending[r.id] = r
+	}
 
 	// Deadline: fires unless a response beat it.
 	r.refs = 1
@@ -391,18 +639,22 @@ func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb fu
 	if n.lost() {
 		// Request leg dropped in transit; the deadline will fire.
 		n.stats.MessagesDropped++
-		return
+	} else {
+		r.refs++
+		n.clock.Schedule(n.latency(from, to), r.onDeliver).Release()
 	}
-	r.refs++
-	n.clock.Schedule(n.Latency(from, to), r.onDeliver).Release()
+	n.unlock()
 }
 
 // ForEachAlive visits every alive node id (ascending). The visitor must
-// not join or fail nodes while iterating.
+// not join or fail nodes while iterating; it runs with no lock held.
 func (n *Network) ForEachAlive(visit func(id runtime.NodeID)) {
-	for i := range n.nodes {
-		if n.nodes[i].alive {
-			visit(runtime.NodeID(i))
+	n.lock()
+	end := len(n.nodes)
+	n.unlock()
+	for id := runtime.NodeID(0); int(id) < end; id++ {
+		if n.Alive(id) {
+			visit(id)
 		}
 	}
 }

@@ -1,11 +1,15 @@
 package socknet
 
 import (
+	"net"
 	goruntime "runtime"
 	"testing"
 	"time"
 
+	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
+	"flowercdn/internal/sim"
+	"flowercdn/internal/topology"
 	"flowercdn/internal/transporttest"
 	"flowercdn/internal/wallclock"
 )
@@ -23,11 +27,11 @@ func (h pongHandler) HandleRequest(runtime.NodeID, any) (any, error) { return h.
 // payloads are a Ping and a Pong small enough to box without an
 // allocation, so nothing here is the codec's; a real payload adds its
 // decoded copy on each side (the repo benchmark's wire-rpc reads about
-// four). The pending-request and delayed-frame records are pooled,
+// four). The RPC records are simnet's pooled ones on both sides,
 // inbound frames queue in two slices the transport keeps, and the timers
-// a round trip schedules (its deadline, a delayed frame each way, its
-// share of the drains) are released to the clocks, which recycle them;
-// while each was an object this read three.
+// a round trip schedules (its deadline, a leg each way, its share of the
+// drains) are released to the clocks, which recycle them; while each
+// was an object this read three.
 func TestRequestRoundTripAllocs(t *testing.T) {
 	trs := newMesh(t, 2, 1, 0, 0, "binary")
 	a, b := trs[0], trs[1]
@@ -94,5 +98,48 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	t.Logf("%.2f objects, %.1f bytes per round trip", perOp, float64(after.TotalAlloc-before.TotalAlloc)/rounds)
 	if perOp >= 1 && !raceEnabled { // the race detector makes sync.Pool drop records at random
 		t.Errorf("a Request round trip allocates %.2f objects; want under 1", perOp)
+	}
+}
+
+// TestSameProcessAllocBytes holds the legs that never leave the process
+// to simnet's pin, TestMessageAllocBytes: zero bytes for a Send with its
+// delivery and for a Request with its reply, timers included, because
+// they are simnet's pooled records. A one-group transport bound to the
+// discrete-event engine has no peer to read from, so every call runs on
+// this goroutine.
+func TestSameProcessAllocBytes(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := DialListener(Config{
+		Socket: runtime.SocketConfig{Listen: lis.Addr().String(), Peers: []string{lis.Addr().String()}},
+		Topo:   topology.MustNew(topology.DefaultConfig(), rnd.New(1)),
+	}, lis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	eng := sim.NewEngine()
+	tr.Bind(eng.Clock())
+	a := tr.Join(nopHandler{}, midPlace)
+	b := tr.Join(pongHandler{resp: transporttest.Pong{N: 1}}, midPlace)
+	replied := 0
+	onReply := func(any, error) { replied++ }
+	const rounds = 2000
+	if got := transporttest.AllocBytes(rounds, func() {
+		tr.Send(a, b, transporttest.Ping{N: 1})
+		eng.RunAll()
+	}); got != 0 {
+		t.Errorf("Send+delivery allocated %d bytes over %d messages; want 0", got, rounds)
+	}
+	if got := transporttest.AllocBytes(rounds, func() {
+		tr.Request(a, b, transporttest.Ping{N: 1}, 0, onReply)
+		eng.RunAll()
+	}); got != 0 {
+		t.Errorf("Request+reply allocated %d bytes over %d calls; want 0", got, rounds)
+	}
+	if replied == 0 {
+		t.Fatal("no request was answered")
 	}
 }

@@ -87,6 +87,7 @@ func newLocalGroup(t *testing.T, n int, topoSeed uint64, lossRate float64, lossS
 			tr.Close()
 		}
 	}
+	world.Sever = func(i int) { transports[i].Close() }
 	return world
 }
 

@@ -1,38 +1,38 @@
-// Package socknet is the socket backend: a runtime.Transport over real
-// TCP connections, so the identical protocol code that runs on the
-// deterministic simulator and the in-process realtime loopback runs
-// across OS process boundaries. It registers itself as the "socket"
-// backend.
+// Package socknet is the socket backend: the population split over
+// cooperating OS processes that talk over real TCP, so the identical
+// protocol code that runs on the deterministic simulator and the
+// in-process realtime loopback runs across process boundaries. It
+// registers itself as the "socket" backend.
 //
-// Topology of a run: N cooperating processes ("groups"), each hosting
-// one slice of the population behind a single TCP listener. The
-// peer-address registry — the full index-ordered address list — is
+// A process's Transport is an internal/simnet Network plus a wire. The
+// network is one member of a group sharing an id space (InGroup):
+// process g of N mints NodeIDs g, g+N, g+2N, …, so an id names its
+// owner, and every Join and Fail is mirrored to the others as a frame,
+// so placement and aliveness are readable everywhere, a round trip
+// stale at most. Latency, loss, accounting, the delivery and RPC
+// records and every same-process leg are simnet's; a leg toward another
+// process's node runs those records up to the handler, where the wire
+// takes over: encode, group-commit write, the peer's read loop, decode,
+// and into the owner's records (Deliver, Serve, Resolve). Modeled
+// latency is spent on the sender's clock, TCP adds its real cost on
+// top; the owner drops a message to a dead node, and timeouts are
+// decided on the requester's clock.
+//
+// Topology of a run: each process hosts its slice of the population
+// behind one TCP listener. The full index-ordered address list is
 // configuration every process starts with; at startup the group forms
 // a full mesh (process g dials every lower-indexed process, accepts
-// from every higher-indexed one) and exchanges hello frames before any
-// protocol traffic flows.
+// from every higher-indexed one) and exchanges preambles before any
+// protocol traffic flows. A connection that breaks takes its process's
+// nodes with it: they are marked dead for good.
 //
-// NodeIDs are stride-partitioned: process g mints IDs g, g+N, g+2N, …,
-// so ownership is derivable from the ID alone with no coordination.
-// Join and Fail are mirrored to every process (a frame per event);
-// remote state — placement, aliveness — is therefore locally readable,
-// at the cost of staleness bounded by one network round trip. The
-// owning process stays authoritative: a message to a dead node is
-// dropped where the node lives, exactly like the single-process
-// backends.
-//
-// Message semantics mirror internal/simnet: Send and Request sample
-// per-link latency from the same topology model (applied on the
-// sender's clock before the frame hits the wire — localhost TCP adds
-// its real cost on top) and the same loss knob; timeouts are always
-// local to the requester. Scheduling runs on the shared
-// internal/wallclock run loop, one goroutine per process, so protocol
-// code stays lock-free here too. Like the realtime backend, runs are
-// NOT reproducible; unlike it, messages genuinely serialize — batched,
-// length-prefixed frames whose payloads go through a pluggable
-// runtime.Codec ("binary", the hand-rolled one, by default; "gob" for
-// compatibility) — which is the honest price of crossing a process boundary
-// (WireStats reports it).
+// Scheduling runs on the shared internal/wallclock run loop, one
+// goroutine per process, so protocol code stays lock-free. Like the
+// realtime backend, runs are NOT reproducible; unlike it, messages
+// genuinely serialize — batched, length-prefixed frames whose payloads
+// go through a runtime.Codec ("binary", the hand-rolled one, by
+// default; "gob" for compatibility) — which is the honest price of
+// crossing a process boundary (WireStats reports it).
 //
 // Batching is group commit, with no timer on either side. A
 // connection's writer goroutine writes as soon as it is woken and, while
@@ -49,12 +49,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
+	"flowercdn/internal/simnet"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/wallclock"
 )
@@ -97,9 +97,6 @@ func (r *Runtime) Clock() runtime.Clock { return r.clock }
 // Net returns the TCP transport.
 func (r *Runtime) Net() runtime.Transport { return r.net }
 
-// Network exposes the concrete transport (wire stats, etc.).
-func (r *Runtime) Network() *Transport { return r.net }
-
 // Run drives the loop until the wall clock passes `until` (ms).
 func (r *Runtime) Run(until int64) uint64 { return r.clock.Run(until) }
 
@@ -121,9 +118,6 @@ type Config struct {
 	// sampled independently per process.
 	LossRate float64
 	LossRNG  *rnd.RNG
-	// DefaultRPCTimeout is used when Request is called with timeout
-	// <= 0 (default 4 s, matching simnet).
-	DefaultRPCTimeout int64
 	// ReadyTimeout bounds mesh formation: how long Dial waits for every
 	// group to be connected (default 30 s — CI process spawns included).
 	ReadyTimeout time.Duration
@@ -137,25 +131,6 @@ const defaultBatchBytes = 64 << 10
 // far behind is as good as dead (the batching-era analogue of the old
 // outbox-capacity cutoff).
 const maxPendBytes = 32 << 20
-
-// nodeState is one mirror entry. Remote nodes carry a nil handler.
-type nodeState struct {
-	handler runtime.Handler
-	place   topology.Placement
-	alive   bool
-	local   bool
-}
-
-// pendingReq is one outstanding RPC on the requester. Records are
-// recycled through Transport.freeReqs, each with its deadline callback
-// bound once.
-type pendingReq struct {
-	id       uint64
-	from     runtime.NodeID
-	cb       func(resp any, err error)
-	deadline runtime.Timer
-	timeout  func() // t.requestTimeout(this record)
-}
 
 // conn is one mesh connection. Writes coalesce by group commit: the run
 // loop appends encoded frames to pend and moves on; a dedicated writer
@@ -211,36 +186,27 @@ func (cn *conn) shutdown() {
 const writeDeadline = 10 * time.Second
 
 // Transport implements runtime.Transport (and runtime.Bus) over the
-// mesh. All state is mutex-guarded: reader goroutines update the
-// mirror directly, while handler callbacks only ever run on the
-// wall-clock goroutine.
+// mesh: the embedded simnet.Network is the node table, the latency and
+// loss model and the delivery and RPC records; the rest is the wire.
+// The network locks its own bookkeeping, mu the wire's, and neither is
+// held while the other is taken or while a handler runs. Handlers and
+// callbacks only ever run on the wall-clock goroutine.
 var _ runtime.Transport = (*Transport)(nil)
 var _ runtime.Bus = (*Transport)(nil)
 
 type Transport struct {
-	topo   *topology.Topology
+	*simnet.Network
+
 	group  int
 	groups int
 
 	codec      runtime.Codec
 	batchBytes int
 
-	// clock is written once, by Bind under mu, before the run starts:
-	// the run-loop side reads it without the lock, readers under it.
-	clock runtime.Clock
-
 	mu          sync.Mutex
-	nextLocal   runtime.NodeID
-	nodes       map[runtime.NodeID]*nodeState
-	total       int
-	alive       int
-	stats       runtime.TransportStats
+	clock       runtime.Clock // set once, by Bind; readers schedule drains on it
 	wire        WireStats
-	lossRate    float64
-	lossRNG     *rnd.RNG
-	reqSeq      uint64
-	pending     map[uint64]*pendingReq
-	freeReqs    []*pendingReq
+	dropped     uint64 // messages whose frame died with its connection
 	subs        []func(msg any)
 	conns       []*conn               // indexed by group; nil = self or down
 	handshakes  map[net.Conn]struct{} // accepted conns still reading hello
@@ -259,8 +225,6 @@ type Transport struct {
 	inboundSpare []frame
 	draining     bool
 	drainFn      func() // t.drain, bound once
-
-	defaultRPCTimeout int64
 
 	lis net.Listener
 	wg  sync.WaitGroup
@@ -296,9 +260,6 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 		lis.Close()
 		return nil, errors.New("socknet: loss rate needs an RNG")
 	}
-	if cfg.DefaultRPCTimeout <= 0 {
-		cfg.DefaultRPCTimeout = 4 * runtime.Second
-	}
 	if cfg.ReadyTimeout <= 0 {
 		cfg.ReadyTimeout = 30 * time.Second
 	}
@@ -314,22 +275,20 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 
 	groups := cfg.Socket.Groups()
 	t := &Transport{
-		topo:              cfg.Topo,
-		group:             cfg.Socket.Group,
-		groups:            groups,
-		codec:             codec,
-		batchBytes:        batchBytes,
-		nextLocal:         runtime.NodeID(cfg.Socket.Group),
-		nodes:             make(map[runtime.NodeID]*nodeState),
-		lossRate:          cfg.LossRate,
-		lossRNG:           cfg.LossRNG,
-		pending:           make(map[uint64]*pendingReq),
-		conns:             make([]*conn, groups),
-		handshakes:        make(map[net.Conn]struct{}),
-		missing:           groups - 1,
-		readyCh:           make(chan struct{}),
-		defaultRPCTimeout: cfg.DefaultRPCTimeout,
-		lis:               lis,
+		Network:    simnet.New(nil, cfg.Topo),
+		group:      cfg.Socket.Group,
+		groups:     groups,
+		codec:      codec,
+		batchBytes: batchBytes,
+		conns:      make([]*conn, groups),
+		handshakes: make(map[net.Conn]struct{}),
+		missing:    groups - 1,
+		readyCh:    make(chan struct{}),
+		lis:        lis,
+	}
+	t.InGroup(t.group, groups, leg{t})
+	if cfg.LossRate > 0 {
+		t.SetLossRate(cfg.LossRate, cfg.LossRNG)
 	}
 	t.drainFn = t.drain
 	if t.missing == 0 {
@@ -353,23 +312,20 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 
 // waitReady blocks until the mesh is complete or the timeout expires.
 func (t *Transport) waitReady(d time.Duration) error {
+	expired := false
 	select {
 	case <-t.readyCh:
 	case <-time.After(d):
-		t.mu.Lock()
-		missing := t.missing
-		err := t.handErr
-		t.mu.Unlock()
-		if err != nil {
-			return fmt.Errorf("socknet: group %d mesh formation failed: %w", t.group, err)
-		}
-		return fmt.Errorf("socknet: group %d timed out with %d group(s) unconnected after %v", t.group, missing, d)
+		expired = true
 	}
 	t.mu.Lock()
-	err := t.handErr
+	missing, err := t.missing, t.handErr
 	t.mu.Unlock()
-	if err != nil {
+	switch {
+	case err != nil:
 		return fmt.Errorf("socknet: group %d mesh formation failed: %w", t.group, err)
+	case expired:
+		return fmt.Errorf("socknet: group %d timed out with %d group(s) unconnected after %v", t.group, missing, d)
 	}
 	return nil
 }
@@ -378,21 +334,15 @@ func (t *Transport) waitReady(d time.Duration) error {
 // that raced mesh formation. Must be called exactly once, before the
 // run starts.
 func (t *Transport) Bind(clock runtime.Clock) {
+	t.Network.Bind(clock)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.clock != nil {
-		panic("socknet: Bind called twice")
-	}
 	t.clock = clock
 	if len(t.inbound) > 0 {
 		t.draining = true
 		clock.Schedule(0, t.drainFn).Release()
 	}
 }
-
-// Group returns this process's index; Groups the process count.
-func (t *Transport) Group() int  { return t.group }
-func (t *Transport) Groups() int { return t.groups }
 
 // owner maps a NodeID to the group that hosts it.
 func (t *Transport) owner(id runtime.NodeID) int { return int(id) % t.groups }
@@ -597,8 +547,9 @@ func (t *Transport) drain() {
 	t.mu.Unlock()
 }
 
-// readLoop slices batches off one connection until it breaks. Mirror
-// frames apply at once; the rest of a batch joins the inbound queue
+// readLoop slices batches off one connection until it breaks. Join and
+// fail frames apply to the network at once — state, not behaviour, so
+// they need no clock; the rest of a batch joins the inbound queue
 // together, and the reader that finds no drain on its way schedules
 // one. The body buffer and the batch's frame slice are reused across
 // batches — decoded frames never alias the body (the wire vocabulary
@@ -608,9 +559,12 @@ func (t *Transport) readLoop(group int, cn *conn) {
 	var body []byte
 	var batch []frame
 	visit := func(f frame) {
-		if f.Kind == frameJoin || f.Kind == frameFail {
-			t.mirror(f)
-		} else {
+		switch f.Kind {
+		case frameJoin:
+			t.Mirror(f.ID, f.Place)
+		case frameFail:
+			t.Network.Fail(f.ID)
+		default:
 			batch = append(batch, f)
 		}
 	}
@@ -654,23 +608,21 @@ func (t *Transport) connBroken(group int) {
 	t.mu.Lock()
 	cn := t.conns[group]
 	t.conns[group] = nil
-	if cn != nil && !t.closed {
+	broke := cn != nil && !t.closed
+	if broke {
 		t.wire.BrokenConns++
-		for id, st := range t.nodes {
-			if st.alive && !st.local && t.owner(id) == group {
-				st.alive = false
-				t.alive--
-			}
-		}
 		cn.mu.Lock()
 		t.wire.FramesDropped += uint64(cn.pendFrames)
-		t.stats.MessagesDropped += uint64(cn.pendMsgs)
+		t.dropped += uint64(cn.pendMsgs)
 		cn.dead = true
 		cn.pend = cn.pend[:batchHeader]
 		cn.open, cn.pendBatches, cn.pendFrames, cn.pendMsgs = 0, 0, 0, 0
 		cn.mu.Unlock()
 	}
 	t.mu.Unlock()
+	if broke {
+		t.FailOwner(group)
+	}
 	if cn != nil {
 		cn.shutdown()
 	}
@@ -746,34 +698,6 @@ func (t *Transport) writeFrame(group int, f frame) {
 	}
 }
 
-// delayed is a frame waiting out its modeled link latency on the
-// clock; records are pooled, each with its callback bound once.
-type delayed struct {
-	t     *Transport
-	group int
-	f     frame
-	run   func() // d.send
-}
-
-var delayedPool sync.Pool
-
-// writeFrameAfter writes f toward group once delay ms have passed.
-func (t *Transport) writeFrameAfter(delay int64, group int, f frame) {
-	d, ok := delayedPool.Get().(*delayed)
-	if !ok {
-		d = &delayed{}
-		d.run = d.send
-	}
-	d.t, d.group, d.f = t, group, f
-	t.clock.Schedule(delay, d.run).Release()
-}
-
-func (d *delayed) send() {
-	d.t.writeFrame(d.group, d.f)
-	d.t, d.f = nil, frame{} // release the payload
-	delayedPool.Put(d)
-}
-
 // dropFrameLocked accounts one undeliverable frame (mu held). Send,
 // request and response frames carry a protocol message, so their loss
 // is a message drop; join/fail/announce are control plane and count
@@ -782,7 +706,7 @@ func (t *Transport) dropFrameLocked(f frame) {
 	t.wire.FramesDropped++
 	switch f.Kind {
 	case frameSend, frameRequest, frameResponse:
-		t.stats.MessagesDropped++
+		t.dropped++
 	}
 }
 
@@ -796,37 +720,87 @@ func (t *Transport) broadcast(f frame) {
 	}
 }
 
-// mirror applies a received join or fail frame to the node mirror — at
-// once, on the reader's goroutine: it is state, not behavior, and needs
-// no clock.
-func (t *Transport) mirror(f frame) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, known := t.nodes[f.ID]
-	switch {
-	case f.Kind == frameJoin && !known:
-		t.nodes[f.ID] = &nodeState{place: f.Place, alive: true}
-		t.total++
-		t.alive++
-	case f.Kind == frameFail && known && st.alive:
-		st.alive = false
-		t.alive--
-	}
-}
-
-// deliver routes one received deliverable frame (clock goroutine, so
+// deliver hands one received frame to the network (clock goroutine, so
 // handlers only ever execute there).
 func (t *Transport) deliver(f *frame) {
 	switch f.Kind {
 	case frameSend:
-		t.deliverLocal(f.From, f.To, f.Payload)
+		t.Deliver(f.From, f.To, f.Payload)
 	case frameRequest:
-		t.serveRemoteRequest(f)
+		t.Serve(f.ReqID, f.From, f.To, f.Payload)
 	case frameResponse:
-		t.resolveRequest(f.ReqID, f.Payload, f.HasErr, f.Err)
+		var err error
+		if f.HasErr {
+			err = RemoteError(f.Err)
+		}
+		t.Resolve(f.ReqID, f.Payload, err)
 	case frameAnnounce:
 		t.deliverAnnounce(f.Payload)
 	}
+}
+
+// leg is the transport as the network's simnet.Remote: a leg whose far
+// end another process owns becomes a frame toward that process.
+type leg struct{ t *Transport }
+
+func (l leg) Send(from, to runtime.NodeID, msg any) {
+	l.t.writeFrame(l.t.owner(to), frame{Kind: frameSend, From: from, To: to, Payload: msg})
+}
+
+func (l leg) Request(id uint64, from, to runtime.NodeID, req any) {
+	l.t.writeFrame(l.t.owner(to), frame{Kind: frameRequest, ReqID: id, From: from, To: to, Payload: req})
+}
+
+// Respond carries a handler's reply back; an application error crosses
+// as its message, and the requester rebuilds it as a RemoteError.
+func (l leg) Respond(id uint64, to runtime.NodeID, resp any, err error) {
+	f := frame{Kind: frameResponse, ReqID: id, Payload: resp}
+	if err != nil {
+		f.HasErr, f.Err = true, err.Error()
+	}
+	l.t.writeFrame(l.t.owner(to), f)
+}
+
+// Join registers a local handler and mirrors the registration to every
+// other process.
+func (t *Transport) Join(h runtime.Handler, place topology.Placement) runtime.NodeID {
+	id := t.Network.Join(h, place)
+	t.broadcast(frame{Kind: frameJoin, ID: id, Place: place})
+	return id
+}
+
+// Fail marks a local node dead and mirrors the failure. Failing a
+// remote node is a protocol bug (kill closures are local) and panics;
+// failing an already-dead node is a no-op.
+func (t *Transport) Fail(id runtime.NodeID) {
+	if !t.Alive(id) {
+		return
+	}
+	if owner := t.owner(id); owner != t.group {
+		panic(fmt.Sprintf("socknet: Fail of remote node %d (owned by group %d)", id, owner))
+	}
+	t.Network.Fail(id)
+	t.broadcast(frame{Kind: frameFail, ID: id})
+}
+
+// Stats snapshots this process's traffic counters: the network's, with
+// the messages whose frames died with a connection among the drops.
+// Group-wide totals are the sum over processes.
+func (t *Transport) Stats() runtime.TransportStats {
+	s := t.Network.Stats()
+	t.mu.Lock()
+	s.MessagesDropped += t.dropped
+	t.mu.Unlock()
+	return s
+}
+
+// WireStats snapshots the actual serialized traffic.
+func (t *Transport) WireStats() WireStats {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ws := t.wire
+	ws.Codec = t.codec.Name()
+	return ws
 }
 
 // Close shuts the transport down: listener, connections, readers. It
@@ -861,377 +835,6 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// ---- runtime.Transport ----
-
-// Clock returns the bound run-loop clock.
-func (t *Transport) Clock() runtime.Clock {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.clock
-}
-
-// Topology returns the shared latency model.
-func (t *Transport) Topology() *topology.Topology { return t.topo }
-
-// Stats snapshots this process's traffic counters. Counters are
-// per-process: sends count where they are issued, deliveries where the
-// target lives; group-wide totals are the sum over processes.
-func (t *Transport) Stats() runtime.TransportStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stats
-}
-
-// WireStats snapshots the actual serialized traffic.
-func (t *Transport) WireStats() WireStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	ws := t.wire
-	ws.Codec = t.codec.Name()
-	return ws
-}
-
-// Join registers a local handler and mirrors the registration to every
-// other process.
-func (t *Transport) Join(h runtime.Handler, place topology.Placement) runtime.NodeID {
-	if h == nil {
-		panic("socknet: Join with nil handler")
-	}
-	t.mu.Lock()
-	id := t.nextLocal
-	t.nextLocal += runtime.NodeID(t.groups)
-	t.nodes[id] = &nodeState{handler: h, place: place, alive: true, local: true}
-	t.total++
-	t.alive++
-	t.mu.Unlock()
-	t.broadcast(frame{Kind: frameJoin, ID: id, Place: place})
-	return id
-}
-
-// Fail marks a local node dead and mirrors the failure. Failing a
-// remote node is a protocol bug (kill closures are local) and panics;
-// failing an already-dead local node is a no-op.
-func (t *Transport) Fail(id runtime.NodeID) {
-	t.mu.Lock()
-	st, ok := t.nodes[id]
-	if !ok || !st.alive {
-		t.mu.Unlock()
-		return
-	}
-	if !st.local {
-		t.mu.Unlock()
-		panic(fmt.Sprintf("socknet: Fail of remote node %d (owned by group %d)", id, t.owner(id)))
-	}
-	st.alive = false
-	st.handler = nil // release protocol state for GC
-	t.alive--
-	t.mu.Unlock()
-	t.broadcast(frame{Kind: frameFail, ID: id})
-}
-
-// Alive reports whether id is known and not failed. For remote nodes
-// the answer can be stale by up to a network round trip; the owning
-// process remains authoritative at delivery time.
-func (t *Transport) Alive(id runtime.NodeID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st, ok := t.nodes[id]
-	return ok && st.alive
-}
-
-// AliveCount returns the number of alive nodes across the whole group
-// (local + mirrored).
-func (t *Transport) AliveCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.alive
-}
-
-// TotalJoined returns how many nodes ever joined across the group.
-func (t *Transport) TotalJoined() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
-// Placement returns a node's position. Unknown local IDs are protocol
-// bugs and panic (as on simnet); an unknown *remote* ID — its join
-// frame still in flight — yields the zero Placement rather than a
-// panic, because a third process can legitimately name a node before
-// our mirror has caught up.
-func (t *Transport) Placement(id runtime.NodeID) topology.Placement {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.placementLocked(id)
-}
-
-func (t *Transport) placementLocked(id runtime.NodeID) topology.Placement {
-	if st, ok := t.nodes[id]; ok {
-		return st.place
-	}
-	if id >= 0 && t.owner(id) != t.group {
-		return topology.Placement{}
-	}
-	panic(fmt.Sprintf("socknet: Placement of unknown local node %d", id))
-}
-
-// Locality returns the physical locality of a node.
-func (t *Transport) Locality(id runtime.NodeID) topology.Locality {
-	return t.Placement(id).Loc
-}
-
-// Latency returns the modeled one-way latency between two nodes in ms.
-func (t *Transport) Latency(a, b runtime.NodeID) int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.latencyLocked(a, b)
-}
-
-func (t *Transport) latencyLocked(a, b runtime.NodeID) int64 {
-	sa, oka := t.nodes[a]
-	sb, okb := t.nodes[b]
-	if !oka || !okb {
-		// A mirror miss (join frame in flight): deliver without modeled
-		// delay rather than guess.
-		return 0
-	}
-	return t.topo.Latency(sa.place.Pos, sb.place.Pos)
-}
-
-func (t *Transport) lostLocked() bool {
-	return t.lossRate > 0 && t.lossRNG.Bool(t.lossRate)
-}
-
-func (t *Transport) aliveLocked(id runtime.NodeID) bool {
-	st, ok := t.nodes[id]
-	return ok && st.alive
-}
-
-// ForEachAlive visits every alive node id (ascending), local and
-// mirrored. The snapshot is taken atomically; the visitor runs outside
-// the lock and must not join or fail nodes while iterating.
-func (t *Transport) ForEachAlive(visit func(id runtime.NodeID)) {
-	t.mu.Lock()
-	ids := make([]runtime.NodeID, 0, t.alive)
-	for id, st := range t.nodes {
-		if st.alive {
-			ids = append(ids, id)
-		}
-	}
-	t.mu.Unlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		visit(id)
-	}
-}
-
-// Send delivers msg to `to` after the modeled one-way latency (plus
-// the real wire cost when `to` lives in another process). Sends to
-// unregistered local IDs panic; an unknown remote ID is forwarded to
-// its owner, who is authoritative.
-func (t *Transport) Send(from, to runtime.NodeID, msg any) {
-	if to < 0 {
-		panic(fmt.Sprintf("socknet: Send to invalid node %d", to))
-	}
-	t.mu.Lock()
-	owner := t.owner(to)
-	if _, known := t.nodes[to]; !known && owner == t.group {
-		t.mu.Unlock()
-		panic(fmt.Sprintf("socknet: Send to unregistered node %d", to))
-	}
-	t.stats.MessagesSent++
-	t.stats.BytesSent += uint64(messageBytes(msg))
-	if t.lostLocked() {
-		t.stats.MessagesDropped++
-		t.mu.Unlock()
-		return
-	}
-	delay := t.latencyLocked(from, to)
-	t.mu.Unlock()
-	if owner == t.group {
-		t.clock.Schedule(delay, func() { t.deliverLocal(from, to, msg) }).Release()
-	} else {
-		t.writeFrameAfter(delay, owner, frame{Kind: frameSend, From: from, To: to, Payload: msg})
-	}
-}
-
-// deliverLocal hands a message to a locally-hosted node (runs on the
-// clock goroutine).
-func (t *Transport) deliverLocal(from, to runtime.NodeID, msg any) {
-	t.mu.Lock()
-	st, ok := t.nodes[to]
-	if !ok || !st.alive || st.handler == nil {
-		t.stats.MessagesDropped++
-		t.mu.Unlock()
-		return
-	}
-	t.stats.MessagesDelivered++
-	h := st.handler
-	t.mu.Unlock()
-	h.HandleMessage(from, msg)
-}
-
-// Request performs an RPC with the same observable semantics as
-// simnet: cb runs exactly once — with the response, with the handler's
-// application error (reconstructed as a RemoteError across a process
-// boundary), or with ErrTimeout. Timeouts are always decided on the
-// requester's clock.
-func (t *Transport) Request(from, to runtime.NodeID, req any, timeout int64, cb func(resp any, err error)) {
-	if cb == nil {
-		panic("socknet: Request with nil callback")
-	}
-	if to < 0 {
-		panic(fmt.Sprintf("socknet: Request to invalid node %d", to))
-	}
-	t.mu.Lock()
-	owner := t.owner(to)
-	if _, known := t.nodes[to]; !known && owner == t.group {
-		t.mu.Unlock()
-		panic(fmt.Sprintf("socknet: Request to unregistered node %d", to))
-	}
-	if timeout <= 0 {
-		timeout = t.defaultRPCTimeout
-	}
-	t.stats.RequestsIssued++
-	t.stats.MessagesSent++
-	t.stats.BytesSent += uint64(messageBytes(req))
-	t.reqSeq++
-	id := t.reqSeq
-	var pr *pendingReq
-	if n := len(t.freeReqs); n > 0 {
-		pr, t.freeReqs = t.freeReqs[n-1], t.freeReqs[:n-1]
-	} else {
-		pr = &pendingReq{}
-		pr.timeout = func() { t.requestTimeout(pr) }
-	}
-	pr.id, pr.from, pr.cb = id, from, cb
-	t.pending[id] = pr
-	// Under mu: the deadline is in place before the run loop can reach
-	// the record (the clock never calls out under its own lock).
-	pr.deadline = t.clock.Schedule(timeout, pr.timeout)
-	lost := t.lostLocked()
-	if lost {
-		t.stats.MessagesDropped++
-	}
-	delay := t.latencyLocked(from, to)
-	t.mu.Unlock()
-	if lost {
-		return // request leg dropped in transit; the deadline will fire
-	}
-	if owner == t.group {
-		t.clock.Schedule(delay, func() { t.serveLocalRequest(id, from, to, req) }).Release()
-	} else {
-		t.writeFrameAfter(delay, owner, frame{Kind: frameRequest, ReqID: id, From: from, To: to, Payload: req})
-	}
-}
-
-// retireLocked takes a request that has its outcome off the books and
-// returns its callback (mu held). The record is reused only once its
-// deadline can no longer fire.
-func (t *Transport) retireLocked(pr *pendingReq, deadlineDone bool) (cb func(resp any, err error), alive bool) {
-	delete(t.pending, pr.id)
-	cb, alive = pr.cb, t.aliveLocked(pr.from) // a dead requester never observes the outcome
-	if deadlineDone {
-		pr.deadline.Release()
-		pr.cb, pr.deadline = nil, nil
-		t.freeReqs = append(t.freeReqs, pr)
-	}
-	return cb, alive
-}
-
-// serveLocalRequest runs the target handler for a same-process RPC and
-// schedules the response leg (clock goroutine).
-func (t *Transport) serveLocalRequest(id uint64, from, to runtime.NodeID, req any) {
-	resp, hasErr, errStr, back, ok := t.runHandler(from, to, req)
-	if !ok {
-		return // dropped; the deadline will fire
-	}
-	t.clock.Schedule(back, func() { t.resolveRequest(id, resp, hasErr, errStr) }).Release()
-}
-
-// serveRemoteRequest runs the target handler for a cross-process RPC
-// and schedules the response frame (clock goroutine).
-func (t *Transport) serveRemoteRequest(f *frame) {
-	resp, hasErr, errStr, back, ok := t.runHandler(f.From, f.To, f.Payload)
-	if !ok {
-		return
-	}
-	t.writeFrameAfter(back, t.owner(f.From), frame{Kind: frameResponse, ReqID: f.ReqID, Payload: resp, HasErr: hasErr, Err: errStr})
-}
-
-// runHandler is the shared owner-side RPC logic: deliver to the target
-// if alive, account the response leg, sample its loss, return the
-// response and the back latency. ok=false means the deadline should
-// fire instead.
-func (t *Transport) runHandler(from, to runtime.NodeID, req any) (resp any, hasErr bool, errStr string, back int64, ok bool) {
-	t.mu.Lock()
-	st, known := t.nodes[to]
-	if !known || !st.alive || st.handler == nil {
-		t.stats.MessagesDropped++
-		t.mu.Unlock()
-		return nil, false, "", 0, false
-	}
-	t.stats.MessagesDelivered++
-	h := st.handler
-	t.mu.Unlock()
-
-	r, err := h.HandleRequest(from, req)
-
-	t.mu.Lock()
-	t.stats.MessagesSent++
-	t.stats.BytesSent += uint64(messageBytes(r))
-	if t.lostLocked() {
-		t.stats.MessagesDropped++
-		t.mu.Unlock()
-		return nil, false, "", 0, false
-	}
-	back = t.latencyLocked(to, from)
-	t.mu.Unlock()
-	if err != nil {
-		hasErr = true
-		errStr = err.Error()
-	}
-	return r, hasErr, errStr, back, true
-}
-
-// requestTimeout fires a pending request's deadline (clock goroutine).
-func (t *Transport) requestTimeout(pr *pendingReq) {
-	t.mu.Lock()
-	if t.pending[pr.id] != pr {
-		t.mu.Unlock()
-		return // resolved, by a clock whose Cancel could not stop this
-	}
-	t.stats.RequestsTimedOut++
-	cb, alive := t.retireLocked(pr, true)
-	t.mu.Unlock()
-	if alive {
-		cb(nil, runtime.ErrTimeout)
-	}
-}
-
-// resolveRequest completes a pending request with its response (clock
-// goroutine).
-func (t *Transport) resolveRequest(id uint64, resp any, hasErr bool, errStr string) {
-	t.mu.Lock()
-	pr, ok := t.pending[id]
-	if !ok {
-		t.mu.Unlock()
-		return // deadline beat the response
-	}
-	// The deadline has not fired — the request would not be pending —
-	// and fires only on this goroutine, so the cancel takes.
-	cb, alive := t.retireLocked(pr, pr.deadline.Cancel())
-	t.mu.Unlock()
-	if !alive {
-		return
-	}
-	var err error
-	if hasErr {
-		err = RemoteError(errStr)
-	}
-	cb(resp, err)
-}
-
 // ---- runtime.Bus ----
 
 // Announce broadcasts msg to every other process; their subscribers
@@ -1259,13 +862,4 @@ func (t *Transport) deliverAnnounce(msg any) {
 	for _, fn := range subs {
 		fn(msg)
 	}
-}
-
-// messageBytes mirrors simnet's wire-size model so TransportStats stay
-// comparable across backends; WireStats carries the real frame bytes.
-func messageBytes(msg any) int {
-	if s, ok := msg.(runtime.Sizer); ok {
-		return s.WireBytes()
-	}
-	return runtime.DefaultMessageBytes
 }

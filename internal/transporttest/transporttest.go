@@ -36,6 +36,9 @@ type World struct {
 	Run func(until int64)
 	// Close tears the world down (nil ok).
 	Close func()
+	// Sever cuts instance i off from the others, as if its process died
+	// (nil: the backend has no connection to sever).
+	Sever func(i int)
 
 	now int64
 }
@@ -180,6 +183,7 @@ func Run(t *testing.T, f Factory) {
 	t.Run("RequestAppError", func(t *testing.T) { testRequestAppError(t, f) })
 	t.Run("RequestTimeout", func(t *testing.T) { testRequestTimeout(t, f) })
 	t.Run("LateDuplicateResponse", func(t *testing.T) { testLateDuplicateResponse(t, f) })
+	t.Run("ConnectionSeveredMidRequest", func(t *testing.T) { testConnectionSeveredMidRequest(t, f) })
 	t.Run("JoinFailLifecycle", func(t *testing.T) { testJoinFailLifecycle(t, f) })
 	t.Run("LossSampling", func(t *testing.T) { testLossSampling(t, f) })
 	t.Run("StatsAccounting", func(t *testing.T) { testStatsAccounting(t, f) })
@@ -467,6 +471,53 @@ func testLateDuplicateResponse(t *testing.T, f Factory) {
 	}
 	if firstCalls != 1 {
 		t.Fatalf("first request's callback ran %d times, want exactly 1", firstCalls)
+	}
+}
+
+// testConnectionSeveredMidRequest cuts the target's instance off while
+// a request to it is still crossing its modeled link. The requester
+// must see one timeout, counted as one, and the request leg must be
+// accounted as dropped rather than vanish with the connection.
+func testConnectionSeveredMidRequest(t *testing.T, f Factory) {
+	w := build(t, f, 0)
+	if w.Sever == nil {
+		t.Skip("no connection to sever")
+	}
+	src, dst := w.at(0), w.at(1)
+	topo := src.Topology()
+
+	a := src.Join(&recorder{}, place(topo, 0.02, 0.02))
+	b := dst.Join(&recorder{}, place(topo, 0.98, 0.98))
+	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
+	lat := src.Latency(a, b)
+	if lat < 100 {
+		t.Fatalf("modeled corner-to-corner latency %dms too small to sever a connection within", lat)
+	}
+
+	var mu sync.Mutex
+	calls := 0
+	var rerr error
+	src.Request(a, b, Ping{N: 1}, 2*lat+200, func(_ any, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		rerr = err
+	})
+	w.Sever(1)
+	w.eventually(t, "request resolved", func() bool { mu.Lock(); defer mu.Unlock(); return calls > 0 })
+	w.step(lat + 200) // room for a second callback, were there one
+
+	mu.Lock()
+	defer mu.Unlock()
+	if calls != 1 || !errors.Is(rerr, runtime.ErrTimeout) {
+		t.Fatalf("callback ran %d time(s), last with %v; want once with ErrTimeout", calls, rerr)
+	}
+	st := w.aggregate()
+	if st.RequestsTimedOut != 1 {
+		t.Errorf("aggregate stats %+v, want 1 request timed out", st)
+	}
+	if st.MessagesSent != st.MessagesDelivered+st.MessagesDropped {
+		t.Errorf("aggregate stats %+v: sent is not delivered + dropped", st)
 	}
 }
 
