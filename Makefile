@@ -191,13 +191,21 @@ invariants-smoke:
 	go test ./internal/harness/ -run 'TestRingInvariantsUnderChurn|TestChurnScheduleActuallyChurns' -count=1 -v
 
 # trace-smoke exercises the per-query tracing surfaces end to end: a
-# traced quick sim cell written as hop-level CSV, then a realtime run
-# serving the live observability endpoint, probed over HTTP
-# (/metrics and /traces) while the run is still in flight.
+# traced quick sim cell written as hop-level CSV; a socket run whose
+# CSV must hold records spanning at least two hop localities (followers
+# stamp localities where they emit, so a missing locator shows here as
+# one value); then a realtime run serving the live observability
+# endpoint, probed over HTTP (/metrics and /traces) while the run is
+# still in flight.
 TRACE_OBS_ADDR ?= 127.0.0.1:7946
 trace-smoke:
 	go run ./cmd/flowersim -p 200 -hours 2 -trace-csv /tmp/trace-smoke.csv
 	@test -s /tmp/trace-smoke.csv && head -3 /tmp/trace-smoke.csv
+	go run ./cmd/flowersim -backend socket -spawn-local 3 -population 50 -horizon 6s \
+		-trace-csv /tmp/trace-smoke-socket.csv
+	@locs=$$(tail -n +2 /tmp/trace-smoke-socket.csv | cut -d, -f10 | sort -u | wc -l); \
+	echo "socket trace: $$(tail -n +2 /tmp/trace-smoke-socket.csv | wc -l) hop rows, $$locs distinct hop_loc"; \
+	test $$locs -ge 2 || { echo "socket trace has no records or one hop locality"; exit 1; }
 	go run ./cmd/flowersim -backend realtime -population 50 -horizon 5s \
 		-trace-csv /dev/null -obs $(TRACE_OBS_ADDR) & pid=$$!; \
 	sleep 3; \

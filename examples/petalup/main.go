@@ -51,11 +51,11 @@ func build(seed uint64, cfg flower.Config) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	origins := workload.NewOrigins(work, net, rng.Split("origins"))
+	origins := workload.NewOrigins(work, net, topo, rng.Split("origins"))
 	cfg.Gossip.Period = 5 * runtime.Minute
 	cfg.KeepaliveInterval = 10 * runtime.Minute
 	sys, err := flower.NewSystem(cfg, proto.Env{
-		Net: net, RNG: rng.Split("flower"), Workload: work,
+		Net: net, Oracle: net, Topo: topo, RNG: rng.Split("flower"), Workload: work,
 		Origins: origins, Metrics: metrics.NewCollector(runtime.Hour),
 	})
 	if err != nil {

@@ -158,7 +158,7 @@ func (p *originPeer) issueQuery() {
 	env := p.d.env
 	origin := env.Origins.Node(key.Site)
 	now := env.Clock.Now()
-	dist := env.Net.Latency(p.nid, origin)
+	dist := env.Oracle.Latency(p.nid, origin)
 	// The provider is known a priori: the query resolves the instant it
 	// is issued, a miss with the one leg to the origin still to travel,
 	// and the transfer covers the same distance back.

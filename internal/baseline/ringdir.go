@@ -32,7 +32,7 @@ type Router interface {
 
 // NewRouter builds one peer's overlay node, with the signature of
 // chord.NewNode and koorde.NewNode less the overlay's own config.
-type NewRouter func(net runtime.Transport, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error)
+type NewRouter func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error)
 
 // RingSpec is everything that differs between the ring-directory
 // protocols. The label strings and RootDraws exist because each
@@ -72,7 +72,7 @@ func ChordRouter(opts proto.Options) (NewRouter, error) {
 	if opts.Bool("chord-demo", false) {
 		cfg = chord.DemoConfig()
 	}
-	return func(net runtime.Transport, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error) {
+	return func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error) {
 		return chord.NewNode(cfg, net, rng, app, nid, ringID)
 	}, nil
 }
@@ -307,7 +307,7 @@ func (p *peer) enterRing(attempts int) {
 		return
 	}
 	d := p.d
-	gw := d.registry.PickAlive(d.drawRNG, d.env.Net.Alive, runtime.None)
+	gw := d.registry.PickAlive(d.drawRNG, d.env.Oracle.Alive, runtime.None)
 	if !gw.Valid() {
 		if d.env.Follower {
 			d.env.Clock.Schedule(200*runtime.Millisecond, func() { p.enterRing(attempts) })
@@ -400,7 +400,7 @@ func (p *peer) issueQuery() {
 	q := &activeQuery{seq: p.d.nextSeq(), key: key, start: p.d.env.Clock.Now()}
 	if p.d.env.Trace.Enabled() {
 		q.path = trace.Append(q.path, trace.Hop{
-			Kind: trace.HopIssue, Node: p.nid, Loc: p.d.env.Net.Locality(p.nid), At: q.start})
+			Kind: trace.HopIssue, Node: p.nid, At: q.start})
 	}
 	p.query = q
 	p.sendQuery(q)
@@ -450,7 +450,7 @@ func (p *peer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path 
 		resp := homeResp{Seq: m.Seq}
 		if p.d.env.Trace.Enabled() {
 			resp.Path = trace.Append(path, trace.Hop{
-				Kind: trace.HopHome, Node: p.nid, Loc: p.d.env.Net.Locality(p.nid), At: now})
+				Kind: trace.HopHome, Node: p.nid, At: now})
 		}
 		// Random redirection — no locality information exists.
 		for _, i := range p.rng.Perm(len(providers)) {
@@ -498,7 +498,7 @@ func (p *peer) probeProvider(q *activeQuery) {
 	}
 	target := q.candidates[0]
 	q.candidates = q.candidates[1:]
-	timeout := workload.ProbeTimeout(p.d.env.Net.Latency(p.nid, target))
+	timeout := workload.ProbeTimeout(p.d.env.Oracle.Latency(p.nid, target))
 	p.d.env.Net.Request(p.nid, target, p.d.env.Workload.FetchReqMsg(q.key), timeout,
 		func(resp any, err error) {
 			if p.dead || p.query != q {
@@ -507,8 +507,7 @@ func (p *peer) probeProvider(q *activeQuery) {
 			served := err == nil && resp.(workload.FetchResp).Served
 			if p.d.env.Trace.Enabled() {
 				q.path = trace.Append(q.path, trace.Hop{
-					Kind: trace.HopProbe, Node: target,
-					Loc: p.d.env.Net.Locality(target), At: p.d.env.Clock.Now(),
+					Kind: trace.HopProbe, Node: target, At: p.d.env.Clock.Now(),
 					// A probe that answered but could not serve is a stale
 					// directory entry — the summary false-positive flag.
 					FalsePositive: err == nil && !served,
@@ -531,14 +530,14 @@ func (p *peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 	p.query = nil
 	env := p.d.env
 	now := env.Clock.Now()
-	dist := env.Net.Latency(p.nid, provider)
+	dist := env.Oracle.Latency(p.nid, provider)
 	env.Metrics.Emit(metrics.QueryEvent(now, outcome, metrics.LookupLatency(q.start, now, outcome, dist), dist))
 	if tr := env.Trace; tr.Enabled() {
 		tr.Emit(now, &trace.Record{
-			Query: q.seq, Client: p.nid, Loc: env.Net.Locality(p.nid),
+			Query: q.seq, Client: p.nid,
 			Key: q.key.Uint64(), Outcome: outcome, Attempts: q.attempt,
 			Hops: trace.Append(q.path, trace.Hop{
-				Kind: trace.HopServe, Node: provider, Loc: env.Net.Locality(provider), At: now}),
+				Kind: trace.HopServe, Node: provider, At: now}),
 		})
 	}
 	if outcome == metrics.Miss {

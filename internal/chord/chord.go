@@ -27,7 +27,7 @@
 //     from its free list, every hop bumps Hops and forwards the same
 //     pointer, the owner flips it into the answer (Reply, Owner) and
 //     sends it home, and the origin puts it back. Whoever passes the
-//     message to Send gives it up (runtime.Transport's ownership rule);
+//     message to Send gives it up (runtime.Net's ownership rule);
 //     a message that is lost, or routed one-way with a payload, ends as
 //     ordinary garbage.
 //   - Three free lists per ring member: those messages, pendingLookup
@@ -311,7 +311,7 @@ func nextReqID() uint64 {
 // what they share: a Client exists once per peer, so every word here is
 // paid for twenty thousand times over on a big cell.
 type resolver struct {
-	net     runtime.Transport
+	net     runtime.Net
 	eng     runtime.Clock
 	self    Entry // a Client has an address but no ring position
 	timeout int64
@@ -323,7 +323,7 @@ type resolver struct {
 	stopped bool
 }
 
-func (r *resolver) init(cfg Config, net runtime.Transport, self Entry, ring *Node) {
+func (r *resolver) init(cfg Config, net runtime.Net, self Entry, ring *Node) {
 	*r = resolver{
 		net:     net,
 		eng:     net.Clock(),
@@ -492,7 +492,7 @@ type claim struct {
 // that will sit at ring position ringID. Call Create or Join to enter a
 // ring, after which the component must see all chord traffic via
 // HandleMessage/HandleRequest.
-func NewNode(cfg Config, net runtime.Transport, rng *rnd.RNG, app App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
+func NewNode(cfg Config, net runtime.Net, rng *rnd.RNG, app App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

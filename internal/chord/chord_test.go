@@ -50,6 +50,7 @@ type ringFixture struct {
 	t     *testing.T
 	eng   *simrt.Runtime
 	net   runtime.Transport
+	topo  *topology.Topology
 	rng   *rnd.RNG
 	cfg   Config
 	peers []*testPeer
@@ -61,11 +62,12 @@ func newRing(t *testing.T, seed uint64) *ringFixture {
 	topo := topology.MustNew(topology.DefaultConfig(), rng)
 	eng := simrt.New(topo)
 	return &ringFixture{
-		t:   t,
-		eng: eng,
-		net: eng.Net(),
-		rng: rng,
-		cfg: DefaultConfig(),
+		t:    t,
+		eng:  eng,
+		net:  eng.Net(),
+		topo: topo,
+		rng:  rng,
+		cfg:  DefaultConfig(),
 	}
 }
 
@@ -74,7 +76,7 @@ func newRing(t *testing.T, seed uint64) *ringFixture {
 func (f *ringFixture) addPeer(id ids.ID) *testPeer {
 	f.t.Helper()
 	p := &testPeer{}
-	p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+	p.nid = f.net.Join(p, f.topo.Place(f.rng))
 	n, err := NewNode(f.cfg, f.net, f.rng.Split(fmt.Sprint(id)), p, p.nid, id)
 	if err != nil {
 		f.t.Fatal(err)
@@ -347,7 +349,7 @@ func TestClientLookupAndRoute(t *testing.T) {
 
 	// A non-member client.
 	cl := &clientPeer{}
-	cl.nid = f.net.Join(cl, f.net.Topology().Place(f.rng))
+	cl.nid = f.net.Join(cl, f.topo.Place(f.rng))
 	c, err := NewClient(f.cfg, f.net, cl.nid)
 	if err != nil {
 		t.Fatal(err)
@@ -407,7 +409,7 @@ func TestLookupTimesOutWhenGatewayDead(t *testing.T) {
 	f.net.Fail(q.nid)
 
 	cl := &clientPeer{}
-	cl.nid = f.net.Join(cl, f.net.Topology().Place(f.rng))
+	cl.nid = f.net.Join(cl, f.topo.Place(f.rng))
 	c, _ := NewClient(f.cfg, f.net, cl.nid)
 	cl.client = c
 	var gotErr error
@@ -434,7 +436,7 @@ func TestJoinAtVacantPosition(t *testing.T) {
 
 	pos := ids.ID(1 << 30) // vacant, owned by the 1<<40 node
 	p := &testPeer{}
-	p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+	p.nid = f.net.Join(p, f.topo.Place(f.rng))
 	n, _ := NewNode(f.cfg, f.net, f.rng.Split("joiner"), p, p.nid, pos)
 	p.node = n
 	var joinErr error
@@ -467,7 +469,7 @@ func TestJoinAtOccupiedPosition(t *testing.T) {
 	f.settle(5 * runtime.Minute)
 
 	p := &testPeer{}
-	p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+	p.nid = f.net.Join(p, f.topo.Place(f.rng))
 	n, _ := NewNode(f.cfg, f.net, f.rng.Split("dup"), p, p.nid, ids.ID(1<<30))
 	p.node = n
 	var gotErr error
@@ -492,7 +494,7 @@ func TestConcurrentClaimsOnlyOneWins(t *testing.T) {
 	results := make(map[int]error)
 	mkJoiner := func(i int) {
 		p := &testPeer{}
-		p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+		p.nid = f.net.Join(p, f.topo.Place(f.rng))
 		n, _ := NewNode(f.cfg, f.net, f.rng.Split(fmt.Sprintf("claimant%d", i)), p, p.nid, pos)
 		p.node = n
 		n.JoinAt(a.node.Self(), func(_ Entry, err error) { results[i] = err })
@@ -526,7 +528,7 @@ func TestClaimExpiresWhenClaimantDies(t *testing.T) {
 	pos := ids.ID(1 << 40)
 	// First claimant wins then dies before integrating.
 	p1 := &testPeer{}
-	p1.nid = f.net.Join(p1, f.net.Topology().Place(f.rng))
+	p1.nid = f.net.Join(p1, f.topo.Place(f.rng))
 	n1, _ := NewNode(f.cfg, f.net, f.rng.Split("dying"), p1, p1.nid, pos)
 	p1.node = n1
 	// Claim directly via the owner, without completing the join.
@@ -548,7 +550,7 @@ func TestClaimExpiresWhenClaimantDies(t *testing.T) {
 	// triggers the owner's liveness probe of the reservation.
 	f.settle(f.cfg.ClaimTTL + runtime.Second)
 	p2 := &testPeer{}
-	p2.nid = f.net.Join(p2, f.net.Topology().Place(f.rng))
+	p2.nid = f.net.Join(p2, f.topo.Place(f.rng))
 	n2, _ := NewNode(f.cfg, f.net, f.rng.Split("second"), p2, p2.nid, pos)
 	p2.node = n2
 	var err2 error
@@ -563,7 +565,7 @@ func TestClaimExpiresWhenClaimantDies(t *testing.T) {
 	}
 	// The probe has confirmed the claimant dead by now; a retry wins.
 	p3 := &testPeer{}
-	p3.nid = f.net.Join(p3, f.net.Topology().Place(f.rng))
+	p3.nid = f.net.Join(p3, f.topo.Place(f.rng))
 	n3, _ := NewNode(f.cfg, f.net, f.rng.Split("third"), p3, p3.nid, pos)
 	p3.node = n3
 	var err3 error

@@ -72,7 +72,7 @@ func TestClaimTransfersToNewPredecessor(t *testing.T) {
 	// A claimant reserves pos at the owner but stalls before joining.
 	pos := ids.ID(1 << 45)
 	stalled := &testPeer{}
-	stalled.nid = f.net.Join(stalled, f.net.Topology().Place(f.rng))
+	stalled.nid = f.net.Join(stalled, f.topo.Place(f.rng))
 	granted := false
 	f.net.Request(stalled.nid, owner.nid, claimReq{Pos: pos, Claimant: Entry{Node: stalled.nid, ID: pos}}, 0,
 		func(resp any, err error) {
@@ -96,7 +96,7 @@ func TestClaimTransfersToNewPredecessor(t *testing.T) {
 	// A rival claims through the ring: the transferred record must deny
 	// it and point at the stalled claimant.
 	rival := &testPeer{}
-	rival.nid = f.net.Join(rival, f.net.Topology().Place(f.rng))
+	rival.nid = f.net.Join(rival, f.topo.Place(f.rng))
 	n, _ := NewNode(f.cfg, f.net, f.rng.Split("rival"), rival, rival.nid, pos)
 	rival.node = n
 	var gotErr error

@@ -15,7 +15,7 @@ type Client struct {
 }
 
 // NewClient builds a lookup client for the peer at me.
-func NewClient(cfg Config, net runtime.Transport, me runtime.NodeID) (*Client, error) {
+func NewClient(cfg Config, net runtime.Net, me runtime.NodeID) (*Client, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

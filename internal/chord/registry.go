@@ -36,7 +36,7 @@ func init() {
 
 // BindBus subscribes the registry to the transport's announcement bus
 // when there is one. Call once, at deployment construction.
-func (r *Registry) BindBus(net runtime.Transport) {
+func (r *Registry) BindBus(net runtime.Net) {
 	bus := runtime.BusOf(net)
 	if bus == nil {
 		return

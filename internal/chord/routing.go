@@ -80,7 +80,6 @@ func (n *Node) traceForward(m *routeMsg, dest runtime.NodeID) {
 	m.Path = trace.Append(m.Path, trace.Hop{
 		Kind: trace.HopRoute,
 		Node: dest,
-		Loc:  n.net.Locality(dest),
 		At:   n.eng.Now(),
 	})
 }

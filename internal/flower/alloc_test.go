@@ -111,7 +111,7 @@ func TestAllocPins(t *testing.T) {
 	}
 	canned := f.net.Join(cannedDirectory{reply: dirQueryReply{
 		Providers: []runtime.NodeID{holders[0].NodeID(), holders[1].NodeID()},
-	}}, f.net.Placement(dir.NodeID()))
+	}}, f.beside(dir))
 	next := 0
 	query := func() {
 		c.contentQuery(startQuery(c, keys[next%len(keys)]))

@@ -403,7 +403,7 @@ func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.N
 	ranked = p.sys.candScratch[:0]
 	for _, nid := range d.index.Of(key) {
 		if nid != asker {
-			ranked = append(ranked, provCand{peer: nid, lat: p.net().Latency(asker, nid)})
+			ranked = append(ranked, provCand{peer: nid, lat: p.sys.oracle.Latency(asker, nid)})
 		}
 	}
 	if len(ranked) == 0 && d.oldSummaries != nil {
@@ -540,8 +540,7 @@ func (p *Peer) handleClientQuery(routedKey ids.ID, m clientQueryMsg, path []trac
 			p.dir.queriesScanned++
 			if p.sys.tracer.Enabled() {
 				m.Path = trace.Append(path, trace.Hop{
-					Kind: trace.HopScan, Node: succ.Node,
-					Loc: p.net().Locality(succ.Node), At: p.eng().Now(),
+					Kind: trace.HopScan, Node: succ.Node, At: p.eng().Now(),
 				})
 			}
 			p.net().Send(p.nid, succ.Node, m)
@@ -564,8 +563,7 @@ func (p *Peer) handleClientQuery(routedKey ids.ID, m clientQueryMsg, path []trac
 	}
 	if p.sys.tracer.Enabled() {
 		resp.Path = trace.Append(path, trace.Hop{
-			Kind: trace.HopHome, Node: p.nid,
-			Loc: p.net().Locality(p.nid), At: p.eng().Now(),
+			Kind: trace.HopHome, Node: p.nid, At: p.eng().Now(),
 		})
 	}
 	p.net().Send(p.nid, m.Client, resp)

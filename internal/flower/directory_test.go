@@ -79,7 +79,7 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 	// Latency-sorted: each successive provider is no closer than the
 	// previous.
 	for i := 1; i < len(providers); i++ {
-		if dir.net().Latency(asker, providers[i-1]) > dir.net().Latency(asker, providers[i]) {
+		if f.net.Latency(asker, providers[i-1]) > f.net.Latency(asker, providers[i]) {
 			t.Fatal("providers not sorted by distance to asker")
 		}
 	}
@@ -309,7 +309,7 @@ type probePeer struct {
 
 func newProbePeer(f *fixture) *probePeer {
 	p := &probePeer{}
-	p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+	p.nid = f.net.Join(p, f.topo.Place(f.rng))
 	return p
 }
 

@@ -117,7 +117,7 @@ func lowering(petalUp bool) proto.Lowering {
 // (website, locality) pair; like every participant it is a persistent
 // individual with a limited uptime.
 func (s *System) SpawnSeed(i int) (proto.Individual, func()) {
-	k := s.net.Topology().Localities()
+	k := s.topo.Localities()
 	id := s.NewIdentity(content.SiteID(i/k), topology.Locality(i%k))
 	_, kill := s.SpawnSeedDirectoryIdentity(id)
 	return id, kill
@@ -134,7 +134,7 @@ func (s *System) NewIndividual() proto.Individual {
 	if s.locZipf != nil {
 		return s.NewIdentity(site, topology.Locality(s.locZipf.Rank(rng)))
 	}
-	return s.NewIdentity(site, topology.Locality(rng.Intn(s.net.Topology().Localities())))
+	return s.NewIdentity(site, topology.Locality(rng.Intn(s.topo.Localities())))
 }
 
 func (s *System) identities() *rnd.RNG {

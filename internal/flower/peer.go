@@ -191,8 +191,8 @@ func (p *Peer) kill() {
 	p.sys.net.Fail(p.nid)
 }
 
-func (p *Peer) eng() runtime.Clock     { return p.sys.eng }
-func (p *Peer) net() runtime.Transport { return p.sys.net }
+func (p *Peer) eng() runtime.Clock { return p.sys.eng }
+func (p *Peer) net() runtime.Net   { return p.sys.net }
 
 // selfEntry returns the peer's ring identity (only meaningful for
 // directories).

@@ -65,7 +65,7 @@ func (p *Peer) summaryCands(cands []provCand, entries []gossip.Entry, key conten
 	for _, e := range entries {
 		meta, ok := e.Meta.(ContactMeta)
 		if ok && meta.Summary != nil && e.Peer != asker && meta.Summary.Contains(key.Uint64()) {
-			cands = append(cands, provCand{peer: e.Peer, lat: p.net().Latency(asker, e.Peer)})
+			cands = append(cands, provCand{peer: e.Peer, lat: p.sys.oracle.Latency(asker, e.Peer)})
 		}
 	}
 	return cands
@@ -174,8 +174,7 @@ func (p *Peer) traceHop(q *activeQuery, kind trace.HopKind, node runtime.NodeID,
 		return
 	}
 	q.path = trace.Append(q.path, trace.Hop{
-		Kind: kind, Node: node, Loc: p.net().Locality(node),
-		At: p.eng().Now(), FalsePositive: fp,
+		Kind: kind, Node: node, At: p.eng().Now(), FalsePositive: fp,
 	})
 }
 
@@ -451,7 +450,7 @@ func (p *Peer) probeCandidate(q *activeQuery, gossipPath bool) {
 	st := p.sys.getStep(stepProbe, p, q, target)
 	st.gossipPath = gossipPath
 	p.net().Request(p.nid, target, p.sys.work.FetchReqMsg(q.key),
-		workload.ProbeTimeout(p.net().Latency(p.nid, target)), st.onDone)
+		workload.ProbeTimeout(p.sys.oracle.Latency(p.nid, target)), st.onDone)
 }
 
 // probed is probeCandidate's answer.
@@ -604,7 +603,7 @@ func (p *Peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 	}
 	p.query = nil
 	now := p.eng().Now()
-	dist := p.net().Latency(p.nid, provider)
+	dist := p.sys.oracle.Latency(p.nid, provider)
 	p.sys.coll.Emit(metrics.QueryEvent(now, outcome, metrics.LookupLatency(q.start, now, outcome, dist), dist))
 	if p.sys.tracer.Enabled() {
 		// The record owns a copy of the path: q recycles below and its
@@ -612,13 +611,11 @@ func (p *Peer) resolve(q *activeQuery, outcome metrics.Outcome, provider runtime
 		p.sys.tracer.Emit(now, &trace.Record{
 			Query:    q.seq,
 			Client:   p.nid,
-			Loc:      p.loc,
 			Key:      q.key.Uint64(),
 			Outcome:  outcome,
 			Attempts: int(q.attempt),
 			Hops: trace.Append(trace.CopyHops(q.path), trace.Hop{
-				Kind: trace.HopServe, Node: provider,
-				Loc: p.net().Locality(provider), At: now,
+				Kind: trace.HopServe, Node: provider, At: now,
 			}),
 		})
 	}

@@ -21,7 +21,7 @@ import (
 // Records are kept on the System, not the Peer: a free list per peer
 // would cost every one of a big cell's peers a slice header for a
 // record it holds for a few hundred milliseconds a minute. A record
-// whose requester died is never answered (Transport.Request) and is
+// whose requester died is never answered (Net.Request) and is
 // left to the collector with its peer.
 type step struct {
 	p    *Peer

@@ -107,7 +107,7 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 				traces.Observe(ev)
 				coll.Emit(ev)
 			})
-			d.Metrics, d.Trace = sink, trace.New(sink)
+			d.Metrics, d.Trace = sink, trace.New(sink, d.Oracle.Locality)
 		})
 		f.seedRing()
 		f.eng.Network().SetLossRate(0.1, rnd.New(5))
@@ -198,7 +198,7 @@ func TestCandidateBufferIsTheQuerysOwn(t *testing.T) {
 	f, c, holders, dir, keys := quietPetal(t)
 	providers := []runtime.NodeID{holders[2].NodeID(), holders[1].NodeID(), holders[0].NodeID(), 0, 0, 0}[:3]
 	want := append([]runtime.NodeID(nil), providers[:cap(providers)]...)
-	canned := f.net.Join(cannedDirectory{reply: dirQueryReply{Providers: providers}}, f.net.Placement(dir.NodeID()))
+	canned := f.net.Join(cannedDirectory{reply: dirQueryReply{Providers: providers}}, f.beside(dir))
 	for _, e := range c.gsp.Entries() {
 		c.gsp.RemoveContact(e.Peer)
 	}

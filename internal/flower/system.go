@@ -78,13 +78,17 @@ import (
 // themselves) through which real clients would discover D-ring.
 type System struct {
 	cfg     Config
-	net     runtime.Transport
+	net     runtime.Net
 	eng     runtime.Clock
+	topo    *topology.Topology
 	rng     *rnd.RNG
 	work    *workload.Workload
 	origins *workload.Origins
 	coll    metrics.Emitter
 	tracer  *trace.Tracer
+	// oracle is env.Oracle, what only the experimenter knows; every read
+	// of it is pinned by internal/protocols' oracle test.
+	oracle runtime.Observer
 	// newStore builds each individual's content store (unbounded by
 	// default, policy-bounded when the run sets cache options).
 	newStore func() *content.Store
@@ -123,7 +127,7 @@ type System struct {
 }
 
 // NewSystem validates the config and builds an empty deployment on
-// env — of which it reads Net (and the clock and topology behind it),
+// env — of which it reads Net (and the clock behind it), Oracle, Topo,
 // RNG, Workload, Origins, Metrics, Trace, LocalitySkew and Follower.
 // Metrics is any event emitter: the harness passes a full
 // metrics.Pipeline, library callers and tests a bare
@@ -139,6 +143,8 @@ func NewSystem(cfg Config, env proto.Env) (*System, error) {
 		cfg:      cfg,
 		net:      env.Net,
 		eng:      env.Net.Clock(),
+		topo:     env.Topo,
+		oracle:   env.Oracle,
 		rng:      env.RNG,
 		work:     env.Workload,
 		origins:  env.Origins,
@@ -149,7 +155,7 @@ func NewSystem(cfg Config, env proto.Env) (*System, error) {
 	}
 	if env.LocalitySkew > 0 {
 		var err error
-		if s.locZipf, err = workload.NewZipf(env.Net.Topology().Localities(), env.LocalitySkew); err != nil {
+		if s.locZipf, err = workload.NewZipf(env.Topo.Localities(), env.LocalitySkew); err != nil {
 			return nil, err
 		}
 	}
@@ -183,7 +189,7 @@ func (s *System) DuplicatePositions() int {
 // the directory just observed dead), pruning dead entries as it scans.
 // Returns NoEntry when the registry is empty.
 func (s *System) gateway(exclude runtime.NodeID) chord.Entry {
-	return s.registry.PickAlive(s.rng, s.net.Alive, exclude)
+	return s.registry.PickAlive(s.rng, s.oracle.Alive, exclude)
 }
 
 // DirectoryCount returns the number of currently-alive registered
@@ -191,7 +197,7 @@ func (s *System) gateway(exclude runtime.NodeID) chord.Entry {
 func (s *System) DirectoryCount() int {
 	n := 0
 	for _, e := range s.registry.Entries {
-		if s.net.Alive(e.Node) {
+		if s.oracle.Alive(e.Node) {
 			n++
 		}
 	}
@@ -220,7 +226,7 @@ func (s *System) PetalDirectories(site content.SiteID, loc topology.Locality) []
 func (s *System) NewIdentity(site content.SiteID, loc topology.Locality) proto.Identity {
 	return proto.Identity{
 		Site:      site,
-		Placement: s.net.Topology().PlaceAt(loc, s.rng),
+		Placement: s.topo.PlaceAt(loc, s.rng),
 		Store:     s.newStore(),
 	}
 }

@@ -113,7 +113,7 @@ func (r shuffleResp) WireBytes() int { return 16 + len(r.Entries)*192 }
 // simulation it is single-goroutine.
 type Protocol struct {
 	cfg Config
-	net runtime.Transport
+	net runtime.Net
 	eng runtime.Clock
 	rng *rnd.RNG
 	me  runtime.NodeID
@@ -136,7 +136,7 @@ type Protocol struct {
 }
 
 // New builds the protocol for the peer at me.
-func New(cfg Config, net runtime.Transport, rng *rnd.RNG, me runtime.NodeID, app App) (*Protocol, error) {
+func New(cfg Config, net runtime.Net, rng *rnd.RNG, me runtime.NodeID, app App) (*Protocol, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -38,6 +38,7 @@ type fixture struct {
 	t     *testing.T
 	eng   *simrt.Runtime
 	net   runtime.Transport
+	topo  *topology.Topology
 	rng   *rnd.RNG
 	cfg   Config
 	peers []*gossipPeer
@@ -50,13 +51,13 @@ func newFixture(t *testing.T, seed uint64) *fixture {
 	eng := simrt.New(topo)
 	cfg := DefaultConfig()
 	cfg.Period = 10 * runtime.Minute // faster for tests
-	return &fixture{t: t, eng: eng, net: eng.Net(), rng: rng, cfg: cfg}
+	return &fixture{t: t, eng: eng, net: eng.Net(), topo: topo, rng: rng, cfg: cfg}
 }
 
 func (f *fixture) addPeer() *gossipPeer {
 	f.t.Helper()
 	p := &gossipPeer{}
-	p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+	p.nid = f.net.Join(p, f.topo.Place(f.rng))
 	p.desc = fmt.Sprintf("desc-%d", p.nid)
 	g, err := New(f.cfg, f.net, f.rng.Split(fmt.Sprint(p.nid)), p.nid, p)
 	if err != nil {

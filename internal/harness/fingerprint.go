@@ -23,7 +23,7 @@ type windowObserver struct {
 	reported   int
 }
 
-func newWindowObserver(cfg Config, clock runtime.Clock, net runtime.Transport, coll *metrics.Collector) *windowObserver {
+func newWindowObserver(cfg Config, clock runtime.Clock, net runtime.Net, coll *metrics.Collector) *windowObserver {
 	o := &windowObserver{}
 	clock.Every(cfg.SeriesWindow, cfg.SeriesWindow, func() {
 		o.msgSamples = append(o.msgSamples, net.Stats().MessagesSent)

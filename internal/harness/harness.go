@@ -528,7 +528,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	origins := workload.NewOrigins(work, net, master.Split("origins"))
+	origins := workload.NewOrigins(work, net, topo, master.Split("origins"))
 
 	// The metrics pipeline: the deployment streams typed events; the
 	// collector aggregates the paper's three metrics and the generic
@@ -565,7 +565,7 @@ func Run(cfg Config) (*Result, error) {
 	var tracer *trace.Tracer
 	var traceColl *trace.Collector
 	if cfg.Trace != nil {
-		tracer = trace.New(pipe)
+		tracer = trace.New(pipe, net.Locality)
 		traceColl = &trace.Collector{}
 		pipe.Attach(traceColl)
 		if fn := cfg.Trace.OnRecord; fn != nil {
@@ -592,6 +592,7 @@ func Run(cfg Config) (*Result, error) {
 	env := proto.Env{
 		Clock:        clock,
 		Net:          net,
+		Oracle:       net,
 		Topo:         topo,
 		RNG:          protoRNG,
 		Workload:     work,

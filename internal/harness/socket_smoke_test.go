@@ -1,8 +1,11 @@
 package harness
 
 import (
+	"errors"
 	"net"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 
 	_ "flowercdn/internal/protocols"
@@ -13,27 +16,46 @@ import (
 // cooperating harness.Run calls meshed over localhost TCP — the same
 // wiring as `flowersim -backend socket -spawn-local N`, minus the OS
 // processes. It returns the per-group results.
+//
+// Each group's port is reserved by listening on :0 and closing the
+// listener before the backend binds it, so another socket — with
+// several cells meshing at once, an outgoing dial's ephemeral source
+// port — can take the port in that gap. The cell is then run again on
+// fresh ports, up to three attempts in all.
 func runSocketGroup(t *testing.T, protocol Protocol, groups, population int, horizon int64) []*Result {
 	t.Helper()
-	listeners := make([]net.Listener, groups)
+	for attempt := 1; ; attempt++ {
+		results, errs := socketGroupOnce(t, protocol, groups, population, horizon)
+		if attempt < 3 && slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, syscall.EADDRINUSE) }) {
+			t.Logf("attempt %d: a reserved port was taken before its group bound it (%v); retrying on fresh ports", attempt, errs)
+			continue
+		}
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("group %d failed: %v", g, err)
+			}
+		}
+		return results
+	}
+}
+
+// socketGroupOnce is one attempt of runSocketGroup, with every group's
+// error.
+func socketGroupOnce(t *testing.T, protocol Protocol, groups, population int, horizon int64) ([]*Result, []error) {
 	addrs := make([]string, groups)
-	for i := range listeners {
+	for i := range addrs {
 		lis, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		addrs[i] = lis.Addr().String()
-		// The harness backend listens itself; we only used the listener
-		// to reserve an ephemeral port.
 		lis.Close()
-		listeners[i] = nil
 	}
 
 	results := make([]*Result, groups)
 	errs := make([]error, groups)
 	var wg sync.WaitGroup
 	for g := 0; g < groups; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -47,12 +69,7 @@ func runSocketGroup(t *testing.T, protocol Protocol, groups, population int, hor
 		}()
 	}
 	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Fatalf("group %d failed: %v", g, err)
-		}
-	}
-	return results
+	return results, errs
 }
 
 // TestSocketBackendSmoke runs the flagship protocol across three

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -57,6 +58,40 @@ func TestTraceDeterminismSim(t *testing.T) {
 	}
 	if a.Fingerprint != b.Fingerprint {
 		t.Fatalf("fingerprints diverged: %x vs %x", a.Fingerprint, b.Fingerprint)
+	}
+}
+
+// TestTraceDigestsSim pins each traced protocol's trace stream under
+// tracedTinyConfig: the FNV-64a of its canonical CSV. Run fingerprints
+// do not cover traces, so this is what holds a change to where hops and
+// localities are stamped to byte-identical output.
+func TestTraceDigestsSim(t *testing.T) {
+	for _, c := range []struct {
+		protocol Protocol
+		digest   uint64
+	}{
+		{ProtocolFlower, 0xec5801872bcd4de7},
+		{Protocol("petalup"), 0xe5f794001eea8a15},
+		{ProtocolSquirrel, 0x221cc92194062731},
+		{Protocol("chord-global"), 0xaa6da563a5c81def},
+		{Protocol("koorde-global"), 0x87a5c65f3e9b7b95},
+	} {
+		t.Run(string(c.protocol), func(t *testing.T) {
+			cfg := tracedTinyConfig()
+			cfg.Protocol = c.protocol
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Traces) == 0 {
+				t.Fatal("traced run produced no records")
+			}
+			h := fnv.New64a()
+			h.Write(traceCSV(t, res.Traces))
+			if got := h.Sum64(); got != c.digest {
+				t.Fatalf("trace digest %#016x, pinned %#016x", got, c.digest)
+			}
+		})
 	}
 }
 

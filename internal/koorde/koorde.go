@@ -126,7 +126,7 @@ type dbRouteMsg struct {
 // Bruijn pointer set and routing.
 type Node struct {
 	cfg  Config
-	net  runtime.Transport
+	net  runtime.Net
 	eng  runtime.Clock
 	rng  *rnd.RNG
 	app  chord.App
@@ -157,7 +157,7 @@ func (a ringApp) OnRouted(key ids.ID, payload any, origin runtime.NodeID, hops i
 // the de Bruijn edges, the same contract as on a chord.Node. Call
 // Create or Join to enter a ring, then deliver all overlay traffic via
 // HandleMessage / HandleRequest.
-func NewNode(cfg Config, net runtime.Transport, rng *rnd.RNG, app chord.App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
+func NewNode(cfg Config, net runtime.Net, rng *rnd.RNG, app chord.App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -454,7 +454,6 @@ func (n *Node) traceForward(m *dbRouteMsg, dest runtime.NodeID) {
 	m.Path = trace.Append(m.Path, trace.Hop{
 		Kind: trace.HopRoute,
 		Node: dest,
-		Loc:  n.net.Locality(dest),
 		At:   n.eng.Now(),
 	})
 }

@@ -47,6 +47,7 @@ type ringFixture struct {
 	t     *testing.T
 	eng   *simrt.Runtime
 	net   runtime.Transport
+	topo  *topology.Topology
 	rng   *rnd.RNG
 	cfg   Config
 	peers []*testPeer
@@ -58,11 +59,12 @@ func newRing(t *testing.T, seed uint64) *ringFixture {
 	topo := topology.MustNew(topology.DefaultConfig(), rng)
 	eng := simrt.New(topo)
 	return &ringFixture{
-		t:   t,
-		eng: eng,
-		net: eng.Net(),
-		rng: rng,
-		cfg: DefaultConfig(),
+		t:    t,
+		eng:  eng,
+		net:  eng.Net(),
+		topo: topo,
+		rng:  rng,
+		cfg:  DefaultConfig(),
 	}
 }
 
@@ -71,7 +73,7 @@ func newRing(t *testing.T, seed uint64) *ringFixture {
 func (f *ringFixture) addPeer(id ids.ID) *testPeer {
 	f.t.Helper()
 	p := &testPeer{}
-	p.nid = f.net.Join(p, f.net.Topology().Place(f.rng))
+	p.nid = f.net.Join(p, f.topo.Place(f.rng))
 	n, err := NewNode(f.cfg, f.net, f.rng.Split(fmt.Sprint(id)), p, p.nid, id)
 	if err != nil {
 		f.t.Fatal(err)

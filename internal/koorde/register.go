@@ -49,7 +49,7 @@ func router(opts proto.Options) (baseline.NewRouter, error) {
 	if err := kc.Validate(); err != nil {
 		return nil, err
 	}
-	return func(net runtime.Transport, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (baseline.Router, error) {
+	return func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (baseline.Router, error) {
 		return NewNode(kc, net, rng, app, nid, ringID)
 	}, nil
 }

@@ -37,12 +37,12 @@ func buildWorld(t *testing.T, seed uint64, cfg flower.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	origins := workload.NewOrigins(work, net, rng.Split("origins"))
+	origins := workload.NewOrigins(work, net, topo, rng.Split("origins"))
 	coll := metrics.NewCollector(runtime.Hour)
 	cfg.Gossip.Period = 5 * runtime.Minute
 	cfg.KeepaliveInterval = 10 * runtime.Minute
 	sys, err := flower.NewSystem(cfg, proto.Env{
-		Net: net, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll,
+		Net: net, Oracle: net, Topo: topo, RNG: rng.Split("flower"), Workload: work, Origins: origins, Metrics: coll,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -48,8 +48,14 @@ type Env struct {
 	// Clock is the run's time source: the discrete-event engine on the
 	// sim backend, the wall clock on the realtime backend.
 	Clock runtime.Clock
-	// Net is the simulated message layer.
-	Net runtime.Transport
+	// Net is the message layer: what a deployed peer can do.
+	Net runtime.Net
+	// Oracle is the same handle as Net, typed as what only the
+	// experimenter knows — liveness, locality and latency of other nodes.
+	// Every protocol read of it is pinned by a test (internal/protocols);
+	// a new one is a decision a deployed peer could not make, or a
+	// measurement, and must be listed there.
+	Oracle runtime.Observer
 	// Topo is the latency/locality model behind Net.
 	Topo *topology.Topology
 	// RNG is the deployment's deterministic randomness root, split from

@@ -62,9 +62,9 @@ func New(name string, env Env, opts Options) (System, error) {
 	if err != nil {
 		return nil, err
 	}
-	if env.Clock == nil || env.Net == nil || env.Topo == nil || env.RNG == nil ||
+	if env.Clock == nil || env.Net == nil || env.Oracle == nil || env.Topo == nil || env.RNG == nil ||
 		env.Workload == nil || env.Origins == nil || env.Metrics == nil {
-		return nil, fmt.Errorf("proto: incomplete Env for %s: Clock, Net, Topo, RNG, Workload, Origins and Metrics are all required", name)
+		return nil, fmt.Errorf("proto: incomplete Env for %s: Clock, Net, Oracle, Topo, RNG, Workload, Origins and Metrics are all required", name)
 	}
 	return build(env)
 }

@@ -25,6 +25,7 @@ func TestTransportConformance(t *testing.T) {
 		}
 		return &transporttest.World{
 			Transports: []runtime.Transport{rt.Net()},
+			Topo:       topo,
 			Run:        func(until int64) { rt.Run(until) },
 		}
 	}

@@ -8,8 +8,8 @@ import (
 	"flowercdn/internal/topology"
 )
 
-// Placement and Locality alias the topology model's types so the
-// Transport interface can be read without a second import. Protocol
+// Placement and Locality alias the topology model's types so the Net
+// and Observer interfaces can be read without a second import. Protocol
 // code may use either spelling.
 type (
 	Placement = topology.Placement

@@ -4,9 +4,15 @@
 // latency and loss semantics, delivery stats) and a Runtime bundling
 // the two with run control.
 //
-// Protocol code — the drivers under internal/flower, internal/baseline,
-// internal/squirrel and internal/koorde, the chord and gossip substrates
-// — depends only on these interfaces. Three backends implement them:
+// Transport is two interfaces. Net is what a deployed peer can do:
+// Clock, Join, Fail, Send, Request, Stats. Observer is what only the
+// experimenter knows: Alive, Locality, Latency — ground truth about
+// other nodes. Protocol code — the drivers under internal/flower,
+// internal/baseline, internal/squirrel and internal/koorde, the chord
+// and gossip substrates — holds a Net; the harness, metrics and traces
+// read the Observer. Transport, their union, is what a backend provides
+// (see its doc for why it keeps that name). Three backends implement
+// it:
 //
 //   - internal/simrt ("sim") adapts the deterministic discrete-event
 //     engine (internal/sim) and the simulated message layer
@@ -28,11 +34,7 @@
 // Second, Minute and Hour mirror the time package at that resolution.
 package runtime
 
-import (
-	"errors"
-
-	"flowercdn/internal/topology"
-)
+import "errors"
 
 // Time unit constants, in milliseconds.
 const (
@@ -101,7 +103,7 @@ type TransportStats struct {
 // to the clock: a handle that is kept stays valid for ever — the clock
 // never reuses its record, and a stale Cancel is a no-op — while a
 // handle given back with Release lets the clock hand the record to a
-// later Schedule. That is the rule Transport.Send states for messages,
+// later Schedule. That is the rule Net.Send states for messages,
 // for timers: after Release the caller must not touch the handle again.
 type Timer interface {
 	// Cancel prevents the timer's function from running. It reports
@@ -168,17 +170,16 @@ type Clock interface {
 	Stop()
 }
 
-// Transport is the message seam: a registry of nodes with join/fail
-// lifecycle (fail-only churn), one-way Send with per-link latency and
-// optional loss, Request/response RPCs with timeouts, and message/byte
-// accounting. Messages to dead nodes are silently dropped, so failure
-// detection is always timeout-driven, like on a real network.
-type Transport interface {
+// Net is what a deployed peer can do: read the clock, join and fail
+// nodes, send one-way messages and RPCs, and count its traffic. It is a
+// registry of nodes with join/fail lifecycle (fail-only churn), one-way
+// Send with per-link latency and optional loss, Request/response RPCs
+// with timeouts, and message/byte accounting. Messages to dead nodes are
+// silently dropped, so failure detection is always timeout-driven, like
+// on a real network. Protocol code holds a Net.
+type Net interface {
 	// Clock returns the clock driving this transport's deliveries.
 	Clock() Clock
-	// Topology returns the latency/locality model deliveries sample
-	// from (placement of joining nodes, per-link latency).
-	Topology() *topology.Topology
 
 	// Join registers a handler at the given placement and returns its
 	// fresh NodeID.
@@ -187,20 +188,6 @@ type Transport interface {
 	// delivery; it stops receiving forever (re-joining means a new
 	// NodeID). Failing an already-dead node is a no-op.
 	Fail(id NodeID)
-	// Alive reports whether id is registered and not failed.
-	Alive(id NodeID) bool
-	// AliveCount returns the number of currently-alive nodes.
-	AliveCount() int
-	// TotalJoined returns how many nodes have ever joined.
-	TotalJoined() int
-
-	// Placement returns where a node sits in the topology. It remains
-	// valid after the node fails (used for post-mortem metrics).
-	Placement(id NodeID) Placement
-	// Locality returns the physical locality of a node.
-	Locality(id NodeID) Locality
-	// Latency returns the one-way latency between two nodes in ms.
-	Latency(a, b NodeID) int64
 
 	// Send delivers msg to `to` after the one-way link latency. If the
 	// target is dead at delivery time the message is dropped. Sends to
@@ -223,9 +210,33 @@ type Transport interface {
 
 	// Stats returns a snapshot of the traffic counters.
 	Stats() TransportStats
-	// ForEachAlive visits every alive node id (ascending). The visitor
-	// must not join or fail nodes while iterating.
-	ForEachAlive(visit func(id NodeID))
+}
+
+// Observer is what only the experimenter knows: the ground truth about
+// other nodes that no deployed peer can ask for — a perfect failure
+// detector, every node's locality, the true latency of any link. The
+// harness, metrics and traces read it; a protocol that reads it does so
+// through proto.Env.Oracle, where every read is pinned by a test.
+type Observer interface {
+	// Alive reports whether id is registered and not failed.
+	Alive(id NodeID) bool
+	// Locality returns the physical locality of a node. It stays valid
+	// after the node fails (traces and post-mortem metrics read it).
+	Locality(id NodeID) Locality
+	// Latency returns the one-way latency between two nodes in ms.
+	Latency(a, b NodeID) int64
+}
+
+// Transport is a backend's message layer: what a peer can do and what
+// the experimenter can see, on one handle. Every backend implements it
+// and Runtime.Net returns it. The union keeps the old name, and the peer
+// half took the new one, because benchmark/spans embeds
+// runtime.Transport in its span-recording decorator and the benchmark
+// pins the surface it builds against; Net can take the name once that
+// embedding goes.
+type Transport interface {
+	Net
+	Observer
 }
 
 // Runtime bundles the seams of one run with its run control. The

@@ -37,7 +37,7 @@ type Bus interface {
 
 // BusOf returns the transport's announcement bus, or nil when the
 // backend is single-process (sim, realtime) and has none.
-func BusOf(t Transport) Bus {
+func BusOf(t Net) Bus {
 	b, _ := t.(Bus)
 	return b
 }

@@ -76,8 +76,6 @@ type Network struct {
 	clock runtime.Clock
 	topo  *topology.Topology
 	nodes []nodeState // indexed by NodeID
-	alive int
-	total int
 	stats runtime.TransportStats
 
 	// next is the NodeID Join mints next; stride steps it.
@@ -393,9 +391,6 @@ func (n *Network) local(id runtime.NodeID) bool {
 // their periodic work through it).
 func (n *Network) Clock() runtime.Clock { return n.clock }
 
-// Topology exposes the latency model.
-func (n *Network) Topology() *topology.Topology { return n.topo }
-
 // Stats returns a snapshot of the traffic counters.
 func (n *Network) Stats() runtime.TransportStats {
 	n.lock()
@@ -456,8 +451,6 @@ func (n *Network) add(id runtime.NodeID, st nodeState) {
 	}
 	st.known, st.alive = true, true
 	n.nodes[id] = st
-	n.total++
-	n.alive++
 }
 
 // Fail marks a node dead. In-flight messages to it will be dropped on
@@ -488,7 +481,6 @@ func (n *Network) kill(id runtime.NodeID) {
 	st := &n.nodes[id]
 	st.alive = false
 	st.handler = nil // release protocol state for GC
-	n.alive--
 }
 
 func (n *Network) known(id runtime.NodeID) bool {
@@ -508,42 +500,19 @@ func (n *Network) Alive(id runtime.NodeID) bool {
 	return ok
 }
 
-// AliveCount returns the number of currently-alive nodes.
-func (n *Network) AliveCount() int {
+// Locality returns the physical locality of a node. It stays valid
+// after the node fails. A node another process owns whose join has not
+// arrived yet sits in locality 0.
+func (n *Network) Locality(id runtime.NodeID) topology.Locality {
 	n.lock()
 	defer n.unlock()
-	return n.alive
-}
-
-// TotalJoined returns how many nodes have ever joined.
-func (n *Network) TotalJoined() int {
-	n.lock()
-	defer n.unlock()
-	return n.total
-}
-
-// Placement returns where a node sits in the topology. It remains valid
-// after the node fails (used for post-mortem metrics). A node another
-// process owns whose join has not arrived yet sits at the zero Placement.
-func (n *Network) Placement(id runtime.NodeID) topology.Placement {
-	n.lock()
-	defer n.unlock()
-	return n.placement(id)
-}
-
-func (n *Network) placement(id runtime.NodeID) topology.Placement {
 	if n.known(id) {
-		return n.nodes[id].place
+		return n.nodes[id].place.Loc
 	}
 	if id >= 0 && !n.local(id) {
-		return topology.Placement{}
+		return 0
 	}
-	panic(fmt.Sprintf("simnet: Placement of unknown node %d", id))
-}
-
-// Locality returns the physical locality of a node.
-func (n *Network) Locality(id runtime.NodeID) topology.Locality {
-	return n.Placement(id).Loc
+	panic(fmt.Sprintf("simnet: Locality of unknown node %d", id))
 }
 
 // Latency returns the one-way latency between two nodes in ms.
@@ -644,17 +613,4 @@ func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb fu
 		n.clock.Schedule(n.latency(from, to), r.onDeliver).Release()
 	}
 	n.unlock()
-}
-
-// ForEachAlive visits every alive node id (ascending). The visitor must
-// not join or fail nodes while iterating; it runs with no lock held.
-func (n *Network) ForEachAlive(visit func(id runtime.NodeID)) {
-	n.lock()
-	end := len(n.nodes)
-	n.unlock()
-	for id := runtime.NodeID(0); int(id) < end; id++ {
-		if n.Alive(id) {
-			visit(id)
-		}
-	}
 }

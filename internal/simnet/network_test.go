@@ -197,22 +197,25 @@ func TestAliveBookkeeping(t *testing.T) {
 	f := newFixture(t)
 	a := f.join(&echoNode{})
 	b := f.join(&echoNode{})
-	if f.net.AliveCount() != 2 || f.net.TotalJoined() != 2 {
-		t.Fatal("counts wrong after joins")
+	if !f.net.Alive(a) || !f.net.Alive(b) {
+		t.Fatal("Alive() false after joins")
 	}
+	loc := f.net.Locality(a)
 	f.net.Fail(a)
 	f.net.Fail(a) // idempotent
-	if f.net.AliveCount() != 1 {
-		t.Fatalf("AliveCount = %d after one failure", f.net.AliveCount())
-	}
 	if f.net.Alive(a) || !f.net.Alive(b) {
 		t.Fatal("Alive() wrong")
+	}
+	if f.net.Locality(a) != loc {
+		t.Fatal("Locality() changed across failure")
 	}
 	if f.net.Alive(runtime.None) || f.net.Alive(runtime.NodeID(99)) {
 		t.Fatal("Alive() true for invalid ids")
 	}
 }
 
+// TestForEachAlive enumerates the live nodes by an ascending scan of the
+// id space through Alive: it finds every joined node but the failed one.
 func TestForEachAlive(t *testing.T) {
 	f := newFixture(t)
 	var all []runtime.NodeID
@@ -221,13 +224,17 @@ func TestForEachAlive(t *testing.T) {
 	}
 	f.net.Fail(all[2])
 	var seen []runtime.NodeID
-	f.net.ForEachAlive(func(id runtime.NodeID) { seen = append(seen, id) })
+	for id := runtime.NodeID(0); id <= all[4]+1; id++ {
+		if f.net.Alive(id) {
+			seen = append(seen, id)
+		}
+	}
 	if len(seen) != 4 {
-		t.Fatalf("visited %d nodes, want 4", len(seen))
+		t.Fatalf("found %d live nodes, want 4", len(seen))
 	}
 	for _, id := range seen {
 		if id == all[2] {
-			t.Fatal("visited dead node")
+			t.Fatal("found dead node alive")
 		}
 	}
 }

@@ -69,6 +69,7 @@ type session struct {
 
 type fixture struct {
 	rt     *simrt.Runtime
+	topo   *topology.Topology
 	net    *joinSpy
 	rng    *rnd.RNG
 	coll   *metrics.Collector
@@ -94,19 +95,20 @@ func newFixture(t *testing.T, p protocol, seed uint64, objects int, opts proto.O
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{rt: rt, net: net, rng: rng,
+	f := &fixture{rt: rt, topo: topo, net: net, rng: rng,
 		coll: metrics.NewCollector(runtime.Hour), traces: &trace.Collector{},
 		peers: map[runtime.NodeID]*session{}}
 	pipe := metrics.NewPipeline(f.coll, f.traces)
 	f.sys, err = proto.New(p.name, proto.Env{
 		Clock:    rt.Clock(),
 		Net:      net,
+		Oracle:   net,
 		Topo:     topo,
 		RNG:      rng.Split(p.name),
 		Workload: work,
-		Origins:  workload.NewOrigins(work, net, rng.Split("origins")),
+		Origins:  workload.NewOrigins(work, net, topo, rng.Split("origins")),
 		Metrics:  pipe,
-		Trace:    trace.New(pipe),
+		Trace:    trace.New(pipe, net.Locality),
 	}, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +123,7 @@ func (f *fixture) spawn(site content.SiteID, store *content.Store, settle int64)
 		store = content.NewStore()
 	}
 	s := &session{store: store}
-	s.kill = f.sys.Spawn(proto.Identity{Site: site, Placement: f.net.Topology().Place(f.rng), Store: store})
+	s.kill = f.sys.Spawn(proto.Identity{Site: site, Placement: f.topo.Place(f.rng), Store: store})
 	s.node = f.net.last
 	f.peers[s.node] = s
 	f.run(settle)

@@ -72,7 +72,7 @@ type Hop struct {
 	// Node is the node this step arrived at (for HopRoute: the forward
 	// destination).
 	Node runtime.NodeID
-	// Loc is Node's physical locality.
+	// Loc is Node's physical locality, stamped by the Tracer at Emit.
 	Loc runtime.Locality
 	// At is the time the step happened, in run milliseconds.
 	At int64
@@ -85,7 +85,8 @@ type Hop struct {
 type Record struct {
 	// Query is the driver's process-unique query sequence number.
 	Query uint64
-	// Client is the querying node; Loc its locality.
+	// Client is the querying node; Loc its locality, stamped by the
+	// Tracer at Emit.
 	Client runtime.NodeID
 	Loc    runtime.Locality
 	// Key is the queried object key (content.Key.Uint64 form).
@@ -164,13 +165,17 @@ func (s Stats) MeanHops() float64 {
 // Enabled reports false, so call sites need no nil checks of their
 // own and the disabled path allocates nothing.
 type Tracer struct {
-	sink  metrics.Emitter
-	stats Stats
+	sink   metrics.Emitter
+	locate func(runtime.NodeID) runtime.Locality
+	stats  Stats
 }
 
-// New builds a tracer that emits KindTrace events into sink.
-func New(sink metrics.Emitter) *Tracer {
-	return &Tracer{sink: sink}
+// New builds a tracer that emits KindTrace events into sink and stamps
+// every record's localities through locate (the run's
+// runtime.Observer.Locality): locality is the experimenter's knowledge,
+// so drivers record only which nodes a query visited.
+func New(sink metrics.Emitter, locate func(runtime.NodeID) runtime.Locality) *Tracer {
+	return &Tracer{sink: sink, locate: locate}
 }
 
 // Enabled reports whether tracing is on; drivers gate all hop
@@ -197,11 +202,15 @@ func (t *Tracer) Stats() Stats {
 	return t.stats
 }
 
-// Emit streams one completed query's record into the metrics
+// Emit stamps the record's localities and streams it into the metrics
 // pipeline. The record must own its Hops slice (see CopyHops).
 func (t *Tracer) Emit(now int64, rec *Record) {
 	if t == nil || rec == nil {
 		return
+	}
+	rec.Loc = t.locate(rec.Client)
+	for i := range rec.Hops {
+		rec.Hops[i].Loc = t.locate(rec.Hops[i].Node)
 	}
 	t.sink.Emit(metrics.TraceEvent(now, rec))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/runtime"
 )
 
 func TestAppendClampsTimestamps(t *testing.T) {
@@ -97,14 +98,17 @@ func TestNilTracerIsDisabled(t *testing.T) {
 
 func TestTracerEmitReachesCollector(t *testing.T) {
 	coll := &Collector{}
-	tr := New(metrics.NewPipeline(coll))
+	tr := New(metrics.NewPipeline(coll), func(id runtime.NodeID) runtime.Locality { return runtime.Locality(id + 10) })
 	if !tr.Enabled() {
 		t.Fatal("live tracer reports disabled")
 	}
 	tr.Delivered(2)
 	tr.Delivered(4)
-	rec := &Record{Query: 7, Client: 3, Key: 99, Hops: []Hop{{Kind: HopServe, Node: 3, At: 5}}}
+	rec := &Record{Query: 7, Client: 3, Key: 99, Hops: []Hop{{Kind: HopIssue, Node: 3}, {Kind: HopServe, Node: 8, At: 5}}}
 	tr.Emit(5, rec)
+	if rec.Loc != 13 || rec.Hops[0].Loc != 13 || rec.Hops[1].Loc != 18 {
+		t.Fatalf("Emit stamped localities %d, %d, %d; want 13, 13, 18", rec.Loc, rec.Hops[0].Loc, rec.Hops[1].Loc)
+	}
 	if got := tr.Stats(); got != (Stats{RoutedQueries: 2, RouteHops: 6}) {
 		t.Fatalf("stats %+v", got)
 	}

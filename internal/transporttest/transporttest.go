@@ -31,6 +31,8 @@ type World struct {
 	// Transports lists the cooperating transport instances sharing one
 	// id space; single-process backends have exactly one.
 	Transports []runtime.Transport
+	// Topo is the topology every instance was built on.
+	Topo *topology.Topology
 	// Run drives every instance's clock until absolute time `until`
 	// (ms since the world started) and blocks until all return.
 	Run func(until int64)
@@ -44,7 +46,8 @@ type World struct {
 }
 
 // Factory builds a fresh world. topoSeed builds the topology (every
-// instance of one world must build the identical topology from it);
+// instance of one world must build the identical topology from it, and
+// World.Topo carries it);
 // lossRate/lossSeed configure message loss; instances is the number of
 // cooperating transport instances a multi-process backend should
 // spawn (single-process backends ignore it).
@@ -209,6 +212,9 @@ func build(t *testing.T, f Factory, lossRate float64) *World {
 	if len(w.Transports) == 0 {
 		t.Fatal("factory built a world with no transports")
 	}
+	if w.Topo == nil {
+		t.Fatal("factory built a world without its topology")
+	}
 	if w.Close != nil {
 		t.Cleanup(w.Close)
 	}
@@ -218,11 +224,9 @@ func build(t *testing.T, f Factory, lossRate float64) *World {
 func testSendDelivers(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	rec := &recorder{clock: dst.Clock()}
-	b := dst.Join(rec, place(topo, 0.5, 0.5))
+	b := dst.Join(rec, place(w.Topo, 0.5, 0.5))
 
 	src.Send(a, b, Ping{N: 7})
 	w.eventually(t, "message delivered", func() bool { return rec.count() > 0 })
@@ -243,18 +247,16 @@ func testSendDelivers(t *testing.T, f Factory) {
 func testSendLatency(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
 	// Far corners of the unit square: the modeled latency is
 	// substantial, so a backend skipping the latency model fails this
 	// even with real network time in the loop.
-	a := src.Join(&recorder{}, place(topo, 0.02, 0.02))
+	a := src.Join(&recorder{}, place(w.Topo, 0.02, 0.02))
 	rec := &recorder{clock: dst.Clock()}
-	b := dst.Join(rec, place(topo, 0.98, 0.98))
+	b := dst.Join(rec, place(w.Topo, 0.98, 0.98))
 
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) && dst.Alive(a) })
 	lat := src.Latency(a, b)
-	if lat < topo.Config().MinLatency {
+	if lat < w.Topo.Config().MinLatency {
 		t.Fatalf("modeled latency %dms below topology floor", lat)
 	}
 	sentAt := src.Clock().Now()
@@ -274,11 +276,9 @@ func testSendLatency(t *testing.T, f Factory) {
 func testSendToDeadDropped(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	rec := &recorder{}
-	b := dst.Join(rec, place(topo, 0.5, 0.5))
+	b := dst.Join(rec, place(w.Topo, 0.5, 0.5))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 
 	dst.Fail(b)
@@ -297,12 +297,10 @@ func testSendToDeadDropped(t *testing.T, f Factory) {
 func testRequestResponse(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	b := dst.Join(&recorder{onReq: func(_ runtime.NodeID, req any) (any, error) {
 		return Pong{N: req.(Ping).N + 1}, nil
-	}}, place(topo, 0.5, 0.5))
+	}}, place(w.Topo, 0.5, 0.5))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 
 	var mu sync.Mutex
@@ -332,12 +330,10 @@ func testRequestResponse(t *testing.T, f Factory) {
 func testRequestAppError(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	b := dst.Join(&recorder{onReq: func(runtime.NodeID, any) (any, error) {
 		return nil, errors.New("not my role")
-	}}, place(topo, 0.5, 0.5))
+	}}, place(w.Topo, 0.5, 0.5))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 
 	var mu sync.Mutex
@@ -366,10 +362,8 @@ func testRequestAppError(t *testing.T, f Factory) {
 func testRequestTimeout(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
-	b := dst.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
+	b := dst.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 	dst.Fail(b)
 	w.eventually(t, "failure mirrored", func() bool { return !src.Alive(b) })
@@ -405,15 +399,13 @@ func testRequestTimeout(t *testing.T, f Factory) {
 func testLateDuplicateResponse(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
 	// Far corners: the modeled one-way latency is large, so a timeout
 	// of half of it is guaranteed to fire before the reply's return leg
 	// lands — the reply is *in flight* when the requester gives up.
-	a := src.Join(&recorder{}, place(topo, 0.02, 0.02))
+	a := src.Join(&recorder{}, place(w.Topo, 0.02, 0.02))
 	b := dst.Join(&recorder{onReq: func(_ runtime.NodeID, req any) (any, error) {
 		return Pong{N: req.(Ping).N}, nil
-	}}, place(topo, 0.98, 0.98))
+	}}, place(w.Topo, 0.98, 0.98))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) && dst.Alive(a) })
 	lat := src.Latency(a, b)
 	if lat < 100 {
@@ -484,10 +476,8 @@ func testConnectionSeveredMidRequest(t *testing.T, f Factory) {
 		t.Skip("no connection to sever")
 	}
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.02, 0.02))
-	b := dst.Join(&recorder{}, place(topo, 0.98, 0.98))
+	a := src.Join(&recorder{}, place(w.Topo, 0.02, 0.02))
+	b := dst.Join(&recorder{}, place(w.Topo, 0.98, 0.98))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 	lat := src.Latency(a, b)
 	if lat < 100 {
@@ -523,11 +513,9 @@ func testConnectionSeveredMidRequest(t *testing.T, f Factory) {
 
 func testJoinFailLifecycle(t *testing.T, f Factory) {
 	w := build(t, f, 0)
-	topo := w.at(0).Topology()
-
 	ids := make([]runtime.NodeID, 3)
 	for i := range ids {
-		ids[i] = w.at(i).Join(&recorder{}, place(topo, 0.3, 0.3+float64(i)/10))
+		ids[i] = w.at(i).Join(&recorder{}, place(w.Topo, 0.3, 0.3+float64(i)/10))
 	}
 	for i := range ids {
 		for j := range ids {
@@ -536,43 +524,30 @@ func testJoinFailLifecycle(t *testing.T, f Factory) {
 			}
 		}
 	}
-	// Every instance converges on the full view.
-	for i, tr := range w.Transports {
-		tr := tr
-		w.eventually(t, fmt.Sprintf("instance %d sees all joins", i), func() bool {
-			if tr.AliveCount() != len(ids) || tr.TotalJoined() != len(ids) {
-				return false
-			}
-			for _, id := range ids {
-				if !tr.Alive(id) {
-					return false
+	// Every instance sees every join, then the victim's failure, and
+	// still knows the victim's locality after it.
+	victim, loc := ids[1], place(w.Topo, 0.3, 0.4).Loc
+	sees := func(what string, dead runtime.NodeID) {
+		for i, tr := range w.Transports {
+			w.eventually(t, fmt.Sprintf("instance %d sees %s", i, what), func() bool {
+				for _, id := range ids {
+					if tr.Alive(id) != (id != dead) {
+						return false
+					}
 				}
+				return true
+			})
+			if got := tr.Locality(victim); got != loc {
+				t.Errorf("instance %d places node %d in locality %d after %s, want %d", i, victim, got, what, loc)
 			}
-			return true
-		})
-	}
-
-	// Placement knowledge survives failure.
-	victim := ids[1]
-	placeBefore := w.at(1).Placement(victim)
-	w.at(1).Fail(victim)
-	for i, tr := range w.Transports {
-		tr := tr
-		w.eventually(t, fmt.Sprintf("instance %d sees the failure", i), func() bool {
-			return !tr.Alive(victim) && tr.AliveCount() == len(ids)-1
-		})
-		if tr.TotalJoined() != len(ids) {
-			t.Errorf("instance %d TotalJoined %d after failure, want %d", i, tr.TotalJoined(), len(ids))
 		}
 	}
-	if got := w.at(1).Placement(victim); got != placeBefore {
-		t.Errorf("placement changed across failure: %+v vs %+v", got, placeBefore)
-	}
+	sees("all joins", runtime.None)
+	w.at(1).Fail(victim)
+	sees("the failure", victim)
 	// Failing a dead node is a no-op.
 	w.at(1).Fail(victim)
-	if n := w.at(1).AliveCount(); n != len(ids)-1 {
-		t.Errorf("double Fail changed AliveCount to %d", n)
-	}
+	sees("a second Fail", victim)
 }
 
 func testLossSampling(t *testing.T, f Factory) {
@@ -580,11 +555,9 @@ func testLossSampling(t *testing.T, f Factory) {
 	const n = 150
 	w := build(t, f, lossRate)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	rec := &recorder{}
-	b := dst.Join(rec, place(topo, 0.5, 0.5))
+	b := dst.Join(rec, place(w.Topo, 0.5, 0.5))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 
 	for i := 0; i < n; i++ {
@@ -610,11 +583,9 @@ func testLossSampling(t *testing.T, f Factory) {
 func testStatsAccounting(t *testing.T, f Factory) {
 	w := build(t, f, 0)
 	src, dst := w.at(0), w.at(1)
-	topo := src.Topology()
-
-	a := src.Join(&recorder{}, place(topo, 0.5, 0.5))
+	a := src.Join(&recorder{}, place(w.Topo, 0.5, 0.5))
 	rec := &recorder{}
-	b := dst.Join(rec, place(topo, 0.5, 0.5))
+	b := dst.Join(rec, place(w.Topo, 0.5, 0.5))
 	w.eventually(t, "join mirrored", func() bool { return src.Alive(b) })
 
 	src.Send(a, b, Sized{N: 1})
@@ -631,17 +602,32 @@ func testStatsAccounting(t *testing.T, f Factory) {
 	}
 }
 
+// testForEachAlive enumerates the live nodes the way an observer does:
+// an ascending scan of the id space through Alive. Every instance must
+// find exactly the joined nodes, minted by whichever instance, less the
+// failed one — so Alive reads false for ids no instance minted.
 func testForEachAlive(t *testing.T, f Factory) {
 	w := build(t, f, 0)
-	topo := w.at(0).Topology()
-
 	var ids []runtime.NodeID
 	for i := 0; i < 6; i++ {
-		ids = append(ids, w.at(i%Instances).Join(&recorder{}, place(topo, 0.4, 0.4)))
+		ids = append(ids, w.at(i%Instances).Join(&recorder{}, place(w.Topo, 0.4, 0.4)))
+	}
+	last := ids[0]
+	for _, id := range ids {
+		last = max(last, id)
+	}
+	scan := func(tr runtime.Transport) []runtime.NodeID {
+		var seen []runtime.NodeID
+		for id := runtime.NodeID(0); id <= last+1; id++ {
+			if tr.Alive(id) {
+				seen = append(seen, id)
+			}
+		}
+		return seen
 	}
 	w.eventually(t, "all joins visible everywhere", func() bool {
 		for _, tr := range w.Transports {
-			if tr.AliveCount() != len(ids) {
+			if len(scan(tr)) != len(ids) {
 				return false
 			}
 		}
@@ -650,7 +636,7 @@ func testForEachAlive(t *testing.T, f Factory) {
 	w.at(0).Fail(ids[0])
 	w.eventually(t, "failure visible everywhere", func() bool {
 		for _, tr := range w.Transports {
-			if tr.AliveCount() != len(ids)-1 {
+			if len(scan(tr)) != len(ids)-1 {
 				return false
 			}
 		}
@@ -658,20 +644,18 @@ func testForEachAlive(t *testing.T, f Factory) {
 	})
 
 	for i, tr := range w.Transports {
-		var seen []runtime.NodeID
-		tr.ForEachAlive(func(id runtime.NodeID) { seen = append(seen, id) })
+		seen := scan(tr)
 		if len(seen) != len(ids)-1 {
-			t.Errorf("instance %d visited %d nodes, want %d", i, len(seen), len(ids)-1)
-		}
-		for j := 1; j < len(seen); j++ {
-			if seen[j-1] >= seen[j] {
-				t.Errorf("instance %d visit order not ascending: %v", i, seen)
-				break
-			}
+			t.Errorf("instance %d found %d live nodes, want %d", i, len(seen), len(ids)-1)
 		}
 		for _, id := range seen {
 			if id == ids[0] {
-				t.Errorf("instance %d visited the failed node", i)
+				t.Errorf("instance %d found the failed node alive", i)
+			}
+		}
+		for _, id := range ids[1:] {
+			if !tr.Alive(id) {
+				t.Errorf("instance %d reads live node %d dead", i, id)
 			}
 		}
 	}

@@ -284,12 +284,13 @@ type Origins struct {
 	nodes []runtime.NodeID
 }
 
-// NewOrigins registers all origin servers on the network.
-func NewOrigins(w *Workload, net runtime.Transport, rng *rnd.RNG) *Origins {
+// NewOrigins registers all origin servers on the network, placed in
+// topo, the model net delivers over.
+func NewOrigins(w *Workload, net runtime.Net, topo *topology.Topology, rng *rnd.RNG) *Origins {
 	o := &Origins{nodes: make([]runtime.NodeID, w.cfg.Sites)}
 	for s := 0; s < w.cfg.Sites; s++ {
 		pos := topology.Point{X: rng.Float64(), Y: rng.Float64()}
-		pl := topology.Placement{Pos: pos, Loc: net.Topology().LocalityOf(pos)}
+		pl := topology.Placement{Pos: pos, Loc: topo.LocalityOf(pos)}
 		o.nodes[s] = net.Join(&originServer{site: content.SiteID(s), w: w}, pl)
 	}
 	return o

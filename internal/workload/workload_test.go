@@ -207,10 +207,12 @@ func TestOriginsServeEverything(t *testing.T) {
 	topo := topology.MustNew(topology.DefaultConfig(), rng)
 	net := simnet.New(eng.Clock(), topo)
 	w, _ := New(DefaultConfig())
-	origins := NewOrigins(w, net, rng)
+	origins := NewOrigins(w, net, topo, rng)
 
-	if net.TotalJoined() != 100 {
-		t.Fatalf("expected 100 origin nodes, got %d", net.TotalJoined())
+	for s := content.SiteID(0); s < 100; s++ {
+		if !net.Alive(origins.Node(s)) || origins.Node(s) != runtime.NodeID(s) {
+			t.Fatalf("site %d's origin is node %d, want a live node %d", s, origins.Node(s), s)
+		}
 	}
 	// A client node fetches from an origin.
 	client := net.Join(clientStub{}, topo.Place(rng))
