@@ -39,22 +39,7 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 				p.NodeID(), p.Role(), p.DirInfo().Node, dir.NodeID())
 		}
 	}
-	for _, p := range f.sys.Peers() {
-		if p.queryTimer != nil {
-			p.queryTimer.Cancel()
-		}
-		if p.keepaliveTimer != nil {
-			p.keepaliveTimer.Cancel()
-		}
-		p.gsp.Stop()
-		if p.chordNode != nil {
-			p.chordNode.Stop()
-		}
-		if p.dir != nil {
-			p.dir.sweep.Cancel()
-			p.dir.audit.Cancel()
-		}
-	}
+	freeze(f.sys.Peers())
 	f.run(runtime.Minute)
 	f.sys.cfg.PushThreshold = 2 // never reached: the pins price the query path, not pushes
 	for o := 0; o < 32; o++ {
@@ -66,6 +51,26 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 		}
 	}
 	return f, c, holders, dir, keys
+}
+
+// freeze cancels every query loop, keepalive, gossip round and D-ring
+// duty of peers, so that the engine runs nothing a test did not start.
+func freeze(peers []*Peer) {
+	for _, p := range peers {
+		if p.queryTimer != nil {
+			p.queryTimer.Cancel()
+		}
+		if p.keepaliveTimer != nil {
+			p.keepaliveTimer.Cancel()
+		}
+		p.gsp.Stop()
+		if p.chordNode != nil {
+			p.chordNode.Stop()
+		}
+		if p.dir != nil {
+			p.dir.stopTickers()
+		}
+	}
 }
 
 // startQuery is issueQuery for a key the test picks.
@@ -177,5 +182,24 @@ func TestAllocPins(t *testing.T) {
 	if c.store.Len() != 8 || c.store.Evictions() == 0 {
 		t.Errorf("client store holds %d objects after %d evictions, want 8 and some: the pins must cross the eviction path",
 			c.store.Len(), c.store.Evictions())
+	}
+}
+
+// TestViewSeedAllocsDoNotGrowWithThePetal pins what a joining client
+// costs its directory: the seed slice and the boxed contacts in it —
+// the directory's own and eight members' — the same at 50 members as at
+// 2 000. At the parent of the change that introduced this pin, which
+// collected the member ids out of a map into a fresh slice on every
+// join, it read 16 and 22.
+func TestViewSeedAllocsDoNotGrowWithThePetal(t *testing.T) {
+	_, dir := loneDirectory(t, 32)
+	const want = 10
+	for _, members := range []int{50, 2000} {
+		for dir.dir.MemberCount() < members {
+			dir.admitMember(runtime.NodeID(10_000 + dir.dir.MemberCount()))
+		}
+		if got := testing.AllocsPerRun(100, func() { dir.viewSeed(runtime.None) }); got != want {
+			t.Errorf("viewSeed at %d members allocates %v objects, want %d", members, got, want)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 package flower
 
 import (
+	"cmp"
 	"flowercdn/internal/runtime"
 	"fmt"
-	"maps"
 	"slices"
 
 	"flowercdn/internal/chord"
@@ -26,8 +26,10 @@ type directoryState struct {
 	instance int
 
 	// index is the directory-index; rankProviders orders it for an asker.
-	index   content.Holders
-	members map[runtime.NodeID]*memberInfo
+	index content.Holders
+	// members is the member view in ascending NodeID order. Arrivals get
+	// ever larger ids, so admitting one is almost always an append.
+	members []memberInfo
 
 	// oldSummaries is the gossip-view snapshot taken at promotion.
 	oldSummaries []gossip.Entry
@@ -48,6 +50,7 @@ type directoryState struct {
 }
 
 type memberInfo struct {
+	nid      runtime.NodeID
 	lastSeen int64
 	keys     map[content.Key]struct{}
 }
@@ -60,15 +63,30 @@ func (d *directoryState) stopTickers() {
 	d.audit.Cancel()
 }
 
+// member finds nid in the view: its position and whether it is there,
+// or where it would go.
+func (d *directoryState) member(nid runtime.NodeID) (int, bool) {
+	return slices.BinarySearchFunc(d.members, nid, func(m memberInfo, nid runtime.NodeID) int {
+		return cmp.Compare(m.nid, nid)
+	})
+}
+
+// unindex drops a departing member's keys from the directory-index.
+func (d *directoryState) unindex(m memberInfo) {
+	for k := range m.keys {
+		d.index.Remove(k, m.nid)
+	}
+}
+
 // freshestMember picks the most recently seen member — likeliest to be
-// alive — or runtime.None from an empty view. Ties (same millisecond)
-// break by NodeID so the choice never depends on map-iteration order.
+// alive — or runtime.None from an empty view. The view is in id order,
+// so a tie (same millisecond) goes to the smaller NodeID.
 func (d *directoryState) freshestMember() runtime.NodeID {
 	var best runtime.NodeID = runtime.None
 	var bestSeen int64 = -1
-	for nid, m := range d.members {
-		if m.lastSeen > bestSeen || (m.lastSeen == bestSeen && nid < best) {
-			best, bestSeen = nid, m.lastSeen
+	for _, m := range d.members {
+		if m.lastSeen > bestSeen {
+			best, bestSeen = m.nid, m.lastSeen
 		}
 	}
 	return best
@@ -174,7 +192,6 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 	p.dir = &directoryState{
 		pos:      pos,
 		instance: dring.InstanceOf(pos),
-		members:  make(map[runtime.NodeID]*memberInfo),
 	}
 	// Keep the content summaries gathered while a content peer; they
 	// answer queries until pushes rebuild the index (Sec. 5.2.2: "p can
@@ -223,14 +240,17 @@ func (p *Peer) directorySweep() {
 	if p.dead || p.dir == nil {
 		return
 	}
+	d := p.dir
 	cutoff := p.eng().Now() - p.memberTTL()
-	for nid, m := range p.dir.members {
-		if m.lastSeen < cutoff {
-			p.removeMember(nid)
+	d.members = slices.DeleteFunc(d.members, func(m memberInfo) bool {
+		if m.lastSeen >= cutoff {
+			return false
 		}
-	}
-	if p.dir.oldSummaries != nil && p.eng().Now() > p.dir.summaryDeadline {
-		p.dir.oldSummaries = nil
+		d.unindex(m)
+		return true
+	})
+	if d.oldSummaries != nil && p.eng().Now() > d.summaryDeadline {
+		d.oldSummaries = nil
 	}
 	p.auditPosition()
 }
@@ -296,23 +316,22 @@ func (p *Peer) demoteToContentPeer(winner chord.Entry) {
 }
 
 func (p *Peer) removeMember(nid runtime.NodeID) {
-	m, ok := p.dir.members[nid]
-	if !ok {
-		return
-	}
-	delete(p.dir.members, nid)
-	for k := range m.keys {
-		p.dir.index.Remove(k, nid)
+	d := p.dir
+	if i, ok := d.member(nid); ok {
+		d.unindex(d.members[i])
+		d.members = slices.Delete(d.members, i, i+1)
 	}
 }
 
-// admitMember records (or refreshes) a content peer in the view.
+// admitMember records (or refreshes) a content peer in the view. The
+// record lives in the view: use it before the next admission or removal.
 func (p *Peer) admitMember(nid runtime.NodeID) *memberInfo {
-	m, ok := p.dir.members[nid]
+	d := p.dir
+	i, ok := d.member(nid)
 	if !ok {
-		m = &memberInfo{keys: make(map[content.Key]struct{})}
-		p.dir.members[nid] = m
+		d.members = slices.Insert(d.members, i, memberInfo{nid: nid, keys: make(map[content.Key]struct{})})
 	}
+	m := &d.members[i]
 	m.lastSeen = p.eng().Now()
 	return m
 }
@@ -440,33 +459,32 @@ func (p *Peer) providersFor(key content.Key, asker runtime.NodeID, offerSelf boo
 // viewSeed samples member contacts for a joining client's initial view,
 // with exact-set summaries built from pushed keys (Sec. 4: a directory
 // "provides them with a subset of its old view so that they initialize
-// their view of the petal").
+// their view of the petal"). The sample shuffles the view's positions
+// in id order, the draw sequence the pinned fingerprints depend on.
 func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 	const seedSize = 8
-	var nids []runtime.NodeID
-	for nid := range p.dir.members {
-		if nid != exclude {
-			nids = append(nids, nid)
+	picks := p.sys.seedScratch[:0]
+	for i := range p.dir.members {
+		if p.dir.members[i].nid != exclude {
+			picks = append(picks, i)
 		}
 	}
-	slices.Sort(nids)
-	p.rng.Shuffle(len(nids), func(i, j int) { nids[i], nids[j] = nids[j], nids[i] })
-	if len(nids) > seedSize {
-		nids = nids[:seedSize]
-	}
-	seed := make([]gossip.Entry, 0, len(nids)+len(p.dir.oldSummaries)+1)
+	p.sys.seedScratch = picks
+	p.rng.Shuffle(len(picks), func(i, j int) { picks[i], picks[j] = picks[j], picks[i] })
+	seed := make([]gossip.Entry, 0, seedSize+1)
 	// The directory itself is a petal member with cached content; seeding
 	// it keeps the directory inside the gossip mesh.
 	if p.nid != exclude {
 		seed = append(seed, gossip.Entry{Peer: p.nid, Meta: p.selfMeta()})
 	}
-	for _, nid := range nids {
+	for _, i := range picks[:min(len(picks), seedSize)] {
+		m := &p.dir.members[i]
 		seed = append(seed, gossip.Entry{
-			Peer: nid,
+			Peer: m.nid,
 			Meta: ContactMeta{
 				// The member's live key set, not a snapshot: on in-process
 				// backends the client sees later pushes too (ROADMAP 2(b)).
-				Summary: exactSummary(p.dir.members[nid].keys),
+				Summary: exactSummary(m.keys),
 				Dir:     p.dirInfo,
 			},
 		})
@@ -639,42 +657,48 @@ func (p *Peer) Leave() {
 	}
 	if p.dir != nil {
 		if best := p.dir.freshestMember(); best != runtime.None {
-			p.net().Send(p.nid, best, handoffMsg{Pos: p.dir.pos, Index: p.dir.index.Clone(),
-				Members: slices.Sorted(maps.Keys(p.dir.members))})
+			members := make([]runtime.NodeID, len(p.dir.members))
+			for i, m := range p.dir.members {
+				members[i] = m.nid
+			}
+			p.net().Send(p.nid, best, handoffMsg{Pos: p.dir.pos, Index: p.dir.index.Clone(), Members: members})
 		}
 	}
 	p.kill()
 }
 
 // onHandoff runs at the member receiving a leaving directory's state:
-// it claims the position and, on success, seeds its directory state
-// with the transferred copy.
+// it claims the position and, on success, adopts the transferred copy.
 func (p *Peer) onHandoff(m handoffMsg) {
 	if p.dead || p.role != RoleContent {
 		return
 	}
-	index := m.Index
-	members := m.Members
 	p.claimDirectoryPosition(m.Pos, runtime.None, func(current chord.Entry, err error) {
 		if p.dead || err != nil {
 			return
 		}
 		p.sys.dirReplacement++
-		for _, nid := range members {
-			if nid != p.nid {
-				p.admitMember(nid)
-			}
-		}
-		for k, ps := range index {
-			for _, nid := range ps {
-				if nid == p.nid {
-					continue
-				}
-				p.dir.index.Add(k, nid)
-				if mi, ok := p.dir.members[nid]; ok {
-					mi.keys[k] = struct{}{}
-				}
-			}
-		}
+		p.adoptView(m)
 	})
+}
+
+// adoptView seeds this directory's view and index with a leaving
+// directory's transferred copy, leaving itself out.
+func (p *Peer) adoptView(m handoffMsg) {
+	for _, nid := range m.Members {
+		if nid != p.nid {
+			p.admitMember(nid)
+		}
+	}
+	for k, ps := range m.Index {
+		for _, nid := range ps {
+			if nid == p.nid {
+				continue
+			}
+			p.dir.index.Add(k, nid)
+			if i, ok := p.dir.member(nid); ok {
+				p.dir.members[i].keys[k] = struct{}{}
+			}
+		}
+	}
 }

@@ -161,7 +161,7 @@ func TestMemberExpiryRemovesIndexEntries(t *testing.T) {
 	d.index.Add(key, ghost)
 	// Two sweeps beyond the TTL clear it.
 	f.run(3 * f.sys.cfg.KeepaliveInterval)
-	if _, ok := d.members[ghost]; ok {
+	if _, ok := d.member(ghost); ok {
 		t.Fatal("silent member survived the TTL sweep")
 	}
 	if len(d.index.Of(key)) != 0 {
@@ -180,7 +180,7 @@ func TestDeadProviderReportPrunesIndex(t *testing.T) {
 	mi.keys[key] = struct{}{}
 	d.index.Add(key, dead)
 	dir.HandleMessage(runtime.NodeID(1), deadProviderReport{Dead: dead})
-	if _, ok := d.members[dead]; ok {
+	if _, ok := d.member(dead); ok {
 		t.Fatal("reported-dead member still in view")
 	}
 	if len(d.index.Of(key)) != 0 {

@@ -115,9 +115,11 @@ type System struct {
 
 	// freeSteps recycles the per-RPC records of the query path (steps.go);
 	// candScratch is the ranking buffer of contentQuery and rankProviders,
+	// and seedScratch viewSeed's sample of member-view positions, each
 	// used and released within one call.
 	freeSteps   []*step
 	candScratch []provCand
+	seedScratch []int
 
 	dirPromotions  uint64
 	dirReplacement uint64

@@ -5,6 +5,7 @@ import (
 
 	"flowercdn/internal/metrics"
 	_ "flowercdn/internal/protocols"
+	"flowercdn/internal/runtime"
 )
 
 // TestFingerprintDeterministic runs the same cell twice and demands
@@ -41,6 +42,29 @@ func TestFingerprintDeterministic(t *testing.T) {
 	}
 	if c.Fingerprint == a.Fingerprint {
 		t.Fatalf("different seeds, same fingerprint %016x", a.Fingerprint)
+	}
+}
+
+// TestBigPetalFingerprint pins a flower cell whose petals grow to
+// hundreds of members, where the P = 200 pins of `make
+// fingerprint-check` stay near twenty: a change to a directory's member
+// view must reproduce every view seed and sweep there draw for draw. It
+// is `flowersim -p 5000 -hours 1 -sites 12 -active 2 -objects 150
+// -print-fingerprint`.
+func TestBigPetalFingerprint(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Population = 5000
+	cfg.Duration = runtime.Hour
+	cfg.Workload.Sites = 12
+	cfg.Workload.ActiveSites = 2
+	cfg.Workload.ObjectsPerSite = 150
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 0xd730ce5645151e20
+	if res.Fingerprint != want {
+		t.Fatalf("fingerprint %016x, pinned %016x", res.Fingerprint, uint64(want))
 	}
 }
 

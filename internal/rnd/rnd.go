@@ -17,13 +17,21 @@ import (
 // so that adding randomness consumption to one subsystem does not
 // perturb the draws seen by another (which would otherwise make
 // before/after comparisons noisy).
+//
+// The source and the generator over it live inside the RNG, so New and
+// Split cost one allocation each. An RNG must not be copied by value:
+// the copy's generator would still draw from the original's source.
 type RNG struct {
-	r *rand.Rand
+	src rand.PCG
+	r   rand.Rand
 }
 
 // New returns a generator seeded deterministically from seed.
 func New(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	g := &RNG{}
+	g.src.Seed(seed, seed^0x9e3779b97f4a7c15)
+	g.r = *rand.New(&g.src)
+	return g
 }
 
 // Split derives an independent generator from this one, labelled by tag.

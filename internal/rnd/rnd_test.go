@@ -157,6 +157,20 @@ func TestShuffleKeepsElements(t *testing.T) {
 	}
 }
 
+// TestRNGAllocs pins New and Split at one object each: the RNG holds its
+// PCG source and the generator over it by value. Boxing them separately
+// cost four objects per New + Split, and every spawned peer splits
+// several streams.
+func TestRNGAllocs(t *testing.T) {
+	var g *RNG
+	if n := testing.AllocsPerRun(100, func() { g = New(1) }); n != 1 {
+		t.Errorf("New allocates %v objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { g = g.Split("peer") }); n != 1 {
+		t.Errorf("Split allocates %v objects, want 1", n)
+	}
+}
+
 func TestNormMoments(t *testing.T) {
 	g := New(8)
 	const n = 50000
