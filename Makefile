@@ -136,7 +136,9 @@ fingerprint-check:
 # flower's query path on a frozen petal (a query-loop tick and a
 # gossip-path hit: zero; a directory-path hit: the request, plus the
 # directory's provider list and reply) and a joining client's view seed
-# (the same count at 50 and 2 000 members), the LRU policy (an admission
+# (the same count at 50 and 2 000 members), gossip's view (a shuffle
+# sample: its slice only; a 9-contact seed: one view; a lookup, removal
+# or merge of a known peer: zero), the LRU policy (an admission
 # with its eviction, a touch: zero) and the bounded content store over
 # it, an RNG's New and Split (one object each), and the binary codec's
 # budget per wire message (the packages whose
@@ -150,7 +152,7 @@ fingerprint-check:
 # trip over loopback TCP under one object. A count repeats exactly, so
 # unlike a timing these gate on one run.
 alloc-check:
-	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/cache ./internal/content ./internal/workload ./internal/rnd
+	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
 
 # realtime-smoke drives the wall-clock backend for a few seconds of real
 # time: the identical protocol code over real timers and the loopback

@@ -53,6 +53,10 @@ type memberInfo struct {
 	nid      runtime.NodeID
 	lastSeen int64
 	keys     map[content.Key]struct{}
+	// meta is the boxed ContactMeta viewSeed last handed out for this
+	// member, reused while it still names the directory's dir-info (see
+	// contactMeta); nil until the member is first sampled.
+	meta any
 }
 
 // stopTickers ends the sweep and audit loops — on demotion and on
@@ -479,15 +483,7 @@ func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 	}
 	for _, i := range picks[:min(len(picks), seedSize)] {
 		m := &p.dir.members[i]
-		seed = append(seed, gossip.Entry{
-			Peer: m.nid,
-			Meta: ContactMeta{
-				// The member's live key set, not a snapshot: on in-process
-				// backends the client sees later pushes too (ROADMAP 2(b)).
-				Summary: exactSummary(m.keys),
-				Dir:     p.dirInfo,
-			},
-		})
+		seed = append(seed, gossip.Entry{Peer: m.nid, Meta: p.contactMeta(m)})
 	}
 	// A fresh PetalUp instance has no members yet: hand out its old view
 	// so first clients can reach content peers managed by other
@@ -503,6 +499,23 @@ func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 		}
 	}
 	return seed
+}
+
+// contactMeta is the metadata a view seed carries for member m: its
+// exact summary and this directory's dir-info, boxed once and handed to
+// every joiner that samples m until the dir-info changes. A boxed value
+// is immutable, so sharing it gives each joiner what a fresh box would.
+func (p *Peer) contactMeta(m *memberInfo) any {
+	if cm, ok := m.meta.(ContactMeta); ok && cm.Dir == p.dirInfo {
+		return m.meta
+	}
+	m.meta = ContactMeta{
+		// The member's live key set, not a snapshot: on in-process
+		// backends the client sees later pushes too (ROADMAP 2(b)).
+		Summary: exactSummary(m.keys),
+		Dir:     p.dirInfo,
+	}
+	return m.meta
 }
 
 // ---- client query processing ----

@@ -389,12 +389,7 @@ func (p *Peer) onVacantResp(m vacantResp) {
 // joinPetal transitions a client to content peer and seeds its view
 // from the directory-provided contacts.
 func (p *Peer) joinPetal(seed []gossip.Entry) {
-	for _, e := range seed {
-		if e.Peer == p.nid {
-			continue
-		}
-		p.gsp.AddContact(e.Peer, e.Meta)
-	}
+	p.gsp.AddContacts(seed)
 	if p.role != RoleClient {
 		return // already a member (re-join after directory change)
 	}

@@ -20,6 +20,7 @@ import (
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"fmt"
+	"slices"
 )
 
 // Entry is one contact in a peer's partial view.
@@ -28,7 +29,7 @@ type Entry struct {
 	Peer runtime.NodeID
 	// Age counts gossip periods since this contact was last known
 	// fresh; higher is staler.
-	Age int
+	Age int32
 	// Meta is application state describing the contact (for Flower-CDN:
 	// its content summary and dir-info). It is shipped verbatim in
 	// shuffles.
@@ -120,13 +121,11 @@ type Protocol struct {
 	app App
 
 	// view holds the contacts in insertion order — the deterministic
-	// iteration order everything below relies on — and idx maps a peer
-	// to its position in it. One flat slice instead of an order slice
-	// plus a map of individually-allocated entries: views grow with
-	// petal size, and at 100k-node populations the per-entry pointer
-	// and bucket overhead is most of a peer's footprint.
+	// iteration order everything below relies on. There is no index: a
+	// peer is found by scanning the view. Views are small — a joiner's
+	// seed plus its directory, rarely past a few dozen entries — so a
+	// scan costs less than keeping an index beside every view.
 	view []Entry
-	idx  map[runtime.NodeID]int32
 
 	timer   runtime.Ticker
 	stopped bool
@@ -150,7 +149,6 @@ func New(cfg Config, net runtime.Net, rng *rnd.RNG, me runtime.NodeID, app App) 
 		rng: rng,
 		me:  me,
 		app: app,
-		idx: make(map[runtime.NodeID]int32),
 	}, nil
 }
 
@@ -175,9 +173,16 @@ func (g *Protocol) Stop() {
 func (g *Protocol) Size() int { return len(g.view) }
 
 // Contains reports whether peer is in the view.
-func (g *Protocol) Contains(peer runtime.NodeID) bool {
-	_, ok := g.idx[peer]
-	return ok
+func (g *Protocol) Contains(peer runtime.NodeID) bool { return g.find(peer) >= 0 }
+
+// find returns peer's position in the view, or -1.
+func (g *Protocol) find(peer runtime.NodeID) int {
+	for i := range g.view {
+		if g.view[i].Peer == peer {
+			return i
+		}
+	}
+	return -1
 }
 
 // Entries returns a copy of the view in insertion order.
@@ -194,7 +199,7 @@ func (g *Protocol) View() []Entry { return g.view }
 
 // Meta returns the stored metadata for peer, or nil.
 func (g *Protocol) Meta(peer runtime.NodeID) any {
-	if i, ok := g.idx[peer]; ok {
+	if i := g.find(peer); i >= 0 {
 		return g.view[i].Meta
 	}
 	return nil
@@ -212,31 +217,31 @@ func (g *Protocol) AddContact(peer runtime.NodeID, meta any) {
 	g.insert(Entry{Peer: peer, Age: 0, Meta: meta})
 }
 
-// UpdateMeta replaces the metadata of an existing contact; unknown
-// peers are ignored (use AddContact to insert).
-func (g *Protocol) UpdateMeta(peer runtime.NodeID, meta any) {
-	if i, ok := g.idx[peer]; ok {
-		g.view[i].Meta = meta
+// AddContacts adds each entry's peer and metadata as AddContact does,
+// with age 0, growing the view once for the whole batch (a joining
+// peer's seed).
+func (g *Protocol) AddContacts(es []Entry) {
+	if n := len(g.view) + len(es); n > cap(g.view) {
+		g.view = append(make([]Entry, 0, n), g.view...)
+	}
+	for _, e := range es {
+		g.insert(Entry{Peer: e.Peer, Meta: e.Meta})
 	}
 }
 
-// removeAt deletes the view entry at position i, preserving insertion
-// order (in place: shift the tail and re-index it).
-func (g *Protocol) removeAt(i int) {
-	delete(g.idx, g.view[i].Peer)
-	copy(g.view[i:], g.view[i+1:])
-	g.view[len(g.view)-1] = Entry{} // release the Meta reference
-	g.view = g.view[:len(g.view)-1]
-	for j := i; j < len(g.view); j++ {
-		g.idx[g.view[j].Peer] = int32(j)
+// UpdateMeta replaces the metadata of an existing contact; unknown
+// peers are ignored (use AddContact to insert).
+func (g *Protocol) UpdateMeta(peer runtime.NodeID, meta any) {
+	if i := g.find(peer); i >= 0 {
+		g.view[i].Meta = meta
 	}
 }
 
 // RemoveContact drops a contact (e.g. the application learned it died
 // through another channel).
 func (g *Protocol) RemoveContact(peer runtime.NodeID) {
-	if i, ok := g.idx[peer]; ok {
-		g.removeAt(int(i))
+	if i := g.find(peer); i >= 0 {
+		g.view = slices.Delete(g.view, i, i+1)
 	}
 }
 
@@ -247,7 +252,7 @@ func (g *Protocol) insert(e Entry) {
 	if e.Peer == g.me || e.Peer == runtime.None {
 		return
 	}
-	if i, ok := g.idx[e.Peer]; ok {
+	if i := g.find(e.Peer); i >= 0 {
 		cur := &g.view[i]
 		if e.Age <= cur.Age {
 			cur.Age = e.Age
@@ -260,7 +265,6 @@ func (g *Protocol) insert(e Entry) {
 	if g.cfg.MaxView > 0 && len(g.view) >= g.cfg.MaxView {
 		g.evictOldest()
 	}
-	g.idx[e.Peer] = int32(len(g.view))
 	g.view = append(g.view, e)
 }
 
@@ -274,7 +278,7 @@ func (g *Protocol) evictOldest() {
 			idx = i
 		}
 	}
-	g.removeAt(idx)
+	g.view = slices.Delete(g.view, idx, idx+1)
 }
 
 // Tick runs one gossip round: age the view, pick the oldest contact,
@@ -306,7 +310,7 @@ func (g *Protocol) Tick() {
 			for _, e := range sr.Entries {
 				g.insert(e)
 			}
-			if i, ok := g.idx[target]; ok {
+			if i := g.find(target); i >= 0 {
 				g.view[i].Age = 0 // exchange proved it alive
 			}
 		})
@@ -323,13 +327,23 @@ func (g *Protocol) oldest() runtime.NodeID {
 }
 
 // sample draws up to ShuffleSize entries: our own fresh descriptor plus
-// random view entries, excluding the exchange partner.
+// random view entries, excluding the exchange partner. It shuffles the
+// view's positions — the draws, and the order, of rng.Perm — in a
+// stack buffer; only a view past 64 entries allocates for them, once.
 func (g *Protocol) sample(exclude runtime.NodeID, includeSelf bool) []Entry {
 	out := make([]Entry, 0, g.cfg.ShuffleSize)
 	if includeSelf {
 		out = append(out, Entry{Peer: g.me, Age: 0, Meta: g.app.SelfDescriptor()})
 	}
-	perm := g.rng.Perm(len(g.view))
+	var buf [64]int
+	perm := buf[:0]
+	if len(g.view) > len(buf) {
+		perm = make([]int, 0, len(g.view))
+	}
+	for i := range g.view {
+		perm = append(perm, i)
+	}
+	g.rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	for _, i := range perm {
 		if len(out) >= g.cfg.ShuffleSize {
 			break

@@ -232,7 +232,7 @@ func TestMaxViewEvictsOldest(t *testing.T) {
 	others := []*gossipPeer{f.addPeer(), f.addPeer(), f.addPeer(), f.addPeer()}
 	// Insert with increasing ages via the merge path.
 	for i, o := range others[:3] {
-		g.insert(Entry{Peer: o.nid, Age: i * 2})
+		g.insert(Entry{Peer: o.nid, Age: int32(i * 2)})
 	}
 	g.insert(Entry{Peer: others[3].nid, Age: 0})
 	if g.Size() != 3 {

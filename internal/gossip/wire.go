@@ -1,6 +1,10 @@
 package gossip
 
-import "flowercdn/internal/runtime"
+import (
+	"flowercdn/internal/runtime"
+	"fmt"
+	"math"
+)
 
 // Binary wire marshallers for the shuffle RPC. Entry metadata is
 // interface-typed (application summaries), so it rides through the
@@ -11,15 +15,20 @@ import "flowercdn/internal/runtime"
 // AppendWire appends one view entry.
 func (e Entry) AppendWire(w *runtime.WireWriter) {
 	w.Node(e.Peer)
-	w.Int(e.Age)
+	w.Int(int(e.Age))
 	w.Any(e.Meta)
 }
 
-// DecodeEntryWire reads one view entry.
+// DecodeEntryWire reads one view entry. An age outside [0, MaxInt32]
+// fails the reader rather than truncate.
 func DecodeEntryWire(r *runtime.WireReader) Entry {
 	var e Entry
 	e.Peer = r.Node()
-	e.Age = r.Int()
+	if age := r.Varint(); r.Err() == nil && (age < 0 || age > math.MaxInt32) {
+		r.Fail(fmt.Errorf("gossip: entry age %d out of range", age))
+	} else {
+		e.Age = int32(age)
+	}
 	e.Meta = r.Any()
 	return e
 }
