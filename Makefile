@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck
+.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc
 
 build:
 	go build ./...
@@ -270,6 +270,17 @@ docs-check:
 		test -s $$f || { echo "missing doc: $$f" >&2; exit 1; }; done
 	go vet ./...
 	@echo "docs-check OK"
+
+# loc prints the Go lines of every package, non-test and test, as go
+# list sees the package (files a build tag excludes do not count), and
+# the totals: the measure a simplification quotes before and after.
+loc:
+	@printf '%-36s %8s %8s\n' package non-test test
+	@go list -f '{{.ImportPath}}|{{.Dir}}|{{join .GoFiles " "}}|{{join .TestGoFiles " "}} {{join .XTestGoFiles " "}}' ./... | \
+	while IFS='|' read -r pkg dir src tests; do \
+		printf '%-36s %8d %8d\n' "$${pkg#flowercdn/}" \
+			"$$(cd "$$dir" && cat $$src /dev/null | wc -l)" "$$(cd "$$dir" && cat $$tests /dev/null | wc -l)"; \
+	done | awk '{ print; src += $$2; tests += $$3 } END { printf "%-36s %8d %8d\n", "total", src, tests }'
 
 # cache-grid-smoke runs the CI-sized capacity grid under cache
 # pressure: LRU-bounded peer stores swept over per-peer capacities with

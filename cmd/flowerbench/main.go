@@ -34,13 +34,13 @@
 // worker count — `make dist-smoke` diffs the two CSVs in CI. See
 // docs/OPERATIONS.md.
 //
-// Grids: compare (every protocol registered with the runtime: flower,
-// petalup, squirrel, chord-global — origin-only is reachable via
-// flowersim -protocol origin-only), scalability (flower/squirrel x
-// population), churn (mean-uptime axis), gossip (gossip-period axis),
-// capacity (per-peer cache-capacity axis, unbounded reference cell
-// included). Scenarios: table1 (default), flash-crowd, locality-skew,
-// cache-pressure.
+// Grids: compare (every comparable protocol registered with the
+// runtime: flower, petalup, squirrel, chord-global, koorde-global —
+// origin-only is reachable via flowersim -protocol origin-only),
+// scalability (flower/squirrel x population), churn (mean-uptime
+// axis), gossip (gossip-period axis), capacity (per-peer cache-capacity
+// axis, unbounded reference cell included). Scenarios: table1
+// (default), flash-crowd, locality-skew, cache-pressure.
 //
 // Without -grid it renders the paper's single-run artifacts: Fig. 3
 // (hit ratio over time), Fig. 4 (lookup latency distribution), Fig. 5

@@ -268,7 +268,7 @@ func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error)
 	if o.obs != "" && leads(hc) {
 		// The harness stops the server when the run returns; the deferred
 		// Stop (idempotent) covers a run that fails before it starts.
-		srv := obs.NewServer(0)
+		srv := obs.NewServer()
 		bound, err := srv.Start(o.obs)
 		if err != nil {
 			return nil, 0, err

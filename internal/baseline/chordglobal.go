@@ -16,8 +16,6 @@ func init() {
 		Router:        ChordRouter,
 		HomeKey:       SiteHome("cg-site-%d"),
 		PushSummaries: true,
-		RedirectsKey:  "providers-per-reply",
-		CapKey:        "index-cap",
 		PeerStream:    "cg-peer-%d",
 		RingID:        "cg-peer-%d",
 		RouterStream:  "chord",

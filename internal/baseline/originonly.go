@@ -11,30 +11,27 @@
 // object's directory — which peers cache it, a few per object — lives at
 // the *home node* owning the object's ring key, a query routes to the
 // home and is redirected to a RANDOM provider, and the directory dies
-// with its home. There is no locality notion anywhere. One driver runs
-// all three protocols; a protocol is a RingSpec registered with
+// with its home. There is no locality notion anywhere. A home suggests
+// one provider per query and remembers four per object: Squirrel's
+// numbers, fixed for all three protocols. One driver runs all three
+// protocols; a protocol is a RingSpec registered with
 // RegisterRingDirectory, and the spec is the complete list of what may
 // differ:
 //
-//   - Router: the overlay the ring is (chord-demo and the overlay's own
-//     options are lowered here). squirrel and chord-global route over
-//     Chord fingers (ChordRouter), koorde-global over Koorde's de Bruijn
-//     edges — the only difference between those two, so their hit ratios
-//     match and their hop counts compare the routing geometries.
+//   - Router: the overlay the ring is (the chord-demo option is lowered
+//     here). squirrel and chord-global route over Chord fingers
+//     (ChordRouter), koorde-global over Koorde's de Bruijn edges — the
+//     only difference between those two, so their hit ratios match and
+//     their hop counts compare the routing geometries.
 //   - HomeKey: which key an object's directory lives at. squirrel hashes
 //     (site, object), as the Squirrel paper does; the two -global
 //     protocols hash the site alone (SiteHome), one home per website
 //     like a Flower-CDN directory peer.
 //   - PushSummaries: whether peers re-register everything they cache with
-//     their site's home every refresh-interval. Off for squirrel, whose
-//     lost directories stay lost (Sec. 2 — what breaks its hit ratio
+//     their site's home every 2 x keepalive-interval. Off for squirrel,
+//     whose lost directories stay lost (Sec. 2 — what breaks its hit ratio
 //     under churn in Fig. 3); on for the -global protocols, where it is
 //     the only thing that rebuilds a directory after its home fails.
-//   - RedirectsKey, CapKey: the option names for providers suggested per
-//     query and remembered per object. squirrel keeps its paper's
-//     vocabulary (provider-attempts, directory-cap), the others say
-//     providers-per-reply and index-cap; the defaults are Squirrel's
-//     (1 and 4) for all three.
 //   - PeerStream, RingID, RouterStream, RootDraws: the names of each
 //     protocol's random streams and ring-position hash, and squirrel's
 //     habit of drawing placements and gateway picks from the root stream.

@@ -41,21 +41,17 @@ type NewRouter func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.No
 type RingSpec struct {
 	// Info is the registry entry.
 	Info proto.Info
-	// Router lowers and validates the overlay's own options
-	// (chord-demo, koorde-degree-bits) into a node constructor.
+	// Router lowers and validates the overlay's own option (chord-demo)
+	// into a node constructor.
 	Router func(proto.Options) (NewRouter, error)
 	// HomeKey maps an object to the ring key whose owner keeps its
 	// directory entry: per object for squirrel, per site for the others.
 	HomeKey func(content.Key) ids.ID
 	// PushSummaries makes every peer re-register its cached keys with
-	// its site's home each refresh-interval — the only thing that
+	// its site's home each refresh period — the only thing that
 	// rebuilds a directory after its home fails. It needs a HomeKey
 	// that depends on the site alone: a summary goes to one home.
 	PushSummaries bool
-	// RedirectsKey and CapKey name the options holding how many
-	// providers a home suggests per query (default 1) and remembers per
-	// object (default 4).
-	RedirectsKey, CapKey string
 	// PeerStream (by spawn count) and RingID (by NodeID) are the format
 	// strings naming a peer's RNG stream and hashing its ring position;
 	// RouterStream names the sub-stream handed to the overlay node.
@@ -90,31 +86,31 @@ func RegisterRingDirectory(s RingSpec) { proto.Register(s.Info, s.lower) }
 // ringConfig is a spec's options, lowered.
 type ringConfig struct {
 	newRouter NewRouter
-	// redirects bounds how many providers a home suggests per query,
-	// indexCap how many it remembers per object.
-	redirects, indexCap int
 	// refresh is the summary push period (PushSummaries only).
 	refresh int64
 	// queryTimeout bounds one routed query attempt.
 	queryTimeout int64
 }
 
-// queryRetries is the number of routed attempts before the origin
-// fallback.
-const queryRetries = 3
+const (
+	// queryRetries is the number of routed attempts before the origin
+	// fallback.
+	queryRetries = 3
+	// redirectsPerQuery is how many providers a home suggests per query
+	// and providersPerObject how many it remembers per object: the
+	// Squirrel paper's numbers, kept for all three protocols.
+	redirectsPerQuery  = 1
+	providersPerObject = 4
+)
 
 // lower is the spec's proto.Lowering: it resolves the option map into a
-// validated config and returns the deployment's constructor. Beyond the
-// keys the spec names it reads query-timeout (10 s), the shared cache
-// keys, and with PushSummaries refresh-interval (2 x keepalive-interval,
-// else 2 h — summaries are bulk messages, so they refresh at half the
-// keepalive rate). Unknown keys are ignored.
+// validated config and returns the deployment's constructor. It reads
+// the router's options, query-timeout (10 s), the shared cache keys,
+// and with PushSummaries keepalive-interval (1 h): summaries are bulk
+// messages, so they refresh at half the keepalive rate. Unknown keys
+// are ignored.
 func (s *RingSpec) lower(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
-	cfg := ringConfig{
-		redirects:    opts.Int(s.RedirectsKey, 1),
-		indexCap:     opts.Int(s.CapKey, 4),
-		queryTimeout: opts.Duration("query-timeout", 10*runtime.Second),
-	}
+	cfg := ringConfig{queryTimeout: opts.Duration("query-timeout", 10*runtime.Second)}
 	name := s.Info.Name
 	cacheCfg, err := proto.CacheConfigFromOptions(opts)
 	if err != nil {
@@ -123,17 +119,13 @@ func (s *RingSpec) lower(opts proto.Options) (func(proto.Env) (proto.System, err
 	if cfg.newRouter, err = s.Router(opts); err != nil {
 		return nil, err // names its overlay already
 	}
-	if cfg.redirects < 1 || cfg.indexCap < 1 {
-		return nil, fmt.Errorf("%s: %s and %s must be at least 1 (%d, %d)",
-			name, s.RedirectsKey, s.CapKey, cfg.redirects, cfg.indexCap)
-	}
 	if cfg.queryTimeout <= 0 {
 		return nil, fmt.Errorf("%s: query-timeout must be positive", name)
 	}
 	if s.PushSummaries {
-		cfg.refresh = opts.Duration("refresh-interval", 2*opts.Duration("keepalive-interval", runtime.Hour))
+		cfg.refresh = 2 * opts.Duration("keepalive-interval", runtime.Hour)
 		if cfg.refresh <= 0 {
-			return nil, fmt.Errorf("%s: refresh-interval must be positive", name)
+			return nil, fmt.Errorf("%s: keepalive-interval must be positive", name)
 		}
 	}
 	return func(env proto.Env) (proto.System, error) {
@@ -186,7 +178,7 @@ func (d *ringDriver) Spawn(ind proto.Individual) func() {
 		site:  id.Site,
 		store: id.Store,
 		rng:   d.env.RNG.Split(fmt.Sprintf(d.spec.PeerStream, d.peers.Spawned()+1)),
-		index: content.Holders{Bound: d.cfg.indexCap},
+		index: content.Holders{Bound: providersPerObject},
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
 	ringID := ids.HashString(fmt.Sprintf(d.spec.RingID, p.nid))
@@ -454,7 +446,7 @@ func (p *peer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path 
 		}
 		// Random redirection — no locality information exists.
 		for _, i := range p.rng.Perm(len(providers)) {
-			if len(resp.Providers) >= p.d.cfg.redirects {
+			if len(resp.Providers) >= redirectsPerQuery {
 				break
 			}
 			if providers[i] != m.Client {

@@ -85,32 +85,39 @@ type Config struct {
 	// StabilizeInterval is the period of the successor-pointer repair
 	// loop.
 	StabilizeInterval int64
-	// FixFingersInterval is the period of finger refresh; FingersPerFix
+	// FixFingersInterval is the period of finger refresh; fingersPerFix
 	// fingers are refreshed per firing.
 	FixFingersInterval int64
-	FingersPerFix      int
 	// FingerPingInterval is the period of finger liveness probes;
-	// FingersPerPing distinct finger nodes are pinged per firing. Dead
+	// fingersPerPing distinct finger nodes are pinged per firing. Dead
 	// fingers black-hole one-way routed messages, so detecting them
 	// fast matters far more under churn than re-pointing them
 	// optimally.
 	FingerPingInterval int64
-	FingersPerPing     int
 	// CheckPredInterval is the period of predecessor liveness probes.
 	CheckPredInterval int64
 	// RPCTimeout bounds every maintenance RPC.
 	RPCTimeout int64
-	// MaxHops is the routing TTL; messages exceeding it are dropped
-	// (protects against transient ring inconsistency loops).
-	MaxHops int
-	// LookupTimeout bounds one routing attempt; LookupRetries is how
-	// many attempts a Lookup makes before reporting failure.
+	// LookupTimeout bounds one routing attempt.
 	LookupTimeout int64
-	LookupRetries int
 	// ClaimTTL is how long a granted-but-not-yet-integrated position
 	// claim blocks rival claimants.
 	ClaimTTL int64
 }
+
+const (
+	// MaxHops is the routing TTL; messages exceeding it are dropped
+	// (protects against transient ring inconsistency loops).
+	MaxHops = 2 * ids.Bits
+	// fingersPerFix fingers are refreshed per FixFingersInterval.
+	fingersPerFix = 4
+	// fingersPerPing distinct finger nodes are pinged per
+	// FingerPingInterval.
+	fingersPerPing = 4
+	// lookupRetries is how many attempts a Lookup makes before
+	// reporting failure.
+	lookupRetries = 3
+)
 
 // DefaultConfig returns maintenance cadence suitable for the paper's
 // churn level (mean uptime 60 min): pointers repair within tens of
@@ -120,14 +127,10 @@ func DefaultConfig() Config {
 		SuccessorListLen:   8,
 		StabilizeInterval:  30 * runtime.Second,
 		FixFingersInterval: 40 * runtime.Second,
-		FingersPerFix:      4,
 		FingerPingInterval: 20 * runtime.Second,
-		FingersPerPing:     4,
 		CheckPredInterval:  45 * runtime.Second,
 		RPCTimeout:         2 * runtime.Second,
-		MaxHops:            2 * ids.Bits,
 		LookupTimeout:      5 * runtime.Second,
-		LookupRetries:      3,
 		ClaimTTL:           30 * runtime.Second,
 	}
 }
@@ -159,17 +162,11 @@ func (c Config) Validate() error {
 	if c.StabilizeInterval <= 0 || c.FixFingersInterval <= 0 || c.CheckPredInterval <= 0 {
 		return errors.New("chord: maintenance intervals must be positive")
 	}
-	if c.FingersPerFix < 1 {
-		return errors.New("chord: FingersPerFix must be at least 1")
-	}
-	if c.FingerPingInterval <= 0 || c.FingersPerPing < 1 {
+	if c.FingerPingInterval <= 0 {
 		return errors.New("chord: finger ping cadence out of range")
 	}
 	if c.RPCTimeout <= 0 || c.LookupTimeout <= 0 {
 		return errors.New("chord: timeouts must be positive")
-	}
-	if c.MaxHops < 1 || c.LookupRetries < 1 {
-		return errors.New("chord: MaxHops and LookupRetries must be at least 1")
 	}
 	if c.ClaimTTL <= 0 {
 		return errors.New("chord: ClaimTTL must be positive")
@@ -315,7 +312,7 @@ type resolver struct {
 	eng     runtime.Clock
 	self    Entry // a Client has an address but no ring position
 	timeout int64
-	retries int
+	retries int // lookupRetries; tests raise it to exercise reuse
 	pending map[uint64]*pendingLookup
 	// ring is the member this resolver belongs to: it routes attempts
 	// injected at self and owns the free lists. Nil on a Client.
@@ -329,7 +326,7 @@ func (r *resolver) init(cfg Config, net runtime.Net, self Entry, ring *Node) {
 		eng:     net.Clock(),
 		self:    self,
 		timeout: cfg.LookupTimeout,
-		retries: cfg.LookupRetries,
+		retries: lookupRetries,
 		pending: make(map[uint64]*pendingLookup),
 		ring:    ring,
 	}

@@ -610,10 +610,7 @@ func TestConfigValidate(t *testing.T) {
 	bads := []func(*Config){
 		func(c *Config) { c.SuccessorListLen = 0 },
 		func(c *Config) { c.StabilizeInterval = 0 },
-		func(c *Config) { c.FingersPerFix = 0 },
 		func(c *Config) { c.RPCTimeout = 0 },
-		func(c *Config) { c.MaxHops = 0 },
-		func(c *Config) { c.LookupRetries = 0 },
 		func(c *Config) { c.ClaimTTL = 0 },
 	}
 	for i, mut := range bads {

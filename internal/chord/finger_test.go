@@ -58,7 +58,7 @@ func scanPingTargets(n *Node, nextPing *int) []runtime.NodeID {
 		return nil
 	}
 	start := *nextPing % len(nodes)
-	count := min(n.cfg.FingersPerPing, len(nodes))
+	count := min(fingersPerPing, len(nodes))
 	*nextPing += count
 	var out []runtime.NodeID
 	for k := 0; k < count; k++ {

@@ -84,7 +84,7 @@ func TestRecycledLookupsSurviveStragglers(t *testing.T) {
 		}
 		// A list is as long as the most lookups ever in flight at once:
 		// these chains, or a fixFingers round before the freeze.
-		if most := max(chains, f.cfg.FingersPerFix); len(n.freeLookups) > most || len(n.freeMsgs) > most {
+		if most := max(chains, fingersPerFix); len(n.freeLookups) > most || len(n.freeMsgs) > most {
 			t.Errorf("%s: free lists hold %d records and %d messages, with never more than %d lookups in flight",
 				n.self, len(n.freeLookups), len(n.freeMsgs), most)
 		}

@@ -42,7 +42,7 @@ func (n *Node) routeStep(m *routeMsg) {
 		n.deliver(m)
 		return
 	}
-	if m.Hops >= n.cfg.MaxHops {
+	if m.Hops >= MaxHops {
 		return // TTL exceeded: drop; origin's timeout recovers
 	}
 	succ := n.Successor()

@@ -320,13 +320,13 @@ func (n *Node) checkPredecessor() {
 	n.request(probePredecessor, n.pred, pingReq{})
 }
 
-// fixFingers refreshes FingersPerFix finger entries per firing, cycling
+// fixFingers refreshes fingersPerFix finger entries per firing, cycling
 // through the table. Finger i targets self.ID + 2^i.
 func (n *Node) fixFingers() {
 	if n.stopped {
 		return
 	}
-	for k := 0; k < n.cfg.FingersPerFix; k++ {
+	for k := 0; k < fingersPerFix; k++ {
 		i := n.nextFix
 		n.nextFix = (n.nextFix + 1) % ids.Bits
 		n.lookup(n.self.Node, n.self.ID.AddPow2(i), i, nil)
@@ -358,10 +358,7 @@ func (n *Node) pingFingers() {
 		return
 	}
 	start := n.nextPing % len(nodes)
-	count := n.cfg.FingersPerPing
-	if count > len(nodes) {
-		count = len(nodes)
-	}
+	count := min(fingersPerPing, len(nodes))
 	n.nextPing += count
 	for k := 0; k < count; k++ {
 		n.request(probeFinger, nodes[(start+k)%len(nodes)], pingReq{})

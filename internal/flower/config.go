@@ -19,18 +19,10 @@ type Config struct {
 	// KeepaliveInterval is the period of content-peer keepalives to the
 	// directory (Table 1 ties it to the gossip period: 1 hour).
 	KeepaliveInterval int64
-	// MemberTTLFactor: a directory expires members silent for
-	// MemberTTLFactor * KeepaliveInterval.
-	MemberTTLFactor float64
 	// PushThreshold is the changed fraction of the local store beyond
 	// which a content peer pushes its delta (Table 1: 0.5).
 	PushThreshold float64
 
-	// AuditInterval is how often a directory verifies through a
-	// third-party lookup that the ring still routes its position to it,
-	// demoting itself when a duplicate won the seat and re-announcing
-	// itself when the ring routes around it.
-	AuditInterval int64
 	// QueryTimeout bounds one attempt of a client query over D-ring.
 	QueryTimeout int64
 	// SeedRetryDelay is how long a bootstrap seed waits before retrying
@@ -39,15 +31,6 @@ type Config struct {
 	// timescales shrink it so multi-process bootstrap completes within
 	// a seconds-scale horizon.
 	SeedRetryDelay int64
-	// QueryRetries is how many gateways a new client tries before
-	// falling back to claiming the position itself.
-	QueryRetries int
-	// GossipCandidates bounds how many summary-matching petal contacts
-	// a query probes before falling back to the directory.
-	GossipCandidates int
-	// ProviderAttempts bounds how many directory-suggested providers a
-	// client probes before falling back to the origin.
-	ProviderAttempts int
 
 	// DirLoadLimit is PetalUp-CDN's per-instance load limit, measured —
 	// as in Sec. 4 — in content peers per directory view. Zero disables
@@ -66,6 +49,26 @@ type Config struct {
 	ExactSummaries bool
 }
 
+const (
+	// memberTTLFactor: a directory expires members silent for
+	// memberTTLFactor * KeepaliveInterval.
+	memberTTLFactor = 1.6
+	// auditInterval is how often a directory verifies through a
+	// third-party lookup that the ring still routes its position to it,
+	// demoting itself when a duplicate won the seat and re-announcing
+	// itself when the ring routes around it.
+	auditInterval = 4 * runtime.Minute
+	// queryRetries is how many gateways a new client tries before
+	// falling back to claiming the position itself.
+	queryRetries = 3
+	// gossipCandidates bounds how many summary-matching petal contacts
+	// a query probes before falling back to the directory.
+	gossipCandidates = 3
+	// maxProviders bounds how many providers a directory reply names;
+	// the client probes each in turn before falling back to the origin.
+	maxProviders = 3
+)
+
 // DefaultConfig returns the paper's Table 1 parameters for classic
 // Flower-CDN.
 func DefaultConfig() Config {
@@ -73,14 +76,9 @@ func DefaultConfig() Config {
 		Chord:             chord.DefaultConfig(),
 		Gossip:            gossip.DefaultConfig(),
 		KeepaliveInterval: 1 * runtime.Hour,
-		MemberTTLFactor:   1.6,
 		PushThreshold:     0.5,
-		AuditInterval:     4 * runtime.Minute,
 		QueryTimeout:      10 * runtime.Second,
 		SeedRetryDelay:    30 * runtime.Second,
-		QueryRetries:      3,
-		GossipCandidates:  3,
-		ProviderAttempts:  2,
 		DirLoadLimit:      0,
 		DirCollaboration:  true,
 	}
@@ -97,26 +95,14 @@ func (c Config) Validate() error {
 	if c.KeepaliveInterval <= 0 {
 		return errors.New("flower: keepalive interval must be positive")
 	}
-	if c.MemberTTLFactor <= 1 {
-		return errors.New("flower: member TTL factor must exceed 1 keepalive period")
-	}
 	if c.PushThreshold <= 0 || c.PushThreshold > 1 {
 		return errors.New("flower: push threshold must be in (0, 1]")
-	}
-	if c.AuditInterval <= 0 {
-		return errors.New("flower: audit interval must be positive")
 	}
 	if c.QueryTimeout <= 0 {
 		return errors.New("flower: query timeout must be positive")
 	}
 	if c.SeedRetryDelay <= 0 {
 		return errors.New("flower: seed retry delay must be positive")
-	}
-	if c.QueryRetries < 1 {
-		return errors.New("flower: need at least one query attempt")
-	}
-	if c.GossipCandidates < 0 || c.ProviderAttempts < 1 {
-		return errors.New("flower: candidate limits out of range")
 	}
 	if c.DirLoadLimit < 0 {
 		return errors.New("flower: negative directory load limit")

@@ -218,10 +218,10 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 	p.dir.sweep = p.eng().Every(p.sys.cfg.KeepaliveInterval, p.sys.cfg.KeepaliveInterval, p.directorySweep)
 	// Audit soon after integration — duplicate-position races surface
 	// within a stabilization period or two — and keep auditing: one
-	// cheap lookup per AuditInterval keeps the one-directory-per-
+	// cheap lookup per auditInterval keeps the one-directory-per-
 	// position invariant self-healing under heavy ring churn.
 	p.eng().Schedule(3*p.sys.cfg.Chord.StabilizeInterval, p.auditPosition)
-	p.dir.audit = p.eng().Every(p.sys.cfg.AuditInterval, p.sys.cfg.AuditInterval, p.auditPosition)
+	p.dir.audit = p.eng().Every(auditInterval, auditInterval, p.auditPosition)
 	// A directory is still a petal member: keep gossiping so its own
 	// summary and (self-pointing) dir-info spread.
 	p.gsp.Start()
@@ -234,7 +234,7 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 
 // memberTTL is how long a silent member stays in the view/index.
 func (p *Peer) memberTTL() int64 {
-	return int64(p.sys.cfg.MemberTTLFactor * float64(p.sys.cfg.KeepaliveInterval))
+	return int64(memberTTLFactor * float64(p.sys.cfg.KeepaliveInterval))
 }
 
 // directorySweep expires members that stopped sending keepalives
@@ -419,7 +419,7 @@ func (p *Peer) collabSiblings() []chord.Entry {
 // directory-index first, then (within the trust window) the promoted
 // peer's old content summaries. Providers are ordered by latency to the
 // asking client — the locality-aware server selection that keeps
-// transfer distances short — and cut to ProviderAttempts+1. The asker
+// transfer distances short — and cut to maxProviders. The asker
 // itself is never returned. The result is the System's scratch buffer:
 // read it before anything else ranks.
 func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.NodeID) (ranked []provCand, fromSummary bool) {
@@ -433,7 +433,7 @@ func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.N
 		ranked = p.summaryCands(ranked, d.oldSummaries, key, asker)
 		fromSummary = len(ranked) > 0
 	}
-	return p.sys.nearest(ranked, p.sys.cfg.ProviderAttempts+1), fromSummary
+	return p.sys.nearest(ranked, maxProviders), fromSummary
 }
 
 // providersFor is rankProviders as a reply carries it: a slice of its
@@ -442,7 +442,7 @@ func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.N
 func (p *Peer) providersFor(key content.Key, asker runtime.NodeID, offerSelf bool) (providers []runtime.NodeID, fromSummary bool) {
 	ranked, fromSummary := p.dir.rankProviders(p, key, asker)
 	// Has comes first: on a bounded store it is a touch, asked for or not.
-	offerSelf = p.store.Has(key) && offerSelf && len(ranked) < p.sys.cfg.ProviderAttempts+1
+	offerSelf = p.store.Has(key) && offerSelf && len(ranked) < maxProviders
 	n := len(ranked)
 	if offerSelf {
 		n++

@@ -68,7 +68,7 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 	if fromSummary {
 		t.Fatal("index hit reported as summary hit")
 	}
-	if len(providers) == 0 || len(providers) > dir.sys.cfg.ProviderAttempts+1 {
+	if len(providers) == 0 || len(providers) > maxProviders {
 		t.Fatalf("provider count %d out of bounds", len(providers))
 	}
 	for _, p := range providers {

@@ -65,7 +65,8 @@ func init() {
 //	cache-capacity      int        per-peer store capacity, objects
 //
 // Unknown keys are ignored (they may target another protocol in the
-// same sweep).
+// same sweep). Every other protocol parameter is a constant;
+// internal/protocols pins the keys every driver reads.
 
 // DefaultPetalUpLoadLimit is the per-directory member limit PetalUp
 // runs use when the "load-limit" option is absent.

@@ -121,14 +121,11 @@ func TestConfigValidation(t *testing.T) {
 	}
 	bads := []func(*Config){
 		func(c *Config) { c.KeepaliveInterval = 0 },
-		func(c *Config) { c.MemberTTLFactor = 1 },
 		func(c *Config) { c.PushThreshold = 0 },
 		func(c *Config) { c.PushThreshold = 1.5 },
 		func(c *Config) { c.QueryTimeout = 0 },
-		func(c *Config) { c.QueryRetries = 0 },
-		func(c *Config) { c.ProviderAttempts = 0 },
 		func(c *Config) { c.DirLoadLimit = -1 },
-		func(c *Config) { c.Chord.MaxHops = 0 },
+		func(c *Config) { c.Chord.ClaimTTL = 0 },
 		func(c *Config) { c.Gossip.Period = 0 },
 	}
 	for i, mut := range bads {
@@ -149,7 +146,7 @@ func TestNewSystemRequiresDeps(t *testing.T) {
 		}
 	}
 	bad := DefaultConfig()
-	bad.QueryRetries = 0
+	bad.QueryTimeout = 0
 	if _, err := NewSystem(bad, proto.Env{}); err == nil {
 		t.Fatal("invalid config accepted")
 	}

@@ -276,7 +276,7 @@ func (p *Peer) routedQueryTimedOut(q *activeQuery) {
 	if p.dead || p.query != q {
 		return
 	}
-	if int(q.attempt) < p.sys.cfg.QueryRetries {
+	if int(q.attempt) < queryRetries {
 		p.sendRoutedQuery(q)
 		return
 	}
@@ -416,7 +416,7 @@ func (p *Peer) contentQuery(q *activeQuery) {
 	// summary claims the object, nearest first.
 	cands := p.summaryCands(p.sys.candScratch[:0], p.gsp.View(), q.key, p.nid)
 	q.source = srcGossip
-	q.setRanked(p.sys.nearest(cands, p.sys.cfg.GossipCandidates))
+	q.setRanked(p.sys.nearest(cands, gossipCandidates))
 	if len(q.candidates) > 0 {
 		p.probeCandidate(q, true)
 		return

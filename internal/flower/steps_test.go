@@ -97,7 +97,6 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 		traces := &trace.Collector{}
 		f := newFixtureWith(t, 41, func(c *Config) {
 			c.QueryTimeout = 300 * runtime.Millisecond
-			c.QueryRetries = 3
 		}, func(d *proto.Env) {
 			coll := d.Metrics
 			sink := emitFunc(func(ev metrics.Event) {

@@ -141,6 +141,10 @@ func NewSystem(cfg Config, env proto.Env) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// A D-ring position packs the locality into dring.LocalityBits.
+	if k := env.Topo.Localities(); k > dring.MaxLocalities {
+		return nil, fmt.Errorf("flower: %d localities, but D-ring positions hold at most %d", k, dring.MaxLocalities)
+	}
 	s := &System{
 		cfg:      cfg,
 		net:      env.Net,

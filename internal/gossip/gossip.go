@@ -7,7 +7,7 @@
 //
 // Deviations from strict Cyclon, matching the paper's description:
 //
-//   - the view is unbounded by default ("we do not limit the view size
+//   - the view is unbounded ("we do not limit the view size
 //     of a content peer and allow it to grow with the size of its
 //     petal"); it is bounded naturally because a contact found
 //     unavailable during a shuffle is removed;
@@ -40,37 +40,24 @@ type Entry struct {
 type Config struct {
 	// Period between shuffles initiated by this peer (Table 1: 1 hour).
 	Period int64
-	// ShuffleSize bounds the number of contacts shipped per exchange.
-	ShuffleSize int
-	// MaxView bounds the view; 0 means unbounded (the paper's setting).
-	MaxView int
-	// RPCTimeout bounds a shuffle exchange; a timeout evicts the target.
-	RPCTimeout int64
 }
+
+const (
+	// shuffleSize bounds the number of contacts shipped per exchange.
+	shuffleSize = 6
+	// rpcTimeout bounds a shuffle exchange; a timeout evicts the target.
+	rpcTimeout = 4 * runtime.Second
+)
 
 // DefaultConfig returns the paper's gossip parameters.
 func DefaultConfig() Config {
-	return Config{
-		Period:      1 * runtime.Hour,
-		ShuffleSize: 6,
-		MaxView:     0,
-		RPCTimeout:  4 * runtime.Second,
-	}
+	return Config{Period: 1 * runtime.Hour}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Period <= 0 {
 		return errors.New("gossip: period must be positive")
-	}
-	if c.ShuffleSize < 1 {
-		return errors.New("gossip: shuffle size must be at least 1")
-	}
-	if c.MaxView < 0 {
-		return errors.New("gossip: negative max view")
-	}
-	if c.RPCTimeout <= 0 {
-		return errors.New("gossip: rpc timeout must be positive")
 	}
 	return nil
 }
@@ -245,9 +232,8 @@ func (g *Protocol) RemoveContact(peer runtime.NodeID) {
 	}
 }
 
-// insert merges one entry: unknown peers are appended (evicting the
-// oldest entry if MaxView is exceeded); known peers keep whichever copy
-// is younger.
+// insert merges one entry: unknown peers are appended; known peers keep
+// whichever copy is younger.
 func (g *Protocol) insert(e Entry) {
 	if e.Peer == g.me || e.Peer == runtime.None {
 		return
@@ -262,23 +248,7 @@ func (g *Protocol) insert(e Entry) {
 		}
 		return
 	}
-	if g.cfg.MaxView > 0 && len(g.view) >= g.cfg.MaxView {
-		g.evictOldest()
-	}
 	g.view = append(g.view, e)
-}
-
-func (g *Protocol) evictOldest() {
-	if len(g.view) == 0 {
-		return
-	}
-	idx := 0
-	for i := range g.view {
-		if g.view[i].Age > g.view[idx].Age {
-			idx = i
-		}
-	}
-	g.view = slices.Delete(g.view, idx, idx+1)
 }
 
 // Tick runs one gossip round: age the view, pick the oldest contact,
@@ -294,7 +264,7 @@ func (g *Protocol) Tick() {
 	target := g.oldest()
 	sample := g.sample(target, true)
 	g.shuffles++
-	g.net.Request(g.me, target, shuffleReq{From: g.me, Entries: sample}, g.cfg.RPCTimeout,
+	g.net.Request(g.me, target, shuffleReq{From: g.me, Entries: sample}, rpcTimeout,
 		func(resp any, err error) {
 			if g.stopped {
 				return
@@ -326,12 +296,12 @@ func (g *Protocol) oldest() runtime.NodeID {
 	return g.view[best].Peer
 }
 
-// sample draws up to ShuffleSize entries: our own fresh descriptor plus
+// sample draws up to shuffleSize entries: our own fresh descriptor plus
 // random view entries, excluding the exchange partner. It shuffles the
 // view's positions — the draws, and the order, of rng.Perm — in a
 // stack buffer; only a view past 64 entries allocates for them, once.
 func (g *Protocol) sample(exclude runtime.NodeID, includeSelf bool) []Entry {
-	out := make([]Entry, 0, g.cfg.ShuffleSize)
+	out := make([]Entry, 0, shuffleSize)
 	if includeSelf {
 		out = append(out, Entry{Peer: g.me, Age: 0, Meta: g.app.SelfDescriptor()})
 	}
@@ -345,7 +315,7 @@ func (g *Protocol) sample(exclude runtime.NodeID, includeSelf bool) []Entry {
 	}
 	g.rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 	for _, i := range perm {
-		if len(out) >= g.cfg.ShuffleSize {
+		if len(out) >= shuffleSize {
 			break
 		}
 		if g.view[i].Peer == exclude {

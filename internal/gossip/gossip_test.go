@@ -74,9 +74,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	bads := []func(*Config){
 		func(c *Config) { c.Period = 0 },
-		func(c *Config) { c.ShuffleSize = 0 },
-		func(c *Config) { c.MaxView = -1 },
-		func(c *Config) { c.RPCTimeout = 0 },
 	}
 	for i, mut := range bads {
 		c := DefaultConfig()
@@ -180,7 +177,7 @@ func TestDeadContactEvictedOnTimeout(t *testing.T) {
 	a.g.AddContact(b.nid, nil)
 	f.net.Fail(b.nid)
 	a.g.Tick()
-	f.eng.Run(f.eng.Now() + 2*f.cfg.RPCTimeout + runtime.Minute)
+	f.eng.Run(f.eng.Now() + 2*rpcTimeout + runtime.Minute)
 	if a.g.Contains(b.nid) {
 		t.Fatal("dead contact not evicted")
 	}
@@ -193,7 +190,7 @@ func TestDeadContactEvictedOnTimeout(t *testing.T) {
 }
 
 func TestViewNaturallyBoundedUnderChurn(t *testing.T) {
-	// With unbounded MaxView, dead contacts are still purged as they are
+	// With an unbounded view, dead contacts are still purged as they are
 	// gossiped to, so the view tracks the alive petal.
 	f := newFixture(t, 7)
 	const n = 12
@@ -218,31 +215,6 @@ func TestViewNaturallyBoundedUnderChurn(t *testing.T) {
 		if p.g.Size() > n-1-n/2+1 { // alive peers minus self, +1 slack
 			t.Fatalf("view size %d did not shrink towards alive population", p.g.Size())
 		}
-	}
-}
-
-func TestMaxViewEvictsOldest(t *testing.T) {
-	f := newFixture(t, 8)
-	f.cfg.MaxView = 3
-	p := f.addPeer()
-	g, err := New(f.cfg, f.net, f.rng.Split("bounded"), p.nid, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	others := []*gossipPeer{f.addPeer(), f.addPeer(), f.addPeer(), f.addPeer()}
-	// Insert with increasing ages via the merge path.
-	for i, o := range others[:3] {
-		g.insert(Entry{Peer: o.nid, Age: int32(i * 2)})
-	}
-	g.insert(Entry{Peer: others[3].nid, Age: 0})
-	if g.Size() != 3 {
-		t.Fatalf("size %d, want MaxView 3", g.Size())
-	}
-	if g.Contains(others[2].nid) {
-		t.Fatal("oldest entry survived eviction")
-	}
-	if !g.Contains(others[3].nid) {
-		t.Fatal("new entry not inserted")
 	}
 }
 
@@ -306,7 +278,7 @@ func TestAgesIncreaseWithoutContact(t *testing.T) {
 	f.net.Fail(c.nid) // c will never respond but b will
 	for i := 0; i < 4; i++ {
 		a.g.Tick()
-		f.eng.Run(f.eng.Now() + f.cfg.RPCTimeout + runtime.Minute)
+		f.eng.Run(f.eng.Now() + rpcTimeout + runtime.Minute)
 	}
 	// b was shuffled with (alive): age reset; c evicted on its turn.
 	if a.g.Contains(c.nid) {

@@ -12,11 +12,9 @@ import (
 // removal, and a sample that draws a full permutation with rng.Perm.
 // TestViewMatchesMapModel runs it beside the Protocol.
 type mapView struct {
-	me          runtime.NodeID
-	maxView     int
-	shuffleSize int
-	view        []Entry
-	idx         map[runtime.NodeID]int32
+	me   runtime.NodeID
+	view []Entry
+	idx  map[runtime.NodeID]int32
 }
 
 func (v *mapView) removeAt(i int) {
@@ -48,15 +46,6 @@ func (v *mapView) insert(e Entry) {
 		}
 		return
 	}
-	if v.maxView > 0 && len(v.view) >= v.maxView {
-		oldest := 0
-		for i := range v.view {
-			if v.view[i].Age > v.view[oldest].Age {
-				oldest = i
-			}
-		}
-		v.removeAt(oldest)
-	}
 	v.idx[e.Peer] = int32(len(v.view))
 	v.view = append(v.view, e)
 }
@@ -83,12 +72,12 @@ func (v *mapView) tick() runtime.NodeID {
 }
 
 func (v *mapView) sample(rng *rnd.RNG, exclude runtime.NodeID, includeSelf bool, self any) []Entry {
-	out := make([]Entry, 0, v.shuffleSize)
+	out := make([]Entry, 0, shuffleSize)
 	if includeSelf {
 		out = append(out, Entry{Peer: v.me, Meta: self})
 	}
 	for _, i := range rng.Perm(len(v.view)) {
-		if len(out) >= v.shuffleSize {
+		if len(out) >= shuffleSize {
 			break
 		}
 		if v.view[i].Peer == exclude {
@@ -137,7 +126,7 @@ func sameEntries(a, b []Entry) bool {
 // view it replaced through the same random steps: contacts added one at
 // a time and in batches (with self, duplicates and runtime.None among
 // them), merges through HandleRequest, removals, metadata updates,
-// ticks answered or failed, MaxView evictions, and samples with the
+// ticks answered or failed, and samples with the
 // exclude in the view and out of it. Views pass 64 entries, so a sample
 // also shuffles positions beyond its stack buffer. After every step
 // both views must hold the same peers, ages and metadata in the same
@@ -149,15 +138,12 @@ func TestViewMatchesMapModel(t *testing.T) {
 	const me = runtime.NodeID(7)
 	for seed := uint64(1); seed <= seeds; seed++ {
 		rng := rnd.New(seed)
-		cfg := DefaultConfig()
-		cfg.MaxView = []int{0, 0, 12, 80}[seed%4]
-		cfg.ShuffleSize = []int{6, 1, 20}[seed%3]
 		net := &captureNet{}
-		g, err := New(cfg, net, rnd.New(0), me, modelApp{})
+		g, err := New(DefaultConfig(), net, rnd.New(0), me, modelApp{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		v := &mapView{me: me, maxView: cfg.MaxView, shuffleSize: cfg.ShuffleSize, idx: map[runtime.NodeID]int32{}}
+		v := &mapView{me: me, idx: map[runtime.NodeID]int32{}}
 		metas, peak := 0, 0
 		meta := func() any {
 			if rng.Bool(0.2) {
@@ -287,7 +273,7 @@ func TestViewMatchesMapModel(t *testing.T) {
 				}
 			}
 		}
-		if cfg.MaxView != 12 && peak <= 64 {
+		if peak <= 64 {
 			t.Fatalf("seed %d: view peaked at %d entries; the stack buffer's overflow path went untested", seed, peak)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowercdn/internal/dring"
 	"flowercdn/internal/proto"
 	_ "flowercdn/internal/protocols" // register the built-in drivers
 	"flowercdn/internal/sim"
@@ -63,13 +64,13 @@ func TestBadOptionsFailValidation(t *testing.T) {
 		func() Config {
 			c := tinyConfig()
 			c.Protocol = ProtocolSquirrel
-			c.Options = map[string]any{"directory-cap": 0}
+			c.Options = map[string]any{"query-timeout": int64(0)}
 			return c
 		}(),
 		func() Config {
 			c := tinyConfig()
 			c.Protocol = ProtocolChordGlobal
-			c.Options = map[string]any{"refresh-interval": int64(-1)}
+			c.Options = map[string]any{"keepalive-interval": int64(-1)}
 			return c
 		}(),
 	}
@@ -95,11 +96,8 @@ func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
 		{ProtocolFlower, proto.Options{"push-threshold": 2.0}, "push threshold"},
 		{ProtocolFlower, proto.Options{"cache-policy": "bogus"}, `unknown cache policy "bogus"`},
 		{ProtocolPetalUp, proto.Options{"cache-policy": "lru"}, "cache-capacity >= 1"},
-		{ProtocolSquirrel, proto.Options{"directory-cap": 0}, "directory-cap must be at least 1"},
 		{ProtocolSquirrel, proto.Options{"query-timeout": int64(0)}, "query-timeout must be positive"},
-		{ProtocolChordGlobal, proto.Options{"refresh-interval": int64(-1)}, "refresh-interval must be positive"},
-		{ProtocolChordGlobal, proto.Options{"providers-per-reply": 0}, "providers-per-reply and index-cap"},
-		{ProtocolKoordeGlobal, proto.Options{"koorde-degree-bits": 3}, "koorde"},
+		{ProtocolChordGlobal, proto.Options{"keepalive-interval": int64(-1)}, "keepalive-interval must be positive"},
 		{ProtocolKoordeGlobal, proto.Options{"cache-capacity": 4}, "without a bounding cache-policy"},
 		{ProtocolOriginOnly, proto.Options{"cache-policy": "lfu", "cache-capacity": 0}, "cache-capacity >= 1"},
 	}
@@ -125,6 +123,32 @@ func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
 		_, err := proto.New(name, proto.Env{}, nil)
 		if err == nil || !strings.Contains(err.Error(), "incomplete Env for "+name) {
 			t.Errorf("%s: New with an empty Env = %v", name, err)
+		}
+	}
+}
+
+// A D-ring position packs its locality into dring.LocalityBits, so the
+// petal protocols refuse a topology with more localities than that
+// holds — as an error from Run, before any peer claims a position —
+// and run one with exactly as many.
+func TestPetalProtocolsBoundLocalities(t *testing.T) {
+	for _, p := range []Protocol{ProtocolFlower, ProtocolPetalUp} {
+		for _, k := range []int{dring.MaxLocalities, dring.MaxLocalities + 1} {
+			cfg := tinyConfig()
+			cfg.Protocol = p
+			cfg.Topology.Localities = k
+			cfg.Population = 100
+			cfg.Duration = sim.Hour
+			cfg.Workload.Sites, cfg.Workload.ActiveSites = 2, 1
+			res, err := Run(cfg)
+			switch {
+			case k <= dring.MaxLocalities && err != nil:
+				t.Errorf("%s, %d localities: %v", p, k, err)
+			case k <= dring.MaxLocalities && res.Queries == 0:
+				t.Errorf("%s, %d localities: no queries", p, k)
+			case k > dring.MaxLocalities && (err == nil || !strings.Contains(err.Error(), "at most 256")):
+				t.Errorf("%s, %d localities: Run = %v, want an error naming the limit", p, k, err)
+			}
 		}
 	}
 }

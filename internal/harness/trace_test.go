@@ -293,7 +293,7 @@ func TestTraceLiveEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
-	srv := obs.NewServer(0)
+	srv := obs.NewServer()
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

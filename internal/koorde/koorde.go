@@ -30,27 +30,26 @@ import (
 // Config tunes the overlay.
 type Config struct {
 	// Chord configures the underlying ring substrate (maintenance
-	// cadence, successor list length, routing TTL).
+	// cadence, successor list length).
 	Chord chord.Config
-	// DegreeBits is b: each de Bruijn hop corrects b key bits, giving
-	// degree d = 2^b. The successor list should hold at least ~2^b
-	// entries or the imaginary walk pays correction hops (the pointer
-	// set spans one predecessor plus one successor list).
-	DegreeBits int
 	// FixInterval is the de Bruijn pointer refresh period.
 	FixInterval int64
 }
 
-// DefaultDegreeBits is the default b: degree 16, correcting 4 bits per
-// hop — at the repo's quick scale (~400 peers, ≈9 significant key
-// bits after the imaginary-start embedding) that is 2-3 de Bruijn hops
-// per lookup versus Chord's ~log2(n)/2 finger hops.
-const DefaultDegreeBits = 4
+// DegreeBits is b: each de Bruijn hop corrects b key bits, giving
+// degree d = 2^b = 16. At the repo's quick scale (~400 peers, ≈9
+// significant key bits after the imaginary-start embedding) that is
+// 2-3 de Bruijn hops per lookup versus Chord's ~log2(n)/2 finger hops.
+// b divides the 64-bit key width, so the imaginary walk consumes the
+// key in whole digits and never lands outside the arc the pointer set
+// covers.
+const DegreeBits = 4
 
 // DefaultConfig returns paper-churn-scale parameters layered over
 // chord.DefaultConfig. The successor list is widened to 2^b+4 entries:
 // it doubles as the tail of the de Bruijn pointer set, which must span
-// the ~2^b ring positions an imaginary hop can land across.
+// the ~2^b ring positions an imaginary hop can land across, or the
+// imaginary walk pays correction hops.
 func DefaultConfig() Config {
 	return configFrom(chord.DefaultConfig(), 40*runtime.Second)
 }
@@ -62,33 +61,15 @@ func DemoConfig() Config {
 }
 
 func configFrom(base chord.Config, fix int64) Config {
-	cfg := Config{Chord: base, DegreeBits: DefaultDegreeBits, FixInterval: fix}
-	cfg.Chord.SuccessorListLen = succListFor(cfg.DegreeBits, base.SuccessorListLen)
+	cfg := Config{Chord: base, FixInterval: fix}
+	cfg.Chord.SuccessorListLen = max(1<<DegreeBits+4, base.SuccessorListLen)
 	return cfg
-}
-
-// succListFor widens the substrate's successor list to cover one de
-// Bruijn fan-out.
-func succListFor(degreeBits, baseLen int) int {
-	want := 1<<degreeBits + 4
-	if want < baseLen {
-		return baseLen
-	}
-	return want
 }
 
 // Validate sanity-checks the configuration.
 func (c Config) Validate() error {
 	if err := c.Chord.Validate(); err != nil {
 		return fmt.Errorf("koorde: %w", err)
-	}
-	switch c.DegreeBits {
-	case 1, 2, 4, 8:
-		// The imaginary walk consumes the 64-bit key in b-bit digits;
-		// b must divide the key width or the last digit would be
-		// partial, landing outside the arc the pointer set covers.
-	default:
-		return fmt.Errorf("koorde: degree bits %d not in {1, 2, 4, 8}", c.DegreeBits)
 	}
 	if c.FixInterval <= 0 {
 		return errors.New("koorde: fix interval must be positive")
@@ -198,7 +179,7 @@ func (n *Node) Pointers() []chord.Entry {
 // DeBruijnTarget is the position whose ring predecessor anchors this
 // node's pointer set: self.ID shifted left by b bits.
 func (n *Node) DeBruijnTarget() ids.ID {
-	return ids.ID(uint64(n.ring.Self().ID) << n.cfg.DegreeBits)
+	return ids.ID(uint64(n.ring.Self().ID) << DegreeBits)
 }
 
 // Create starts a brand-new ring with this node as its only member.
@@ -295,7 +276,7 @@ func appendDistinct(set []chord.Entry, more []chord.Entry) []chord.Entry {
 // own retry.
 func (n *Node) Route(key ids.ID, payload any) {
 	self, succ := n.ring.Self(), n.ring.Successor()
-	i, kshift, bits := imaginaryStart(self.ID, succ.ID, key, n.cfg.DegreeBits)
+	i, kshift, bits := imaginaryStart(self.ID, succ.ID, key, DegreeBits)
 	n.routeStep(dbRouteMsg{
 		Key: key, I: i, KShift: kshift, BitsLeft: bits,
 		Payload: payload, Origin: self.Node,
@@ -307,7 +288,7 @@ func (n *Node) Route(key ids.ID, payload any) {
 // forwarding and arrives at the owner's OnRouted.
 func (n *Node) RouteTraced(key ids.ID, payload any, path []trace.Hop) {
 	self, succ := n.ring.Self(), n.ring.Successor()
-	i, kshift, bits := imaginaryStart(self.ID, succ.ID, key, n.cfg.DegreeBits)
+	i, kshift, bits := imaginaryStart(self.ID, succ.ID, key, DegreeBits)
 	n.routeStep(dbRouteMsg{
 		Key: key, I: i, KShift: kshift, BitsLeft: bits,
 		Payload: payload, Origin: self.Node,
@@ -370,7 +351,7 @@ func (n *Node) routeStep(m dbRouteMsg) {
 		n.deliver(m)
 		return
 	}
-	if m.Hops >= n.cfg.Chord.MaxHops {
+	if m.Hops >= chord.MaxHops {
 		return // TTL exceeded: drop; the application's retry recovers
 	}
 	self := n.ring.Self()
@@ -394,10 +375,7 @@ func (n *Node) routeStep(m dbRouteMsg) {
 		// shifted image. The cursor math is node-independent, so a stale
 		// or missing pointer only costs correction hops, never
 		// correctness.
-		s := n.cfg.DegreeBits
-		if s > m.BitsLeft {
-			s = m.BitsLeft
-		}
+		s := min(DegreeBits, m.BitsLeft)
 		m.I = ids.ID(uint64(m.I)<<s | m.KShift>>(ids.Bits-s))
 		m.KShift <<= s
 		m.BitsLeft -= s

@@ -26,28 +26,18 @@ func init() {
 		Router:        router,
 		HomeKey:       baseline.SiteHome("kg-site-%d"),
 		PushSummaries: true,
-		RedirectsKey:  "providers-per-reply",
-		CapKey:        "index-cap",
 		PeerStream:    "kg-peer-%d",
 		RingID:        "kg-peer-%d",
 		RouterStream:  "koorde",
 	})
 }
 
-// router lowers the overlay's options: chord-demo (compressed
-// maintenance timescales) and koorde-degree-bits (b: bits corrected per
-// de Bruijn hop, degree 2^b; default 4).
+// router lowers the overlay's one option: chord-demo (compressed
+// maintenance timescales).
 func router(opts proto.Options) (baseline.NewRouter, error) {
 	kc := DefaultConfig()
 	if opts.Bool("chord-demo", false) {
 		kc = DemoConfig()
-	}
-	if b := opts.Int("koorde-degree-bits", kc.DegreeBits); b != kc.DegreeBits {
-		kc.DegreeBits = b
-		kc.Chord.SuccessorListLen = succListFor(b, chord.DefaultConfig().SuccessorListLen)
-	}
-	if err := kc.Validate(); err != nil {
-		return nil, err
 	}
 	return func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (baseline.Router, error) {
 		return NewNode(kc, net, rng, app, nid, ringID)

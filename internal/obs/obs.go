@@ -36,8 +36,8 @@ import (
 	"flowercdn/internal/trace"
 )
 
-// DefaultKeepTraces is the trace ring capacity when NewServer is given
-// a non-positive keep.
+// DefaultKeepTraces is the trace ring capacity: a server retains the
+// last DefaultKeepTraces records.
 const DefaultKeepTraces = 256
 
 // Server accumulates live run state and serves it over HTTP.
@@ -63,15 +63,12 @@ type Server struct {
 	srv   *http.Server
 }
 
-// NewServer builds a server retaining the last keep traces
-// (DefaultKeepTraces when keep <= 0).
-func NewServer(keep int) *Server {
-	if keep <= 0 {
-		keep = DefaultKeepTraces
-	}
+// NewServer builds a server retaining the last DefaultKeepTraces
+// traces.
+func NewServer() *Server {
 	return &Server{
 		counters: make(map[string]float64),
-		traces:   make([]*trace.Record, 0, keep),
+		traces:   make([]*trace.Record, 0, DefaultKeepTraces),
 	}
 }
 
@@ -174,7 +171,7 @@ func (s *Server) Stop() error {
 // snapshotTraces returns the retained records, oldest first.
 func (s *Server) snapshotTraces() []*trace.Record {
 	out := make([]*trace.Record, 0, len(s.traces))
-	if len(s.traces) == cap(s.traces) && cap(s.traces) > 0 {
+	if len(s.traces) == cap(s.traces) {
 		out = append(out, s.traces[s.next:]...)
 		out = append(out, s.traces[:s.next]...)
 		return out

@@ -25,7 +25,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	s := NewServer(0)
+	s := NewServer()
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -51,7 +51,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // attached server when the run returns, and the owning process may
 // stop it again on its own shutdown path.
 func TestStopIdempotent(t *testing.T) {
-	s := NewServer(0)
+	s := NewServer()
 	addr, err := s.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestStopIdempotent(t *testing.T) {
 // Stop on a never-started server is a no-op, so harness error paths
 // can stop unconditionally.
 func TestStopBeforeStart(t *testing.T) {
-	s := NewServer(0)
+	s := NewServer()
 	if err := s.Stop(); err != nil {
 		t.Fatal(err)
 	}

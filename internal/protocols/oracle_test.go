@@ -43,24 +43,8 @@ var pinnedOracleReads = []oracleRead{
 func TestOracleReadsArePinned(t *testing.T) {
 	var got []oracleRead
 	fset := token.NewFileSet()
-	for _, pkg := range []string{"flower", "petalup", "baseline", "squirrel", "chord", "koorde", "gossip"} {
-		paths, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
-		if err != nil || len(paths) == 0 {
-			t.Fatalf("package %s: no sources (%v)", pkg, err)
-		}
-		for _, path := range paths {
-			if strings.HasSuffix(path, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := parser.ParseFile(fset, path, src, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			file := pkg + "/" + filepath.Base(path)
+	eachSource(t, fset, []string{"flower", "petalup", "baseline", "squirrel", "chord", "koorde", "gossip"},
+		func(pkg, file string, f *ast.File) {
 			for _, decl := range f.Decls {
 				fn, _ := decl.(*ast.FuncDecl)
 				ast.Inspect(decl, func(n ast.Node) bool {
@@ -97,8 +81,7 @@ func TestOracleReadsArePinned(t *testing.T) {
 					return true
 				})
 			}
-		}
-	}
+		})
 	want := slices.Clone(pinnedOracleReads)
 	for _, reads := range [][]oracleRead{got, want} {
 		slices.SortFunc(reads, func(a, b oracleRead) int {
@@ -107,6 +90,32 @@ func TestOracleReadsArePinned(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("oracle reads\n  %v\nwant exactly the pinned\n  %v", got, want)
+	}
+}
+
+// eachSource parses the non-test Go files of each named internal
+// package and hands every one to fn, with its name as pkg/file.go.
+func eachSource(t *testing.T, fset *token.FileSet, pkgs []string, fn func(pkg, file string, f *ast.File)) {
+	t.Helper()
+	for _, pkg := range pkgs {
+		paths, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(paths) == 0 {
+			t.Fatalf("package %s: no sources (%v)", pkg, err)
+		}
+		for _, path := range paths {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := parser.ParseFile(fset, path, src, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fn(pkg, pkg+"/"+filepath.Base(path), f)
+		}
 	}
 }
 

@@ -52,13 +52,6 @@ type SocketConfig struct {
 	// DefaultCodec. Every process of a group must configure the same
 	// codec — the handshake rejects mixed groups.
 	Codec string
-	// BatchBytes caps the bytes of one batch on the wire, which is what
-	// a reader buffers before it dispatches the batch's first frame
-	// (0 = backend default, 64 KiB). It is not a flush threshold: the
-	// write side holds nothing back — frames coalesce only while an
-	// earlier write is in flight — and one write may carry several
-	// batches.
-	BatchBytes int
 }
 
 // Validate checks the group description.
@@ -77,9 +70,6 @@ func (c *SocketConfig) Validate() error {
 	}
 	if !CodecRegistered(c.Codec) {
 		return fmt.Errorf("runtime: unknown codec %q (registered: %v)", c.Codec, Codecs())
-	}
-	if c.BatchBytes < 0 {
-		return fmt.Errorf("runtime: negative batch byte bound %d", c.BatchBytes)
 	}
 	return nil
 }

@@ -123,9 +123,12 @@ type Config struct {
 	ReadyTimeout time.Duration
 }
 
-// defaultBatchBytes caps one batch — what the reader must buffer before
-// it can dispatch the first frame — unless cfg.Socket.BatchBytes does.
-const defaultBatchBytes = 64 << 10
+// batchBytes caps the bytes of one batch on the wire, which is what
+// a reader buffers before it dispatches the batch's first frame. It is
+// not a flush threshold: the write side holds nothing back — frames
+// coalesce only while an earlier write is in flight — and one write may
+// carry several batches.
+const batchBytes = 64 << 10
 
 // maxPendBytes bounds the bytes queued toward one peer; a peer that
 // far behind is as good as dead (the batching-era analogue of the old
@@ -167,7 +170,7 @@ func (cn *conn) take() (out []byte, frames, batches int) {
 	finishBatch(cn.pend[cn.open:])
 	out, frames, batches = cn.pend, cn.pendFrames, cn.pendBatches+1
 	if cn.spare == nil {
-		cn.spare = make([]byte, batchHeader, defaultBatchBytes+batchHeader)
+		cn.spare = make([]byte, batchHeader, batchBytes+batchHeader)
 	}
 	cn.pend = cn.spare[:batchHeader]
 	cn.spare = nil
@@ -200,8 +203,7 @@ type Transport struct {
 	group  int
 	groups int
 
-	codec      runtime.Codec
-	batchBytes int
+	codec runtime.Codec
 
 	mu          sync.Mutex
 	clock       runtime.Clock // set once, by Bind; readers schedule drains on it
@@ -268,18 +270,12 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 		lis.Close()
 		return nil, fmt.Errorf("socknet: %w", err)
 	}
-	batchBytes := cfg.Socket.BatchBytes
-	if batchBytes <= 0 {
-		batchBytes = defaultBatchBytes
-	}
-
 	groups := cfg.Socket.Groups()
 	t := &Transport{
 		Network:    simnet.New(nil, cfg.Topo),
 		group:      cfg.Socket.Group,
 		groups:     groups,
 		codec:      codec,
-		batchBytes: batchBytes,
 		conns:      make([]*conn, groups),
 		handshakes: make(map[net.Conn]struct{}),
 		missing:    groups - 1,
@@ -456,8 +452,8 @@ func (t *Transport) register(group int, c net.Conn) {
 	}
 	cn := &conn{
 		c:     c,
-		pend:  make([]byte, batchHeader, defaultBatchBytes+batchHeader),
-		spare: make([]byte, batchHeader, defaultBatchBytes+batchHeader),
+		pend:  make([]byte, batchHeader, batchBytes+batchHeader),
+		spare: make([]byte, batchHeader, batchBytes+batchHeader),
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
@@ -673,7 +669,7 @@ func (t *Transport) writeFrame(group int, f frame) {
 		return
 	}
 	first := cn.pendFrames == 0
-	if len(cn.pend)-cn.open-batchHeader >= t.batchBytes {
+	if len(cn.pend)-cn.open-batchHeader >= batchBytes {
 		// The open batch is full: seal it where it lies and open the
 		// next behind it. One write still takes them all.
 		finishBatch(cn.pend[cn.open:])

@@ -36,13 +36,12 @@ func init() {
 		HomeKey: func(k content.Key) ids.ID {
 			return ids.Hash2(uint64(uint32(k.Site)), uint64(uint32(k.Object)))
 		},
-		// A home redirects to a single random delegate out of the ~4 it
-		// remembers (the Squirrel paper's numbers): the protocol was
-		// designed for a stable corporate LAN and has no delegate-failure
-		// recovery and no directory rebuild — exactly what the paper's
-		// churn evaluation exposes.
-		RedirectsKey: "provider-attempts",
-		CapKey:       "directory-cap",
+		// PushSummaries stays off. A home redirects to a single random
+		// delegate out of the 4 it remembers (the Squirrel paper's
+		// numbers, which the driver fixes): the protocol was designed for
+		// a stable corporate LAN and has no delegate-failure recovery and
+		// no directory rebuild — exactly what the paper's churn
+		// evaluation exposes.
 		PeerStream:   "squirrel-%d",
 		RingID:       "squirrel-peer-%d",
 		RouterStream: "chord",

@@ -1,6 +1,7 @@
 package squirrel_test
 
 import (
+	"slices"
 	"testing"
 
 	_ "flowercdn/internal/baseline" // registers chord-global
@@ -28,18 +29,15 @@ import (
 
 type protocol struct {
 	name string
-	// capKey and redirectsKey are the option names the protocol reads
-	// for delegates remembered per object and suggested per query.
-	capKey, redirectsKey string
 	// summaries: peers re-register their content with the site's home
-	// every refresh-interval.
+	// every 2 x keepalive-interval.
 	summaries bool
 }
 
 var protocols = []protocol{
-	{name: "squirrel", capKey: "directory-cap", redirectsKey: "provider-attempts"},
-	{name: "chord-global", capKey: "index-cap", redirectsKey: "providers-per-reply", summaries: true},
-	{name: "koorde-global", capKey: "index-cap", redirectsKey: "providers-per-reply", summaries: true},
+	{name: "squirrel"},
+	{name: "chord-global", summaries: true},
+	{name: "koorde-global", summaries: true},
 }
 
 func eachProtocol(t *testing.T, fn func(t *testing.T, p protocol)) {
@@ -183,19 +181,14 @@ func TestConfigValidation(t *testing.T) {
 			t.Fatalf("defaults rejected: %v", err)
 		}
 		bads := []proto.Options{
-			{p.capKey: 0},
-			{p.redirectsKey: 0},
 			{"query-timeout": int64(0)},
 			{"cache-policy": "bogus"},
 			{"cache-capacity": 8},
 		}
 		if p.summaries {
-			bads = append(bads, proto.Options{"refresh-interval": int64(-1)})
-		} else if err := proto.Check(p.name, proto.Options{"refresh-interval": int64(-1)}); err != nil {
-			t.Errorf("refresh-interval is not this protocol's key, yet: %v", err)
-		}
-		if p.name == "koorde-global" {
-			bads = append(bads, proto.Options{"koorde-degree-bits": 3})
+			bads = append(bads, proto.Options{"keepalive-interval": int64(-1)})
+		} else if err := proto.Check(p.name, proto.Options{"keepalive-interval": int64(-1)}); err != nil {
+			t.Errorf("keepalive-interval is not this protocol's key, yet: %v", err)
 		}
 		for _, opts := range bads {
 			if proto.Check(p.name, opts) == nil {
@@ -274,12 +267,12 @@ func TestFirstQueryMissesThenDelegateHit(t *testing.T) {
 // A directory lives only at its home and dies with it. Squirrel never
 // rebuilds it: the holders are known to nobody until they query again,
 // and a peer that holds an object does not. With the summary switch on,
-// every holder re-registers at the site's new home within one
-// refresh-interval, so directory hits come back.
+// every holder re-registers at the site's new home within one refresh
+// period (2 x keepalive-interval), so directory hits come back.
 func TestHomeFailureLosesDirectory(t *testing.T) {
 	const objects, refresh = 20, 10 * runtime.Minute
 	eachProtocol(t, func(t *testing.T, p protocol) {
-		f := newFixture(t, p, 3, objects, proto.Options{"refresh-interval": int64(refresh)})
+		f := newFixture(t, p, 3, objects, proto.Options{"keepalive-interval": int64(refresh / 2)})
 		for i := 0; i < bystanders; i++ {
 			f.spawn(3, nil, 30*runtime.Second)
 		}
@@ -321,7 +314,7 @@ func TestHomeFailureLosesDirectory(t *testing.T) {
 		}
 		switch got := f.hits() - before; {
 		case p.summaries && got == 0:
-			t.Fatal("no directory hit one refresh-interval after the home died: summaries did not rebuild it")
+			t.Fatal("no directory hit one refresh period after the home died: summaries did not rebuild it")
 		case !p.summaries && got != 0:
 			t.Fatalf("%d directory hits after every home died, with nothing to rebuild a directory from", got)
 		}
@@ -341,57 +334,62 @@ func TestNonActivePeersDoNotQuery(t *testing.T) {
 	})
 }
 
-// A home remembers at most the capped number of delegates per object,
-// however many registered and however many it may suggest per query.
+// A home remembers the four delegates of an object that registered
+// last and redirects a query to one of those: a delegate that
+// registered before them is forgotten, alive and holding the object as
+// it is. Every query registers its client, so the clients that fetch
+// one object in turn are its delegates in registration order.
 func TestDelegateCapBounded(t *testing.T) {
-	const objects, limit = 20, 2
+	const objects, clients, remembered = 20, 24, 4
 	eachProtocol(t, func(t *testing.T, p protocol) {
-		f := newFixture(t, p, 5, objects, proto.Options{p.capKey: limit, p.redirectsKey: 8})
+		// A summary push would register a forgotten delegate again; the
+		// first comes a random share of 2 x keepalive-interval after a
+		// join, so this one puts them all far past the test.
+		f := newFixture(t, p, 5, objects, proto.Options{"keepalive-interval": int64(1000 * runtime.Hour)})
 		for i := 0; i < bystanders; i++ {
 			f.spawn(3, nil, 30*runtime.Second)
 		}
-		// Six peers fetch object 0 of site 0, one after the other, and so
-		// register as its delegates; then all six die, leaving the home's
-		// entries stale.
-		var holders []*session
-		for i := 0; i < 6; i++ {
-			holders = append(holders, f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute))
+		for i := 0; i < clients; i++ {
+			f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute)
 		}
 		records := f.traces.Records()
-		if len(records) != len(holders) {
-			t.Fatalf("setup: %d queries from %d holders", len(records), len(holders))
+		if len(records) != clients {
+			t.Fatalf("setup: %d queries from %d clients", len(records), clients)
 		}
-		// More registered at the final home than it may remember, and it
-		// is not one of the peers about to die.
-		home := homeOf(records[len(records)-1])
-		for _, rec := range records[len(records)-limit-1:] {
-			if homeOf(rec) != home {
-				t.Fatalf("setup: the home moved from %d to %d within the last %d registrations", homeOf(rec), home, limit+1)
+		// registered holds each home's delegates of object 0, oldest
+		// first: the ring may move the home while clients join.
+		registered := map[runtime.NodeID][]runtime.NodeID{}
+		redirects, forgetting := 0, 0
+		for i, rec := range records {
+			home := homeOf(rec)
+			if home == runtime.None {
+				t.Fatalf("setup: query %d never reached a home", i)
 			}
-		}
-		for _, h := range holders {
-			if h.node == home {
-				t.Fatalf("setup: the home %d is a holder", home)
-			}
-			h.kill()
-		}
-		f.run(5 * runtime.Minute) // the ring closes over the dead
-		// A fresh client is sent to every remembered delegate in turn —
-		// each probe times out — before it falls back to the origin.
-		f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute)
-		all := f.traces.Records()
-		if len(all) != len(records)+1 {
-			t.Fatalf("client issued %d queries, want 1", len(all)-len(records))
-		}
-		probes := 0
-		for _, h := range all[len(all)-1].Hops {
-			if h.Kind == trace.HopProbe {
+			delegates := registered[home]
+			last := delegates[max(0, len(delegates)-remembered):]
+			probes := 0
+			for _, h := range rec.Hops {
+				if h.Kind != trace.HopProbe {
+					continue
+				}
 				probes++
+				if !slices.Contains(last, h.Node) {
+					t.Fatalf("query %d was redirected to %d, not one of the last %d delegates %v of the %d registered at home %d",
+						i, h.Node, remembered, last, len(delegates), home)
+				}
 			}
+			if probes > 1 {
+				t.Fatalf("query %d was redirected to %d delegates, want one: %+v", i, probes, rec.Hops)
+			}
+			redirects += probes
+			if len(delegates) > remembered {
+				forgetting++
+			}
+			registered[home] = append(delegates, rec.Client)
 		}
-		if probes != limit {
-			t.Fatalf("client probed %d delegates of the %d that registered, want the cap %d: %+v",
-				probes, len(holders), limit, all[len(all)-1].Hops)
+		if forgetting < clients/2 || redirects < clients/2 {
+			t.Fatalf("setup: %d of %d queries reached a home with forgotten delegates, %d were redirected",
+				forgetting, clients, redirects)
 		}
 	})
 }

@@ -44,27 +44,28 @@ type Placement struct {
 type Config struct {
 	// Localities is k, the number of landmark clusters (paper: 6).
 	Localities int
-	// ClusterStdDev is the standard deviation of the Gaussian noise
-	// around a landmark, in unit-square units.
-	ClusterStdDev float64
 	// MinLatency and MaxLatency clamp one-way link latency (paper:
 	// 10–500 ms).
 	MinLatency, MaxLatency int64
-	// LatencyScale converts unit-square distance to milliseconds.
-	LatencyScale float64
 }
 
+const (
+	// clusterStdDev is the standard deviation of the Gaussian noise
+	// around a landmark, in unit-square units.
+	clusterStdDev = 0.05
+	// latencyScale converts unit-square distance to milliseconds. It is
+	// chosen so that intra-locality latencies mostly fall well under
+	// 100 ms while cross-locality pairs span roughly 100–500 ms.
+	latencyScale = 330
+)
+
 // DefaultConfig reproduces the paper's Table 1 network: latencies in
-// [10, 500] ms and k = 6 localities. The scale is chosen so that
-// intra-locality latencies mostly fall well under 100 ms while
-// cross-locality pairs span roughly 100–500 ms.
+// [10, 500] ms and k = 6 localities.
 func DefaultConfig() Config {
 	return Config{
-		Localities:    6,
-		ClusterStdDev: 0.05,
-		MinLatency:    10,
-		MaxLatency:    500,
-		LatencyScale:  330,
+		Localities: 6,
+		MinLatency: 10,
+		MaxLatency: 500,
 	}
 }
 
@@ -85,9 +86,6 @@ func New(cfg Config, rng *rnd.RNG) (*Topology, error) {
 	}
 	if cfg.MinLatency < 0 || cfg.MaxLatency < cfg.MinLatency {
 		return nil, fmt.Errorf("topology: invalid latency bounds [%d, %d]", cfg.MinLatency, cfg.MaxLatency)
-	}
-	if cfg.LatencyScale <= 0 {
-		return nil, fmt.Errorf("topology: latency scale must be positive, got %g", cfg.LatencyScale)
 	}
 	t := &Topology{cfg: cfg}
 	t.landmarks = layoutLandmarks(cfg.Localities, rng)
@@ -156,8 +154,8 @@ func (t *Topology) PlaceAt(l Locality, rng *rnd.RNG) Placement {
 	}
 	lm := t.landmarks[l]
 	p := Point{
-		X: clamp01(rng.Norm(lm.X, t.cfg.ClusterStdDev)),
-		Y: clamp01(rng.Norm(lm.Y, t.cfg.ClusterStdDev)),
+		X: clamp01(rng.Norm(lm.X, clusterStdDev)),
+		Y: clamp01(rng.Norm(lm.Y, clusterStdDev)),
 	}
 	return Placement{Pos: p, Loc: t.LocalityOf(p)}
 }
@@ -178,7 +176,7 @@ func (t *Topology) LocalityOf(p Point) Locality {
 // Euclidean distance clamped into [MinLatency, MaxLatency].
 func (t *Topology) Latency(a, b Point) int64 {
 	d := a.Dist(b)
-	ms := int64(math.Round(float64(t.cfg.MinLatency) + d*t.cfg.LatencyScale))
+	ms := int64(math.Round(float64(t.cfg.MinLatency) + d*latencyScale))
 	if ms < t.cfg.MinLatency {
 		ms = t.cfg.MinLatency
 	}

@@ -19,10 +19,9 @@ func newTestTopo(t *testing.T) *Topology {
 func TestNewValidation(t *testing.T) {
 	rng := rnd.New(1)
 	cases := []Config{
-		{Localities: 0, MinLatency: 10, MaxLatency: 500, LatencyScale: 300},
-		{Localities: 6, MinLatency: -1, MaxLatency: 500, LatencyScale: 300},
-		{Localities: 6, MinLatency: 100, MaxLatency: 50, LatencyScale: 300},
-		{Localities: 6, MinLatency: 10, MaxLatency: 500, LatencyScale: 0},
+		{Localities: 0, MinLatency: 10, MaxLatency: 500},
+		{Localities: 6, MinLatency: -1, MaxLatency: 500},
+		{Localities: 6, MinLatency: 100, MaxLatency: 50},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg, rng); err == nil {
