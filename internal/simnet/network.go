@@ -306,9 +306,17 @@ func (r *rpcState) deliverResp() {
 	n.lock()
 	r.refs--
 	if r.cb == nil {
-		// Served for another process: the reply crosses back to it.
+		// Served for another process: the reply leaves for it here, and
+		// is accounted here (see Serve).
 		id, to, resp, err := r.id, r.from, r.resp, r.err
 		r.maybeRecycle()
+		n.stats.MessagesSent++
+		n.stats.BytesSent += uint64(messageBytes(resp))
+		if n.lost() {
+			n.stats.MessagesDropped++
+			n.unlock()
+			return
+		}
 		n.unlock()
 		n.remote.Respond(id, to, resp, err)
 		return
@@ -337,14 +345,25 @@ func (r *rpcState) reply(resp any, err error) {
 // Serve runs the request another process's node `from` sent under id to
 // `to`, a node this process owns, and sends the reply back through the
 // Remote: the request and response legs of a local RPC, without the
-// deadline, which stays with the requester.
+// deadline, which stays with the requester. It takes the lock once, up
+// to the handler; the reply's record is its alone until the response
+// leg fires, and deliverResp accounts for the reply as it leaves —
+// its loss drawn and its bytes counted there, not as the handler
+// returns.
 func (n *Network) Serve(id uint64, from, to runtime.NodeID, req any) {
 	n.lock()
+	h := n.receiver(to)
+	if h == nil {
+		n.unlock()
+		return
+	}
 	r := n.getRPC()
-	r.from, r.to, r.req, r.id = from, to, req, id
-	r.refs = 1
+	r.from, r.to, r.id = from, to, id
+	r.refs = 1 // the response leg
+	delay := n.latency(to, from)
 	n.unlock()
-	r.deliverReq()
+	r.resp, r.err = h.HandleRequest(from, req)
+	n.clock.Schedule(delay, r.onRespond).Release()
 }
 
 // Resolve completes the request this process sent another under id

@@ -31,7 +31,9 @@ func (h pongHandler) HandleRequest(runtime.NodeID, any) (any, error) { return h.
 // inbound frames queue in two slices the transport keeps, and the timers
 // a round trip schedules (its deadline, a leg each way, its share of the
 // drains) are released to the clocks, which recycle them; while each
-// was an object this read three.
+// was an object this read three. Once the loop is over, both clocks
+// hold as many timers as before it: a reply's deadline leaves the queue
+// as the reply cancels it.
 func TestRequestRoundTripAllocs(t *testing.T) {
 	trs := newMesh(t, 2, 1, 0, 0, "binary")
 	a, b := trs[0], trs[1]
@@ -81,11 +83,12 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 		}
 		issue()
 	}
+	pending := [2]int{clocks[0].Pending(), clocks[1].Pending()}
 	clocks[0].Schedule(0, func() {
 		for i := 0; i < inFlight; i++ {
 			issue()
 		}
-	})
+	}).Release()
 	select {
 	case <-finished:
 	case <-time.After(60 * time.Second):
@@ -93,6 +96,14 @@ func TestRequestRoundTripAllocs(t *testing.T) {
 	}
 	if failed != 0 {
 		t.Fatalf("%d of %d requests failed", failed, warm+rounds)
+	}
+	// Every reply has come back, so every deadline is cancelled and every
+	// leg has fired: the queues are as they were, not 4 s of deadlines
+	// deep.
+	for i, c := range clocks {
+		if got := c.Pending(); got != pending[i] {
+			t.Errorf("clock %d holds %d timers after the closed loop, %d before it", i, got, pending[i])
+		}
 	}
 	perOp := float64(after.Mallocs-before.Mallocs) / rounds
 	t.Logf("%.2f objects, %.1f bytes per round trip", perOp, float64(after.TotalAlloc-before.TotalAlloc)/rounds)

@@ -50,6 +50,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flowercdn/internal/rnd"
@@ -151,19 +152,24 @@ type conn struct {
 	spare       []byte // previous pend buffer, recycled by the writer
 	pendBatches int    // sealed batches in pend
 	pendFrames  int
-	pendMsgs    int  // message-bearing frames pending (drop accounting)
-	dead        bool // connBroken has run: pend takes no more frames
+	pendMsgs    int    // message-bearing frames pending (drop accounting)
+	dead        bool   // connBroken has run: pend takes no more frames
+	scratch     []byte // writeFrame's encode buffer
 
 	kick     chan struct{} // cap 1: pend went from empty to not
 	stop     chan struct{}
 	stopOnce sync.Once
 }
 
-// take closes the open batch and swaps pend out for writing (no frames
-// if empty).
-func (cn *conn) take() (out []byte, frames, batches int) {
+// take recycles written, the buffer the writer has just written, if it
+// is not nil; then it closes the open batch and swaps pend out for
+// writing (no frames if empty).
+func (cn *conn) take(written []byte) (out []byte, frames, batches int) {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
+	if written != nil && cn.spare == nil {
+		cn.spare = written[:batchHeader]
+	}
 	if cn.pendFrames == 0 {
 		return nil, 0, 0
 	}
@@ -191,9 +197,20 @@ const writeDeadline = 10 * time.Second
 // Transport implements runtime.Transport (and runtime.Bus) over the
 // mesh: the embedded simnet.Network is the node table, the latency and
 // loss model and the delivery and RPC records; the rest is the wire.
-// The network locks its own bookkeeping, mu the wire's, and neither is
-// held while the other is taken or while a handler runs. Handlers and
-// callbacks only ever run on the wall-clock goroutine.
+// Handlers and callbacks only ever run on the wall-clock goroutine.
+//
+// Three kinds of lock, each taken at most once per leg:
+//   - the network's guards its own bookkeeping;
+//   - mu guards the wire's: the counters the reader and writer
+//     goroutines keep, the inbound queue, the subscribers, and mesh
+//     formation and shutdown;
+//   - each conn's mu guards its pending batches.
+//
+// conns is atomic, so writeFrame, once per outbound frame, takes only
+// its conn's lock, and a drain takes mu once per batch of frames. No
+// lock is held while a handler runs, the network's is never held with
+// either of the others, and a conn's is taken under mu only by
+// connBroken.
 var _ runtime.Transport = (*Transport)(nil)
 var _ runtime.Bus = (*Transport)(nil)
 
@@ -210,9 +227,9 @@ type Transport struct {
 	wire        WireStats
 	dropped     uint64 // messages whose frame died with its connection
 	subs        []func(msg any)
-	conns       []*conn               // indexed by group; nil = self or down
-	handshakes  map[net.Conn]struct{} // accepted conns still reading hello
-	missing     int                   // groups not yet connected
+	conns       []atomic.Pointer[conn] // indexed by group; nil = self or down
+	handshakes  map[net.Conn]struct{}  // accepted conns still reading hello
+	missing     int                    // groups not yet connected
 	readyCh     chan struct{}
 	readyClosed bool
 	handErr     error // first handshake error, surfaced by Dial
@@ -221,12 +238,13 @@ type Transport struct {
 	// inbound is the read side's group commit: the deliverable frames
 	// the readers have decoded and the run loop has not taken yet, in
 	// arrival order (before Bind they wait here for the clock). draining
-	// says a drain is scheduled and has not swapped inbound out yet;
-	// inboundSpare is the slice the last drain emptied.
-	inbound      []frame
-	inboundSpare []frame
-	draining     bool
-	drainFn      func() // t.drain, bound once
+	// says a drain is scheduled and has not swapped inbound out yet.
+	inbound  []frame
+	draining bool
+	// drained is the slice the last drain emptied; only drains, on the
+	// run loop, touch it.
+	drained []frame
+	drainFn func() // t.drain, bound once
 
 	lis net.Listener
 	wg  sync.WaitGroup
@@ -276,7 +294,7 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 		group:      cfg.Socket.Group,
 		groups:     groups,
 		codec:      codec,
-		conns:      make([]*conn, groups),
+		conns:      make([]atomic.Pointer[conn], groups),
 		handshakes: make(map[net.Conn]struct{}),
 		missing:    groups - 1,
 		readyCh:    make(chan struct{}),
@@ -445,7 +463,7 @@ func (t *Transport) dialPeer(group int, addr string, timeout time.Duration) {
 // writer.
 func (t *Transport) register(group int, c net.Conn) {
 	t.mu.Lock()
-	if t.closed || t.conns[group] != nil {
+	if t.closed || t.conns[group].Load() != nil {
 		t.mu.Unlock()
 		c.Close()
 		return
@@ -457,7 +475,7 @@ func (t *Transport) register(group int, c net.Conn) {
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 	}
-	t.conns[group] = cn
+	t.conns[group].Store(cn)
 	t.missing--
 	if t.missing == 0 && !t.readyClosed {
 		t.readyClosed = true
@@ -475,8 +493,10 @@ func (t *Transport) register(group int, c net.Conn) {
 // transport shuts it down.
 func (t *Transport) writeLoop(group int, cn *conn) {
 	defer t.wg.Done()
+	var written []byte
 	for {
-		out, frames, batches := cn.take()
+		out, frames, batches := cn.take(written)
+		written = out
 		if frames == 0 {
 			select {
 			case <-cn.stop:
@@ -495,11 +515,6 @@ func (t *Transport) writeLoop(group int, cn *conn) {
 		t.wire.FramesSent += uint64(frames)
 		t.wire.BytesSent += uint64(len(out))
 		t.mu.Unlock()
-		cn.mu.Lock()
-		if cn.spare == nil {
-			cn.spare = out[:batchHeader] // recycle for the next swap
-		}
-		cn.mu.Unlock()
 	}
 }
 
@@ -527,20 +542,19 @@ func (t *Transport) isClosed() bool {
 // the readers have gathered since the last drain and delivers them in
 // arrival order — wire order per connection. Two slices serve a
 // transport for life: the readers fill one while the run loop works
-// through the other.
+// through the other, which it keeps, emptied, for the next swap — so a
+// drain takes mu once.
 func (t *Transport) drain() {
 	t.mu.Lock()
 	frames := t.inbound
-	t.inbound, t.inboundSpare = t.inboundSpare, nil
+	t.inbound, t.drained = t.drained, nil
 	t.draining = false
 	t.mu.Unlock()
 	for i := range frames {
 		t.deliver(&frames[i])
 	}
 	clear(frames) // release the payloads
-	t.mu.Lock()
-	t.inboundSpare = frames[:0]
-	t.mu.Unlock()
+	t.drained = frames[:0]
 }
 
 // readLoop slices batches off one connection until it breaks. Join and
@@ -602,8 +616,7 @@ func (t *Transport) readLoop(group int, cn *conn) {
 // Sent = Delivered + Dropped reconciliation survives a peer's death.
 func (t *Transport) connBroken(group int) {
 	t.mu.Lock()
-	cn := t.conns[group]
-	t.conns[group] = nil
+	cn := t.conns[group].Swap(nil)
 	broke := cn != nil && !t.closed
 	if broke {
 		t.wire.BrokenConns++
@@ -624,44 +637,35 @@ func (t *Transport) connBroken(group int) {
 	}
 }
 
-// framePool recycles per-frame encode scratch buffers, so the steady
-// state allocates nothing on the encode path.
-var framePool = sync.Pool{New: func() any { return &frameScratch{} }}
-
-type frameScratch struct{ b []byte }
-
 // writeFrame serializes f into one group's pending batch and, if that
-// was empty, wakes its writer. Encode failures are programming bugs (an
-// unregistered or unmarshallable wire type) and panic with the
-// offending type. Frames toward a group whose connection is down — or
-// whose pending batch has grown past maxPendBytes, meaning the peer is
-// hopelessly behind — are dropped; message-bearing kinds also count as
-// MessagesDropped, so the Sent = Delivered + Dropped reconciliation the
-// other backends satisfy survives a peer's death here too.
+// was empty, wakes its writer. It takes no lock but the connection's,
+// and encodes into the connection's scratch buffer under it. Encode
+// failures are programming bugs (an unregistered or unmarshallable
+// wire type) and panic with the offending type. Frames toward a group
+// whose connection is down — or whose pending batch has grown past
+// maxPendBytes, meaning the peer is hopelessly behind — are dropped;
+// message-bearing kinds also count as MessagesDropped, so the Sent =
+// Delivered + Dropped reconciliation the other backends satisfy
+// survives a peer's death here too.
 func (t *Transport) writeFrame(group int, f frame) {
-	fs := framePool.Get().(*frameScratch)
-	b, err := appendFrame(fs.b[:0], f, t.codec)
-	if err != nil {
-		panic(fmt.Sprintf("socknet: cannot encode frame payload %T — is the type missing a runtime.RegisterWireType or a runtime.WireMessage implementation? (%v)", f.Payload, err))
-	}
-	fs.b = b
-	t.mu.Lock()
-	cn := t.conns[group]
+	cn := t.conns[group].Load()
 	if cn == nil {
-		t.dropFrameLocked(f)
-		t.mu.Unlock()
-		framePool.Put(fs)
+		if _, err := appendFrame(nil, f, t.codec); err != nil {
+			panic(encodePanic(f, err))
+		}
+		t.dropFrame(f)
 		return
 	}
-	t.mu.Unlock()
-
 	cn.mu.Lock()
+	b, err := appendFrame(cn.scratch[:0], f, t.codec)
+	if err != nil {
+		cn.mu.Unlock()
+		panic(encodePanic(f, err))
+	}
+	cn.scratch = b
 	if cn.dead || len(cn.pend)+len(b) > maxPendBytes {
 		cn.mu.Unlock()
-		framePool.Put(fs)
-		t.mu.Lock()
-		t.dropFrameLocked(f)
-		t.mu.Unlock()
+		t.dropFrame(f)
 		// maxPendBytes behind: the peer is stalled beyond our tolerance.
 		// Cut it loose like a write timeout would (no-op if it broke as
 		// this frame was on its way here).
@@ -684,7 +688,6 @@ func (t *Transport) writeFrame(group int, f frame) {
 		cn.pendMsgs++
 	}
 	cn.mu.Unlock()
-	framePool.Put(fs)
 
 	if first {
 		select {
@@ -694,16 +697,22 @@ func (t *Transport) writeFrame(group int, f frame) {
 	}
 }
 
-// dropFrameLocked accounts one undeliverable frame (mu held). Send,
-// request and response frames carry a protocol message, so their loss
-// is a message drop; join/fail/announce are control plane and count
-// only as wire-level drops.
-func (t *Transport) dropFrameLocked(f frame) {
+func encodePanic(f frame, err error) string {
+	return fmt.Sprintf("socknet: cannot encode frame payload %T — is the type missing a runtime.RegisterWireType or a runtime.WireMessage implementation? (%v)", f.Payload, err)
+}
+
+// dropFrame accounts one undeliverable frame. Send, request and
+// response frames carry a protocol message, so their loss is a message
+// drop; join/fail/announce are control plane and count only as
+// wire-level drops.
+func (t *Transport) dropFrame(f frame) {
+	t.mu.Lock()
 	t.wire.FramesDropped++
 	switch f.Kind {
 	case frameSend, frameRequest, frameResponse:
 		t.dropped++
 	}
+	t.mu.Unlock()
 }
 
 // broadcast writes one frame to every connected group.
@@ -812,7 +821,9 @@ func (t *Transport) Close() error {
 	}
 	t.closed = true
 	conns := make([]*conn, len(t.conns))
-	copy(conns, t.conns)
+	for g := range t.conns {
+		conns[g] = t.conns[g].Load()
+	}
 	pendingHs := make([]net.Conn, 0, len(t.handshakes))
 	for c := range t.handshakes {
 		pendingHs = append(pendingHs, c)

@@ -10,168 +10,124 @@
 // goroutines hand deliveries to the loop through Schedule — but
 // callbacks only ever execute inside Run, one at a time.
 //
+// The queue is internal/sim's hierarchical timing wheel — 8 levels of
+// 256 one-millisecond slots — with a back link in every timer, so that
+// Schedule, the loop's pop and Cancel are all O(1) with no comparison
+// between timers, and Cancel still unlinks at once: the queue holds
+// live timers only, as an RPC transport that cancels a 5 s deadline per
+// call needs. Run sleeps until the first deadline, or until the start of
+// the slot that holds it when that slot has yet to be refiled.
+//
 // Timer records are recycled only on request, as on the engine: a
 // handle the caller keeps is never reused; one given back with Release
-// goes on the clock's free list as soon as it is out of the heap — at
-// once if it has fired or been cancelled (Cancel unlinks immediately),
-// otherwise when Run pops it — and the next Schedule takes it. The
-// transports release every timer they schedule and a ticker releases
-// each firing's, so a steady stream of deliveries, RPC deadlines and
-// ticks allocates no timers.
+// is recycled as soon as it is out of the wheel — at once if it has
+// fired or been cancelled, otherwise when Run pops it — and the next
+// Schedule takes it. Release itself takes no lock: it marks a queued
+// timer for Run to free, and pushes one already out onto an atomic
+// stack that Schedule drains. The transports release every timer they
+// schedule and a ticker releases each firing's, so a steady stream of
+// deliveries, RPC deadlines and ticks allocates no timers.
 package wallclock
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"flowercdn/internal/runtime"
 )
 
-// timer is the one-shot timer handle. Its state is guarded by the
-// owning clock's mutex so Cancel is safe from any goroutine, even
-// though callbacks only ever run on the loop.
+// timer is the one-shot timer handle. Its deadline, callback and
+// links are guarded by the owning clock's mutex, so Cancel is safe from
+// any goroutine, even though callbacks only ever run on the loop; its
+// state is atomic, so that Fired, Cancelled and Release take no lock.
 type timer struct {
-	c         *Clock
-	when      int64
-	seq       uint64
-	fn        func()
-	pos       int // index in the clock's heap; meaningless once fired or cancelled
-	fired     bool
-	cancelled bool
-	released  bool
+	c          *Clock
+	when       int64
+	seq        uint64 // scheduling order, which the wheel keeps without reading it; the order tests read it
+	fn         func()
+	next, prev *timer        // neighbours in the wheel slot; next also links the free lists
+	state      atomic.Uint32 // timerFired, timerCancelled, timerReleased
 }
 
-// Cancel takes a queued timer out of the heap at once, so the queue
+// A timer's state bits. Fired and cancelled are set under the clock's
+// mutex, at most one of them, as the timer leaves the queue; released is
+// set by Release, with no lock.
+const (
+	timerFired = 1 << iota
+	timerCancelled
+	timerReleased
+)
+
+// Cancel takes a queued timer out of the wheel at once, so the queue
 // never holds dead deadlines: RPC timeouts are scheduled seconds ahead
 // and nearly all of them are cancelled microseconds later.
 func (t *timer) Cancel() bool {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	if t.cancelled || t.fired {
+	c := t.c
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.state.Load()&(timerFired|timerCancelled) != 0 {
 		return false
 	}
-	t.cancelled = true
+	c.queue.remove(t)
 	t.fn = nil
-	t.c.queue.remove(t.pos)
+	t.state.Or(timerCancelled) // after the unlink: a Release that sees it may reuse t.next
 	return true
 }
 
-func (t *timer) Fired() bool {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	return t.fired
-}
+func (t *timer) Fired() bool { return t.state.Load()&timerFired != 0 }
 
-func (t *timer) Cancelled() bool {
-	t.c.mu.Lock()
-	defer t.c.mu.Unlock()
-	return t.cancelled
-}
+func (t *timer) Cancelled() bool { return t.state.Load()&timerCancelled != 0 }
 
 func (t *timer) When() int64 { return t.when }
 
-// Release gives the handle up; see runtime.Timer. A timer already out
-// of the heap is recycled here, a queued one when Run pops it.
+// Release gives the handle up; see runtime.Timer. Whichever of Release
+// and the timer's leaving the queue comes second recycles the record:
+// a queued timer is only marked here, and Run frees it as it pops it;
+// one that has already fired or been cancelled goes on the clock's
+// released stack, without the lock. A second Release is a no-op.
 func (t *timer) Release() {
-	c := t.c
-	c.mu.Lock()
-	t.released = true
-	if t.fired || t.cancelled {
-		c.free = append(c.free, t)
-	}
-	c.mu.Unlock()
-}
-
-// timerHeap is a binary min-heap on (when, seq) — the engine's event
-// order, so same-deadline timers fire in schedule order — in which
-// every timer knows its index.
-type timerHeap []*timer
-
-func (t *timer) before(u *timer) bool {
-	if t.when != u.when {
-		return t.when < u.when
-	}
-	return t.seq < u.seq
-}
-
-func (q timerHeap) set(i int, t *timer) {
-	q[i] = t
-	t.pos = i
-}
-
-// up moves t from the hole at i toward the root; down toward the leaves.
-func (q timerHeap) up(i int, t *timer) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !t.before(q[parent]) {
-			break
-		}
-		q.set(i, q[parent])
-		i = parent
-	}
-	q.set(i, t)
-}
-
-func (q timerHeap) down(i int, t *timer) {
-	for {
-		child := 2*i + 1
-		if child >= len(q) {
-			break
-		}
-		if child+1 < len(q) && q[child+1].before(q[child]) {
-			child++
-		}
-		if !q[child].before(t) {
-			break
-		}
-		q.set(i, q[child])
-		i = child
-	}
-	q.set(i, t)
-}
-
-func (q *timerHeap) push(t *timer) {
-	*q = append(*q, t)
-	q.up(len(*q)-1, t)
-}
-
-// remove takes out the timer at index i, filling the hole with the
-// last one.
-func (q *timerHeap) remove(i int) {
-	old := *q
-	last := old[len(old)-1]
-	old[len(old)-1] = nil
-	*q = old[:len(old)-1]
-	if i == len(*q) {
+	old := t.state.Or(timerReleased)
+	if old&timerReleased != 0 || old&(timerFired|timerCancelled) == 0 {
 		return
 	}
-	if i > 0 && last.before((*q)[(i-1)/2]) {
-		q.up(i, last)
-	} else {
-		q.down(i, last)
+	c := t.c
+	for {
+		top := c.released.Load()
+		t.next = top
+		if c.released.CompareAndSwap(top, t) {
+			return
+		}
 	}
 }
 
 // Clock is the wall-clock implementation of runtime.Clock. Time is
 // int64 milliseconds since the clock was created; live deadlines are
-// kept in a heap and executed by Run — the single run loop — when the
-// wall clock reaches them. Scheduling is safe from any goroutine;
-// callbacks run only on the goroutine inside Run, one at a time.
+// kept in a timing wheel and executed by Run — the single run loop —
+// when the wall clock reaches them. Scheduling is safe from any
+// goroutine; callbacks run only on the goroutine inside Run, one at a
+// time.
 type Clock struct {
 	mu        sync.Mutex
 	start     time.Time
-	queue     timerHeap
-	free      []*timer // released and out of the heap: at takes from here first
+	queue     wheel
+	free      *timer // released and out of the wheel, through next: at takes from here first
 	seq       uint64
 	processed uint64
 	stopped   bool
+	// released is a stack, through next, of the timers Release gave back
+	// after they had left the wheel; at moves it to free when free runs
+	// dry.
+	released atomic.Pointer[timer]
 	// reached is the latest clock reading Run has acted on. No timer is
 	// filed before it, so one scheduled with a reading taken just before
 	// cannot sort ahead of timers that have already fired.
 	reached int64
-	// sleeping is set while Run waits for the next deadline; only then
-	// does a new earliest deadline need to send on wake. Stop sends too.
+	// sleeping is set while Run waits for wakeAt, the next deadline or a
+	// time before it; only a deadline earlier than that needs to send on
+	// wake. Stop sends too.
 	sleeping bool
+	wakeAt   int64
 	wake     chan struct{}
 }
 
@@ -201,17 +157,24 @@ func (c *Clock) at(t, now int64, fn func()) *timer {
 		panic("wallclock: At called with nil function")
 	}
 	c.mu.Lock()
+	if c.queue.n == 0 {
+		c.queue.base = c.reached // an empty wheel may start anywhere not ahead of a deadline
+	}
 	t = max(t, now, c.reached)
 	c.seq++
-	var tm *timer
-	if n := len(c.free); n > 0 {
-		tm, c.free = c.free[n-1], c.free[:n-1]
-	} else {
-		tm = new(timer)
+	tm := c.free
+	if tm == nil {
+		tm = c.released.Swap(nil)
 	}
-	*tm = timer{c: c, when: t, seq: c.seq, fn: fn}
+	if tm != nil {
+		c.free = tm.next
+		tm.state.Store(0)
+	} else {
+		tm = &timer{c: c}
+	}
+	tm.when, tm.seq, tm.fn = t, c.seq, fn
 	c.queue.push(tm)
-	wake := c.sleeping && tm.pos == 0
+	wake := c.sleeping && t < c.wakeAt
 	c.mu.Unlock()
 	if wake {
 		c.kick()
@@ -318,7 +281,7 @@ func (c *Clock) Processed() uint64 {
 func (c *Clock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.queue)
+	return c.queue.n
 }
 
 // Run is the run loop: it executes due timers in (deadline, seq) order,
@@ -340,14 +303,15 @@ func (c *Clock) Run(until int64) uint64 {
 		c.mu.Lock()
 		c.reached = now
 		c.sleeping = false
-		for !c.stopped && len(c.queue) > 0 && c.queue[0].when <= due {
-			t := c.queue[0]
-			c.queue.remove(0)
-			t.fired = true
+		for !c.stopped {
+			t := c.queue.next(due)
+			if t == nil {
+				break
+			}
 			fn := t.fn
 			t.fn = nil
-			if t.released {
-				c.free = append(c.free, t)
+			if t.state.Or(timerFired)&timerReleased != 0 {
+				t.next, c.free = c.free, t
 			}
 			c.processed++
 			c.mu.Unlock()
@@ -369,11 +333,14 @@ func (c *Clock) Run(until int64) uint64 {
 			c.mu.Unlock()
 			return executed
 		}
+		// Sleep until the first deadline, or until the start of the slot
+		// that holds it if that slot is above level 0: at worst the loop
+		// wakes to refile it and sleeps again.
 		target := until
-		if len(c.queue) > 0 && c.queue[0].when < target {
-			target = c.queue[0].when
+		if _, _, first, ok := c.queue.ahead(); ok && first < target {
+			target = first
 		}
-		c.sleeping = true
+		c.sleeping, c.wakeAt = true, target
 		c.mu.Unlock()
 		idle.Reset(time.Duration(target-now) * time.Millisecond)
 		select {

@@ -2,6 +2,8 @@ package wallclock
 
 import (
 	"testing"
+
+	"flowercdn/internal/runtime"
 )
 
 // TestTimerOrdering checks that same-deadline timers fire in schedule
@@ -84,5 +86,34 @@ func TestStopInterruptsRun(t *testing.T) {
 	c.Run(60)
 	if c.Pending() != 1 {
 		t.Fatalf("pending %d after Stop, want 1", c.Pending())
+	}
+}
+
+// TestSecondReleaseIsANoOp: releasing a fired or cancelled timer twice
+// frees its record once, so the next two timers get two records and
+// both callbacks run.
+func TestSecondReleaseIsANoOp(t *testing.T) {
+	c := NewClock()
+	fired := c.Schedule(0, func() {})
+	c.Run(c.Now())
+	cancelled := c.Schedule(1000, func() {})
+	cancelled.Cancel()
+	for _, tm := range []runtime.Timer{fired, cancelled} {
+		tm.Release()
+		tm.Release()
+	}
+	if n := freeRecords(c); n != 2 {
+		t.Fatalf("%d free records after releasing two timers twice each; want 2", n)
+	}
+	ran := 0
+	a := c.Schedule(0, func() { ran++ })
+	b := c.Schedule(0, func() { ran++ })
+	c2 := c.Schedule(0, func() { ran++ })
+	if a == b || b == c2 || a == c2 {
+		t.Fatal("two live timers share one record")
+	}
+	c.Run(c.Now())
+	if ran != 3 {
+		t.Fatalf("%d of 3 callbacks ran", ran)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"flowercdn/internal/runtime"
 )
@@ -54,33 +55,69 @@ func (h *handOuts) adopt(t *testing.T, tm *timer, r *rec) {
 	h.tenant[tm] = r
 }
 
-// checkFree looks at the clock's free list: a free record is a released
-// one, out of the heap and listed once.
+// checkFree looks at the clock's wheel and free lists. Every queued
+// timer sits in the slot its deadline and the wheel's base assign it,
+// linked both ways, in scheduling order, with the slot's occupied bit
+// set, and the wheel counts them. A free record — on the free list or
+// the released stack — is a released one, fired or cancelled, out of
+// the wheel and listed once.
 func checkFree(c *Clock) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seen := map[*timer]bool{}
-	for _, tm := range c.free {
-		switch {
-		case seen[tm]:
-			return fmt.Errorf("timer (when %d, seq %d) is on the free list twice", tm.when, tm.seq)
-		case tm.pos < len(c.queue) && c.queue[tm.pos] == tm:
-			return fmt.Errorf("timer (when %d, seq %d) is on the free list while in the heap", tm.when, tm.seq)
-		case !tm.released:
-			return fmt.Errorf("timer (when %d, seq %d) is on the free list, its handle was never released", tm.when, tm.seq)
+	w := &c.queue
+	queued := map[*timer]bool{}
+	for l := range w.slots {
+		for i := range w.slots[l] {
+			s := &w.slots[l][i]
+			if occ := w.occupied[l][i/64]>>(i%64)&1 == 1; occ != (s.head != nil) {
+				return fmt.Errorf("slot %d of level %d: occupied bit %v, head %p", i, l, occ, s.head)
+			}
+			var prev *timer
+			for tm := s.head; tm != nil; prev, tm = tm, tm.next {
+				if tm.prev != prev {
+					return fmt.Errorf("timer (when %d, seq %d) has a broken back link", tm.when, tm.seq)
+				}
+				if gl, gi := w.slotOf(tm); gl != l || gi != uint(i) {
+					return fmt.Errorf("timer (when %d, seq %d) is in slot %d of level %d, base %d assigns slot %d of level %d", tm.when, tm.seq, i, l, w.base, gi, gl)
+				}
+				if prev != nil && prev.seq > tm.seq {
+					return fmt.Errorf("slot %d of level %d holds seq %d before seq %d", i, l, prev.seq, tm.seq)
+				}
+				if tm.state.Load()&(timerFired|timerCancelled) != 0 {
+					return fmt.Errorf("timer (when %d, seq %d) is queued, fired or cancelled", tm.when, tm.seq)
+				}
+				queued[tm] = true
+			}
+			if s.tail != prev {
+				return fmt.Errorf("slot %d of level %d: tail is not the last timer", i, l)
+			}
 		}
-		seen[tm] = true
+	}
+	if len(queued) != w.n {
+		return fmt.Errorf("the wheel counts %d timers, its slots hold %d", w.n, len(queued))
+	}
+	seen := map[*timer]bool{}
+	for _, list := range []*timer{c.free, c.released.Load()} {
+		for tm := list; tm != nil; tm = tm.next {
+			st := tm.state.Load()
+			switch {
+			case seen[tm]:
+				return fmt.Errorf("timer (when %d, seq %d) is free twice", tm.when, tm.seq)
+			case queued[tm]:
+				return fmt.Errorf("timer (when %d, seq %d) is free while in the wheel", tm.when, tm.seq)
+			case st&timerReleased == 0:
+				return fmt.Errorf("timer (when %d, seq %d) is free, its handle was never released", tm.when, tm.seq)
+			case st&(timerFired|timerCancelled) == 0:
+				return fmt.Errorf("timer (when %d, seq %d) is free, neither fired nor cancelled", tm.when, tm.seq)
+			}
+			seen[tm] = true
+		}
 	}
 	return nil
 }
 
 func sortRecs(rs []*rec) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].when != rs[j].when {
-			return rs[i].when < rs[j].when
-		}
-		return rs[i].seq < rs[j].seq
-	})
+	sort.Slice(rs, func(i, j int) bool { return before(rs[i], rs[j]) })
 }
 
 // tick is one ticker with the firings seen so far (loop goroutine only).
@@ -95,6 +132,31 @@ type script struct {
 	timers []*rec
 	ticks  []*tick
 	out    *handOuts
+	// live, while the scripts play one after another before the loop
+	// runs, is how many timers the clock must hold: the reference for
+	// Pending after every cancel and release. nil while the loop runs.
+	live *int
+}
+
+// delay draws a delay from one of the wheel's bands: due now (or
+// before), within level 0's 256 ms, seconds and minutes (levels 1 and
+// 2), or hours ahead (level 3). The loop only ever reaches the first
+// two; the rest are there to be cancelled, or to be left queued.
+func delay(rng *rand.Rand) int64 {
+	switch rng.Intn(8) {
+	case 0:
+		return int64(rng.Intn(2) - 1)
+	case 1:
+		return int64(1 + rng.Intn(255))
+	case 2:
+		return int64(256 + rng.Intn(60_000))
+	case 3:
+		return int64(65_536 + rng.Intn(30*60_000))
+	case 4:
+		return 1<<24 + rng.Int63n(3*24*60*60_000)
+	default:
+		return int64(1 + rng.Intn(31))
+	}
 }
 
 // play runs n random operations against c. Every callback appends to
@@ -102,12 +164,12 @@ type script struct {
 func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*rec) {
 	for i := 0; i < n; i++ {
 		switch op := rng.Intn(14); {
-		case op < 4: // Schedule, delays from 0 (and below) to 30 ms
-			s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(int64(rng.Intn(32)-1), fn) })
+		case op < 4: // Schedule, from every band
+			s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(delay(rng), fn) })
 		case op < 6: // At, deadlines on either side of now
 			s.add(t, fired, func(fn func()) runtime.Timer { return c.At(c.Now()+int64(rng.Intn(40)-10), fn) })
 		case op < 8: // Schedule and give the handle back at once, as a transport does
-			r := s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(int64(rng.Intn(32)-1), fn) })
+			r := s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(delay(rng), fn) })
 			r.release()
 		case op < 11 && len(s.timers) > 0: // Release one: pending, fired or cancelled; or Cancel it first
 			r := s.timers[rng.Intn(len(s.timers))]
@@ -116,8 +178,10 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 			}
 			if op == 10 && r.h.Cancel() {
 				r.cancelled.Store(true)
+				s.cancelled()
 			}
 			r.release()
+			s.checkPending(t, c)
 			if err := checkFree(c); err != nil {
 				t.Error(err)
 			}
@@ -133,6 +197,7 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 			})
 			close(ready)
 			s.ticks = append(s.ticks, tk)
+			s.scheduled()
 		case len(s.timers) > 0: // Cancel one of this goroutine's timers
 			r := s.timers[rng.Intn(len(s.timers))]
 			if r.released {
@@ -140,13 +205,34 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 			}
 			if r.h.Cancel() {
 				r.cancelled.Store(true)
+				s.cancelled()
 				if r.h.Cancel() {
 					t.Error("second Cancel returned true")
 				}
 			} else if !r.cancelled.Load() && !r.h.Fired() {
 				t.Error("Cancel returned false on a timer neither fired nor cancelled")
 			}
+			s.checkPending(t, c)
 		}
+	}
+}
+
+func (s *script) scheduled() {
+	if s.live != nil {
+		*s.live++
+	}
+}
+
+func (s *script) cancelled() {
+	if s.live != nil {
+		*s.live--
+	}
+}
+
+// checkPending compares Pending with the reference, when there is one.
+func (s *script) checkPending(t *testing.T, c *Clock) {
+	if s.live != nil && c.Pending() != *s.live {
+		t.Errorf("Pending() = %d, the reference holds %d timers", c.Pending(), *s.live)
 	}
 }
 
@@ -168,6 +254,7 @@ func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Tim
 	s.out.adopt(t, r.h.(*timer), r)
 	close(ready)
 	s.timers = append(s.timers, r)
+	s.scheduled()
 	return r
 }
 
@@ -180,20 +267,29 @@ func (r *rec) release() {
 
 // TestOrderAgainstReference drives Schedule, At, Every and Cancel from
 // several goroutines while the loop runs, then compares the firing
-// sequence with the sorted-slice reference.
+// sequence with the sorted-slice reference. Most seeds start the clock
+// just short of a level's boundary — 256 ms, 65.5 s or 4.7 h — so that
+// the run crosses it and the wheel refiles a slot from that level down.
 func TestOrderAgainstReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		c := NewClock()
+		if l := seed % 4; l > 0 {
+			c.start = c.start.Add(-time.Duration(1<<(8*l)-15) * time.Millisecond)
+		}
 		var fired []*rec
 		var scripts [4]script
 		out := &handOuts{tenant: map[*timer]*rec{}}
+		live := 0
 		for g := range scripts {
 			scripts[g].out = out
 		}
-		// Part of every script is queued before the loop starts, the rest
-		// races it.
+		// Part of every script is queued before the loop starts, one
+		// script after another, with Pending checked after every cancel;
+		// the rest races the loop.
 		for g := range scripts {
+			scripts[g].live = &live
 			scripts[g].play(t, c, rand.New(rand.NewSource(seed*100+int64(g))), 100, &fired)
+			scripts[g].live = nil
 		}
 		loop := make(chan struct{})
 		go func() { c.Run(1 << 40); close(loop) }()
@@ -211,29 +307,29 @@ func TestOrderAgainstReference(t *testing.T) {
 				tk.h.Cancel()
 			}
 		}
-		// Nothing is scheduled from here on, and the furthest deadline is
-		// under 40 ms away: a timer behind all of them ends the run.
-		c.Schedule(50, c.Stop)
+		// Nothing is scheduled from here on, and every deadline under
+		// 256 ms away is behind this one: it ends the run. What lies
+		// beyond it stays queued.
+		stop := c.Schedule(300, c.Stop)
+		end := &rec{when: stop.When(), seq: stop.(*timer).seq}
 		<-loop
 
-		// The reference: what should have fired, in (when, seq) order.
+		// The reference: what should have fired, in (when, seq) order,
+		// and what should still be queued.
 		var want []*rec
+		queued := 0
 		for g := range scripts {
 			for _, r := range scripts[g].timers {
-				if !r.cancelled.Load() {
+				due := before(r, end)
+				switch {
+				case r.cancelled.Load():
+				case due:
 					want = append(want, r)
+				default:
+					queued++
 				}
-				if r.ran.Load() == r.cancelled.Load() {
-					t.Fatalf("seed %d: timer ran=%v cancelled=%v", seed, r.ran.Load(), r.cancelled.Load())
-				}
-				if r.released {
-					continue
-				}
-				if r.h.Cancel() {
-					t.Fatalf("seed %d: Cancel returned true after the run ended", seed)
-				}
-				if r.h.Fired() == r.cancelled.Load() {
-					t.Fatalf("seed %d: timer fired=%v cancelled=%v", seed, r.h.Fired(), r.cancelled.Load())
+				if r.ran.Load() != (due && !r.cancelled.Load()) {
+					t.Fatalf("seed %d: timer (when %d, seq %d) ran=%v cancelled=%v, the run ended at %d", seed, r.when, r.seq, r.ran.Load(), r.cancelled.Load(), end.when)
 				}
 			}
 			for _, tk := range scripts[g].ticks {
@@ -255,13 +351,46 @@ func TestOrderAgainstReference(t *testing.T) {
 					seed, i, fired[i].when, fired[i].seq, want[i].when, want[i].seq)
 			}
 		}
-		if c.Pending() != 0 {
-			t.Fatalf("seed %d: %d timers pending after everything fired or was cancelled", seed, c.Pending())
+		if c.Pending() != queued {
+			t.Fatalf("seed %d: %d timers pending after the run, the reference has %d", seed, c.Pending(), queued)
+		}
+		if err := checkFree(c); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// The handles still held: a queued one cancels, once.
+		for g := range scripts {
+			for _, r := range scripts[g].timers {
+				if r.released {
+					continue
+				}
+				wasQueued := !r.cancelled.Load() && !r.ran.Load()
+				if got := r.h.Cancel(); got != wasQueued {
+					t.Fatalf("seed %d: Cancel returned %v after the run on a timer queued=%v", seed, got, wasQueued)
+				}
+				if wasQueued {
+					r.cancelled.Store(true)
+					queued--
+				}
+				if r.h.Fired() != r.ran.Load() || r.h.Cancelled() != r.cancelled.Load() {
+					t.Fatalf("seed %d: timer fired=%v cancelled=%v, its callback ran=%v", seed, r.h.Fired(), r.h.Cancelled(), r.ran.Load())
+				}
+			}
+		}
+		if c.Pending() != queued {
+			t.Fatalf("seed %d: %d timers pending once the held ones are cancelled, want the %d released ones", seed, c.Pending(), queued)
 		}
 		if err := checkFree(c); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+}
+
+// before reports whether r sorts before u in (when, seq) order.
+func before(r, u *rec) bool {
+	if r.when != u.when {
+		return r.when < u.when
+	}
+	return r.seq < u.seq
 }
 
 // TestCancelRemovesAtOnce pins eager removal: the queue holds live
