@@ -97,8 +97,11 @@ heap-growth-check:
 # with each other and with the table committed here: map-order
 # nondeterminism feeding the event stream shows up as a mismatch between
 # the processes, and an engine or driver edit that reorders events or
-# random draws as a mismatch with the pin, mechanically. A registered
-# protocol without a pin fails too, so a new driver cannot slip past.
+# random draws as a mismatch with the pin, mechanically. The second
+# process is given only the cell line the first command line prints
+# (-print-params, which runs nothing), so a cell that does not replay
+# its run fails too. A registered protocol without a pin fails too, so
+# a new driver cannot slip past.
 # When a protocol or workload change is meant to move a fingerprint,
 # re-pin: set its entry to what both processes print and say why in
 # CHANGES.md.
@@ -118,11 +121,12 @@ fingerprint-check:
 		if [ -z "$$want" ]; then \
 			echo "NO FINGERPRINT PIN for registered protocol $$p: add it to FINGERPRINTS" >&2; exit 1; \
 		fi; \
+		cell=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-params | sed -n 's/^cell://p'); \
 		fp1=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-fingerprint); \
-		fp2=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-fingerprint); \
-		printf '%-14s process 1: %s  process 2: %s\n' "$$p" "$$fp1" "$$fp2"; \
+		fp2=$$("$$tmp/flowersim" $$cell -print-fingerprint); \
+		printf '%-14s process 1: %s  process 2: %s  (cell:%s)\n' "$$p" "$$fp1" "$$fp2" "$$cell"; \
 		if [ "$$fp1" != "$$fp2" ]; then \
-			echo "FINGERPRINT MISMATCH ($$p): runs are not deterministic across processes" >&2; exit 1; \
+			echo "FINGERPRINT MISMATCH ($$p): runs are not deterministic across processes, or the printed cell does not replay the run" >&2; exit 1; \
 		fi; \
 		if [ "$$fp1" != "$$want" ]; then \
 			echo "FINGERPRINT MOVED ($$p): want the pinned $$want; simulated behaviour changed" >&2; exit 1; \

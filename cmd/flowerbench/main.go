@@ -62,6 +62,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"flowercdn"
@@ -177,8 +178,7 @@ func (o *options) main() error {
 
 	if all || o.fig != 0 {
 		start := time.Now()
-		fmt.Printf("running %s vs %s at P=%d for %d h (seed %d)...\n",
-			flowercdn.Flower, flowercdn.Squirrel, cfg.Population, cfg.Hours, cfg.Seed)
+		fmt.Printf("running %s vs %s on cell %q...\n", flowercdn.Flower, flowercdn.Squirrel, strings.Join(cfg.Cell(), " "))
 		f, s, err := flowercdn.RunComparison(cfg)
 		if err != nil {
 			return err
@@ -247,11 +247,14 @@ func buildGrid(base flowercdn.Config, pops []int, name string) ([]flowercdn.Swee
 // it (in this process or as the coordinator of one) and prints the
 // aggregates.
 func (o *options) runGrid(base flowercdn.Config, pops []int) error {
-	cfg, err := flowercdn.ApplyScenario(base, flowercdn.Scenario(o.scenario))
+	preset, err := flowercdn.Scenario(o.scenario)
+	if err == nil {
+		base, err = flowercdn.ParseCell(base, preset...)
+	}
 	if err != nil {
 		return err
 	}
-	cells, err := buildGrid(cfg, pops, o.grid)
+	cells, err := buildGrid(base, pops, o.grid)
 	if err != nil {
 		return err
 	}
@@ -283,13 +286,13 @@ func (o *options) runGrid(base flowercdn.Config, pops []int) error {
 
 	start := time.Now()
 	var res *flowercdn.SweepResult
+	header := fmt.Sprintf("sweep %q on cell %q (scenario %s): %d cells x %d seeds",
+		o.grid, strings.Join(base.Cell(), " "), o.scenario, len(cells), len(seedSet))
 	if o.dist.Listen != "" {
-		fmt.Printf("distributed sweep %q (scenario %s): %d cells x %d seeds, out-dir %s\n",
-			o.grid, o.scenario, len(cells), len(seedSet), o.dist.OutDir)
+		fmt.Printf("distributed %s, out-dir %s\n", header, o.dist.OutDir)
 		res, err = o.coordinate(cells, seedSet)
 	} else {
-		fmt.Printf("sweep %q (scenario %s): %d cells x %d seeds...\n",
-			o.grid, o.scenario, len(cells), len(seedSet))
+		fmt.Printf("%s...\n", header)
 		res, err = flowercdn.Sweep(cells, seedSet, o.workers)
 	}
 	if err != nil {
@@ -387,10 +390,8 @@ func runTraceBreakdown(cfg flowercdn.Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("=== %s (P=%d, %d h, seed %d; %d queries, hit %.3f, lookup %.0f ms; %v)\n",
-			p, c.Population, c.Hours, c.Seed,
-			res.Queries, res.TailHitRatio, res.MeanLookupMs,
-			time.Since(start).Round(time.Millisecond))
+		fmt.Printf("=== %s, cell %q (%d queries, hit %.3f, lookup %.0f ms; %v)\n", p, strings.Join(c.Cell(), " "),
+			res.Queries, res.TailHitRatio, res.MeanLookupMs, time.Since(start).Round(time.Millisecond))
 		fmt.Print(trace.Analyze(res.Traces, res.HopLatency).Format())
 		fmt.Println()
 	}

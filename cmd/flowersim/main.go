@@ -107,39 +107,17 @@ func declare(fs *flag.FlagSet) *options {
 		horizon:    5 * time.Second,
 		sock:       runtime.SocketConfig{Group: -1},
 	}
-	f, c := o.flags, &o.exp
-	c.CachePolicy = "none" // how -h has always spelled QuickConfig's empty policy; they lower alike
+	f := o.flags
 
+	flowercdn.BindCell(f, &o.exp, anywhere, onSim) // the experiment itself: one cell's flags
 	cli.Bind(f, anywhere, &o.backend, "backend", fmt.Sprintf("runtime backend, one of %v", flowercdn.Backends()))
-	cli.Bind(f, anywhere, (*string)(&c.Protocol), "protocol", fmt.Sprintf("one of %v", flowercdn.Protocols()))
 	cli.Bind(f, anywhere, &o.listProtocols, "protocols", "list registered protocols and exit")
-	cli.Bind(f, anywhere, &c.Seed, "seed", "simulation seed")
-	cli.Bind(f, anywhere, &c.MessageLossRate, "loss", "one-way message loss rate (0 = reliable links)")
-	cli.Bind(f, anywhere, &c.CachePolicy, "cache-policy", fmt.Sprintf("per-peer store eviction policy, one of %v", flowercdn.CachePolicies()))
-	cli.Bind(f, anywhere, &c.CacheCapacity, "cache-capacity", "per-peer store capacity in objects (required >= 1 for any policy but none)")
 	cli.Bind(f, anywhere, &o.traceCSV, "trace-csv", "enable per-query tracing and write hop-by-hop records to this CSV file (socket backend: group 0 only)")
 	cli.Bind(f, wallClock, &o.obs, "obs", "wall-clock backends: serve live /metrics and /traces on this address during the run (implies tracing)")
 	cli.Bind(f, onSim|onRealtime, &o.printFP, "print-fingerprint", "print only the run fingerprint (for cross-process determinism checks)")
 	cli.Bind(f, onSim|onRealtime, &o.cpuProfile, "cpuprofile", "write a CPU profile of the run to this file")
 	cli.Bind(f, onSim|onRealtime, &o.memProfile, "memprofile", "write an end-of-run heap profile to this file")
-
-	cli.Bind(f, onSim, &c.Population, "p", "mean population size P")
-	cli.Bind(f, onSim, &c.Hours, "hours", "simulated duration in hours")
-	cli.Bind(f, onSim, &c.Sites, "sites", "number of websites |W|")
-	cli.Bind(f, onSim, &c.ActiveSites, "active", "number of active (queried) websites")
-	cli.Bind(f, onSim, &c.ObjectsPerSite, "objects", "objects per website")
-	cli.Bind(f, onSim, &c.Localities, "k", "number of localities")
-	cli.Bind(f, onSim, &c.MeanUptimeMinutes, "uptime", "mean peer uptime m, minutes")
-	cli.Bind(f, onSim, &c.QueryEveryMinutes, "query-every", "mean minutes between queries")
-	cli.Bind(f, onSim, &c.GossipEveryMinutes, "gossip-every", "gossip/keepalive period, minutes")
-	cli.Bind(f, onSim, &c.PushThreshold, "push", "push threshold")
-	cli.Bind(f, onSim, &c.ZipfAlpha, "zipf", "Zipf popularity exponent")
-	cli.Bind(f, onSim, &c.DirCollaboration, "collab", "directory collaboration across localities")
-	cli.Bind(f, onSim, &c.PetalUpLoadLimit, "load-limit", "PetalUp per-directory load limit")
-	cli.Bind(f, onSim, &c.ExactSummaries, "exact-summaries", "exact key sets instead of Bloom gossip summaries (ablation)")
-	cli.Bind(f, onSim, &c.LocalitySkew, "locality-skew", "Zipf skew of client arrivals over localities (0 = uniform)")
-	cli.Bind(f, onSim, &c.InterestSkew, "interest-skew", "Zipf skew of peer interest over websites (0 = uniform)")
-	cli.Bind(f, onSim, &c.MeasureMem, "measure-mem", "sample the live heap after the run (forced GC) and print bytes/node")
+	cli.Bind(f, onSim, &o.exp.MeasureMem, "measure-mem", "sample the live heap after the run (forced GC) and print bytes/node")
 	cli.Bind(f, onSim, &o.series, "series", "print the hourly hit-ratio series")
 	cli.Bind(f, onSim, &o.printParams, "print-params", "print the Table 1 parameter sheet and exit")
 
@@ -209,6 +187,9 @@ func (o *options) main() error {
 	if err != nil {
 		return err
 	}
+	if !o.printFP { // every report opens with how to replay its cell
+		fmt.Println(strings.Join(append([]string{"cell:"}, o.exp.Cell()...), " "))
+	}
 	if o.printParams {
 		fmt.Print(harness.FormatTable1(hc))
 		return nil
@@ -245,7 +226,7 @@ func (o *options) config() (harness.Config, error) {
 	hc.Protocol = harness.Protocol(c.Protocol)
 	hc.Seed = c.Seed
 	hc.MessageLossRate = c.MessageLossRate
-	if c.CachePolicy != "" && c.CachePolicy != "none" {
+	if c.CachePolicy != "none" { // BindCell spells the unbounded store one way
 		hc.Options["cache-policy"] = c.CachePolicy
 		hc.Options["cache-capacity"] = c.CacheCapacity
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flowercdn"
+	"flowercdn/internal/cli"
 	"flowercdn/internal/harness"
 	"flowercdn/internal/runtime"
 )
@@ -102,10 +103,13 @@ func TestWallClockConfigIsDemoPresetPlusOverrides(t *testing.T) {
 // both.
 func TestEveryFlagSaysWhereItApplies(t *testing.T) {
 	o, _ := mustParse(t)
-	o.flags.VisitAll(func(fl *flag.Flag) {
-		if tag, ok := o.flags.Tag(fl.Name); !ok || tag&anywhere == 0 {
-			t.Errorf("-%s is declared without a backend it applies to", fl.Name)
-		}
+	var all []string
+	o.flags.VisitAll(func(fl *flag.Flag) { all = append(all, "-"+fl.Name+"="+fl.DefValue) })
+	if err := o.flags.Parse(all); err != nil {
+		t.Fatal(err)
+	}
+	o.flags.VisitSet(func(tag cli.Tag) bool { return tag&anywhere == 0 }, func(fl *flag.Flag) {
+		t.Errorf("-%s is declared without a backend it applies to", fl.Name)
 	})
 }
 

@@ -9,11 +9,11 @@
 // discrete-event engine, a landmark latency topology, a complete Chord
 // DHT, Cyclon-style gossip, the protocols themselves, workload and
 // churn generators, and the experiment harness. What it adds is the
-// friendly side of an experiment — Config in hours and minutes, Grid,
-// the Scenario presets, SeedSet, the distributed-sweep options. What
-// comes back is the internal value itself: Result, Protocol,
-// SweepResult, SweepCellResult and ScalabilityRow are aliases of the
-// harness and sweep types. Typical use:
+// friendly side of an experiment — Config in hours and minutes and as
+// cell flags, Grid, the scenario presets, SeedSet, the distributed-sweep
+// options. What comes back is the internal value itself: Result,
+// Protocol, SweepResult, SweepCellResult and ScalabilityRow are aliases
+// of the harness and sweep types. Typical use:
 //
 //	cfg := flowercdn.DefaultConfig()
 //	cfg.Population = 3000

@@ -58,13 +58,6 @@ func Bind[T bool | int | uint64 | float64 | string | time.Duration](f *Flags, t 
 	}
 }
 
-// Tag returns the tag name was declared with; ok is false for a flag
-// registered on the FlagSet behind the table's back.
-func (f *Flags) Tag(name string) (Tag, bool) {
-	t, ok := f.tags[name]
-	return t, ok
-}
-
 // VisitSet calls fn, in flag.Visit's lexical order, for every flag the
 // command line set explicitly and whose tag match accepts.
 func (f *Flags) VisitSet(match func(Tag) bool, fn func(*flag.Flag)) {

@@ -101,12 +101,6 @@ func TestArgsFromParsedFlags(t *testing.T) {
 	if want := []string{"-d=2s", "-n=9", "-on=true"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("Args = %v, want %v (set flags only, none tagged drop)", got, want)
 	}
-	if _, ok := f.Tag("name"); !ok {
-		t.Error("Tag(name) not recorded")
-	}
-	if _, ok := f.Tag("nope"); ok {
-		t.Error("Tag reports an undeclared flag")
-	}
 }
 
 func TestWriteTo(t *testing.T) {

@@ -15,8 +15,8 @@
 // Configurations never cross the wire — they contain function hooks
 // and protocol option maps that have no canonical encoding. Instead,
 // coordinator and workers each build the identical sweep.Spec from the
-// same CLI flags, and the handshake compares SpecSum fingerprints so a
-// drifted worker fails fast with a named cause.
+// same CLI flags, and the handshake compares SpecSum fingerprints (of
+// the cells' forms) so a drifted worker fails fast with a named cause.
 //
 // Completed results append to per-cell record files under the
 // coordinator's out-dir (one canonical-binary record per (cell, seed)),
@@ -54,17 +54,15 @@ type jobKey struct {
 }
 
 // SpecSum fingerprints a sweep spec: FNV-1a over the seed set and every
-// cell's name and configuration rendering. Coordinator and workers must
-// agree on it before any job is assigned — it is the distributed
-// analogue of building the spec once and passing it by pointer. The
-// rendering relies on fmt's sorted map printing, so it is deterministic
-// across processes of the same build; Validate rejects the config
-// fields (function hooks) whose rendering would not be.
+// cell's name and canonical form (Validate rejects what a form does not
+// cover). Coordinator and workers must agree on it before any job is
+// assigned. Config is not hashed, so adding or deleting a field keeps
+// old out-dirs resumable.
 func SpecSum(spec sweep.Spec) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "seeds:%v\n", spec.Seeds)
 	for _, c := range spec.Cells {
-		fmt.Fprintf(h, "cell %q: %+v\n", c.Name, c.Config)
+		fmt.Fprintf(h, "cell %q: %s\n", c.Name, c.Form)
 	}
 	return h.Sum64()
 }

@@ -30,6 +30,8 @@ type Cell struct {
 	Name string
 	// Config is the full experiment configuration for this cell.
 	Config harness.Config
+	// Form is the cell's canonical flags, what distsweep fingerprints.
+	Form string
 }
 
 // Spec describes one sweep: the grid, the seed set shared by every

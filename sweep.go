@@ -40,9 +40,9 @@ func Sweep(cells []SweepCell, seeds []uint64, workers int) (*SweepResult, error)
 	return sweep.Run(spec)
 }
 
-// lowerSpec lowers public sweep cells onto the internal spec — the
-// shared front half of Sweep, DistSweepCoordinator and DistSweepWorker
-// (which must all lower identically for spec fingerprints to agree).
+// lowerSpec lowers public sweep cells onto the internal spec, each with
+// its canonical form, which a distributed sweep fingerprints — the
+// shared front half of Sweep, DistSweepCoordinator and DistSweepWorker.
 func lowerSpec(cells []SweepCell, seeds []uint64, workers int) (sweep.Spec, error) {
 	spec := sweep.Spec{Seeds: seeds, Workers: workers}
 	for _, c := range cells {
@@ -50,7 +50,7 @@ func lowerSpec(cells []SweepCell, seeds []uint64, workers int) (sweep.Spec, erro
 		if err != nil {
 			return sweep.Spec{}, fmt.Errorf("flowercdn: sweep cell %q: %w", c.Name, err)
 		}
-		spec.Cells = append(spec.Cells, sweep.Cell{Name: c.Name, Config: hc})
+		spec.Cells = append(spec.Cells, sweep.Cell{Name: c.Name, Config: hc, Form: strings.Join(c.Config.Cell(), " ")})
 	}
 	return spec, nil
 }
@@ -89,131 +89,57 @@ type Grid struct {
 
 // Cells expands the grid in deterministic order (protocol-major).
 func (g Grid) Cells() []SweepCell {
-	protos := g.Protocols
-	if len(protos) == 0 {
-		protos = []Protocol{g.Base.Protocol}
+	if len(g.Protocols) == 0 {
+		g.Protocols = []Protocol{g.Base.Protocol}
 	}
-	pops := g.Populations
-	if len(pops) == 0 {
-		pops = []int{g.Base.Population}
+	cells := cross([]SweepCell{{Config: g.Base}}, g.Protocols, func(c *Config, p Protocol) string {
+		c.Protocol = p
+		return string(p)
+	})
+	cells = cross(cells, g.Populations, func(c *Config, p int) string {
+		c.Population = p
+		return fmt.Sprintf("P=%d", p)
+	})
+	cells = cross(cells, g.MeanUptimes, func(c *Config, m int) string {
+		c.MeanUptimeMinutes = m
+		return fmt.Sprintf("m=%d", m)
+	})
+	cells = cross(cells, g.GossipPeriods, func(c *Config, gp int) string {
+		c.GossipEveryMinutes = gp
+		return fmt.Sprintf("g=%d", gp)
+	})
+	return cross(cells, g.CacheCapacities, func(c *Config, cap int) string {
+		if cap <= 0 { // the unbounded reference cell
+			c.CachePolicy, c.CacheCapacity = "none", 0
+			return "cap=inf"
+		}
+		if c.CachePolicy == "" || c.CachePolicy == "none" {
+			c.CachePolicy = "lru"
+		}
+		c.CacheCapacity = cap
+		return fmt.Sprintf("cap=%d", cap)
+	})
+}
+
+// cross expands every cell once per value of an axis, in order; set
+// applies a value and names it. A cell's first name part is always
+// given, a later one only when its axis varies.
+func cross[T any](cells []SweepCell, values []T, set func(*Config, T) string) []SweepCell {
+	if len(values) == 0 {
+		return cells
 	}
-	uptimes := g.MeanUptimes
-	if len(uptimes) == 0 {
-		uptimes = []int{g.Base.MeanUptimeMinutes}
-	}
-	gossips := g.GossipPeriods
-	if len(gossips) == 0 {
-		gossips = []int{g.Base.GossipEveryMinutes}
-	}
-	caps := g.CacheCapacities
-	if len(caps) == 0 {
-		caps = []int{g.Base.CacheCapacity}
-	}
-	var cells []SweepCell
-	for _, proto := range protos {
-		for _, p := range pops {
-			for _, m := range uptimes {
-				for _, gp := range gossips {
-					for _, cap := range caps {
-						cfg := g.Base
-						cfg.Protocol = proto
-						cfg.Population = p
-						cfg.MeanUptimeMinutes = m
-						cfg.GossipEveryMinutes = gp
-						cfg.CacheCapacity = cap
-						if len(g.CacheCapacities) > 0 {
-							if cap <= 0 {
-								// The unbounded reference cell.
-								cfg.CachePolicy = "none"
-								cfg.CacheCapacity = 0
-							} else if cfg.CachePolicy == "" || cfg.CachePolicy == "none" {
-								cfg.CachePolicy = "lru"
-							}
-						}
-						var parts []string
-						parts = append(parts, string(proto))
-						if len(pops) > 1 {
-							parts = append(parts, fmt.Sprintf("P=%d", p))
-						}
-						if len(uptimes) > 1 {
-							parts = append(parts, fmt.Sprintf("m=%d", m))
-						}
-						if len(gossips) > 1 {
-							parts = append(parts, fmt.Sprintf("g=%d", gp))
-						}
-						if len(caps) > 1 {
-							if cap <= 0 {
-								parts = append(parts, "cap=inf")
-							} else {
-								parts = append(parts, fmt.Sprintf("cap=%d", cap))
-							}
-						}
-						cells = append(cells, SweepCell{Name: strings.Join(parts, "/"), Config: cfg})
-					}
-				}
+	var out []SweepCell
+	for _, c := range cells {
+		for _, v := range values {
+			n := c
+			switch part := set(&n.Config, v); {
+			case n.Name == "":
+				n.Name = part
+			case len(values) > 1:
+				n.Name += "/" + part
 			}
+			out = append(out, n)
 		}
 	}
-	return cells
-}
-
-// Scenario names a preset workload shape layered on top of a base
-// configuration (so quick- and paper-scale bases both work).
-type Scenario string
-
-const (
-	// ScenarioTable1 is the paper's Table 1 workload, unchanged.
-	ScenarioTable1 Scenario = "table1"
-	// ScenarioFlashCrowd concentrates the whole query mix on a single
-	// hot website queried 3x as often with a sharper popularity curve —
-	// the flash-crowd situation PetalUp-CDN's directory splitting
-	// targets (Sec. 4).
-	ScenarioFlashCrowd Scenario = "flash-crowd"
-	// ScenarioLocalitySkew Zipf-concentrates client arrivals into a few
-	// localities instead of the paper's uniform spread, stressing the
-	// per-locality petal sizing.
-	ScenarioLocalitySkew Scenario = "locality-skew"
-	// ScenarioCachePressure bounds every peer's store with an LRU
-	// policy at a capacity well under the per-site catalog — the first
-	// scenario the paper's unbounded storage model cannot express.
-	// Combine with the capacity sweep grid to trace the hit-ratio knee
-	// as capacity shrinks.
-	ScenarioCachePressure Scenario = "cache-pressure"
-)
-
-// Scenarios lists the presets.
-func Scenarios() []Scenario {
-	return []Scenario{ScenarioTable1, ScenarioFlashCrowd, ScenarioLocalitySkew, ScenarioCachePressure}
-}
-
-// ApplyScenario overlays a scenario preset on cfg.
-func ApplyScenario(cfg Config, s Scenario) (Config, error) {
-	switch s {
-	case ScenarioTable1, "":
-		return cfg, nil
-	case ScenarioFlashCrowd:
-		// One active site everyone piles onto: interest Zipf-concentrates
-		// on site 0 (~60% of peers at skew 2), which is queried 3x as
-		// often with a sharper object-popularity curve.
-		cfg.ActiveSites = 1
-		cfg.InterestSkew = 2.0
-		cfg.QueryEveryMinutes = 2
-		cfg.ZipfAlpha = 1.2
-		return cfg, nil
-	case ScenarioLocalitySkew:
-		cfg.LocalitySkew = 1.2
-		return cfg, nil
-	case ScenarioCachePressure:
-		// LRU at a small fraction of the catalog; a capacity grid
-		// overrides the capacity per cell and keeps the policy.
-		if cfg.CachePolicy == "" || cfg.CachePolicy == "none" {
-			cfg.CachePolicy = "lru"
-		}
-		if cfg.CacheCapacity <= 0 {
-			cfg.CacheCapacity = 16
-		}
-		return cfg, nil
-	default:
-		return cfg, fmt.Errorf("flowercdn: unknown scenario %q (have %v)", s, Scenarios())
-	}
+	return out
 }

@@ -1,6 +1,7 @@
 package flowercdn
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,54 +111,53 @@ func TestSweepRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestScenarios(t *testing.T) {
-	base := sweepTiny()
-
-	same, err := ApplyScenario(base, ScenarioTable1)
-	if err != nil || same != base {
-		t.Fatalf("table1 changed config: %v %+v", err, same)
-	}
-
-	fc, err := ApplyScenario(base, ScenarioFlashCrowd)
+// withScenario is base under the named preset, then the flags in
+// after — the order flowerbench applies them in.
+func withScenario(t *testing.T, base Config, name string, after ...string) Config {
+	t.Helper()
+	preset, err := Scenario(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg, err := ParseCell(base, append(preset, after...)...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return cfg
+}
+
+func TestScenarios(t *testing.T) {
+	base := sweepTiny()
+
+	if same := withScenario(t, base, "table1"); !slices.Equal(same.Cell(), base.Cell()) {
+		t.Fatalf("table1 changed config: %+v", same)
+	}
+
+	fc := withScenario(t, base, "flash-crowd")
 	if fc.ActiveSites != 1 || fc.QueryEveryMinutes >= base.QueryEveryMinutes {
 		t.Fatalf("flash crowd preset wrong: %+v", fc)
 	}
 
-	ls, err := ApplyScenario(base, ScenarioLocalitySkew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.LocalitySkew <= 0 {
+	if ls := withScenario(t, base, "locality-skew"); ls.LocalitySkew <= 0 {
 		t.Fatalf("locality skew preset wrong: %+v", ls)
 	}
 
-	if _, err := ApplyScenario(base, "heat-death"); err == nil {
+	if _, err := Scenario("heat-death"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
 
 	// Every listed scenario must apply cleanly and produce a runnable
 	// config.
-	for _, s := range Scenarios() {
-		cfg, err := ApplyScenario(base, s)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
-		if _, err := cfg.Lower(); err != nil {
+	for s := range scenarios {
+		if _, err := withScenario(t, base, s).Lower(); err != nil {
 			t.Fatalf("%s: lower: %v", s, err)
 		}
 	}
 }
 
 func TestScenarioRunsEndToEnd(t *testing.T) {
-	for _, s := range []Scenario{ScenarioFlashCrowd, ScenarioLocalitySkew} {
-		cfg, err := ApplyScenario(sweepTiny(), s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(cfg)
+	for _, s := range []string{"flash-crowd", "locality-skew"} {
+		res, err := Run(withScenario(t, sweepTiny(), s))
 		if err != nil {
 			t.Fatalf("%s: %v", s, err)
 		}
@@ -203,21 +203,12 @@ func TestCapacityGridExpansion(t *testing.T) {
 }
 
 func TestCachePressureScenario(t *testing.T) {
-	cfg, err := ApplyScenario(sweepTiny(), ScenarioCachePressure)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := withScenario(t, sweepTiny(), "cache-pressure")
 	if cfg.CachePolicy != "lru" || cfg.CacheCapacity <= 0 {
 		t.Fatalf("cache-pressure preset wrong: policy %q capacity %d", cfg.CachePolicy, cfg.CacheCapacity)
 	}
-	// An explicit policy/capacity survives the preset.
-	base := sweepTiny()
-	base.CachePolicy = "size-aware"
-	base.CacheCapacity = 99
-	kept, err := ApplyScenario(base, ScenarioCachePressure)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Explicit policy/capacity flags given after the preset win.
+	kept := withScenario(t, sweepTiny(), "cache-pressure", "-cache-policy=size-aware", "-cache-capacity=99")
 	if kept.CachePolicy != "size-aware" || kept.CacheCapacity != 99 {
 		t.Fatalf("preset clobbered explicit cache settings: %+v", kept)
 	}
@@ -235,11 +226,7 @@ func TestCachePressureScenario(t *testing.T) {
 // capacity grid the flower hit ratio must degrade monotonically as
 // capacity shrinks, with the unbounded reference on top.
 func TestCapacitySweepKnee(t *testing.T) {
-	base, err := ApplyScenario(sweepTiny(), ScenarioCachePressure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cells := Grid{Base: base, CacheCapacities: []int{4, 24, 0}}.Cells()
+	cells := Grid{Base: withScenario(t, sweepTiny(), "cache-pressure"), CacheCapacities: []int{4, 24, 0}}.Cells()
 	res, err := Sweep(cells, SeedSet(1, 2), 0)
 	if err != nil {
 		t.Fatal(err)
