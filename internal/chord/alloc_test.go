@@ -11,7 +11,7 @@ import (
 // quietRing builds a stabilised 32-node ring and freezes it, so that
 // while a pin below runs the engine, nothing executes but the one duty
 // the pin fired by hand.
-func quietRing(t *testing.T) (f *ringFixture, src, far *testPeer) {
+func quietRing(t testing.TB) (f *ringFixture, src, far *testPeer) {
 	t.Helper()
 	f = newRing(t, 77)
 	for i := 0; i < 32; i++ {
@@ -55,7 +55,7 @@ func TestAllocPins(t *testing.T) {
 		{"pingFingers", 0, n.pingFingers},
 		{"checkPredecessor", 0, n.checkPredecessor},
 		{"notifySuccessor", 0, n.notifySuccessor},
-		{"stabilize", 2, n.stabilize}, // the successor's snapshot of its list, and its box
+		{"stabilize", 0, n.stabilize}, // the successor answers with its one boxed reply
 		{"Route", 1, func() { // the message; nobody brings it back
 			n.Route(key, payload)
 			far.routed = far.routed[:0]
@@ -79,5 +79,19 @@ func TestAllocPins(t *testing.T) {
 	}
 	if len(n.pending) != 0 {
 		t.Errorf("%d lookups still pending on a quiet ring", len(n.pending))
+	}
+}
+
+// BenchmarkStabilizeRound prices one stabilize round on a quiet ring,
+// start to finish: the probe, the successor's answer, the merge and the
+// notify it sends.
+func BenchmarkStabilizeRound(b *testing.B) {
+	f, src, _ := quietRing(b)
+	n := src.node
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.stabilize()
+		f.eng.Run(f.eng.Now() + 5*runtime.Second)
 	}
 }

@@ -20,7 +20,7 @@
 // HandleMessage/HandleRequest (both report whether they consumed the
 // input).
 //
-// Steady-state maintenance allocates nothing. Three things make that
+// Steady-state maintenance allocates nothing. Four things make that
 // so, and each comes with a rule:
 //
 //   - A lookup is one *routeMsg for its whole life. The origin takes it
@@ -44,6 +44,13 @@
 //     rotating liveness probe, and in top-down order for the greedy
 //     routing step, which so considers the same nodes in the same order
 //     as a scan of the whole table would.
+//   - A published successor list is never written again. Every rebuild
+//     happens in a spare array and is published as a copy only when it
+//     differs from the current list, and every other writer assigns a
+//     fresh slice. So a stabilize probe is answered with the list itself,
+//     and that answer is boxed once per version: one reply per
+//     (predecessor, published list), handed to every prober while both
+//     stand. Whoever receives a successor list only reads it.
 package chord
 
 import (
@@ -440,8 +447,12 @@ type Node struct {
 	rng      *rnd.RNG
 	app      App
 
-	pred     Entry
-	succs    []Entry // succs[0] is the immediate successor; never empty once started
+	pred Entry
+	// succs[0] is the immediate successor; never empty once started.
+	// A published list is read-only: replies and callers may share it,
+	// so a change installs a new slice (publishSuccs or a fresh literal).
+	succs []Entry
+
 	fingers  []Entry // write through setFinger, which keeps the index honest
 	nextFix  int
 	nextPing int
@@ -457,16 +468,19 @@ type Node struct {
 
 	// succsSpare is the reusable backing array for the per-round
 	// successor-list rebuild, which fires on every node every
-	// maintenance interval.
+	// maintenance interval. It is never published: publishSuccs copies
+	// a rebuild out of it only when the list changed.
 	succsSpare []Entry
 
 	// Free lists of the records steady-state maintenance would otherwise
-	// allocate per use (see the package comment), and the one boxed
-	// notify this node ever sends.
+	// allocate per use (see the package comment), the one boxed notify
+	// this node ever sends, and the boxed neighborsResp of its current
+	// predecessor and published list (see onNeighbors).
 	freeMsgs    []*routeMsg
 	freeLookups []*pendingLookup
 	freeProbes  []*probe
 	notify      any
+	neighbors   any
 
 	claims map[ids.ID]claim // position reservations this node granted
 

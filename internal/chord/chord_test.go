@@ -47,7 +47,7 @@ func (p *testPeer) HandleRequest(from runtime.NodeID, req any) (any, error) {
 }
 
 type ringFixture struct {
-	t     *testing.T
+	t     testing.TB
 	eng   *simrt.Runtime
 	net   runtime.Transport
 	topo  *topology.Topology
@@ -56,7 +56,7 @@ type ringFixture struct {
 	peers []*testPeer
 }
 
-func newRing(t *testing.T, seed uint64) *ringFixture {
+func newRing(t testing.TB, seed uint64) *ringFixture {
 	t.Helper()
 	rng := rnd.New(seed)
 	topo := topology.MustNew(topology.DefaultConfig(), rng)

@@ -114,10 +114,11 @@ func TestFingerIndexMatchesFullScan(t *testing.T) {
 			case op == 4:
 				n.clearFingersFor(pick())
 			case op == 5:
-				n.succs = n.succs[:0]
+				var list []Entry // a published list is never written again
 				for k := rng.Intn(4); k > 0; k-- {
-					n.succs = append(n.succs, pick())
+					list = append(list, pick())
 				}
+				n.succs = list
 			case op < 9:
 				key := ids.ID(rng.Uint64())
 				if rng.Intn(2) == 0 {

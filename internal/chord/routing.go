@@ -196,8 +196,7 @@ func (n *Node) HandleMessage(from runtime.NodeID, msg any) bool {
 func (n *Node) HandleRequest(from runtime.NodeID, req any) (resp any, err error, handled bool) {
 	switch r := req.(type) {
 	case neighborsReq:
-		resp, err = n.onNeighbors()
-		return resp, err, true
+		return n.onNeighbors(), nil, true
 	case pingReq:
 		return pingResp{}, nil, true
 	case claimReq:

@@ -173,10 +173,7 @@ func (n *Node) adoptSuccessor(e Entry, tail []Entry) {
 			list = append(list, s)
 		}
 	}
-	// Double-buffer: the list was built into the spare while reading the
-	// live one; swap so next round reuses today's live backing array.
-	n.succsSpare = n.succs[:0]
-	n.succs = list
+	n.publishSuccs(list)
 }
 
 // mergeSuccList rebuilds the successor list as succ followed by succ's
@@ -194,8 +191,18 @@ func (n *Node) mergeSuccList(succ Entry, theirs []Entry) {
 			list = append(list, s)
 		}
 	}
-	n.succsSpare = n.succs[:0]
-	n.succs = list
+	n.publishSuccs(list)
+}
+
+// publishSuccs makes list, built in succsSpare, the successor list. A
+// published list is never written again (see the package comment): a
+// rebuild equal to it keeps it, and one that differs is published as a
+// copy, so the spare stays this node's own.
+func (n *Node) publishSuccs(list []Entry) {
+	n.succsSpare = list[:0]
+	if !slices.Equal(list, n.succs) {
+		n.succs = slices.Clone(list)
+	}
 }
 
 func containsNode(list []Entry, node runtime.NodeID) bool {
@@ -211,16 +218,16 @@ func containsNode(list []Entry, node runtime.NodeID) bool {
 // live candidate in the list; with the list exhausted the node points
 // at itself and waits to be re-discovered (it still owns its arc).
 func (n *Node) dropSuccessor(dead Entry) {
-	out := n.succs[:0]
+	list := n.succsSpare[:0]
 	for _, s := range n.succs {
 		if s.Node != dead.Node {
-			out = append(out, s)
+			list = append(list, s)
 		}
 	}
-	n.succs = out
-	if len(n.succs) == 0 {
-		n.succs = []Entry{n.self}
+	if len(list) == 0 {
+		list = append(list, n.self)
 	}
+	n.publishSuccs(list)
 	n.clearFingersFor(dead)
 }
 
@@ -304,11 +311,22 @@ func (n *Node) onClaimTransfer(m claimTransfer) {
 	n.claims[m.Pos] = claim{claimant: m.Claimant, expires: n.eng.Now() + n.cfg.ClaimTTL}
 }
 
-// onNeighbors answers a stabilize probe.
-func (n *Node) onNeighbors() (neighborsResp, error) {
-	succs := make([]Entry, len(n.succs))
-	copy(succs, n.succs)
-	return neighborsResp{Pred: n.pred, Succs: succs}, nil
+// onNeighbors answers a stabilize probe. The answer shares the
+// published successor list, which is never written again, so it stays
+// the list as it was when this node answered. It is boxed once per
+// (predecessor, published list) and handed out again while both stand.
+func (n *Node) onNeighbors() any {
+	if c, ok := n.neighbors.(neighborsResp); !ok || c.Pred != n.pred || !samePublished(c.Succs, n.succs) {
+		n.neighbors = neighborsResp{Pred: n.pred, Succs: n.succs}
+	}
+	return n.neighbors
+}
+
+// samePublished reports whether a and b are one published list: the
+// same length over the same backing array. A list held by a cached
+// reply stays reachable, so no later list can reuse its address.
+func samePublished(a, b []Entry) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // checkPredecessor probes the predecessor and clears it on timeout, so
@@ -399,7 +417,9 @@ func (n *Node) Announce(to Entry) {
 // RPC stabilize uses, exported for overlays layered on the chord
 // substrate: internal/koorde refreshes its de Bruijn pointer set from
 // the ring neighborhood of a looked-up owner. cb runs once, on this
-// node's clock goroutine; it is not called after Stop.
+// node's clock goroutine; it is not called after Stop. succs may be
+// target's published list itself, shared with every other prober: it is
+// read-only.
 func (n *Node) Neighbors(target Entry, cb func(pred Entry, succs []Entry, err error)) {
 	if !target.Valid() {
 		cb(NoEntry, nil, ErrLookupFailed)
