@@ -57,7 +57,7 @@ check: fmt vet build test
 # harness itself. (The performance trajectory is the benchmark/ suite —
 # see wire-bench and docs/OPERATIONS.md.)
 bench-smoke:
-	go test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkPeriodic|BenchmarkTable1|BenchmarkStabilizeRound' -benchtime 1x -benchmem ./...
+	go test -run '^$$' -bench 'BenchmarkSchedule|BenchmarkPeriodic|BenchmarkTable1|BenchmarkStabilizeRound|BenchmarkClientLookup' -benchtime 1x -benchmem ./...
 
 # bigcell-smoke exercises the big-cell scale path at CI size: one
 # process hosting a 50k-node cell for one simulated hour on the sim
@@ -136,8 +136,10 @@ fingerprint-check:
 # alloc-check runs the allocation pins: the tests that hold a hot path
 # to an exact object count with testing.AllocsPerRun — the engine's
 # one-shot timers, simnet's pooled deliveries, chord's steady-state
-# maintenance (a resolved lookup, a ping round, a notify, a stabilize
-# round answered with the successor's one boxed reply: zero),
+# maintenance over one deployment-wide record pool (a resolved lookup, a
+# ping round, a notify, a stabilize round answered with the successor's
+# one boxed reply, a routed payload, and a non-member client's lookup
+# and routed payload through a gateway: zero),
 # flower's query path on a frozen petal (a query-loop tick and a
 # gossip-path hit: zero; a directory-path hit: the request, plus the
 # directory's provider list and reply) and a joining client's view seed

@@ -30,9 +30,10 @@ type Router interface {
 	HandleRequest(from runtime.NodeID, req any) (resp any, err error, handled bool)
 }
 
-// NewRouter builds one peer's overlay node, with the signature of
-// chord.NewNode and koorde.NewNode less the overlay's own config.
-type NewRouter func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error)
+// NewRouter builds one peer's overlay node over the deployment's chord
+// records, with the signature of chord.Pool.NewNode and
+// koorde.NewNodeIn less the overlay's own config.
+type NewRouter func(pool *chord.Pool, net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error)
 
 // RingSpec is everything that differs between the ring-directory
 // protocols. The label strings and RootDraws exist because each
@@ -68,8 +69,8 @@ func ChordRouter(opts proto.Options) (NewRouter, error) {
 	if opts.Bool("chord-demo", false) {
 		cfg = chord.DemoConfig()
 	}
-	return func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error) {
-		return chord.NewNode(cfg, net, rng, app, nid, ringID)
+	return func(pool *chord.Pool, net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error) {
+		return pool.NewNode(cfg, net, rng, app, nid, ringID)
 	}, nil
 }
 
@@ -130,7 +131,7 @@ func (s *RingSpec) lower(opts proto.Options) (func(proto.Env) (proto.System, err
 	}
 	return func(env proto.Env) (proto.System, error) {
 		d := &ringDriver{spec: s, cfg: cfg, env: env, idRNG: env.RNG.Split("identities"),
-			newStore: cacheCfg.StoreFactory(env)}
+			newStore: cacheCfg.StoreFactory(env), pool: chord.NewPool()}
 		d.drawRNG = d.idRNG
 		if s.RootDraws {
 			d.drawRNG = env.RNG
@@ -151,6 +152,9 @@ type ringDriver struct {
 	// registry is the ring-member gateway set, mirrored across
 	// processes on multi-process backends (chord.Registry).
 	registry chord.Registry
+	// pool is the one stock of chord records every peer's overlay node
+	// draws on.
+	pool *chord.Pool
 	// peers is the RingInspector snapshot source and the population
 	// count; protocol logic never consults it.
 	peers    proto.Roster[*peer]
@@ -182,7 +186,7 @@ func (d *ringDriver) Spawn(ind proto.Individual) func() {
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
 	ringID := ids.HashString(fmt.Sprintf(d.spec.RingID, p.nid))
-	node, err := d.cfg.newRouter(d.env.Net, p.rng.Split(d.spec.RouterStream), p, p.nid, ringID)
+	node, err := d.cfg.newRouter(d.pool, d.env.Net, p.rng.Split(d.spec.RouterStream), p, p.nid, ringID)
 	if err != nil {
 		panic(err) // config validated at build time
 	}

@@ -8,9 +8,9 @@ import (
 	"flowercdn/internal/runtime"
 )
 
-// quietRing builds a stabilised 32-node ring and freezes it, so that
-// while a pin below runs the engine, nothing executes but the one duty
-// the pin fired by hand.
+// quietRing builds a stabilised 32-node ring over one Pool, as a
+// deployment does, and freezes it, so that while a pin below runs the
+// engine, nothing executes but the one duty the pin fired by hand.
 func quietRing(t testing.TB) (f *ringFixture, src, far *testPeer) {
 	t.Helper()
 	f = newRing(t, 77)
@@ -30,10 +30,19 @@ func quietRing(t testing.TB) (f *ringFixture, src, far *testPeer) {
 // maintenance duty, start to finish: the call, every message and RPC it
 // causes on other nodes, and the callbacks that come home. The sim
 // backend's own records are pooled and its timers come from slabs of
-// 512, which AllocsPerRun's integer mean rounds away.
+// 512, which AllocsPerRun's integer mean rounds away. A non-member
+// Client of the same deployment, entering through the ring member src,
+// draws on the same pool.
 func TestAllocPins(t *testing.T) {
 	f, src, far := quietRing(t)
 	n := src.node
+	cl := &clientPeer{}
+	cl.nid = f.net.Join(cl, f.topo.Place(f.rng))
+	c, err := f.pool.NewClient(f.cfg, f.net, cl.nid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.client = c
 	key := far.node.Self().ID
 	var resolved, hops int
 	onOwner := func(owner Entry, h int, err error) {
@@ -56,8 +65,13 @@ func TestAllocPins(t *testing.T) {
 		{"checkPredecessor", 0, n.checkPredecessor},
 		{"notifySuccessor", 0, n.notifySuccessor},
 		{"stabilize", 0, n.stabilize}, // the successor answers with its one boxed reply
-		{"Route", 1, func() { // the message; nobody brings it back
+		{"Route", 0, func() { // the owner lists the message again
 			n.Route(key, payload)
+			far.routed = far.routed[:0]
+		}},
+		{"Client.LookupVia", 0, func() { c.LookupVia(n.Self(), key, onOwner) }},
+		{"Client.RouteVia", 0, func() {
+			c.RouteVia(n.Self(), key, payload)
 			far.routed = far.routed[:0]
 		}},
 	}
@@ -74,11 +88,14 @@ func TestAllocPins(t *testing.T) {
 			t.Errorf("%s allocates %v objects per round, want at most %v", pin.name, got, pin.max)
 		}
 	}
-	if resolved != 201 || hops < 2 {
-		t.Errorf("lookups resolved %d times over %d hops, want 201 times over several hops", resolved, hops)
+	if resolved != 2*201 || hops < 2 {
+		t.Errorf("lookups resolved %d times over %d hops, want %d times over several hops", resolved, hops, 2*201)
 	}
-	if len(n.pending) != 0 {
-		t.Errorf("%d lookups still pending on a quiet ring", len(n.pending))
+	if len(f.pool.pending) != 0 {
+		t.Errorf("%d lookups still pending on a quiet ring", len(f.pool.pending))
+	}
+	if err := f.pool.Check(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -93,5 +110,35 @@ func BenchmarkStabilizeRound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n.stabilize()
 		f.eng.Run(f.eng.Now() + 5*runtime.Second)
+	}
+}
+
+// BenchmarkClientLookup prices one lookup by a non-member Client through
+// a gateway on a quiet ring, start to finish: the handoff, the routing,
+// the reply and the callback.
+func BenchmarkClientLookup(b *testing.B) {
+	f, src, far := quietRing(b)
+	cl := &clientPeer{}
+	cl.nid = f.net.Join(cl, f.topo.Place(f.rng))
+	c, err := NewClient(f.cfg, f.net, cl.nid)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl.client = c
+	gw, key := src.node.Self(), far.node.Self().ID
+	var failed int
+	onOwner := func(_ Entry, _ int, err error) {
+		if err != nil {
+			failed++
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.LookupVia(gw, key, onOwner)
+		f.eng.Run(f.eng.Now() + 5*runtime.Second)
+	}
+	if failed != 0 {
+		b.Fatalf("%d of %d lookups failed", failed, b.N)
 	}
 }

@@ -24,26 +24,30 @@
 // so, and each comes with a rule:
 //
 //   - A lookup is one *routeMsg for its whole life. The origin takes it
-//     from its free list, every hop bumps Hops and forwards the same
+//     from the pool, every hop bumps Hops and forwards the same
 //     pointer, the owner flips it into the answer (Reply, Owner) and
-//     sends it home, and the origin puts it back. Whoever passes the
-//     message to Send gives it up (runtime.Net's ownership rule);
-//     a message that is lost, or routed one-way with a payload, ends as
-//     ordinary garbage.
-//   - Three free lists per ring member: those messages, pendingLookup
-//     records (one per Lookup, retries included) and probe records (one
-//     per stabilize / check-predecessor / finger-ping RPC). Each record
+//     sends it home, and the origin puts it back. A one-way routed
+//     payload's message goes back at its owner, once the payload and
+//     path are read out of it. Whoever passes the message to Send gives
+//     it up (runtime.Net's ownership rule); a message that is lost ends
+//     as ordinary garbage.
+//   - Three free lists and one pending map per deployment, shared by
+//     members and clients (Pool): those messages, pendingLookup records
+//     (one per Lookup, retries included) and probe records (one per
+//     stabilize / check-predecessor / finger-ping RPC). Each record
 //     binds its callback once, when it is first made, and goes back on
 //     its list before the caller's callback runs, because callbacks
-//     start new lookups. A reply to an attempt that already timed out
+//     start new lookups. A listed record names no member, so a stopped
+//     member is garbage. A reply to an attempt that already timed out
 //     finds no pending entry under its request ID and is dropped; it is
-//     never matched to the record's next tenant. A non-member Client
-//     has no lists and lets the collector have its few records.
-//   - The 64-entry finger table has an index of its distinct nodes,
-//     rebuilt only after an entry changed value: in table order for the
-//     rotating liveness probe, and in top-down order for the greedy
-//     routing step, which so considers the same nodes in the same order
-//     as a scan of the whole table would.
+//     never matched to the record's next tenant, and a reply is taken
+//     only by the resolver that issued it.
+//   - The 64-entry finger table is made at its first write, so a
+//     claimant that loses never makes one. It has an index of its
+//     distinct nodes, rebuilt only after an entry changed value: in
+//     table order for the rotating liveness probe, and in top-down order
+//     for the greedy routing step, which so considers the same nodes in
+//     the same order as a scan of the whole table would.
 //   - A published successor list is never written again. Every rebuild
 //     happens in a spare array and is published as a copy only when it
 //     differs from the current list, and every other writer assigns a
@@ -281,16 +285,16 @@ const noFinger = -1
 
 // pendingLookup is the record of one lookup across all its attempts.
 // The timeout handed to the clock is bound once, when the record is
-// made; ring members recycle records through Node.freeLookups.
+// made; the deployment's Pool recycles records.
 type pendingLookup struct {
-	r  *resolver
+	r  *resolver // the issuer; nil while the record is listed
 	cb func(owner Entry, hops int, err error)
 	// finger, when cb is nil, is the finger-table entry the result
 	// refreshes — fixFingers' lookups carry an index, not a closure.
 	finger  int
 	timer   runtime.Timer
 	retries int
-	req     uint64 // the current attempt's key in resolver.pending
+	req     uint64 // the current attempt's key in Pool.pending
 	key     ids.ID
 	// via is where each attempt is injected: a gateway's address, or
 	// the resolver's own for a member routing by itself.
@@ -313,28 +317,29 @@ func nextReqID() uint64 {
 // resolver issues lookups and matches the replies to them. Both full
 // nodes and non-member Clients embed it, and it holds the one copy of
 // what they share: a Client exists once per peer, so every word here is
-// paid for twenty thousand times over on a big cell.
+// paid for twenty thousand times over on a big cell. Its records and
+// its pending attempts live in the deployment's pool.
 type resolver struct {
 	net     runtime.Net
 	eng     runtime.Clock
 	self    Entry // a Client has an address but no ring position
 	timeout int64
 	retries int // lookupRetries; tests raise it to exercise reuse
-	pending map[uint64]*pendingLookup
+	pool    *Pool
 	// ring is the member this resolver belongs to: it routes attempts
-	// injected at self and owns the free lists. Nil on a Client.
+	// injected at self. Nil on a Client.
 	ring    *Node
 	stopped bool
 }
 
-func (r *resolver) init(cfg Config, net runtime.Net, self Entry, ring *Node) {
+func (r *resolver) init(cfg Config, net runtime.Net, self Entry, pool *Pool, ring *Node) {
 	*r = resolver{
 		net:     net,
 		eng:     net.Clock(),
 		self:    self,
 		timeout: cfg.LookupTimeout,
 		retries: lookupRetries,
-		pending: make(map[uint64]*pendingLookup),
+		pool:    pool,
 		ring:    ring,
 	}
 }
@@ -343,14 +348,7 @@ func (r *resolver) init(cfg Config, net runtime.Net, self Entry, ring *Node) {
 // result goes to cb, or with a nil cb to the ring member's finger-table
 // entry finger.
 func (r *resolver) lookup(via runtime.NodeID, key ids.ID, finger int, cb func(Entry, int, error)) {
-	var p *pendingLookup
-	if r.ring != nil {
-		p = pop(&r.ring.freeLookups)
-	}
-	if p == nil {
-		p = &pendingLookup{r: r}
-		p.onTimeout = p.timedOut
-	}
+	p := r.pool.lookup(r)
 	p.cb, p.finger, p.key, p.via, p.retries = cb, finger, key, via, r.retries-1
 	r.launch(p)
 }
@@ -359,40 +357,23 @@ func (r *resolver) lookup(via runtime.NodeID, key ids.ID, finger int, cb func(En
 // reply to an earlier attempt matches nothing.
 func (r *resolver) launch(p *pendingLookup) {
 	p.req = nextReqID()
-	r.pending[p.req] = p
+	r.pool.pending[p.req] = p
 	p.timer = r.eng.Schedule(r.timeout, p.onTimeout)
-	n := r.ring
-	var m *routeMsg
-	if n != nil {
-		m = pop(&n.freeMsgs)
-	}
-	if m == nil {
-		m = new(routeMsg)
-	}
+	m := r.pool.msg()
 	m.Key, m.ReqID, m.Origin = p.key, p.req, r.self.Node
-	if n != nil && p.via == r.self.Node {
+	if n := r.ring; n != nil && p.via == r.self.Node {
 		n.routeStep(m) // may resolve at once, recycling p and m
 		return
 	}
 	r.net.Send(r.self.Node, p.via, m)
 }
 
-// pop takes the newest record off a free list; nil when it is empty.
-func pop[T any](free *[]*T) *T {
-	l := *free
-	if len(l) == 0 {
-		return nil
-	}
-	*free = l[:len(l)-1]
-	return l[len(l)-1]
-}
-
 func (p *pendingLookup) timedOut() {
 	r := p.r
-	if r.pending[p.req] != p {
+	if r.pool.pending[p.req] != p {
 		return
 	}
-	delete(r.pending, p.req)
+	delete(r.pool.pending, p.req)
 	switch {
 	case r.stopped:
 		r.finish(p, NoEntry, 0, ErrStopped)
@@ -410,10 +391,7 @@ func (p *pendingLookup) timedOut() {
 func (r *resolver) finish(p *pendingLookup, owner Entry, hops int, err error) {
 	cb, finger := p.cb, p.finger
 	p.timer.Release() // fired, or cancelled by the reply
-	p.cb, p.timer = nil, nil
-	if r.ring != nil {
-		r.ring.freeLookups = append(r.ring.freeLookups, p)
-	}
+	r.pool.putLookup(p)
 	if cb != nil {
 		cb(owner, hops, err)
 		return
@@ -421,21 +399,20 @@ func (r *resolver) finish(p *pendingLookup, owner Entry, hops int, err error) {
 	r.ring.fingerResolved(finger, owner, err)
 }
 
-// consumeReply reports whether the reply belonged to this resolver; an
-// unknown ID may belong to another component of the same peer (or be a
-// stale retry), so the caller must keep dispatching on false.
+// consumeReply reports whether the reply belonged to this resolver. The
+// pending map is the deployment's, and a peer holding a Node and a
+// Client offers every reply to both, so an attempt issued by the other
+// resolver is declined; so is an unknown ID (a stale retry), and the
+// caller must keep dispatching on false.
 func (r *resolver) consumeReply(m *routeMsg) bool {
-	p, ok := r.pending[m.ReqID]
-	if !ok {
+	p, ok := r.pool.pending[m.ReqID]
+	if !ok || p.r != r {
 		return false
 	}
-	delete(r.pending, m.ReqID)
+	delete(r.pool.pending, m.ReqID)
 	p.timer.Cancel()
 	owner, hops := m.Owner, m.Hops
-	if r.ring != nil {
-		*m = routeMsg{} // a listed message holds no payload, path or stale flag
-		r.ring.freeMsgs = append(r.ring.freeMsgs, m)
-	}
+	r.pool.putMsg(m)
 	r.finish(p, owner, hops, nil)
 	return true
 }
@@ -453,7 +430,9 @@ type Node struct {
 	// so a change installs a new slice (publishSuccs or a fresh literal).
 	succs []Entry
 
-	fingers  []Entry // write through setFinger, which keeps the index honest
+	// fingers is nil until its first write; write through setFinger,
+	// which makes the table and keeps the index honest.
+	fingers  []Entry
 	nextFix  int
 	nextPing int
 
@@ -472,17 +451,16 @@ type Node struct {
 	// a rebuild out of it only when the list changed.
 	succsSpare []Entry
 
-	// Free lists of the records steady-state maintenance would otherwise
-	// allocate per use (see the package comment), the one boxed notify
-	// this node ever sends, and the boxed neighborsResp of its current
-	// predecessor and published list (see onNeighbors).
-	freeMsgs    []*routeMsg
-	freeLookups []*pendingLookup
-	freeProbes  []*probe
-	notify      any
-	neighbors   any
+	// The one boxed notify this node ever sends, made when it starts,
+	// and the boxed neighborsResp of its current predecessor and
+	// published list (see onNeighbors). The records it recycles are the
+	// deployment's (resolver.pool).
+	notify    any
+	neighbors any
 
-	claims map[ids.ID]claim // position reservations this node granted
+	// claims holds the position reservations this node granted or was
+	// handed; nil until the first (see reserve).
+	claims map[ids.ID]claim
 
 	// contacts is a small cache of recently seen ring members used for
 	// emergency re-joins: a node whose successor list drains completely
@@ -499,31 +477,10 @@ type claim struct {
 	expires  int64
 }
 
-// NewNode constructs a ring member for the application peer at nodeID
-// that will sit at ring position ringID. Call Create or Join to enter a
-// ring, after which the component must see all chord traffic via
-// HandleMessage/HandleRequest.
+// NewNode constructs a ring member over a pool of its own; see
+// Pool.NewNode, which members of one deployment share.
 func NewNode(cfg Config, net runtime.Net, rng *rnd.RNG, app App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if app == nil {
-		return nil, errors.New("chord: nil app")
-	}
-	n := &Node{
-		cfg:     cfg,
-		rng:     rng,
-		app:     app,
-		pred:    NoEntry,
-		fingers: make([]Entry, ids.Bits),
-		claims:  make(map[ids.ID]claim),
-	}
-	for i := range n.fingers {
-		n.fingers[i] = NoEntry
-	}
-	n.resolver.init(cfg, net, Entry{Node: nodeID, ID: ringID}, n)
-	n.notify = notifyMsg{From: n.self}
-	return n, nil
+	return NewPool().NewNode(cfg, net, rng, app, nodeID, ringID)
 }
 
 // Self returns this node's entry.
@@ -588,6 +545,7 @@ func (n *Node) Join(gateway Entry, cb func(error)) {
 
 func (n *Node) start() {
 	n.started = true
+	n.notify = notifyMsg{From: n.self}
 	jitter := func(p int64) int64 { return n.rng.UniformDuration(0, p) }
 	n.timers = append(n.timers,
 		n.eng.Every(jitter(n.cfg.StabilizeInterval), n.cfg.StabilizeInterval, n.stabilize),
@@ -607,12 +565,14 @@ func (n *Node) Stop() {
 	for _, t := range n.timers {
 		t.Cancel()
 	}
-	for id, p := range n.pending {
-		p.timer.Cancel()
-		delete(n.pending, id)
+	// Its own attempts only: the pending map is the deployment's.
+	for id, p := range n.pool.pending {
+		if p.r == &n.resolver {
+			delete(n.pool.pending, id)
+			p.timer.Cancel()
+			p.timer.Release()
+			n.pool.putLookup(p)
+		}
 	}
-	// The owning peer may outlive its membership by hours; what a member
-	// keeps ready for its next round need not.
-	n.freeMsgs, n.freeLookups, n.freeProbes = nil, nil, nil
 	n.fingerScan, n.fingerPing = nil, nil
 }

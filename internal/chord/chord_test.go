@@ -53,6 +53,7 @@ type ringFixture struct {
 	topo  *topology.Topology
 	rng   *rnd.RNG
 	cfg   Config
+	pool  *Pool // the ring's records, shared as in a deployment
 	peers []*testPeer
 }
 
@@ -68,6 +69,7 @@ func newRing(t testing.TB, seed uint64) *ringFixture {
 		topo: topo,
 		rng:  rng,
 		cfg:  DefaultConfig(),
+		pool: NewPool(),
 	}
 }
 
@@ -77,7 +79,7 @@ func (f *ringFixture) addPeer(id ids.ID) *testPeer {
 	f.t.Helper()
 	p := &testPeer{}
 	p.nid = f.net.Join(p, f.topo.Place(f.rng))
-	n, err := NewNode(f.cfg, f.net, f.rng.Split(fmt.Sprint(id)), p, p.nid, id)
+	n, err := f.pool.NewNode(f.cfg, f.net, f.rng.Split(fmt.Sprint(id)), p, p.nid, id)
 	if err != nil {
 		f.t.Fatal(err)
 	}

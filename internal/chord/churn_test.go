@@ -58,6 +58,11 @@ func TestRingSurvivesSustainedChurn(t *testing.T) {
 			t.Fatalf("post-churn lookup wrong: got %v want %v", got, want.node.Self())
 		}
 	}
+	// Thirty members stopped with lookups and probes in flight: the
+	// records they used are back on the lists, and none names them.
+	if err := f.pool.Check(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestClaimTransfersToNewPredecessor verifies the duplicate-prevention

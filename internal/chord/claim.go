@@ -35,8 +35,18 @@ func (n *Node) onClaim(r claimReq) (claimResp, error) {
 	if !n.OwnsKey(r.Pos) {
 		return claimResp{Granted: false, Current: NoEntry}, nil
 	}
-	n.claims[r.Pos] = claim{claimant: r.Claimant, expires: n.eng.Now() + n.cfg.ClaimTTL}
+	n.reserve(r.Pos, r.Claimant)
 	return claimResp{Granted: true}, nil
+}
+
+// reserve records claimant's reservation of pos for ClaimTTL, making
+// the claims map at the first one: a node that never serializes a claim
+// never has one.
+func (n *Node) reserve(pos ids.ID, claimant Entry) {
+	if n.claims == nil {
+		n.claims = make(map[ids.ID]claim)
+	}
+	n.claims[pos] = claim{claimant: claimant, expires: n.eng.Now() + n.cfg.ClaimTTL}
 }
 
 // verifyClaimant pings the holder of a reservation and frees the

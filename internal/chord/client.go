@@ -14,14 +14,10 @@ type Client struct {
 	resolver
 }
 
-// NewClient builds a lookup client for the peer at me.
+// NewClient builds a lookup client over a pool of its own; see
+// Pool.NewClient, which the clients and members of one deployment share.
 func NewClient(cfg Config, net runtime.Net, me runtime.NodeID) (*Client, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Client{}
-	c.resolver.init(cfg, net, Entry{Node: me}, nil)
-	return c, nil
+	return NewPool().NewClient(cfg, net, me)
 }
 
 // LookupVia resolves key's owner through the gateway ring member,
@@ -34,7 +30,7 @@ func (c *Client) LookupVia(gateway Entry, key ids.ID, cb func(owner Entry, hops 
 // gateway. One-way and best-effort; the owner's application answers the
 // origin directly.
 func (c *Client) RouteVia(gateway Entry, key ids.ID, payload any) {
-	c.net.Send(c.self.Node, gateway.Node, &routeMsg{Key: key, Payload: payload, Origin: c.self.Node})
+	c.net.Send(c.self.Node, gateway.Node, c.oneWay(key, payload, false, nil))
 }
 
 // RouteViaTraced is RouteVia with hop tracing: path (owned by the
@@ -42,7 +38,7 @@ func (c *Client) RouteVia(gateway Entry, key ids.ID, payload any) {
 // forwarding. The gateway handoff itself is not a ring forwarding and
 // adds no hop, matching the Hops accounting.
 func (c *Client) RouteViaTraced(gateway Entry, key ids.ID, payload any, path []trace.Hop) {
-	c.net.Send(c.self.Node, gateway.Node, &routeMsg{Key: key, Payload: payload, Origin: c.self.Node, Traced: true, Path: path})
+	c.net.Send(c.self.Node, gateway.Node, c.oneWay(key, payload, true, path))
 }
 
 // HandleMessage consumes lookup replies addressed to this client. It

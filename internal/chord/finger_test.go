@@ -99,7 +99,7 @@ func TestFingerIndexMatchesFullScan(t *testing.T) {
 			switch op := rng.Intn(10); {
 			case op < 3:
 				i, e := rng.Intn(ids.Bits), pick()
-				same := n.fingers[i] == e
+				same := n.fingers != nil && n.fingers[i] == e // the first write makes the table
 				fresh := !n.fingerStale
 				n.setFinger(i, e)
 				if same && fresh && n.fingerStale {

@@ -2,7 +2,6 @@ package chord
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"flowercdn/internal/ids"
@@ -18,7 +17,7 @@ import (
 // message have new tenants. Every lookup must still report exactly
 // once, with the owner the ring's membership dictates (each lookup has
 // its own key, so a reply matched to the wrong tenant shows), and
-// nothing may stay pending or sit on a free list twice.
+// nothing may stay pending or sit on the deployment's lists twice.
 func TestRecycledLookupsSurviveStragglers(t *testing.T) {
 	f := newRing(t, 91)
 	for i := 0; i < 24; i++ {
@@ -78,33 +77,19 @@ func TestRecycledLookupsSurviveStragglers(t *testing.T) {
 	stragglers := 0
 	for _, p := range f.peers {
 		stragglers += p.unclaimed
-		n := p.node
-		if len(n.pending) != 0 {
-			t.Errorf("%s: %d lookups pending at quiescence", n.self, len(n.pending))
-		}
-		// A list is as long as the most lookups ever in flight at once:
-		// these chains, or a fixFingers round before the freeze.
-		if most := max(chains, fingersPerFix); len(n.freeLookups) > most || len(n.freeMsgs) > most {
-			t.Errorf("%s: free lists hold %d records and %d messages, with never more than %d lookups in flight",
-				n.self, len(n.freeLookups), len(n.freeMsgs), most)
-		}
-		seenRec := map[*pendingLookup]bool{}
-		for _, r := range n.freeLookups {
-			if seenRec[r] {
-				t.Errorf("%s: a lookup record is on the free list twice", n.self)
-			}
-			seenRec[r] = true
-		}
-		seenMsg := map[*routeMsg]bool{}
-		for _, m := range n.freeMsgs {
-			if seenMsg[m] {
-				t.Errorf("%s: a message is on the free list twice", n.self)
-			}
-			seenMsg[m] = true
-			if !reflect.DeepEqual(*m, routeMsg{}) {
-				t.Errorf("%s: a listed message still holds %+v", n.self, *m)
-			}
-		}
+	}
+	if len(f.pool.pending) != 0 {
+		t.Errorf("%d lookups pending at quiescence", len(f.pool.pending))
+	}
+	// A list is as long as the most lookups ever in flight at once:
+	// every peer's chains, or every peer's fixFingers round before the
+	// freeze.
+	if most := len(f.peers) * max(chains, fingersPerFix); len(f.pool.lookups) > most || len(f.pool.msgs) > most {
+		t.Errorf("free lists hold %d records and %d messages, with never more than %d lookups in flight",
+			len(f.pool.lookups), len(f.pool.msgs), most)
+	}
+	if err := f.pool.Check(); err != nil {
+		t.Error(err)
 	}
 	if stragglers < 50 {
 		t.Errorf("only %d replies arrived after their attempt was abandoned: the test did not exercise reuse", stragglers)

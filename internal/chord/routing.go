@@ -21,14 +21,14 @@ func (n *Node) Lookup(key ids.ID, cb func(owner Entry, hops int, err error)) {
 // like the paper's query routing: a lost query is recovered by the
 // application's own retry (a client re-submits).
 func (n *Node) Route(key ids.ID, payload any) {
-	n.routeStep(&routeMsg{Key: key, Payload: payload, Origin: n.self.Node})
+	n.routeStep(n.oneWay(key, payload, false, nil))
 }
 
 // RouteTraced is Route with hop tracing: path (owned by the message
 // from here on) accumulates one HopRoute per overlay forwarding and
 // arrives at the owner's OnRouted.
 func (n *Node) RouteTraced(key ids.ID, payload any, path []trace.Hop) {
-	n.routeStep(&routeMsg{Key: key, Payload: payload, Origin: n.self.Node, Traced: true, Path: path})
+	n.routeStep(n.oneWay(key, payload, true, path))
 }
 
 // routeStep implements one step of recursive Chord routing. The origin
@@ -86,11 +86,14 @@ func (n *Node) traceForward(m *routeMsg, dest runtime.NodeID) {
 
 // deliver terminates routing at this node. A lookup's message is
 // flipped into its own reply and sent home — without payload or path,
-// which a reply has no use for and a socket would encode again — so
-// everything the rest of the function needs is read out of it first.
+// which a reply has no use for and a socket would encode again — and a
+// one-way message goes back to the pool, so everything the rest of the
+// function needs is read out of it first. That includes the request
+// ID: a lookup that resolves at its origin is consumed, and its message
+// cleared and listed, before the payload is delivered.
 func (n *Node) deliver(m *routeMsg) {
-	key, payload, origin, hops, path := m.Key, m.Payload, m.Origin, m.Hops, m.Path
-	if m.ReqID != 0 {
+	key, payload, origin, hops, path, req := m.Key, m.Payload, m.Origin, m.Hops, m.Path, m.ReqID
+	if req != 0 {
 		m.Reply, m.Owner = true, n.self
 		m.Payload, m.Path = nil, nil
 		if origin == n.self.Node {
@@ -99,6 +102,8 @@ func (n *Node) deliver(m *routeMsg) {
 		} else {
 			n.net.Send(n.self.Node, origin, m)
 		}
+	} else {
+		n.pool.putMsg(m)
 	}
 	if payload != nil {
 		n.app.OnRouted(key, payload, origin, hops, path)
@@ -128,9 +133,16 @@ func (n *Node) closestPreceding(key ids.ID) Entry {
 	return best
 }
 
-// setFinger is the only writer of the finger table: a write that
-// changes an entry's value marks the distinct-finger index stale.
+// setFinger is the only writer of the finger table: the first write
+// makes the table, and a write that changes an entry's value marks the
+// distinct-finger index stale.
 func (n *Node) setFinger(i int, e Entry) {
+	if n.fingers == nil {
+		n.fingers = make([]Entry, ids.Bits)
+		for j := range n.fingers {
+			n.fingers[j] = NoEntry
+		}
+	}
 	if n.fingers[i] != e {
 		n.fingers[i] = e
 		n.fingerStale = true

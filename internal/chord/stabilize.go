@@ -11,7 +11,7 @@ import (
 // simnet's rpcState it binds the callback it hands the transport once,
 // when the record is made, and says through kind what the answer is for.
 type probe struct {
-	n      *Node
+	n      *Node // the prober; nil while the record is listed
 	kind   probeKind
 	target Entry
 	onDone func(resp any, err error)
@@ -28,21 +28,17 @@ const (
 // request sends one maintenance RPC to target; done handles the outcome
 // as kind says, unless the node has stopped by then.
 func (n *Node) request(kind probeKind, target Entry, req any) {
-	p := pop(&n.freeProbes)
-	if p == nil {
-		p = &probe{n: n}
-		p.onDone = p.done
-	}
+	p := n.pool.probe(n)
 	p.kind, p.target = kind, target
 	n.net.Request(n.self.Node, target.Node, req, n.cfg.RPCTimeout, p.onDone)
 }
 
 func (p *probe) done(resp any, err error) {
 	n, kind, target := p.n, p.kind, p.target
+	n.pool.putProbe(p)
 	if n.stopped {
-		return // Stop let the free lists go; do not start one again
+		return
 	}
-	n.freeProbes = append(n.freeProbes, p)
 	switch kind {
 	case probeSuccessor:
 		n.onStabilized(target, resp, err)
@@ -308,7 +304,7 @@ func (n *Node) onClaimTransfer(m claimTransfer) {
 	if _, ok := n.claims[m.Pos]; ok {
 		return
 	}
-	n.claims[m.Pos] = claim{claimant: m.Claimant, expires: n.eng.Now() + n.cfg.ClaimTTL}
+	n.reserve(m.Pos, m.Claimant)
 }
 
 // onNeighbors answers a stabilize probe. The answer shares the
@@ -407,7 +403,7 @@ func (n *Node) clearFingersFor(dead Entry) {
 // restore visibility when an ownership audit shows the ring routing
 // around them.
 func (n *Node) Announce(to Entry) {
-	if n.stopped || !to.Valid() || to.Node == n.self.Node {
+	if n.stopped || !n.started || !to.Valid() || to.Node == n.self.Node {
 		return
 	}
 	n.net.Send(n.self.Node, to.Node, n.notify)

@@ -124,7 +124,7 @@ func (s exactSummary) SizeBytes() int { return len(s) * 8 }
 // becomeFoundingDirectory creates a brand-new D-ring with this peer as
 // its first member at pos.
 func (p *Peer) becomeFoundingDirectory(pos ids.ID) {
-	node, err := chord.NewNode(p.sys.cfg.Chord, p.sys.net, p.rng.Split("chord"), p, p.nid, pos)
+	node, err := p.sys.chordPool.NewNode(p.sys.cfg.Chord, p.sys.net, p.rng.Split("chord"), p, p.nid, pos)
 	if err != nil {
 		panic(err)
 	}
@@ -164,7 +164,7 @@ func (p *Peer) claimDirectoryPosition(pos ids.ID, exclude runtime.NodeID, done f
 		}
 		return
 	}
-	node, err := chord.NewNode(p.sys.cfg.Chord, p.sys.net, p.rng.Split("chord"), p, p.nid, pos)
+	node, err := p.sys.chordPool.NewNode(p.sys.cfg.Chord, p.sys.net, p.rng.Split("chord"), p, p.nid, pos)
 	if err != nil {
 		panic(err)
 	}
@@ -273,7 +273,7 @@ func (p *Peer) auditPosition() {
 		return
 	}
 	if p.chordClient == nil {
-		cl, err := chord.NewClient(p.sys.cfg.Chord, p.sys.net, p.nid)
+		cl, err := p.sys.chordPool.NewClient(p.sys.cfg.Chord, p.sys.net, p.nid)
 		if err != nil {
 			panic(err)
 		}

@@ -337,6 +337,11 @@ func TestDirectoryFailureReplacedByContentPeer(t *testing.T) {
 				m.NodeID(), m.DirInfo().Node, newDir.NodeID())
 		}
 	}
+	// The dead directory's ring node and every claimant's drew on the
+	// deployment's chord records; none may be listed twice or name them.
+	if err := f.sys.chordPool.Check(); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestVacantPositionClaimedByNewClient(t *testing.T) {

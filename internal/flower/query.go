@@ -242,7 +242,7 @@ func (p *Peer) sendRoutedQuery(q *activeQuery) {
 		return
 	}
 	if p.chordClient == nil {
-		cl, err := chord.NewClient(p.sys.cfg.Chord, p.sys.net, p.nid)
+		cl, err := p.sys.chordPool.NewClient(p.sys.cfg.Chord, p.sys.net, p.nid)
 		if err != nil {
 			panic(err) // config validated at system construction
 		}

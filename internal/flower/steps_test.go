@@ -182,6 +182,9 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 			t.Errorf("%d records on the free list after %d queries", len(f.sys.freeSteps), issued)
 		}
 		checkStepPool(t, f.sys)
+		if err := f.sys.chordPool.Check(); err != nil {
+			t.Error(err)
+		}
 	})
 }
 

@@ -99,6 +99,9 @@ type System struct {
 	// (chord.Registry) — the paper's out-of-band entry points (the
 	// supported websites) made concrete.
 	registry chord.Registry
+	// chordPool is the one stock of chord records that every peer's
+	// D-ring node and lookup client draws on.
+	chordPool *chord.Pool
 	// follower marks a process that must wait for an announced gateway
 	// instead of founding the D-ring (multi-process backends only).
 	follower bool
@@ -146,18 +149,19 @@ func NewSystem(cfg Config, env proto.Env) (*System, error) {
 		return nil, fmt.Errorf("flower: %d localities, but D-ring positions hold at most %d", k, dring.MaxLocalities)
 	}
 	s := &System{
-		cfg:      cfg,
-		net:      env.Net,
-		eng:      env.Net.Clock(),
-		topo:     env.Topo,
-		oracle:   env.Oracle,
-		rng:      env.RNG,
-		work:     env.Workload,
-		origins:  env.Origins,
-		coll:     env.Metrics,
-		tracer:   env.Trace,
-		newStore: content.NewStore,
-		follower: env.Follower,
+		cfg:       cfg,
+		net:       env.Net,
+		eng:       env.Net.Clock(),
+		topo:      env.Topo,
+		oracle:    env.Oracle,
+		rng:       env.RNG,
+		work:      env.Workload,
+		origins:   env.Origins,
+		coll:      env.Metrics,
+		tracer:    env.Trace,
+		newStore:  content.NewStore,
+		follower:  env.Follower,
+		chordPool: chord.NewPool(),
 	}
 	if env.LocalitySkew > 0 {
 		var err error

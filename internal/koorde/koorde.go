@@ -133,12 +133,19 @@ func (a ringApp) OnRouted(key ids.ID, payload any, origin runtime.NodeID, hops i
 	}
 }
 
-// NewNode constructs a ring member for the application peer at nodeID
-// sitting at ring position ringID; app receives the payloads routed over
-// the de Bruijn edges, the same contract as on a chord.Node. Call
-// Create or Join to enter a ring, then deliver all overlay traffic via
-// HandleMessage / HandleRequest.
+// NewNode constructs a ring member whose substrate draws on a chord
+// pool of its own; see NewNodeIn.
 func NewNode(cfg Config, net runtime.Net, rng *rnd.RNG, app chord.App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
+	return NewNodeIn(chord.NewPool(), cfg, net, rng, app, nodeID, ringID)
+}
+
+// NewNodeIn constructs a ring member for the application peer at nodeID
+// sitting at ring position ringID, its chord substrate drawing on pool,
+// which the members of one deployment share; app receives the payloads
+// routed over the de Bruijn edges, the same contract as on a chord.Node.
+// Call Create or Join to enter a ring, then deliver all overlay traffic
+// via HandleMessage / HandleRequest.
+func NewNodeIn(pool *chord.Pool, cfg Config, net runtime.Net, rng *rnd.RNG, app chord.App, nodeID runtime.NodeID, ringID ids.ID) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -146,7 +153,7 @@ func NewNode(cfg Config, net runtime.Net, rng *rnd.RNG, app chord.App, nodeID ru
 		return nil, errors.New("koorde: nil app")
 	}
 	n := &Node{cfg: cfg, net: net, eng: net.Clock(), rng: rng, app: app}
-	ring, err := chord.NewNode(cfg.Chord, net, rng.Split("ring"), ringApp{n}, nodeID, ringID)
+	ring, err := pool.NewNode(cfg.Chord, net, rng.Split("ring"), ringApp{n}, nodeID, ringID)
 	if err != nil {
 		return nil, err
 	}

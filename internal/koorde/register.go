@@ -39,7 +39,7 @@ func router(opts proto.Options) (baseline.NewRouter, error) {
 	if opts.Bool("chord-demo", false) {
 		kc = DemoConfig()
 	}
-	return func(net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (baseline.Router, error) {
-		return NewNode(kc, net, rng, app, nid, ringID)
+	return func(pool *chord.Pool, net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (baseline.Router, error) {
+		return NewNodeIn(pool, kc, net, rng, app, nid, ringID)
 	}, nil
 }
