@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke codec-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc
+.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc
 
 build:
 	go build ./...
@@ -169,7 +169,7 @@ realtime-smoke:
 
 # socket-smoke runs one population across three cooperating OS
 # processes on the socket backend: real TCP between peer groups — every
-# payload through the default binary codec's per-type marshallers and
+# payload through the binary codec's per-type marshallers and
 # the write-side batching path — live queries answered in every
 # process, clean shutdown. Each child exits
 # non-zero unless its queries were answered, and the parent propagates
@@ -177,12 +177,6 @@ realtime-smoke:
 # one command.
 socket-smoke:
 	go run ./cmd/flowersim -backend socket -spawn-local 3 -population 50 -horizon 6s
-
-# codec-smoke is socket-smoke under the gob compatibility codec: the
-# same 3-process TCP population with self-describing frames, the one
-# end-to-end run the compatibility path keeps while it exists.
-codec-smoke:
-	go run ./cmd/flowersim -backend socket -spawn-local 3 -population 50 -horizon 6s -codec gob
 
 # staticcheck runs the pinned version through `go run`, so CI and local
 # invocations cannot drift (CI calls this same target). Needs network
@@ -265,8 +259,11 @@ dist-smoke:
 	@echo "dist-smoke OK: distributed and resumed aggregates byte-identical to in-process"
 
 # docs-check keeps the documentation surfaces honest: every internal
-# package must open with a real godoc package comment, and the files
-# the operator's manual links to must exist.
+# package must open with a real godoc package comment, the files the
+# operator's manual links to must exist, and every make target that
+# README.md, docs/*.md or the CI workflow names — `make x y`, `$ make x`,
+# `run: make x`, `= make x`, or an entry of the CI smoke matrix — must
+# be a target of this Makefile.
 docs-check:
 	@missing=0; for d in internal/*/; do \
 		pkg=$$(basename $$d); \
@@ -275,6 +272,14 @@ docs-check:
 	done; [ $$missing -eq 0 ]
 	@for f in docs/OPERATIONS.md docs/PAPER.md README.md ROADMAP.md; do \
 		test -s $$f || { echo "missing doc: $$f" >&2; exit 1; }; done
+	@have=$$(sed -n 's/^\([a-z][a-z0-9-]*\):.*/\1/p' Makefile); \
+	named=$$( { grep -ohE '(`|\$$ |run: |= )make( +[a-z][a-z0-9-]*)+' README.md docs/*.md .github/workflows/ci.yml | \
+			sed -E 's/^.*make +//' | tr ' ' '\n'; \
+		sed -n '/^ *target:$$/,/^ *steps:$$/s/^ *- *\([a-z][a-z0-9-]*\)$$/\1/p' .github/workflows/ci.yml; } | sort -u); \
+	stale=0; for t in $$named; do \
+		if ! printf '%s\n' $$have | grep -qx "$$t"; then \
+			echo "docs name make target '$$t', which the Makefile lacks" >&2; stale=1; fi; \
+	done; [ $$stale -eq 0 ]
 	go vet ./...
 	@echo "docs-check OK"
 

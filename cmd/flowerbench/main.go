@@ -31,8 +31,10 @@
 // resumable: completed runs persist under -out-dir, and a restarted
 // coordinator (same flags, same directory) re-runs only what is
 // missing. Aggregates are bit-identical to the in-process sweep at any
-// worker count — `make dist-smoke` diffs the two CSVs in CI. See
-// docs/OPERATIONS.md.
+// worker count — `make dist-smoke` diffs the two CSVs in CI. The
+// processes speak the binary wire codec, and the timings are fixed: a
+// worker heartbeats every 2 s while it runs a job and forfeits the job
+// to reassignment after 2 minutes of silence. See docs/OPERATIONS.md.
 //
 // Grids: compare (every comparable protocol registered with the
 // runtime: flower, petalup, squirrel, chord-global, koorde-global —
@@ -93,7 +95,7 @@ type options struct {
 	seeds, workers int
 	csv, seriesCSV string
 
-	// dist holds -dist-coordinator, -out-dir, -dist-codec and -lease.
+	// dist holds -dist-coordinator and -out-dir.
 	dist         flowercdn.DistSweepOptions
 	distWorker   string
 	spawnWorkers int
@@ -128,8 +130,6 @@ func declare(fs *flag.FlagSet) *options {
 	cli.Bind(f, local, &o.distWorker, "dist-worker", "serve a distributed sweep as a worker of the coordinator at this address (same sweep flags required)")
 	cli.Bind(f, local, &o.spawnWorkers, "spawn-workers", "with -dist-coordinator: also fork N local worker processes")
 	cli.Bind(f, local, &o.dist.OutDir, "out-dir", "coordinator result-record directory (makes the sweep resumable)")
-	cli.Bind(f, sweep, &o.dist.Codec, "dist-codec", "coordinator/worker wire codec: binary (default) or gob")
-	cli.Bind(f, local, &o.dist.Lease, "lease", "per-job liveness deadline before reassignment (default 2m)")
 	cli.Bind(f, local, &o.distVerbose, "dist-verbose", "print coordinator scheduling events (assignments, completions, reassignments)")
 
 	cli.Bind(f, local, &o.cpuProfile, "cpuprofile", "write a CPU profile covering every run to this file")
@@ -266,7 +266,6 @@ func (o *options) runGrid(base flowercdn.Config, pops []int) error {
 	if o.distWorker != "" {
 		return flowercdn.DistSweepWorker(cells, seedSet, flowercdn.DistSweepWorkerOptions{
 			Coordinator: o.distWorker,
-			Codec:       o.dist.Codec,
 			OnEvent:     func(e string) { fmt.Println(e) },
 		})
 	}

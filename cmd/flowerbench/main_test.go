@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"slices"
 	"testing"
 
 	"flowercdn"
@@ -16,7 +17,7 @@ func TestWorkerArgsCarryOnlyTheSweep(t *testing.T) {
 	o := declare(flag.NewFlagSet("flowerbench", flag.ContinueOnError))
 	err := o.flags.Parse([]string{
 		"--cpuprofile", "x", "--memprofile=m", "-csv=y", "--series-csv", "s", "--out-dir", "z", "-dist-verbose",
-		"-dist-coordinator", ":0", "--spawn-workers", "2", "-workers", "3", "-lease", "1m",
+		"-dist-coordinator", ":0", "--spawn-workers", "2", "-workers", "3",
 		"-grid", "compare", "--scenario", "flash-crowd", "-seeds=2", "--seed", "4", "-full", "-p", "100",
 	})
 	if err != nil {
@@ -40,6 +41,23 @@ func TestWorkerArgsCarryOnlyTheSweep(t *testing.T) {
 	}
 	if w.grid != o.grid || w.scenario != o.scenario || w.seeds != o.seeds || w.seed != o.seed || w.full != o.full || w.pop != o.pop {
 		t.Errorf("worker sweep %+v differs from coordinator's %+v", w, o)
+	}
+}
+
+// TestFlagNamesArePinned holds the command line to the pinned flag set:
+// a new knob, or a flag gone, is an edit to this list.
+func TestFlagNamesArePinned(t *testing.T) {
+	want := []string{
+		"cpuprofile", "csv", "dist-coordinator", "dist-verbose", "dist-worker",
+		"extra", "fig", "full", "grid", "memprofile", "out-dir", "p", "scenario",
+		"seed", "seeds", "series-csv", "spawn-workers", "table", "trace", "workers",
+	}
+	fs := flag.NewFlagSet("flowerbench", flag.ContinueOnError)
+	declare(fs)
+	var got []string
+	fs.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flowerbench flags (%d) = %v\nwant the pinned %d: %v", len(got), got, len(want), want)
 	}
 }
 

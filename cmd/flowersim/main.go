@@ -84,7 +84,7 @@ type options struct {
 	exp        flowercdn.Config
 	population int
 	horizon    time.Duration
-	// sock holds -listen, -group and -codec; socket() adds the peer list.
+	// sock holds -listen and -group; socket() adds the peer list.
 	sock               runtime.SocketConfig
 	peers              string
 	groups, spawnLocal int
@@ -123,7 +123,6 @@ func declare(fs *flag.FlagSet) *options {
 
 	cli.Bind(f, wallClock, &o.population, "population", "realtime backend: mean population size")
 	cli.Bind(f, wallClock, &o.horizon, "horizon", "realtime backend: wall-clock run length")
-	cli.Bind(f, onSocket, &o.sock.Codec, "codec", fmt.Sprintf("socket backend: wire codec, one of %v (empty = %s)", flowercdn.Codecs(), runtime.DefaultCodec))
 	cli.Bind(f, onSocket|perProcess, &o.sock.Listen, "listen", "socket backend: this process's TCP listen address")
 	cli.Bind(f, onSocket|perProcess, &o.peers, "peers", "socket backend: comma-separated index-ordered group addresses")
 	cli.Bind(f, onSocket|perProcess, &o.sock.Group, "group", "socket backend: this process's index in -peers (default: position of -listen)")

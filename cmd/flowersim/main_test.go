@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -55,29 +56,27 @@ func TestWallClockConfigIsDemoPresetPlusOverrides(t *testing.T) {
 	slot := []string{"-listen", "b:1", "-peers", "a:1, b:1"}
 	presets := []struct {
 		args   []string
-		preset func(codec string) harness.Config
+		preset func() harness.Config
 	}{
-		{[]string{"-backend", "realtime"}, func(string) harness.Config {
+		{[]string{"-backend", "realtime"}, func() harness.Config {
 			return harness.RealtimeDemoConfig(50, 5000)
 		}},
-		{append([]string{"-backend", "socket"}, slot...), func(codec string) harness.Config {
+		{append([]string{"-backend", "socket"}, slot...), func() harness.Config {
 			return harness.SocketDemoConfig(50, 5000, runtime.SocketConfig{
-				Listen: "b:1", Peers: []string{"a:1", "b:1"}, Group: 1, Codec: codec})
+				Listen: "b:1", Peers: []string{"a:1", "b:1"}, Group: 1})
 		}},
 	}
 	cases := []struct {
 		args     []string
-		codec    string // what -codec does on the socket backend
 		override func(*harness.Config)
 	}{
-		{nil, "", func(*harness.Config) {}},
-		{[]string{"-loss", "0.1"}, "", func(c *harness.Config) { c.MessageLossRate = 0.1 }},
-		{[]string{"-cache-policy", "lru", "-cache-capacity", "8"}, "", func(c *harness.Config) {
+		{nil, func(*harness.Config) {}},
+		{[]string{"-loss", "0.1"}, func(c *harness.Config) { c.MessageLossRate = 0.1 }},
+		{[]string{"-cache-policy", "lru", "-cache-capacity", "8"}, func(c *harness.Config) {
 			c.Options["cache-policy"], c.Options["cache-capacity"] = "lru", 8
 		}},
-		{[]string{"-trace-csv", "t.csv"}, "", func(c *harness.Config) { c.Trace = &harness.TraceConfig{} }},
-		{[]string{"-codec", "binary"}, "binary", func(*harness.Config) {}},
-		{[]string{"-protocol", "squirrel", "-seed", "9"}, "", func(c *harness.Config) {
+		{[]string{"-trace-csv", "t.csv"}, func(c *harness.Config) { c.Trace = &harness.TraceConfig{} }},
+		{[]string{"-protocol", "squirrel", "-seed", "9"}, func(c *harness.Config) {
 			c.Protocol, c.Seed = harness.ProtocolSquirrel, 9
 		}},
 	}
@@ -85,7 +84,7 @@ func TestWallClockConfigIsDemoPresetPlusOverrides(t *testing.T) {
 		for _, tc := range cases {
 			args := append(append([]string{}, p.args...), tc.args...)
 			o, _ := mustParse(t, args...)
-			want := p.preset(tc.codec)
+			want := p.preset()
 			tc.override(&want)
 			if got := mustConfig(t, o); !reflect.DeepEqual(got, want) {
 				t.Errorf("%v builds\n%+v\nwant\n%+v", args, got, want)
@@ -114,7 +113,7 @@ func TestEveryFlagSaysWhereItApplies(t *testing.T) {
 }
 
 func TestIgnoredFlagWarnsOnceAndIsReset(t *testing.T) {
-	o, warnings := mustParse(t, "-backend", "socket", "-zipf", "0.2", "-loss", "0.1", "-codec", "binary")
+	o, warnings := mustParse(t, "-backend", "socket", "-zipf", "0.2", "-loss", "0.1", "-groups", "2")
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "-zipf is ignored with -backend socket") {
 		t.Errorf("warnings = %q, want exactly one, about -zipf", warnings)
 	}
@@ -124,8 +123,8 @@ func TestIgnoredFlagWarnsOnceAndIsReset(t *testing.T) {
 	if _, warnings = mustParse(t, "-obs", ":0", "-p", "100"); len(warnings) != 1 || !strings.Contains(warnings[0], "-obs") {
 		t.Errorf("sim warnings = %q, want exactly one, about -obs", warnings)
 	}
-	if _, warnings = mustParse(t, "-backend", "realtime", "-codec", "binary", "-cpuprofile", "x"); len(warnings) != 1 {
-		t.Errorf("realtime warnings = %q, want exactly one, about -codec", warnings)
+	if _, warnings = mustParse(t, "-backend", "realtime", "-groups", "2", "-cpuprofile", "x"); len(warnings) != 1 || !strings.Contains(warnings[0], "-groups") {
+		t.Errorf("realtime warnings = %q, want exactly one, about -groups", warnings)
 	}
 }
 
@@ -133,7 +132,7 @@ func TestIgnoredFlagWarnsOnceAndIsReset(t *testing.T) {
 // parent was given and no per-process one, and so build the config the
 // parent's flags describe.
 func TestSpawnLocalChildArgs(t *testing.T) {
-	groupWide := []string{"-backend=socket", "-cache-capacity=8", "-cache-policy=lru", "-codec=binary",
+	groupWide := []string{"-backend=socket", "-cache-capacity=8", "-cache-policy=lru",
 		"-horizon=2s", "-loss=0.05", "-obs=127.0.0.1:0", "-population=30", "-protocol=squirrel",
 		"-seed=7", "-trace-csv=t.csv"}
 	o, _ := mustParse(t, append([]string{"--spawn-local", "3", "-listen", "x:1", "--peers=x:1,y:1",
@@ -163,5 +162,25 @@ func TestSocketSlotErrors(t *testing.T) {
 		if _, err := o.config(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%q: error %v, want one containing %q", tc.args, err, tc.want)
 		}
+	}
+}
+
+// TestFlagNamesArePinned holds the command line to the pinned flag set:
+// a new knob, or a flag gone, is an edit to this list.
+func TestFlagNamesArePinned(t *testing.T) {
+	want := []string{
+		"active", "backend", "cache-capacity", "cache-policy", "collab", "cpuprofile",
+		"exact-summaries", "gossip-every", "group", "groups", "horizon", "hours",
+		"interest-skew", "k", "listen", "load-limit", "locality-skew", "loss",
+		"measure-mem", "memprofile", "objects", "obs", "p", "peers", "population",
+		"print-fingerprint", "print-params", "protocol", "protocols", "push",
+		"query-every", "seed", "series", "sites", "spawn-local", "trace-csv",
+		"uptime", "zipf",
+	}
+	o, _ := mustParse(t)
+	var got []string
+	o.flags.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
+	if !slices.Equal(got, want) {
+		t.Errorf("flowersim flags (%d) = %v\nwant the pinned %d: %v", len(got), got, len(want), want)
 	}
 }

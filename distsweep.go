@@ -1,10 +1,6 @@
 package flowercdn
 
-import (
-	"time"
-
-	"flowercdn/internal/distsweep"
-)
+import "flowercdn/internal/distsweep"
 
 // DistSweepOptions configures the coordinator side of a distributed
 // sweep (DistSweepCoordinator).
@@ -16,12 +12,6 @@ type DistSweepOptions struct {
 	// resumable: a restarted coordinator pointed at the same directory
 	// skips every already-completed (cell, seed) job. Required.
 	OutDir string
-	// Codec names the wire codec ("binary" by default); workers must use
-	// the same.
-	Codec string
-	// Lease is the per-job liveness deadline — a worker silent this long
-	// forfeits its job to reassignment (2 minutes by default).
-	Lease time.Duration
 	// OnListen, when set, receives the bound listen address before the
 	// coordinator blocks — the hook process spawners use to hand workers
 	// the actual port behind ":0".
@@ -37,8 +27,6 @@ type DistSweepOptions struct {
 type DistSweepWorkerOptions struct {
 	// Coordinator is the coordinator's dial address.
 	Coordinator string
-	// Codec must match the coordinator's wire codec ("binary" default).
-	Codec string
 	// Name labels the worker in coordinator events ("worker-<pid>" by
 	// default).
 	Name string
@@ -66,8 +54,6 @@ func DistSweepCoordinator(cells []SweepCell, seeds []uint64, opts DistSweepOptio
 		Listen:  opts.Listen,
 		Spec:    spec,
 		OutDir:  opts.OutDir,
-		Codec:   opts.Codec,
-		Lease:   opts.Lease,
 		OnEvent: opts.OnEvent,
 	})
 	if err != nil {
@@ -95,7 +81,6 @@ func DistSweepWorker(cells []SweepCell, seeds []uint64, opts DistSweepWorkerOpti
 	return distsweep.RunWorker(distsweep.WorkerConfig{
 		Coordinator: opts.Coordinator,
 		Spec:        spec,
-		Codec:       opts.Codec,
 		Name:        opts.Name,
 		OnEvent:     opts.OnEvent,
 	})

@@ -75,10 +75,6 @@ func Backends() []string { return runtime.Backends() }
 // first, then alphabetical).
 func CachePolicies() []string { return cache.Names() }
 
-// Codecs returns the registered wire codecs the socket backend can
-// frame payloads with ("gob", "binary").
-func Codecs() []string { return runtime.Codecs() }
-
 // CompareProtocols returns the protocols that belong in head-to-head
 // comparison grids (everything registered except degenerate floors
 // like origin-only, which stays reachable by name).

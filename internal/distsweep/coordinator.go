@@ -1,6 +1,7 @@
 package distsweep
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"net"
@@ -13,10 +14,10 @@ import (
 	"flowercdn/internal/sweep"
 )
 
-// DefaultLease is the per-job lease when CoordinatorConfig.Lease is
-// unset: a worker silent (no progress message) this long forfeits its
-// job to reassignment. Workers heartbeat every few seconds, so only a
-// dead or wedged worker ever forfeits.
+// DefaultLease is the per-job lease: a worker silent (no progress
+// message) this long forfeits its job to reassignment. Workers
+// heartbeat every few seconds, so only a dead or wedged worker ever
+// forfeits.
 const DefaultLease = 2 * time.Minute
 
 // CoordinatorConfig describes one coordinator.
@@ -29,16 +30,12 @@ type CoordinatorConfig struct {
 	Spec sweep.Spec
 	// OutDir holds the resumable per-cell record files.
 	OutDir string
-	// Codec names the wire codec; empty is runtime.DefaultCodec, binary —
-	// the messages all carry canonical marshallers and the result records
-	// reuse the same encoding on disk.
-	Codec string
-	// Lease is the per-job deadline (DefaultLease when <= 0).
-	Lease time.Duration
 	// OnEvent, when set, receives one-line progress events
 	// (connections, completions, reassignments). It may be called from
 	// multiple goroutines and must not block.
 	OnEvent func(string)
+
+	lease time.Duration // DefaultLease when zero; tests shorten it
 }
 
 // lease is one outstanding job assignment.
@@ -55,7 +52,6 @@ type Coordinator struct {
 	cfg   CoordinatorConfig
 	spec  sweep.Spec
 	sum   uint64
-	codec string
 	lease time.Duration
 	ln    net.Listener
 	logs  []*cellLog
@@ -88,13 +84,6 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.OutDir == "" {
 		return nil, errors.New("distsweep: coordinator needs an out-dir for resumable result files")
 	}
-	if _, err := runtime.NewCodec(cfg.Codec); err != nil {
-		return nil, fmt.Errorf("distsweep: %w", err)
-	}
-	leaseFor := cfg.Lease
-	if leaseFor <= 0 {
-		leaseFor = DefaultLease
-	}
 	sum := SpecSum(cfg.Spec)
 	logs, done, err := openOutDir(cfg.OutDir, cfg.Spec, sum)
 	if err != nil {
@@ -112,8 +101,7 @@ func StartCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cfg:      cfg,
 		spec:     cfg.Spec,
 		sum:      sum,
-		codec:    cfg.Codec,
-		lease:    leaseFor,
+		lease:    cmp.Or(cfg.lease, DefaultLease),
 		ln:       ln,
 		logs:     logs,
 		epochs:   map[jobKey]uint64{},
@@ -266,7 +254,7 @@ func (c *Coordinator) acceptLoop() {
 
 // serve handles one worker connection for its lifetime.
 func (c *Coordinator) serve(nc net.Conn) {
-	s, err := socknet.AcceptStream(nc, c.codec)
+	s, err := socknet.AcceptStream(nc, runtime.DefaultCodec)
 	if err != nil {
 		c.event("worker handshake failed: %v", err)
 		return

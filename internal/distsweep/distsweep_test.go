@@ -160,20 +160,6 @@ func TestDistributedMatchesInProcess(t *testing.T) {
 	}
 }
 
-// Both codecs carry the protocol; gob is the compatibility fallback.
-func TestDistributedGobCodec(t *testing.T) {
-	spec := sweep.Spec{Cells: tinySpec().Cells[:1], Seeds: []uint64{1}}
-	want, err := sweep.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runDistributed(t, spec, CoordinatorConfig{Codec: "gob"}, WorkerConfig{Codec: "gob"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameResult(t, want, got)
-}
-
 // runDistributed is the one-coordinator one-worker convenience used by
 // the smaller tests. Zero fields of ccfg/wcfg are filled in.
 func runDistributed(t *testing.T, spec sweep.Spec, ccfg CoordinatorConfig, wcfg WorkerConfig) (*sweep.Result, error) {
@@ -263,8 +249,8 @@ func TestStragglerResultDiscardedByEpoch(t *testing.T) {
 		Listen:  "127.0.0.1:0",
 		Spec:    spec,
 		OutDir:  t.TempDir(),
-		Lease:   200 * time.Millisecond,
 		OnEvent: log.add,
+		lease:   200 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -301,7 +287,7 @@ func TestStragglerResultDiscardedByEpoch(t *testing.T) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- RunWorker(WorkerConfig{
-			Coordinator: coord.Addr(), Spec: spec, Name: "real", Heartbeat: 50 * time.Millisecond,
+			Coordinator: coord.Addr(), Spec: spec, Name: "real", heartbeat: 50 * time.Millisecond,
 		})
 	}()
 	log.waitFor(t, fmt.Sprintf("cell %d seed %d assigned to real (epoch %d)", assign.Cell, assign.Seed, assign.Epoch+1))

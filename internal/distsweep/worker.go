@@ -1,19 +1,21 @@
 package distsweep
 
 import (
+	"cmp"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
 	"flowercdn/internal/harness"
+	"flowercdn/internal/runtime"
 	"flowercdn/internal/socknet"
 	"flowercdn/internal/sweep"
 )
 
-// DefaultHeartbeat is the worker's progress period when
-// WorkerConfig.Heartbeat is unset — far inside DefaultLease, so a
-// healthy worker never forfeits a long run.
+// DefaultHeartbeat is the worker's progress period while a run
+// executes — far inside DefaultLease, so a healthy worker never
+// forfeits a long run.
 const DefaultHeartbeat = 2 * time.Second
 
 // DefaultDialTimeout is how long a worker keeps retrying the
@@ -29,21 +31,14 @@ type WorkerConfig struct {
 	// from the same flags by the same binary. The handshake compares
 	// SpecSum fingerprints.
 	Spec sweep.Spec
-	// Codec names the wire codec (runtime.DefaultCodec when empty); it must
-	// match the coordinator's.
-	Codec string
 	// Name labels this worker in coordinator events; defaults to
 	// "worker-<pid>".
 	Name string
-	// DialTimeout bounds the dial-retry loop (DefaultDialTimeout
-	// when <= 0).
-	DialTimeout time.Duration
-	// Heartbeat is the progress period while a run executes
-	// (DefaultHeartbeat when <= 0).
-	Heartbeat time.Duration
 	// OnEvent, when set, receives one-line progress events. It must not
 	// block.
 	OnEvent func(string)
+
+	heartbeat time.Duration // DefaultHeartbeat when zero; tests shorten it
 }
 
 // RunWorker connects to the coordinator, pulls (cell, seed) jobs one
@@ -65,7 +60,7 @@ func RunWorker(cfg WorkerConfig) error {
 		}
 	}
 
-	s, err := dialRetry(cfg.Coordinator, cfg.Codec, cfg.DialTimeout)
+	s, err := dialRetry(cfg.Coordinator)
 	if err != nil {
 		return err
 	}
@@ -128,10 +123,7 @@ func runJob(cfg WorkerConfig, s *socknet.Stream, m *JobAssign) (*RunRecord, erro
 	hc := cfg.Spec.Cells[m.Cell].Config
 	hc.Seed = cfg.Spec.Seeds[m.Seed]
 
-	hb := cfg.Heartbeat
-	if hb <= 0 {
-		hb = DefaultHeartbeat
-	}
+	hb := cmp.Or(cfg.heartbeat, DefaultHeartbeat)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -161,22 +153,23 @@ func runJob(cfg WorkerConfig, s *socknet.Stream, m *JobAssign) (*RunRecord, erro
 	return &res.Summary, nil
 }
 
-// dialRetry keeps dialing until the coordinator answers or the timeout
-// lapses. Definitive handshake disagreements (wrong codec, mesh peer,
-// registry mismatch) surface immediately — retrying cannot fix a build.
-func dialRetry(addr, codec string, timeout time.Duration) (*socknet.Stream, error) {
-	if timeout <= 0 {
-		timeout = DefaultDialTimeout
-	}
-	deadline := time.Now().Add(timeout)
+// dialRetry keeps dialing until the coordinator answers or
+// DefaultDialTimeout lapses. Each attempt, its handshake included, gets
+// only the time left, so the loop ends within the timeout. Definitive
+// handshake disagreements (wrong codec, mesh peer, registry mismatch)
+// surface immediately — retrying cannot fix a build.
+func dialRetry(addr string) (*socknet.Stream, error) {
+	deadline := time.Now().Add(DefaultDialTimeout)
 	for {
-		s, err := socknet.DialStream(addr, codec, timeout)
+		// At least a millisecond: DialStream reads a timeout <= 0 as its
+		// default.
+		s, err := socknet.DialStream(addr, runtime.DefaultCodec, max(time.Until(deadline), time.Millisecond))
 		if err == nil {
 			return s, nil
 		}
-		if socknet.IsHandshakeError(err) || time.Now().After(deadline) {
+		if socknet.IsHandshakeError(err) || time.Until(deadline) <= 0 {
 			return nil, err
 		}
-		time.Sleep(200 * time.Millisecond)
+		time.Sleep(min(200*time.Millisecond, time.Until(deadline)))
 	}
 }

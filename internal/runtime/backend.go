@@ -49,8 +49,10 @@ type SocketConfig struct {
 	// Group is this process's index into Peers.
 	Group int
 	// Codec names the wire codec for payload serialization; "" means
-	// DefaultCodec. Every process of a group must configure the same
-	// codec — the handshake rejects mixed groups.
+	// DefaultCodec, the one every run uses: no flag or option sets it,
+	// only the wire benchmark, which names "binary". Every process of a
+	// group must configure the same codec — the handshake rejects mixed
+	// groups.
 	Codec string
 }
 
@@ -68,8 +70,8 @@ func (c *SocketConfig) Validate() error {
 	if c.Listen == "" {
 		return fmt.Errorf("runtime: socket config needs a listen address")
 	}
-	if !CodecRegistered(c.Codec) {
-		return fmt.Errorf("runtime: unknown codec %q (registered: %v)", c.Codec, Codecs())
+	if _, err := codecBuilder(c.Codec); err != nil {
+		return err
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package runtime
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Codec serializes the interface-typed message payloads that cross a
 // process boundary (Send/Request/Response payloads and Bus
@@ -11,13 +8,14 @@ import (
 // socket backend constructs one per Transport so codecs may keep
 // internal tables without cross-run interference.
 //
-// Codecs are name-registered like protocols, backends and cache
-// policies. "binary", the default, is the hand-rolled codec built from
-// the wire-type registry's tag table and each type's WireMessage
-// implementation; "gob" is the compatibility codec — self-describing
-// frames, no per-type code, 20–130× slower — reachable only by name.
+// There are two, in a fixed table behind NewCodec: "binary", the one a
+// run uses, is the hand-rolled codec built from the wire-type
+// registry's tag table and each type's WireMessage implementation;
+// "gob" is the compatibility codec — self-describing frames, no
+// per-type code, 20–130× slower — which no flag or option selects and
+// only its own tests and the benchmark's codec ladder reach, by name.
 type Codec interface {
-	// Name returns the registered codec name.
+	// Name returns the codec's name in the table.
 	Name() string
 	// AppendMessage appends msg's encoding (including any type tag) to
 	// buf and returns the extended slice. A nil msg is legal (routed
@@ -33,53 +31,43 @@ type Codec interface {
 // DefaultCodec is the codec used when no name is configured.
 const DefaultCodec = "binary"
 
-// CodecFactory builds a fresh Codec instance for one transport.
-type CodecFactory func() (Codec, error)
-
-var codecs = map[string]CodecFactory{}
-
-// RegisterCodec adds a named codec to the registry. Registering a
-// duplicate name panics — it indicates conflicting packages, not a
-// runtime condition.
-func RegisterCodec(name string, f CodecFactory) {
-	if name == "" || f == nil {
-		panic("runtime: RegisterCodec with empty name or nil factory")
-	}
-	if _, dup := codecs[name]; dup {
-		panic(fmt.Sprintf("runtime: codec %q registered twice", name))
-	}
-	codecs[name] = f
+// codecs is every codec there is, sorted by name.
+var codecs = []struct {
+	name  string
+	build func() (Codec, error)
+}{
+	{"binary", newBinaryCodec},
+	{"gob", newGobCodec},
 }
 
-// CodecRegistered reports whether name resolves to a codec ("" counts
-// as the default).
-func CodecRegistered(name string) bool {
-	if name == "" {
-		name = DefaultCodec
-	}
-	_, ok := codecs[name]
-	return ok
-}
-
-// Codecs returns the registered codec names, sorted.
+// Codecs returns the codec names, sorted.
 func Codecs() []string {
-	out := make([]string, 0, len(codecs))
-	for name := range codecs {
-		out = append(out, name)
+	out := make([]string, len(codecs))
+	for i, c := range codecs {
+		out[i] = c.name
 	}
-	sort.Strings(out)
 	return out
 }
 
-// NewCodec builds a fresh instance of a registered codec; "" resolves
-// to DefaultCodec.
+// NewCodec builds a fresh instance of the named codec; "" resolves to
+// DefaultCodec.
 func NewCodec(name string) (Codec, error) {
+	build, err := codecBuilder(name)
+	if err != nil {
+		return nil, err
+	}
+	return build()
+}
+
+// codecBuilder looks name up in the table without building anything.
+func codecBuilder(name string) (func() (Codec, error), error) {
 	if name == "" {
 		name = DefaultCodec
 	}
-	f, ok := codecs[name]
-	if !ok {
-		return nil, fmt.Errorf("runtime: unknown codec %q (registered: %v)", name, Codecs())
+	for _, c := range codecs {
+		if c.name == name {
+			return c.build, nil
+		}
 	}
-	return f()
+	return nil, fmt.Errorf("runtime: unknown codec %q (one of %v)", name, Codecs())
 }

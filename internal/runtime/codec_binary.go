@@ -34,10 +34,6 @@ type WireMessage interface {
 	DecodeWire(r *WireReader) any
 }
 
-func init() {
-	RegisterCodec("binary", func() (Codec, error) { return newBinaryCodec() })
-}
-
 type binaryCodec struct {
 	byType  map[reflect.Type]byte
 	protos  []WireMessage // indexed by tag-1

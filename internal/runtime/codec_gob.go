@@ -9,17 +9,15 @@ import (
 
 // The gob codec: every payload is an independent, self-describing gob
 // stream. It needs no per-type code — any gob-encodable registered
-// wire type works — which is why it stays as the compatibility codec
-// (-codec gob; nothing selects it by default); the price is type
-// information in every message and ~300 allocations per frame round
-// trip (see BenchmarkFrameRoundTrip), which is what the binary codec,
-// the default, exists to remove.
+// wire type works — which is why it stays as the compatibility codec,
+// reachable by name only; the price is type information in every
+// message and ~300 allocations per frame round trip (see
+// BenchmarkFrameRoundTrip), which is what the binary codec, the one a
+// run uses, exists to remove.
 
-func init() {
-	RegisterCodec("gob", func() (Codec, error) {
-		registerGobWireTypes()
-		return gobCodec{}, nil
-	})
+func newGobCodec() (Codec, error) {
+	registerGobWireTypes()
+	return gobCodec{}, nil
 }
 
 var gobRegOnce sync.Once

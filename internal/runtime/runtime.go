@@ -109,14 +109,6 @@ type Timer interface {
 	// Cancel prevents the timer's function from running. It reports
 	// whether the cancellation had any effect.
 	Cancel() bool
-	// Fired reports whether the timer's function has already run.
-	Fired() bool
-	// Cancelled reports whether Cancel was called before the timer
-	// fired.
-	Cancelled() bool
-	// When returns the time at which the timer is (or was) scheduled to
-	// fire.
-	When() int64
 	// Release tells the clock the caller will not use this handle again.
 	// The timer still fires unless it was cancelled; once it has fired or
 	// been discarded, its clock may reuse the record for the next
@@ -144,8 +136,6 @@ func DropTimer(t *Timer) {
 type Ticker interface {
 	// Cancel stops all future firings.
 	Cancel()
-	// Cancelled reports whether the ticker has been stopped.
-	Cancelled() bool
 }
 
 // Clock is the time seam: protocols read the current time and schedule

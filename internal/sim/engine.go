@@ -70,21 +70,6 @@ func (t *Timer) Cancel() bool {
 	return true
 }
 
-// Fired reports whether the timer's function has already run.
-func (t *Timer) Fired() bool { return t != nil && t.fired }
-
-// Cancelled reports whether Cancel was called before the timer fired.
-func (t *Timer) Cancelled() bool { return t != nil && t.cancelled }
-
-// When returns the simulated time at which the timer is (or was)
-// scheduled to fire; zero for a nil timer.
-func (t *Timer) When() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.when
-}
-
 // Release gives the handle up: the caller will not use it again. The
 // timer still fires unless it was cancelled; the engine takes the record
 // back at the moment it leaves the wheel — as it fires, or as a cancelled
@@ -392,9 +377,6 @@ func (p *PeriodicTimer) Cancel() {
 	p.fn = nil
 	p.fire = nil
 }
-
-// Cancelled reports whether the periodic timer has been stopped.
-func (p *PeriodicTimer) Cancelled() bool { return p.cancelled }
 
 // Step executes the single next event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.

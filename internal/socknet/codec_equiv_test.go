@@ -16,8 +16,7 @@ import (
 // TestAllWireTypesBinaryMarshallable is the forcing function for new
 // protocol messages: every type in the wire registry must carry a
 // binary marshaller, so a RegisterWireType call without a WireMessage
-// implementation next to it fails here instead of at runtime under
-// -codec binary.
+// implementation next to it fails here instead of at runtime.
 func TestAllWireTypesBinaryMarshallable(t *testing.T) {
 	for _, v := range runtime.WireTypes() {
 		if _, ok := v.(runtime.WireMessage); !ok {
@@ -28,7 +27,7 @@ func TestAllWireTypesBinaryMarshallable(t *testing.T) {
 
 // TestCodecEquivalence sends an exemplar of every registered wire type
 // through the real frame path under each codec and asserts the
-// delivered payloads are identical: switching -codec must never change
+// delivered payloads are identical: switching codec must never change
 // what a handler observes. Exemplars are reflect-filled so a field one
 // codec silently drops surfaces as a diff rather than a lucky
 // zero-for-zero match (interface-typed fields stay nil here; populated

@@ -30,8 +30,8 @@
 // goroutine per process, so protocol code stays lock-free. Like the
 // realtime backend, runs are NOT reproducible; unlike it, messages
 // genuinely serialize — batched, length-prefixed frames whose payloads
-// go through a runtime.Codec ("binary", the hand-rolled one, by
-// default; "gob" for compatibility) — which is the honest price of
+// go through a runtime.Codec ("binary", the hand-rolled one; "gob"
+// only where a caller names it) — which is the honest price of
 // crossing a process boundary (WireStats reports it).
 //
 // Batching is group commit, with no timer on either side. A

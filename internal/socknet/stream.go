@@ -15,8 +15,7 @@ import (
 // followed by length-prefixed batches, each batch carrying exactly one
 // codec-encoded message. It is the transport under internal/distsweep's
 // coordinator/worker protocol — anything whose message types are
-// registered with runtime.RegisterWireType can ride it, under either
-// codec.
+// registered with runtime.RegisterWireType can ride it.
 //
 // A stream announces itself with group coordinates (0, 0) in the
 // preamble, which no mesh process can produce (a mesh always has at
@@ -45,29 +44,32 @@ const streamHandshakeTimeout = 10 * time.Second
 
 // DialStream connects to a stream endpoint at addr and performs the
 // preamble handshake under the named codec ("" = runtime.DefaultCodec,
-// binary).
+// binary). timeout bounds the dial and the handshake together (<= 0
+// means streamHandshakeTimeout).
 func DialStream(addr, codecName string, timeout time.Duration) (*Stream, error) {
 	if timeout <= 0 {
 		timeout = streamHandshakeTimeout
 	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	deadline := time.Now().Add(timeout)
+	c, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("socknet: dial stream %s: %w", addr, err)
 	}
-	return newStream(c, codecName)
+	return newStream(c, codecName, deadline)
 }
 
 // AcceptStream wraps a just-accepted connection into a Stream,
 // performing the server side of the preamble handshake. On error the
 // connection is closed.
 func AcceptStream(c net.Conn, codecName string) (*Stream, error) {
-	return newStream(c, codecName)
+	return newStream(c, codecName, time.Now().Add(streamHandshakeTimeout))
 }
 
-// newStream runs the symmetric handshake: both sides write their
-// preamble first, then read and check the peer's. The writes are tiny,
-// so writing before reading cannot deadlock.
-func newStream(c net.Conn, codecName string) (*Stream, error) {
+// newStream runs the symmetric handshake, which must finish by
+// deadline: both sides write their preamble first, then read and check
+// the peer's. The writes are tiny, so writing before reading cannot
+// deadlock.
+func newStream(c net.Conn, codecName string, deadline time.Time) (*Stream, error) {
 	if codecName == "" {
 		codecName = runtime.DefaultCodec
 	}
@@ -76,7 +78,7 @@ func newStream(c net.Conn, codecName string) (*Stream, error) {
 		c.Close()
 		return nil, fmt.Errorf("socknet: stream codec: %w", err)
 	}
-	c.SetDeadline(time.Now().Add(streamHandshakeTimeout)) //nolint:errcheck
+	c.SetDeadline(deadline) //nolint:errcheck
 	if _, err := c.Write(appendPreamble(nil, codec.Name(), 0, 0)); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("socknet: stream preamble write: %w", err)

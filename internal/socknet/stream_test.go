@@ -118,6 +118,39 @@ func TestStreamHandshakeRejectsCodecMismatch(t *testing.T) {
 	}
 }
 
+// DialStream's timeout covers the handshake as well as the dial: an
+// endpoint that accepts and then says nothing costs the caller the
+// timeout it asked for, not the fixed handshake bound.
+func TestDialStreamTimeoutCoversHandshake(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			accepted <- c // held open, silent, until the test ends
+		}
+	}()
+	defer func() {
+		select {
+		case c := <-accepted:
+			c.Close()
+		default:
+		}
+	}()
+	start := time.Now()
+	_, err = DialStream(ln.Addr().String(), "", 200*time.Millisecond)
+	elapsed := time.Since(start)
+	if err == nil || IsHandshakeError(err) {
+		t.Fatalf("dial error = %v, want a timeout that is not a handshake error", err)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("DialStream with a 200ms timeout took %v against a silent endpoint", elapsed)
+	}
+}
+
 // A stream endpoint must refuse a mesh process's hello (and name the
 // cause) rather than read frames it cannot interpret.
 func TestStreamHandshakeRejectsMeshPeer(t *testing.T) {

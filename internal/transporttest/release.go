@@ -66,21 +66,6 @@ func (t *checkedTimer) Cancel() bool {
 	return t.inner.Cancel()
 }
 
-func (t *checkedTimer) Fired() bool {
-	t.check("Fired")
-	return t.inner.Fired()
-}
-
-func (t *checkedTimer) Cancelled() bool {
-	t.check("Cancelled")
-	return t.inner.Cancelled()
-}
-
-func (t *checkedTimer) When() int64 {
-	t.check("When")
-	return t.inner.When()
-}
-
 func (t *checkedTimer) Release() {
 	t.check("Release")
 	t.released = callerPC(1)

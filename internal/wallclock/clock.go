@@ -40,7 +40,7 @@ import (
 // timer is the one-shot timer handle. Its deadline, callback and
 // links are guarded by the owning clock's mutex, so Cancel is safe from
 // any goroutine, even though callbacks only ever run on the loop; its
-// state is atomic, so that Fired, Cancelled and Release take no lock.
+// state is atomic, so that Release takes no lock.
 type timer struct {
 	c          *Clock
 	when       int64
@@ -74,12 +74,6 @@ func (t *timer) Cancel() bool {
 	t.state.Or(timerCancelled) // after the unlink: a Release that sees it may reuse t.next
 	return true
 }
-
-func (t *timer) Fired() bool { return t.state.Load()&timerFired != 0 }
-
-func (t *timer) Cancelled() bool { return t.state.Load()&timerCancelled != 0 }
-
-func (t *timer) When() int64 { return t.when }
 
 // Release gives the handle up; see runtime.Timer. Whichever of Release
 // and the timer's leaving the queue comes second recycles the record:
@@ -228,12 +222,6 @@ func (p *ticker) Cancel() {
 		p.inner.Cancel()
 	}
 	p.fn = nil
-}
-
-func (p *ticker) Cancelled() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cancelled
 }
 
 // Every schedules fn every period wall-clock milliseconds, first firing

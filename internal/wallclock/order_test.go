@@ -209,7 +209,7 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 				if r.h.Cancel() {
 					t.Error("second Cancel returned true")
 				}
-			} else if !r.cancelled.Load() && !r.h.Fired() {
+			} else if !r.cancelled.Load() && !isSet(r.h, timerFired) {
 				t.Error("Cancel returned false on a timer neither fired nor cancelled")
 			}
 			s.checkPending(t, c)
@@ -250,7 +250,7 @@ func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Tim
 		}
 		*fired = append(*fired, r)
 	})
-	r.when, r.seq = r.h.When(), r.h.(*timer).seq
+	r.when, r.seq = r.h.(*timer).when, r.h.(*timer).seq
 	s.out.adopt(t, r.h.(*timer), r)
 	close(ready)
 	s.timers = append(s.timers, r)
@@ -311,7 +311,7 @@ func TestOrderAgainstReference(t *testing.T) {
 		// 256 ms away is behind this one: it ends the run. What lies
 		// beyond it stays queued.
 		stop := c.Schedule(300, c.Stop)
-		end := &rec{when: stop.When(), seq: stop.(*timer).seq}
+		end := &rec{when: stop.(*timer).when, seq: stop.(*timer).seq}
 		<-loop
 
 		// The reference: what should have fired, in (when, seq) order,
@@ -371,8 +371,8 @@ func TestOrderAgainstReference(t *testing.T) {
 					r.cancelled.Store(true)
 					queued--
 				}
-				if r.h.Fired() != r.ran.Load() || r.h.Cancelled() != r.cancelled.Load() {
-					t.Fatalf("seed %d: timer fired=%v cancelled=%v, its callback ran=%v", seed, r.h.Fired(), r.h.Cancelled(), r.ran.Load())
+				if fired, cancelled := isSet(r.h, timerFired), isSet(r.h, timerCancelled); fired != r.ran.Load() || cancelled != r.cancelled.Load() {
+					t.Fatalf("seed %d: timer fired=%v cancelled=%v, its callback ran=%v", seed, fired, cancelled, r.ran.Load())
 				}
 			}
 		}
