@@ -166,8 +166,7 @@ func TestStoppedMemberIsCollectable(t *testing.T) {
 	n.Stop()
 	f.net.Fail(victim.nid)
 	victim.node, n = nil, nil
-	// Long enough for every RPC to the dead member to time out and for
-	// the clock to discard its cancelled timers.
+	// Long enough for every RPC to the dead member to time out.
 	f.settle(5 * runtime.Minute)
 	if len(f.pool.msgs) == 0 || len(f.pool.lookups) == 0 || len(f.pool.probes) == 0 {
 		t.Fatalf("lists hold %d messages, %d lookups, %d probes: nothing went through the pool",

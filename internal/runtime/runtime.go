@@ -111,7 +111,7 @@ type Timer interface {
 	Cancel() bool
 	// Release tells the clock the caller will not use this handle again.
 	// The timer still fires unless it was cancelled; once it has fired or
-	// been discarded, its clock may reuse the record for the next
+	// been cancelled, its clock may reuse the record for the next
 	// Schedule. A caller that drops the handle at once releases it in the
 	// statement that schedules it; one that stores it releases it where
 	// it clears the field (DropTimer does both). Any call on a released

@@ -56,7 +56,7 @@ func TestOneShotAllocs(t *testing.T) {
 
 // TestReleasedTimerAllocBytes is the guard TestOneShotAllocs cannot be:
 // bytes, not objects, over enough timers that a slab would show. A timer
-// whose handle is released is recycled as it leaves the wheel, so
+// whose handle is released is recycled once it has left the wheel, so
 // scheduling, releasing and firing — what the message layer does per
 // delivery — and scheduling, cancelling and releasing — what it does
 // per RPC deadline — allocate nothing once the free list holds the
@@ -79,7 +79,6 @@ func TestReleasedTimerAllocBytes(t *testing.T) {
 				d.Cancel()
 				d.Release()
 			}
-			eng.Schedule(1<<22, fn).Release() // the wheel discards the cancelled ones on its way here
 		}},
 	} {
 		eng := NewEngine()
@@ -107,20 +106,44 @@ func TestReleasedTimerAllocBytes(t *testing.T) {
 		hop()
 		eng.RunAll()
 	})
-	records := 0
-	for t := eng.free; t != nil; t = t.next {
-		records++
-	}
-	if got != 0 || records != 1 {
+	if records := freeRecords(eng); got != 0 || records != 1 {
 		t.Errorf("a chain of %d events allocated %d bytes and used %d records; want 0 and 1", timers, got, records)
 	}
 }
 
-// TestTimerAllocSize keeps a Timer at four words, the size class it is
-// carved from slabs in: the released flag shares the word of the other
-// two, and the free list reuses the slot link.
+// TestReleaseAfterFireAllocBytes: a timer released only after it fired
+// — a deadline a caller drops once the event it guarded is over — goes
+// back on its engine's free list, so the next Schedule reuses it.
+func TestReleaseAfterFireAllocBytes(t *testing.T) {
+	eng := NewEngine()
+	fn := func() {}
+	got := transporttest.AllocBytes(20, func() {
+		for i := 0; i < 4*timerSlabSize; i++ {
+			tm := eng.Schedule(1, fn)
+			eng.RunAll()
+			tm.Release()
+		}
+	})
+	if records := freeRecords(eng); got != 0 || records != 1 {
+		t.Errorf("%d bytes over 20 rounds, %d free records; want 0 and 1", got, records)
+	}
+}
+
+// freeRecords counts the records on the engine's free list.
+func freeRecords(eng *Engine) int {
+	n := 0
+	for t := eng.w.free; t != nil; t = t.next {
+		n++
+	}
+	return n
+}
+
+// TestTimerAllocSize keeps a Timer at six words, the size class it is
+// carved from slabs in: two links, so that Cancel unlinks at once, and a
+// pointer to its wheel, so that Release after firing recycles it; the
+// state bits share the last word, and the free lists reuse a link.
 func TestTimerAllocSize(t *testing.T) {
-	if got := unsafe.Sizeof(Timer{}); got != 32 {
-		t.Errorf("sim.Timer is %d bytes; want 32", got)
+	if got := unsafe.Sizeof(Timer{}); got != 48 {
+		t.Errorf("sim.Timer is %d bytes; want 48", got)
 	}
 }

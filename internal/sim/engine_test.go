@@ -103,8 +103,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled timer ran")
 	}
-	if !tm.cancelled || tm.fired {
-		t.Fatalf("timer state: cancelled=%v fired=%v", tm.cancelled, tm.fired)
+	if tm.state&(timerFired|timerCancelled) != timerCancelled {
+		t.Fatalf("timer state %03b, want cancelled only", tm.state)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEngine()
 	tm := e.Schedule(10, func() {})
 	e.Run(100)
-	if !tm.fired {
+	if tm.state&timerFired == 0 {
 		t.Fatal("timer did not fire")
 	}
 	if tm.Cancel() {

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sort"
 	"testing"
@@ -20,9 +19,8 @@ import (
 // The reference never reuses a timer. The engine does, for handles the
 // script gives back with Release, and must be none the wiser: the same
 // script is played a third time on an engine whose handles ignore
-// Release, which must also agree with the recycling one on Pending; and
-// after every operation the recycling engine's wheel and free list are
-// walked (wheelSched.check).
+// Release; and after every operation both engines' wheels and free
+// lists are walked (Wheel.Check).
 
 type handle interface {
 	Cancel() bool
@@ -42,8 +40,7 @@ type scheduler interface {
 	Run(until int64) uint64
 	RunAll() uint64
 	Stop()
-	// pending is Engine.Pending; the reference, which drops a cancelled
-	// timer when it pleases, is not compared on it.
+	// pending is Engine.Pending: the timers neither fired nor cancelled.
 	pending() int
 	// check returns what is wrong with the scheduler's own state, if
 	// anything.
@@ -94,40 +91,12 @@ func (w *wheelSched) every(first, period int64, fn func()) ticker {
 }
 func (w *wheelSched) pending() int { return w.Pending() }
 
-// check walks the wheel and the free list: the wheel files exactly
-// Pending timers; a free record is a released one, filed nowhere and
-// listed once.
+// check is the first violation seen at a hand-out, else Wheel.Check.
 func (w *wheelSched) check() error {
 	if w.err != nil {
 		return w.err
 	}
-	e := w.Engine
-	filed := map[*Timer]bool{}
-	for l := range e.slots {
-		for word, occ := range e.occupied[l] {
-			for ; occ != 0; occ &= occ - 1 {
-				for t := e.slots[l][word*64+bits.TrailingZeros64(occ)].head; t != nil; t = t.next {
-					filed[t] = true
-				}
-			}
-		}
-	}
-	if len(filed) != e.pending {
-		return fmt.Errorf("%d timers filed in the wheel, Pending is %d", len(filed), e.pending)
-	}
-	free := map[*Timer]bool{}
-	for t := e.free; t != nil; t = t.next {
-		switch {
-		case free[t]:
-			return fmt.Errorf("timer for %d is on the free list twice", t.when)
-		case filed[t]:
-			return fmt.Errorf("timer for %d is on the free list while filed in the wheel", t.when)
-		case !t.released:
-			return fmt.Errorf("timer for %d is on the free list, its handle was never released", t.when)
-		}
-		free[t] = true
-	}
-	return nil
+	return w.Engine.w.Check()
 }
 
 // refEngine is the reference: every pending timer in one slice sorted
@@ -166,7 +135,6 @@ func (p *refTicker) Cancel() {
 func (r *refEngine) Now() int64        { return r.now }
 func (r *refEngine) Processed() uint64 { return r.processed }
 func (r *refEngine) Stop()             { r.stopped = true }
-func (r *refEngine) pending() int      { return 0 }
 func (r *refEngine) check() error      { return nil }
 
 func (r *refEngine) schedule(delay int64, fn func()) handle {
@@ -192,6 +160,16 @@ func (r *refEngine) every(first, period int64, fn func()) ticker {
 	}
 	p.t = r.schedule(first, tick)
 	return p
+}
+
+func (r *refEngine) pending() int {
+	n := 0
+	for _, t := range r.queue {
+		if !t.dead {
+			n++
+		}
+	}
+	return n
 }
 
 // head discards the cancelled timers in front and returns the first
@@ -444,8 +422,7 @@ func play(s scheduler, script []byte) ([]event, error) {
 
 // checkOrder plays the script on the engine, on an engine that is never
 // given a timer back, and on the reference, and fails at the first
-// observation in which they differ — the reference in anything but
-// Pending, the two engines in anything at all.
+// observation in which they differ.
 func checkOrder(t *testing.T, script []byte) {
 	t.Helper()
 	wheel := func(recycle bool) *wheelSched {
@@ -465,7 +442,7 @@ func checkOrder(t *testing.T, script []byte) {
 			t.Fatalf("script %v: observation %d is %c%+v, with Release ignored it is %c%+v",
 				script, i, got[i].kind, got[i], kept[i].kind, kept[i])
 		}
-		if got[i].pending = 0; got[i] != want[i] {
+		if got[i] != want[i] {
 			t.Fatalf("script %v: observation %d is %c%+v, the reference has %c%+v",
 				script, i, got[i].kind, got[i], want[i].kind, want[i])
 		}
@@ -495,7 +472,7 @@ var orderSeeds = [][]byte{
 		opSchedule, small(10), actNone, 0, // 210
 		opRun, edge(1 << 16),
 	},
-	// Draining through cancelled timers leaves base ahead of now; the
+	// Cancelling every timer empties the wheel far ahead of now; the
 	// next insert must re-anchor it.
 	{
 		opSchedule, edge(1 << 16), actNone, 0,

@@ -5,7 +5,7 @@ import goruntime "runtime"
 // AllocBytes returns the bytes allocated by rounds calls of f, after one
 // call to warm up. testing.AllocsPerRun counts objects and rounds the
 // average down, which hides an allocation shared by many calls — a timer
-// slab is 1/512 of an object per timer, and 32 bytes of it; the byte
+// slab is 1/512 of an object per timer, and 48 bytes of it; the byte
 // count does not. It is the smallest of three measurements: what the
 // runtime allocates once on f's behalf at a moment of its choosing (it
 // builds a type-assertion cache on a random miss) is not f's steady

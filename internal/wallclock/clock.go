@@ -10,90 +10,23 @@
 // goroutines hand deliveries to the loop through Schedule — but
 // callbacks only ever execute inside Run, one at a time.
 //
-// The queue is internal/sim's hierarchical timing wheel — 8 levels of
-// 256 one-millisecond slots — with a back link in every timer, so that
-// Schedule, the loop's pop and Cancel are all O(1) with no comparison
-// between timers, and Cancel still unlinks at once: the queue holds
-// live timers only, as an RPC transport that cancels a 5 s deadline per
-// call needs. Run sleeps until the first deadline, or until the start of
-// the slot that holds it when that slot has yet to be refiled.
-//
-// Timer records are recycled only on request, as on the engine: a
-// handle the caller keeps is never reused; one given back with Release
-// is recycled as soon as it is out of the wheel — at once if it has
-// fired or been cancelled, otherwise when Run pops it — and the next
-// Schedule takes it. Release itself takes no lock: it marks a queued
-// timer for Run to free, and pushes one already out onto an atomic
-// stack that Schedule drains. The transports release every timer they
-// schedule and a ticker releases each firing's, so a steady stream of
-// deliveries, RPC deadlines and ticks allocates no timers.
+// The queue is internal/sim's timing wheel, the engine's own, guarded by
+// the clock's mutex: Schedule, the loop's pop and Cancel are O(1) with
+// no comparison between timers, and Cancel unlinks at once, so the queue
+// holds live timers only, as an RPC transport that cancels a 5 s
+// deadline per call needs. Run sleeps until the first deadline, or until
+// the start of the slot that holds it when that slot has yet to be
+// refiled. Timer records are the engine's too, recycled as the engine
+// recycles them; Release takes no lock here.
 package wallclock
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"flowercdn/internal/runtime"
+	"flowercdn/internal/sim"
 )
-
-// timer is the one-shot timer handle. Its deadline, callback and
-// links are guarded by the owning clock's mutex, so Cancel is safe from
-// any goroutine, even though callbacks only ever run on the loop; its
-// state is atomic, so that Release takes no lock.
-type timer struct {
-	c          *Clock
-	when       int64
-	seq        uint64 // scheduling order, which the wheel keeps without reading it; the order tests read it
-	fn         func()
-	next, prev *timer        // neighbours in the wheel slot; next also links the free lists
-	state      atomic.Uint32 // timerFired, timerCancelled, timerReleased
-}
-
-// A timer's state bits. Fired and cancelled are set under the clock's
-// mutex, at most one of them, as the timer leaves the queue; released is
-// set by Release, with no lock.
-const (
-	timerFired = 1 << iota
-	timerCancelled
-	timerReleased
-)
-
-// Cancel takes a queued timer out of the wheel at once, so the queue
-// never holds dead deadlines: RPC timeouts are scheduled seconds ahead
-// and nearly all of them are cancelled microseconds later.
-func (t *timer) Cancel() bool {
-	c := t.c
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if t.state.Load()&(timerFired|timerCancelled) != 0 {
-		return false
-	}
-	c.queue.remove(t)
-	t.fn = nil
-	t.state.Or(timerCancelled) // after the unlink: a Release that sees it may reuse t.next
-	return true
-}
-
-// Release gives the handle up; see runtime.Timer. Whichever of Release
-// and the timer's leaving the queue comes second recycles the record:
-// a queued timer is only marked here, and Run frees it as it pops it;
-// one that has already fired or been cancelled goes on the clock's
-// released stack, without the lock. A second Release is a no-op.
-func (t *timer) Release() {
-	old := t.state.Or(timerReleased)
-	if old&timerReleased != 0 || old&(timerFired|timerCancelled) == 0 {
-		return
-	}
-	c := t.c
-	for {
-		top := c.released.Load()
-		t.next = top
-		if c.released.CompareAndSwap(top, t) {
-			return
-		}
-	}
-}
 
 // Clock is the wall-clock implementation of runtime.Clock. Time is
 // int64 milliseconds since the clock was created; live deadlines are
@@ -104,15 +37,9 @@ func (t *timer) Release() {
 type Clock struct {
 	mu        sync.Mutex
 	start     time.Time
-	queue     wheel
-	free      *timer // released and out of the wheel, through next: at takes from here first
-	seq       uint64
+	wheel     sim.Wheel // guarded by mu
 	processed uint64
 	stopped   bool
-	// released is a stack, through next, of the timers Release gave back
-	// after they had left the wheel; at moves it to free when free runs
-	// dry.
-	released atomic.Pointer[timer]
 	// reached is the latest clock reading Run has acted on. No timer is
 	// filed before it, so one scheduled with a reading taken just before
 	// cannot sort ahead of timers that have already fired.
@@ -127,7 +54,9 @@ type Clock struct {
 
 // NewClock starts a wall clock at time zero (= now).
 func NewClock() *Clock {
-	return &Clock{start: time.Now(), wake: make(chan struct{}, 1)}
+	c := &Clock{start: time.Now(), wake: make(chan struct{}, 1)}
+	c.wheel.Guard(&c.mu)
+	return c
 }
 
 // Now returns wall-clock milliseconds since the run started (reads
@@ -136,44 +65,32 @@ func (c *Clock) Now() int64 { return int64(time.Since(c.start) / time.Millisecon
 
 // Schedule runs fn after delay wall-clock milliseconds.
 func (c *Clock) Schedule(delay int64, fn func()) runtime.Timer {
-	if delay < 0 {
-		delay = 0
-	}
 	now := c.Now()
-	return c.at(now+delay, now, fn)
+	t, _ := c.at(now+delay, now, fn)
+	return t
 }
 
 // At runs fn when the wall clock reaches t (clamped to now).
-func (c *Clock) At(t int64, fn func()) runtime.Timer { return c.at(t, c.Now(), fn) }
+func (c *Clock) At(t int64, fn func()) runtime.Timer {
+	tm, _ := c.at(t, c.Now(), fn)
+	return tm
+}
 
-func (c *Clock) at(t, now int64, fn func()) *timer {
+// at files fn for t, clamped to now and to the reading Run last acted
+// on, and returns the timer with that deadline.
+func (c *Clock) at(t, now int64, fn func()) (*sim.Timer, int64) {
 	if fn == nil {
 		panic("wallclock: At called with nil function")
 	}
 	c.mu.Lock()
-	if c.queue.n == 0 {
-		c.queue.base = c.reached // an empty wheel may start anywhere not ahead of a deadline
-	}
 	t = max(t, now, c.reached)
-	c.seq++
-	tm := c.free
-	if tm == nil {
-		tm = c.released.Swap(nil)
-	}
-	if tm != nil {
-		c.free = tm.next
-		tm.state.Store(0)
-	} else {
-		tm = &timer{c: c}
-	}
-	tm.when, tm.seq, tm.fn = t, c.seq, fn
-	c.queue.push(tm)
+	tm := c.wheel.At(t, c.reached, fn)
 	wake := c.sleeping && t < c.wakeAt
 	c.mu.Unlock()
 	if wake {
 		c.kick()
 	}
-	return tm
+	return tm, t
 }
 
 // ticker implements runtime.Ticker by arming a one-shot timer after
@@ -185,7 +102,8 @@ type ticker struct {
 	fn        func()
 	run       func() // p.fire, bound once
 	mu        sync.Mutex
-	inner     *timer
+	inner     *sim.Timer
+	due       int64 // inner's deadline
 	cancelled bool
 }
 
@@ -196,7 +114,6 @@ func (p *ticker) fire() {
 		return
 	}
 	fn := p.fn
-	fired := p.inner.when
 	p.mu.Unlock()
 	fn()
 	p.mu.Lock()
@@ -206,7 +123,7 @@ func (p *ticker) fire() {
 		// callback duration or loop latency (At clamps a missed deadline
 		// to now, so a slow callback catches up instead of backlogging).
 		p.inner.Release()
-		p.inner = p.c.at(fired+p.period, p.c.Now(), p.run)
+		p.inner, p.due = p.c.at(p.due+p.period, p.c.Now(), p.run)
 	}
 	p.mu.Unlock()
 }
@@ -236,7 +153,8 @@ func (c *Clock) Every(firstDelay, period int64, fn func()) runtime.Ticker {
 	// fire() on the run loop blocks on p.mu until p.inner is assigned,
 	// so its locked rearm cannot race this write.
 	p.mu.Lock()
-	p.inner = c.Schedule(firstDelay, p.run).(*timer)
+	now := c.Now()
+	p.inner, p.due = c.at(now+firstDelay, now, p.run)
 	p.mu.Unlock()
 	return p
 }
@@ -269,7 +187,7 @@ func (c *Clock) Processed() uint64 {
 func (c *Clock) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.queue.n
+	return c.wheel.Len()
 }
 
 // Run is the run loop: it executes due timers in (deadline, seq) order,
@@ -292,14 +210,9 @@ func (c *Clock) Run(until int64) uint64 {
 		c.reached = now
 		c.sleeping = false
 		for !c.stopped {
-			t := c.queue.next(due)
-			if t == nil {
+			_, fn := c.wheel.Pop(due)
+			if fn == nil {
 				break
-			}
-			fn := t.fn
-			t.fn = nil
-			if t.state.Or(timerFired)&timerReleased != 0 {
-				t.next, c.free = c.free, t
 			}
 			c.processed++
 			c.mu.Unlock()
@@ -325,7 +238,7 @@ func (c *Clock) Run(until int64) uint64 {
 		// that holds it if that slot is above level 0: at worst the loop
 		// wakes to refile it and sleeps again.
 		target := until
-		if _, _, first, ok := c.queue.ahead(); ok && first < target {
+		if first, ok := c.wheel.Ahead(); ok && first < target {
 			target = first
 		}
 		c.sleeping, c.wakeAt = true, target

@@ -1,38 +1,39 @@
 package wallclock
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"flowercdn/internal/runtime"
+	"flowercdn/internal/sim"
 )
 
-// This file checks the clock's contract the way internal/sim's
-// order_test.go checks the wheel's: against a reference that is nothing
-// but a slice sorted by (when, seq). The wall clock cannot be stepped,
-// so the reference is built after the run from what every goroutine
-// did: the timers it scheduled, with the deadline and sequence number
-// the clock gave each, less those whose Cancel returned true.
-//
-// The reference never reuses a timer. The clock does, for handles the
-// scripts give back with Release — pending, cancelled, fired, or in the
-// statement that schedules them — and the firing sequence must not
-// show it; handOuts and checkFree look at what the sequence would only
-// show late.
+// This file checks what the clock adds to the engine's wheel, whose
+// order internal/sim's order_test.go proves: scheduling, cancelling and
+// releasing from several goroutines while the loop runs, Release with no
+// lock, and deadlines clamped to the reading Run last acted on. What
+// every goroutine did is checked after the run against the timers it
+// scheduled, with the deadline the clock gave each, less those whose
+// Cancel returned true: exactly the others that were due fired, in
+// deadline order, and one goroutine's timers of one deadline in the
+// order it scheduled them. The clock reuses the records of handles the
+// scripts give back — pending, cancelled, fired, or in the statement
+// that schedules them — and handOuts and Wheel.Check look at what the
+// firing sequence would only show late.
 
 // rec is one one-shot timer or one firing of a ticker.
 type rec struct {
 	when      int64
-	seq       uint64
-	h         runtime.Timer // one-shot timers only
-	cancelled atomic.Bool   // set once Cancel has returned true
-	ran       atomic.Bool   // the callback has run
-	released  bool          // the script gave h back and may not touch it again (its goroutine only)
+	s         *script // the goroutine that scheduled it; nil for a ticker's firing
+	seq       int     // its place among that goroutine's timers
+	h         *sim.Timer
+	cancelled atomic.Bool // set once Cancel has returned true
+	ran       atomic.Bool // the callback has run
+	missed    bool        // Cancel returned false before the run ended: it must have fired
+	released  bool        // the script gave h back and may not touch it again (its goroutine only)
 }
 
 // handOuts is the handle each record was last handed out under, across
@@ -41,83 +42,25 @@ type rec struct {
 // must have been released.
 type handOuts struct {
 	mu     sync.Mutex
-	tenant map[*timer]*rec
+	tenant map[*sim.Timer]*rec
 }
 
-func (h *handOuts) adopt(t *testing.T, tm *timer, r *rec) {
+func (h *handOuts) adopt(t *testing.T, tm *sim.Timer, r *rec) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	// prev.released is written by prev's goroutine before Release, which
 	// takes the clock's mutex, as did the Schedule that reused the record.
 	if prev := h.tenant[tm]; prev != nil && !prev.released {
-		t.Errorf("timer (when %d, seq %d) handed out again, its handle was never released", prev.when, prev.seq)
+		t.Errorf("timer for %d handed out again, its handle was never released", prev.when)
 	}
 	h.tenant[tm] = r
 }
 
-// checkFree looks at the clock's wheel and free lists. Every queued
-// timer sits in the slot its deadline and the wheel's base assign it,
-// linked both ways, in scheduling order, with the slot's occupied bit
-// set, and the wheel counts them. A free record — on the free list or
-// the released stack — is a released one, fired or cancelled, out of
-// the wheel and listed once.
-func checkFree(c *Clock) error {
+// check runs Wheel.Check under the clock's lock.
+func (c *Clock) check() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	w := &c.queue
-	queued := map[*timer]bool{}
-	for l := range w.slots {
-		for i := range w.slots[l] {
-			s := &w.slots[l][i]
-			if occ := w.occupied[l][i/64]>>(i%64)&1 == 1; occ != (s.head != nil) {
-				return fmt.Errorf("slot %d of level %d: occupied bit %v, head %p", i, l, occ, s.head)
-			}
-			var prev *timer
-			for tm := s.head; tm != nil; prev, tm = tm, tm.next {
-				if tm.prev != prev {
-					return fmt.Errorf("timer (when %d, seq %d) has a broken back link", tm.when, tm.seq)
-				}
-				if gl, gi := w.slotOf(tm); gl != l || gi != uint(i) {
-					return fmt.Errorf("timer (when %d, seq %d) is in slot %d of level %d, base %d assigns slot %d of level %d", tm.when, tm.seq, i, l, w.base, gi, gl)
-				}
-				if prev != nil && prev.seq > tm.seq {
-					return fmt.Errorf("slot %d of level %d holds seq %d before seq %d", i, l, prev.seq, tm.seq)
-				}
-				if tm.state.Load()&(timerFired|timerCancelled) != 0 {
-					return fmt.Errorf("timer (when %d, seq %d) is queued, fired or cancelled", tm.when, tm.seq)
-				}
-				queued[tm] = true
-			}
-			if s.tail != prev {
-				return fmt.Errorf("slot %d of level %d: tail is not the last timer", i, l)
-			}
-		}
-	}
-	if len(queued) != w.n {
-		return fmt.Errorf("the wheel counts %d timers, its slots hold %d", w.n, len(queued))
-	}
-	seen := map[*timer]bool{}
-	for _, list := range []*timer{c.free, c.released.Load()} {
-		for tm := list; tm != nil; tm = tm.next {
-			st := tm.state.Load()
-			switch {
-			case seen[tm]:
-				return fmt.Errorf("timer (when %d, seq %d) is free twice", tm.when, tm.seq)
-			case queued[tm]:
-				return fmt.Errorf("timer (when %d, seq %d) is free while in the wheel", tm.when, tm.seq)
-			case st&timerReleased == 0:
-				return fmt.Errorf("timer (when %d, seq %d) is free, its handle was never released", tm.when, tm.seq)
-			case st&(timerFired|timerCancelled) == 0:
-				return fmt.Errorf("timer (when %d, seq %d) is free, neither fired nor cancelled", tm.when, tm.seq)
-			}
-			seen[tm] = true
-		}
-	}
-	return nil
-}
-
-func sortRecs(rs []*rec) {
-	sort.Slice(rs, func(i, j int) bool { return before(rs[i], rs[j]) })
+	return c.wheel.Check()
 }
 
 // tick is one ticker with the firings seen so far (loop goroutine only).
@@ -165,12 +108,11 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 	for i := 0; i < n; i++ {
 		switch op := rng.Intn(14); {
 		case op < 4: // Schedule, from every band
-			s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(delay(rng), fn) })
-		case op < 6: // At, deadlines on either side of now
-			s.add(t, fired, func(fn func()) runtime.Timer { return c.At(c.Now()+int64(rng.Intn(40)-10), fn) })
+			s.add(t, c, delay(rng), fired)
+		case op < 6: // deadlines on either side of now
+			s.add(t, c, int64(rng.Intn(40)-10), fired)
 		case op < 8: // Schedule and give the handle back at once, as a transport does
-			r := s.add(t, fired, func(fn func()) runtime.Timer { return c.Schedule(delay(rng), fn) })
-			r.release()
+			s.add(t, c, delay(rng), fired).release()
 		case op < 11 && len(s.timers) > 0: // Release one: pending, fired or cancelled; or Cancel it first
 			r := s.timers[rng.Intn(len(s.timers))]
 			if r.released {
@@ -182,7 +124,7 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 			}
 			r.release()
 			s.checkPending(t, c)
-			if err := checkFree(c); err != nil {
+			if err := c.check(); err != nil {
 				t.Error(err)
 			}
 		case op < 12:
@@ -190,8 +132,7 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 			ready := make(chan struct{}) // the first firing may come before Every returns
 			tk.h = c.Every(int64(rng.Intn(10)), tk.period, func() {
 				<-ready
-				in := tk.h.(*ticker).inner // the timer now firing; released and rearmed after this returns
-				r := &rec{when: in.when, seq: in.seq}
+				r := &rec{when: tk.h.(*ticker).due} // the firing's deadline; rearmed after this returns
 				tk.fired = append(tk.fired, r)
 				*fired = append(*fired, r)
 			})
@@ -209,8 +150,8 @@ func (s *script) play(t *testing.T, c *Clock, rng *rand.Rand, n int, fired *[]*r
 				if r.h.Cancel() {
 					t.Error("second Cancel returned true")
 				}
-			} else if !r.cancelled.Load() && !isSet(r.h, timerFired) {
-				t.Error("Cancel returned false on a timer neither fired nor cancelled")
+			} else if !r.cancelled.Load() {
+				r.missed = true
 			}
 			s.checkPending(t, c)
 		}
@@ -236,11 +177,13 @@ func (s *script) checkPending(t *testing.T, c *Clock) {
 	}
 }
 
-// add schedules one timer through mk, whose callback logs the firing.
-func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Timer) *rec {
-	r := &rec{}
-	ready := make(chan struct{}) // the callback may run before mk returns
-	r.h = mk(func() {
+// add schedules one timer after delay, as Schedule does, with a
+// callback that logs the firing.
+func (s *script) add(t *testing.T, c *Clock, delay int64, fired *[]*rec) *rec {
+	r := &rec{s: s, seq: len(s.timers)}
+	ready := make(chan struct{}) // the callback may run before at returns
+	now := c.Now()
+	r.h, r.when = c.at(now+delay, now, func() {
 		<-ready
 		if r.cancelled.Load() {
 			t.Error("callback ran after Cancel returned true")
@@ -250,8 +193,7 @@ func (s *script) add(t *testing.T, fired *[]*rec, mk func(fn func()) runtime.Tim
 		}
 		*fired = append(*fired, r)
 	})
-	r.when, r.seq = r.h.(*timer).when, r.h.(*timer).seq
-	s.out.adopt(t, r.h.(*timer), r)
+	s.out.adopt(t, r.h, r)
 	close(ready)
 	s.timers = append(s.timers, r)
 	s.scheduled()
@@ -265,9 +207,9 @@ func (r *rec) release() {
 	r.h.Release()
 }
 
-// TestOrderAgainstReference drives Schedule, At, Every and Cancel from
-// several goroutines while the loop runs, then compares the firing
-// sequence with the sorted-slice reference. Most seeds start the clock
+// TestOrderAgainstReference drives Schedule, Every, Cancel and Release
+// from several goroutines while the loop runs, then checks the firing
+// sequence against what every goroutine did. Most seeds start the clock
 // just short of a level's boundary — 256 ms, 65.5 s or 4.7 h — so that
 // the run crosses it and the wheel refiles a slot from that level down.
 func TestOrderAgainstReference(t *testing.T) {
@@ -278,7 +220,7 @@ func TestOrderAgainstReference(t *testing.T) {
 		}
 		var fired []*rec
 		var scripts [4]script
-		out := &handOuts{tenant: map[*timer]*rec{}}
+		out := &handOuts{tenant: map[*sim.Timer]*rec{}}
 		live := 0
 		for g := range scripts {
 			scripts[g].out = out
@@ -310,30 +252,28 @@ func TestOrderAgainstReference(t *testing.T) {
 		// Nothing is scheduled from here on, and every deadline under
 		// 256 ms away is behind this one: it ends the run. What lies
 		// beyond it stays queued.
-		stop := c.Schedule(300, c.Stop)
-		end := &rec{when: stop.(*timer).when, seq: stop.(*timer).seq}
+		_, end := c.at(c.Now()+300, c.Now(), c.Stop)
 		<-loop
 
-		// The reference: what should have fired, in (when, seq) order,
-		// and what should still be queued.
-		var want []*rec
-		queued := 0
+		// What should have fired — the timers due by the end, less the
+		// cancelled ones — and what should still be queued.
+		want, queued := 0, 0
 		for g := range scripts {
 			for _, r := range scripts[g].timers {
-				due := before(r, end)
+				due := r.when <= end
 				switch {
 				case r.cancelled.Load():
 				case due:
-					want = append(want, r)
+					want++
 				default:
 					queued++
 				}
-				if r.ran.Load() != (due && !r.cancelled.Load()) {
-					t.Fatalf("seed %d: timer (when %d, seq %d) ran=%v cancelled=%v, the run ended at %d", seed, r.when, r.seq, r.ran.Load(), r.cancelled.Load(), end.when)
+				if r.ran.Load() != (due && !r.cancelled.Load()) || r.missed && !r.ran.Load() {
+					t.Fatalf("seed %d: timer for %d ran=%v cancelled=%v missed=%v, the run ended at %d", seed, r.when, r.ran.Load(), r.cancelled.Load(), r.missed, end)
 				}
 			}
 			for _, tk := range scripts[g].ticks {
-				want = append(want, tk.fired...)
+				want += len(tk.fired)
 				for i := 1; i < len(tk.fired); i++ {
 					if tk.fired[i].when < tk.fired[i-1].when+tk.period {
 						t.Fatalf("seed %d: ticker of period %d fired at %d then %d", seed, tk.period, tk.fired[i-1].when, tk.fired[i].when)
@@ -341,21 +281,21 @@ func TestOrderAgainstReference(t *testing.T) {
 				}
 			}
 		}
-		sortRecs(want)
-		if len(fired) != len(want) {
-			t.Fatalf("seed %d: %d callbacks ran, the reference has %d", seed, len(fired), len(want))
+		if len(fired) != want {
+			t.Fatalf("seed %d: %d callbacks ran, want %d", seed, len(fired), want)
 		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Fatalf("seed %d: firing %d was (when %d, seq %d), reference says (when %d, seq %d)",
-					seed, i, fired[i].when, fired[i].seq, want[i].when, want[i].seq)
+		last := map[*script]*rec{}
+		for i, r := range fired {
+			if i > 0 && r.when < fired[i-1].when {
+				t.Fatalf("seed %d: firing %d is due at %d, after one due at %d", seed, i, r.when, fired[i-1].when)
 			}
+			if p := last[r.s]; r.s != nil && p != nil && p.when == r.when && p.seq > r.seq {
+				t.Fatalf("seed %d: a goroutine's timers for %d fired out of the order it scheduled them", seed, r.when)
+			}
+			last[r.s] = r
 		}
 		if c.Pending() != queued {
-			t.Fatalf("seed %d: %d timers pending after the run, the reference has %d", seed, c.Pending(), queued)
-		}
-		if err := checkFree(c); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+			t.Fatalf("seed %d: %d timers pending after the run, want %d", seed, c.Pending(), queued)
 		}
 		// The handles still held: a queued one cancels, once.
 		for g := range scripts {
@@ -368,46 +308,40 @@ func TestOrderAgainstReference(t *testing.T) {
 					t.Fatalf("seed %d: Cancel returned %v after the run on a timer queued=%v", seed, got, wasQueued)
 				}
 				if wasQueued {
-					r.cancelled.Store(true)
 					queued--
-				}
-				if fired, cancelled := isSet(r.h, timerFired), isSet(r.h, timerCancelled); fired != r.ran.Load() || cancelled != r.cancelled.Load() {
-					t.Fatalf("seed %d: timer fired=%v cancelled=%v, its callback ran=%v", seed, fired, cancelled, r.ran.Load())
 				}
 			}
 		}
 		if c.Pending() != queued {
 			t.Fatalf("seed %d: %d timers pending once the held ones are cancelled, want the %d released ones", seed, c.Pending(), queued)
 		}
-		if err := checkFree(c); err != nil {
+		if err := c.check(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }
 
-// before reports whether r sorts before u in (when, seq) order.
-func before(r, u *rec) bool {
-	if r.when != u.when {
-		return r.when < u.when
-	}
-	return r.seq < u.seq
-}
-
-// TestCancelRemovesAtOnce pins eager removal: the queue holds live
-// timers only, however many deadlines were scheduled and cancelled —
-// an RPC transport does that once per call, seconds ahead.
+// TestCancelRemovesAtOnce pins eager removal on both clocks: the queue
+// holds live timers only, however many deadlines were scheduled and
+// cancelled — an RPC transport does that once per call, seconds ahead.
 func TestCancelRemovesAtOnce(t *testing.T) {
-	c := NewClock()
-	const live = 7
-	for i := 0; i < live; i++ {
-		c.Schedule(5000, func() {})
-	}
-	for i := 0; i < 100_000; i++ {
-		if !c.Schedule(5000, func() {}).Cancel() {
-			t.Fatal("Cancel of a pending deadline reported no effect")
+	eng, wall := sim.NewEngine(), NewClock()
+	for _, tc := range []struct {
+		name    string
+		clock   runtime.Clock
+		pending func() int
+	}{{"engine", eng.Clock(), eng.Pending}, {"wallclock", wall, wall.Pending}} {
+		const live = 7
+		for i := 0; i < live; i++ {
+			tc.clock.Schedule(5000, func() {})
 		}
-	}
-	if c.Pending() != live {
-		t.Fatalf("pending %d after 100000 schedule-then-cancel deadlines, want the %d live ones", c.Pending(), live)
+		for i := 0; i < 100_000; i++ {
+			if !tc.clock.Schedule(5000, func() {}).Cancel() {
+				t.Fatalf("%s: Cancel of a pending deadline reported no effect", tc.name)
+			}
+		}
+		if tc.pending() != live {
+			t.Fatalf("%s: pending %d after 100000 schedule-then-cancel deadlines, want the %d live ones", tc.name, tc.pending(), live)
+		}
 	}
 }
