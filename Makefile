@@ -151,13 +151,14 @@ fingerprint-check:
 # budget per wire message (the packages whose
 # wire tests call wiretest.BinaryAllocs) — or to a byte count, a
 # TotalAlloc delta over thousands of rounds, where the thing pinned is a
-# timer: 32 bytes of a 512-timer slab, which an object count rounds to
+# timer: 48 bytes of a 512-timer slab, which an object count rounds to
 # nothing. Released timers cost zero bytes on the engine and on the wall
 # clock (schedule-release-fire, schedule-cancel-release, a ticker), a
 # simnet Send or Request zero bytes all told — on the socket backend too,
-# for the legs that stay in one process — and a socknet Request round
-# trip over loopback TCP under one object. A count repeats exactly, so
-# unlike a timing these gate on one run.
+# for the legs that stay in one process — a successful simnet Request on
+# the engine one pending timer, its deadline never filed, and a socknet
+# Request round trip over loopback TCP under one object. A count repeats
+# exactly, so unlike a timing these gate on one run.
 alloc-check:
 	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
 

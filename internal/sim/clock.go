@@ -29,6 +29,15 @@ func (c engineClock) Every(firstDelay, period int64, fn func()) runtime.Ticker {
 
 func (c engineClock) Stop() { c.eng.Stop() }
 
+// Reserve and AtReserved offer the engine's late filing (Engine.Reserve)
+// to a caller that holds only the clock: a transport finds them with a
+// type assertion. The wall clock has neither.
+func (c engineClock) Reserve() uint64 { return c.eng.Reserve() }
+
+func (c engineClock) AtReserved(t int64, seq uint64, fn func()) runtime.Timer {
+	return c.eng.AtReserved(t, seq, fn)
+}
+
 // Clock returns the engine viewed through the runtime.Clock seam — the
 // reference deterministic clock implementation.
 func (e *Engine) Clock() runtime.Clock { return engineClock{eng: e} }

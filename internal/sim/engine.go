@@ -12,15 +12,25 @@
 // The queue is a hierarchical timing wheel over that millisecond clock:
 // 8 levels of 256 slots, one byte of the firing time per level, which
 // covers every non-negative int64. With base the wheel's position,
-// level l slot i holds, in scheduling order, exactly the pending timers
-// whose firing time agrees with base in every byte above l and has
-// byte l equal to i (for l > 0, i is beyond base's own byte l). So all
-// timers of one millisecond share one slot at any moment. A slot of
-// level l > 0 is refiled, front to back, into the empty levels below
-// at the moment base enters its span, and nothing is filed into it
-// afterwards. Every slot is therefore a FIFO, and FIFO within one
-// millisecond is the (when, scheduling sequence) total order the
-// simulations' determinism rests on — kept without a comparison.
+// level l slot i holds exactly the pending timers whose firing time
+// agrees with base in every byte above l and has byte l equal to i (for
+// l > 0, i is beyond base's own byte l). So all timers of one
+// millisecond share one slot at any moment. Every timer carries an
+// explicit sequence number, taken from one counter as it is scheduled,
+// and every slot holds its timers in increasing sequence: a new timer
+// has the newest and is appended, and a slot of level l > 0 is refiled,
+// front to back, into the empty levels below at the moment base enters
+// its span, nothing being filed into it afterwards. Within one
+// millisecond that is the (when, seq) total order the simulations'
+// determinism rests on.
+//
+// A caller may also file a timer late. Reserve takes a sequence number
+// and files nothing; AtReserved files a timer under it later, walking
+// back from its slot's tail past the newer timers, so that it fires
+// where it would have fired had it been scheduled when the number was
+// reserved. The message layer reserves an RPC's deadline that way and
+// files it only when the deadline can fire: for the RPCs a reply beats,
+// nearly all of them, the wheel never sees a deadline.
 //
 // The wheel is also the wall clock's queue (internal/wallclock files its
 // timers in a Wheel under its own lock), and every timer links back to
@@ -53,8 +63,9 @@ const (
 // for concurrent use; an entire simulation runs on one goroutine, which
 // is what makes runs bit-for-bit reproducible.
 //
-// Events fire in (when, scheduling sequence) order: the order of the
-// timing wheel described in the package comment.
+// Events fire in (when, seq) order, seq being the scheduling sequence
+// or the one Reserve handed out: the order of the timing wheel
+// described in the package comment.
 type Engine struct {
 	w         Wheel
 	now       int64
@@ -72,7 +83,8 @@ func (e *Engine) Now() int64 { return e.now }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of timers queued. Cancelled timers are not
-// among them: Cancel unlinks a timer at once.
+// among them: Cancel unlinks a timer at once. Nor are reserved places
+// (Reserve): a place counts once AtReserved files a timer in it.
 func (e *Engine) Pending() int { return e.w.n }
 
 // Schedule runs fn after delay milliseconds of simulated time. A
@@ -93,6 +105,24 @@ func (e *Engine) At(t int64, fn func()) *Timer {
 		panic("sim: At called with nil function")
 	}
 	return e.w.At(t, e.now, fn)
+}
+
+// Reserve hands out the next scheduling sequence number without
+// queueing anything: the place, among the events of one instant, that
+// a timer filed later with AtReserved takes. A caller that will most
+// likely never file it — an RPC deadline a reply beats — keeps the
+// firing order it would have had at the price of a counter increment.
+func (e *Engine) Reserve() uint64 { return e.w.Reserve() }
+
+// AtReserved runs fn at absolute simulated time t (clamped to the
+// current instant), in the place seq gives it: after the events of
+// that instant scheduled before seq was reserved, before those
+// scheduled since. seq must come from Reserve and serve one timer.
+func (e *Engine) AtReserved(t int64, seq uint64, fn func()) *Timer {
+	if fn == nil {
+		panic("sim: AtReserved called with nil function")
+	}
+	return e.w.AtReserved(t, e.now, seq, fn)
 }
 
 // fire advances the clock to an event's time and runs it.

@@ -103,8 +103,8 @@ func TestCancelPreventsExecution(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled timer ran")
 	}
-	if tm.state&(timerFired|timerCancelled) != timerCancelled {
-		t.Fatalf("timer state %03b, want cancelled only", tm.state)
+	if tm.key&(timerFired|timerCancelled) != timerCancelled {
+		t.Fatalf("timer state %03b, want cancelled only", tm.key&(1<<stateBits-1))
 	}
 }
 
@@ -112,7 +112,7 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := NewEngine()
 	tm := e.Schedule(10, func() {})
 	e.Run(100)
-	if tm.state&timerFired == 0 {
+	if tm.key&timerFired == 0 {
 		t.Fatal("timer did not fire")
 	}
 	if tm.Cancel() {

@@ -35,6 +35,9 @@ type scheduler interface {
 	Processed() uint64
 	schedule(delay int64, fn func()) handle
 	at(t int64, fn func()) handle
+	// reserve and atReserved are Engine.Reserve and Engine.AtReserved.
+	reserve() uint64
+	atReserved(t int64, seq uint64, fn func()) handle
 	every(first, period int64, fn func()) ticker
 	Step() bool
 	Run(until int64) uint64
@@ -86,6 +89,10 @@ func (w *wheelSched) adopt(t *Timer) handle {
 
 func (w *wheelSched) schedule(d int64, fn func()) handle { return w.adopt(w.Schedule(d, fn)) }
 func (w *wheelSched) at(t int64, fn func()) handle       { return w.adopt(w.At(t, fn)) }
+func (w *wheelSched) reserve() uint64                    { return w.Reserve() }
+func (w *wheelSched) atReserved(t int64, seq uint64, fn func()) handle {
+	return w.adopt(w.AtReserved(t, seq, fn))
+}
 func (w *wheelSched) every(first, period int64, fn func()) ticker {
 	return w.Every(first, period, fn)
 }
@@ -100,16 +107,19 @@ func (w *wheelSched) check() error {
 }
 
 // refEngine is the reference: every pending timer in one slice sorted
-// by (when, seq), seq being the order of insertion.
+// by (when, seq), seq being the order of insertion — or of reservation,
+// for a timer filed in a reserved place.
 type refEngine struct {
 	now       int64
 	processed uint64
 	stopped   bool
+	seq       uint64 // the next insertion's or reservation's
 	queue     []*refTimer
 }
 
 type refTimer struct {
 	when int64
+	seq  uint64
 	fn   func()
 	dead bool // cancelled or fired
 }
@@ -142,10 +152,20 @@ func (r *refEngine) schedule(delay int64, fn func()) handle {
 }
 
 func (r *refEngine) at(when int64, fn func()) handle {
-	when = max(when, r.now)
-	t := &refTimer{when: when, fn: fn}
-	// Behind every timer of the same instant: it is the newest.
-	i := sort.Search(len(r.queue), func(i int) bool { return r.queue[i].when > when })
+	return r.atReserved(when, r.reserve(), fn)
+}
+
+func (r *refEngine) reserve() uint64 {
+	r.seq++
+	return r.seq - 1
+}
+
+func (r *refEngine) atReserved(when int64, seq uint64, fn func()) handle {
+	t := &refTimer{when: max(when, r.now), seq: seq, fn: fn}
+	i := sort.Search(len(r.queue), func(i int) bool {
+		q := r.queue[i]
+		return q.when > t.when || q.when == t.when && q.seq > seq
+	})
 	r.queue = slices.Insert(r.queue, i, t)
 	return t
 }
@@ -256,6 +276,8 @@ const (
 	opRelease         // which timer: pending (it fires later, released), fired or cancelled
 	opCancelRelease   // which timer: Cancel then Release, as a reply does to an RPC deadline
 	opScheduleRelease // delay, action, arg: released in the statement that schedules it
+	opReserve         // a place for a later opAtReserved or actFileReserved
+	opAtReserved      // delay, which unused place, action, arg
 	opCount
 )
 
@@ -267,8 +289,9 @@ const (
 	actCancel      // timer number arg
 	actCancelEvery // periodic timer number arg
 	actStop
-	actBurst   // two children at the same later instant
-	actRelease // timer number arg, possibly the one now firing
+	actBurst        // two children at the same later instant
+	actRelease      // timer number arg, possibly the one now firing
+	actFileReserved // the oldest unused place, filed after delayOf(arg), as a deadline an RPC's lost leg files
 	actCount
 )
 
@@ -289,6 +312,7 @@ func play(s scheduler, script []byte) ([]event, error) {
 		timers   []handle
 		released []bool // timers[i] has been given back: the script may not touch it again
 		tickers  []ticker
+		places   []uint64 // reserved and not filed yet
 		nextID   int64
 		pos      int
 	)
@@ -314,6 +338,16 @@ func play(s scheduler, script []byte) ([]event, error) {
 	release := func(i int) {
 		released[i] = true
 		timers[i].Release()
+	}
+	// place takes the unused reserved place a script byte names.
+	place := func(k byte) (uint64, bool) {
+		if len(places) == 0 {
+			return 0, false
+		}
+		i := int(k) % len(places)
+		seq := places[i]
+		places = slices.Delete(places, i, i+1)
+		return seq, true
 	}
 	var callback func(action, arg byte) func()
 	act := func(action, arg byte) {
@@ -343,6 +377,10 @@ func play(s scheduler, script []byte) ([]event, error) {
 		case actBurst:
 			keep(s.schedule(delayOf(arg), callback(actNone, 0)),
 				s.schedule(delayOf(arg), callback(actNone, 0)))
+		case actFileReserved:
+			if seq, ok := place(0); ok {
+				keep(s.atReserved(s.Now()+delayOf(arg), seq, callback(actNone, 0)))
+			}
 		}
 	}
 	callback = func(action, arg byte) func() {
@@ -397,6 +435,14 @@ func play(s scheduler, script []byte) ([]event, error) {
 			d := delayOf(read())
 			keep(s.schedule(d, callback(read(), read())))
 			release(len(timers) - 1)
+		case opReserve:
+			places = append(places, s.reserve())
+		case opAtReserved:
+			d, k := delayOf(read()), read()
+			fire := callback(read(), read())
+			if seq, ok := place(k); ok {
+				keep(s.atReserved(s.Now()+d, seq, fire))
+			}
 		case opCancelEvery:
 			if k := int(read()); len(tickers) > 0 {
 				tickers[k%len(tickers)].Cancel()
@@ -520,13 +566,35 @@ var orderSeeds = [][]byte{
 		opScheduleRelease, edge(0), actSameInstant, 3,
 		opRunAll,
 	},
+	// Places reserved ahead of timers for the instants they are filed
+	// for later: into a level-0 slot, into a level-1 slot that is
+	// refiled after (from inside a callback, as a lost RPC leg files its
+	// deadline), and at the present instant, half of which has fired.
+	// Each fires ahead of the newer timers of its instant.
+	{
+		opReserve,                         // A
+		opSchedule, small(20), actNone, 0, // 20
+		opReserve,                        // B
+		opAt, edge(1<<8 + 1), actNone, 0, // 257, level 1
+		opSchedule, small(20), actNone, 0, // 20
+		opReserve,                         // C
+		opSchedule, small(40), actNone, 0, // 40
+		opSchedule, small(40), actNone, 0, // 40
+		opAtReserved, small(20), 0, actNone, 0, // A at 20
+		opSchedule, small(2), actFileReserved, edge(1<<8 - 1), // B at 2+255
+		opRun, small(39),
+		opStep,                               // the first timer for 40
+		opAtReserved, edge(0), 0, actNone, 0, // C at 40
+		opRunAll,
+	},
 }
 
 // FuzzEngineOrder decodes its input into Schedule, At, Every, both
-// Cancels, Release, Step, Run, RunAll and Stop — between runs and from
-// inside callbacks — and requires the engine to fire the same events at
-// the same times as the reference, with the same Now and Processed after
-// every operation, whether or not the released timers are recycled.
+// Cancels, Release, Reserve, AtReserved, Step, Run, RunAll and Stop —
+// between runs and from inside callbacks — and requires the engine to
+// fire the same events at the same times as the reference, with the
+// same Now and Processed after every operation, whether or not the
+// released timers are recycled.
 // Plain `go test` runs the seeds.
 func FuzzEngineOrder(f *testing.F) {
 	for _, seed := range orderSeeds {

@@ -13,21 +13,26 @@ import (
 // already-fired or already-cancelled timer is a no-op. The zero value
 // is not a valid timer.
 type Timer struct {
+	// key is the timer's filing sequence number shifted above its state
+	// bits (timerFired, timerCancelled, timerReleased): one word, first
+	// so that it is 64-bit aligned for the atomics everywhere. 61 bits
+	// of sequence never wrap within a run.
+	key        uint64
 	when       int64
 	next, prev *Timer // neighbours in the wheel slot; next also links the free records
 	fn         func() // nil once the timer has left the wheel
 	w          *Wheel
-	state      uint32 // timerFired, timerCancelled, timerReleased
 }
 
-// A timer's state bits. Fired and cancelled are set as the timer leaves
-// the wheel, at most one of them; released is set by Release. On a
-// guarded wheel every access to them is atomic, so Release takes no
-// lock.
+// A timer's state bits, below its sequence number in key. Fired and
+// cancelled are set as the timer leaves the wheel, at most one of
+// them; released is set by Release. On a guarded wheel every access to
+// key is atomic, so Release takes no lock.
 const (
 	timerFired = 1 << iota
 	timerCancelled
 	timerReleased
+	stateBits = iota
 )
 
 // Cancel takes the timer out of its wheel at once, so that its function
@@ -87,8 +92,9 @@ const (
 	wheelLevels = 64 / wheelBits
 )
 
-// slot is a FIFO of timers, linked both ways so that one leaves from
-// anywhere in it at once.
+// slot holds timers in increasing sequence number, which is filing
+// order but for a late filing (AtReserved), linked both ways so that
+// one leaves from anywhere in it at once.
 type slot struct {
 	head, tail *Timer
 }
@@ -103,6 +109,7 @@ type slot struct {
 type Wheel struct {
 	base int64
 	n    int         // timers filed
+	seq  uint64      // the sequence number the next At or Reserve takes
 	mu   *sync.Mutex // the owner's lock, if guarded
 
 	// free lists, through Timer.next, the released records that have
@@ -128,8 +135,9 @@ type Wheel struct {
 const timerSlabSize = 512
 
 // Guard makes mu the wheel's lock, for an owner that schedules from
-// several goroutines: the owner holds mu around At, Pop, Ahead, Len and
-// Check, Cancel takes it, and Release takes no lock.
+// several goroutines: the owner holds mu around At, Reserve,
+// AtReserved, Pop, Ahead, Len and Check, Cancel takes it, and Release
+// takes no lock.
 func (w *Wheel) Guard(mu *sync.Mutex) { w.mu = mu }
 
 func (w *Wheel) lock() {
@@ -144,24 +152,33 @@ func (w *Wheel) unlock() {
 	}
 }
 
-// or sets bit in t's state and returns the state before. On a guarded
+// or sets bit in t's key and returns the key before. On a guarded
 // wheel it is a compare-and-swap loop: go1.24.0 on amd64 compiles an
-// atomic.OrUint32 whose result is used into code that clobbers a live
+// atomic Or whose result is used into code that clobbers a live
 // register (here, w).
-func (w *Wheel) or(t *Timer, bit uint32) uint32 {
+func (w *Wheel) or(t *Timer, bit uint64) uint64 {
 	for w.mu != nil {
-		if old := atomic.LoadUint32(&t.state); atomic.CompareAndSwapUint32(&t.state, old, old|bit) {
+		if old := atomic.LoadUint64(&t.key); atomic.CompareAndSwapUint64(&t.key, old, old|bit) {
 			return old
 		}
 	}
-	old := t.state
-	t.state = old | bit
+	old := t.key
+	t.key = old | bit
 	return old
+}
+
+// seqOf returns t's filing sequence number; atomically on a guarded
+// wheel, where Release may set a state bit beside it at any moment.
+func (w *Wheel) seqOf(t *Timer) uint64 {
+	if w.mu != nil {
+		return atomic.LoadUint64(&t.key) >> stateBits
+	}
+	return t.key >> stateBits
 }
 
 // leave marks t, just out of the wheel, fired or cancelled, and takes
 // it back if its handle has been released.
-func (w *Wheel) leave(t *Timer, bit uint32) {
+func (w *Wheel) leave(t *Timer, bit uint64) {
 	if w.or(t, bit)&timerReleased != 0 {
 		w.free, t.next = t, w.free
 	}
@@ -171,35 +188,72 @@ func (w *Wheel) leave(t *Timer, bit uint32) {
 func (w *Wheel) Len() int { return w.n }
 
 // At files a new timer to run fn at time when, or at floor if that is
-// later. floor is the owner's present: no timer it files is due before
-// the floor it passed last.
+// later, under the next sequence number. floor is the owner's present:
+// no timer it files is due before the floor it passed last.
 func (w *Wheel) At(when, floor int64, fn func()) *Timer {
+	t := w.record()
+	w.arm(t, when, floor, fn)
+	return t
+}
+
+// Reserve hands out the next sequence number and files nothing: the
+// place, among the timers of one instant, of a timer that AtReserved
+// may file later.
+func (w *Wheel) Reserve() uint64 {
+	seq := w.seq
+	w.seq++
+	return seq
+}
+
+// AtReserved files a new timer to run fn at time when, or at floor if
+// that is later, under seq, a number Reserve handed out that no timer
+// has taken yet. It fires where it would have fired had At filed it
+// when seq was reserved: before every timer of its instant filed since.
+func (w *Wheel) AtReserved(when, floor int64, seq uint64, fn func()) *Timer {
+	if seq >= w.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
+	t := w.record()
+	w.ready(t, when, floor, seq, fn)
+	w.fileReserved(t)
+	return t
+}
+
+// record returns a record of w's to file: a released one, else the
+// slab's next.
+func (w *Wheel) record() *Timer {
 	t := w.free
 	if t == nil && w.released.Load() != nil {
 		t = w.released.Swap(nil)
 	}
 	if t != nil {
 		w.free = t.next
-	} else {
-		if len(w.slab) == 0 {
-			w.slab = make([]Timer, timerSlabSize)
-		}
-		t = &w.slab[0]
-		w.slab = w.slab[1:]
-		t.w = w
+		return t
 	}
-	w.arm(t, when, floor, fn)
+	if len(w.slab) == 0 {
+		w.slab = make([]Timer, timerSlabSize)
+	}
+	t = &w.slab[0]
+	w.slab = w.slab[1:]
+	t.w = w
 	return t
 }
 
 // arm files t, a record of w's that is not in the wheel, as At does.
 func (w *Wheel) arm(t *Timer, when, floor int64, fn func()) {
+	w.ready(t, when, floor, w.seq, fn)
+	w.seq++
+	w.file(t)
+}
+
+// ready counts t, about to be filed, and sets its firing time, function
+// and sequence number, its state bits clear.
+func (w *Wheel) ready(t *Timer, when, floor int64, seq uint64, fn func()) {
 	if w.n == 0 {
 		w.base = floor // an empty wheel may start anywhere not ahead of a timer
 	}
-	t.when, t.fn, t.state = max(when, floor), fn, 0
+	t.when, t.fn, t.key = max(when, floor), fn, seq<<stateBits
 	w.n++
-	w.file(t)
 }
 
 // slotOf returns the level and index t.when and base assign t to.
@@ -208,7 +262,34 @@ func (w *Wheel) slotOf(t *Timer) (int, uint) {
 	return l, uint(t.when>>(l*wheelBits)) % wheelSlots
 }
 
-// file appends t to its slot. t.when must not be before base.
+// fileReserved files t, whose sequence number may be older than some
+// filed already, in its slot behind the last timer with a smaller one:
+// it walks back from the tail past the newer ones. t.when must not be
+// before base.
+func (w *Wheel) fileReserved(t *Timer) {
+	l, i := w.slotOf(t)
+	s := &w.slots[l][i]
+	seq := t.key >> stateBits
+	var after *Timer // the oldest of the newer timers
+	for u := s.tail; u != nil && w.seqOf(u) > seq; u = u.prev {
+		after = u
+	}
+	if after == nil {
+		w.file(t)
+		return
+	}
+	t.next, t.prev = after, after.prev
+	if after.prev == nil {
+		s.head = t
+	} else {
+		after.prev.next = t
+	}
+	after.prev = t
+}
+
+// file appends t to its slot, behind every timer filed there: t holds
+// the newest sequence number, or the slot is being refiled front to
+// back. t.when must not be before base.
 func (w *Wheel) file(t *Timer) {
 	l, i := w.slotOf(t)
 	s := &w.slots[l][i]
@@ -289,7 +370,7 @@ func (w *Wheel) Ahead() (start int64, ok bool) {
 	return start, true
 }
 
-// Pop unfiles the first timer in (firing time, filing order) if it is
+// Pop unfiles the first timer in (firing time, sequence number) if it is
 // due at or before limit, and returns its firing time and function; fn
 // is nil when none is due. base follows, but never beyond limit. Each
 // slot above level 0 that base enters on the way is refiled, front to
@@ -328,7 +409,8 @@ func (w *Wheel) Pop(limit int64) (when int64, fn func()) {
 
 // Check walks the wheel and its free records and reports the first
 // thing wrong: a timer filed outside the slot its firing time and base
-// assign it to, or filed after it left; a broken back link or tail; an
+// assign it to, or filed after it left; a slot whose sequence numbers
+// do not increase front to back; a broken back link or tail; an
 // occupied bit that disagrees with its slot; a count that differs from
 // what is filed; a free record that is filed, listed twice, or not
 // released and out of the wheel. A guarded wheel's owner holds the lock.
@@ -349,6 +431,8 @@ func (w *Wheel) Check() error {
 					return fmt.Errorf("timer for %d is filed, fired or cancelled", t.when)
 				case t.prev != prev:
 					return fmt.Errorf("timer for %d in slot %d of level %d has a broken back link", t.when, i, l)
+				case prev != nil && w.seqOf(t) <= w.seqOf(prev):
+					return fmt.Errorf("timer for %d in slot %d of level %d has seq %d, behind seq %d", t.when, i, l, w.seqOf(t), w.seqOf(prev))
 				}
 				filed[t] = true
 			}
@@ -363,7 +447,7 @@ func (w *Wheel) Check() error {
 	free := map[*Timer]bool{}
 	for _, list := range []*Timer{w.free, w.released.Load()} {
 		for t := list; t != nil; t = t.next {
-			st := atomic.LoadUint32(&t.state)
+			st := atomic.LoadUint64(&t.key) & (1<<stateBits - 1)
 			switch {
 			case free[t]:
 				return fmt.Errorf("timer for %d is free twice", t.when)

@@ -65,3 +65,33 @@ func TestMessageAllocBytes(t *testing.T) {
 		t.Fatal("no request was answered")
 	}
 }
+
+// TestRequestAllocsNoDeadline holds a successful RPC on the engine to
+// its two legs: the deadline a reply beats is never filed, only its
+// place in the engine's order reserved. One timer is pending right
+// after Request — the request leg, not it and a deadline — and one
+// after the handler ran, the response leg.
+func TestRequestAllocsNoDeadline(t *testing.T) {
+	f := newFixture(t)
+	a := f.join(nopNode{})
+	b := f.join(nopNode{})
+	replied := 0
+	for i := 0; i < 100; i++ {
+		f.net.Request(a, b, "steady", 0, func(_ any, err error) {
+			if err == nil {
+				replied++
+			}
+		})
+		if got := f.eng.Pending(); got != 1 {
+			t.Fatalf("%d timers pending after Request; want 1, the request leg", got)
+		}
+		f.eng.Step()
+		if got := f.eng.Pending(); got != 1 {
+			t.Fatalf("%d timers pending after the request leg; want 1, the response leg", got)
+		}
+		f.eng.RunAll()
+	}
+	if replied != 100 {
+		t.Fatalf("%d of 100 requests answered", replied)
+	}
+}

@@ -27,6 +27,15 @@
 // an RPC's deadline where the reply cancels it or it fires. With the
 // pooled delivery and RPC records that makes a steady-state Send or
 // Request allocate nothing at all, timers included.
+//
+// On the engine an RPC to a local target whose round trip is shorter
+// than its timeout files no deadline at all unless it can fire: a live
+// target's reply always beats it. Request only reserves the deadline's
+// place in the engine's order (sim.Engine.Reserve), and a lost leg or a
+// dead target files it there (AtReserved), for the instant and in the
+// order it would have had if filed at once. Other RPCs — to another
+// process, with a round trip that can reach the timeout, or on a clock
+// without late filing, like the wall clock — file it at once.
 package simnet
 
 import (
@@ -64,6 +73,15 @@ type Remote interface {
 // Network implements the full Transport seam.
 var _ runtime.Transport = (*Network)(nil)
 
+// lateFiler is what a clock offers that can file a timer late in the
+// place it would have had (sim.Engine's Reserve and AtReserved, through
+// its runtime.Clock). Request finds it with one type assertion, made
+// when the clock is bound.
+type lateFiler interface {
+	Reserve() uint64
+	AtReserved(t int64, seq uint64, fn func()) runtime.Timer
+}
+
 // Network is the central message switch — the loopback reference
 // implementation of runtime.Transport. It delivers through whatever
 // runtime.Clock drives it: the discrete-event engine (deterministic
@@ -74,6 +92,7 @@ var _ runtime.Transport = (*Network)(nil)
 // unless it is a group member, whose methods lock.
 type Network struct {
 	clock runtime.Clock
+	late  lateFiler // the clock's, if it offers one; nil on the wall clock
 	topo  *topology.Topology
 	nodes []nodeState // indexed by NodeID
 	stats runtime.TransportStats
@@ -88,7 +107,7 @@ type Network struct {
 	lossRNG  *rnd.RNG
 
 	// Free lists for the per-message delivery records and per-RPC state
-	// records. Every Send schedules one closure and every Request up to
+	// records. Every Send schedules one closure and every Request two or
 	// three; allocating those closures per call dominated object churn
 	// in whole-run profiles. The records carry pre-bound closures, so a
 	// steady-state Send or Request allocates nothing.
@@ -186,20 +205,30 @@ func (n *Network) receiver(to runtime.NodeID) runtime.Handler {
 // counts the ones still outstanding and the record returns to the pool
 // only when the last of them has run or been provably cancelled —
 // recycling earlier would let a stale response leg fire with a reused
-// record's fields.
+// record's fields. The deadline is one of them only once it is filed:
+// a reserved deadline (reserved) is a place in the clock's order and a
+// time, and no closure.
 type rpcState struct {
 	n         *Network
 	from, to  runtime.NodeID
 	req, resp any
 	err       error
 	cb        func(resp any, err error) // nil on a request served for another process
-	deadline  runtime.Timer
+	deadline  runtime.Timer             // nil until filed
 	// id names an RPC that crosses to another process: the requester's
 	// key in pending, which a served request carries back. 0 otherwise.
 	id uint64
+	// lat is the request leg's latency; the response leg takes it too,
+	// latency being symmetric.
+	lat int64
+	// due and seq are a reserved deadline's time and place, for
+	// fileDeadline.
+	due int64
+	seq uint64
 
 	refs          int
 	done          bool
+	reserved      bool
 	deadlineFired bool
 
 	onDeadline func()
@@ -241,9 +270,21 @@ func (r *rpcState) maybeRecycle() {
 	}
 	n := r.n
 	r.req, r.resp, r.err, r.cb = nil, nil, nil, nil
-	r.deadline = nil
+	r.deadline, r.reserved = nil, false
 	r.id = 0
 	n.rpcPool = append(n.rpcPool, r)
+}
+
+// fileDeadline files a reserved deadline, which can fire now that a
+// leg is lost or the target is dead, in the place Request reserved: it
+// fires when, and in the order, it would have fired had Request filed
+// it. A filed deadline stays as it is.
+func (r *rpcState) fileDeadline() {
+	if r.reserved {
+		r.reserved = false
+		r.refs++
+		r.deadline = r.n.late.AtReserved(r.due, r.seq, r.onDeadline)
+	}
 }
 
 func (r *rpcState) deadlineFire() {
@@ -280,6 +321,7 @@ func (r *rpcState) deliverReq() {
 	h := n.receiver(to)
 	if h == nil {
 		// Dropped on the floor; the deadline will fire.
+		r.fileDeadline()
 		r.maybeRecycle()
 		n.unlock()
 		return
@@ -292,11 +334,12 @@ func (r *rpcState) deliverReq() {
 	n.stats.BytesSent += uint64(messageBytes(resp))
 	if n.lost() {
 		n.stats.MessagesDropped++
+		r.fileDeadline()
 		r.maybeRecycle()
 	} else {
 		r.resp, r.err = resp, err
 		r.refs++
-		n.clock.Schedule(n.latency(to, from), r.onRespond).Release()
+		n.clock.Schedule(r.lat, r.onRespond).Release()
 	}
 	n.unlock()
 }
@@ -328,7 +371,7 @@ func (r *rpcState) deliverResp() {
 // held and releases it before the callback runs.
 func (r *rpcState) reply(resp any, err error) {
 	n := r.n
-	if !r.deadlineFired {
+	if r.deadline != nil && !r.deadlineFired {
 		// The deadline can no longer fire; release its reference too.
 		r.deadline.Cancel()
 		r.deadline.Release()
@@ -383,7 +426,9 @@ func (n *Network) Resolve(id uint64, resp any, err error) {
 // sampling link latency from the given topology. A nil clock is bound
 // later, with Bind.
 func New(clock runtime.Clock, topo *topology.Topology) *Network {
-	return &Network{clock: clock, topo: topo, stride: 1}
+	n := &Network{topo: topo, stride: 1}
+	n.Bind(clock)
+	return n
 }
 
 // InGroup makes n process `group` of `groups` sharing one id space:
@@ -399,7 +444,10 @@ func (n *Network) InGroup(group, groups int, remote Remote) {
 
 // Bind gives a network built without a clock the one it delivers
 // through, before anything is sent and before the run starts.
-func (n *Network) Bind(clock runtime.Clock) { n.clock = clock }
+func (n *Network) Bind(clock runtime.Clock) {
+	n.clock = clock
+	n.late, _ = clock.(lateFiler)
+}
 
 // local reports whether this process owns id.
 func (n *Network) local(id runtime.NodeID) bool {
@@ -614,22 +662,33 @@ func (n *Network) Request(from, to runtime.NodeID, req any, timeout int64, cb fu
 	r := n.getRPC()
 	r.from, r.to, r.req, r.cb = from, to, req, cb
 	r.done, r.deadlineFired = false, false
+	r.lat = n.latency(from, to)
 	if !n.local(to) {
 		n.reqSeq++
 		r.id = n.reqSeq
 		n.pending[r.id] = r
 	}
 
-	// Deadline: fires unless a response beat it.
-	r.refs = 1
-	r.deadline = n.clock.Schedule(timeout, r.onDeadline)
+	// Deadline: fires unless a response beats it. From a live local
+	// target one always does when the round trip is shorter than the
+	// timeout, so then the deadline only reserves its place in the
+	// clock's order, and is filed there if a leg is lost or the target
+	// is dead (fileDeadline). Otherwise it is filed now.
+	if n.late != nil && n.local(to) && 2*r.lat < timeout {
+		r.refs, r.reserved = 0, true
+		r.due, r.seq = n.clock.Now()+timeout, n.late.Reserve()
+	} else {
+		r.refs = 1
+		r.deadline = n.clock.Schedule(timeout, r.onDeadline)
+	}
 
 	if n.lost() {
 		// Request leg dropped in transit; the deadline will fire.
 		n.stats.MessagesDropped++
+		r.fileDeadline()
 	} else {
 		r.refs++
-		n.clock.Schedule(n.latency(from, to), r.onDeliver).Release()
+		n.clock.Schedule(r.lat, r.onDeliver).Release()
 	}
 	n.unlock()
 }

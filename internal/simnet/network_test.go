@@ -239,12 +239,20 @@ func TestForEachAlive(t *testing.T) {
 	}
 }
 
+// TestLatencySymmetry checks every pair of a few dozen nodes: an RPC's
+// response leg takes the latency of its request leg.
 func TestLatencySymmetry(t *testing.T) {
 	f := newFixture(t)
-	a := f.join(&echoNode{})
-	b := f.join(&echoNode{})
-	if f.net.Latency(a, b) != f.net.Latency(b, a) {
-		t.Fatal("latency not symmetric")
+	var ids []runtime.NodeID
+	for i := 0; i < 40; i++ {
+		ids = append(ids, f.join(&echoNode{}))
+	}
+	for _, a := range ids {
+		for _, b := range ids {
+			if f.net.Latency(a, b) != f.net.Latency(b, a) {
+				t.Fatalf("latency %d→%d is %d, %d→%d is %d", a, b, f.net.Latency(a, b), b, a, f.net.Latency(b, a))
+			}
+		}
 	}
 }
 
