@@ -27,12 +27,13 @@ race:
 # race-net is the slice of `race` that covers the wall-clock run loop
 # and the socket transport — the run loop against reader and writer
 # goroutines, Cancel against Run, and simnet's network, which the
-# socket backend shares between its run loop and its readers — repeated,
-# because those races are timing-dependent. The wire-rpc smoke test is
+# socket backend shares between its run loop and its readers and whose
+# own tests run it on the wall clock, as the realtime backend does —
+# repeated, because those races are timing-dependent. The wire-rpc smoke test is
 # the one caller that joins and polls Alive from outside a running loop.
 # Minutes, not the 40 of `race`.
 race-net:
-	go test -race -count=20 ./internal/wallclock ./internal/simnet ./internal/rtnet ./internal/socknet
+	go test -race -count=20 ./internal/wallclock ./internal/simnet ./internal/socknet
 	go test -race -count=10 -run TestWireWorkloadSmoke ./benchmark
 
 # wire-bench runs the repo benchmark's wire-rpc workload once untraced
@@ -92,7 +93,7 @@ heap-growth-check:
 	done; echo "live heap per node is flat in simulated time"
 
 # fingerprint-check runs the same simulation cell in two separate
-# processes for every registered protocol and compares the run
+# processes for every listed protocol and compares the run
 # fingerprints (FNV-1a over per-window query/transfer/message counts)
 # with each other and with the table committed here: map-order
 # nondeterminism feeding the event stream shows up as a mismatch between
@@ -100,7 +101,7 @@ heap-growth-check:
 # random draws as a mismatch with the pin, mechanically. The second
 # process is given only the cell line the first command line prints
 # (-print-params, which runs nothing), so a cell that does not replay
-# its run fails too. A registered protocol without a pin fails too, so
+# its run fails too. A listed protocol without a pin fails too, so
 # a new driver cannot slip past.
 # When a protocol or workload change is meant to move a fingerprint,
 # re-pin: set its entry to what both processes print and say why in
@@ -119,7 +120,7 @@ fingerprint-check:
 		want=; for kv in $(FINGERPRINTS); do \
 			if [ "$${kv%%=*}" = "$$p" ]; then want=$${kv#*=}; fi; done; \
 		if [ -z "$$want" ]; then \
-			echo "NO FINGERPRINT PIN for registered protocol $$p: add it to FINGERPRINTS" >&2; exit 1; \
+			echo "NO FINGERPRINT PIN for listed protocol $$p: add it to FINGERPRINTS" >&2; exit 1; \
 		fi; \
 		cell=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-params | sed -n 's/^cell://p'); \
 		fp1=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol $$p -print-fingerprint); \
@@ -223,15 +224,22 @@ trace-smoke:
 # fuzz-smoke gives each fuzz target a short budget — enough for CI to
 # catch a decoder panic or packing regression without open-ended fuzz
 # time. Local deep fuzzing: raise -fuzztime on the same commands.
+# -fuzzminimizetime bounds the time a worker spends shrinking each new
+# interesting input (go test's default is 60 s). A FuzzEngineOrder exec
+# costs time linear in the script, about 40 ms at 4 KiB, so shrinking
+# one long input kept a worker busy past the whole budget, and both
+# workers' execs/s fell to 0 within seconds. A crasher is still reported
+# and saved; it is shrunk under the same bound.
 FUZZTIME ?= 10s
+FUZZFLAGS := -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 fuzz-smoke:
-	go test ./internal/socknet/ -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
-	go test ./internal/socknet/ -run '^$$' -fuzz FuzzBinaryFrameRoundTrip -fuzztime $(FUZZTIME)
-	go test ./internal/socknet/ -run '^$$' -fuzz FuzzBinaryDecode -fuzztime $(FUZZTIME)
-	go test ./internal/socknet/ -run '^$$' -fuzz FuzzFrameReadPrefix -fuzztime $(FUZZTIME)
-	go test ./internal/dring/ -run '^$$' -fuzz FuzzPositionRoundTrip -fuzztime $(FUZZTIME)
-	go test ./internal/trace/ -run '^$$' -fuzz FuzzRecordWire -fuzztime $(FUZZTIME)
-	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineOrder -fuzztime $(FUZZTIME)
+	go test ./internal/socknet/ -run '^$$' -fuzz FuzzFrameRoundTrip $(FUZZFLAGS)
+	go test ./internal/socknet/ -run '^$$' -fuzz FuzzBinaryFrameRoundTrip $(FUZZFLAGS)
+	go test ./internal/socknet/ -run '^$$' -fuzz FuzzBinaryDecode $(FUZZFLAGS)
+	go test ./internal/socknet/ -run '^$$' -fuzz FuzzFrameReadPrefix $(FUZZFLAGS)
+	go test ./internal/dring/ -run '^$$' -fuzz FuzzPositionRoundTrip $(FUZZFLAGS)
+	go test ./internal/trace/ -run '^$$' -fuzz FuzzRecordWire $(FUZZFLAGS)
+	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineOrder $(FUZZFLAGS)
 
 # dist-smoke is the distributed-sweep equality gate: the same CI-sized
 # grid runs once in-process, once sharded across a coordinator plus two

@@ -28,7 +28,7 @@ func nudge(t *testing.T, v reflect.Value) {
 		v.SetFloat(v.Float() + 0.25)
 	case reflect.String:
 		if v.String() == string(Flower) {
-			v.SetString(string(Squirrel)) // a protocol must stay registered to lower
+			v.SetString(string(Squirrel)) // a protocol must stay listed to lower
 		} else {
 			v.SetString(v.String() + "x")
 		}

@@ -7,7 +7,7 @@
 // aggregates (with optional CSV output). Aggregates are identical for
 // any worker count; only the wall clock changes.
 //
-//	flowerbench -grid compare -seeds 5                 # all registered protocols x 5 seeds
+//	flowerbench -grid compare -seeds 5                 # every comparable protocol x 5 seeds
 //	flowerbench -grid scalability -seeds 10 -workers 8 # Table 2 with error bars
 //	flowerbench -grid churn -scenario flash-crowd      # churn axis, hot-site workload
 //	flowerbench -grid capacity -scenario cache-pressure # hit ratio vs per-peer cache capacity
@@ -36,8 +36,8 @@
 // worker heartbeats every 2 s while it runs a job and forfeits the job
 // to reassignment after 2 minutes of silence. See docs/OPERATIONS.md.
 //
-// Grids: compare (every comparable protocol registered with the
-// runtime: flower, petalup, squirrel, chord-global, koorde-global —
+// Grids: compare (every comparable protocol in the protocol list:
+// flower, petalup, squirrel, chord-global, koorde-global —
 // origin-only is reachable via flowersim -protocol origin-only),
 // scalability (flower/squirrel x population), churn (mean-uptime
 // axis), gossip (gossip-period axis), capacity (per-peer cache-capacity
@@ -215,9 +215,8 @@ func buildGrid(base flowercdn.Config, pops []int, name string) ([]flowercdn.Swee
 	g := flowercdn.Grid{Base: base, Protocols: []flowercdn.Protocol{flowercdn.Flower, flowercdn.Squirrel}}
 	switch name {
 	case "compare":
-		// Every registered comparable protocol, automatically: a new
-		// deployment only has to register itself with internal/proto to
-		// appear here. (origin-only is the degenerate floor; run it via
+		// Every comparable protocol, automatically: a new deployment
+		// only has to join internal/protocols.All to appear here. (origin-only is the degenerate floor; run it via
 		// flowersim -protocol origin-only.)
 		g.Protocols = flowercdn.CompareProtocols()
 	case "scalability":

@@ -7,7 +7,7 @@
 //	flowersim -protocol squirrel -p 500 -hours 6 -seed 7
 //	flowersim -protocol origin-only -p 400   # the floor any CDN must beat
 //	flowersim -cache-policy lru -cache-capacity 16   # capacity-bounded peer stores
-//	flowersim -protocols                     # list registered protocols
+//	flowersim -protocols                     # list the protocols
 //	flowersim -print-params
 //
 // With -backend realtime the identical protocol code runs on
@@ -140,8 +140,8 @@ func parse(fs *flag.FlagSet, args []string) (*options, []string, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err
 	}
-	// An unregistered backend name takes the sim path, where the harness
-	// rejects it with the list of registered ones.
+	// An unknown backend name takes the sim path, where the harness
+	// rejects it with the list of built-in ones.
 	why := "scale comes from -population/-horizon"
 	switch o.backend {
 	case "realtime":

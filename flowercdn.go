@@ -33,12 +33,12 @@ import (
 	"flowercdn/internal/cache"
 	"flowercdn/internal/harness"
 	"flowercdn/internal/proto"
-	_ "flowercdn/internal/protocols" // register every built-in protocol driver
+	"flowercdn/internal/protocols"
 	"flowercdn/internal/runtime"
 )
 
-// Protocol selects which system a run simulates. Any name registered
-// with the protocol runtime is valid; Protocols lists them.
+// Protocol selects which system a run simulates. Protocols lists the
+// valid names.
 type Protocol = harness.Protocol
 
 // The built-in deployable systems.
@@ -62,31 +62,31 @@ const (
 	OriginOnly = harness.ProtocolOriginOnly
 )
 
-// Protocols returns every registered protocol, in presentation order.
+// Protocols returns every protocol, in presentation order.
 func Protocols() []Protocol {
-	return toProtocols(proto.Names())
+	return toProtocols(protocols.Names())
 }
 
-// Backends returns the registered runtime backends ("realtime", "sim",
-// "socket").
+// Backends returns the runtime backends, a fixed list ("realtime",
+// "sim", "socket").
 func Backends() []string { return runtime.Backends() }
 
-// CachePolicies returns the registered cache-eviction policies ("none"
-// first, then alphabetical).
+// CachePolicies returns the cache-eviction policies, a fixed list
+// ("none" first, then alphabetical).
 func CachePolicies() []string { return cache.Names() }
 
 // CompareProtocols returns the protocols that belong in head-to-head
-// comparison grids (everything registered except degenerate floors
-// like origin-only, which stays reachable by name).
+// comparison grids (every protocol except degenerate floors like
+// origin-only, which stays reachable by name).
 func CompareProtocols() []Protocol {
-	return toProtocols(proto.CompareNames())
+	return toProtocols(protocols.CompareNames())
 }
 
-// ProtocolSummary returns the one-line description of a registered
-// protocol ("" for unknown names).
+// ProtocolSummary returns the one-line description of a protocol (""
+// for unknown names).
 func ProtocolSummary(p Protocol) string {
-	info, _ := proto.Lookup(string(p))
-	return info.Summary
+	d, _ := protocols.Lookup(string(p))
+	return d.Info.Summary
 }
 
 func toProtocols(names []string) []Protocol {
@@ -214,19 +214,17 @@ func QuickConfig() Config {
 
 // Lower translates the façade config into the internal harness config:
 // generic experiment knobs map onto harness fields, protocol knobs onto
-// the generic options map each registered driver reads its own keys
-// from (keys a protocol does not understand are ignored, so one option
-// set serves a whole comparison grid). It is exported for the in-module
+// the generic options map each driver reads its own keys from (keys a
+// protocol does not understand are ignored, so one option set serves a
+// whole comparison grid). It is exported for the in-module
 // tools that run the lowered config themselves (cmd/flowersim).
 func (c Config) Lower() (harness.Config, error) {
 	hc := harness.DefaultConfig()
-	switch {
-	case c.Protocol == "":
-		hc.Protocol = Flower
-	case proto.Registered(string(c.Protocol)):
+	if c.Protocol != "" {
+		if _, ok := protocols.Lookup(string(c.Protocol)); !ok {
+			return hc, fmt.Errorf("flowercdn: unknown protocol %q (have %v)", c.Protocol, Protocols())
+		}
 		hc.Protocol = c.Protocol
-	default:
-		return hc, fmt.Errorf("flowercdn: unknown protocol %q (have %v)", c.Protocol, Protocols())
 	}
 	hc.Backend = c.Backend
 	hc.Seed = c.Seed

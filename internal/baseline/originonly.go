@@ -13,10 +13,9 @@
 // home and is redirected to a RANDOM provider, and the directory dies
 // with its home. There is no locality notion anywhere. A home suggests
 // one provider per query and remembers four per object: Squirrel's
-// numbers, fixed for all three protocols. One driver runs all three
-// protocols; a protocol is a RingSpec registered with
-// RegisterRingDirectory, and the spec is the complete list of what may
-// differ:
+// numbers, fixed for all three protocols. One deployment runs all three
+// protocols; a protocol is the driver RingDirectory makes of a RingSpec,
+// and the spec is the complete list of what may differ:
 //
 //   - Router: the overlay the ring is (the chord-demo option is lowered
 //     here). squirrel and chord-global route over Chord fingers
@@ -42,11 +41,11 @@
 // homes, the summary refresh) and from Flower-CDN in exactly one,
 // locality: it isolates how much of Flower-CDN's win comes from
 // locality awareness versus from having a P2P directory at all.
-// chord-global is registered here (chordglobal.go); internal/squirrel
-// and internal/koorde register the other two.
+// chord-global's driver is ChordGlobal (chordglobal.go); internal/squirrel
+// and internal/koorde export the other two.
 //
-// All of them register with the protocol runtime (internal/proto) and
-// are driven by the harness exactly like the paper's protocols.
+// All of them are proto.Driver values, listed in internal/protocols and
+// driven by the harness exactly like the paper's protocols.
 package baseline
 
 import (
@@ -61,15 +60,16 @@ import (
 	"flowercdn/internal/workload"
 )
 
-func init() {
-	// origin-only reads only the shared cache keys: its peers still cache
-	// what they fetch, the cache just never serves anyone else.
-	proto.Register(proto.Info{
+// OriginOnly is no P2P system at all. It reads only the shared cache
+// keys: its peers still cache what they fetch, the cache just never
+// serves anyone else.
+var OriginOnly = proto.Driver{
+	Info: proto.Info{
 		Name:    "origin-only",
 		Summary: "no P2P system: every query fetches from the origin server (the floor)",
 		Compare: false, // degenerate floor; reachable by name, excluded from default grids
-		Order:   4,
-	}, func(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
+	},
+	Lower: func(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
 		cacheCfg, err := proto.CacheConfigFromOptions(opts)
 		if err != nil {
 			return nil, err
@@ -78,7 +78,7 @@ func init() {
 			return &originDriver{env: env, idRNG: env.RNG.Split("identities"),
 				newStore: cacheCfg.StoreFactory(env)}, nil
 		}, nil
-	})
+	},
 }
 
 type originDriver struct {

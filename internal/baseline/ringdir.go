@@ -40,7 +40,7 @@ type NewRouter func(pool *chord.Pool, net runtime.Net, rng *rnd.RNG, app chord.A
 // protocol's random streams were named before the drivers were merged
 // and a run's fingerprint depends on every one of them.
 type RingSpec struct {
-	// Info is the registry entry.
+	// Info names and describes the protocol.
 	Info proto.Info
 	// Router lowers and validates the overlay's own option (chord-demo)
 	// into a node constructor.
@@ -80,9 +80,9 @@ func SiteHome(label string) func(content.Key) ids.ID {
 	return func(k content.Key) ids.ID { return ids.HashString(fmt.Sprintf(label, k.Site)) }
 }
 
-// RegisterRingDirectory registers the ring-directory deployment
-// described by s under s.Info.Name.
-func RegisterRingDirectory(s RingSpec) { proto.Register(s.Info, s.lower) }
+// RingDirectory is the driver of the ring-directory deployment
+// described by s.
+func RingDirectory(s RingSpec) proto.Driver { return proto.Driver{Info: s.Info, Lower: s.lower} }
 
 // ringConfig is a spec's options, lowered.
 type ringConfig struct {

@@ -5,10 +5,10 @@
 // storage potential to avoid replacing its content through the
 // experiment's duration"); real deployments are capacity-bounded. This
 // package is the seam that opens the first capacity-bounded scenario
-// family: a Policy tracks residents and nominates victims, a name →
-// factory registry mirrors the protocol (internal/proto) and backend
-// (internal/runtime) registries, and drivers resolve a policy solely by
-// the shared "cache-policy"/"cache-capacity" options.
+// family: a Policy tracks residents and nominates victims, the four
+// built-ins are one fixed list (policies.go) reached by name, and
+// drivers resolve a policy solely by the shared
+// "cache-policy"/"cache-capacity" options.
 //
 // Keys are packed uint64s (content.Key.Uint64); costs are generic
 // units — 1 per object for the count-bounded policies, bytes for the
@@ -16,11 +16,7 @@
 // everything else inside one run.
 package cache
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Policy is one eviction policy instance, owned by exactly one store.
 //
@@ -47,9 +43,9 @@ type Policy interface {
 	Len() int
 }
 
-// Info describes a registered policy.
+// Info describes a policy.
 type Info struct {
-	// Name is the registry key ("none", "lru", ...), the value of the
+	// Name is the policy's name ("none", "lru", ...), the value of the
 	// "cache-policy" driver option.
 	Name string
 	// Summary is a one-line description for CLI listings.
@@ -68,75 +64,32 @@ type Factory func(capacity int64) Policy
 // PolicyNone is the unbounded default — the paper's storage model.
 const PolicyNone = "none"
 
-type entry struct {
-	info    Info
-	factory Factory
-}
-
-var (
-	regMu    sync.RWMutex
-	registry = map[string]entry{}
-)
-
-// Register adds a policy under info.Name. Like the proto registry it
-// panics on an empty name, nil factory or duplicate — programmer
-// errors surfaced at init time.
-func Register(info Info, f Factory) {
-	if info.Name == "" {
-		panic("cache: Register with empty name")
-	}
-	if f == nil {
-		panic("cache: Register with nil factory for " + info.Name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[info.Name]; dup {
-		panic("cache: duplicate registration of " + info.Name)
-	}
-	registry[info.Name] = entry{info: info, factory: f}
-}
-
 // New builds an instance of the named policy.
 func New(name string, capacity int64) (Policy, error) {
-	regMu.RLock()
-	e, ok := registry[name]
-	regMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("cache: unknown policy %q (registered: %v)", name, Names())
-	}
-	return e.factory(capacity), nil
-}
-
-// Registered reports whether name resolves to a policy.
-func Registered(name string) bool {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	_, ok := registry[name]
-	return ok
-}
-
-// Lookup returns a registered policy's descriptor.
-func Lookup(name string) (Info, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e, ok := registry[name]
-	return e.info, ok
-}
-
-// Names returns every registered policy name, sorted, with "none"
-// first (the default reads naturally in listings).
-func Names() []string {
-	regMu.RLock()
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	regMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if (out[i] == PolicyNone) != (out[j] == PolicyNone) {
-			return out[i] == PolicyNone
+	for _, p := range policies {
+		if p.info.Name == name {
+			return p.factory(capacity), nil
 		}
-		return out[i] < out[j]
-	})
+	}
+	return nil, fmt.Errorf("cache: unknown policy %q (one of %v)", name, Names())
+}
+
+// Lookup returns a policy's descriptor.
+func Lookup(name string) (Info, bool) {
+	for _, p := range policies {
+		if p.info.Name == name {
+			return p.info, true
+		}
+	}
+	return Info{}, false
+}
+
+// Names returns every policy name in listing order: "none" first (the
+// default reads naturally in listings), then alphabetical.
+func Names() []string {
+	out := make([]string, len(policies))
+	for i, p := range policies {
+		out[i] = p.info.Name
+	}
 	return out
 }

@@ -1,33 +1,33 @@
 package cache
 
-// The built-in policies. All of them treat capacity <= 0 as unbounded
-// and break victim ties deterministically by smallest key, so bounded
-// runs replay bit-identically.
-
-func init() {
-	Register(Info{
+// policies is every policy, in listing order. All of them treat
+// capacity <= 0 as unbounded and break victim ties deterministically by
+// smallest key, so bounded runs replay bit-identically.
+var policies = []struct {
+	info    Info
+	factory Factory
+}{
+	{Info{
 		Name:    PolicyNone,
 		Summary: "unbounded store — the paper's storage model (never evicts)",
-	}, func(int64) Policy { return &nonePolicy{} })
-	Register(Info{
-		Name:    "lru",
-		Summary: "least-recently-used eviction, capacity in objects",
-	}, func(capacity int64) Policy {
-		return newLRU(capacity)
-	})
-	Register(Info{
+	}, func(int64) Policy { return &nonePolicy{} }},
+	{Info{
 		Name:    "lfu",
 		Summary: "least-frequently-used eviction (ties: smallest key), capacity in objects",
 	}, func(capacity int64) Policy {
 		return &lfuPolicy{capacity: capacity, items: make(map[uint64]*lfuEntry)}
-	})
-	Register(Info{
+	}},
+	{Info{
+		Name:    "lru",
+		Summary: "least-recently-used eviction, capacity in objects",
+	}, func(capacity int64) Policy { return newLRU(capacity) }},
+	{Info{
 		Name:     "size-aware",
 		Summary:  "largest-object-first eviction over a byte budget (Zipf-sized objects)",
 		ByteCost: true,
 	}, func(capacity int64) Policy {
 		return &sizePolicy{capacity: capacity, items: make(map[uint64]int64)}
-	})
+	}},
 }
 
 // nonePolicy tracks nothing but the resident count and never evicts —

@@ -10,7 +10,6 @@ import (
 
 	"flowercdn/internal/harness"
 	"flowercdn/internal/metrics"
-	_ "flowercdn/internal/protocols" // register the built-in drivers
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/sim"
 	"flowercdn/internal/socknet"

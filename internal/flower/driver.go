@@ -13,25 +13,32 @@ import (
 )
 
 // This file is the Flower-CDN System's face to the pluggable protocol
-// runtime (internal/proto): the package registers one lowering twice —
-// "flower", and "petalup" with the per-directory load limit on — and
-// *System implements proto.System itself.
+// runtime (internal/proto): one lowering, two drivers — Flower, and
+// PetalUp with the per-directory load limit on — and *System implements
+// proto.System itself.
 
-func init() {
-	proto.Register(proto.Info{
+// Flower is classic Flower-CDN.
+var Flower = proto.Driver{
+	Info: proto.Info{
 		Name:    "flower",
 		Summary: "Flower-CDN: locality-aware petals behind a D-ring directory overlay (Sec. 3)",
 		Compare: true,
-		Order:   0,
-	}, lowering(false))
-	// PetalUp-CDN is the identical protocol code with directory
-	// splitting enabled; "load-limit" is the Sec. 4 per-directory bound.
-	proto.Register(proto.Info{
+	},
+	Lower: lowering(false),
+}
+
+// PetalUp is PetalUp-CDN: the identical protocol code with directory
+// splitting enabled; "load-limit" is the Sec. 4 per-directory bound.
+var PetalUp = proto.Driver{
+	Info: proto.Info{
 		Name:    "petalup",
 		Summary: "PetalUp-CDN: Flower-CDN with per-directory load splitting (Sec. 4)",
 		Compare: true,
-		Order:   1,
-	}, lowering(true))
+	},
+	Lower: lowering(true),
+}
+
+func init() {
 	// Every concrete type a flower deployment ships inside an
 	// interface-typed field (Send/Request payloads, gossip metadata,
 	// bus announcements) — the socket backend's codecs resolve a payload
@@ -72,7 +79,7 @@ func init() {
 // runs use when the "load-limit" option is absent.
 const DefaultPetalUpLoadLimit = 30
 
-// lowering is the registered driver: it resolves the option map into a
+// lowering is the two drivers' Lower: it resolves the option map into a
 // full protocol Config and validates it; the constructor it returns
 // adds what needs the run's Env (the store factory reads its clock and
 // metrics).

@@ -137,12 +137,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// The substrate is vetted by the registry (proto.New checks the Env
+// The substrate is vetted by the driver (Driver.New checks the Env
 // once for every protocol); what NewSystem itself checks is its Config.
 func TestNewSystemRequiresDeps(t *testing.T) {
-	for _, name := range []string{"flower", "petalup"} {
-		if _, err := proto.New(name, proto.Env{}, nil); err == nil || !strings.Contains(err.Error(), name) {
-			t.Fatalf("%s: missing deps accepted or unnamed: %v", name, err)
+	for _, d := range []proto.Driver{Flower, PetalUp} {
+		if _, err := d.New(proto.Env{}, nil); err == nil || !strings.Contains(err.Error(), d.Info.Name) {
+			t.Fatalf("%s: missing deps accepted or unnamed: %v", d.Info.Name, err)
 		}
 	}
 	bad := DefaultConfig()

@@ -137,9 +137,9 @@ type System struct {
 // Metrics is any event emitter: the harness passes a full
 // metrics.Pipeline, library callers and tests a bare
 // *metrics.Collector. Stores are unbounded (content.NewStore — the
-// paper's storage model) unless the registered driver's cache options
-// say otherwise. proto.New vets env for registry callers; direct
-// callers own its completeness.
+// paper's storage model) unless the driver's cache options say
+// otherwise. Driver.New vets env for callers that go through Flower or
+// PetalUp; direct callers own its completeness.
 func NewSystem(cfg Config, env proto.Env) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -4,18 +4,17 @@ import (
 	"sync"
 	"testing"
 
-	"flowercdn/internal/proto"
-	_ "flowercdn/internal/protocols"
+	"flowercdn/internal/protocols"
 )
 
-// eachProtocolAtOnce runs cell as one subtest per registered protocol,
+// eachProtocolAtOnce runs cell as one subtest per protocol,
 // all of them at once whatever -parallel says: wall-clock cells sleep
 // through their horizons on their own clocks and ports, so side by side
 // they cost one horizon, where t.Parallel subtests would still queue
 // GOMAXPROCS at a time.
 func eachProtocolAtOnce(t *testing.T, cell func(t *testing.T, name string)) {
 	var wg sync.WaitGroup
-	for _, name := range proto.Names() {
+	for _, name := range protocols.Names() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -25,13 +24,13 @@ func eachProtocolAtOnce(t *testing.T, cell func(t *testing.T, name string)) {
 	wg.Wait()
 }
 
-// TestCrossBackendSmokeSim runs every registered protocol at toy scale
+// TestCrossBackendSmokeSim runs every protocol at toy scale
 // on the deterministic backend with the compressed demo timescales and
 // asserts the basic health signals: queries flow, the population is
 // alive at the end, and every head-to-head protocol achieves a
 // non-zero hit ratio.
 func TestCrossBackendSmokeSim(t *testing.T) {
-	for _, name := range proto.Names() {
+	for _, name := range protocols.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := RealtimeDemoConfig(50, 10_000)
@@ -47,8 +46,8 @@ func TestCrossBackendSmokeSim(t *testing.T) {
 			if res.AlivePeers == 0 {
 				t.Fatal("no peers alive at the end of the run")
 			}
-			info, _ := proto.Lookup(name)
-			if info.Compare && res.Hits == 0 {
+			d, _ := protocols.Lookup(name)
+			if d.Info.Compare && res.Hits == 0 {
 				t.Fatalf("comparable protocol served zero hits over %d queries", res.Queries)
 			}
 			if res.Fingerprint == 0 {
@@ -61,12 +60,12 @@ func TestCrossBackendSmokeSim(t *testing.T) {
 	}
 }
 
-// TestCacheBoundedSmokeSim runs every registered protocol once more
+// TestCacheBoundedSmokeSim runs every protocol once more
 // with an LRU-bounded store small enough that evictions must happen:
 // the cache seam is threaded through every driver, and a bounded run
 // completes cleanly on the deterministic backend.
 func TestCacheBoundedSmokeSim(t *testing.T) {
-	for _, name := range proto.Names() {
+	for _, name := range protocols.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := RealtimeDemoConfig(50, 10_000)
@@ -91,7 +90,7 @@ func TestCacheBoundedSmokeSim(t *testing.T) {
 	}
 }
 
-// TestCrossBackendSmokeRealtime runs every registered protocol on the
+// TestCrossBackendSmokeRealtime runs every protocol on the
 // wall-clock backend for a short horizon each — a run genuinely takes
 // its 1.5 s, so the protocols run side by side — and asserts clean
 // completion with live queries. Hit assertions are limited to the query-dense flower family:

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"flowercdn/internal/metrics"
-	_ "flowercdn/internal/protocols"
 	"flowercdn/internal/runtime"
 )
 

@@ -10,44 +10,34 @@
 // (what sweeps aggregate and distributed-sweep records store), Result
 // embeds it next to what stays with the process that ran the experiment.
 //
-// The harness knows no concrete protocol: deployments are resolved by
-// name through the internal/proto registry and driven through the
+// The harness knows no concrete protocol: a deployment is resolved by
+// name in the protocol list (internal/protocols) and driven through the
 // proto.System interface, configuration flows down as an opaque
 // proto.Options map, and measurements flow back as a typed event
-// stream aggregated by internal/metrics. Callers must ensure the
-// protocols they name are registered (importing internal/protocols
-// registers every built-in one).
+// stream aggregated by internal/metrics. It does know the backends: it
+// builds each built-in one from a clock and a leg (backend.go).
 package harness
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	goruntime "runtime" // aliased: flowercdn/internal/runtime owns the plain name
+	"slices"
 
 	"flowercdn/internal/churn"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/proto"
+	"flowercdn/internal/protocols"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
+	"flowercdn/internal/socknet"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/trace"
 	"flowercdn/internal/workload"
-
-	// The harness resolves backends solely through the runtime registry;
-	// importing the built-in backends keeps every harness caller able to
-	// name them, the same way internal/protocols registers the drivers.
-	// socknet is additionally imported for its WireStats type, the
-	// serialized-traffic report the socket backend alone can produce —
-	// the one concrete type this package still takes from a layer below
-	// the runtime seam (ROADMAP item 1(a)).
-	_ "flowercdn/internal/rtnet"
-	_ "flowercdn/internal/simrt"
-	"flowercdn/internal/socknet"
 )
 
-// Protocol names the deployment under test; any name registered with
-// internal/proto is valid. The constants cover the built-ins.
+// Protocol names the deployment under test; any name in
+// internal/protocols.All is valid. The constants cover them all.
 type Protocol string
 
 const (
@@ -74,8 +64,8 @@ type Config struct {
 	// (default — the deterministic discrete-event engine), "realtime"
 	// (wall-clock timers; the run genuinely takes Duration to finish)
 	// or "socket" (wall-clock timers with the population partitioned
-	// across cooperating OS processes over TCP — see Socket). Any name
-	// registered with internal/runtime is valid.
+	// across cooperating OS processes over TCP — see Socket), or a name
+	// added with runtime.RegisterBackend.
 	Backend string
 	// Socket describes this process's slot in a socket-backend group:
 	// listen address, the full index-ordered peer list and our index.
@@ -110,7 +100,7 @@ type Config struct {
 	MessageLossRate float64
 
 	// Options carries protocol-specific knobs, interpreted by the
-	// registered driver (see each driver's documented keys). Keys a
+	// protocol's driver (see each driver's documented keys). Keys a
 	// protocol does not understand are ignored, so one option set can
 	// serve a whole comparison grid.
 	Options proto.Options
@@ -318,15 +308,14 @@ func SocketDemoConfig(population int, horizon int64, sock runtime.SocketConfig) 
 	return cfg
 }
 
-// Validate checks the configuration. Protocol names resolve against
-// the runtime registry, so a protocol package must be imported (see
-// internal/protocols) before its name validates.
+// Validate checks the configuration.
 func (c Config) Validate() error {
-	if !proto.Registered(string(c.Protocol)) {
-		return fmt.Errorf("harness: unknown protocol %q (registered: %v)", c.Protocol, proto.Names())
+	driver, ok := protocols.Lookup(string(c.Protocol))
+	if !ok {
+		return fmt.Errorf("harness: unknown protocol %q (one of %v)", c.Protocol, protocols.Names())
 	}
-	if !runtime.BackendRegistered(c.ResolvedBackend()) {
-		return fmt.Errorf("harness: unknown backend %q (registered: %v)", c.ResolvedBackend(), runtime.Backends())
+	if b := c.ResolvedBackend(); !slices.Contains(runtime.Backends(), b) && runtime.RegisteredBackend(b) == nil {
+		return fmt.Errorf("harness: unknown backend %q (one of %v)", b, runtime.Backends())
 	}
 	if c.ResolvedBackend() == "socket" {
 		if c.Socket == nil {
@@ -338,7 +327,7 @@ func (c Config) Validate() error {
 	} else if c.Socket != nil {
 		return fmt.Errorf("harness: Config.Socket set but backend is %q", c.ResolvedBackend())
 	}
-	if err := proto.Check(string(c.Protocol), c.Options); err != nil {
+	if err := driver.Check(c.Options); err != nil {
 		return fmt.Errorf("harness: %w", err)
 	}
 	if c.Population < 1 {
@@ -509,20 +498,13 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt, err := runtime.NewBackend(cfg.ResolvedBackend(), runtime.BackendConfig{
-		Topo:     topo,
-		LossRate: cfg.MessageLossRate,
-		LossRNG:  master.Split("loss"),
-		Socket:   cfg.Socket,
-	})
+	rt, closeBackend, err := newBackend(cfg, topo, master.Split("loss"))
 	if err != nil {
 		return nil, err
 	}
-	// Multi-process backends hold OS resources (listener, mesh
+	// The socket backend holds OS resources (listener, mesh
 	// connections); release them when the run ends.
-	if closer, ok := rt.(io.Closer); ok {
-		defer closer.Close()
-	}
+	defer closeBackend()
 	clock, net := rt.Clock(), rt.Net()
 	work, err := workload.New(cfg.Workload)
 	if err != nil {
@@ -604,7 +586,8 @@ func Run(cfg Config) (*Result, error) {
 		// for announced gateways (see proto.Env.Follower).
 		Follower: group > 0,
 	}
-	sys, err := proto.New(string(cfg.Protocol), env, cfg.Options)
+	driver, _ := protocols.Lookup(string(cfg.Protocol))
+	sys, err := driver.New(env, cfg.Options)
 	if err != nil {
 		return nil, err
 	}

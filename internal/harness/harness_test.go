@@ -6,7 +6,7 @@ import (
 
 	"flowercdn/internal/dring"
 	"flowercdn/internal/proto"
-	_ "flowercdn/internal/protocols" // register the built-in drivers
+	"flowercdn/internal/protocols"
 	"flowercdn/internal/sim"
 )
 
@@ -82,8 +82,8 @@ func TestBadOptionsFailValidation(t *testing.T) {
 }
 
 // TestValidateCheckAndNewAgreeOnBadOptions: a driver is one lowering,
-// so for each driver's bad-option cases Validate (through proto.Check)
-// and proto.New report the very same error — there is no second
+// so for each driver's bad-option cases Validate (through Driver.Check)
+// and Driver.New report the very same error — there is no second
 // validation path that could drift from the first — and the error says
 // which knob.
 func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
@@ -103,7 +103,8 @@ func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
 	}
 	for _, c := range cases {
 		name := string(c.p)
-		cerr := proto.Check(name, c.opts)
+		d, _ := protocols.Lookup(name)
+		cerr := d.Check(c.opts)
 		if cerr == nil || !strings.Contains(cerr.Error(), c.want) {
 			t.Errorf("%s %v: Check = %v, want an error mentioning %q", name, c.opts, cerr, c.want)
 			continue
@@ -113,16 +114,16 @@ func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
 		if verr := cfg.Validate(); verr == nil || verr.Error() != "harness: "+cerr.Error() {
 			t.Errorf("%s %v: Validate = %v, want Check's %q wrapped", name, c.opts, verr, cerr)
 		}
-		if _, nerr := proto.New(name, proto.Env{}, c.opts); nerr == nil || nerr.Error() != cerr.Error() {
+		if _, nerr := d.New(proto.Env{}, c.opts); nerr == nil || nerr.Error() != cerr.Error() {
 			t.Errorf("%s %v: New = %v, want Check's %q", name, c.opts, nerr, cerr)
 		}
 	}
 	// With good options the one thing New still vets is the Env, once,
 	// for every protocol alike, naming the protocol.
-	for _, name := range proto.Names() {
-		_, err := proto.New(name, proto.Env{}, nil)
-		if err == nil || !strings.Contains(err.Error(), "incomplete Env for "+name) {
-			t.Errorf("%s: New with an empty Env = %v", name, err)
+	for _, d := range protocols.All {
+		_, err := d.New(proto.Env{}, nil)
+		if err == nil || !strings.Contains(err.Error(), "incomplete Env for "+d.Info.Name) {
+			t.Errorf("%s: New with an empty Env = %v", d.Info.Name, err)
 		}
 	}
 }

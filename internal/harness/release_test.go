@@ -3,26 +3,12 @@ package harness
 import (
 	"testing"
 
-	"flowercdn/internal/proto"
-	_ "flowercdn/internal/protocols"
+	"flowercdn/internal/protocols"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/sim"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/transporttest"
 )
-
-// checkedSim is the sim backend rebuilt with transporttest.ReleaseClock
-// between the engine and everything that schedules on it, the message
-// layer included — the way benchmark/spans decorates a backend.
-type checkedSim struct {
-	eng   *sim.Engine
-	clock runtime.Clock
-	net   *simnet.Network
-}
-
-func (r *checkedSim) Clock() runtime.Clock   { return r.clock }
-func (r *checkedSim) Net() runtime.Transport { return r.net }
-func (r *checkedSim) Run(until int64) uint64 { return r.eng.Run(until) }
 
 // checkedRun is the subtest now running on the checked backend: its
 // handles fail it at the first call from each site, at once, so the
@@ -42,27 +28,30 @@ func reportViolation(v string) {
 const checkedBackend = "sim-release-checked"
 
 func init() {
+	// The sim backend rebuilt with transporttest.ReleaseClock between
+	// the engine and everything that schedules on it, the message layer
+	// included — the way benchmark/spans decorates a backend.
 	runtime.RegisterBackend(checkedBackend, func(cfg runtime.BackendConfig) (runtime.Runtime, error) {
-		rt := &checkedSim{eng: sim.NewEngine()}
-		rt.clock = transporttest.ReleaseClock(rt.eng.Clock(), reportViolation)
-		rt.net = simnet.New(rt.clock, cfg.Topo)
+		eng := sim.NewEngine()
+		clock := transporttest.ReleaseClock(eng.Clock(), reportViolation)
+		net := simnet.New(clock, cfg.Topo)
 		if cfg.LossRate > 0 {
-			rt.net.SetLossRate(cfg.LossRate, cfg.LossRNG)
+			net.SetLossRate(cfg.LossRate, cfg.LossRNG)
 		}
-		return rt, nil
+		return &backend{loop: eng, clock: clock, net: net}, nil
 	})
 }
 
-// TestNoTimerUsedAfterRelease runs every registered protocol's quick
-// cell, under loss so that deadlines fire as well as get cancelled, on a
-// sim backend whose timer handles report any call made after Release.
+// TestNoTimerUsedAfterRelease runs every protocol's quick cell, under
+// loss so that deadlines fire as well as get cancelled, on a sim backend
+// whose timer handles report any call made after Release.
 // The transports and the protocols' record-owned timers release what
 // they schedule; a Cancel or a second Release that follows would land
 // on whatever the clock armed next in that record. The checked run must
 // also be the plain run, event for event: the decorator adds no event
 // and recycling changes none.
 func TestNoTimerUsedAfterRelease(t *testing.T) {
-	for _, name := range proto.Names() {
+	for _, name := range protocols.Names() {
 		t.Run(name, func(t *testing.T) {
 			cfg := QuickConfig()
 			cfg.Protocol = Protocol(name)

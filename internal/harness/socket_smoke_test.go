@@ -8,7 +8,6 @@ import (
 	"syscall"
 	"testing"
 
-	_ "flowercdn/internal/protocols"
 	"flowercdn/internal/runtime"
 )
 
@@ -105,7 +104,7 @@ func TestSocketBackendSmoke(t *testing.T) {
 	}
 }
 
-// TestSocketBackendSmokeAllProtocols runs every registered protocol
+// TestSocketBackendSmokeAllProtocols runs every protocol
 // once over two groups at toy scale, on the default (binary) codec: the
 // backend seam is genuinely protocol-agnostic, every driver's wire
 // marshallers included.

@@ -12,8 +12,7 @@ import (
 
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/obs"
-	"flowercdn/internal/proto"
-	_ "flowercdn/internal/protocols"
+	"flowercdn/internal/protocols"
 	"flowercdn/internal/trace"
 )
 
@@ -165,14 +164,14 @@ func checkWellFormed(t *testing.T, recs []*trace.Record) {
 	}
 }
 
-// TestTraceConformanceSim runs every registered protocol on the sim
+// TestTraceConformanceSim runs every protocol on the sim
 // backend with tracing and checks the uniform contract: well-formed
 // records for everything that answers queries, and — the acceptance
 // bar — the trace-derived mean hop count equal to the counter-derived
 // Result.MeanHops, exactly, because both tallies are incremented at
 // the same delivery sites.
 func TestTraceConformanceSim(t *testing.T) {
-	for _, name := range proto.Names() {
+	for _, name := range protocols.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := RealtimeDemoConfig(50, 10_000)
@@ -184,8 +183,8 @@ func TestTraceConformanceSim(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkWellFormed(t, res.Traces)
-			info, _ := proto.Lookup(name)
-			if info.Compare && len(res.Traces) == 0 {
+			d, _ := protocols.Lookup(name)
+			if d.Info.Compare && len(res.Traces) == 0 {
 				t.Fatalf("comparable protocol emitted no traces over %d queries", res.Queries)
 			}
 			if got, want := res.TraceStats.MeanHops(), res.MeanHops; got != want {

@@ -9,28 +9,25 @@ import (
 	"flowercdn/internal/runtime"
 )
 
-// koorde-global: chord-global's deployment — one global ring,
+// Global is koorde-global: chord-global's deployment — one global ring,
 // per-website home directories, summary refreshes, random redirection,
 // no locality — with Koorde's de Bruijn edges carrying every routed
 // query and summary. The two differ in exactly one thing, the routing
 // geometry, so their hit ratios match and their hop counts isolate
 // O(log n / log b) against O(log n).
-func init() {
-	baseline.RegisterRingDirectory(baseline.RingSpec{
-		Info: proto.Info{
-			Name:    "koorde-global",
-			Summary: "chord-global's directory scheme routed over Koorde de Bruijn edges",
-			Compare: true,
-			Order:   4,
-		},
-		Router:        router,
-		HomeKey:       baseline.SiteHome("kg-site-%d"),
-		PushSummaries: true,
-		PeerStream:    "kg-peer-%d",
-		RingID:        "kg-peer-%d",
-		RouterStream:  "koorde",
-	})
-}
+var Global = baseline.RingDirectory(baseline.RingSpec{
+	Info: proto.Info{
+		Name:    "koorde-global",
+		Summary: "chord-global's directory scheme routed over Koorde de Bruijn edges",
+		Compare: true,
+	},
+	Router:        router,
+	HomeKey:       baseline.SiteHome("kg-site-%d"),
+	PushSummaries: true,
+	PeerStream:    "kg-peer-%d",
+	RingID:        "kg-peer-%d",
+	RouterStream:  "koorde",
+})
 
 // router lowers the overlay's one option: chord-demo (compressed
 // maintenance timescales).

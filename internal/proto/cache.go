@@ -15,8 +15,8 @@ import (
 // type — rather than being copy-pasted into each driver.
 const (
 	// OptCachePolicy names the eviction policy of every peer's content
-	// store; any name registered with internal/cache ("none", "lru",
-	// "lfu", "size-aware"). Default "none": the paper's unbounded
+	// store; any name internal/cache lists ("none", "lfu", "lru",
+	// "size-aware"). Default "none": the paper's unbounded
 	// model, bit-identical to a store built before this seam existed.
 	OptCachePolicy = "cache-policy"
 	// OptCacheCapacity is the per-peer store capacity in objects.
@@ -46,13 +46,13 @@ func CacheConfigFromOptions(opts Options) (CacheConfig, error) {
 	return c, c.Validate()
 }
 
-// Validate checks the configuration against the policy registry. Both
+// Validate checks the configuration against the policy list. Both
 // half-set combinations are rejected — a bounded policy without a
 // capacity, and a capacity without a bounding policy — so a forgotten
 // knob fails the run up front instead of silently running unbounded.
 func (c CacheConfig) Validate() error {
-	if !cache.Registered(c.Policy) {
-		return fmt.Errorf("proto: unknown cache policy %q (registered: %v)", c.Policy, cache.Names())
+	if _, ok := cache.Lookup(c.Policy); !ok {
+		return fmt.Errorf("proto: unknown cache policy %q (one of %v)", c.Policy, cache.Names())
 	}
 	if c.Bounded() && c.Capacity < 1 {
 		return fmt.Errorf("proto: cache policy %q needs %s >= 1, got %d", c.Policy, OptCacheCapacity, c.Capacity)

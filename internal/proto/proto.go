@@ -6,11 +6,10 @@
 // It is also the skeleton every deployment is cut from, so that what
 // the drivers share exists once:
 //
-//   - A driver is one Lowering, Registered under a name in an init
-//     function: options in, a deployment constructor out. Check runs the
-//     lowering and drops the result; New vets the Env — once, for every
-//     protocol — lowers, and builds. There is no second validation path
-//     to keep in step with the first.
+//   - A Driver is an Info and one Lowering: options in, a deployment
+//     constructor out. Check runs the lowering and drops the result; New
+//     vets the Env — once, for every protocol — lowers, and builds.
+//     There is no second validation path to keep in step with the first.
 //   - Identity is the persistent individual every built-in deployment
 //     cycles through sessions: interest, placement, cache.
 //   - Roster is who is online: a deployment's live peers (and the
@@ -25,14 +24,17 @@
 // and it is garbage. Live heap per node is then flat in simulated time
 // (make heap-growth-check).
 //
-// The harness resolves deployments solely through the registry and
-// drives them through the System interface. Nothing above the protocol
+// The built-in drivers are one fixed list, internal/protocols.All; the
+// harness resolves a name there and drives the deployment through the
+// System interface. Nothing above the protocol
 // layer mentions a concrete protocol type: configuration flows down as
 // an opaque Options map, measurements flow up as a typed event stream
 // (internal/metrics.Emitter) plus a generic Stats map.
 package proto
 
 import (
+	"fmt"
+
 	"flowercdn/internal/content"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/rnd"
@@ -141,28 +143,56 @@ type System interface {
 	Stats() Stats
 }
 
-// Info describes a registered protocol.
+// Info describes a protocol.
 type Info struct {
-	// Name is the registry key ("flower", "squirrel", ...).
+	// Name is the protocol's name ("flower", "squirrel", ...), the value
+	// of -protocol and of Config.Protocol.
 	Name string
 	// Summary is a one-line description for CLI listings.
 	Summary string
 	// Compare marks protocols included in default head-to-head grids
-	// (degenerate floors like origin-only register with Compare false
-	// and stay reachable by name).
+	// (degenerate floors like origin-only set it false and stay
+	// reachable by name).
 	Compare bool
-	// Order sorts listings and comparison grids (ties break by name);
-	// the paper's protocols come first, baselines after.
-	Order int
 }
 
-// Lowering is a driver's whole registration: it resolves and validates
-// the option map and returns the constructor of a deployment so
-// configured. Check runs it and drops the result, New runs it and calls
-// build with the (already vetted) Env. A lowering must not consult any
-// global state besides the registries: everything a run needs arrives
-// through opts and env.
+// Lowering resolves and validates the option map and returns the
+// constructor of a deployment so configured. Driver.Check runs it and
+// drops the result, Driver.New runs it and calls build with the
+// (already vetted) Env. A lowering must not consult any global state
+// besides the wire-type table: everything a run needs arrives through
+// opts and env.
 type Lowering func(opts Options) (build func(Env) (System, error), err error)
+
+// Driver is one protocol: its descriptor and its lowering. The
+// built-ins are values exported by their packages and listed, in
+// presentation order, by internal/protocols.
+type Driver struct {
+	Info  Info
+	Lower Lowering
+}
+
+// Check statically validates opts — the verdict is exactly the
+// lowering's — so a bad knob fails a sweep before any simulation runs
+// rather than minutes into the worker pool.
+func (d Driver) Check(opts Options) error {
+	_, err := d.Lower(opts)
+	return err
+}
+
+// New builds a deployment: it lowers opts, vets env — here, once, for
+// every protocol — and builds.
+func (d Driver) New(env Env, opts Options) (System, error) {
+	build, err := d.Lower(opts)
+	if err != nil {
+		return nil, err
+	}
+	if env.Clock == nil || env.Net == nil || env.Oracle == nil || env.Topo == nil || env.RNG == nil ||
+		env.Workload == nil || env.Origins == nil || env.Metrics == nil {
+		return nil, fmt.Errorf("proto: incomplete Env for %s: Clock, Net, Oracle, Topo, RNG, Workload, Origins and Metrics are all required", d.Info.Name)
+	}
+	return build(env)
+}
 
 // DefaultSeedCount is the bootstrap population of every run: one
 // participant per (website, locality), the size of the paper's initial

@@ -7,80 +7,6 @@ import (
 	"testing"
 )
 
-func stubFactory(Options) (func(Env) (System, error), error) { return nil, errors.New("stub") }
-
-func TestRegistryResolvesByName(t *testing.T) {
-	Register(Info{Name: "test-a", Summary: "a", Compare: true, Order: 10}, stubFactory)
-	Register(Info{Name: "test-b", Summary: "b", Order: 11}, stubFactory)
-
-	if !Registered("test-a") || !Registered("test-b") {
-		t.Fatal("registered names do not resolve")
-	}
-	if Registered("test-nope") {
-		t.Fatal("unknown name resolves")
-	}
-	info, ok := Lookup("test-a")
-	if !ok || info.Summary != "a" || !info.Compare {
-		t.Fatalf("Lookup returned %+v, %v", info, ok)
-	}
-	if _, err := New("test-nope", Env{}, nil); err == nil {
-		t.Fatal("New accepted an unknown protocol")
-	}
-	// The stub factory's error propagates through New.
-	if _, err := New("test-a", Env{}, nil); err == nil || err.Error() != "stub" {
-		t.Fatalf("New error = %v", err)
-	}
-}
-
-func TestRegistryOrdering(t *testing.T) {
-	// Self-contained registrations (the registry is process-global, so
-	// this test must not lean on entries other tests add).
-	Register(Info{Name: "test-z-first", Order: -2, Compare: true}, stubFactory)
-	Register(Info{Name: "test-a-second", Order: -1, Compare: true}, stubFactory)
-	Register(Info{Name: "test-nocompare", Order: -1}, stubFactory)
-	names := CompareNames()
-	if len(names) < 2 || names[0] != "test-z-first" || names[1] != "test-a-second" {
-		t.Fatalf("ordering not by (Order, Name): %v", names)
-	}
-	// Compare=false names appear in Names but not CompareNames.
-	all := Names()
-	found := false
-	for _, n := range all {
-		if n == "test-nocompare" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("Names() missing non-compare entry: %v", all)
-	}
-	for _, n := range names {
-		if n == "test-nocompare" {
-			t.Fatal("CompareNames() includes Compare=false entry")
-		}
-	}
-}
-
-func TestRegisterPanics(t *testing.T) {
-	cases := []func(){
-		func() { Register(Info{Name: ""}, stubFactory) },
-		func() { Register(Info{Name: "test-dup"}, nil) },
-		func() {
-			Register(Info{Name: "test-dup"}, stubFactory)
-			Register(Info{Name: "test-dup"}, stubFactory)
-		},
-	}
-	for i, fn := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestOptionsGetters(t *testing.T) {
 	o := Options{
 		"int":    3,
@@ -123,30 +49,27 @@ func TestOptionsGetters(t *testing.T) {
 func TestCheckAndNewShareOneLowering(t *testing.T) {
 	errBad := errors.New("bad knob")
 	var lowered, built int
-	Register(Info{Name: "test-lowering"}, func(opts Options) (func(Env) (System, error), error) {
+	d := Driver{Info: Info{Name: "test-lowering"}, Lower: func(opts Options) (func(Env) (System, error), error) {
 		lowered++
 		if opts.Bool("bad", false) {
 			return nil, errBad
 		}
 		return func(Env) (System, error) { built++; return nil, nil }, nil
-	})
-	if err := Check("test-lowering", Options{"bad": true}); err != errBad {
+	}}
+	if err := d.Check(Options{"bad": true}); err != errBad {
 		t.Fatalf("Check = %v, want the lowering's own error", err)
 	}
-	if _, err := New("test-lowering", Env{}, Options{"bad": true}); err != errBad {
+	if _, err := d.New(Env{}, Options{"bad": true}); err != errBad {
 		t.Fatalf("New = %v, want the lowering's own error", err)
 	}
-	if err := Check("test-lowering", nil); err != nil {
+	if err := d.Check(nil); err != nil {
 		t.Fatalf("Check(good) = %v", err)
 	}
 	if lowered != 3 || built != 0 {
 		t.Fatalf("lowered %d times, built %d; Check and a failed New must lower once each and never build", lowered, built)
 	}
-	_, err := New("test-lowering", Env{}, nil)
+	_, err := d.New(Env{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "incomplete Env for test-lowering") || built != 0 {
 		t.Fatalf("New with an empty Env: err %v, built %d", err, built)
-	}
-	if err := Check("test-nope", nil); err == nil {
-		t.Fatal("Check accepted an unknown protocol")
 	}
 }

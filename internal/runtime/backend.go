@@ -2,7 +2,7 @@ package runtime
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/topology"
@@ -16,11 +16,10 @@ type (
 	Locality  = topology.Locality
 )
 
-// BackendConfig is everything a backend needs to build a Runtime. The
-// latency/locality model and the loss knob are backend-independent:
-// the sim backend applies them to simulated deliveries, the realtime
-// backend injects them into its loopback transport, so the same
-// topology produces comparable traffic shapes on both.
+// BackendConfig is what a backend added with RegisterBackend is built
+// from. The latency/locality model and the loss knob are
+// backend-independent: every backend applies them to its deliveries, so
+// the same topology produces comparable traffic shapes on all of them.
 type BackendConfig struct {
 	// Topo is the latency/locality model deliveries sample from.
 	Topo *topology.Topology
@@ -29,9 +28,6 @@ type BackendConfig struct {
 	LossRate float64
 	// LossRNG draws the loss decisions; required when LossRate > 0.
 	LossRNG *rnd.RNG
-	// Socket configures the process group of a multi-process backend
-	// ("socket"); single-process backends ignore it.
-	Socket *SocketConfig
 }
 
 // SocketConfig describes one process of a socket-backend group: the
@@ -79,52 +75,39 @@ func (c *SocketConfig) Validate() error {
 // Groups returns the number of cooperating processes.
 func (c *SocketConfig) Groups() int { return len(c.Peers) }
 
+// Backends returns the built-in backends, in listing order. Each is a
+// clock plus a leg, and the harness builds all three:
+//
+//	realtime  the wall clock (internal/wallclock) and simnet's
+//	          in-process loopback
+//	sim       the discrete-event engine (internal/sim) and simnet
+//	socket    simnet joined to a TCP process group (internal/socknet),
+//	          then a wall clock bound once the mesh is up
+func Backends() []string { return []string{"realtime", "sim", "socket"} }
+
 // BackendFactory builds a Runtime for one run.
 type BackendFactory func(cfg BackendConfig) (Runtime, error)
 
-var backends = map[string]BackendFactory{}
+var extraBackends = map[string]BackendFactory{}
 
-// RegisterBackend adds a named backend to the registry. Backends
-// register themselves in init functions (internal/simrt: "sim",
-// internal/rtnet: "realtime"); registering a duplicate name panics, as
-// it indicates conflicting packages rather than a runtime condition.
+// RegisterBackend adds a backend built outside the harness — a
+// decorated sim, say, that records spans or checks timer use — under
+// name, for harness.Config.Backend to select. It panics on an empty
+// name, a nil factory, a duplicate, or the name of a built-in, which
+// the harness would otherwise build in its place without a word.
 func RegisterBackend(name string, f BackendFactory) {
 	if name == "" || f == nil {
 		panic("runtime: RegisterBackend with empty name or nil factory")
 	}
-	if _, dup := backends[name]; dup {
+	if slices.Contains(Backends(), name) {
+		panic(fmt.Sprintf("runtime: backend %q is built in", name))
+	}
+	if _, dup := extraBackends[name]; dup {
 		panic(fmt.Sprintf("runtime: backend %q registered twice", name))
 	}
-	backends[name] = f
+	extraBackends[name] = f
 }
 
-// BackendRegistered reports whether name resolves to a backend.
-func BackendRegistered(name string) bool {
-	_, ok := backends[name]
-	return ok
-}
-
-// Backends returns the registered backend names, sorted.
-func Backends() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// NewBackend builds a Runtime from a registered backend.
-func NewBackend(name string, cfg BackendConfig) (Runtime, error) {
-	f, ok := backends[name]
-	if !ok {
-		return nil, fmt.Errorf("runtime: unknown backend %q (registered: %v)", name, Backends())
-	}
-	if cfg.Topo == nil {
-		return nil, fmt.Errorf("runtime: backend %q needs a topology", name)
-	}
-	if cfg.LossRate > 0 && cfg.LossRNG == nil {
-		return nil, fmt.Errorf("runtime: backend %q: loss rate needs an RNG", name)
-	}
-	return f(cfg)
-}
+// RegisteredBackend returns the factory RegisterBackend added under
+// name, or nil.
+func RegisteredBackend(name string) BackendFactory { return extraBackends[name] }

@@ -11,22 +11,27 @@
 // internal/baseline, internal/squirrel and internal/koorde, the chord
 // and gossip substrates — holds a Net; the harness, metrics and traces
 // read the Observer. Transport, their union, is what a backend provides
-// (see its doc for why it keeps that name). Three backends implement
-// it:
+// (see its doc for why it keeps that name). A backend is a clock plus a
+// leg, and the three built-ins (Backends) are pairs the harness builds:
 //
-//   - internal/simrt ("sim") adapts the deterministic discrete-event
-//     engine (internal/sim) and the simulated message layer
-//     (internal/simnet); it is the reference implementation, bit-for-bit
-//     reproducible.
-//   - internal/rtnet ("realtime") runs the identical protocol code in
-//     real time: wall-clock timers serialized onto a single run loop
-//     (internal/wallclock), with the in-process loopback transport
-//     injecting latency sampled from the same topology model.
-//   - internal/socknet ("socket") is realtime with the population split
-//     over cooperating OS processes: the same run loop and the same
-//     simnet network, plus a wire — a leg toward another process's node
-//     is serialized by a Codec ("binary" by default) and batched over
+//   - "sim" is the deterministic discrete-event engine (internal/sim)
+//     plus the simulated message layer (internal/simnet); it is the
+//     reference implementation, bit-for-bit reproducible.
+//   - "realtime" runs the identical protocol code in real time: the wall
+//     clock (internal/wallclock), which serializes its timers onto one
+//     run loop, plus the same simnet network, latency sampled from the
+//     same topology model.
+//   - "socket" is realtime with the population split over cooperating
+//     OS processes: the same run loop and the same simnet network, plus
+//     a wire (internal/socknet) — a leg toward another process's node is
+//     serialized by a Codec ("binary" by default) and batched over
 //     localhost or real TCP, bootstrap state mirrored over the Bus.
+//
+// RegisterBackend adds a backend built outside the harness. The one
+// other registry here is the wire-type table (RegisterWireType): it
+// stays because it is the codec's tag table — NewCodec reads it to
+// number and decode every concrete type that may cross a process
+// boundary, so each protocol package records its message types in init.
 //
 // All times are int64 milliseconds; on the sim backend they are
 // simulated milliseconds, on the realtime and socket backends wall-clock

@@ -95,3 +95,35 @@ func TestDropTimer(t *testing.T) {
 		t.Fatalf("a second DropTimer reached the released handle: %v", f.calls)
 	}
 }
+
+// TestRegisterBackendPanics: RegisterBackend refuses the three built-in
+// names, which the harness would otherwise build in its place, an
+// empty name, a nil factory and a second registration of one name.
+func TestRegisterBackendPanics(t *testing.T) {
+	f := func(BackendConfig) (Runtime, error) { return nil, nil }
+	RegisterBackend("test-extra", f)
+	if RegisteredBackend("test-extra") == nil || RegisteredBackend("sim") != nil {
+		t.Fatal("RegisteredBackend does not return exactly the added backends")
+	}
+	for _, tc := range []struct {
+		what string
+		name string
+		f    BackendFactory
+	}{
+		{"sim", "sim", f},
+		{"realtime", "realtime", f},
+		{"socket", "socket", f},
+		{"an empty name", "", f},
+		{"a nil factory", "test-nil", nil},
+		{"a duplicate", "test-extra", f},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterBackend with %s did not panic", tc.what)
+				}
+			}()
+			RegisterBackend(tc.name, tc.f)
+		}()
+	}
+}

@@ -50,9 +50,9 @@ var (
 // RegisterWireType records concrete message types that may cross a
 // process boundary inside an interface-typed field (a Send/Request
 // payload, a gossip entry's metadata, a Bus announcement). Protocol
-// packages call it from init alongside their proto registration; a
-// wire codec (internal/socknet's gob framing) registers every recorded
-// type with its decoder before any traffic flows. Single-process
+// packages call it from init; NewCodec reads every recorded type into
+// the codec's tag table (binary) or registers it with its decoder (gob)
+// before any traffic flows. Single-process
 // backends never consult the registry, so registration is free there.
 func RegisterWireType(vs ...any) {
 	wireMu.Lock()

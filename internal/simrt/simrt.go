@@ -1,9 +1,10 @@
-// Package simrt is the deterministic reference backend: it bundles the
-// discrete-event engine (internal/sim) and the simulated message layer
-// (internal/simnet) behind the backend-agnostic internal/runtime seam.
-// It registers itself as the "sim" backend; runs on it are bit-for-bit
-// reproducible for a given seed, which is what every determinism test
-// and the paper-reproduction sweeps rely on.
+// Package simrt is a test and benchmark fixture: the discrete-event
+// engine (internal/sim) and the simulated message layer
+// (internal/simnet) in one handle, with the engine-level control
+// (RunAll, Engine) that package tests, examples/petalup and the
+// benchmark's ladder drive a deterministic world through. It is the same
+// pair the harness builds as its "sim" backend, and like it bit-for-bit
+// reproducible for a given seed.
 package simrt
 
 import (
@@ -12,16 +13,6 @@ import (
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/topology"
 )
-
-func init() {
-	runtime.RegisterBackend("sim", func(cfg runtime.BackendConfig) (runtime.Runtime, error) {
-		rt := New(cfg.Topo)
-		if cfg.LossRate > 0 {
-			rt.net.SetLossRate(cfg.LossRate, cfg.LossRNG)
-		}
-		return rt, nil
-	})
-}
 
 // Runtime implements runtime.Runtime over a fresh engine and network.
 // Tests that need engine-level control (RunAll, event counts) use the

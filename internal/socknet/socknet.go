@@ -1,8 +1,8 @@
 // Package socknet is the socket backend: the population split over
 // cooperating OS processes that talk over real TCP, so the identical
 // protocol code that runs on the deterministic simulator and the
-// in-process realtime loopback runs across process boundaries. It
-// registers itself as the "socket" backend.
+// in-process realtime loopback runs across process boundaries. The
+// harness builds the "socket" backend from Dial and a wall clock.
 //
 // A process's Transport is an internal/simnet Network plus a wire. The
 // network is one member of a group sharing an id space (InGroup):
@@ -57,52 +57,7 @@ import (
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/simnet"
 	"flowercdn/internal/topology"
-	"flowercdn/internal/wallclock"
 )
-
-func init() {
-	runtime.RegisterBackend("socket", func(cfg runtime.BackendConfig) (runtime.Runtime, error) {
-		if cfg.Socket == nil {
-			return nil, errors.New(`socknet: backend "socket" needs BackendConfig.Socket (listen address, peer list, group index)`)
-		}
-		tr, err := Dial(Config{
-			Socket:   *cfg.Socket,
-			Topo:     cfg.Topo,
-			LossRate: cfg.LossRate,
-			LossRNG:  cfg.LossRNG,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// The clock is created only once the mesh is up, so every
-		// process's time zero — and therefore its horizon — aligns to
-		// within a round trip rather than to process spawn skew.
-		clock := wallclock.NewClock()
-		tr.Bind(clock)
-		return &Runtime{clock: clock, net: tr}, nil
-	})
-}
-
-// Runtime implements runtime.Runtime over the wall-clock run loop and
-// the TCP transport. It additionally implements io.Closer; the harness
-// closes it when the run ends, which tears down the listener, the mesh
-// connections and the reader goroutines.
-type Runtime struct {
-	clock *wallclock.Clock
-	net   *Transport
-}
-
-// Clock returns the wall clock pacing this process.
-func (r *Runtime) Clock() runtime.Clock { return r.clock }
-
-// Net returns the TCP transport.
-func (r *Runtime) Net() runtime.Transport { return r.net }
-
-// Run drives the loop until the wall clock passes `until` (ms).
-func (r *Runtime) Run(until int64) uint64 { return r.clock.Run(until) }
-
-// Close shuts the transport down.
-func (r *Runtime) Close() error { return r.net.Close() }
 
 // Config assembles a Transport.
 type Config struct {

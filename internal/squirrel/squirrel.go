@@ -1,4 +1,4 @@
-// Package squirrel registers the comparison baseline of the paper's
+// Package squirrel is the comparison baseline of the paper's
 // evaluation: Squirrel (Iyer, Rowstron, Druschel, PODC 2002), the
 // decentralized P2P web cache, in its *directory* (redirection)
 // variant — the one the paper describes as sharing "some similarities
@@ -24,27 +24,25 @@ import (
 	"flowercdn/internal/proto"
 )
 
-func init() {
-	baseline.RegisterRingDirectory(baseline.RingSpec{
-		Info: proto.Info{
-			Name:    "squirrel",
-			Summary: "Squirrel (PODC 2002): one Chord ring, per-object home directories, random redirection",
-			Compare: true,
-			Order:   2,
-		},
-		Router: baseline.ChordRouter,
-		HomeKey: func(k content.Key) ids.ID {
-			return ids.Hash2(uint64(uint32(k.Site)), uint64(uint32(k.Object)))
-		},
-		// PushSummaries stays off. A home redirects to a single random
-		// delegate out of the 4 it remembers (the Squirrel paper's
-		// numbers, which the driver fixes): the protocol was designed for
-		// a stable corporate LAN and has no delegate-failure recovery and
-		// no directory rebuild — exactly what the paper's churn
-		// evaluation exposes.
-		PeerStream:   "squirrel-%d",
-		RingID:       "squirrel-peer-%d",
-		RouterStream: "chord",
-		RootDraws:    true,
-	})
-}
+// Driver is Squirrel.
+var Driver = baseline.RingDirectory(baseline.RingSpec{
+	Info: proto.Info{
+		Name:    "squirrel",
+		Summary: "Squirrel (PODC 2002): one Chord ring, per-object home directories, random redirection",
+		Compare: true,
+	},
+	Router: baseline.ChordRouter,
+	HomeKey: func(k content.Key) ids.ID {
+		return ids.Hash2(uint64(uint32(k.Site)), uint64(uint32(k.Object)))
+	},
+	// PushSummaries stays off. A home redirects to a single random
+	// delegate out of the 4 it remembers (the Squirrel paper's
+	// numbers, which the driver fixes): the protocol was designed for
+	// a stable corporate LAN and has no delegate-failure recovery and
+	// no directory rebuild — exactly what the paper's churn
+	// evaluation exposes.
+	PeerStream:   "squirrel-%d",
+	RingID:       "squirrel-peer-%d",
+	RouterStream: "chord",
+	RootDraws:    true,
+})

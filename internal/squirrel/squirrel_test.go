@@ -4,23 +4,21 @@ import (
 	"slices"
 	"testing"
 
-	_ "flowercdn/internal/baseline" // registers chord-global
 	"flowercdn/internal/content"
-	_ "flowercdn/internal/koorde" // registers koorde-global
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/proto"
+	"flowercdn/internal/protocols"
 	"flowercdn/internal/ringcheck"
 	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/simrt"
-	_ "flowercdn/internal/squirrel"
 	"flowercdn/internal/topology"
 	"flowercdn/internal/trace"
 	"flowercdn/internal/workload"
 )
 
 // This suite drives the ring-directory deployment (internal/baseline)
-// through each of its three registrations, black-box: peers come and go
+// through each of its three drivers, black-box: peers come and go
 // through proto.System, and everything asserted is read from the
 // metrics stream, the query traces and the RingInspector snapshot. It
 // lives beside Squirrel, the paper's baseline, whose behaviours these
@@ -34,14 +32,23 @@ type protocol struct {
 	summaries bool
 }
 
-var protocols = []protocol{
+var ringProtocols = []protocol{
 	{name: "squirrel"},
 	{name: "chord-global", summaries: true},
 	{name: "koorde-global", summaries: true},
 }
 
+// driver resolves p in the protocol list.
+func (p protocol) driver() proto.Driver {
+	d, ok := protocols.Lookup(p.name)
+	if !ok {
+		panic("no protocol " + p.name)
+	}
+	return d
+}
+
 func eachProtocol(t *testing.T, fn func(t *testing.T, p protocol)) {
-	for _, p := range protocols {
+	for _, p := range ringProtocols {
 		t.Run(p.name, func(t *testing.T) { fn(t, p) })
 	}
 }
@@ -97,7 +104,7 @@ func newFixture(t *testing.T, p protocol, seed uint64, objects int, opts proto.O
 		coll: metrics.NewCollector(runtime.Hour), traces: &trace.Collector{},
 		peers: map[runtime.NodeID]*session{}}
 	pipe := metrics.NewPipeline(f.coll, f.traces)
-	f.sys, err = proto.New(p.name, proto.Env{
+	f.sys, err = p.driver().New(proto.Env{
 		Clock:    rt.Clock(),
 		Net:      net,
 		Oracle:   net,
@@ -177,7 +184,7 @@ func siteStore(site content.SiteID, from, n int) *content.Store {
 
 func TestConfigValidation(t *testing.T) {
 	eachProtocol(t, func(t *testing.T, p protocol) {
-		if err := proto.Check(p.name, nil); err != nil {
+		if err := p.driver().Check(nil); err != nil {
 			t.Fatalf("defaults rejected: %v", err)
 		}
 		bads := []proto.Options{
@@ -187,15 +194,15 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if p.summaries {
 			bads = append(bads, proto.Options{"keepalive-interval": int64(-1)})
-		} else if err := proto.Check(p.name, proto.Options{"keepalive-interval": int64(-1)}); err != nil {
+		} else if err := p.driver().Check(proto.Options{"keepalive-interval": int64(-1)}); err != nil {
 			t.Errorf("keepalive-interval is not this protocol's key, yet: %v", err)
 		}
 		for _, opts := range bads {
-			if proto.Check(p.name, opts) == nil {
+			if p.driver().Check(opts) == nil {
 				t.Errorf("bad options %v accepted", opts)
 			}
 		}
-		if _, err := proto.New(p.name, proto.Env{}, nil); err == nil {
+		if _, err := p.driver().New(proto.Env{}, nil); err == nil {
 			t.Error("missing dependencies accepted")
 		}
 	})

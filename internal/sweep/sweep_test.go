@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"flowercdn/internal/harness"
-	_ "flowercdn/internal/protocols" // register the built-in drivers
 	"flowercdn/internal/sim"
 )
 

@@ -1,10 +1,10 @@
 // Package transporttest is the shared conformance suite every
 // runtime.Transport backend must pass: the contract tests for Send and
 // Request semantics, the Join/Fail lifecycle, latency and loss
-// sampling, and TransportStats accounting. The three backends run it
-// from their own test files — internal/simrt (the deterministic
-// loopback), internal/rtnet (wall-clock loopback) and internal/socknet
-// (real TCP across transport instances) — so a semantic drift between
+// sampling, and TransportStats accounting. The three backends run it:
+// internal/simnet's tests over both of its clocks, the engine ("sim")
+// and the wall clock ("realtime"), and internal/socknet's over real TCP
+// across transport instances ("socket") — so a semantic drift between
 // backends fails compilation-adjacent tests instead of surfacing as a
 // protocol heisenbug.
 //
