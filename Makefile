@@ -102,17 +102,22 @@ heap-growth-check:
 # process is given only the cell line the first command line prints
 # (-print-params, which runs nothing), so a cell that does not replay
 # its run fails too. A listed protocol without a pin fails too, so
-# a new driver cannot slip past.
+# a new driver cannot slip past. Last, petalup with a load limit no
+# petal reaches must print flower's pin: the harness mints one
+# population for every protocol and keys the protocol stream by seed
+# and group alone, so the two run the same code on the same draws.
 # When a protocol or workload change is meant to move a fingerprint,
 # re-pin: set its entry to what both processes print and say why in
-# CHANGES.md.
+# CHANGES.md. All six moved together when the harness began minting
+# the population outside the protocols, which gave every protocol of
+# one seed the same individuals and the same protocol stream.
 FINGERPRINTS := \
-	flower=c3a11635fa52d1b1 \
-	petalup=d53c60dcc1eb076e \
-	squirrel=2c070cfa64efa562 \
-	chord-global=2c0714349f4a8af2 \
-	koorde-global=591a953529cad4e0 \
-	origin-only=81f17edfa0243202
+	flower=8a212d12106fcfab \
+	petalup=8a212d12106fcfab \
+	squirrel=3ddd166703fc1944 \
+	chord-global=c8b6ae9df9aa594d \
+	koorde-global=153858e1934fdae6 \
+	origin-only=0e8979fd2edfc999
 fingerprint-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o "$$tmp/flowersim" ./cmd/flowersim; \
@@ -132,7 +137,14 @@ fingerprint-check:
 		if [ "$$fp1" != "$$want" ]; then \
 			echo "FINGERPRINT MOVED ($$p): want the pinned $$want; simulated behaviour changed" >&2; exit 1; \
 		fi; \
-	done; echo "fingerprints match each other and the pins"
+	done; \
+	for kv in $(FINGERPRINTS); do if [ "$${kv%%=*}" = flower ]; then flower=$${kv#*=}; fi; done; \
+	unreached=$$("$$tmp/flowersim" -p 200 -hours 4 -protocol petalup -load-limit 100000 -print-fingerprint); \
+	printf '%-14s load limit 100000: %s  (flower pin: %s)\n' petalup "$$unreached" "$$flower"; \
+	if [ "$$unreached" != "$$flower" ]; then \
+		echo "PETALUP DIVERGES FROM FLOWER: with a load limit no petal reaches it must run flower's draws" >&2; exit 1; \
+	fi; \
+	echo "fingerprints match each other and the pins"
 
 # alloc-check runs the allocation pins: the tests that hold a hot path
 # to an exact object count with testing.AllocsPerRun — the engine's

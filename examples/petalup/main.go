@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"log"
 
-	"flowercdn/internal/content"
 	"flowercdn/internal/flower"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/petalup"
@@ -28,6 +27,7 @@ import (
 type world struct {
 	*simrt.Runtime
 	sys *flower.System
+	pop *proto.Population
 }
 
 // build assembles a small Flower/PetalUp deployment with a seeded
@@ -61,16 +61,15 @@ func build(seed uint64, cfg flower.Config) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	for s := 0; s < wcfg.Sites; s++ {
-		for l := 0; l < tcfg.Localities; l++ {
-			site, loc := content.SiteID(s), topology.Locality(l)
-			clock.Schedule(int64(s*tcfg.Localities+l)*200, func() {
-				sys.SpawnSeedDirectory(site, loc)
-			})
-		}
+	pop, err := proto.NewPopulation(topo, work, rng.Split("population"), 0, nil)
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < pop.Seeds(); i++ {
+		clock.Schedule(int64(i)*200, func() { sys.SpawnSeed(pop.Seed(i)) })
 	}
 	rt.Run(clock.Now() + 10*runtime.Minute)
-	return &world{Runtime: rt, sys: sys}, nil
+	return &world{Runtime: rt, sys: sys, pop: pop}, nil
 }
 
 func main() {
@@ -89,7 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	upRep, err := petalup.RunFlashCrowd(up.sys, up, spec)
+	upRep, err := petalup.RunFlashCrowd(up.sys, up.pop, up, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,7 +97,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clRep, err := petalup.RunFlashCrowd(classic.sys, classic, spec)
+	clRep, err := petalup.RunFlashCrowd(classic.sys, classic.pop, classic, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,7 +14,4 @@ var ChordGlobal = RingDirectory(RingSpec{
 	Router:        ChordRouter,
 	HomeKey:       SiteHome("cg-site-%d"),
 	PushSummaries: true,
-	PeerStream:    "cg-peer-%d",
-	RingID:        "cg-peer-%d",
-	RouterStream:  "chord",
 })

@@ -31,11 +31,14 @@
 //     whose lost directories stay lost (Sec. 2 — what breaks its hit ratio
 //     under churn in Fig. 3); on for the -global protocols, where it is
 //     the only thing that rebuilds a directory after its home fails.
-//   - PeerStream, RingID, RouterStream, RootDraws: the names of each
-//     protocol's random streams and ring-position hash, and squirrel's
-//     habit of drawing placements and gateway picks from the root stream.
-//     They carry no meaning; they differ because the three drivers were
-//     written separately and every run fingerprint depends on them.
+//
+// Nothing else differs, randomness included: every peer's ring position
+// hashes from its network address, its queries draw from its
+// individual's workload stream, and its overlay node, refresh jitter,
+// gateway and redirect picks from the deployment's protocol stream,
+// which the harness keys by seed and group alone (see internal/proto).
+// One seed runs the three protocols on the same population, and only
+// the spec tells them apart.
 //
 // So chord-global differs from squirrel in exactly two ways (site-granular
 // homes, the summary refresh) and from Flower-CDN in exactly one,
@@ -60,55 +63,34 @@ import (
 	"flowercdn/internal/workload"
 )
 
-// OriginOnly is no P2P system at all. It reads only the shared cache
-// keys: its peers still cache what they fetch, the cache just never
-// serves anyone else.
+// OriginOnly is no P2P system at all and reads no option: its peers
+// still cache what they fetch (in the stores the shared cache keys
+// shape), the cache just never serves anyone else.
 var OriginOnly = proto.Driver{
 	Info: proto.Info{
 		Name:    "origin-only",
 		Summary: "no P2P system: every query fetches from the origin server (the floor)",
 		Compare: false, // degenerate floor; reachable by name, excluded from default grids
 	},
-	Lower: func(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
-		cacheCfg, err := proto.CacheConfigFromOptions(opts)
-		if err != nil {
-			return nil, err
-		}
-		return func(env proto.Env) (proto.System, error) {
-			return &originDriver{env: env, idRNG: env.RNG.Split("identities"),
-				newStore: cacheCfg.StoreFactory(env)}, nil
-		}, nil
+	Lower: func(proto.Options) (func(proto.Env) (proto.System, error), error) {
+		return func(env proto.Env) (proto.System, error) { return &originDriver{env: env}, nil }, nil
 	},
 }
 
 type originDriver struct {
-	env      proto.Env
-	idRNG    *rnd.RNG
-	newStore func() *content.Store
-	peers    proto.Roster[*originPeer]
+	env   proto.Env
+	peers proto.Roster[*originPeer]
 }
 
 // SpawnSeed: origin-only seeds are ordinary clients.
-func (d *originDriver) SpawnSeed(int) (proto.Individual, func()) {
-	ind := d.NewIndividual()
-	return ind, d.Spawn(ind)
-}
+func (d *originDriver) SpawnSeed(id proto.Identity) func() { return d.Spawn(id) }
 
-func (d *originDriver) NewIndividual() proto.Individual {
-	return proto.Identity{
-		Site:      d.env.Workload.AssignInterest(d.idRNG),
-		Placement: d.env.Topo.Place(d.idRNG),
-		Store:     d.newStore(),
-	}
-}
-
-func (d *originDriver) Spawn(ind proto.Individual) func() {
-	id := ind.(proto.Identity)
+func (d *originDriver) Spawn(id proto.Identity) func() {
 	p := &originPeer{
 		d:     d,
 		site:  id.Site,
 		store: id.Store,
-		rng:   d.env.RNG.Split(fmt.Sprintf("origin-peer-%d", d.peers.Spawned()+1)),
+		rng:   id.Work,
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
 	d.peers.Add(p)
@@ -132,6 +114,7 @@ type originPeer struct {
 	nid   runtime.NodeID
 	site  content.SiteID
 	store *content.Store
+	// rng is the individual's workload stream (proto.Identity.Work).
 	rng   *rnd.RNG
 	timer runtime.Timer
 	dead  bool

@@ -36,9 +36,7 @@ type Router interface {
 type NewRouter func(pool *chord.Pool, net runtime.Net, rng *rnd.RNG, app chord.App, nid runtime.NodeID, ringID ids.ID) (Router, error)
 
 // RingSpec is everything that differs between the ring-directory
-// protocols. The label strings and RootDraws exist because each
-// protocol's random streams were named before the drivers were merged
-// and a run's fingerprint depends on every one of them.
+// protocols.
 type RingSpec struct {
 	// Info names and describes the protocol.
 	Info proto.Info
@@ -53,13 +51,6 @@ type RingSpec struct {
 	// rebuilds a directory after its home fails. It needs a HomeKey
 	// that depends on the site alone: a summary goes to one home.
 	PushSummaries bool
-	// PeerStream (by spawn count) and RingID (by NodeID) are the format
-	// strings naming a peer's RNG stream and hashing its ring position;
-	// RouterStream names the sub-stream handed to the overlay node.
-	PeerStream, RingID, RouterStream string
-	// RootDraws draws placements and gateway picks from the deployment's
-	// root stream instead of its "identities" split (squirrel).
-	RootDraws bool
 }
 
 // ChordRouter is the RingSpec.Router of the protocols routed over plain
@@ -106,17 +97,13 @@ const (
 
 // lower is the spec's proto.Lowering: it resolves the option map into a
 // validated config and returns the deployment's constructor. It reads
-// the router's options, query-timeout (10 s), the shared cache keys,
-// and with PushSummaries keepalive-interval (1 h): summaries are bulk
-// messages, so they refresh at half the keepalive rate. Unknown keys
-// are ignored.
+// the router's options, query-timeout (10 s), and with PushSummaries
+// keepalive-interval (1 h): summaries are bulk messages, so they
+// refresh at half the keepalive rate. Unknown keys are ignored.
 func (s *RingSpec) lower(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
 	cfg := ringConfig{queryTimeout: opts.Duration("query-timeout", 10*runtime.Second)}
 	name := s.Info.Name
-	cacheCfg, err := proto.CacheConfigFromOptions(opts)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
-	}
+	var err error
 	if cfg.newRouter, err = s.Router(opts); err != nil {
 		return nil, err // names its overlay already
 	}
@@ -130,24 +117,16 @@ func (s *RingSpec) lower(opts proto.Options) (func(proto.Env) (proto.System, err
 		}
 	}
 	return func(env proto.Env) (proto.System, error) {
-		d := &ringDriver{spec: s, cfg: cfg, env: env, idRNG: env.RNG.Split("identities"),
-			newStore: cacheCfg.StoreFactory(env), pool: chord.NewPool()}
-		d.drawRNG = d.idRNG
-		if s.RootDraws {
-			d.drawRNG = env.RNG
-		}
+		d := &ringDriver{spec: s, cfg: cfg, env: env, pool: chord.NewPool()}
 		d.registry.BindBus(env.Net)
 		return d, nil
 	}, nil
 }
 
 type ringDriver struct {
-	spec     *RingSpec
-	cfg      ringConfig
-	env      proto.Env
-	idRNG    *rnd.RNG // interests
-	drawRNG  *rnd.RNG // placements and gateway picks
-	newStore func() *content.Store
+	spec *RingSpec
+	cfg  ringConfig
+	env  proto.Env
 
 	// registry is the ring-member gateway set, mirrored across
 	// processes on multi-process backends (chord.Registry).
@@ -162,31 +141,21 @@ type ringDriver struct {
 }
 
 // SpawnSeed: the seeds are ordinary ring members.
-func (d *ringDriver) SpawnSeed(int) (proto.Individual, func()) {
-	ind := d.NewIndividual()
-	return ind, d.Spawn(ind)
-}
+func (d *ringDriver) SpawnSeed(id proto.Identity) func() { return d.Spawn(id) }
 
-func (d *ringDriver) NewIndividual() proto.Individual {
-	return proto.Identity{
-		Site:      d.env.Workload.AssignInterest(d.idRNG),
-		Placement: d.env.Topo.Place(d.drawRNG),
-		Store:     d.newStore(),
-	}
-}
-
-func (d *ringDriver) Spawn(ind proto.Individual) func() {
-	id := ind.(proto.Identity)
+// Spawn joins the individual to the ring at the position its network
+// address hashes to, as Chord's nodes do.
+func (d *ringDriver) Spawn(id proto.Identity) func() {
 	p := &peer{
 		d:     d,
 		site:  id.Site,
 		store: id.Store,
-		rng:   d.env.RNG.Split(fmt.Sprintf(d.spec.PeerStream, d.peers.Spawned()+1)),
+		rng:   id.Work,
 		index: content.Holders{Bound: providersPerObject},
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
-	ringID := ids.HashString(fmt.Sprintf(d.spec.RingID, p.nid))
-	node, err := d.cfg.newRouter(d.pool, d.env.Net, p.rng.Split(d.spec.RouterStream), p, p.nid, ringID)
+	ringID := ids.HashString(fmt.Sprintf("peer-%d", p.nid))
+	node, err := d.cfg.newRouter(d.pool, d.env.Net, d.env.RNG.Split("router"), p, p.nid, ringID)
 	if err != nil {
 		panic(err) // config validated at build time
 	}
@@ -260,8 +229,10 @@ func (s summary) WireBytes() int { return 32 + 8*len(s.Keys) }
 
 // peer is one ring-directory participant.
 type peer struct {
-	d     *ringDriver
-	nid   runtime.NodeID
+	d   *ringDriver
+	nid runtime.NodeID
+	// rng is the individual's workload stream (proto.Identity.Work):
+	// when the peer queries and what.
 	rng   *rnd.RNG
 	site  content.SiteID
 	store *content.Store
@@ -303,7 +274,7 @@ func (p *peer) enterRing(attempts int) {
 		return
 	}
 	d := p.d
-	gw := d.registry.PickAlive(d.drawRNG, d.env.Oracle.Alive, runtime.None)
+	gw := d.registry.PickAlive(d.env.RNG, d.env.Oracle.Alive, runtime.None)
 	if !gw.Valid() {
 		if d.env.Follower {
 			d.env.Clock.Schedule(200*runtime.Millisecond, func() { p.enterRing(attempts) })
@@ -338,7 +309,7 @@ func (p *peer) onJoined() {
 	}
 	// Jittered so a whole population doesn't push in lockstep.
 	p.refresh = p.d.env.Clock.Every(
-		p.rng.UniformDuration(0, p.d.cfg.refresh), p.d.cfg.refresh, p.pushSummary)
+		p.d.env.RNG.UniformDuration(0, p.d.cfg.refresh), p.d.cfg.refresh, p.pushSummary)
 	// A re-joining individual may carry a full cache from earlier
 	// sessions; announce it without waiting a whole refresh period.
 	if p.store.Len() > 0 {
@@ -449,7 +420,7 @@ func (p *peer) OnRouted(_ ids.ID, payload any, _ runtime.NodeID, hops int, path 
 				Kind: trace.HopHome, Node: p.nid, At: now})
 		}
 		// Random redirection — no locality information exists.
-		for _, i := range p.rng.Perm(len(providers)) {
+		for _, i := range p.d.env.RNG.Perm(len(providers)) {
 			if len(resp.Providers) >= redirectsPerQuery {
 				break
 			}

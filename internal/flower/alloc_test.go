@@ -26,7 +26,7 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	id := f.sys.NewIdentity(0, 0)
+	id := f.pop.At(0, 0)
 	id.Store = content.NewStoreWith(content.StoreOptions{Policy: pol})
 	c, _ = f.sys.SpawnIdentity(id)
 	for i := 0; i < 3; i++ {

@@ -124,7 +124,7 @@ func (s exactSummary) SizeBytes() int { return len(s) * 8 }
 // becomeFoundingDirectory creates a brand-new D-ring with this peer as
 // its first member at pos.
 func (p *Peer) becomeFoundingDirectory(pos ids.ID) {
-	node, err := p.sys.chordPool.NewNode(p.sys.cfg.Chord, p.sys.net, p.rng.Split("chord"), p, p.nid, pos)
+	node, err := p.sys.chordPool.NewNode(p.sys.cfg.Chord, p.sys.net, p.sys.rng.Split("chord"), p, p.nid, pos)
 	if err != nil {
 		panic(err)
 	}
@@ -164,7 +164,7 @@ func (p *Peer) claimDirectoryPosition(pos ids.ID, exclude runtime.NodeID, done f
 		}
 		return
 	}
-	node, err := p.sys.chordPool.NewNode(p.sys.cfg.Chord, p.sys.net, p.rng.Split("chord"), p, p.nid, pos)
+	node, err := p.sys.chordPool.NewNode(p.sys.cfg.Chord, p.sys.net, p.sys.rng.Split("chord"), p, p.nid, pos)
 	if err != nil {
 		panic(err)
 	}
@@ -474,7 +474,7 @@ func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 		}
 	}
 	p.sys.seedScratch = picks
-	p.rng.Shuffle(len(picks), func(i, j int) { picks[i], picks[j] = picks[j], picks[i] })
+	p.sys.rng.Shuffle(len(picks), func(i, j int) { picks[i], picks[j] = picks[j], picks[i] })
 	seed := make([]gossip.Entry, 0, seedSize+1)
 	// The directory itself is a petal member with cached content; seeding
 	// it keeps the directory inside the gossip mesh.

@@ -155,7 +155,10 @@ func TestMemberExpiryRemovesIndexEntries(t *testing.T) {
 	dir := f.findSeed(0, 0)
 	d := dir.Directory()
 	key := content.Key{Site: 0, Object: 3}
-	ghost := runtime.NodeID(31337) // never sends keepalives
+	// The ghost is a node that never answers: joined, then failed at
+	// once, so it sends no keepalives and a probe of it times out.
+	ghost := f.net.Join(&probePeer{}, f.beside(dir))
+	f.net.Fail(ghost)
 	mi := dir.admitMember(ghost)
 	mi.keys[key] = struct{}{}
 	d.index.Add(key, ghost)

@@ -5,11 +5,8 @@ import (
 
 	"flowercdn/internal/bloom"
 	"flowercdn/internal/chord"
-	"flowercdn/internal/content"
 	"flowercdn/internal/proto"
-	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
-	"flowercdn/internal/topology"
 )
 
 // This file is the Flower-CDN System's face to the pluggable protocol
@@ -68,21 +65,19 @@ func init() {
 //	dir-collaboration   bool       same-website cross-locality collaboration
 //	exact-summaries     bool       exact key sets instead of Bloom summaries
 //	load-limit          int        PetalUp per-directory member limit
-//	cache-policy        string     per-peer store eviction policy (internal/cache)
-//	cache-capacity      int        per-peer store capacity, objects
 //
-// Unknown keys are ignored (they may target another protocol in the
-// same sweep). Every other protocol parameter is a constant;
-// internal/protocols pins the keys every driver reads.
+// The shared cache keys are proto.Driver's to validate and the
+// harness's to read: it builds the stores. Unknown keys are ignored
+// (they may target another protocol in the same sweep). Every other
+// protocol parameter is a constant; internal/protocols pins the keys
+// every driver reads.
 
 // DefaultPetalUpLoadLimit is the per-directory member limit PetalUp
 // runs use when the "load-limit" option is absent.
 const DefaultPetalUpLoadLimit = 30
 
 // lowering is the two drivers' Lower: it resolves the option map into a
-// full protocol Config and validates it; the constructor it returns
-// adds what needs the run's Env (the store factory reads its clock and
-// metrics).
+// full protocol Config and validates it.
 func lowering(petalUp bool) proto.Lowering {
 	return func(opts proto.Options) (func(proto.Env) (proto.System, error), error) {
 		cfg := DefaultConfig()
@@ -102,59 +97,24 @@ func lowering(petalUp bool) proto.Lowering {
 				return nil, fmt.Errorf("flower: petalup load-limit must be positive, got %d", cfg.DirLoadLimit)
 			}
 		}
-		cacheCfg, err := proto.CacheConfigFromOptions(opts)
-		if err != nil {
-			return nil, fmt.Errorf("flower: %w", err)
-		}
 		if err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		return func(env proto.Env) (proto.System, error) {
-			s, err := NewSystem(cfg, env)
-			if err != nil {
-				return nil, err
-			}
-			s.newStore = cacheCfg.StoreFactory(env)
-			s.identities()
-			return s, nil
-		}, nil
+		return func(env proto.Env) (proto.System, error) { return NewSystem(cfg, env) }, nil
 	}
 }
 
-// SpawnSeed brings up the initial directory peer for the i-th
-// (website, locality) pair; like every participant it is a persistent
-// individual with a limited uptime.
-func (s *System) SpawnSeed(i int) (proto.Individual, func()) {
-	k := s.topo.Localities()
-	id := s.NewIdentity(content.SiteID(i/k), topology.Locality(i%k))
+// SpawnSeed implements proto.System: a bootstrap individual claims
+// its petal's first directory position; like every participant it has
+// a limited uptime.
+func (s *System) SpawnSeed(id proto.Identity) func() {
 	_, kill := s.SpawnSeedDirectoryIdentity(id)
-	return id, kill
-}
-
-// NewIndividual mints an arriving client: interest by the workload's
-// assignment, locality uniform over the k localities by default and
-// Zipf-concentrated when the run asks for a geographically skewed
-// audience. Seed directories still cover every locality, so the D-ring
-// stays complete either way.
-func (s *System) NewIndividual() proto.Individual {
-	rng := s.identities()
-	site := s.work.AssignInterest(rng)
-	if s.locZipf != nil {
-		return s.NewIdentity(site, topology.Locality(s.locZipf.Rank(rng)))
-	}
-	return s.NewIdentity(site, topology.Locality(rng.Intn(s.topo.Localities())))
-}
-
-func (s *System) identities() *rnd.RNG {
-	if s.idRNG == nil {
-		s.idRNG = s.rng.Split("identities")
-	}
-	return s.idRNG
+	return kill
 }
 
 // Spawn implements proto.System over SpawnIdentity.
-func (s *System) Spawn(ind proto.Individual) func() {
-	_, kill := s.SpawnIdentity(ind.(proto.Identity))
+func (s *System) Spawn(id proto.Identity) func() {
+	_, kill := s.SpawnIdentity(id)
 	return kill
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
 	"flowercdn/internal/dring"
 	"flowercdn/internal/metrics"
@@ -28,7 +29,9 @@ type fixture struct {
 	origins *workload.Origins
 	coll    *metrics.Collector
 	sys     *System
-	seeds   []*Peer
+	// pop mints the fixture's individuals, as the harness does a run's.
+	pop   *proto.Population
+	seeds []*Peer
 }
 
 func newFixture(t *testing.T, seed uint64, mut func(*Config)) *fixture {
@@ -73,7 +76,11 @@ func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), envMut func(*p
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, eng: eng, net: net, topo: topo, rng: rng, work: work, origins: origins, coll: coll, sys: sys}
+	pop, err := proto.NewPopulation(topo, work, rng.Split("population"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &fixture{t: t, eng: eng, net: net, topo: topo, rng: rng, work: work, origins: origins, coll: coll, sys: sys, pop: pop}
 }
 
 // seedRing spawns one directory per (site, locality) and lets the ring
@@ -85,7 +92,7 @@ func (f *fixture) seedRing() {
 		for l := 0; l < k; l++ {
 			site, loc := content.SiteID(s), topology.Locality(l)
 			f.eng.Schedule(int64(len(f.seeds))*200, func() {
-				p, _ := f.sys.SpawnSeedDirectory(site, loc)
+				p, _ := f.sys.SpawnSeedDirectoryIdentity(f.pop.At(site, loc))
 				f.seeds = append(f.seeds, p)
 			})
 		}
@@ -111,7 +118,7 @@ func (f *fixture) beside(p *Peer) topology.Placement {
 
 // spawn creates a client and runs until its arrival settles.
 func (f *fixture) spawn(site content.SiteID, loc topology.Locality) *Peer {
-	p, _ := f.sys.SpawnClientAt(site, loc)
+	p, _ := f.sys.SpawnIdentity(f.pop.At(site, loc))
 	return p
 }
 
@@ -293,7 +300,13 @@ func TestNonActiveSiteJoinOnly(t *testing.T) {
 }
 
 func TestDirectoryFailureReplacedByContentPeer(t *testing.T) {
-	f := newFixture(t, 7, nil)
+	// The replacement claim routes over D-ring to the dead directory's
+	// position, so it needs a ring that already routes around the dead
+	// node. At Table 1's 30 s stabilization a member that detects the
+	// death within the first minute finds it unhealed, and recovers by
+	// the vacancy path instead. The compressed maintenance heals the
+	// ring in about a second, before any member can confirm the death.
+	f := newFixture(t, 7, func(c *Config) { c.Chord = chord.DemoConfig() })
 	f.seedRing()
 	// Build a petal with members.
 	var members []*Peer

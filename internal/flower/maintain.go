@@ -14,7 +14,7 @@ func (p *Peer) startKeepalive() {
 		return
 	}
 	period := p.sys.cfg.KeepaliveInterval
-	p.keepaliveTimer = p.eng().Every(p.rng.UniformDuration(period/4, period), period, p.keepaliveTick)
+	p.keepaliveTimer = p.eng().Every(p.sys.rng.UniformDuration(period/4, period), period, p.keepaliveTick)
 }
 
 func (p *Peer) keepaliveTick() {

@@ -18,7 +18,7 @@ import (
 func loneDirectory(t *testing.T, seed uint64) (*fixture, *Peer) {
 	t.Helper()
 	f := newFixture(t, seed, nil)
-	dir, _ := f.sys.SpawnSeedDirectory(0, 0)
+	dir, _ := f.sys.SpawnSeedDirectoryIdentity(f.pop.At(0, 0))
 	if dir.Role() != RoleDirectory {
 		t.Fatalf("lone seed: role %v, want directory", dir.Role())
 	}
@@ -271,12 +271,12 @@ func TestMemberViewMatchesMapModel(t *testing.T) {
 				}
 				s := rng.Uint64()
 				ref := rnd.New(s)
-				dir.rng = rnd.New(s)
+				f.sys.rng = rnd.New(s)
 				want := v.viewSeed(dir, ref, exclude)
 				if got := dir.viewSeed(exclude); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: viewSeed(%d) =\n%v\nmap view gives\n%v", seed, step, exclude, got, want)
 				}
-				if a, b := dir.rng.Uint64(), ref.Uint64(); a != b {
+				if a, b := f.sys.rng.Uint64(), ref.Uint64(); a != b {
 					t.Fatalf("seed %d step %d: viewSeed(%d) consumed other draws than the map view's", seed, step, exclude)
 				}
 			}

@@ -43,6 +43,8 @@ func (r Role) String() string {
 // dispatches to its Chord, gossip and protocol components.
 type Peer struct {
 	sys *System
+	// rng is the individual's workload stream (proto.Identity.Work):
+	// when the peer queries and what. Protocol choices draw from sys.rng.
 	rng *rnd.RNG
 	// nid and site share a word: a big cell holds tens of thousands of
 	// peers and this struct sits right on a size-class edge (192 B).
@@ -124,7 +126,7 @@ func (p *Peer) Directory() *directoryState { return p.dir }
 func (p *Peer) Alive() bool { return !p.dead }
 
 func (p *Peer) initGossip() {
-	g, err := gossip.New(p.sys.cfg.Gossip, p.sys.net, p.rng.Split("gossip"), p.nid, (*gossipApp)(p))
+	g, err := gossip.New(p.sys.cfg.Gossip, p.sys.net, p.sys.rng.Split("gossip"), p.nid, (*gossipApp)(p))
 	if err != nil {
 		panic(fmt.Sprintf("flower: gossip init: %v", err)) // config was validated
 	}

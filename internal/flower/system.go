@@ -89,9 +89,6 @@ type System struct {
 	// oracle is env.Oracle, what only the experimenter knows; every read
 	// of it is pinned by internal/protocols' oracle test.
 	oracle runtime.Observer
-	// newStore builds each individual's content store (unbounded by
-	// default, policy-bounded when the run sets cache options).
-	newStore func() *content.Store
 
 	// registry holds entries believed to be alive D-ring members; dead
 	// ones are pruned lazily as they are handed out. On multi-process
@@ -108,13 +105,6 @@ type System struct {
 	// peers is the online roster, for measurement only; protocol logic
 	// never consults it (that would be cheating the distribution).
 	peers proto.Roster[*Peer]
-	// idRNG draws arriving individuals' interests and localities —
-	// through locZipf when the run skews arrivals over localities. It is
-	// split off rng on first use (identities); the registered driver
-	// forces that at build, so that it is a run's first draw on rng —
-	// the order every pinned fingerprint depends on.
-	idRNG   *rnd.RNG
-	locZipf *workload.Zipf
 
 	// freeSteps recycles the per-RPC records of the query path (steps.go);
 	// candScratch is the ranking buffer of contentQuery and rankProviders,
@@ -133,13 +123,12 @@ type System struct {
 
 // NewSystem validates the config and builds an empty deployment on
 // env — of which it reads Net (and the clock behind it), Oracle, Topo,
-// RNG, Workload, Origins, Metrics, Trace, LocalitySkew and Follower.
-// Metrics is any event emitter: the harness passes a full
-// metrics.Pipeline, library callers and tests a bare
-// *metrics.Collector. Stores are unbounded (content.NewStore — the
-// paper's storage model) unless the driver's cache options say
-// otherwise. Driver.New vets env for callers that go through Flower or
-// PetalUp; direct callers own its completeness.
+// RNG, Workload, Origins, Metrics, Trace and Follower. Metrics is any
+// event emitter: the harness passes a full metrics.Pipeline, library
+// callers and tests a bare *metrics.Collector. Its peers are the
+// individuals a proto.Population mints, stores included. Driver.New
+// vets env for callers that go through Flower or PetalUp; direct
+// callers own its completeness.
 func NewSystem(cfg Config, env proto.Env) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -159,15 +148,8 @@ func NewSystem(cfg Config, env proto.Env) (*System, error) {
 		origins:   env.Origins,
 		coll:      env.Metrics,
 		tracer:    env.Trace,
-		newStore:  content.NewStore,
 		follower:  env.Follower,
 		chordPool: chord.NewPool(),
-	}
-	if env.LocalitySkew > 0 {
-		var err error
-		if s.locZipf, err = workload.NewZipf(env.Topo.Localities(), env.LocalitySkew); err != nil {
-			return nil, err
-		}
 	}
 	// On a multi-process backend, mirror the gateway registry over the
 	// bus: ring-member registrations announced by other processes feed
@@ -231,36 +213,24 @@ func (s *System) PetalDirectories(site content.SiteID, loc topology.Locality) []
 	return out
 }
 
-// NewIdentity draws a fresh individual interested in site, located in
-// loc, with an empty cache.
-func (s *System) NewIdentity(site content.SiteID, loc topology.Locality) proto.Identity {
-	return proto.Identity{
-		Site:      site,
-		Placement: s.topo.PlaceAt(loc, s.rng),
-		Store:     s.newStore(),
-	}
-}
-
-// SpawnIdentity brings an individual online as a new client; its
-// persistent store comes back with it (and will be re-indexed by its
-// petal's directory through the full push on re-join).
+// SpawnIdentity brings an individual online as a new client: an
+// active-site client starts its query loop, any other peer immediately
+// requests petal membership. Its persistent store comes back with it
+// (and will be re-indexed by its petal's directory through the full
+// push on re-join). The returned kill function fails the peer
+// (fail-only churn).
 func (s *System) SpawnIdentity(id proto.Identity) (*Peer, func()) {
 	p := s.newPeer(id)
 	p.startLife()
 	return p, p.kill
 }
 
-// SpawnSeedDirectory creates the initial directory peer for (site,
-// loc) at a position-0 D-ring slot. The first seed creates the ring;
-// later seeds join through an existing member. The paper starts each
-// run with k*|W| = 600 such peers ("one directory peer per couple
-// (website, locality)"). The returned kill function fails the peer.
-func (s *System) SpawnSeedDirectory(site content.SiteID, loc topology.Locality) (*Peer, func()) {
-	return s.SpawnSeedDirectoryIdentity(s.NewIdentity(site, loc))
-}
-
-// SpawnSeedDirectoryIdentity is SpawnSeedDirectory for a persistent
-// individual.
+// SpawnSeedDirectoryIdentity brings an individual online as the initial
+// directory peer of its petal, at the position-0 D-ring slot. The first
+// seed creates the ring; later seeds join through an existing member.
+// The paper starts each run with k*|W| = 600 such peers ("one directory
+// peer per couple (website, locality)"). The returned kill function
+// fails the peer.
 func (s *System) SpawnSeedDirectoryIdentity(id proto.Identity) (*Peer, func()) {
 	p := s.newPeer(id)
 	pos := p.petalPos
@@ -316,27 +286,14 @@ func (p *Peer) seedClaim(pos ids.ID, attempts int) {
 	})
 }
 
-// SpawnClientAt creates a fresh participant with the given interest in
-// the given locality: an active-site client starts its query loop, any
-// other peer immediately requests petal membership. The returned kill
-// function fails the peer (fail-only churn). The PetalUp flash-crowd
-// experiments use it.
-func (s *System) SpawnClientAt(site content.SiteID, loc topology.Locality) (*Peer, func()) {
-	return s.SpawnIdentity(s.NewIdentity(site, loc))
-}
-
 func (s *System) newPeer(id proto.Identity) *Peer {
-	store := id.Store
-	if store == nil {
-		store = s.newStore()
-	}
 	p := &Peer{
 		sys:      s,
 		site:     id.Site,
 		loc:      id.Placement.Loc,
 		petalPos: dring.Position(id.Site, id.Placement.Loc, 0),
-		store:    store,
-		rng:      s.rng.Split(fmt.Sprintf("peer-%d", s.peers.Spawned()+1)),
+		store:    id.Store,
+		rng:      id.Work,
 	}
 	p.nid = s.net.Join(p, id.Placement)
 	p.initGossip()

@@ -61,7 +61,7 @@ func TestBigPetalFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 0xd730ce5645151e20
+	const want = 0xb0fc2819f034dee4
 	if res.Fingerprint != want {
 		t.Fatalf("fingerprint %016x, pinned %016x", res.Fingerprint, uint64(want))
 	}

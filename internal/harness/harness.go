@@ -93,7 +93,8 @@ type Config struct {
 	// (the paper's setting) distributes arrivals uniformly over the k
 	// localities; larger values Zipf-concentrate them into low-index
 	// localities (exponent = LocalitySkew), modelling a geographically
-	// skewed audience. Locality-blind protocols ignore it.
+	// skewed audience. The harness mints the population, so it shapes
+	// every protocol's population alike.
 	LocalitySkew float64
 	// MessageLossRate injects random one-way message loss on top of
 	// churn (0 = the paper's reliable links).
@@ -162,6 +163,11 @@ type Config struct {
 		AddTrace(*trace.Record)
 		Stop() error
 	}
+
+	// onMint, when set, sees every individual the run mints, with its
+	// index in the run's pool (the order of first arrival). Package
+	// tests digest a run's population through it.
+	onMint func(idx int, ind proto.Identity)
 }
 
 // TraceConfig opts a run into per-query lookup tracing.
@@ -529,16 +535,15 @@ func Run(cfg Config) (*Result, error) {
 		defer cfg.Obs.Stop() //nolint:errcheck // shutdown is best-effort
 	}
 
-	// On a multi-process run every process derives its own protocol RNG
-	// stream: with the shared stream each process would mint identical
-	// individuals (same interests, same placements) — a population of
-	// clones instead of one population. Topology and loss splits stay
-	// shared so the latency model is identical everywhere.
+	// The streams below are keyed by seed and socket group, never by
+	// protocol: one seed gives every protocol the same population and
+	// the same protocol stream. Keyed by group, the processes of a
+	// socket run mint one population between them, not k clones;
+	// topology and loss stay shared so the latency model is identical
+	// everywhere.
 	group, groups := cfg.groupInfo()
-	protoRNG := master.Split(string(cfg.Protocol))
-	if groups > 1 {
-		protoRNG = protoRNG.Split(fmt.Sprintf("group-%d", group))
-	}
+	stream := func(name string) *rnd.RNG { return master.Split(fmt.Sprintf("%s/%d", name, group)) }
+	protoRNG, popRNG, churnRNG := stream("protocol"), stream("population"), stream("churn")
 
 	// Optional per-query tracing: the tracer streams completed records
 	// into the pipeline, a trace.Collector gathers them for the Result,
@@ -572,16 +577,15 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	env := proto.Env{
-		Clock:        clock,
-		Net:          net,
-		Oracle:       net,
-		Topo:         topo,
-		RNG:          protoRNG,
-		Workload:     work,
-		Origins:      origins,
-		Metrics:      pipe,
-		Trace:        tracer,
-		LocalitySkew: cfg.LocalitySkew,
+		Clock:    clock,
+		Net:      net,
+		Oracle:   net,
+		Topo:     topo,
+		RNG:      protoRNG,
+		Workload: work,
+		Origins:  origins,
+		Metrics:  pipe,
+		Trace:    tracer,
 		// Exactly one process bootstraps the overlay; the others wait
 		// for announced gateways (see proto.Env.Follower).
 		Follower: group > 0,
@@ -591,13 +595,18 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	cacheCfg, _ := proto.CacheConfigFromOptions(cfg.Options) // vetted by New
+	pop, err := proto.NewPopulation(topo, work, popRNG, cfg.LocalitySkew, cacheCfg.StoreFactory(env))
+	if err != nil {
+		return nil, err
+	}
 
 	// Per-window observer: samples the transport counters at every
 	// window close (feeding the run fingerprint) and surfaces live
 	// window aggregates through cfg.OnWindow.
 	obs := newWindowObserver(cfg, clock, net, coll)
 
-	processed, err := drive(cfg, rt, master, sys, proto.DefaultSeedCount(env))
+	processed, err := drive(cfg, rt, churnRNG, sys, pop)
 	if err != nil {
 		return nil, err
 	}
@@ -682,19 +691,19 @@ func (fn traceSink) Observe(ev metrics.Event) {
 // periods; each session is a fresh network identity.
 const PopulationFactor = 1.3
 
-// pool manages the persistent individuals of one run, protocol-
-// agnostically: the concrete individual type belongs to the deployment.
+// pool holds the persistent individuals of one run, in minting order.
 type pool struct {
 	rng     *rnd.RNG
-	inds    []proto.Individual
+	inds    []proto.Identity
 	offline []int // indexes into inds
 	cap     int
+	onMint  func(idx int, ind proto.Identity) // Config.onMint
 }
 
 // take picks a random offline individual to revive, or reports (with
 // idx -1) that a fresh one should be minted. ok is false when everyone
 // is online already.
-func (p *pool) take() (idx int, ind proto.Individual, ok bool) {
+func (p *pool) take() (idx int, ind proto.Identity, ok bool) {
 	if len(p.offline) > 0 {
 		i := p.rng.Intn(len(p.offline))
 		idx := p.offline[i]
@@ -703,14 +712,17 @@ func (p *pool) take() (idx int, ind proto.Individual, ok bool) {
 		return idx, p.inds[idx], true
 	}
 	if len(p.inds) >= p.cap {
-		return 0, nil, false
+		return 0, ind, false
 	}
-	return -1, nil, true
+	return -1, ind, true
 }
 
 // add registers a newly minted individual and returns its index.
-func (p *pool) add(ind proto.Individual) int {
+func (p *pool) add(ind proto.Identity) int {
 	p.inds = append(p.inds, ind)
+	if p.onMint != nil {
+		p.onMint(len(p.inds)-1, ind)
+	}
 	return len(p.inds) - 1
 }
 
@@ -742,24 +754,21 @@ func (s *session) stop() {
 }
 
 // drive runs the protocol-agnostic experiment choreography: spawn the
-// deployment's bootstrap participants (staggered, each with a limited
+// population's bootstrap individuals (staggered, each with a limited
 // uptime like any other peer), then let churn cycle the persistent
 // population through online sessions until the horizon — with any
-// ChurnSchedule events and checkpoint callbacks layered on top. It
-// returns the number of events the backend processed.
+// ChurnSchedule events and checkpoint callbacks layered on top. Every
+// individual is minted here, once, when it first arrives. It returns
+// the number of events the backend processed.
 //
 // On a multi-process backend the choreography partitions: process g of
 // N hosts every bootstrap seed with index ≡ g (mod N) — at the seed's
 // global stagger slot, so the join storm looks identical — and runs a
 // churn process targeting its share of the population. The union over
 // processes is the same experiment a single process would run.
-func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System, seeds int) (uint64, error) {
+func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, pop *proto.Population) (uint64, error) {
 	clock := rt.Clock()
 	group, groups := cfg.groupInfo()
-	churnRNG := master.Split("churn")
-	if groups > 1 {
-		churnRNG = churnRNG.Split(fmt.Sprintf("group-%d", group))
-	}
 	// A group whose population share rounds to zero hosts only its seed
 	// subset: the pool cap of 0 makes it decline every fresh churn
 	// arrival (the churn process itself needs a positive target, so it
@@ -767,8 +776,9 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System, se
 	// processes at the configured population.
 	popShare := groupShare(cfg.Population, group, groups)
 	pl := &pool{
-		rng: churnRNG,
-		cap: int(float64(popShare) * PopulationFactor),
+		rng:    churnRNG,
+		cap:    int(float64(popShare) * PopulationFactor),
+		onMint: cfg.onMint,
 	}
 	churnTarget := popShare
 	if churnTarget < 1 {
@@ -794,7 +804,7 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System, se
 			return nil // everyone is online already
 		}
 		if idx < 0 {
-			ind = sys.NewIndividual()
+			ind = pop.Arrival()
 			idx = pl.add(ind)
 		}
 		return track(sys.Spawn(ind), idx)
@@ -805,14 +815,14 @@ func drive(cfg Config, rt runtime.Runtime, master *rnd.RNG, sys proto.System, se
 		return 0, err
 	}
 
-	for i := 0; i < seeds; i++ {
+	seeds := pop.Seeds()
+	for i := range seeds {
 		if i%groups != group {
 			continue // another process hosts this seed
 		}
-		i := i
 		clock.Schedule(int64(i)*cfg.SeedStagger, func() {
-			ind, kill := sys.SpawnSeed(i)
-			clock.Schedule(proc.Lifetime(), track(kill, pl.add(ind)))
+			ind := pop.Seed(i)
+			clock.Schedule(proc.Lifetime(), track(sys.SpawnSeed(ind), pl.add(ind)))
 		})
 	}
 	// Client arrivals start once the bootstrap population is up.

@@ -69,11 +69,11 @@ func TestTraceDigestsSim(t *testing.T) {
 		protocol Protocol
 		digest   uint64
 	}{
-		{ProtocolFlower, 0xec5801872bcd4de7},
-		{Protocol("petalup"), 0xe5f794001eea8a15},
-		{ProtocolSquirrel, 0x221cc92194062731},
-		{Protocol("chord-global"), 0xaa6da563a5c81def},
-		{Protocol("koorde-global"), 0x87a5c65f3e9b7b95},
+		{ProtocolFlower, 0xacae95b5fe8f9486},
+		{Protocol("petalup"), 0xacae95b5fe8f9486},
+		{ProtocolSquirrel, 0xf9e251401bd1b993},
+		{Protocol("chord-global"), 0x12a567cc7f32efe6},
+		{Protocol("koorde-global"), 0x6afb41f7a24e0651},
 	} {
 		t.Run(string(c.protocol), func(t *testing.T) {
 			cfg := tracedTinyConfig()

@@ -24,9 +24,6 @@ var Global = baseline.RingDirectory(baseline.RingSpec{
 	Router:        router,
 	HomeKey:       baseline.SiteHome("kg-site-%d"),
 	PushSummaries: true,
-	PeerStream:    "kg-peer-%d",
-	RingID:        "kg-peer-%d",
-	RouterStream:  "koorde",
 })
 
 // router lowers the overlay's one option: chord-demo (compressed

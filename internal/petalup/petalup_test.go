@@ -6,7 +6,6 @@ import (
 	"flowercdn/internal/simrt"
 	"testing"
 
-	"flowercdn/internal/content"
 	"flowercdn/internal/flower"
 	"flowercdn/internal/metrics"
 	"flowercdn/internal/proto"
@@ -18,6 +17,7 @@ type world struct {
 	*simrt.Runtime
 	net runtime.Transport
 	sys *flower.System
+	pop *proto.Population
 }
 
 func buildWorld(t *testing.T, seed uint64, cfg flower.Config) *world {
@@ -47,17 +47,16 @@ func buildWorld(t *testing.T, seed uint64, cfg flower.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pop, err := proto.NewPopulation(topo, work, rng.Split("population"), 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Seed the D-ring.
-	for s := 0; s < wcfg.Sites; s++ {
-		for l := 0; l < tcfg.Localities; l++ {
-			site, loc := content.SiteID(s), topology.Locality(l)
-			eng.Schedule(int64(s*tcfg.Localities+l)*200, func() {
-				sys.SpawnSeedDirectory(site, loc)
-			})
-		}
+	for i := 0; i < pop.Seeds(); i++ {
+		eng.Schedule(int64(i)*200, func() { sys.SpawnSeed(pop.Seed(i)) })
 	}
 	eng.Run(eng.Now() + 10*runtime.Minute)
-	return &world{Runtime: eng, net: net, sys: sys}
+	return &world{Runtime: eng, net: net, sys: sys, pop: pop}
 }
 
 func TestConfigPreset(t *testing.T) {
@@ -84,7 +83,7 @@ func TestSpecValidation(t *testing.T) {
 		t.Fatal("negative gap accepted")
 	}
 	w := buildWorld(t, 99, Config(5))
-	if _, err := RunFlashCrowd(w.sys, w, FlashCrowdSpec{Arrivals: 0}); err == nil {
+	if _, err := RunFlashCrowd(w.sys, w.pop, w, FlashCrowdSpec{Arrivals: 0}); err == nil {
 		t.Fatal("RunFlashCrowd accepted invalid spec")
 	}
 }
@@ -97,7 +96,7 @@ func TestFlashCrowdSplitsDirectory(t *testing.T) {
 		ArrivalGap: 30 * runtime.Second,
 		Settle:     1 * runtime.Hour,
 	}
-	rep, err := RunFlashCrowd(w.sys, w, spec)
+	rep, err := RunFlashCrowd(w.sys, w.pop, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +119,7 @@ func TestClassicFlowerDoesNotSplit(t *testing.T) {
 		ArrivalGap: 30 * runtime.Second,
 		Settle:     1 * runtime.Hour,
 	}
-	rep, err := RunFlashCrowd(w.sys, w, spec)
+	rep, err := RunFlashCrowd(w.sys, w.pop, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +142,12 @@ func TestPetalUpBoundsPerInstanceLoadBetterThanClassic(t *testing.T) {
 	limit := 6
 	wUp := buildWorld(t, 3, Config(limit))
 	spec := FlashCrowdSpec{Site: 0, Loc: 0, Arrivals: 40, ArrivalGap: 20 * runtime.Second, Settle: 90 * runtime.Minute}
-	repUp, err := RunFlashCrowd(wUp.sys, wUp, spec)
+	repUp, err := RunFlashCrowd(wUp.sys, wUp.pop, wUp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wCl := buildWorld(t, 3, flower.DefaultConfig())
-	repCl, err := RunFlashCrowd(wCl.sys, wCl, spec)
+	repCl, err := RunFlashCrowd(wCl.sys, wCl.pop, wCl, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

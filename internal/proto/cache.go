@@ -9,10 +9,11 @@ import (
 	"flowercdn/internal/workload"
 )
 
-// Every capacity-aware driver reads the same two option keys, so one
-// option set bounds a whole comparison grid the way the protocol knobs
-// already do. Lowering and validation live here — next to the Options
-// type — rather than being copy-pasted into each driver.
+// Every protocol's stores read the same two option keys, so one option
+// set bounds a whole comparison grid the way the protocol knobs already
+// do. No driver reads them: Driver.Check and Driver.New validate them
+// once for every protocol, and the harness builds the stores the
+// Population hands out.
 const (
 	// OptCachePolicy names the eviction policy of every peer's content
 	// store; any name internal/cache lists ("none", "lfu", "lru",
@@ -33,8 +34,8 @@ type CacheConfig struct {
 }
 
 // CacheConfigFromOptions reads and validates the shared cache options.
-// Drivers call it from their lowering, so a bad policy name or
-// capacity fails a sweep before any simulation runs.
+// Driver.Check calls it, so a bad policy name or capacity fails a sweep
+// before any simulation runs.
 func CacheConfigFromOptions(opts Options) (CacheConfig, error) {
 	c := CacheConfig{
 		Policy:   opts.String(OptCachePolicy, cache.PolicyNone),
@@ -71,8 +72,9 @@ func (c CacheConfig) Bounded() bool { return c.Policy != cache.PolicyNone }
 // plain content.NewStore for "none" (the unbounded paper model, with
 // zero per-store overhead), otherwise a policy-bounded store that
 // streams one CounterEvictions event per evicted object through the
-// run's metrics pipeline. Call once per run after validation; every
-// store gets its own policy instance.
+// run's metrics pipeline. The harness calls it once per run, after
+// validation, for the run's Population; every store gets its own policy
+// instance.
 func (c CacheConfig) StoreFactory(env Env) func() *content.Store {
 	if !c.Bounded() {
 		return content.NewStore

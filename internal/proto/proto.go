@@ -7,22 +7,34 @@
 // the drivers share exists once:
 //
 //   - A Driver is an Info and one Lowering: options in, a deployment
-//     constructor out. Check runs the lowering and drops the result; New
-//     vets the Env — once, for every protocol — lowers, and builds.
-//     There is no second validation path to keep in step with the first.
-//   - Identity is the persistent individual every built-in deployment
-//     cycles through sessions: interest, placement, cache.
+//     constructor out. Check vets the shared cache keys and runs the
+//     lowering, dropping the result; New does the same, vets the Env —
+//     once, for every protocol — and builds. There is no second
+//     validation path to keep in step with the first.
+//   - Identity is a persistent individual: interest, placement, cache,
+//     and its own workload stream. Population mints them, once, outside
+//     the protocols, so every protocol of one seed sees the same people
+//     arrive in the same order — the common random numbers a
+//     head-to-head comparison needs. A deployment only brings an
+//     Identity online (System.SpawnSeed, System.Spawn).
 //   - Roster is who is online: a deployment's live peers (and the
 //     harness's live sessions) in spawn order, with the spawned/alive
 //     counts behind the well-known Stats keys. It forgets the dead.
 //
-// That last point is a contract, not an optimisation. The paper's churn
-// model gives every re-join a fresh network identity, so a 24 h run
-// spawns ~24 sessions per population slot; a session's kill func must
-// leave nothing that can reach its peer — no roster entry, no armed
-// ticker, no kept closure — so that after kill nobody holds the *Peer
-// and it is garbage. Live heap per node is then flat in simulated time
-// (make heap-growth-check).
+// Randomness follows one rule. A workload choice — when an individual
+// queries and what — draws from its Identity.Work. A protocol choice —
+// an overlay node's sub-stream, a gossip shuffle, a timer's jitter, a
+// gateway or redirect pick — draws from Env.RNG, the protocol stream,
+// which the harness keys by seed and socket group, never by protocol
+// name.
+//
+// Roster's forgetting is a contract, not an optimisation. The paper's
+// churn model gives every re-join a fresh network identity, so a 24 h
+// run spawns ~24 sessions per population slot; a session's kill func
+// must leave nothing that can reach its peer — no roster entry, no
+// armed ticker, no kept closure — so that after kill nobody holds the
+// *Peer and it is garbage. Live heap per node is then flat in simulated
+// time (make heap-growth-check).
 //
 // The built-in drivers are one fixed list, internal/protocols.All; the
 // harness resolves a name there and drives the deployment through the
@@ -60,8 +72,10 @@ type Env struct {
 	Oracle runtime.Observer
 	// Topo is the latency/locality model behind Net.
 	Topo *topology.Topology
-	// RNG is the deployment's deterministic randomness root, split from
-	// the run's master seed under the protocol's name.
+	// RNG is the deployment's protocol stream: every per-peer protocol
+	// choice draws from it. The harness splits it from the run's master
+	// seed under the socket group alone, so every protocol of one seed
+	// starts from the same stream.
 	RNG *rnd.RNG
 	// Workload owns the catalog, popularity and interest assignment.
 	Workload *workload.Workload
@@ -73,10 +87,6 @@ type Env struct {
 	// tracing is disabled and every tracer method is a free no-op.
 	// Drivers gate per-hop work on Trace.Enabled().
 	Trace *trace.Tracer
-	// LocalitySkew biases arriving clients over localities: 0 is the
-	// paper's uniform spread, larger values Zipf-concentrate arrivals
-	// into low-index localities. Locality-blind protocols ignore it.
-	LocalitySkew float64
 	// Follower marks a process that must not found the overlay. On
 	// multi-process backends exactly one process bootstraps (creates
 	// the first ring); the others wait for a gateway announced over the
@@ -85,11 +95,6 @@ type Env struct {
 	Follower bool
 }
 
-// Individual is the persistent half of a participant as the harness
-// sees it: an opaque value shuttled between its churn pool and Spawn.
-// Every built-in deployment's individuals are Identity values.
-type Individual any
-
 // Identity is the persistent part of a participant. The paper's churn
 // model (total network size 1.3·P) cycles a fixed population of
 // individuals through online sessions: every session gets a fresh
@@ -97,11 +102,14 @@ type Individual any
 // node is home of), but the individual's interest, physical location
 // and — crucially — its cached content survive offline periods ("a
 // content peer has enough storage potential to avoid replacing its
-// content through the experiment's duration").
+// content through the experiment's duration"). Population mints them.
 type Identity struct {
 	Site      content.SiteID
 	Placement topology.Placement
 	Store     *content.Store
+	// Work is the individual's own stream for its workload: when it
+	// queries and what. It runs on across sessions.
+	Work *rnd.RNG
 }
 
 // Stats is the generic counter/gauge map a deployment reports at the
@@ -124,21 +132,17 @@ const (
 // System is one protocol deployment driven by the harness. All calls
 // happen on the engine goroutine.
 //
-// Run shape: the harness spawns SeedCount bootstrap participants
-// (staggered), starts the churn process which mints and revives
-// Individuals through NewIndividual/Spawn, runs the engine to the
+// Run shape: the harness spawns the Population's bootstrap individuals
+// (staggered) through SpawnSeed, starts the churn process, which mints
+// and revives individuals through Spawn, runs the engine to the
 // horizon, and finally reads Stats.
 type System interface {
-	// SpawnSeed mints and brings online the i-th bootstrap participant
-	// (0 <= i < SeedCount(env)). The returned Individual joins the churn
-	// pool when its session ends; the kill func ends the session.
-	SpawnSeed(i int) (Individual, func())
-	// NewIndividual mints a fresh persistent individual (drawing
-	// interest and placement from the deployment's RNG).
-	NewIndividual() Individual
+	// SpawnSeed brings a bootstrap individual (Population.Seed) online
+	// for its first session and returns the kill func that ends it.
+	SpawnSeed(Identity) func()
 	// Spawn brings an individual online for one session and returns
 	// the kill func that fails it (fail-only churn).
-	Spawn(Individual) func()
+	Spawn(Identity) func()
 	// Stats reports the deployment's counters and gauges.
 	Stats() Stats
 }
@@ -156,10 +160,11 @@ type Info struct {
 	Compare bool
 }
 
-// Lowering resolves and validates the option map and returns the
-// constructor of a deployment so configured. Driver.Check runs it and
-// drops the result, Driver.New runs it and calls build with the
-// (already vetted) Env. A lowering must not consult any global state
+// Lowering resolves and validates the protocol's own keys of the option
+// map and returns the constructor of a deployment so configured.
+// Driver.Check runs it and drops the result, Driver.New runs it and
+// calls build with the (already vetted) Env. The shared cache keys are
+// the Driver's, not the lowering's: the harness builds the stores. A lowering must not consult any global state
 // besides the wire-type table: everything a run needs arrives through
 // opts and env.
 type Lowering func(opts Options) (build func(Env) (System, error), err error)
@@ -172,18 +177,18 @@ type Driver struct {
 	Lower Lowering
 }
 
-// Check statically validates opts — the verdict is exactly the
-// lowering's — so a bad knob fails a sweep before any simulation runs
-// rather than minutes into the worker pool.
+// Check statically validates opts — the shared cache keys, then the
+// lowering's verdict — so a bad knob fails a sweep before any
+// simulation runs rather than minutes into the worker pool.
 func (d Driver) Check(opts Options) error {
-	_, err := d.Lower(opts)
+	_, err := d.lower(opts)
 	return err
 }
 
-// New builds a deployment: it lowers opts, vets env — here, once, for
-// every protocol — and builds.
+// New builds a deployment: it validates opts as Check does, vets env —
+// here, once, for every protocol — and builds.
 func (d Driver) New(env Env, opts Options) (System, error) {
-	build, err := d.Lower(opts)
+	build, err := d.lower(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +199,11 @@ func (d Driver) New(env Env, opts Options) (System, error) {
 	return build(env)
 }
 
-// DefaultSeedCount is the bootstrap population of every run: one
-// participant per (website, locality), the size of the paper's initial
-// D-ring (one directory peer per couple). Member-ring protocols seed
-// the same count of ordinary members, so population ramps stay
-// comparable across protocols in one grid.
-func DefaultSeedCount(env Env) int {
-	return env.Workload.Config().Sites * env.Topo.Localities()
+// lower vets the shared cache keys, for every protocol alike, and runs
+// the protocol's lowering.
+func (d Driver) lower(opts Options) (func(Env) (System, error), error) {
+	if _, err := CacheConfigFromOptions(opts); err != nil {
+		return nil, fmt.Errorf("%s: %w", d.Info.Name, err)
+	}
+	return d.Lower(opts)
 }

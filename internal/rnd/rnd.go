@@ -3,8 +3,10 @@
 // named stream derived from the run's master seed. Splitting by name
 // (rng.Split("churn"), rng.Split("workload")) isolates consumption —
 // adding draws to one subsystem never perturbs another's sequence — so
-// run fingerprints stay stable as the codebase grows and a single seed
-// reproduces an entire population across backends and process counts.
+// run fingerprints stay stable as the codebase grows. The harness names
+// no stream after a protocol, so a seed mints one population for every
+// protocol and backend; a k-process socket run keys its streams by
+// group as well, and each process mints its own share.
 package rnd
 
 import (

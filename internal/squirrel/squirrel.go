@@ -41,8 +41,4 @@ var Driver = baseline.RingDirectory(baseline.RingSpec{
 	// a stable corporate LAN and has no delegate-failure recovery and
 	// no directory rebuild — exactly what the paper's churn
 	// evaluation exposes.
-	PeerStream:   "squirrel-%d",
-	RingID:       "squirrel-peer-%d",
-	RouterStream: "chord",
-	RootDraws:    true,
 })

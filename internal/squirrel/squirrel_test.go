@@ -128,7 +128,7 @@ func (f *fixture) spawn(site content.SiteID, store *content.Store, settle int64)
 		store = content.NewStore()
 	}
 	s := &session{store: store}
-	s.kill = f.sys.Spawn(proto.Identity{Site: site, Placement: f.topo.Place(f.rng), Store: store})
+	s.kill = f.sys.Spawn(proto.Identity{Site: site, Placement: f.topo.Place(f.rng), Store: store, Work: f.rng.Split("work")})
 	s.node = f.net.last
 	f.peers[s.node] = s
 	f.run(settle)
@@ -356,8 +356,24 @@ func TestDelegateCapBounded(t *testing.T) {
 		for i := 0; i < bystanders; i++ {
 			f.spawn(3, nil, 30*runtime.Second)
 		}
+		// A client whose address hashes into the home's arc takes the
+		// home of object 0 over, with none of its directory. It leaves
+		// again as soon as a query finds it home — the ring heals around
+		// it and hands the arc back to the old home, whose directory
+		// never left — so the delegates pile up at one home, whichever
+		// addresses the clients get.
+		isClient := map[runtime.NodeID]bool{}
 		for i := 0; i < clients; i++ {
-			f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute)
+			c := f.spawn(0, siteStore(0, 1, objects), 5*runtime.Minute)
+			isClient[c.node] = true
+			recs := f.traces.Records()
+			if len(recs) == 0 {
+				continue
+			}
+			if home := homeOf(recs[len(recs)-1]); isClient[home] {
+				f.peers[home].kill()
+				f.run(5 * runtime.Minute)
+			}
 		}
 		records := f.traces.Records()
 		if len(records) != clients {
