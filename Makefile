@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check realtime-smoke cache-grid-smoke socket-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc
+.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check cache-grid-smoke socket-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc
 
 build:
 	go build ./...
@@ -28,8 +28,9 @@ race:
 # and the socket transport — the run loop against reader and writer
 # goroutines, Cancel against Run, and simnet's network, which the
 # socket backend shares between its run loop and its readers and whose
-# own tests run it on the wall clock, as the realtime backend does —
-# repeated, because those races are timing-dependent. The wire-rpc smoke test is
+# own tests run it on the wall clock alone, the reference for a socket
+# process's same-process legs — repeated, because those races are
+# timing-dependent. The wire-rpc smoke test is
 # the one caller that joins and polls Alive from outside a running loop.
 # Minutes, not the 40 of `race`.
 race-net:
@@ -110,10 +111,12 @@ heap-growth-check:
 # re-pin: set its entry to what both processes print and say why in
 # CHANGES.md. All six moved together when the harness began minting
 # the population outside the protocols, which gave every protocol of
-# one seed the same individuals and the same protocol stream.
+# one seed the same individuals and the same protocol stream. Flower
+# and petalup moved again when a flower directory began handing joiners
+# a snapshot of a member's key set instead of the live set.
 FINGERPRINTS := \
-	flower=8a212d12106fcfab \
-	petalup=8a212d12106fcfab \
+	flower=54c2064e68fecf0d \
+	petalup=54c2064e68fecf0d \
 	squirrel=3ddd166703fc1944 \
 	chord-global=c8b6ae9df9aa594d \
 	koorde-global=153858e1934fdae6 \
@@ -175,12 +178,6 @@ fingerprint-check:
 alloc-check:
 	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
 
-# realtime-smoke drives the wall-clock backend for a few seconds of real
-# time: the identical protocol code over real timers and the loopback
-# transport, printing live per-window stats.
-realtime-smoke:
-	go run ./cmd/flowersim -backend realtime -population 50 -horizon 3s
-
 # socket-smoke runs one population across three cooperating OS
 # processes on the socket backend: real TCP between peer groups — every
 # payload through the binary codec's per-type marshallers and
@@ -213,9 +210,9 @@ invariants-smoke:
 # traced quick sim cell written as hop-level CSV; a socket run whose
 # CSV must hold records spanning at least two hop localities (followers
 # stamp localities where they emit, so a missing locator shows here as
-# one value); then a realtime run serving the live observability
-# endpoint, probed over HTTP (/metrics and /traces) while the run is
-# still in flight.
+# one value); then a one-process socket run (a group of one) serving
+# the live observability endpoint, probed over HTTP (/metrics and
+# /traces) while the run is still in flight.
 TRACE_OBS_ADDR ?= 127.0.0.1:7946
 trace-smoke:
 	go run ./cmd/flowersim -p 200 -hours 2 -trace-csv /tmp/trace-smoke.csv
@@ -225,7 +222,7 @@ trace-smoke:
 	@locs=$$(tail -n +2 /tmp/trace-smoke-socket.csv | cut -d, -f10 | sort -u | wc -l); \
 	echo "socket trace: $$(tail -n +2 /tmp/trace-smoke-socket.csv | wc -l) hop rows, $$locs distinct hop_loc"; \
 	test $$locs -ge 2 || { echo "socket trace has no records or one hop locality"; exit 1; }
-	go run ./cmd/flowersim -backend realtime -population 50 -horizon 5s \
+	go run ./cmd/flowersim -backend socket -population 50 -horizon 5s \
 		-trace-csv /dev/null -obs $(TRACE_OBS_ADDR) & pid=$$!; \
 	sleep 3; \
 	curl -sf http://$(TRACE_OBS_ADDR)/metrics; \

@@ -14,7 +14,7 @@ import (
 // BindCell declares the cell flags on f, bound to c's fields and
 // defaulting to what they hold; the flags a wall-clock demo takes from
 // the command line are tagged live, the rest sim. A cell is one
-// experiment, every Config field but Backend, MeasureMem and Trace, and
+// experiment, every Config field but MeasureMem and Trace, and
 // this table its only definition: `flowersim <cell>` replays any cell.
 func BindCell(f *cli.Flags, c *Config, live, sim cli.Tag) {
 	if c.CachePolicy == "" {

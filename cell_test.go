@@ -13,7 +13,7 @@ import (
 
 // notCell names the Config fields that say how a run executes or what
 // it records, not what it is. Every other field is a cell flag.
-var notCell = []string{"Backend", "MeasureMem", "Trace"}
+var notCell = []string{"MeasureMem", "Trace"}
 
 // nudge moves v, a Config field, off its current value.
 func nudge(t *testing.T, v reflect.Value) {

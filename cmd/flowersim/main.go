@@ -10,18 +10,19 @@
 //	flowersim -protocols                     # list the protocols
 //	flowersim -print-params
 //
-// With -backend realtime the identical protocol code runs on
-// wall-clock timers instead of the deterministic simulator: the run
-// takes -horizon of real time and prints each metric window live as it
-// closes. Timescales are compressed (~3600×) so seconds exhibit the
-// full protocol lifecycle:
+// With -backend socket the identical protocol code runs on wall-clock
+// timers instead of the deterministic simulator: the run takes -horizon
+// of real time and prints each metric window live as it closes.
+// Timescales are compressed (~3600×) so seconds exhibit the full
+// protocol lifecycle. Without -peers it is one process, a group of one
+// on a loopback port:
 //
-//	flowersim -backend realtime -population 50 -horizon 5s
+//	flowersim -backend socket -population 50 -horizon 5s
 //
-// With -backend socket the same live run spans cooperating OS
-// processes over TCP — one listener per process, the population
-// partitioned across them. Direct mode — run each process yourself (any
-// mix of terminals or machines sharing a loopback/LAN):
+// With -peers the live run spans cooperating OS processes over TCP —
+// one listener per process, the population partitioned across them.
+// Direct mode — run each process yourself (any mix of terminals or
+// machines sharing a loopback/LAN):
 //
 //	flowersim -backend socket -listen 127.0.0.1:7001 \
 //	    -peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003 -population 50 -horizon 5s
@@ -29,8 +30,7 @@
 //	flowersim -backend socket -listen 127.0.0.1:7003 -peers ... (same list)
 //
 // The group index defaults to the position of -listen in -peers; give
-// -group to override (e.g. when listening on 0.0.0.0). -groups, when
-// set, asserts the expected group count against the peer list.
+// -group to override (e.g. when listening on 0.0.0.0).
 // Convenience mode — fork the whole group locally (demos, CI):
 //
 //	flowersim -backend socket -spawn-local 3 -population 50 -horizon 5s
@@ -60,17 +60,15 @@ import (
 	"flowercdn/internal/trace"
 )
 
-// The flag tags: which backends a flag applies to, and whether it names
-// one process's slot in a socket group (so -spawn-local sets it per
-// child instead of handing its own value down).
+// The flag tags: which backends a flag applies to, and whether it
+// belongs to one process — its slot in a socket group, or its profiles —
+// so that -spawn-local does not hand its own value down.
 const (
 	onSim cli.Tag = 1 << iota
-	onRealtime
 	onSocket
 	perProcess
 
-	wallClock = onRealtime | onSocket
-	anywhere  = onSim | wallClock
+	anywhere = onSim | onSocket
 )
 
 // options is everything the command line sets.
@@ -79,15 +77,15 @@ type options struct {
 	backend string
 	on      cli.Tag // the selected backend's bit, set by parse
 	// exp is the experiment as the sim backend runs it, every Table 1
-	// knob. The wall-clock backends take their scale from the demo presets
-	// (population, horizon) and from exp only the knobs tagged for them.
+	// knob. The socket backend takes its scale from the demo preset
+	// (population, horizon) and from exp only the knobs tagged for it.
 	exp        flowercdn.Config
 	population int
 	horizon    time.Duration
 	// sock holds -listen and -group; socket() adds the peer list.
-	sock               runtime.SocketConfig
-	peers              string
-	groups, spawnLocal int
+	sock       runtime.SocketConfig
+	peers      string
+	spawnLocal int
 
 	traceCSV, obs          string
 	cpuProfile, memProfile string
@@ -110,23 +108,22 @@ func declare(fs *flag.FlagSet) *options {
 	f := o.flags
 
 	flowercdn.BindCell(f, &o.exp, anywhere, onSim) // the experiment itself: one cell's flags
-	cli.Bind(f, anywhere, &o.backend, "backend", fmt.Sprintf("runtime backend, one of %v", flowercdn.Backends()))
+	cli.Bind(f, anywhere, &o.backend, "backend", fmt.Sprintf("runtime backend, one of %v", runtime.Backends()))
 	cli.Bind(f, anywhere, &o.listProtocols, "protocols", "list registered protocols and exit")
 	cli.Bind(f, anywhere, &o.traceCSV, "trace-csv", "enable per-query tracing and write hop-by-hop records to this CSV file (socket backend: group 0 only)")
-	cli.Bind(f, wallClock, &o.obs, "obs", "wall-clock backends: serve live /metrics and /traces on this address during the run (implies tracing)")
-	cli.Bind(f, onSim|onRealtime, &o.printFP, "print-fingerprint", "print only the run fingerprint (for cross-process determinism checks)")
-	cli.Bind(f, onSim|onRealtime, &o.cpuProfile, "cpuprofile", "write a CPU profile of the run to this file")
-	cli.Bind(f, onSim|onRealtime, &o.memProfile, "memprofile", "write an end-of-run heap profile to this file")
+	cli.Bind(f, onSocket, &o.obs, "obs", "socket backend: serve live /metrics and /traces on this address during the run (implies tracing)")
+	cli.Bind(f, onSim, &o.printFP, "print-fingerprint", "print only the run fingerprint (for cross-process determinism checks)")
+	cli.Bind(f, anywhere|perProcess, &o.cpuProfile, "cpuprofile", "write a CPU profile of the run to this file")
+	cli.Bind(f, anywhere|perProcess, &o.memProfile, "memprofile", "write an end-of-run heap profile to this file")
 	cli.Bind(f, onSim, &o.exp.MeasureMem, "measure-mem", "sample the live heap after the run (forced GC) and print bytes/node")
 	cli.Bind(f, onSim, &o.series, "series", "print the hourly hit-ratio series")
 	cli.Bind(f, onSim, &o.printParams, "print-params", "print the Table 1 parameter sheet and exit")
 
-	cli.Bind(f, wallClock, &o.population, "population", "realtime backend: mean population size")
-	cli.Bind(f, wallClock, &o.horizon, "horizon", "realtime backend: wall-clock run length")
+	cli.Bind(f, onSocket, &o.population, "population", "socket backend: mean population size")
+	cli.Bind(f, onSocket, &o.horizon, "horizon", "socket backend: wall-clock run length")
 	cli.Bind(f, onSocket|perProcess, &o.sock.Listen, "listen", "socket backend: this process's TCP listen address")
-	cli.Bind(f, onSocket|perProcess, &o.peers, "peers", "socket backend: comma-separated index-ordered group addresses")
+	cli.Bind(f, onSocket|perProcess, &o.peers, "peers", "socket backend: comma-separated index-ordered group addresses (default: a group of one)")
 	cli.Bind(f, onSocket|perProcess, &o.sock.Group, "group", "socket backend: this process's index in -peers (default: position of -listen)")
-	cli.Bind(f, onSocket|perProcess, &o.groups, "groups", "socket backend: expected group count (asserted against -peers)")
 	cli.Bind(f, onSocket|perProcess, &o.spawnLocal, "spawn-local", "socket backend: fork N local processes into one population")
 	return o
 }
@@ -143,13 +140,9 @@ func parse(fs *flag.FlagSet, args []string) (*options, []string, error) {
 	// An unknown backend name takes the sim path, where the harness
 	// rejects it with the list of built-in ones.
 	why := "scale comes from -population/-horizon"
-	switch o.backend {
-	case "realtime":
-		o.on = onRealtime
-	case "socket":
-		o.on = onSocket
-	default:
-		o.on, why = onSim, "it belongs to the wall-clock backends"
+	o.on = onSocket
+	if o.backend != "socket" {
+		o.on, why = onSim, "it belongs to the socket backend"
 	}
 	var warnings []string
 	o.flags.VisitSet(func(t cli.Tag) bool { return t&o.on == 0 }, func(fl *flag.Flag) {
@@ -201,27 +194,23 @@ func (o *options) main() error {
 }
 
 // config builds the run's harness.Config. The sim backend lowers the
-// whole experiment through the façade. The wall-clock backends start
-// from the harness's compressed demo presets — scale comes from
-// -population/-horizon — and take over the knobs that are not scale,
+// whole experiment through the façade. The socket backend starts from
+// the harness's compressed demo preset — scale comes from
+// -population/-horizon — and takes over the knobs that are not scale,
 // here and nowhere else.
 func (o *options) config() (harness.Config, error) {
 	c := o.exp
 	c.Trace = o.traceCSV != "" || o.obs != ""
-	var hc harness.Config
-	switch o.on {
-	case onSim:
-		c.Backend = o.backend
-		return c.Lower()
-	case onRealtime:
-		hc = harness.RealtimeDemoConfig(o.population, o.horizon.Milliseconds())
-	case onSocket:
-		sock, err := o.socket()
-		if err != nil {
-			return hc, err
-		}
-		hc = harness.SocketDemoConfig(o.population, o.horizon.Milliseconds(), sock)
+	if o.on == onSim {
+		hc, err := c.Lower()
+		hc.Backend = o.backend
+		return hc, err
 	}
+	sock, err := o.socket()
+	if err != nil {
+		return harness.Config{}, err
+	}
+	hc := harness.SocketDemoConfig(o.population, o.horizon.Milliseconds(), sock)
 	hc.Protocol = harness.Protocol(c.Protocol)
 	hc.Seed = c.Seed
 	hc.MessageLossRate = c.MessageLossRate
@@ -243,7 +232,7 @@ func (o *options) config() (harness.Config, error) {
 func leads(hc harness.Config) bool { return hc.Socket == nil || hc.Socket.Group == 0 }
 
 // run executes hc between the profiles, serving the observability
-// endpoint and printing live windows on the wall-clock backends.
+// endpoint and printing live windows on the socket backend.
 func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error) {
 	if o.obs != "" && leads(hc) {
 		// The harness stops the server when the run returns; the deferred
@@ -257,12 +246,12 @@ func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error)
 		hc.Obs = srv
 		fmt.Printf("observability: serving /metrics and /traces on http://%s\n", bound)
 	}
-	if o.on&wallClock != 0 && !o.printFP {
+	if s := hc.Socket; s != nil {
 		hc.OnWindow = func(p metrics.SeriesPoint) {
 			fmt.Printf("[%5.1fs] hit-ratio %.3f  queries %4d  lookup %5.0fms  transfer %4.0fms\n",
 				float64(p.Start+hc.SeriesWindow)/1000, p.HitRatio, p.Queries, p.MeanLookupMs, p.MeanTransferMs)
 		}
-		if s := hc.Socket; s != nil {
+		if s.Groups() > 1 {
 			fmt.Printf("socket group %d/%d on %s: ", s.Group, len(s.Peers), s.Listen)
 		}
 		fmt.Printf("live %s run: population %d, horizon %v, %d ms windows\n",
@@ -281,7 +270,8 @@ func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error)
 
 // report prints the finished run. With -print-fingerprint that is
 // exactly one line, stable across equivalent sim runs: the contract of
-// make fingerprint-check (on realtime the value is not reproducible).
+// make fingerprint-check (the flag is sim-only: a wall-clock run's value
+// is not reproducible).
 func (o *options) report(hc harness.Config, res *harness.Result, elapsed time.Duration) error {
 	if o.printFP {
 		fmt.Printf("%016x\n", res.Fingerprint)
@@ -331,15 +321,16 @@ func (o *options) report(hc harness.Config, res *harness.Result, elapsed time.Du
 }
 
 // socket resolves this process's slot in its socket group from -listen,
-// -peers, -group and -groups.
+// -peers and -group. Without -peers the group is this process alone,
+// listening on -listen or, by default, any free loopback port.
 func (o *options) socket() (runtime.SocketConfig, error) {
 	sock := o.sock
 	sock.Peers = strings.FieldsFunc(o.peers, func(r rune) bool { return r == ',' || r == ' ' })
 	if len(sock.Peers) == 0 {
-		return sock, fmt.Errorf("socket backend needs -peers (or -spawn-local N)")
-	}
-	if o.groups > 0 && o.groups != len(sock.Peers) {
-		return sock, fmt.Errorf("-groups %d but -peers lists %d addresses", o.groups, len(sock.Peers))
+		if sock.Listen == "" {
+			sock.Listen = "127.0.0.1:0"
+		}
+		sock.Peers = []string{sock.Listen}
 	}
 	if sock.Group < 0 { // default: the position of -listen in the peer list
 		if sock.Group = slices.Index(sock.Peers, sock.Listen); sock.Group < 0 {
@@ -365,6 +356,9 @@ func (o *options) spawnGroup() error {
 	n := o.spawnLocal
 	if n < 2 {
 		return fmt.Errorf("-spawn-local needs at least 2 processes, got %d", n)
+	}
+	if o.cpuProfile != "" || o.memProfile != "" { // per-process: no child is handed them
+		return fmt.Errorf("-cpuprofile/-memprofile profile one process; run the group's processes with -peers instead")
 	}
 	addrs, err := reservePorts(n)
 	if err != nil {

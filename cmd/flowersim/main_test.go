@@ -38,28 +38,33 @@ func TestDefaultFlagsAreQuickConfig(t *testing.T) {
 	if len(warnings) != 0 {
 		t.Errorf("no flags set, yet warned: %v", warnings)
 	}
-	quick := flowercdn.QuickConfig()
-	quick.Backend = "sim" // -backend's default names what QuickConfig leaves implicit
-	want, err := quick.Lower()
+	want, err := flowercdn.QuickConfig().Lower()
 	if err != nil {
 		t.Fatal(err)
 	}
+	want.Backend = "sim" // -backend's default names what QuickConfig leaves implicit
 	if got := mustConfig(t, o); !reflect.DeepEqual(got, want) {
 		t.Errorf("default flags lower to\n%+v\nwant QuickConfig's\n%+v", got, want)
 	}
 }
 
-// TestWallClockConfigIsDemoPresetPlusOverrides: on the wall-clock
-// backends the built config is the harness's demo preset with exactly
-// the flagged knobs carried over.
+// oneGroup is the slot -backend socket takes without -peers.
+var oneGroup = runtime.SocketConfig{Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:0"}}
+
+// TestWallClockConfigIsDemoPresetPlusOverrides: on the socket backend,
+// one process or a group, the built config is the harness's demo preset
+// with exactly the flagged knobs carried over.
 func TestWallClockConfigIsDemoPresetPlusOverrides(t *testing.T) {
 	slot := []string{"-listen", "b:1", "-peers", "a:1, b:1"}
 	presets := []struct {
 		args   []string
 		preset func() harness.Config
 	}{
-		{[]string{"-backend", "realtime"}, func() harness.Config {
-			return harness.RealtimeDemoConfig(50, 5000)
+		{[]string{"-backend", "socket"}, func() harness.Config {
+			return harness.SocketDemoConfig(50, 5000, oneGroup)
+		}},
+		{[]string{"-backend", "socket", "-listen", "c:1"}, func() harness.Config {
+			return harness.SocketDemoConfig(50, 5000, runtime.SocketConfig{Listen: "c:1", Peers: []string{"c:1"}})
 		}},
 		{append([]string{"-backend", "socket"}, slot...), func() harness.Config {
 			return harness.SocketDemoConfig(50, 5000, runtime.SocketConfig{
@@ -91,8 +96,8 @@ func TestWallClockConfigIsDemoPresetPlusOverrides(t *testing.T) {
 			}
 		}
 	}
-	o, _ := mustParse(t, "-backend", "realtime", "-population", "20", "-horizon", "2s")
-	if got, want := mustConfig(t, o), harness.RealtimeDemoConfig(20, 2000); !reflect.DeepEqual(got, want) {
+	o, _ := mustParse(t, "-backend", "socket", "-population", "20", "-horizon", "2s")
+	if got, want := mustConfig(t, o), harness.SocketDemoConfig(20, 2000, oneGroup); !reflect.DeepEqual(got, want) {
 		t.Errorf("-population/-horizon build\n%+v\nwant\n%+v", got, want)
 	}
 }
@@ -113,7 +118,7 @@ func TestEveryFlagSaysWhereItApplies(t *testing.T) {
 }
 
 func TestIgnoredFlagWarnsOnceAndIsReset(t *testing.T) {
-	o, warnings := mustParse(t, "-backend", "socket", "-zipf", "0.2", "-loss", "0.1", "-groups", "2")
+	o, warnings := mustParse(t, "-backend", "socket", "-zipf", "0.2", "-loss", "0.1", "-cpuprofile", "x")
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "-zipf is ignored with -backend socket") {
 		t.Errorf("warnings = %q, want exactly one, about -zipf", warnings)
 	}
@@ -123,8 +128,8 @@ func TestIgnoredFlagWarnsOnceAndIsReset(t *testing.T) {
 	if _, warnings = mustParse(t, "-obs", ":0", "-p", "100"); len(warnings) != 1 || !strings.Contains(warnings[0], "-obs") {
 		t.Errorf("sim warnings = %q, want exactly one, about -obs", warnings)
 	}
-	if _, warnings = mustParse(t, "-backend", "realtime", "-groups", "2", "-cpuprofile", "x"); len(warnings) != 1 || !strings.Contains(warnings[0], "-groups") {
-		t.Errorf("realtime warnings = %q, want exactly one, about -groups", warnings)
+	if _, warnings = mustParse(t, "-backend", "socket", "-print-fingerprint", "-cpuprofile", "x"); len(warnings) != 1 || !strings.Contains(warnings[0], "-print-fingerprint") {
+		t.Errorf("socket warnings = %q, want exactly one, about -print-fingerprint", warnings)
 	}
 }
 
@@ -136,7 +141,7 @@ func TestSpawnLocalChildArgs(t *testing.T) {
 		"-horizon=2s", "-loss=0.05", "-obs=127.0.0.1:0", "-population=30", "-protocol=squirrel",
 		"-seed=7", "-trace-csv=t.csv"}
 	o, _ := mustParse(t, append([]string{"--spawn-local", "3", "-listen", "x:1", "--peers=x:1,y:1",
-		"-group", "1", "-groups", "2", "-hours", "3"}, groupWide...)...)
+		"-group", "1", "-cpuprofile", "x", "-hours", "3"}, groupWide...)...)
 	child := o.childArgs()
 	if !reflect.DeepEqual(child, groupWide) {
 		t.Errorf("child args = %v\nwant %v", child, groupWide)
@@ -153,15 +158,9 @@ func TestSpawnLocalChildArgs(t *testing.T) {
 }
 
 func TestSocketSlotErrors(t *testing.T) {
-	for _, tc := range []struct{ args, want string }{
-		{"", "needs -peers"},
-		{"-listen c:1 -peers a:1,b:1", "not in -peers"},
-		{"-listen a:1 -peers a:1,b:1 -groups 3", "-groups 3 but -peers lists 2"},
-	} {
-		o, _ := mustParse(t, append([]string{"-backend", "socket"}, strings.Fields(tc.args)...)...)
-		if _, err := o.config(); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%q: error %v, want one containing %q", tc.args, err, tc.want)
-		}
+	o, _ := mustParse(t, "-backend", "socket", "-listen", "c:1", "-peers", "a:1,b:1")
+	if _, err := o.config(); err == nil || !strings.Contains(err.Error(), "not in -peers") {
+		t.Errorf("-listen outside -peers: error %v, want one saying so", err)
 	}
 }
 
@@ -170,7 +169,7 @@ func TestSocketSlotErrors(t *testing.T) {
 func TestFlagNamesArePinned(t *testing.T) {
 	want := []string{
 		"active", "backend", "cache-capacity", "cache-policy", "collab", "cpuprofile",
-		"exact-summaries", "gossip-every", "group", "groups", "horizon", "hours",
+		"exact-summaries", "gossip-every", "group", "horizon", "hours",
 		"interest-skew", "k", "listen", "load-limit", "locality-skew", "loss",
 		"measure-mem", "memprofile", "objects", "obs", "p", "peers", "population",
 		"print-fingerprint", "print-params", "protocol", "protocols", "push",

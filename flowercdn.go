@@ -67,10 +67,6 @@ func Protocols() []Protocol {
 	return toProtocols(protocols.Names())
 }
 
-// Backends returns the runtime backends, a fixed list ("realtime",
-// "sim", "socket").
-func Backends() []string { return runtime.Backends() }
-
 // CachePolicies returns the cache-eviction policies, a fixed list
 // ("none" first, then alphabetical).
 func CachePolicies() []string { return cache.Names() }
@@ -99,16 +95,11 @@ func toProtocols(names []string) []Protocol {
 
 // Config is the user-facing experiment configuration. The zero value is
 // not runnable; start from DefaultConfig (the paper's Table 1) and
-// adjust.
+// adjust. It runs on the deterministic discrete-event simulation; live
+// wall-clock runs are flowersim's -backend socket, not expressible here.
 type Config struct {
 	// Protocol selects the system under test.
 	Protocol Protocol
-	// Backend selects the runtime backend: "" or "sim" is the
-	// deterministic discrete-event simulation; "realtime" executes the
-	// identical protocol code on wall-clock timers and genuinely takes
-	// Hours of wall time. (Seconds-scale live runs and the multi-process
-	// "socket" backend are flowersim's, not expressible here.)
-	Backend string
 	// Seed makes runs reproducible: equal seeds, equal results.
 	Seed uint64
 	// Population is P, the mean number of concurrently-online peers.
@@ -164,7 +155,7 @@ type Config struct {
 	CacheCapacity int
 	// MeasureMem samples end-of-run heap statistics (live heap after a
 	// forced GC, bytes per node) into Result.MemStats — the measurement
-	// the big-cell benchmarks track. Single-process backends only.
+	// the big-cell benchmarks track.
 	MeasureMem bool
 	// Trace opts the run into per-query lookup tracing: every completed
 	// query records its hop-by-hop resolution path (overlay forwardings,
@@ -226,7 +217,6 @@ func (c Config) Lower() (harness.Config, error) {
 		}
 		hc.Protocol = c.Protocol
 	}
-	hc.Backend = c.Backend
 	hc.Seed = c.Seed
 	hc.Population = c.Population
 	hc.Duration = int64(c.Hours) * runtime.Hour

@@ -147,7 +147,7 @@ func DefaultConfig() Config {
 }
 
 // DemoConfig returns the overlay timescales for compressed wall-clock
-// demos (harness.RealtimeDemoConfig and the socket backend): Table 1's
+// demos (harness.SocketDemoConfig and the sim smoke tests): Table 1's
 // protocol periods compress ~3600×, and the ring's maintenance must
 // compress with them or it never stabilizes inside a seconds-scale
 // horizon. Timeouts stay bounded below by the topology's real

@@ -478,7 +478,7 @@ func TestRecordFileTornTail(t *testing.T) {
 // processes.
 func TestValidateRejectsNonDistributable(t *testing.T) {
 	cases := map[string]func(*harness.Config){
-		"backend": func(c *harness.Config) { c.Backend = "realtime" },
+		"backend": func(c *harness.Config) { c.Backend = "socket" },
 		"hooks":   func(c *harness.Config) { c.OnWindow = func(metrics.SeriesPoint) {} },
 		"trace":   func(c *harness.Config) { c.Trace = &harness.TraceConfig{} },
 		"mem":     func(c *harness.Config) { c.MeasureMem = true },

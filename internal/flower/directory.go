@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"flowercdn/internal/runtime"
 	"fmt"
+	"maps"
 	"slices"
 
 	"flowercdn/internal/chord"
@@ -54,8 +55,8 @@ type memberInfo struct {
 	lastSeen int64
 	keys     map[content.Key]struct{}
 	// meta is the boxed ContactMeta viewSeed last handed out for this
-	// member, reused while it still names the directory's dir-info (see
-	// contactMeta); nil until the member is first sampled.
+	// member, reused while its dir-info and keys stand (see contactMeta
+	// and addKey); nil until the member is next sampled.
 	meta any
 }
 
@@ -358,7 +359,7 @@ func (p *Peer) onPush(from runtime.NodeID, r pushReq) (any, error) {
 	}
 	m := p.admitMember(from)
 	for _, k := range r.Keys {
-		m.keys[k] = struct{}{}
+		m.addKey(k)
 		p.dir.index.Add(k, from)
 	}
 	return pushResp{}, nil
@@ -503,19 +504,28 @@ func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 
 // contactMeta is the metadata a view seed carries for member m: its
 // exact summary and this directory's dir-info, boxed once and handed to
-// every joiner that samples m until the dir-info changes. A boxed value
-// is immutable, so sharing it gives each joiner what a fresh box would.
+// every joiner that samples m until the dir-info or the member's keys
+// change. The box holds m's key set itself, a snapshot because addKey
+// never writes a set a box holds. A boxed value is immutable, so
+// sharing it gives each joiner what a fresh box would.
 func (p *Peer) contactMeta(m *memberInfo) any {
 	if cm, ok := m.meta.(ContactMeta); ok && cm.Dir == p.dirInfo {
 		return m.meta
 	}
-	m.meta = ContactMeta{
-		// The member's live key set, not a snapshot: on in-process
-		// backends the client sees later pushes too (ROADMAP 2(b)).
-		Summary: exactSummary(m.keys),
-		Dir:     p.dirInfo,
-	}
+	m.meta = ContactMeta{Summary: exactSummary(m.keys), Dir: p.dirInfo}
 	return m.meta
+}
+
+// addKey records that the member holds k. A new key in a set that a
+// contactMeta box holds goes into a copy, and the box goes.
+func (m *memberInfo) addKey(k content.Key) {
+	if _, ok := m.keys[k]; ok {
+		return
+	}
+	if m.meta != nil {
+		m.keys, m.meta = maps.Clone(m.keys), nil
+	}
+	m.keys[k] = struct{}{}
 }
 
 // ---- client query processing ----
@@ -710,7 +720,7 @@ func (p *Peer) adoptView(m handoffMsg) {
 			}
 			p.dir.index.Add(k, nid)
 			if i, ok := p.dir.member(nid); ok {
-				p.dir.members[i].keys[k] = struct{}{}
+				p.dir.members[i].addKey(k)
 			}
 		}
 	}

@@ -30,21 +30,21 @@ func (b *backend) Run(until int64) uint64 { return b.loop.Run(until) }
 func newBackend(cfg Config, topo *topology.Topology, lossRNG *rnd.RNG) (runtime.Runtime, func() error, error) {
 	noClose := func() error { return nil }
 	switch name := cfg.ResolvedBackend(); name {
-	case "sim", "realtime":
-		b := &backend{}
-		if name == "sim" {
-			eng := sim.NewEngine()
-			b.loop, b.clock = eng, eng.Clock()
-		} else {
-			clock := wallclock.NewClock()
-			b.loop, b.clock = clock, clock
-		}
-		net := simnet.New(b.clock, topo)
-		if cfg.MessageLossRate > 0 {
+	case "sim":
+		eng := sim.NewEngine()
+		newNet := func(clock runtime.Clock) runtime.Transport {
+			net := simnet.New(clock, topo)
 			net.SetLossRate(cfg.MessageLossRate, lossRNG)
+			return net
 		}
-		b.net = net
-		return b, noClose, nil
+		build := cfg.buildSim
+		if build == nil {
+			build = func(clock runtime.Clock, newNet func(runtime.Clock) runtime.Transport) (runtime.Clock, runtime.Transport) {
+				return clock, newNet(clock)
+			}
+		}
+		clock, net := build(eng.Clock(), newNet)
+		return &backend{loop: eng, clock: clock, net: net}, noClose, nil
 	case "socket":
 		tr, err := socknet.Dial(socknet.Config{
 			Socket:   *cfg.Socket,

@@ -33,8 +33,7 @@ func TestCrossBackendSmokeSim(t *testing.T) {
 	for _, name := range protocols.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := RealtimeDemoConfig(50, 10_000)
-			cfg.Backend = "sim"
+			cfg := demoConfig(50, 10_000)
 			cfg.Protocol = Protocol(name)
 			res, err := Run(cfg)
 			if err != nil {
@@ -68,8 +67,7 @@ func TestCacheBoundedSmokeSim(t *testing.T) {
 	for _, name := range protocols.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := RealtimeDemoConfig(50, 10_000)
-			cfg.Backend = "sim"
+			cfg := demoConfig(50, 10_000)
 			cfg.Protocol = Protocol(name)
 			cfg.Options["cache-policy"] = "lru"
 			cfg.Options["cache-capacity"] = 2
@@ -90,29 +88,28 @@ func TestCacheBoundedSmokeSim(t *testing.T) {
 	}
 }
 
-// TestCrossBackendSmokeRealtime runs every protocol on the
-// wall-clock backend for a short horizon each — a run genuinely takes
-// its 1.5 s, so the protocols run side by side — and asserts clean
-// completion with live queries. Hit assertions are limited to the query-dense flower family:
-// at seconds-scale horizons the sparser protocols' hit counts are
-// legitimately noisy (that's what the deterministic leg above pins
-// down).
+// TestCrossBackendSmokeRealtime runs every protocol in real time, as
+// one process on a socket group of one, for a short horizon each — a
+// run genuinely takes its 1.5 s, so the protocols run side by side —
+// and asserts clean completion with live queries. Hit assertions are
+// limited to the query-dense flower family: at seconds-scale horizons
+// the sparser protocols' hit counts are legitimately noisy (that's what
+// the deterministic leg above pins down).
 func TestCrossBackendSmokeRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
 	eachProtocolAtOnce(t, func(t *testing.T, name string) {
-		cfg := RealtimeDemoConfig(50, 1500)
-		cfg.Protocol = Protocol(name)
+		cfg := oneGroupConfig(Protocol(name), 1500)
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Backend != "realtime" {
+		if res.Backend != "socket" {
 			t.Fatalf("result backend %q", res.Backend)
 		}
 		if res.Queries == 0 {
-			t.Fatal("no queries at all on the realtime backend")
+			t.Fatal("no queries at all on the wall clock")
 		}
 		if res.AlivePeers == 0 {
 			t.Fatal("no peers alive at the end of the run")
@@ -123,28 +120,27 @@ func TestCrossBackendSmokeRealtime(t *testing.T) {
 	})
 }
 
-// TestCacheBoundedSmokeRealtime repeats the bounded-cache smoke on the
-// wall-clock backend: the eviction path runs outside the simulator
-// too, with live eviction counters and a clean shutdown. 1.5 s per
-// protocol, side by side.
+// TestCacheBoundedSmokeRealtime repeats the bounded-cache smoke in real
+// time on a socket group of one: the eviction path runs outside the
+// simulator too, with live eviction counters and a clean shutdown.
+// 1.5 s per protocol, side by side.
 func TestCacheBoundedSmokeRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
 	eachProtocolAtOnce(t, func(t *testing.T, name string) {
-		cfg := RealtimeDemoConfig(50, 1500)
-		cfg.Protocol = Protocol(name)
+		cfg := oneGroupConfig(Protocol(name), 1500)
 		cfg.Options["cache-policy"] = "lru"
 		cfg.Options["cache-capacity"] = 2
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Backend != "realtime" {
+		if res.Backend != "socket" {
 			t.Fatalf("result backend %q", res.Backend)
 		}
 		if res.Queries == 0 {
-			t.Fatal("no queries at all on the realtime backend")
+			t.Fatal("no queries at all on the wall clock")
 		}
 		if res.AlivePeers == 0 {
 			t.Fatal("no peers alive at the end of the run")

@@ -110,7 +110,7 @@ func FormatTable2(rows []Table2Row) string {
 func fmtMs(v float64) string { return fmt.Sprintf("%.0f ms", v) }
 
 // fmtDuration prints an experiment horizon in hours at paper scale and
-// in seconds for sub-hour (realtime demo) runs.
+// in seconds for sub-hour (compressed demo) runs.
 func fmtDuration(ms int64) string {
 	if ms >= runtime.Hour {
 		return fmt.Sprintf("%d h", ms/runtime.Hour)

@@ -61,11 +61,11 @@ const (
 type Config struct {
 	Protocol Protocol
 	// Backend names the runtime backend the run executes on: "sim"
-	// (default — the deterministic discrete-event engine), "realtime"
-	// (wall-clock timers; the run genuinely takes Duration to finish)
-	// or "socket" (wall-clock timers with the population partitioned
-	// across cooperating OS processes over TCP — see Socket), or a name
-	// added with runtime.RegisterBackend.
+	// (default — the deterministic discrete-event engine) or "socket"
+	// (wall-clock timers, the run genuinely taking Duration to finish,
+	// with the population partitioned across the processes of a TCP
+	// group — see Socket; a group of one is a single-process live run),
+	// or a name added with runtime.RegisterBackend.
 	Backend string
 	// Socket describes this process's slot in a socket-backend group:
 	// listen address, the full index-ordered peer list and our index.
@@ -151,8 +151,8 @@ type Config struct {
 
 	// Obs, when set, is attached to the run's metrics pipeline so a live
 	// observability server (*obs.Server is the one implementation) sees
-	// queries, counters and traces as they happen (realtime/socket runs;
-	// works on sim too). The caller builds and starts the server; the
+	// queries, counters and traces as they happen (socket runs; works on
+	// sim too). The caller builds and starts the server; the
 	// harness stops it when the run returns (Stop must be idempotent, so
 	// a caller-side stop stays safe), keeping the endpoint's lifetime
 	// tied to the run it reports on.
@@ -168,6 +168,11 @@ type Config struct {
 	// index in the run's pool (the order of first arrival). Package
 	// tests digest a run's population through it.
 	onMint func(idx int, ind proto.Identity)
+	// buildSim, when set, builds the sim backend's clock and leg from
+	// the engine's clock and the function that makes the run's simnet
+	// (loss included) on a clock. Package tests decorate either through
+	// it; unset, the leg is newNet(clock) on the engine's own clock.
+	buildSim func(clock runtime.Clock, newNet func(runtime.Clock) runtime.Transport) (runtime.Clock, runtime.Transport)
 }
 
 // TraceConfig opts a run into per-query lookup tracing.
@@ -255,16 +260,15 @@ func QuickConfig() Config {
 	return cfg
 }
 
-// RealtimeDemoConfig returns a configuration scaled for wall-clock
-// execution on the "realtime" backend: a small population with the
-// paper's timescales compressed roughly 3600× (sub-second gossip and
-// keepalive periods, queries every ~50 ms, 1 s metric windows), so a
-// seconds-scale horizon exhibits the full protocol lifecycle — seed
-// bootstrap, directory registration, petal gossip, churn — in real
-// time. horizon is wall-clock milliseconds.
-func RealtimeDemoConfig(population int, horizon int64) Config {
+// demoConfig is the compressed-timescale preset, on the sim backend: a
+// small population with the paper's timescales compressed roughly
+// 3600× (sub-second gossip and keepalive periods, queries every
+// ~50 ms, 1 s metric windows), so a seconds-scale horizon exhibits the
+// full protocol lifecycle — seed bootstrap, directory registration,
+// petal gossip, churn. SocketDemoConfig runs it on the wall clock; the
+// sim smoke tests run it as is. horizon is in milliseconds.
+func demoConfig(population int, horizon int64) Config {
 	cfg := DefaultConfig()
-	cfg.Backend = "realtime"
 	cfg.Population = population
 	cfg.Duration = horizon
 	cfg.SeedStagger = 10 * runtime.Millisecond
@@ -299,18 +303,20 @@ func RealtimeDemoConfig(population int, horizon int64) Config {
 	return cfg
 }
 
-// SocketDemoConfig returns RealtimeDemoConfig scaled for the socket
-// backend: the same compressed timescales, with the population spread
-// over the process group described by sock. The seed stagger is wider
-// than the realtime demo's because bootstrap seeds claim D-ring
-// positions across process boundaries — each claim needs the founding
-// announcement to have crossed the bus first. population and horizon
-// are GROUP-wide: pass the same values to every process.
+// SocketDemoConfig returns the compressed-timescale preset on the
+// socket backend, the population spread over the process group sock
+// describes (a group of one is a single-process live run). A larger
+// group staggers its seeds wider: a seed's D-ring claim across process
+// boundaries needs the founding announcement to have crossed the bus
+// first. population and horizon (wall-clock ms) are GROUP-wide: pass
+// the same values to every process.
 func SocketDemoConfig(population int, horizon int64, sock runtime.SocketConfig) Config {
-	cfg := RealtimeDemoConfig(population, horizon)
+	cfg := demoConfig(population, horizon)
 	cfg.Backend = "socket"
 	cfg.Socket = &sock
-	cfg.SeedStagger = 50 * runtime.Millisecond
+	if sock.Groups() > 1 {
+		cfg.SeedStagger = 50 * runtime.Millisecond
+	}
 	return cfg
 }
 

@@ -5,41 +5,26 @@ import (
 
 	"flowercdn/internal/protocols"
 	"flowercdn/internal/runtime"
-	"flowercdn/internal/sim"
-	"flowercdn/internal/simnet"
 	"flowercdn/internal/transporttest"
 )
 
-// checkedRun is the subtest now running on the checked backend: its
-// handles fail it at the first call from each site, at once, so the
-// report is out even if the misuse goes on to crash the run.
-var checkedRun struct {
-	t    *testing.T
-	seen map[string]bool
-}
-
-func reportViolation(v string) {
-	if !checkedRun.seen[v] {
-		checkedRun.seen[v] = true
-		checkedRun.t.Error(v)
-	}
-}
-
-const checkedBackend = "sim-release-checked"
-
-func init() {
-	// The sim backend rebuilt with transporttest.ReleaseClock between
-	// the engine and everything that schedules on it, the message layer
-	// included — the way benchmark/spans decorates a backend.
-	runtime.RegisterBackend(checkedBackend, func(cfg runtime.BackendConfig) (runtime.Runtime, error) {
-		eng := sim.NewEngine()
-		clock := transporttest.ReleaseClock(eng.Clock(), reportViolation)
-		net := simnet.New(clock, cfg.Topo)
-		if cfg.LossRate > 0 {
-			net.SetLossRate(cfg.LossRate, cfg.LossRNG)
+// releaseChecked builds the sim backend with transporttest.ReleaseClock
+// between the engine and everything that schedules on it, the message
+// layer included. Its handles fail t at the first call from each site,
+// at once, so the report is out even if the misuse goes on to crash the
+// run.
+func releaseChecked(t *testing.T) func(runtime.Clock, func(runtime.Clock) runtime.Transport) (runtime.Clock, runtime.Transport) {
+	seen := map[string]bool{}
+	report := func(v string) {
+		if !seen[v] {
+			seen[v] = true
+			t.Error(v)
 		}
-		return &backend{loop: eng, clock: clock, net: net}, nil
-	})
+	}
+	return func(clock runtime.Clock, newNet func(runtime.Clock) runtime.Transport) (runtime.Clock, runtime.Transport) {
+		clock = transporttest.ReleaseClock(clock, report)
+		return clock, newNet(clock)
+	}
 }
 
 // TestNoTimerUsedAfterRelease runs every protocol's quick cell, under
@@ -62,8 +47,7 @@ func TestNoTimerUsedAfterRelease(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkedRun.t, checkedRun.seen = t, map[string]bool{}
-			cfg.Backend = checkedBackend
+			cfg.buildSim = releaseChecked(t)
 			checked, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -71,6 +71,15 @@ func socketGroupOnce(t *testing.T, protocol Protocol, groups, population int, ho
 	return results, errs
 }
 
+// oneGroupConfig is the single-process live cell: the demo preset on a
+// socket group of one, listening on any free loopback port, so cells
+// side by side never race for a port.
+func oneGroupConfig(protocol Protocol, horizon int64) Config {
+	cfg := SocketDemoConfig(50, horizon, runtime.SocketConfig{Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:0"}})
+	cfg.Protocol = protocol
+	return cfg
+}
+
 // TestSocketBackendSmoke runs the flagship protocol across three
 // TCP-connected harness instances: queries must flow in every group,
 // hits must happen somewhere (content crossing process boundaries),

@@ -69,8 +69,8 @@ func TestTraceDigestsSim(t *testing.T) {
 		protocol Protocol
 		digest   uint64
 	}{
-		{ProtocolFlower, 0xacae95b5fe8f9486},
-		{Protocol("petalup"), 0xacae95b5fe8f9486},
+		{ProtocolFlower, 0xf7f97be10f5addc3},
+		{Protocol("petalup"), 0xf7f97be10f5addc3},
 		{ProtocolSquirrel, 0xf9e251401bd1b993},
 		{Protocol("chord-global"), 0x12a567cc7f32efe6},
 		{Protocol("koorde-global"), 0x6afb41f7a24e0651},
@@ -174,8 +174,7 @@ func TestTraceConformanceSim(t *testing.T) {
 	for _, name := range protocols.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			cfg := RealtimeDemoConfig(50, 10_000)
-			cfg.Backend = "sim"
+			cfg := demoConfig(50, 10_000)
 			cfg.Protocol = Protocol(name)
 			cfg.Trace = &TraceConfig{}
 			res, err := Run(cfg)
@@ -194,17 +193,16 @@ func TestTraceConformanceSim(t *testing.T) {
 	}
 }
 
-// TestTraceConformanceRealtime repeats the conformance check on the
-// wall-clock backend (1.5 s per protocol, side by side): the same
-// invariants hold when hops are stamped from a real clock on live
+// TestTraceConformanceRealtime repeats the conformance check in real
+// time on a socket group of one (1.5 s per protocol, side by side): the
+// same invariants hold when hops are stamped from a real clock on live
 // goroutines.
 func TestTraceConformanceRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
 	eachProtocolAtOnce(t, func(t *testing.T, name string) {
-		cfg := RealtimeDemoConfig(50, 1500)
-		cfg.Protocol = Protocol(name)
+		cfg := oneGroupConfig(Protocol(name), 1500)
 		cfg.Trace = &TraceConfig{}
 		res, err := Run(cfg)
 		if err != nil {
@@ -282,7 +280,7 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // TestTraceLiveEndpoint exercises the observability server end to end
-// on a realtime run: /metrics serves the live aggregate lines and
+// on a one-process socket run: /metrics serves the live aggregate lines and
 // /traces serves the collected records as JSON. The endpoints are
 // probed from the window hook — mid-run — because the harness stops an
 // attached server when the run returns; a post-run probe would hit a
@@ -303,7 +301,7 @@ func TestTraceLiveEndpoint(t *testing.T) {
 	// it only records; all assertions happen after Run returns. Each
 	// window overwrites the bodies — the last successful probe wins.
 	var metricsBody, tracesBody string
-	cfg := RealtimeDemoConfig(50, 1500)
+	cfg := oneGroupConfig(ProtocolFlower, 1500)
 	cfg.Trace = &TraceConfig{}
 	cfg.Obs = srv
 	cfg.OnWindow = func(metrics.SeriesPoint) {
@@ -319,7 +317,7 @@ func TestTraceLiveEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Queries == 0 {
-		t.Fatal("no queries on the realtime run")
+		t.Fatal("no queries on the live run")
 	}
 
 	if metricsBody == "" {

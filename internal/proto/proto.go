@@ -60,7 +60,7 @@ import (
 // per run; every handle is exclusive to that run.
 type Env struct {
 	// Clock is the run's time source: the discrete-event engine on the
-	// sim backend, the wall clock on the realtime backend.
+	// sim backend, the wall clock on the socket backend.
 	Clock runtime.Clock
 	// Net is the message layer: what a deployed peer can do.
 	Net runtime.Net

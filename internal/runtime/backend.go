@@ -76,14 +76,13 @@ func (c *SocketConfig) Validate() error {
 func (c *SocketConfig) Groups() int { return len(c.Peers) }
 
 // Backends returns the built-in backends, in listing order. Each is a
-// clock plus a leg, and the harness builds all three:
+// clock plus a leg, and the harness builds both:
 //
-//	realtime  the wall clock (internal/wallclock) and simnet's
-//	          in-process loopback
-//	sim       the discrete-event engine (internal/sim) and simnet
-//	socket    simnet joined to a TCP process group (internal/socknet),
-//	          then a wall clock bound once the mesh is up
-func Backends() []string { return []string{"realtime", "sim", "socket"} }
+//	sim     the discrete-event engine (internal/sim) and simnet
+//	socket  simnet joined to a TCP process group (internal/socknet),
+//	        then a wall clock (internal/wallclock) bound once the mesh
+//	        is up; a group of one is a single-process live run
+func Backends() []string { return []string{"sim", "socket"} }
 
 // BackendFactory builds a Runtime for one run.
 type BackendFactory func(cfg BackendConfig) (Runtime, error)

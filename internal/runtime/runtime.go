@@ -12,20 +12,20 @@
 // and gossip substrates — holds a Net; the harness, metrics and traces
 // read the Observer. Transport, their union, is what a backend provides
 // (see its doc for why it keeps that name). A backend is a clock plus a
-// leg, and the three built-ins (Backends) are pairs the harness builds:
+// leg, and the two built-ins (Backends) are pairs the harness builds:
 //
 //   - "sim" is the deterministic discrete-event engine (internal/sim)
 //     plus the simulated message layer (internal/simnet); it is the
 //     reference implementation, bit-for-bit reproducible.
-//   - "realtime" runs the identical protocol code in real time: the wall
+//   - "socket" runs the identical protocol code in real time: the wall
 //     clock (internal/wallclock), which serializes its timers onto one
 //     run loop, plus the same simnet network, latency sampled from the
-//     same topology model.
-//   - "socket" is realtime with the population split over cooperating
-//     OS processes: the same run loop and the same simnet network, plus
-//     a wire (internal/socknet) — a leg toward another process's node is
-//     serialized by a Codec ("binary" by default) and batched over
-//     localhost or real TCP, bootstrap state mirrored over the Bus.
+//     same topology model, with the population split over a group of
+//     cooperating OS processes. A wire (internal/socknet) carries a leg
+//     toward another process's node — serialized by a Codec ("binary" by
+//     default) and batched over localhost or real TCP, bootstrap state
+//     mirrored over the Bus. A group of one has no wire traffic: it is
+//     the single-process live run.
 //
 // RegisterBackend adds a backend built outside the harness. The one
 // other registry here is the wire-type table (RegisterWireType): it
@@ -34,8 +34,8 @@
 // boundary, so each protocol package records its message types in init.
 //
 // All times are int64 milliseconds; on the sim backend they are
-// simulated milliseconds, on the realtime and socket backends wall-clock
-// milliseconds since the run started. The constants Millisecond,
+// simulated milliseconds, on the socket backend wall-clock milliseconds
+// since the run started. The constants Millisecond,
 // Second, Minute and Hour mirror the time package at that resolution.
 package runtime
 
@@ -245,6 +245,6 @@ type Runtime interface {
 	// Run drives the backend until the clock passes the horizon (ms) or
 	// Stop is called, and returns the number of events processed. On the
 	// sim backend this consumes the event queue at full speed; on the
-	// realtime backend it paces execution against the wall clock.
+	// socket backend it paces execution against the wall clock.
 	Run(until int64) uint64
 }

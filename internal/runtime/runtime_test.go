@@ -111,7 +111,6 @@ func TestRegisterBackendPanics(t *testing.T) {
 		f    BackendFactory
 	}{
 		{"sim", "sim", f},
-		{"realtime", "realtime", f},
 		{"socket", "socket", f},
 		{"an empty name", "", f},
 		{"a nil factory", "test-nil", nil},

@@ -36,7 +36,7 @@ type Bus interface {
 }
 
 // BusOf returns the transport's announcement bus, or nil when the
-// backend is single-process (sim, realtime) and has none.
+// backend has none (sim: it is single-process by construction).
 func BusOf(t Net) Bus {
 	b, _ := t.(Bus)
 	return b

@@ -14,7 +14,7 @@ import (
 
 // clocks are the two clocks the network runs on, each the other half of
 // a built-in backend: the discrete-event engine ("sim") and the wall
-// clock ("realtime", and "socket" for its same-process legs). Every test
+// clock ("socket", for its same-process legs). Every test
 // in this file runs once per clock. On the wall clock a step costs real
 // time, which is the slow-but-honest leg of the matrix.
 var clocks = []struct {

@@ -16,8 +16,8 @@
 // always timeout-driven, like on a real network.
 //
 // A clock plus this network is a backend: the engine's pair is "sim",
-// the wall clock's "realtime", and the harness builds both (its tests
-// here run on both clocks).
+// "socket" the wall clock's made a group member (below). The tests here
+// run on both clocks: the reference for socknet's same-process legs.
 //
 // A network can also be one process of a group sharing an id space, as
 // on the socket backend (InGroup). The nodes the others own are mirrored
@@ -89,8 +89,8 @@ type lateFiler interface {
 // Network is the central message switch — the loopback reference
 // implementation of runtime.Transport. It delivers through whatever
 // runtime.Clock drives it: the discrete-event engine (the "sim"
-// backend) or the wall-clock loop ("realtime", and "socket" for its
-// same-process legs), with identical latency, loss and accounting
+// backend) or the wall-clock loop (the "socket" backend's same-process
+// legs), with identical latency, loss and accounting
 // semantics. Like the engine it is single-goroutine: every call must
 // happen on the clock's callback goroutine (or before the run starts) —
 // unless it is a group member, whose methods lock.

@@ -1,8 +1,8 @@
 // Package socknet is the socket backend: the population split over
 // cooperating OS processes that talk over real TCP, so the identical
-// protocol code that runs on the deterministic simulator and the
-// in-process realtime loopback runs across process boundaries. The
-// harness builds the "socket" backend from Dial and a wall clock.
+// protocol code that runs on the deterministic simulator runs in real
+// time across process boundaries. The harness builds the "socket"
+// backend from Dial and a wall clock; a group of one is a live run.
 //
 // A process's Transport is an internal/simnet Network plus a wire. The
 // network is one member of a group sharing an id space (InGroup):
@@ -27,9 +27,9 @@
 // nodes with it: they are marked dead for good.
 //
 // Scheduling runs on the shared internal/wallclock run loop, one
-// goroutine per process, so protocol code stays lock-free. Like the
-// realtime backend, runs are NOT reproducible; unlike it, messages
-// genuinely serialize — batched, length-prefixed frames whose payloads
+// goroutine per process, so protocol code stays lock-free. Runs are NOT
+// reproducible, and messages between processes genuinely serialize —
+// batched, length-prefixed frames whose payloads
 // go through a runtime.Codec ("binary", the hand-rolled one; "gob"
 // only where a caller names it) — which is the honest price of
 // crossing a process boundary (WireStats reports it).

@@ -2,7 +2,7 @@
 // metrics pipeline: every completed query can carry a hop-by-hop
 // record of its resolution path — which nodes it visited, in which
 // localities, at what times, and which probes were summary false
-// positives — uniformly across the sim, realtime and socket backends.
+// positives — uniformly across the sim and socket backends.
 //
 // The design contract is zero overhead while disabled: a nil *Tracer
 // is fully usable (Enabled reports false, Delivered and Emit are

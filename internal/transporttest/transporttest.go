@@ -1,12 +1,12 @@
 // Package transporttest is the shared conformance suite every
 // runtime.Transport backend must pass: the contract tests for Send and
 // Request semantics, the Join/Fail lifecycle, latency and loss
-// sampling, and TransportStats accounting. The three backends run it:
-// internal/simnet's tests over both of its clocks, the engine ("sim")
-// and the wall clock ("realtime"), and internal/socknet's over real TCP
-// across transport instances ("socket") — so a semantic drift between
-// backends fails compilation-adjacent tests instead of surfacing as a
-// protocol heisenbug.
+// sampling, and TransportStats accounting. internal/simnet's tests run
+// it over the engine ("sim") and the wall clock, the reference for a
+// socket process's same-process legs, and internal/socknet's over real
+// TCP across transport instances ("socket") — so a semantic drift
+// between backends fails compilation-adjacent tests instead of
+// surfacing as a protocol heisenbug.
 //
 // The suite drives a World: one or more transport instances sharing a
 // single id space, plus a Run hook that advances every instance's

@@ -4,9 +4,9 @@
 // protocol code stays lock-free, exactly as on the discrete-event
 // engine), ordered by the same (deadline, seq) total order.
 //
-// Two backends drive it: "realtime" (the clock plus simnet's in-process
-// loopback) and "socket" (the clock plus internal/socknet's
-// multi-process TCP transport), both built by the harness. Scheduling is safe from any goroutine — transport reader
+// The "socket" backend drives it (the clock plus internal/socknet's
+// process-group transport, built by the harness); simnet's tests run it
+// alone. Scheduling is safe from any goroutine — transport reader
 // goroutines hand deliveries to the loop through Schedule — but
 // callbacks only ever execute inside Run, one at a time.
 //

@@ -135,7 +135,7 @@ func (w *Workload) NextQueryDelay(rng *rnd.RNG) int64 {
 // FirstQueryDelay draws the de-phasing delay before a freshly arrived
 // peer's first action (first query, or first petal-membership request):
 // uniform in [0, 30 s), capped at the mean query interval so
-// compressed-timescale runs (the realtime demo squeezes the paper's
+// compressed-timescale runs (the socket demo squeezes the paper's
 // hours into seconds) still act promptly. At the paper's settings the
 // cap never binds and the draw is identical to the historical 30 s
 // de-phase.
