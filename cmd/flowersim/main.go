@@ -15,7 +15,7 @@
 // of real time and prints each metric window live as it closes.
 // Timescales are compressed (~3600×) so seconds exhibit the full
 // protocol lifecycle. Without -peers it is one process, a group of one
-// on a loopback port:
+// that opens no socket:
 //
 //	flowersim -backend socket -population 50 -horizon 5s
 //
@@ -321,8 +321,8 @@ func (o *options) report(hc harness.Config, res *harness.Result, elapsed time.Du
 }
 
 // socket resolves this process's slot in its socket group from -listen,
-// -peers and -group. Without -peers the group is this process alone,
-// listening on -listen or, by default, any free loopback port.
+// -peers and -group. Without -peers the group is this process alone
+// and opens no socket; -listen (default 127.0.0.1:0) only names it.
 func (o *options) socket() (runtime.SocketConfig, error) {
 	sock := o.sock
 	sock.Peers = strings.FieldsFunc(o.peers, func(r rune) bool { return r == ',' || r == ' ' })

@@ -477,19 +477,30 @@ func TestRecordFileTornTail(t *testing.T) {
 // Validate refuses the config shapes that cannot shard across
 // processes.
 func TestValidateRejectsNonDistributable(t *testing.T) {
-	cases := map[string]func(*harness.Config){
-		"backend": func(c *harness.Config) { c.Backend = "socket" },
-		"hooks":   func(c *harness.Config) { c.OnWindow = func(metrics.SeriesPoint) {} },
-		"trace":   func(c *harness.Config) { c.Trace = &harness.TraceConfig{} },
-		"mem":     func(c *harness.Config) { c.MeasureMem = true },
+	// Each mutation is a runnable config, so the error must come from
+	// the distsweep rule it names, not from an earlier check.
+	cases := map[string]struct {
+		mutate func(*harness.Config)
+		want   string
+	}{
+		"backend": {func(c *harness.Config) {
+			c.Backend, c.Socket = "socket", &runtime.SocketConfig{Listen: "a:1", Peers: []string{"a:1"}}
+		}, "sim runs only"},
+		"hooks": {func(c *harness.Config) { c.OnWindow = func(metrics.SeriesPoint) {} }, "callback hooks"},
+		"trace": {func(c *harness.Config) { c.Trace = &harness.TraceConfig{} }, "enables tracing"},
+		"mem":   {func(c *harness.Config) { c.MeasureMem = true }, "MeasureMem"},
 	}
-	for name, mutate := range cases {
+	for name, tc := range cases {
 		spec := tinySpec()
 		cfg := spec.Cells[0].Config
-		mutate(&cfg)
+		tc.mutate(&cfg)
 		spec.Cells[0].Config = cfg
-		if err := Validate(spec); err == nil {
+		err := Validate(spec)
+		switch {
+		case err == nil:
 			t.Errorf("%s: Validate accepted a non-distributable spec", name)
+		case !strings.Contains(err.Error(), tc.want):
+			t.Errorf("%s: Validate error %q does not name the %q rule", name, err, tc.want)
 		}
 	}
 }

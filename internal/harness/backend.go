@@ -37,14 +37,11 @@ func newBackend(cfg Config, topo *topology.Topology, lossRNG *rnd.RNG) (runtime.
 			net.SetLossRate(cfg.MessageLossRate, lossRNG)
 			return net
 		}
-		build := cfg.buildSim
-		if build == nil {
-			build = func(clock runtime.Clock, newNet func(runtime.Clock) runtime.Transport) (runtime.Clock, runtime.Transport) {
-				return clock, newNet(clock)
-			}
+		if cfg.buildSim != nil {
+			clock, net := cfg.buildSim(eng.Clock(), newNet)
+			return &backend{loop: eng, clock: clock, net: net}, noClose, nil
 		}
-		clock, net := build(eng.Clock(), newNet)
-		return &backend{loop: eng, clock: clock, net: net}, noClose, nil
+		return &backend{loop: eng, clock: eng.Clock(), net: newNet(eng.Clock())}, noClose, nil
 	case "socket":
 		tr, err := socknet.Dial(socknet.Config{
 			Socket:   *cfg.Socket,

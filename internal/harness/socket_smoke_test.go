@@ -72,8 +72,8 @@ func socketGroupOnce(t *testing.T, protocol Protocol, groups, population int, ho
 }
 
 // oneGroupConfig is the single-process live cell: the demo preset on a
-// socket group of one, listening on any free loopback port, so cells
-// side by side never race for a port.
+// socket group of one, which binds no port, so cells side by side
+// never race for one.
 func oneGroupConfig(protocol Protocol, horizon int64) Config {
 	cfg := SocketDemoConfig(50, horizon, runtime.SocketConfig{Listen: "127.0.0.1:0", Peers: []string{"127.0.0.1:0"}})
 	cfg.Protocol = protocol

@@ -200,3 +200,26 @@ type nopHandler struct{}
 
 func (nopHandler) HandleMessage(runtime.NodeID, any)              {}
 func (nopHandler) HandleRequest(runtime.NodeID, any) (any, error) { return nil, nil }
+
+// TestGroupOfOneOpensNoSocket: a one-process group has no peer to
+// connect, so Dial binds nothing — it succeeds on an address another
+// listener already holds.
+func TestGroupOfOneOpensNoSocket(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	addr := held.Addr().String()
+	topo := topology.MustNew(topology.DefaultConfig(), rnd.New(1))
+	tr, err := Dial(Config{Socket: runtime.SocketConfig{Listen: addr, Peers: []string{addr}}, Topo: topo})
+	if err != nil {
+		t.Fatalf("group of one on a held address: %v", err)
+	}
+	if tr.lis != nil {
+		t.Errorf("group of one holds listener %v", tr.lis.Addr())
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -207,11 +207,11 @@ type Transport struct {
 
 // Dial listens on the configured address, forms the full mesh with
 // every other group (dialing lower indexes, accepting higher ones) and
-// returns once all connections are up. The returned Transport has no
-// clock yet; Bind one before traffic flows (the backend factory does).
+// returns once all connections are up; a group of one opens no socket.
+// Bind a clock to the result before traffic flows (the backend does).
 func Dial(cfg Config) (*Transport, error) {
-	if err := cfg.Socket.Validate(); err != nil {
-		return nil, err
+	if err := cfg.Socket.Validate(); err != nil || cfg.Socket.Groups() == 1 {
+		return DialListener(cfg, nil) // reports err, or no peer will ever dial in
 	}
 	lis, err := net.Listen("tcp", cfg.Socket.Listen)
 	if err != nil {
@@ -220,19 +220,21 @@ func Dial(cfg Config) (*Transport, error) {
 	return DialListener(cfg, lis)
 }
 
-// DialListener is Dial over a pre-opened listener — tests use it to
-// bind ephemeral ports before the peer list is assembled.
-func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
+// DialListener is Dial over lis, pre-opened so that tests can bind
+// ephemeral ports first; lis is nil for a group of one, closed on error.
+func DialListener(cfg Config, lis net.Listener) (_ *Transport, err error) {
+	defer func() {
+		if err != nil && lis != nil {
+			lis.Close()
+		}
+	}()
 	if err := cfg.Socket.Validate(); err != nil {
-		lis.Close()
 		return nil, err
 	}
 	if cfg.Topo == nil {
-		lis.Close()
 		return nil, errors.New("socknet: config needs a topology")
 	}
 	if cfg.LossRate > 0 && cfg.LossRNG == nil {
-		lis.Close()
 		return nil, errors.New("socknet: loss rate needs an RNG")
 	}
 	if cfg.ReadyTimeout <= 0 {
@@ -240,7 +242,6 @@ func DialListener(cfg Config, lis net.Listener) (*Transport, error) {
 	}
 	codec, err := runtime.NewCodec(cfg.Socket.Codec)
 	if err != nil {
-		lis.Close()
 		return nil, fmt.Errorf("socknet: %w", err)
 	}
 	groups := cfg.Socket.Groups()
@@ -784,7 +785,9 @@ func (t *Transport) Close() error {
 		pendingHs = append(pendingHs, c)
 	}
 	t.mu.Unlock()
-	t.lis.Close()
+	if t.lis != nil {
+		t.lis.Close()
+	}
 	for _, cn := range conns {
 		if cn != nil {
 			cn.shutdown()
