@@ -114,13 +114,14 @@ heap-growth-check:
 # one seed the same individuals and the same protocol stream. Flower
 # and petalup moved again when a flower directory began handing joiners
 # a snapshot of a member's key set instead of the live set.
+# All six moved when the harness took over every individual's query clock.
 FINGERPRINTS := \
-	flower=54c2064e68fecf0d \
-	petalup=54c2064e68fecf0d \
-	squirrel=3ddd166703fc1944 \
-	chord-global=c8b6ae9df9aa594d \
-	koorde-global=153858e1934fdae6 \
-	origin-only=0e8979fd2edfc999
+	flower=ae6a1cae4a6282f3 \
+	petalup=ae6a1cae4a6282f3 \
+	squirrel=8dcac063a02938ab \
+	chord-global=2eb361602e5a1a98 \
+	koorde-global=ba8ddc222b2c5ba9 \
+	origin-only=b8125c5efb770337
 fingerprint-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	go build -o "$$tmp/flowersim" ./cmd/flowersim; \
@@ -156,9 +157,11 @@ fingerprint-check:
 # ping round, a notify, a stabilize round answered with the successor's
 # one boxed reply, a routed payload, and a non-member client's lookup
 # and routed payload through a gateway: zero),
-# flower's query path on a frozen petal (a query-loop tick and a
-# gossip-path hit: zero; a directory-path hit: the request, plus the
-# directory's provider list and reply) and a joining client's view seed
+# the harness's query tick (the draws, the question, an unjoined
+# count, the timer re-armed: zero), flower's query path on a frozen
+# petal (a query while one is in flight and a gossip-path hit: zero; a
+# directory-path hit: the request, plus the directory's provider list
+# and reply) and a joining client's view seed
 # (the same count at 50 and 2 000 members), gossip's view (a shuffle
 # sample: its slice only; a 9-contact seed: one view; a lookup, removal
 # or merge of a known peer: zero), the LRU policy (an admission
@@ -176,7 +179,7 @@ fingerprint-check:
 # Request round trip over loopback TCP under one object. A count repeats
 # exactly, so unlike a timing these gate on one run.
 alloc-check:
-	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
+	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
 
 # socket-smoke runs one population across three cooperating OS
 # processes on the socket backend: real TCP between peer groups — every

@@ -26,8 +26,9 @@ import (
 
 type world struct {
 	*simrt.Runtime
-	sys *flower.System
-	pop *proto.Population
+	sys     *flower.System
+	pop     *proto.Population
+	queries *proto.Queries
 }
 
 // build assembles a small Flower/PetalUp deployment with a seeded
@@ -52,11 +53,12 @@ func build(seed uint64, cfg flower.Config) (*world, error) {
 		return nil, err
 	}
 	origins := workload.NewOrigins(work, net, topo, rng.Split("origins"))
+	coll := metrics.NewCollector(runtime.Hour)
 	cfg.Gossip.Period = 5 * runtime.Minute
 	cfg.KeepaliveInterval = 10 * runtime.Minute
 	sys, err := flower.NewSystem(cfg, proto.Env{
 		Net: net, Oracle: net, Topo: topo, RNG: rng.Split("flower"), Workload: work,
-		Origins: origins, Metrics: metrics.NewCollector(runtime.Hour),
+		Origins: origins, Metrics: coll,
 	})
 	if err != nil {
 		return nil, err
@@ -65,11 +67,16 @@ func build(seed uint64, cfg flower.Config) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The seeds query as the harness's do.
+	queries := proto.NewQueries(clock, work, coll, nil)
 	for i := 0; i < pop.Seeds(); i++ {
-		clock.Schedule(int64(i)*200, func() { sys.SpawnSeed(pop.Seed(i)) })
+		clock.Schedule(int64(i)*200, func() {
+			id := pop.Seed(i)
+			queries.Start(id, sys.SpawnSeed(id))
+		})
 	}
 	rt.Run(clock.Now() + 10*runtime.Minute)
-	return &world{Runtime: rt, sys: sys, pop: pop}, nil
+	return &world{Runtime: rt, sys: sys, pop: pop, queries: queries}, nil
 }
 
 func main() {
@@ -88,7 +95,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	upRep, err := petalup.RunFlashCrowd(up.sys, up.pop, up, spec)
+	upRep, err := petalup.RunFlashCrowd(up.sys, up.pop, up.queries, up, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	clRep, err := petalup.RunFlashCrowd(classic.sys, classic.pop, classic, spec)
+	clRep, err := petalup.RunFlashCrowd(classic.sys, classic.pop, classic.queries, classic, spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,12 +33,12 @@
 //     the only thing that rebuilds a directory after its home fails.
 //
 // Nothing else differs, randomness included: every peer's ring position
-// hashes from its network address, its queries draw from its
-// individual's workload stream, and its overlay node, refresh jitter,
-// gateway and redirect picks from the deployment's protocol stream,
-// which the harness keys by seed and group alone (see internal/proto).
-// One seed runs the three protocols on the same population, and only
-// the spec tells them apart.
+// hashes from its network address, its queries are the harness's
+// (proto.Queries), and its overlay node, refresh jitter, gateway and
+// redirect picks draw from the deployment's protocol stream, which the
+// harness keys by seed and group alone (see internal/proto). One seed
+// runs the three protocols on the same population and the same query
+// clock, and only the spec tells them apart.
 //
 // So chord-global differs from squirrel in exactly two ways (site-granular
 // homes, the summary refresh) and from Flower-CDN in exactly one,
@@ -53,7 +53,6 @@ package baseline
 
 import (
 	"errors"
-	"flowercdn/internal/rnd"
 	"flowercdn/internal/runtime"
 	"fmt"
 
@@ -83,21 +82,13 @@ type originDriver struct {
 }
 
 // SpawnSeed: origin-only seeds are ordinary clients.
-func (d *originDriver) SpawnSeed(id proto.Identity) func() { return d.Spawn(id) }
+func (d *originDriver) SpawnSeed(id proto.Identity) proto.Session { return d.Spawn(id) }
 
-func (d *originDriver) Spawn(id proto.Identity) func() {
-	p := &originPeer{
-		d:     d,
-		site:  id.Site,
-		store: id.Store,
-		rng:   id.Work,
-	}
+func (d *originDriver) Spawn(id proto.Identity) proto.Session {
+	p := &originPeer{d: d, store: id.Store}
 	p.nid = d.env.Net.Join(p, id.Placement)
 	d.peers.Add(p)
-	if d.env.Workload.Active(p.site) {
-		p.scheduleNextQuery(p.d.env.Workload.FirstQueryDelay(p.rng))
-	}
-	return p.kill
+	return p
 }
 
 func (d *originDriver) Stats() proto.Stats {
@@ -112,29 +103,13 @@ func (d *originDriver) Stats() proto.Stats {
 type originPeer struct {
 	d     *originDriver
 	nid   runtime.NodeID
-	site  content.SiteID
 	store *content.Store
-	// rng is the individual's workload stream (proto.Identity.Work).
-	rng   *rnd.RNG
-	timer runtime.Timer
 	dead  bool
 }
 
-func (p *originPeer) scheduleNextQuery(delay int64) {
-	p.timer = p.d.env.Clock.Schedule(delay, func() {
-		if p.dead {
-			return
-		}
-		p.issueQuery()
-		p.scheduleNextQuery(p.d.env.Workload.NextQueryDelay(p.rng))
-	})
-}
-
-func (p *originPeer) issueQuery() {
-	key, ok := p.d.env.Workload.PickObject(p.rng, p.site, p.store)
-	if !ok {
-		return
-	}
+// Query implements proto.Session: with no overlay to join, every query
+// goes out.
+func (p *originPeer) Query(key content.Key) bool {
 	env := p.d.env
 	origin := env.Origins.Node(key.Site)
 	now := env.Clock.Now()
@@ -151,17 +126,16 @@ func (p *originPeer) issueQuery() {
 			}
 			p.store.Add(key)
 		})
+	return true
 }
 
-func (p *originPeer) kill() {
+// Kill implements proto.Session.
+func (p *originPeer) Kill() {
 	if p.dead {
 		return
 	}
 	p.dead = true
 	p.d.peers.Drop()
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
 	p.d.env.Net.Fail(p.nid)
 }
 

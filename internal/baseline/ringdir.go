@@ -141,16 +141,15 @@ type ringDriver struct {
 }
 
 // SpawnSeed: the seeds are ordinary ring members.
-func (d *ringDriver) SpawnSeed(id proto.Identity) func() { return d.Spawn(id) }
+func (d *ringDriver) SpawnSeed(id proto.Identity) proto.Session { return d.Spawn(id) }
 
 // Spawn joins the individual to the ring at the position its network
 // address hashes to, as Chord's nodes do.
-func (d *ringDriver) Spawn(id proto.Identity) func() {
+func (d *ringDriver) Spawn(id proto.Identity) proto.Session {
 	p := &peer{
 		d:     d,
 		site:  id.Site,
 		store: id.Store,
-		rng:   id.Work,
 		index: content.Holders{Bound: providersPerObject},
 	}
 	p.nid = d.env.Net.Join(p, id.Placement)
@@ -162,7 +161,7 @@ func (d *ringDriver) Spawn(id proto.Identity) func() {
 	p.node = node
 	d.peers.Add(p)
 	p.enterRing(3)
-	return p.kill
+	return p
 }
 
 func (d *ringDriver) Stats() proto.Stats {
@@ -187,11 +186,6 @@ func (d *ringDriver) RingMembers() []proto.RingMember {
 		out = append(out, m)
 	}
 	return out
-}
-
-func (d *ringDriver) nextSeq() uint64 {
-	d.querySeq++
-	return d.querySeq
 }
 
 // ---- wire messages ----
@@ -229,11 +223,8 @@ func (s summary) WireBytes() int { return 32 + 8*len(s.Keys) }
 
 // peer is one ring-directory participant.
 type peer struct {
-	d   *ringDriver
-	nid runtime.NodeID
-	// rng is the individual's workload stream (proto.Identity.Work):
-	// when the peer queries and what.
-	rng   *rnd.RNG
+	d     *ringDriver
+	nid   runtime.NodeID
 	site  content.SiteID
 	store *content.Store
 	node  Router
@@ -243,11 +234,10 @@ type peer struct {
 	// with the node.
 	index content.Holders
 
-	query      *activeQuery
-	queryTimer runtime.Timer
-	refresh    runtime.Ticker
-	joined     bool
-	dead       bool
+	query   *activeQuery
+	refresh runtime.Ticker
+	joined  bool
+	dead    bool
 }
 
 type activeQuery struct {
@@ -301,9 +291,6 @@ func (p *peer) enterRing(attempts int) {
 func (p *peer) onJoined() {
 	p.joined = true
 	p.d.registry.Add(p.node.Self())
-	if p.d.env.Workload.Active(p.site) {
-		p.scheduleNextQuery(p.d.env.Workload.FirstQueryDelay(p.rng))
-	}
 	if !p.d.spec.PushSummaries {
 		return
 	}
@@ -325,26 +312,14 @@ func (p *peer) pushSummary() {
 	p.d.env.Metrics.Emit(metrics.CounterEvent(p.d.env.Clock.Now(), "summary_pushes", 1))
 }
 
-func (p *peer) scheduleNextQuery(delay int64) {
-	p.queryTimer = p.d.env.Clock.Schedule(delay, func() {
-		if p.dead {
-			return
-		}
-		p.issueQuery()
-		p.scheduleNextQuery(p.d.env.Workload.NextQueryDelay(p.rng))
-	})
-}
-
-func (p *peer) kill() {
+// Kill implements proto.Session.
+func (p *peer) Kill() {
 	if p.dead {
 		return
 	}
 	p.dead = true
 	p.d.peers.Drop()
 	p.node.Stop()
-	if p.queryTimer != nil {
-		p.queryTimer.Cancel()
-	}
 	if p.refresh != nil {
 		p.refresh.Cancel()
 	}
@@ -355,22 +330,24 @@ func (p *peer) kill() {
 // Alive implements the proto.Roster entry.
 func (p *peer) Alive() bool { return !p.dead }
 
-// issueQuery starts one query through the distributed directory.
-func (p *peer) issueQuery() {
-	if p.dead || p.query != nil || !p.joined {
-		return
+// Query implements proto.Session: one query through the distributed
+// directory, once the peer is on the ring.
+func (p *peer) Query(key content.Key) bool {
+	if !p.joined {
+		return false
 	}
-	key, ok := p.d.env.Workload.PickObject(p.rng, p.site, p.store)
-	if !ok {
-		return
+	if p.dead || p.query != nil {
+		return true
 	}
-	q := &activeQuery{seq: p.d.nextSeq(), key: key, start: p.d.env.Clock.Now()}
+	p.d.querySeq++
+	q := &activeQuery{seq: p.d.querySeq, key: key, start: p.d.env.Clock.Now()}
 	if p.d.env.Trace.Enabled() {
 		q.path = trace.Append(q.path, trace.Hop{
 			Kind: trace.HopIssue, Node: p.nid, At: q.start})
 	}
 	p.query = q
 	p.sendQuery(q)
+	return true
 }
 
 func (p *peer) sendQuery(q *activeQuery) {

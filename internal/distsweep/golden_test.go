@@ -11,14 +11,14 @@ import (
 	"flowercdn/internal/runtime"
 )
 
-// Golden bytes of exemplarRecord, produced by the encoder as it stood
-// before RunRecord became harness.Summary (PR 23, commit ab2ae29). The
-// spec sum guards which sweep an out-dir belongs to, not how its records
-// are laid out, so these are what keeps an old out-dir resumable and an
-// old worker's results readable. They change only together with
-// recordVersion.
+// Golden bytes of exemplarRecord: the layout the encoder had before
+// RunRecord became harness.Summary (commit ab2ae29), with TailQueries
+// appended in record version 2. The spec sum guards which sweep an
+// out-dir belongs to, not how its records are laid out, so these are
+// what keeps an old out-dir resumable and an old worker's results
+// readable. They change only together with recordVersion.
 const (
-	goldenRecord = "06666c6f776572a00680d0bb1b0373696d3fe7666601a11bc23fe9eb851eb851ec4060880000000000404cc00000000000400a000000000000b960a846b817d902deadbeefcafef00d02003fd00000000000006440690000000000004054000000000000400800000000000080bab7033fe80000000000009601405e000000000000404e0000000000000000000000000000"
+	goldenRecord = "06666c6f776572a00680d0bb1b0373696d3fe7666601a11bc23fe9eb851eb851ec4060880000000000404cc00000000000400a000000000000b960a846b817d902deadbeefcafef00d02003fd00000000000006440690000000000004054000000000000400800000000000080bab7033fe80000000000009601405e000000000000404e0000000000000000000000000000ee05"
 	// One record-file body: uvarint seed index 2, then the record.
 	goldenBody = "02" + goldenRecord
 	// ResultMsg{Cell: 3, Seed: 2, Epoch: 5, Rec: exemplar} under the binary

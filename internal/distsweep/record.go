@@ -53,6 +53,7 @@ func appendRecord(w *runtime.WireWriter, rec *RunRecord) {
 		w.F64(p.MeanTransferMs)
 		w.F64(p.Evictions)
 	}
+	w.Uvarint(rec.TailQueries)
 }
 
 func decodeRunRecord(r *runtime.WireReader) *RunRecord {
@@ -85,6 +86,7 @@ func decodeRunRecord(r *runtime.WireReader) *RunRecord {
 			}
 		}
 	}
+	rec.TailQueries = r.Uvarint()
 	return rec
 }
 
@@ -103,7 +105,7 @@ func decodeRunRecord(r *runtime.WireReader) *RunRecord {
 var recordMagic = [4]byte{'F', 'C', 'R', 'C'}
 
 const (
-	recordVersion    = 1
+	recordVersion    = 2
 	recordHeaderSize = 4 + 1 + 8 + 4
 	// maxRecordBytes bounds one record body; larger prefixes indicate a
 	// corrupt file, not a real record.

@@ -17,6 +17,7 @@ func exemplarRecord() *RunRecord {
 		Backend:        "sim",
 		HitRatio:       0.7312498123,
 		TailHitRatio:   0.81,
+		TailQueries:    750,
 		MeanLookupMs:   132.25,
 		MeanTransferMs: 57.5,
 		MeanHops:       3.25,

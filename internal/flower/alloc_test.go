@@ -14,7 +14,7 @@ import (
 // with an LRU store of 8, three holders that cache all of keys (32
 // objects, so c never holds the one it asks for), and their directory —
 // all content peers after half an hour of ordinary life, then frozen:
-// every query loop, keepalive, gossip round and D-ring duty is
+// every query timer, keepalive, gossip round and D-ring duty is
 // cancelled and pushes are switched off, so that while a pin runs the
 // engine nothing executes but the query the pin started by hand.
 func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, keys []content.Key) {
@@ -28,7 +28,7 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 	}
 	id := f.pop.At(0, 0)
 	id.Store = content.NewStoreWith(content.StoreOptions{Policy: pol})
-	c, _ = f.sys.SpawnIdentity(id)
+	c = f.online(id, f.sys.Spawn(id))
 	for i := 0; i < 3; i++ {
 		holders = append(holders, f.spawn(0, 0))
 	}
@@ -39,7 +39,7 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 				p.NodeID(), p.Role(), p.DirInfo().Node, dir.NodeID())
 		}
 	}
-	freeze(f.sys.Peers())
+	f.freeze()
 	f.run(runtime.Minute)
 	f.sys.cfg.PushThreshold = 2 // never reached: the pins price the query path, not pushes
 	for o := 0; o < 32; o++ {
@@ -53,13 +53,12 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 	return f, c, holders, dir, keys
 }
 
-// freeze cancels every query loop, keepalive, gossip round and D-ring
-// duty of peers, so that the engine runs nothing a test did not start.
-func freeze(peers []*Peer) {
-	for _, p := range peers {
-		if p.queryTimer != nil {
-			p.queryTimer.Cancel()
-		}
+// freeze cancels every query timer, keepalive, gossip round and D-ring
+// duty of the fixture's peers, so that the engine runs nothing a test
+// did not start.
+func (f *fixture) freeze() {
+	for _, p := range f.sys.Peers() {
+		f.timers[p].Stop()
 		if p.keepaliveTimer != nil {
 			p.keepaliveTimer.Cancel()
 		}
@@ -71,16 +70,6 @@ func freeze(peers []*Peer) {
 			p.dir.stopTickers()
 		}
 	}
-}
-
-// startQuery is issueQuery for a key the test picks.
-func startQuery(p *Peer, key content.Key) *activeQuery {
-	q := p.getQuery()
-	q.seq = p.sys.nextQuerySeq()
-	q.key = key
-	q.start = p.eng().Now()
-	p.query = q
-	return q
 }
 
 // cannedDirectory answers every request with one reply boxed in
@@ -119,7 +108,9 @@ func TestAllocPins(t *testing.T) {
 	}}, f.beside(dir))
 	next := 0
 	query := func() {
-		c.contentQuery(startQuery(c, keys[next%len(keys)]))
+		if !c.Query(keys[next%len(keys)]) {
+			t.Fatal("a content peer has not joined")
+		}
 		next++
 		f.run(2 * runtime.Second)
 	}
@@ -132,16 +123,11 @@ func TestAllocPins(t *testing.T) {
 		setup   func()
 		duty    func()
 	}{
-		{"query loop tick", 0, metrics.Miss, func() { c.query = busy }, func() {
-			// A tick while a query is in flight: skip the round, draw the
-			// next delay, arm the same bound callback again.
-			c.scheduleNextQuery(1)
-			armed := c.queryTimer
-			f.run(runtime.Second)
-			if c.queryTimer == armed {
-				t.Fatal("the query loop did not tick")
+		{"query in flight", 0, metrics.Miss, func() { c.query = busy }, func() {
+			// A query while one is in flight: the peer drops it.
+			if !c.Query(keys[0]) || c.query != busy {
+				t.Fatal("a query replaced the one in flight")
 			}
-			c.queryTimer.Cancel()
 		}},
 		{"gossip hit", 0, metrics.HitLocalGossip, func() {
 			c.query = nil

@@ -194,6 +194,7 @@ func (p *Peer) claimDirectoryPosition(pos ids.ID, exclude runtime.NodeID, done f
 func (p *Peer) becomeDirectory(pos ids.ID) {
 	wasContent := p.role == RoleContent
 	p.role = RoleDirectory
+	p.seating = false
 	p.dir = &directoryState{
 		pos:      pos,
 		instance: dring.InstanceOf(pos),
@@ -229,8 +230,6 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 	// A new ring member is a bootstrap gateway (announced to the other
 	// processes on multi-process backends).
 	p.sys.registry.Add(chord.Entry{Node: p.nid, ID: pos})
-	// Directory peers of active websites query like any other peer.
-	p.ensureQueryLoop()
 }
 
 // memberTTL is how long a silent member stays in the view/index.
@@ -687,7 +686,7 @@ func (p *Peer) Leave() {
 			p.net().Send(p.nid, best, handoffMsg{Pos: p.dir.pos, Index: p.dir.index.Clone(), Members: members})
 		}
 	}
-	p.kill()
+	p.Kill()
 }
 
 // onHandoff runs at the member receiving a leaving directory's state:

@@ -104,20 +104,6 @@ func lowering(petalUp bool) proto.Lowering {
 	}
 }
 
-// SpawnSeed implements proto.System: a bootstrap individual claims
-// its petal's first directory position; like every participant it has
-// a limited uptime.
-func (s *System) SpawnSeed(id proto.Identity) func() {
-	_, kill := s.SpawnSeedDirectoryIdentity(id)
-	return kill
-}
-
-// Spawn implements proto.System over SpawnIdentity.
-func (s *System) Spawn(id proto.Identity) func() {
-	_, kill := s.SpawnIdentity(id)
-	return kill
-}
-
 // RingMembers implements proto.RingInspector: one snapshot record per
 // alive, integrated D-ring directory peer, in creation order. Clients
 // and not-yet-integrated claimants are not ring members.

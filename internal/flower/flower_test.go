@@ -29,9 +29,12 @@ type fixture struct {
 	origins *workload.Origins
 	coll    *metrics.Collector
 	sys     *System
-	// pop mints the fixture's individuals, as the harness does a run's.
-	pop   *proto.Population
-	seeds []*Peer
+	// pop mints the fixture's individuals, as the harness does a run's,
+	// and queries issues their queries; timers holds each peer's.
+	pop     *proto.Population
+	queries *proto.Queries
+	timers  map[*Peer]*proto.QueryTimer
+	seeds   []*Peer
 }
 
 func newFixture(t *testing.T, seed uint64, mut func(*Config)) *fixture {
@@ -80,20 +83,35 @@ func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), envMut func(*p
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{t: t, eng: eng, net: net, topo: topo, rng: rng, work: work, origins: origins, coll: coll, sys: sys, pop: pop}
+	return &fixture{t: t, eng: eng, net: net, topo: topo, rng: rng, work: work, origins: origins, coll: coll, sys: sys, pop: pop,
+		queries: proto.NewQueries(eng.Clock(), work, env.Metrics, nil), timers: map[*Peer]*proto.QueryTimer{}}
 }
 
-// seedRing spawns one directory per (site, locality) and lets the ring
-// stabilize.
+// online starts the query timer of a session of id, as the harness
+// does, and returns its peer.
+func (f *fixture) online(id proto.Identity, s proto.Session) *Peer {
+	p := s.(*Peer)
+	f.timers[p] = f.queries.Start(id, s)
+	return p
+}
+
+// kill ends p's session as the harness does: its queries, then the peer.
+func (f *fixture) kill(p *Peer) {
+	f.timers[p].Stop()
+	p.Kill()
+}
+
+// seedRing spawns one directory per (site, locality), 200 ms apart, and
+// lets the ring stabilize.
 func (f *fixture) seedRing() {
 	f.t.Helper()
 	k := f.topo.Localities()
 	for s := 0; s < f.work.Config().Sites; s++ {
 		for l := 0; l < k; l++ {
 			site, loc := content.SiteID(s), topology.Locality(l)
-			f.eng.Schedule(int64(len(f.seeds))*200, func() {
-				p, _ := f.sys.SpawnSeedDirectoryIdentity(f.pop.At(site, loc))
-				f.seeds = append(f.seeds, p)
+			f.eng.Schedule(int64(s*k+l)*200, func() {
+				id := f.pop.At(site, loc)
+				f.seeds = append(f.seeds, f.online(id, f.sys.SpawnSeed(id)))
 			})
 		}
 	}
@@ -118,8 +136,8 @@ func (f *fixture) beside(p *Peer) topology.Placement {
 
 // spawn creates a client and runs until its arrival settles.
 func (f *fixture) spawn(site content.SiteID, loc topology.Locality) *Peer {
-	p, _ := f.sys.SpawnIdentity(f.pop.At(site, loc))
-	return p
+	id := f.pop.At(site, loc)
+	return f.online(id, f.sys.Spawn(id))
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -294,8 +312,8 @@ func TestNonActiveSiteJoinOnly(t *testing.T) {
 	if c.Store().Len() != 0 {
 		t.Fatal("join-only peer should not have fetched content")
 	}
-	if c.queryTimer != nil {
-		t.Fatal("join-only peer must not run a query loop")
+	if f.timers[c] != nil {
+		t.Fatal("join-only peer must not query")
 	}
 }
 
@@ -322,7 +340,7 @@ func TestDirectoryFailureReplacedByContentPeer(t *testing.T) {
 		}
 	}
 	// Kill the directory; keepalives/pushes detect and a member claims.
-	dir.kill()
+	f.kill(dir)
 	f.run(3 * f.sys.cfg.KeepaliveInterval)
 	var newDir *Peer
 	for _, m := range members {
@@ -368,7 +386,7 @@ func TestVacantPositionClaimedByNewClient(t *testing.T) {
 			dir = p
 		}
 	}
-	dir.kill()
+	f.kill(dir)
 	f.run(2 * runtime.Minute)
 	c := f.spawn(2, 1)
 	f.run(10 * runtime.Minute)
@@ -468,8 +486,8 @@ func TestKilledPeerIsSilent(t *testing.T) {
 	f.seedRing()
 	c := f.spawn(0, 0)
 	f.run(5 * runtime.Minute)
-	c.kill()
-	c.kill() // idempotent
+	f.kill(c)
+	f.kill(c) // idempotent
 	if c.Alive() {
 		t.Fatal("killed peer reports alive")
 	}
@@ -483,12 +501,11 @@ func TestQueryLoopSkipsWhenQueryOutstanding(t *testing.T) {
 	f.seedRing()
 	c := f.spawn(0, 0)
 	f.run(5 * runtime.Minute)
-	// Inject a stuck query; the loop must not replace it.
+	// Inject a stuck query; a tick must not replace it.
 	stuck := &activeQuery{seq: 999999, key: content.Key{Site: 0, Object: 49}, start: f.eng.Now()}
 	c.query = stuck
-	c.issueQuery()
-	if c.query != stuck {
-		t.Fatal("issueQuery replaced an outstanding query")
+	if !c.Query(content.Key{Site: 0, Object: 48}) || c.query != stuck {
+		t.Fatal("Query replaced an outstanding query")
 	}
 	c.query = nil
 }
@@ -519,7 +536,7 @@ func TestKilledDeploymentDrainsTheEventQueue(t *testing.T) {
 	f.run(2 * runtime.Hour)
 	dirs := f.sys.DirectoryCount()
 	for _, p := range f.sys.Peers() {
-		p.kill()
+		f.kill(p)
 	}
 	st := f.sys.Stats()
 	if dirs == 0 || st[proto.StatAlivePeers] != 0 || st[proto.StatPeersSpawned] != 20 || len(f.sys.Peers()) != 0 {

@@ -178,11 +178,14 @@ func (p *Peer) onDirectoryDead(deadNode runtime.NodeID) {
 	})
 }
 
-// rejoinPetal routes a membership-only query over D-ring to rediscover
-// (or trigger recreation of) the petal's directory.
+// rejoinPetal routes a membership-only query over D-ring to discover
+// (or trigger recreation of) the petal's directory: a non-active
+// arrival's way in, an orphan's way back.
 func (p *Peer) rejoinPetal() {
 	if p.query != nil {
 		return // an active query will re-establish contact by itself
 	}
-	p.startClientQuery(content.Key{}, true)
+	q := p.newQuery(content.Key{})
+	q.joinOnly = true
+	p.sendRoutedQuery(q)
 }

@@ -7,6 +7,8 @@ import (
 	"flowercdn/internal/content"
 	"flowercdn/internal/gossip"
 	"flowercdn/internal/metrics"
+	"flowercdn/internal/proto"
+	"flowercdn/internal/rnd"
 )
 
 func TestFullPushOnDirectoryChange(t *testing.T) {
@@ -21,7 +23,7 @@ func TestFullPushOnDirectoryChange(t *testing.T) {
 
 	// The directory dies and c is the only member: it replaces it...
 	oldDir := f.findSeed(0, c.Locality())
-	oldDir.kill()
+	f.kill(oldDir)
 	f.run(3 * f.sys.cfg.KeepaliveInterval)
 	// ... or a new client claimed it first. Either way, SOME directory
 	// for the petal must have c's full store indexed again.
@@ -137,7 +139,7 @@ func TestReplacementRace(t *testing.T) {
 	}
 	f.run(30 * runtime.Minute)
 	loc := members[0].Locality()
-	f.findSeed(0, loc).kill()
+	f.kill(f.findSeed(0, loc))
 	// Force prompt detection in every member.
 	for _, m := range members {
 		if m.Alive() && m.Role() == RoleContent {
@@ -189,15 +191,15 @@ func TestContentKeySkippedWhenStoreFull(t *testing.T) {
 	f.seedRing()
 	c := f.spawn(0, 0)
 	f.run(5 * runtime.Minute)
-	// Fill the entire catalog: the query loop must go quiet, not panic.
+	// Fill the entire catalog: the query timer must go quiet, not panic.
 	for o := 0; o < f.work.Config().ObjectsPerSite; o++ {
 		c.store.Add(content.Key{Site: 0, Object: content.ObjectID(o)})
 	}
-	before := f.coll.Total()
-	c.issueQuery()
-	f.run(runtime.Minute)
-	if c.query != nil {
+	f.freeze()
+	seq := f.sys.querySeq
+	f.timers[c] = f.queries.Start(proto.Identity{Site: 0, Store: c.store, Work: rnd.New(58)}, c)
+	f.run(runtime.Hour)
+	if f.sys.querySeq != seq || c.query != nil {
 		t.Fatal("query issued despite complete catalog")
 	}
-	_ = before
 }

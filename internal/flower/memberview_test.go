@@ -18,11 +18,11 @@ import (
 func loneDirectory(t *testing.T, seed uint64) (*fixture, *Peer) {
 	t.Helper()
 	f := newFixture(t, seed, nil)
-	dir, _ := f.sys.SpawnSeedDirectoryIdentity(f.pop.At(0, 0))
+	dir := f.sys.SpawnSeed(f.pop.At(0, 0)).(*Peer)
 	if dir.Role() != RoleDirectory {
 		t.Fatalf("lone seed: role %v, want directory", dir.Role())
 	}
-	freeze(f.sys.Peers())
+	f.freeze()
 	f.run(runtime.Minute)
 	return f, dir
 }

@@ -43,11 +43,11 @@ func (r Role) String() string {
 // dispatches to its Chord, gossip and protocol components.
 type Peer struct {
 	sys *System
-	// rng is the individual's workload stream (proto.Identity.Work):
-	// when the peer queries and what. Protocol choices draw from sys.rng.
+	// rng is the individual's workload stream (proto.Identity.Work): a
+	// non-active client's membership request draws from it, not sys.rng.
 	rng *rnd.RNG
 	// nid and site share a word: a big cell holds tens of thousands of
-	// peers and this struct sits right on a size-class edge (192 B).
+	// peers and this struct is held to the 176-byte size class.
 	nid  runtime.NodeID
 	site content.SiteID
 	loc  topology.Locality
@@ -79,12 +79,9 @@ type Peer struct {
 	qspare *activeQuery
 
 	keepaliveTimer runtime.Ticker
-	// queryTimer is the query loop's pending tick and onQueryTick its
-	// callback, bound once when the loop starts.
-	queryTimer  runtime.Timer
-	onQueryTick func()
-	dead        bool
-	replacing   bool // a directory-replacement attempt is in flight
+	dead           bool
+	replacing      bool // a directory-replacement attempt is in flight
+	seating        bool // a seed still claiming its seat: not yet on D-ring
 	// lastDeadDir remembers the most recently detected dead directory so
 	// stale gossip cannot re-install a pointer to it.
 	lastDeadDir runtime.NodeID
@@ -136,41 +133,24 @@ func (p *Peer) initGossip() {
 	p.syncedDir = runtime.None
 }
 
-// startLife begins the arrival behaviour: active-site peers start the
-// query loop; others request petal membership immediately.
+// startLife begins the arrival behaviour of a client. An active-site
+// client joins its petal through its first query; any other requests
+// petal membership once its first action is due.
 func (p *Peer) startLife() {
 	if p.sys.work.Active(p.site) {
-		p.scheduleNextQuery(p.sys.work.FirstQueryDelay(p.rng))
-	} else {
-		p.eng().Schedule(p.sys.work.FirstQueryDelay(p.rng), func() {
-			if !p.dead && p.role == RoleClient {
-				p.startClientQuery(content.Key{}, true)
-			}
-		})
-	}
-}
-
-// scheduleNextQuery arms the query loop: a peer submits queries "on a
-// regular basis, as soon as it arrives until it fails" (Sec. 6.1).
-func (p *Peer) scheduleNextQuery(delay int64) {
-	if p.onQueryTick == nil {
-		p.onQueryTick = p.queryTick
-	}
-	p.queryTimer = p.eng().Schedule(delay, p.onQueryTick)
-}
-
-func (p *Peer) queryTick() {
-	if p.dead {
 		return
 	}
-	p.issueQuery()
-	p.scheduleNextQuery(p.sys.work.NextQueryDelay(p.rng))
+	p.eng().Schedule(p.sys.work.FirstQueryDelay(p.rng), func() {
+		if !p.dead && p.role == RoleClient {
+			p.rejoinPetal()
+		}
+	})
 }
 
-// kill fails the peer: all components stop, every ticker it armed is
-// cancelled and the network and the roster drop it — after which
-// nothing the deployment holds can reach the Peer (see internal/proto).
-func (p *Peer) kill() {
+// Kill implements proto.Session: all components stop, every ticker the
+// peer armed is cancelled and the network and the roster drop it —
+// after which nothing the deployment holds can reach it (see proto).
+func (p *Peer) Kill() {
 	if p.dead {
 		return
 	}
@@ -185,9 +165,6 @@ func (p *Peer) kill() {
 	}
 	if p.keepaliveTimer != nil {
 		p.keepaliveTimer.Cancel()
-	}
-	if p.queryTimer != nil {
-		p.queryTimer.Cancel()
 	}
 	p.query = nil
 	p.sys.net.Fail(p.nid)

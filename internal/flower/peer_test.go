@@ -58,7 +58,7 @@ func TestDeadPeerHandlersSilent(t *testing.T) {
 	f.seedRing()
 	c := f.spawn(0, 0)
 	f.run(5 * runtime.Minute)
-	c.kill()
+	f.kill(c)
 	// Messages to a dead peer's handler must be inert.
 	c.HandleMessage(runtime.NodeID(1), dirQueryResp{Seq: 1})
 	if _, err := c.HandleRequest(runtime.NodeID(1), keepaliveReq{}); err == nil {
@@ -106,11 +106,13 @@ func TestDirInfoStringsViaSummary(t *testing.T) {
 
 // TestPerPeerRecordsStayInTheirSizeClass guards the big cell's memory
 // budget (4 KiB per node, `make bigcell-smoke`): every peer has one Peer
-// and, after its first query, one activeQuery, and both sit exactly on
-// an allocator size class — one more word costs each of them 16 bytes.
+// and, after its first query, one activeQuery. The activeQuery sits
+// exactly on an allocator size class — one more word costs each peer 16
+// bytes — and the Peer (168 bytes) has one word to spare in the
+// 176-byte class.
 func TestPerPeerRecordsStayInTheirSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Peer{}); got > 192 {
-		t.Errorf("Peer is %d bytes, over the 192-byte size class", got)
+	if got := unsafe.Sizeof(Peer{}); got > 176 {
+		t.Errorf("Peer is %d bytes, over the 176-byte size class", got)
 	}
 	if got := unsafe.Sizeof(activeQuery{}); got > 144 {
 		t.Errorf("activeQuery is %d bytes, over the 144-byte size class", got)

@@ -178,53 +178,34 @@ func (p *Peer) traceHop(q *activeQuery, kind trace.HopKind, node runtime.NodeID,
 	})
 }
 
-// ensureQueryLoop starts the periodic query process once, for peers of
-// active websites.
-func (p *Peer) ensureQueryLoop() {
-	if p.dead || p.queryTimer != nil || !p.sys.work.Active(p.site) {
-		return
+// Query implements proto.Session: it begins one query for key, an
+// object the peer does not cache. A seed still claiming its directory
+// seat has not joined D-ring.
+func (p *Peer) Query(key content.Key) bool {
+	if p.seating {
+		return false
 	}
-	p.scheduleNextQuery(p.sys.work.FirstQueryDelay(p.rng))
-}
-
-// issueQuery begins one query for an object the peer does not cache.
-func (p *Peer) issueQuery() {
 	if p.dead || p.query != nil {
 		// An unresolved previous query is still in flight; skip this
 		// round rather than interleave state machines.
-		return
+		return true
 	}
-	key, ok := p.sys.work.PickObject(p.rng, p.site, p.store)
-	if !ok {
-		return // caches the whole catalog: nothing left to request
-	}
-	q := p.getQuery()
-	q.seq = p.sys.nextQuerySeq()
-	q.key = key
-	q.start = p.eng().Now()
-	p.query = q
-	p.traceHop(q, trace.HopIssue, p.nid, false)
-	if p.role == RoleClient {
+	if q := p.newQuery(key); p.role == RoleClient {
 		p.sendRoutedQuery(q)
-		return
+	} else {
+		p.contentQuery(q)
 	}
-	p.contentQuery(q)
+	return true
 }
 
-// startClientQuery is the arrival path: joinOnly requests petal
-// membership for peers of non-active websites.
-func (p *Peer) startClientQuery(key content.Key, joinOnly bool) {
-	if p.query != nil {
-		return
-	}
+// newQuery makes the recycled query record the peer's current query,
+// for key.
+func (p *Peer) newQuery(key content.Key) *activeQuery {
 	q := p.getQuery()
-	q.seq = p.sys.nextQuerySeq()
-	q.key = key
-	q.start = p.eng().Now()
-	q.joinOnly = joinOnly
+	q.seq, q.key, q.start = p.sys.nextQuerySeq(), key, p.eng().Now()
 	p.query = q
 	p.traceHop(q, trace.HopIssue, p.nid, false)
-	p.sendRoutedQuery(q)
+	return q
 }
 
 // sendRoutedQuery submits the query to D-ring through a bootstrap

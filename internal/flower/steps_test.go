@@ -52,7 +52,7 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			// Three queries at once leave three records on the free list.
 			c.query = nil
-			c.contentQuery(startQuery(c, content.Key{Site: 0, Object: content.ObjectID(41 + i)}))
+			c.contentQuery(c.newQuery(content.Key{Site: 0, Object: content.ObjectID(41 + i)}))
 		}
 		f.run(time10s)
 		home := len(f.sys.freeSteps)
@@ -61,7 +61,7 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 		}
 		resolved := f.coll.Total()
 
-		q := startQuery(c, key)
+		q := c.newQuery(key)
 		answer := dirQueryResp{
 			Seq:       q.seq,
 			Providers: []runtime.NodeID{holders[0].NodeID(), holders[1].NodeID()},
@@ -110,28 +110,26 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 		})
 		f.seedRing()
 		f.eng.Network().SetLossRate(0.1, rnd.New(5))
-		stopLoop := func(p *Peer) {
-			if p.queryTimer != nil {
-				p.queryTimer.Cancel()
-			}
-		}
 		for _, p := range f.sys.Peers() {
-			stopLoop(p)
+			f.timers[p].Stop()
 		}
+		picks := rnd.New(41)
 		f.run(runtime.Minute)
 		events = 0
 		traced := traces.Len() // the seeds' own queries while the ring formed
 		issued := 0
 		for round := 0; round < 150; round++ {
 			if round%5 == 0 && round < 100 {
-				stopLoop(f.spawn(content.SiteID(round/5%3), topology.Locality(round/5%2)))
+				f.timers[f.spawn(content.SiteID(round/5%3), topology.Locality(round/5%2))].Stop()
 			}
 			for _, p := range f.sys.Peers() {
 				if !f.work.Active(p.site) {
 					continue
 				}
 				before := f.sys.querySeq
-				p.issueQuery()
+				if key, ok := f.work.PickObject(picks, p.site, p.store); ok {
+					p.Query(key)
+				}
 				if f.sys.querySeq != before {
 					issued++
 				}
@@ -207,7 +205,7 @@ func TestCandidateBufferIsTheQuerysOwn(t *testing.T) {
 	c.dirInfo = DirInfo{Pos: dring.Position(0, 0, 0), Node: canned}
 	c.syncedDir = canned
 
-	q := startQuery(c, keys[0])
+	q := c.newQuery(keys[0])
 	c.contentQuery(q) // no contact claims the key: the canned directory answers
 	f.run(time10s)
 	if c.query != nil || f.coll.Count(metrics.HitDirectory) == 0 {
@@ -219,7 +217,7 @@ func TestCandidateBufferIsTheQuerysOwn(t *testing.T) {
 	for _, h := range holders {
 		c.gsp.AddContact(h.NodeID(), ContactMeta{Summary: h.store.Summary(), Dir: h.dirInfo})
 	}
-	q2 := startQuery(c, keys[1])
+	q2 := c.newQuery(keys[1])
 	if q2 != q {
 		t.Fatal("the second query did not take the recycled record")
 	}

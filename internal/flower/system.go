@@ -21,11 +21,11 @@
 //
 // # A query's life cycle
 //
-// The query loop ticks on a callback bound to the peer once. A tick
-// picks an object the peer lacks and takes the peer's recycled
-// activeQuery. A client routes it over D-ring (with a deadline bound to
-// the record once, retried through other gateways) and waits for the
-// directory's answer; a petal member ranks the contacts of its gossip
+// The harness's query timer hands the peer an object it lacks
+// (Peer.Query), which takes the peer's recycled activeQuery. A client
+// routes it over D-ring (with a deadline bound to the record once,
+// retried through other gateways) and waits for the directory's
+// answer; a petal member ranks the contacts of its gossip
 // view whose summary claims the object, nearest first, and fetch-probes
 // them, then asks its directory, then the same website's directories in
 // other localities, then the origin (query.go). Whatever path found the
@@ -213,27 +213,24 @@ func (s *System) PetalDirectories(site content.SiteID, loc topology.Locality) []
 	return out
 }
 
-// SpawnIdentity brings an individual online as a new client: an
-// active-site client starts its query loop, any other peer immediately
-// requests petal membership. Its persistent store comes back with it
-// (and will be re-indexed by its petal's directory through the full
-// push on re-join). The returned kill function fails the peer
-// (fail-only churn).
-func (s *System) SpawnIdentity(id proto.Identity) (*Peer, func()) {
+// Spawn implements proto.System: an individual comes online as a new
+// client (startLife), its store with it (re-indexed through the full
+// push on re-join).
+func (s *System) Spawn(id proto.Identity) proto.Session {
 	p := s.newPeer(id)
 	p.startLife()
-	return p, p.kill
+	return p
 }
 
-// SpawnSeedDirectoryIdentity brings an individual online as the initial
-// directory peer of its petal, at the position-0 D-ring slot. The first
-// seed creates the ring; later seeds join through an existing member.
-// The paper starts each run with k*|W| = 600 such peers ("one directory
-// peer per couple (website, locality)"). The returned kill function
-// fails the peer.
-func (s *System) SpawnSeedDirectoryIdentity(id proto.Identity) (*Peer, func()) {
+// SpawnSeed implements proto.System: a bootstrap individual claims the
+// position-0 D-ring slot of its petal, as its initial directory peer.
+// The first seed creates the ring; later seeds join through a member.
+// The paper starts with k*|W| = 600 ("one directory peer per couple
+// (website, locality)").
+func (s *System) SpawnSeed(id proto.Identity) proto.Session {
 	p := s.newPeer(id)
 	pos := p.petalPos
+	p.seating = true
 	switch {
 	case s.registry.Len() > 0:
 		p.seedClaim(pos, 5)
@@ -245,7 +242,7 @@ func (s *System) SpawnSeedDirectoryIdentity(id proto.Identity) (*Peer, func()) {
 	default:
 		p.becomeFoundingDirectory(pos)
 	}
-	return p, p.kill
+	return p
 }
 
 // awaitGateway polls the registry until a bus announcement provides a
@@ -274,15 +271,13 @@ func (p *Peer) seedClaim(pos ids.ID, attempts int) {
 			// Somebody genuinely beat us to the seat; live on as a
 			// plain client of that directory.
 			p.dirInfo = DirInfo{Pos: pos, Node: current.Node, Age: 0}
-			p.startLife()
+		} else if attempts > 1 {
+			// Transient failure (lookup timeout or healing denial): retry.
+			p.eng().Schedule(p.sys.cfg.SeedRetryDelay, func() { p.seedClaim(pos, attempts-1) })
 			return
 		}
-		// Transient failure (lookup timeout or healing denial): retry.
-		if attempts <= 1 {
-			p.startLife()
-			return
-		}
-		p.eng().Schedule(p.sys.cfg.SeedRetryDelay, func() { p.seedClaim(pos, attempts-1) })
+		p.seating = false
+		p.startLife()
 	})
 }
 

@@ -13,12 +13,14 @@ import (
 
 // goldenTinyFingerprint is the tinyConfig() flower fingerprint,
 // captured on the seed revision before content.Store grew the policy
-// seam and re-pinned twice since: when the harness began minting the
-// population outside the protocols, and when a flower directory began
-// handing joiners a snapshot of a member's key set, not the live set. The unbounded path must keep
-// reproducing it exactly: this is the mechanical proof that the seam is
-// a no-op when no cache options are set.
-const goldenTinyFingerprint = 0x52d327833cf36adb
+// seam and re-pinned three times since: when the harness began minting
+// the population outside the protocols, when a flower directory began
+// handing joiners a snapshot of a member's key set, not the live set,
+// and when the harness took over every individual's query clock. The
+// unbounded path must keep reproducing it exactly: this is the
+// mechanical proof that the seam is a no-op when no cache options are
+// set.
+const goldenTinyFingerprint = 0x319eefe7fb4cacab
 
 func TestCacheNoneIsBitIdenticalToSeed(t *testing.T) {
 	def, err := Run(tinyConfig())

@@ -61,7 +61,7 @@ func TestBigPetalFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = 0xf3d0a49676a35537
+	const want = 0xdb01493358073919
 	if res.Fingerprint != want {
 		t.Fatalf("fingerprint %016x, pinned %016x", res.Fingerprint, uint64(want))
 	}

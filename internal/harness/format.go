@@ -118,11 +118,16 @@ func fmtDuration(ms int64) string {
 	return fmt.Sprintf("%.1f s", float64(ms)/float64(runtime.Second))
 }
 
-// FormatSummary renders one run's headline numbers.
+// FormatSummary renders one run's headline numbers ("tail n/a": no
+// tail queries), and a warning when the workload ran dry (DriesUp).
 func FormatSummary(r *Result) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s P=%d (%s): hit ratio %.3f (tail %.3f), lookup %.0f ms, transfer %.0f ms\n",
-		r.Protocol, r.Population, fmtDuration(r.Duration), r.HitRatio, r.TailHitRatio, r.MeanLookupMs, r.MeanTransferMs)
+	tail := "n/a"
+	if r.TailQueries > 0 {
+		tail = fmt.Sprintf("%.3f", r.TailHitRatio)
+	}
+	fmt.Fprintf(&b, "%s P=%d (%s): hit ratio %.3f (tail %s), lookup %.0f ms, transfer %.0f ms\n",
+		r.Protocol, r.Population, fmtDuration(r.Duration), r.HitRatio, tail, r.MeanLookupMs, r.MeanTransferMs)
 	fmt.Fprintf(&b, "  queries %d (hits %d: gossip %d, directory %d, summary %d; misses %d)\n",
 		r.Queries, r.Hits, r.GossipHits, r.DirectoryHits, r.DirSummaryHits, r.Misses)
 	fmt.Fprintf(&b, "  alive peers %d, events %d, messages %d\n",
@@ -143,6 +148,10 @@ func FormatSummary(r *Result) string {
 			fmt.Fprintf(&b, " %s=%g", k, r.Proto[k])
 		}
 		fmt.Fprintf(&b, "\n")
+	}
+	if r.DriesUp < r.Duration {
+		fmt.Fprintf(&b, "warning: the workload ran dry at %s, before the %s horizon: later windows measure stragglers\n",
+			fmtDuration(r.DriesUp), fmtDuration(r.Duration))
 	}
 	return b.String()
 }

@@ -108,8 +108,8 @@ type Config struct {
 
 	// SeriesWindow is the Fig. 3 bucketing (1 h).
 	SeriesWindow int64
-	// TailWindows is how many final windows Table 2's hit ratio
-	// averages over.
+	// TailWindows is how many windows before the horizon Table 2's hit
+	// ratio averages over.
 	TailWindows int
 
 	// OnWindow, when set, is called at the close of every SeriesWindow
@@ -165,9 +165,10 @@ type Config struct {
 	}
 
 	// onMint, when set, sees every individual the run mints, with its
-	// index in the run's pool (the order of first arrival). Package
-	// tests digest a run's population through it.
+	// index in the run's pool (the order of first arrival), and onTick
+	// every query tick. Package tests digest a run through them.
 	onMint func(idx int, ind proto.Identity)
+	onTick func(ind proto.Identity, at int64)
 	// buildSim, when set, builds the sim backend's clock and leg from
 	// the engine's clock and the function that makes the run's simnet
 	// (loss included) on a clock. Package tests decorate either through
@@ -387,9 +388,11 @@ type Summary struct {
 	Backend string
 
 	// HitRatio is cumulative over the run; TailHitRatio covers the
-	// final TailWindows windows (the "after 24 simulation hours" view).
+	// TailQueries queries of the TailWindows windows before the horizon
+	// (the "after 24 simulation hours" view), 0 when there are none.
 	HitRatio     float64
 	TailHitRatio float64
+	TailQueries  uint64
 
 	MeanLookupMs   float64
 	MeanTransferMs float64
@@ -419,6 +422,10 @@ type Summary struct {
 // that ran it holds (one rebuilt from a sweep record is its Summary alone).
 type Result struct {
 	Summary
+
+	// DriesUp is the instant the workload ran dry (Windowed.DriesUp):
+	// a horizon past it measures stragglers.
+	DriesUp int64
 
 	// Quantiles complement the paper's means.
 	LookupQuantiles   metrics.LatencySummary
@@ -612,14 +619,16 @@ func Run(cfg Config) (*Result, error) {
 	// window aggregates through cfg.OnWindow.
 	obs := newWindowObserver(cfg, clock, net, coll)
 
-	processed, err := drive(cfg, rt, churnRNG, sys, pop)
+	queries := proto.NewQueries(clock, work, pipe, cfg.onTick)
+	processed, err := drive(cfg, rt, churnRNG, sys, pop, queries)
 	if err != nil {
 		return nil, err
 	}
 
 	res := &Result{Summary: Summary{Protocol: cfg.Protocol, Population: cfg.Population, Duration: cfg.Duration, Backend: cfg.ResolvedBackend()}}
 	res.HitRatio = coll.HitRatio()
-	res.TailHitRatio = coll.TailHitRatio(cfg.TailWindows)
+	res.TailHitRatio, res.TailQueries = coll.TailHitRatio(cfg.TailWindows, cfg.Duration)
+	res.DriesUp = coll.Windows().DriesUp()
 	res.MeanLookupMs = coll.MeanLookupLatency()
 	res.MeanTransferMs = coll.MeanTransferDistance()
 	res.LookupQuantiles = coll.LookupSummary()
@@ -700,27 +709,27 @@ const PopulationFactor = 1.3
 // pool holds the persistent individuals of one run, in minting order.
 type pool struct {
 	rng     *rnd.RNG
+	pop     *proto.Population
 	inds    []proto.Identity
 	offline []int // indexes into inds
 	cap     int
 	onMint  func(idx int, ind proto.Identity) // Config.onMint
 }
 
-// take picks a random offline individual to revive, or reports (with
-// idx -1) that a fresh one should be minted. ok is false when everyone
-// is online already.
-func (p *pool) take() (idx int, ind proto.Identity, ok bool) {
-	if len(p.offline) > 0 {
-		i := p.rng.Intn(len(p.offline))
-		idx := p.offline[i]
-		p.offline[i] = p.offline[len(p.offline)-1]
-		p.offline = p.offline[:len(p.offline)-1]
-		return idx, p.inds[idx], true
+// take picks a random offline individual to revive, or mints an arrival
+// while the pool has room. ok is false when everyone is online already.
+func (p *pool) take() (idx int, ok bool) {
+	if n := len(p.offline); n > 0 {
+		i := p.rng.Intn(n)
+		idx = p.offline[i]
+		p.offline[i] = p.offline[n-1]
+		p.offline = p.offline[:n-1]
+		return idx, true
 	}
 	if len(p.inds) >= p.cap {
-		return 0, ind, false
+		return 0, false
 	}
-	return -1, ind, true
+	return p.add(p.pop.Arrival()), true
 }
 
 // add registers a newly minted individual and returns its index.
@@ -737,25 +746,30 @@ func (p *pool) release(idx int) {
 	p.offline = append(p.offline, idx)
 }
 
-// session is one tracked online session. A session's kill closure may
-// be claimed by several schedulers at once — its churn lifetime timer
-// and a ChurnSchedule mass failure race freely — so stop is idempotent:
-// whichever fires first wins, every later call is a no-op. A stopped
-// session drops the closure: a timer still holding the session must not
-// keep the deployment's dead peer reachable through it.
+// session is one tracked online session of individual idx, with its
+// query timer. Its stop may be claimed by several schedulers at once —
+// its churn lifetime timer and a ChurnSchedule mass failure race freely
+// — so stop is idempotent: whichever fires first wins, every later call
+// is a no-op. A stopped session drops the handle: a timer still holding
+// the session must not keep the deployment's dead peer reachable.
 type session struct {
-	kill func() // nil once stopped
-	live *proto.Roster[*session]
+	h       proto.Session // nil once stopped
+	queries *proto.QueryTimer
+	idx     int
+	pool    *pool
+	live    *proto.Roster[*session]
 }
 
 // Alive implements the proto.Roster entry.
-func (s *session) Alive() bool { return s.kill != nil }
+func (s *session) Alive() bool { return s.h != nil }
 
 func (s *session) stop() {
-	if kill := s.kill; kill != nil {
-		s.kill = nil
+	if h := s.h; h != nil {
+		s.h = nil
 		s.live.Drop()
-		kill()
+		s.queries.Stop()
+		h.Kill()
+		s.pool.release(s.idx)
 	}
 }
 
@@ -764,15 +778,15 @@ func (s *session) stop() {
 // uptime like any other peer), then let churn cycle the persistent
 // population through online sessions until the horizon — with any
 // ChurnSchedule events and checkpoint callbacks layered on top. Every
-// individual is minted here, once, when it first arrives. It returns
-// the number of events the backend processed.
+// individual is minted here, once, when it first arrives; every session
+// queries on the run's query clock. It returns the events processed.
 //
 // On a multi-process backend the choreography partitions: process g of
 // N hosts every bootstrap seed with index ≡ g (mod N) — at the seed's
 // global stagger slot, so the join storm looks identical — and runs a
 // churn process targeting its share of the population. The union over
 // processes is the same experiment a single process would run.
-func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, pop *proto.Population) (uint64, error) {
+func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, pop *proto.Population, queries *proto.Queries) (uint64, error) {
 	clock := rt.Clock()
 	group, groups := cfg.groupInfo()
 	// A group whose population share rounds to zero hosts only its seed
@@ -783,39 +797,28 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 	popShare := groupShare(cfg.Population, group, groups)
 	pl := &pool{
 		rng:    churnRNG,
+		pop:    pop,
 		cap:    int(float64(popShare) * PopulationFactor),
 		onMint: cfg.onMint,
 	}
-	churnTarget := popShare
-	if churnTarget < 1 {
-		churnTarget = 1
-	}
 	// Every online session is tracked so scheduled mass failures can
 	// pick victims from the genuinely-alive set without double-killing
-	// sessions whose own departure timer fires later.
-	// track returns the stop func of a new session of individual idx,
-	// who goes back to the offline pool when it ends.
+	// sessions whose own departure timer fires later. track returns the
+	// stop func of a new session h of individual idx.
 	var live proto.Roster[*session]
-	track := func(kill func(), idx int) func() {
-		s := &session{live: &live, kill: func() {
-			kill()
-			pl.release(idx)
-		}}
+	track := func(idx int, h proto.Session) func() {
+		s := &session{h: h, queries: queries.Start(pl.inds[idx], h), idx: idx, pool: pl, live: &live}
 		live.Add(s)
 		return s.stop
 	}
 	spawn := func() func() {
-		idx, ind, ok := pl.take()
+		idx, ok := pl.take()
 		if !ok {
 			return nil // everyone is online already
 		}
-		if idx < 0 {
-			ind = pop.Arrival()
-			idx = pl.add(ind)
-		}
-		return track(sys.Spawn(ind), idx)
+		return track(idx, sys.Spawn(pl.inds[idx]))
 	}
-	churnCfg := churn.Config{TargetPopulation: churnTarget, MeanUptime: cfg.MeanUptime}
+	churnCfg := churn.Config{TargetPopulation: max(popShare, 1), MeanUptime: cfg.MeanUptime}
 	proc, err := churn.NewProcess(churnCfg, clock, churnRNG, spawn)
 	if err != nil {
 		return 0, err
@@ -828,7 +831,8 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 		}
 		clock.Schedule(int64(i)*cfg.SeedStagger, func() {
 			ind := pop.Seed(i)
-			clock.Schedule(proc.Lifetime(), track(sys.SpawnSeed(ind), pl.add(ind)))
+			idx := pl.add(ind)
+			clock.Schedule(proc.Lifetime(), track(idx, sys.SpawnSeed(ind)))
 		})
 	}
 	// Client arrivals start once the bootstrap population is up.
@@ -839,7 +843,6 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 	// sim runs replay bit-identically; joins go through the same pool
 	// and get ordinary exponential lifetimes.
 	for _, ev := range cfg.ChurnSchedule {
-		ev := ev
 		clock.Schedule(ev.At, func() {
 			online := live.Online()
 			if n := int(ev.FailFraction*float64(len(online)) + 0.5); n > 0 {

@@ -291,8 +291,33 @@ func TestFormatters(t *testing.T) {
 		t.Fatalf("Table 2 render incomplete:\n%s", t2)
 	}
 	sum := FormatSummary(f)
-	if !strings.Contains(sum, "hit ratio") {
-		t.Fatalf("summary render incomplete:\n%s", sum)
+	if !strings.Contains(sum, "hit ratio") || strings.Contains(sum, "n/a") || strings.Contains(sum, "warning") {
+		t.Fatalf("summary render incomplete, or a 2 h run reads as dry:\n%s", sum)
+	}
+}
+
+// TestDryWorkloadIsReported: a cell run to twice the instant its
+// workload ran dry — a 20-object catalog, which every individual holds
+// within hours — has a tail with no queries, which reads "n/a", not a
+// hit ratio of 0, and its summary warns that the horizon is past the
+// drying-up instant.
+func TestDryWorkloadIsReported(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workload.ObjectsPerSite = 20
+	cfg.Duration = 10 * sim.Hour
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DriesUp == 0 || 2*res.DriesUp > cfg.Duration {
+		t.Fatalf("workload ran dry at %d ms: not within the first half of the %d ms run", res.DriesUp, cfg.Duration)
+	}
+	sum := FormatSummary(res)
+	if res.TailQueries != 0 || !strings.Contains(sum, "(tail n/a)") {
+		t.Errorf("tail of %d queries after the workload ran dry:\n%s", res.TailQueries, sum)
+	}
+	if !strings.Contains(sum, "warning: the workload ran dry at "+fmtDuration(res.DriesUp)) {
+		t.Errorf("no warning that the workload ran dry:\n%s", sum)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"flowercdn/internal/content"
 	"flowercdn/internal/proto"
 	"flowercdn/internal/protocols"
 )
@@ -17,13 +18,21 @@ import (
 
 var relationSeeds = []uint64{1, 2, 3}
 
-// populationDigest runs cfg and returns the FNV-64a of every individual
-// it minted — pool index, interest, locality and placement — with the
-// count.
-func populationDigest(t *testing.T, cfg Config) (uint64, int) {
+// digests is what one run says about its population and its query
+// clock: the FNV-64a of every individual it minted — pool index,
+// interest, locality and placement — and of every query tick —
+// individual, interest and instant — with the counts.
+type digests struct {
+	population, ticks uint64
+	minted, ticked    int
+}
+
+// runDigests runs cfg and returns its digests.
+func runDigests(t *testing.T, cfg Config) digests {
 	t.Helper()
-	h := fnv.New64a()
-	n := 0
+	pop, ticks := fnv.New64a(), fnv.New64a()
+	var d digests
+	index := map[*content.Store]int{} // an individual's store is its own
 	cfg.onMint = func(idx int, ind proto.Identity) {
 		var b [40]byte
 		binary.LittleEndian.PutUint64(b[0:], uint64(idx))
@@ -31,36 +40,52 @@ func populationDigest(t *testing.T, cfg Config) (uint64, int) {
 		binary.LittleEndian.PutUint64(b[16:], uint64(ind.Placement.Loc))
 		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(ind.Placement.Pos.X))
 		binary.LittleEndian.PutUint64(b[32:], math.Float64bits(ind.Placement.Pos.Y))
-		h.Write(b[:])
-		n++
+		pop.Write(b[:])
+		index[ind.Store] = idx
+		d.minted++
+	}
+	cfg.onTick = func(ind proto.Identity, at int64) {
+		var b [24]byte
+		binary.LittleEndian.PutUint64(b[0:], uint64(index[ind.Store]))
+		binary.LittleEndian.PutUint64(b[8:], uint64(ind.Site))
+		binary.LittleEndian.PutUint64(b[16:], uint64(at))
+		ticks.Write(b[:])
+		d.ticked++
 	}
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	return h.Sum64(), n
+	d.population, d.ticks = pop.Sum64(), ticks.Sum64()
+	return d
 }
 
 // TestOnePopulationForEveryProtocol: every protocol of one seed mints
-// the same individuals in the same order.
+// the same individuals in the same order, and they query at the same
+// instants — the harness owns the query clock, so when a protocol's
+// peer joins its overlay cannot move it.
 func TestOnePopulationForEveryProtocol(t *testing.T) {
 	for _, seed := range relationSeeds {
-		var want uint64
-		var wantN int
+		var want digests
 		for i, d := range protocols.All {
 			cfg := tinyConfig()
 			cfg.Seed = seed
 			cfg.Protocol = Protocol(d.Info.Name)
-			got, n := populationDigest(t, cfg)
+			got := runDigests(t, cfg)
 			if i == 0 {
-				want, wantN = got, n
-				if n <= cfg.Workload.Sites*cfg.Topology.Localities {
-					t.Fatalf("seed %d: %s minted %d individuals, no arrival beyond the seeds", seed, d.Info.Name, n)
+				want = got
+				if got.minted <= cfg.Workload.Sites*cfg.Topology.Localities || got.ticked == 0 {
+					t.Fatalf("seed %d: %s minted %d individuals and ticked %d times: no arrival beyond the seeds, or no query",
+						seed, d.Info.Name, got.minted, got.ticked)
 				}
 				continue
 			}
-			if got != want || n != wantN {
+			if got.population != want.population || got.minted != want.minted {
 				t.Errorf("seed %d: %s minted %d individuals, digest %016x; %s minted %d, digest %016x",
-					seed, d.Info.Name, n, got, protocols.All[0].Info.Name, wantN, want)
+					seed, d.Info.Name, got.minted, got.population, protocols.All[0].Info.Name, want.minted, want.population)
+			}
+			if got.ticks != want.ticks || got.ticked != want.ticked {
+				t.Errorf("seed %d: %s ticked %d times, digest %016x; %s ticked %d, digest %016x",
+					seed, d.Info.Name, got.ticked, got.ticks, protocols.All[0].Info.Name, want.ticked, want.ticks)
 			}
 		}
 	}

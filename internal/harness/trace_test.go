@@ -69,11 +69,11 @@ func TestTraceDigestsSim(t *testing.T) {
 		protocol Protocol
 		digest   uint64
 	}{
-		{ProtocolFlower, 0xf7f97be10f5addc3},
-		{Protocol("petalup"), 0xf7f97be10f5addc3},
-		{ProtocolSquirrel, 0xf9e251401bd1b993},
-		{Protocol("chord-global"), 0x12a567cc7f32efe6},
-		{Protocol("koorde-global"), 0x6afb41f7a24e0651},
+		{ProtocolFlower, 0x52985910e6b27b59},
+		{Protocol("petalup"), 0x52985910e6b27b59},
+		{ProtocolSquirrel, 0x07e11fb8779e72f4},
+		{Protocol("chord-global"), 0x75f8622f01e46e3e},
+		{Protocol("koorde-global"), 0xcdd511c57aefbaba},
 	} {
 		t.Run(string(c.protocol), func(t *testing.T) {
 			cfg := tracedTinyConfig()

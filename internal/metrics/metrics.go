@@ -189,17 +189,16 @@ func (c *Collector) HitRatioSeries() []SeriesPoint {
 	return c.win.Series()
 }
 
-// TailHitRatio returns the hit ratio over the last n windows — the
-// "after 24 simulation hours" numbers Table 2 reports.
-func (c *Collector) TailHitRatio(n int) float64 {
-	if n <= 0 || c.win.Len() == 0 {
-		return c.HitRatio()
-	}
-	hits, total := c.win.Tail(n)
+// TailHitRatio returns the hit ratio over the last n windows before
+// horizon — the "after 24 simulation hours" numbers Table 2 reports —
+// and the queries it covers; n <= 0 covers the whole run. A tail with
+// no queries has no hit ratio: it reports 0 over 0 queries.
+func (c *Collector) TailHitRatio(n int, horizon int64) (ratio float64, queries uint64) {
+	hits, total := c.win.Tail(n, horizon)
 	if total == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(hits) / float64(total)
+	return float64(hits) / float64(total), total
 }
 
 // Distribution is a histogram over latency values with inclusive upper

@@ -56,7 +56,7 @@ func TestEmptyCollectorSafe(t *testing.T) {
 	if len(c.HitRatioSeries()) != 0 {
 		t.Fatal("empty collector has no series")
 	}
-	if c.TailHitRatio(5) != 0 {
+	if r, n := c.TailHitRatio(5, sim.Hour); r != 0 || n != 0 {
 		t.Fatal("empty tail ratio should be 0")
 	}
 }
@@ -114,14 +114,40 @@ func TestTailHitRatio(t *testing.T) {
 		c.Observe(QueryEvent(sim.Hour+int64(i), HitDirectory, 0, 0))
 		c.Observe(QueryEvent(2*sim.Hour+int64(i), HitDirectory, 0, 0))
 	}
-	if got := c.TailHitRatio(2); got != 1 {
-		t.Fatalf("TailHitRatio(2) = %g, want 1", got)
+	if got, n := c.TailHitRatio(2, 3*sim.Hour); got != 1 || n != 20 {
+		t.Fatalf("TailHitRatio(2) = %g over %d queries, want 1 over 20", got, n)
 	}
-	if got := c.TailHitRatio(100); math.Abs(got-2.0/3) > 1e-9 {
+	if got, _ := c.TailHitRatio(100, 3*sim.Hour); math.Abs(got-2.0/3) > 1e-9 {
 		t.Fatalf("TailHitRatio(100) = %g, want overall 2/3", got)
 	}
-	if got := c.TailHitRatio(0); math.Abs(got-c.HitRatio()) > 1e-9 {
+	if got, _ := c.TailHitRatio(0, 3*sim.Hour); math.Abs(got-c.HitRatio()) > 1e-9 {
 		t.Fatal("TailHitRatio(0) should fall back to overall")
+	}
+	// The tail is the windows before the horizon, not the last windows
+	// that saw a query: two silent hours make an empty tail, and a
+	// partial last hour is a window of its own.
+	if got, n := c.TailHitRatio(2, 5*sim.Hour); got != 0 || n != 0 {
+		t.Fatalf("TailHitRatio(2) two silent hours on = %g over %d queries, want 0 over 0", got, n)
+	}
+	if got, n := c.TailHitRatio(3, 4*sim.Hour+1); got != 1 || n != 10 {
+		t.Fatalf("TailHitRatio(3) past a partial hour = %g over %d queries, want 1 over 10", got, n)
+	}
+}
+
+// TestDriesUp: the workload runs dry at the end of the last window with
+// a tenth of the peak's queries; a later straggler does not count.
+func TestDriesUp(t *testing.T) {
+	w := NewWindowed(sim.Hour)
+	if got := w.DriesUp(); got != 0 {
+		t.Fatalf("DriesUp of nothing = %d, want 0", got)
+	}
+	for h, n := range []int{40, 100, 30, 10, 9, 0, 1} {
+		for i := 0; i < n; i++ {
+			w.Observe(QueryEvent(int64(h)*sim.Hour+int64(i), Miss, 0, 0))
+		}
+	}
+	if got := w.DriesUp(); got != 4*sim.Hour {
+		t.Fatalf("DriesUp = %d h, want 4 h", got/sim.Hour)
 	}
 }
 

@@ -275,16 +275,34 @@ func (w *Windowed) Series() []SeriesPoint {
 	return out
 }
 
-// Tail sums hits and totals over the final n windows (n <= 0 or more
-// windows than exist: all of them).
-func (w *Windowed) Tail(n int) (hits, total uint64) {
+// Tail sums hits and totals over the last n windows that start before
+// horizon — a window nothing happened in counts, as an empty one (n <= 0
+// or more windows than that: all of them).
+func (w *Windowed) Tail(n int, horizon int64) (hits, total uint64) {
+	end := int((horizon + w.window - 1) / w.window)
 	start := 0
-	if n > 0 && n < len(w.wins) {
-		start = len(w.wins) - n
+	if n > 0 {
+		start = max(end-n, 0)
 	}
-	for _, agg := range w.wins[start:] {
+	for _, agg := range w.wins[min(start, len(w.wins)):min(end, len(w.wins))] {
 		hits += agg.Hits
 		total += agg.Total
 	}
 	return hits, total
+}
+
+// DriesUp returns the instant the query stream ran dry: the end of the
+// last window with at least a tenth of the busiest window's queries,
+// after which every window has fewer. It is 0 when nothing was queried.
+func (w *Windowed) DriesUp() int64 {
+	var peak uint64
+	for _, agg := range w.wins {
+		peak = max(peak, agg.Total)
+	}
+	for i := len(w.wins) - 1; i >= 0; i-- {
+		if peak > 0 && 10*w.wins[i].Total >= peak {
+			return int64(i+1) * w.window
+		}
+	}
+	return 0
 }

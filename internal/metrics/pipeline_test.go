@@ -75,11 +75,11 @@ func TestWindowedAggregatesGenerically(t *testing.T) {
 		t.Fatal("gap window not empty")
 	}
 
-	hits, total := w.Tail(2)
+	hits, total := w.Tail(2, int64(w.Len())*100)
 	if hits != 0 || total != 1 {
 		t.Fatalf("Tail(2) = %d/%d", hits, total)
 	}
-	hits, total = w.Tail(0)
+	hits, total = w.Tail(0, int64(w.Len())*100)
 	if hits != 1 || total != 3 {
 		t.Fatalf("Tail(0) = %d/%d", hits, total)
 	}
@@ -161,7 +161,7 @@ func flowerResolveLookup(start, now int64, o Outcome, dist int64) int64 {
 // out again.
 var ringdirResolveLookup = flowerResolveLookup
 
-// originonly.issueQuery: the provider is known a priori, the lookup is
+// origin-only's Query: the provider is known a priori, the lookup is
 // the one leg it takes to reach the origin.
 func originOnlyLookup(dist int64) int64 { return dist }
 

@@ -106,11 +106,12 @@ func Measure(sys *flower.System, site content.SiteID, loc topology.Locality) Loa
 }
 
 // RunFlashCrowd drives the spec against an existing Flower/PetalUp
-// system: it schedules the arrivals, minted from pop, on the runtime's
-// clock starting now, runs the backend through the settle period, and
-// measures the petal's directory load. Every spawned client receives an
-// infinite lifetime — the point is load, not churn.
-func RunFlashCrowd(sys *flower.System, pop *proto.Population, rt runtime.Runtime, spec FlashCrowdSpec) (LoadReport, error) {
+// system: it schedules the arrivals, minted from pop and querying on
+// queries, on the runtime's clock starting now, runs the backend
+// through the settle period, and measures the petal's directory load.
+// Every spawned client receives an infinite lifetime — the point is
+// load, not churn.
+func RunFlashCrowd(sys *flower.System, pop *proto.Population, queries *proto.Queries, rt runtime.Runtime, spec FlashCrowdSpec) (LoadReport, error) {
 	if err := spec.Validate(); err != nil {
 		return LoadReport{}, err
 	}
@@ -118,7 +119,8 @@ func RunFlashCrowd(sys *flower.System, pop *proto.Population, rt runtime.Runtime
 	for i := 0; i < spec.Arrivals; i++ {
 		at := int64(i) * spec.ArrivalGap
 		clock.Schedule(at, func() {
-			sys.Spawn(pop.At(spec.Site, spec.Loc))
+			id := pop.At(spec.Site, spec.Loc)
+			queries.Start(id, sys.Spawn(id))
 		})
 	}
 	rt.Run(clock.Now() + int64(spec.Arrivals)*spec.ArrivalGap + spec.Settle)

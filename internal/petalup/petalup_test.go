@@ -15,9 +15,10 @@ import (
 
 type world struct {
 	*simrt.Runtime
-	net runtime.Transport
-	sys *flower.System
-	pop *proto.Population
+	net     runtime.Transport
+	sys     *flower.System
+	pop     *proto.Population
+	queries *proto.Queries
 }
 
 func buildWorld(t *testing.T, seed uint64, cfg flower.Config) *world {
@@ -51,12 +52,16 @@ func buildWorld(t *testing.T, seed uint64, cfg flower.Config) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed the D-ring.
+	// Seed the D-ring; the seeds query as the harness's do.
+	queries := proto.NewQueries(eng.Clock(), work, coll, nil)
 	for i := 0; i < pop.Seeds(); i++ {
-		eng.Schedule(int64(i)*200, func() { sys.SpawnSeed(pop.Seed(i)) })
+		eng.Schedule(int64(i)*200, func() {
+			id := pop.Seed(i)
+			queries.Start(id, sys.SpawnSeed(id))
+		})
 	}
 	eng.Run(eng.Now() + 10*runtime.Minute)
-	return &world{Runtime: eng, net: net, sys: sys, pop: pop}
+	return &world{Runtime: eng, net: net, sys: sys, pop: pop, queries: queries}
 }
 
 func TestConfigPreset(t *testing.T) {
@@ -83,7 +88,7 @@ func TestSpecValidation(t *testing.T) {
 		t.Fatal("negative gap accepted")
 	}
 	w := buildWorld(t, 99, Config(5))
-	if _, err := RunFlashCrowd(w.sys, w.pop, w, FlashCrowdSpec{Arrivals: 0}); err == nil {
+	if _, err := RunFlashCrowd(w.sys, w.pop, w.queries, w, FlashCrowdSpec{Arrivals: 0}); err == nil {
 		t.Fatal("RunFlashCrowd accepted invalid spec")
 	}
 }
@@ -96,7 +101,7 @@ func TestFlashCrowdSplitsDirectory(t *testing.T) {
 		ArrivalGap: 30 * runtime.Second,
 		Settle:     1 * runtime.Hour,
 	}
-	rep, err := RunFlashCrowd(w.sys, w.pop, w, spec)
+	rep, err := RunFlashCrowd(w.sys, w.pop, w.queries, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +124,7 @@ func TestClassicFlowerDoesNotSplit(t *testing.T) {
 		ArrivalGap: 30 * runtime.Second,
 		Settle:     1 * runtime.Hour,
 	}
-	rep, err := RunFlashCrowd(w.sys, w.pop, w, spec)
+	rep, err := RunFlashCrowd(w.sys, w.pop, w.queries, w, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +147,12 @@ func TestPetalUpBoundsPerInstanceLoadBetterThanClassic(t *testing.T) {
 	limit := 6
 	wUp := buildWorld(t, 3, Config(limit))
 	spec := FlashCrowdSpec{Site: 0, Loc: 0, Arrivals: 40, ArrivalGap: 20 * runtime.Second, Settle: 90 * runtime.Minute}
-	repUp, err := RunFlashCrowd(wUp.sys, wUp.pop, wUp, spec)
+	repUp, err := RunFlashCrowd(wUp.sys, wUp.pop, wUp.queries, wUp, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wCl := buildWorld(t, 3, flower.DefaultConfig())
-	repCl, err := RunFlashCrowd(wCl.sys, wCl.pop, wCl, spec)
+	repCl, err := RunFlashCrowd(wCl.sys, wCl.pop, wCl.queries, wCl, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

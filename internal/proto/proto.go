@@ -22,7 +22,8 @@
 //     counts behind the well-known Stats keys. It forgets the dead.
 //
 // Randomness follows one rule. A workload choice — when an individual
-// queries and what — draws from its Identity.Work. A protocol choice —
+// queries and what — draws from its Identity.Work, through the run's
+// Queries. A protocol choice —
 // an overlay node's sub-stream, a gossip shuffle, a timer's jitter, a
 // gateway or redirect pick — draws from Env.RNG, the protocol stream,
 // which the harness keys by seed and socket group, never by protocol
@@ -30,7 +31,7 @@
 //
 // Roster's forgetting is a contract, not an optimisation. The paper's
 // churn model gives every re-join a fresh network identity, so a 24 h
-// run spawns ~24 sessions per population slot; a session's kill func
+// run spawns ~24 sessions per population slot; a session's Kill
 // must leave nothing that can reach its peer — no roster entry, no
 // armed ticker, no kept closure — so that after kill nobody holds the
 // *Peer and it is garbage. Live heap per node is then flat in simulated
@@ -107,8 +108,9 @@ type Identity struct {
 	Site      content.SiteID
 	Placement topology.Placement
 	Store     *content.Store
-	// Work is the individual's own stream for its workload: when it
-	// queries and what. It runs on across sessions.
+	// Work is the individual's own workload stream, run on across
+	// sessions. The query process (Queries) owns it; a protocol draws
+	// from it only for an individual that never queries.
 	Work *rnd.RNG
 }
 
@@ -118,15 +120,17 @@ type Identity struct {
 //	alive_peers    gauge: sessions this process started and has not killed
 //	               (a peer still joining its overlay counts)
 //	peers_spawned  counter: sessions ever started
+//	unjoined_ticks counter: query ticks before a session joined (Queries)
 //
 // Everything else is protocol vocabulary (alive_directories,
 // dir_promotions, registrations, ...) surfaced verbatim in results.
 type Stats map[string]float64
 
-// StatAlivePeers and StatPeersSpawned are the well-known Stats keys.
+// The well-known Stats keys.
 const (
-	StatAlivePeers   = "alive_peers"
-	StatPeersSpawned = "peers_spawned"
+	StatAlivePeers    = "alive_peers"
+	StatPeersSpawned  = "peers_spawned"
+	StatUnjoinedTicks = "unjoined_ticks"
 )
 
 // System is one protocol deployment driven by the harness. All calls
@@ -135,16 +139,27 @@ const (
 // Run shape: the harness spawns the Population's bootstrap individuals
 // (staggered) through SpawnSeed, starts the churn process, which mints
 // and revives individuals through Spawn, runs the engine to the
-// horizon, and finally reads Stats.
+// horizon, and finally reads Stats. The harness, not the deployment,
+// decides when an individual queries and what (Queries).
 type System interface {
 	// SpawnSeed brings a bootstrap individual (Population.Seed) online
-	// for its first session and returns the kill func that ends it.
-	SpawnSeed(Identity) func()
-	// Spawn brings an individual online for one session and returns
-	// the kill func that fails it (fail-only churn).
-	Spawn(Identity) func()
+	// for its first session.
+	SpawnSeed(Identity) Session
+	// Spawn brings an individual online for one session.
+	Spawn(Identity) Session
 	// Stats reports the deployment's counters and gauges.
 	Stats() Stats
+}
+
+// Session is one online session of an individual, as its deployment
+// runs it.
+type Session interface {
+	// Query asks for key. It returns false only when the session has not
+	// joined its overlay yet (StatUnjoinedTicks); a session whose
+	// previous query is still in flight drops key.
+	Query(key content.Key) bool
+	// Kill fails the session (fail-only churn); it is idempotent.
+	Kill()
 }
 
 // Info describes a protocol.

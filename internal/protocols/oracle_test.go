@@ -30,7 +30,7 @@ var pinnedOracleReads = []oracleRead{
 	{"flower/system.go", "DirectoryCount", "Alive"},
 	{"flower/query.go", "resolve", "Latency"},
 	{"baseline/ringdir.go", "resolve", "Latency"},
-	{"baseline/originonly.go", "issueQuery", "Latency"},
+	{"baseline/originonly.go", "Query", "Latency"},
 }
 
 // TestOracleReadsArePinned lists every read of the oracle in the

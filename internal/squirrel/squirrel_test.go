@@ -65,11 +65,18 @@ func (j *joinSpy) Join(h runtime.Handler, p topology.Placement) runtime.NodeID {
 	return j.last
 }
 
-// session is one online peer.
+// session is one online peer: its handle and its query timer.
 type session struct {
-	node  runtime.NodeID
-	store *content.Store
-	kill  func()
+	node    runtime.NodeID
+	store   *content.Store
+	h       proto.Session
+	queries *proto.QueryTimer
+}
+
+// kill ends the session as the harness does: its queries, then the peer.
+func (s *session) kill() {
+	s.queries.Stop()
+	s.h.Kill()
 }
 
 type fixture struct {
@@ -80,7 +87,9 @@ type fixture struct {
 	coll   *metrics.Collector
 	traces *trace.Collector
 	sys    proto.System
-	peers  map[runtime.NodeID]*session
+	// queries is the fixture's query process, the harness's own.
+	queries *proto.Queries
+	peers   map[runtime.NodeID]*session
 }
 
 // newFixture builds a deployment of p over the sim backend: 4 sites of
@@ -118,6 +127,7 @@ func newFixture(t *testing.T, p protocol, seed uint64, objects int, opts proto.O
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.queries = proto.NewQueries(rt.Clock(), work, pipe, nil)
 	return f
 }
 
@@ -127,8 +137,9 @@ func (f *fixture) spawn(site content.SiteID, store *content.Store, settle int64)
 	if store == nil {
 		store = content.NewStore()
 	}
-	s := &session{store: store}
-	s.kill = f.sys.Spawn(proto.Identity{Site: site, Placement: f.topo.Place(f.rng), Store: store, Work: f.rng.Split("work")})
+	id := proto.Identity{Site: site, Placement: f.topo.Place(f.rng), Store: store, Work: f.rng.Split("work")}
+	s := &session{store: store, h: f.sys.Spawn(id)}
+	s.queries = f.queries.Start(id, s.h)
 	s.node = f.net.last
 	f.peers[s.node] = s
 	f.run(settle)

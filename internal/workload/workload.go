@@ -127,14 +127,17 @@ func (w *Workload) Active(site content.SiteID) bool {
 	return int(site) < w.cfg.ActiveSites
 }
 
-// NextQueryDelay draws the exponential gap to a peer's next query.
+// NextQueryDelay draws the exponential gap to a session's next query
+// tick. The run's query process (proto.Queries) is its one caller.
 func (w *Workload) NextQueryDelay(rng *rnd.RNG) int64 {
 	return rng.ExpDuration(w.cfg.QueryMeanInterval)
 }
 
 // FirstQueryDelay draws the de-phasing delay before a freshly arrived
-// peer's first action (first query, or first petal-membership request):
-// uniform in [0, 30 s), capped at the mean query interval so
+// individual's first action: its session's first query tick, which the
+// run's query process (proto.Queries) draws, or — at a site nobody
+// queries — flower's petal-membership request. It is uniform in
+// [0, 30 s), capped at the mean query interval so
 // compressed-timescale runs (the socket demo squeezes the paper's
 // hours into seconds) still act promptly. At the paper's settings the
 // cap never binds and the draw is identical to the historical 30 s
@@ -147,8 +150,9 @@ func (w *Workload) FirstQueryDelay(rng *rnd.RNG) int64 {
 	return rng.UniformDuration(0, d)
 }
 
-// PickObject draws the object for a peer's next query: Zipf-popular
-// objects of its site, skipping anything the peer already caches (the
+// PickObject draws the object for a query tick of the run's query
+// process (proto.Queries): Zipf-popular objects of the individual's
+// site, skipping anything its store already holds (the
 // paper's peers "only pose queries for objects unavailable in local
 // storage"). It returns false when the peer caches the entire site
 // catalog and therefore has nothing left to request.
