@@ -66,7 +66,8 @@ bench-smoke:
 # backend — petal-structured flower (every peer in a locality petal,
 # ~100 directory nodes on the ring) and koorde-global (every peer in
 # one global overlay, the memory-hostile extreme). Each run prints
-# live-heap bytes/node; the 4 KiB/node budget itself is enforced at
+# live-heap bytes/node and the MiB allocated over the run, the join
+# storm's allocation volume; the 4 KiB/node budget itself is enforced at
 # P=100k by BenchmarkBigCell (`go test -run '^$' -bench BigCell .`),
 # which `make race` excludes via a build tag.
 bigcell-smoke:
@@ -163,8 +164,9 @@ fingerprint-check:
 # directory-path hit: the request, plus the directory's provider list
 # and reply) and a joining client's view seed
 # (the same count at 50 and 2 000 members), gossip's view (a shuffle
-# sample: its slice only; a 9-contact seed: one view; a lookup, removal
-# or merge of a known peer: zero), the LRU policy (an admission
+# sample: its slice only, past 64 entries too; a 9-contact seed into an
+# empty view, which adopts it: zero; a lookup, removal or merge of a
+# known peer: zero), the LRU policy (an admission
 # with its eviction, a touch: zero) and the bounded content store over
 # it, an RNG's New and Split (one object each), and the binary codec's
 # budget per wire message (the packages whose
@@ -176,8 +178,10 @@ fingerprint-check:
 # simnet Send or Request zero bytes all told — on the socket backend too,
 # for the legs that stay in one process — a successful simnet Request on
 # the engine one pending timer, its deadline never filed, and a socknet
-# Request round trip over loopback TCP under one object. A count repeats
-# exactly, so unlike a timing these gate on one run.
+# Request round trip over loopback TCP under one object; and a join
+# storm of 19 599 nodes into simnet, whose paged node table allocates
+# within 2x the nodes' state (one slice grown by append read 5.5x). A
+# count repeats exactly, so unlike a timing these gate on one run.
 alloc-check:
 	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
 

@@ -295,8 +295,8 @@ func (o *options) report(hc harness.Config, res *harness.Result, elapsed time.Du
 		100*res.LookupWithin150ms(), 100*res.LookupBeyond1200ms())
 	fmt.Printf("transfer: %.0f%% within 100 ms\n", 100*res.TransferWithin100ms())
 	if m := res.MemStats; m != nil {
-		fmt.Printf("memory: %.0f B/node live heap (%.1f MiB total, %d mallocs)\n",
-			m.BytesPerNode, float64(m.HeapAllocBytes)/(1<<20), m.Mallocs)
+		fmt.Printf("memory: %.0f B/node live heap (%.1f MiB total; %.1f MiB allocated over the run, %d mallocs)\n",
+			m.BytesPerNode, float64(m.HeapAllocBytes)/(1<<20), float64(m.TotalAllocBytes)/(1<<20), m.Mallocs)
 	}
 	if o.series {
 		fmt.Println("hour  hit-ratio  queries")

@@ -73,7 +73,7 @@ func build(seed uint64, cfg flower.Config) (*world, error) {
 		clock.Schedule(int64(i)*200, func() {
 			id := pop.Seed(i)
 			queries.Start(id, sys.SpawnSeed(id))
-		})
+		}).Release()
 	}
 	rt.Run(clock.Now() + 10*runtime.Minute)
 	return &world{Runtime: rt, sys: sys, pop: pop, queries: queries}, nil

@@ -138,6 +138,9 @@ type ringDriver struct {
 	// count; protocol logic never consults it.
 	peers    proto.Roster[*peer]
 	querySeq uint64
+	// joinsAbandoned counts the peers whose last ring join failed
+	// (StatRingJoinAbandoned).
+	joinsAbandoned uint64
 }
 
 // SpawnSeed: the seeds are ordinary ring members.
@@ -166,8 +169,9 @@ func (d *ringDriver) Spawn(id proto.Identity) proto.Session {
 
 func (d *ringDriver) Stats() proto.Stats {
 	return proto.Stats{
-		proto.StatPeersSpawned: float64(d.peers.Spawned()),
-		proto.StatAlivePeers:   float64(d.peers.Alive()),
+		proto.StatPeersSpawned:      float64(d.peers.Spawned()),
+		proto.StatAlivePeers:        float64(d.peers.Alive()),
+		proto.StatRingJoinAbandoned: float64(d.joinsAbandoned),
 	}
 }
 
@@ -267,7 +271,7 @@ func (p *peer) enterRing(attempts int) {
 	gw := d.registry.PickAlive(d.env.RNG, d.env.Oracle.Alive, runtime.None)
 	if !gw.Valid() {
 		if d.env.Follower {
-			d.env.Clock.Schedule(200*runtime.Millisecond, func() { p.enterRing(attempts) })
+			d.env.Clock.Schedule(200*runtime.Millisecond, func() { p.enterRing(attempts) }).Release()
 			return
 		}
 		p.node.Create()
@@ -280,7 +284,9 @@ func (p *peer) enterRing(attempts int) {
 		}
 		if err != nil {
 			if attempts > 1 {
-				d.env.Clock.Schedule(10*runtime.Second, func() { p.enterRing(attempts - 1) })
+				d.env.Clock.Schedule(10*runtime.Second, func() { p.enterRing(attempts - 1) }).Release()
+			} else {
+				d.joinsAbandoned++ // online for the rest of its session, off the ring
 			}
 			return
 		}
@@ -364,6 +370,7 @@ func (p *peer) sendQuery(q *activeQuery) {
 		p.node.Route(p.d.spec.HomeKey(q.key), msg)
 	}
 	q.timeout = p.d.env.Clock.Schedule(p.d.cfg.queryTimeout, func() {
+		runtime.DropTimer(&q.timeout) // fired: its record goes back to the clock
 		if p.dead || p.query != q {
 			return
 		}

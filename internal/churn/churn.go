@@ -86,6 +86,7 @@ func (p *Process) scheduleNext() {
 	}
 	gap := p.rng.ExpDuration(p.cfg.MeanInterarrival())
 	p.ticker = p.eng.Schedule(gap, func() {
+		runtime.DropTimer(&p.ticker) // fired: its record goes back to the clock
 		p.arrive()
 		p.scheduleNext()
 	})
@@ -101,7 +102,7 @@ func (p *Process) arrive() {
 	p.eng.Schedule(life, func() {
 		p.failures++
 		kill()
-	})
+	}).Release()
 }
 
 // SpawnInitial performs n immediate arrivals (used to seed the warm-up
@@ -122,9 +123,7 @@ func (p *Process) Lifetime() int64 {
 // schedule.
 func (p *Process) Stop() {
 	p.stopped = true
-	if p.ticker != nil {
-		p.ticker.Cancel()
-	}
+	runtime.DropTimer(&p.ticker)
 }
 
 // Arrivals returns the number of successful spawns so far.

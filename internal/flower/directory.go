@@ -222,7 +222,7 @@ func (p *Peer) becomeDirectory(pos ids.ID) {
 	// within a stabilization period or two — and keep auditing: one
 	// cheap lookup per auditInterval keeps the one-directory-per-
 	// position invariant self-healing under heavy ring churn.
-	p.eng().Schedule(3*p.sys.cfg.Chord.StabilizeInterval, p.auditPosition)
+	p.eng().Schedule(3*p.sys.cfg.Chord.StabilizeInterval, p.auditPosition).Release()
 	p.dir.audit = p.eng().Every(auditInterval, auditInterval, p.auditPosition)
 	// A directory is still a petal member: keep gossiping so its own
 	// summary and (self-pointing) dir-info spread.
@@ -464,7 +464,8 @@ func (p *Peer) providersFor(key content.Key, asker runtime.NodeID, offerSelf boo
 // with exact-set summaries built from pushed keys (Sec. 4: a directory
 // "provides them with a subset of its old view so that they initialize
 // their view of the petal"). The sample shuffles the view's positions
-// in id order, the draw sequence the pinned fingerprints depend on.
+// in id order, the draw sequence the pinned fingerprints depend on. The
+// slice is made for the joiner alone: its gossip view takes it over.
 func (p *Peer) viewSeed(exclude runtime.NodeID) []gossip.Entry {
 	const seedSize = 8
 	picks := p.sys.seedScratch[:0]

@@ -113,7 +113,7 @@ func (p *Peer) dirContactFailed(dirNode runtime.NodeID) {
 			if !p.dead && p.dirInfo.Node == dirNode {
 				p.sendKeepalive(dirNode, p.dirAnswered(dirNode, false))
 			}
-		})
+		}).Release()
 		return
 	}
 	p.dirMisses = 0
@@ -174,7 +174,7 @@ func (p *Peer) onDirectoryDead(deadNode runtime.NodeID) {
 			if !p.dead && p.role == RoleContent && !p.dirInfo.Valid() {
 				p.rejoinPetal()
 			}
-		})
+		}).Release()
 	})
 }
 

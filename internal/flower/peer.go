@@ -144,7 +144,7 @@ func (p *Peer) startLife() {
 		if !p.dead && p.role == RoleClient {
 			p.rejoinPetal()
 		}
-	})
+	}).Release()
 }
 
 // Kill implements proto.Session: all components stop, every ticker the

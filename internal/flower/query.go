@@ -165,7 +165,13 @@ func (p *Peer) armTimeout(q *activeQuery) {
 	q.timeout = p.eng().Schedule(p.sys.cfg.QueryTimeout, q.onTimeout)
 }
 
-func (q *activeQuery) timedOut() { q.p.routedQueryTimedOut(q) }
+// timedOut is the bound deadline callback. The handle in q.timeout is
+// the one firing — whatever replaces or clears it cancels it first — so
+// it goes back to the clock here, whether or not the query lives on.
+func (q *activeQuery) timedOut() {
+	runtime.DropTimer(&q.timeout)
+	q.p.routedQueryTimedOut(q)
+}
 
 // traceHop appends one hop to the active query's path when tracing is
 // enabled; a no-op otherwise.
@@ -368,7 +374,10 @@ func (p *Peer) onVacantResp(m vacantResp) {
 }
 
 // joinPetal transitions a client to content peer and seeds its view
-// from the directory-provided contacts.
+// from the directory-provided contacts. The seed is the slice viewSeed
+// built for this peer alone, so an empty view adopts it; a duplicate
+// answer, which would carry the same slice again, never gets here
+// (onDirQueryResp's seq check).
 func (p *Peer) joinPetal(seed []gossip.Entry) {
 	p.gsp.AddContacts(seed)
 	if p.role != RoleClient {

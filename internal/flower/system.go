@@ -253,7 +253,7 @@ func (p *Peer) awaitGateway(pos ids.ID, attempts int) {
 		return
 	}
 	if p.sys.registry.Len() == 0 {
-		p.eng().Schedule(200*runtime.Millisecond, func() { p.awaitGateway(pos, attempts) })
+		p.eng().Schedule(200*runtime.Millisecond, func() { p.awaitGateway(pos, attempts) }).Release()
 		return
 	}
 	p.seedClaim(pos, attempts)
@@ -273,7 +273,7 @@ func (p *Peer) seedClaim(pos ids.ID, attempts int) {
 			p.dirInfo = DirInfo{Pos: pos, Node: current.Node, Age: 0}
 		} else if attempts > 1 {
 			// Transient failure (lookup timeout or healing denial): retry.
-			p.eng().Schedule(p.sys.cfg.SeedRetryDelay, func() { p.seedClaim(pos, attempts-1) })
+			p.eng().Schedule(p.sys.cfg.SeedRetryDelay, func() { p.seedClaim(pos, attempts-1) }).Release()
 			return
 		}
 		p.seating = false

@@ -102,7 +102,6 @@ func (r shuffleResp) WireBytes() int { return 16 + len(r.Entries)*192 }
 type Protocol struct {
 	cfg Config
 	net runtime.Net
-	eng runtime.Clock
 	rng *rnd.RNG
 	me  runtime.NodeID
 	app App
@@ -113,6 +112,9 @@ type Protocol struct {
 	// seed plus its directory, rarely past a few dozen entries — so a
 	// scan costs less than keeping an index beside every view.
 	view []Entry
+	// perm is sample's buffer of view positions for a view past the 64
+	// a stack buffer holds, kept for the next exchange.
+	perm []int
 
 	timer   runtime.Ticker
 	stopped bool
@@ -132,7 +134,6 @@ func New(cfg Config, net runtime.Net, rng *rnd.RNG, me runtime.NodeID, app App) 
 	return &Protocol{
 		cfg: cfg,
 		net: net,
-		eng: net.Clock(),
 		rng: rng,
 		me:  me,
 		app: app,
@@ -145,7 +146,7 @@ func (g *Protocol) Start() {
 	if g.timer != nil {
 		return
 	}
-	g.timer = g.eng.Every(g.rng.UniformDuration(0, g.cfg.Period), g.cfg.Period, g.Tick)
+	g.timer = g.net.Clock().Every(g.rng.UniformDuration(0, g.cfg.Period), g.cfg.Period, g.Tick)
 }
 
 // Stop cancels periodic shuffles.
@@ -205,10 +206,14 @@ func (g *Protocol) AddContact(peer runtime.NodeID, meta any) {
 }
 
 // AddContacts adds each entry's peer and metadata as AddContact does,
-// with age 0, growing the view once for the whole batch (a joining
-// peer's seed).
+// with age 0: a joining peer's seed. It takes es over. An empty view
+// adopts it, merging the entries in place, and a view that is not empty
+// grows once for the whole batch; either way the caller must not use es
+// again.
 func (g *Protocol) AddContacts(es []Entry) {
-	if n := len(g.view) + len(es); n > cap(g.view) {
+	if len(g.view) == 0 {
+		g.view = es[:0] // each merge writes at most one entry, never past the one it reads
+	} else if n := len(g.view) + len(es); n > cap(g.view) {
 		g.view = append(make([]Entry, 0, n), g.view...)
 	}
 	for _, e := range es {
@@ -299,7 +304,8 @@ func (g *Protocol) oldest() runtime.NodeID {
 // sample draws up to shuffleSize entries: our own fresh descriptor plus
 // random view entries, excluding the exchange partner. It shuffles the
 // view's positions — the draws, and the order, of rng.Perm — in a
-// stack buffer; only a view past 64 entries allocates for them, once.
+// stack buffer, or for a view past 64 entries in g.perm, which grows
+// only with the view.
 func (g *Protocol) sample(exclude runtime.NodeID, includeSelf bool) []Entry {
 	out := make([]Entry, 0, shuffleSize)
 	if includeSelf {
@@ -308,7 +314,10 @@ func (g *Protocol) sample(exclude runtime.NodeID, includeSelf bool) []Entry {
 	var buf [64]int
 	perm := buf[:0]
 	if len(g.view) > len(buf) {
-		perm = make([]int, 0, len(g.view))
+		if cap(g.perm) < len(g.view) {
+			g.perm = make([]int, 0, len(g.view))
+		}
+		perm = g.perm[:0]
 	}
 	for i := range g.view {
 		perm = append(perm, i)

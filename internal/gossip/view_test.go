@@ -187,10 +187,10 @@ func TestViewMatchesMapModel(t *testing.T) {
 			case r < 38:
 				op = "AddContacts"
 				es := entries(rng.Intn(12))
-				g.AddContacts(es)
 				for _, e := range es {
 					v.insert(Entry{Peer: e.Peer, Meta: e.Meta})
 				}
+				g.AddContacts(es) // takes es over
 			case r < 53:
 				op = "HandleRequest"
 				from := anyPeer()

@@ -801,6 +801,9 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 		cap:    int(float64(popShare) * PopulationFactor),
 		onMint: cfg.onMint,
 	}
+	// Made at its cap, the pool never regrows: in a join storm append's
+	// quarter steps would copy it dozens of times.
+	pl.inds = make([]proto.Identity, 0, pl.cap)
 	// Every online session is tracked so scheduled mass failures can
 	// pick victims from the genuinely-alive set without double-killing
 	// sessions whose own departure timer fires later. track returns the
@@ -832,11 +835,11 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 		clock.Schedule(int64(i)*cfg.SeedStagger, func() {
 			ind := pop.Seed(i)
 			idx := pl.add(ind)
-			clock.Schedule(proc.Lifetime(), track(idx, sys.SpawnSeed(ind)))
-		})
+			clock.Schedule(proc.Lifetime(), track(idx, sys.SpawnSeed(ind))).Release()
+		}).Release()
 	}
 	// Client arrivals start once the bootstrap population is up.
-	clock.Schedule(int64(seeds)*cfg.SeedStagger, proc.Start)
+	clock.Schedule(int64(seeds)*cfg.SeedStagger, proc.Start).Release()
 
 	// Scheduled adversarial churn: failures pick victims by a
 	// deterministic permutation of the live sessions in spawn order, so
@@ -856,13 +859,13 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 				if stop == nil {
 					break // pool exhausted
 				}
-				clock.Schedule(proc.Lifetime(), stop)
+				clock.Schedule(proc.Lifetime(), stop).Release()
 			}
-		})
+		}).Release()
 	}
 	if cfg.OnCheckpoint != nil {
 		for _, at := range cfg.Checkpoints {
-			clock.Schedule(at, func() { cfg.OnCheckpoint(clock.Now(), sys) })
+			clock.Schedule(at, func() { cfg.OnCheckpoint(clock.Now(), sys) }).Release()
 		}
 	}
 	return rt.Run(cfg.Duration), nil

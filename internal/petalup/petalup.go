@@ -121,7 +121,7 @@ func RunFlashCrowd(sys *flower.System, pop *proto.Population, queries *proto.Que
 		clock.Schedule(at, func() {
 			id := pop.At(spec.Site, spec.Loc)
 			queries.Start(id, sys.Spawn(id))
-		})
+		}).Release()
 	}
 	rt.Run(clock.Now() + int64(spec.Arrivals)*spec.ArrivalGap + spec.Settle)
 	return Measure(sys, spec.Site, spec.Loc), nil

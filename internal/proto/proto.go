@@ -121,6 +121,10 @@ type Identity struct {
 //	               (a peer still joining its overlay counts)
 //	peers_spawned  counter: sessions ever started
 //	unjoined_ticks counter: query ticks before a session joined (Queries)
+//	ring_join_abandoned
+//	               counter: ring-directory sessions whose last join
+//	               attempt failed; each stays online, off the ring
+//	               (internal/baseline)
 //
 // Everything else is protocol vocabulary (alive_directories,
 // dir_promotions, registrations, ...) surfaced verbatim in results.
@@ -128,9 +132,10 @@ type Stats map[string]float64
 
 // The well-known Stats keys.
 const (
-	StatAlivePeers    = "alive_peers"
-	StatPeersSpawned  = "peers_spawned"
-	StatUnjoinedTicks = "unjoined_ticks"
+	StatAlivePeers        = "alive_peers"
+	StatPeersSpawned      = "peers_spawned"
+	StatUnjoinedTicks     = "unjoined_ticks"
+	StatRingJoinAbandoned = "ring_join_abandoned"
 )
 
 // System is one protocol deployment driven by the harness. All calls

@@ -20,6 +20,13 @@ func (r *Roster[T]) Add(x T) {
 	if dead := len(r.online) - r.alive; dead >= 16 && 4*dead >= len(r.online) {
 		r.compact()
 	}
+	if len(r.online) == cap(r.online) {
+		// Double, where append would step by a quarter: a join storm
+		// copies the list a handful of times, not dozens.
+		grown := make([]T, len(r.online), max(2*len(r.online), 16))
+		copy(grown, r.online)
+		r.online = grown
+	}
 	r.online = append(r.online, x)
 	r.spawned++
 	r.alive++

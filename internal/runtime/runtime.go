@@ -117,11 +117,16 @@ type Timer interface {
 	// Release tells the clock the caller will not use this handle again.
 	// The timer still fires unless it was cancelled; once it has fired or
 	// been cancelled, its clock may reuse the record for the next
-	// Schedule. A caller that drops the handle at once releases it in the
-	// statement that schedules it; one that stores it releases it where
-	// it clears the field (DropTimer does both). Any call on a released
-	// handle, a second Release included, is a bug: it may reach the
-	// record's next tenant.
+	// Schedule. Every caller releases every handle it drops: one that
+	// drops the handle at once releases it in the statement that
+	// schedules it; one that stores it releases it where it clears or
+	// overwrites the field, a fired timer's in its own callback
+	// (DropTimer does both). The record of a handle dropped unreleased
+	// never goes back to the clock, which carves a fresh one for a later
+	// Schedule; transporttest.ReleaseClock reports such a handle by the
+	// line that scheduled it (TestNoTimerUsedAfterRelease, in the
+	// harness). Any call on a released handle, a second Release
+	// included, is a bug: it may reach the record's next tenant.
 	Release()
 }
 

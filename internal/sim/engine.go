@@ -41,9 +41,12 @@
 // handle the caller keeps is never reused, so a stale Cancel stays a
 // no-op; a handle given back with Timer.Release rejoins its wheel's
 // free list once the timer has fired or been cancelled, and the next
-// Schedule takes it from there. The message layer releases every timer
-// it schedules, which is nearly all of them, so a run's timer memory
-// follows the depth of the queue, not the event count.
+// Schedule takes it from there. Every caller in the tree releases every
+// handle it drops — the message layer, the protocols, churn and the
+// harness; transporttest.ReleaseClock reports one collected unreleased,
+// by the line that scheduled it, in the harness's
+// TestNoTimerUsedAfterRelease — so a run's timer memory follows the
+// depth of the queue, not the event count.
 package sim
 
 import (

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"testing"
+	"unsafe"
 
 	"flowercdn/internal/runtime"
 	"flowercdn/internal/transporttest"
@@ -93,5 +94,28 @@ func TestRequestAllocsNoDeadline(t *testing.T) {
 	}
 	if replied != 100 {
 		t.Fatalf("%d of 100 requests answered", replied)
+	}
+}
+
+// TestJoinAllocBytes holds a join storm to the table it leaves behind:
+// the node table grows a page at a time and a page never moves, so
+// joining N nodes allocates each node's state once — the pages, their
+// directory and the network itself, within 2x N nodes' state. One slice
+// grown by append's quarter steps allocated 5.5x at N = 19 599, the
+// table the benchmark's bigcell-join cell leaves at seed 11.
+func TestJoinAllocBytes(t *testing.T) {
+	const nodes = 19599
+	f := newFixture(t)
+	place := f.topo.Place(f.rng)
+	table := uint64(nodes) * uint64(unsafe.Sizeof(nodeState{}))
+	got := transporttest.AllocBytes(1, func() {
+		net := New(f.eng.Clock(), f.topo)
+		for range nodes {
+			net.Join(nopNode{}, place)
+		}
+	})
+	t.Logf("joining %d nodes allocated %d bytes, %.2fx their %d bytes of state", nodes, got, float64(got)/float64(table), table)
+	if got > 2*table {
+		t.Errorf("joining %d nodes allocated %d bytes, over 2x their %d bytes of state", nodes, got, table)
 	}
 }

@@ -61,6 +61,17 @@ type nodeState struct {
 	alive   bool
 }
 
+// The node table grows a page of nodes at a time, and a page never
+// moves: a join storm allocates each node's state once, where one long
+// slice grown by append would copy the whole table at every regrowth
+// (TestJoinAllocBytes).
+const (
+	nodePageBits = 8
+	nodePageSize = 1 << nodePageBits
+)
+
+type nodePage [nodePageSize]nodeState
+
 // Remote carries the legs whose far end another process of the group
 // owns. Its methods run on the clock's goroutine with no lock held.
 type Remote interface {
@@ -98,7 +109,7 @@ type Network struct {
 	clock runtime.Clock
 	late  lateFiler // the clock's, if it offers one; nil on the wall clock
 	topo  *topology.Topology
-	nodes []nodeState // indexed by NodeID
+	nodes []*nodePage // indexed by NodeID, a page at a time (node)
 	stats runtime.TransportStats
 
 	// next is the NodeID Join mints next; stride steps it.
@@ -196,12 +207,12 @@ func (n *Network) Deliver(from, to runtime.NodeID, msg any) {
 // receiver counts a message that has reached `to`: delivered, with the
 // handler to run returned, or dropped, with nil, when `to` is dead.
 func (n *Network) receiver(to runtime.NodeID) runtime.Handler {
-	if !n.isAlive(to) {
-		n.stats.MessagesDropped++
-		return nil
+	if st := n.node(to); st != nil && st.alive {
+		n.stats.MessagesDelivered++
+		return st.handler
 	}
-	n.stats.MessagesDelivered++
-	return n.nodes[to].handler
+	n.stats.MessagesDropped++
+	return nil
 }
 
 // rpcState is the pooled per-Request record. Up to three scheduled
@@ -517,11 +528,22 @@ func (n *Network) Mirror(id runtime.NodeID, place topology.Placement) {
 // add records a node as joined and alive at id, growing the table over
 // the ids other processes of a group have not joined yet.
 func (n *Network) add(id runtime.NodeID, st nodeState) {
-	for int(id) >= len(n.nodes) {
-		n.nodes = append(n.nodes, nodeState{})
+	for int(id)>>nodePageBits >= len(n.nodes) {
+		n.nodes = append(n.nodes, new(nodePage))
 	}
 	st.known, st.alive = true, true
-	n.nodes[id] = st
+	*n.node(id) = st
+}
+
+// node returns id's entry in the table, or nil for an id past it (or
+// negative). An entry nobody has added is the zero nodeState: neither
+// known nor alive.
+func (n *Network) node(id runtime.NodeID) *nodeState {
+	page := uint(id) >> nodePageBits
+	if page >= uint(len(n.nodes)) {
+		return nil
+	}
+	return &n.nodes[page][id&(nodePageSize-1)]
 }
 
 // Fail marks a node dead. In-flight messages to it will be dropped on
@@ -541,25 +563,27 @@ func (n *Network) Fail(id runtime.NodeID) {
 func (n *Network) FailOwner(owner int) {
 	n.lock()
 	defer n.unlock()
-	for id := runtime.NodeID(owner); int(id) < len(n.nodes); id += n.stride {
-		if n.nodes[id].alive {
+	for id := runtime.NodeID(owner); int(id) < len(n.nodes)*nodePageSize; id += n.stride {
+		if n.node(id).alive {
 			n.kill(id)
 		}
 	}
 }
 
 func (n *Network) kill(id runtime.NodeID) {
-	st := &n.nodes[id]
+	st := n.node(id)
 	st.alive = false
 	st.handler = nil // release protocol state for GC
 }
 
 func (n *Network) known(id runtime.NodeID) bool {
-	return id >= 0 && int(id) < len(n.nodes) && n.nodes[id].known
+	st := n.node(id)
+	return st != nil && st.known
 }
 
 func (n *Network) isAlive(id runtime.NodeID) bool {
-	return id >= 0 && int(id) < len(n.nodes) && n.nodes[id].alive
+	st := n.node(id)
+	return st != nil && st.alive
 }
 
 // Alive reports whether id is registered and not failed. For a node
@@ -577,8 +601,8 @@ func (n *Network) Alive(id runtime.NodeID) bool {
 func (n *Network) Locality(id runtime.NodeID) topology.Locality {
 	n.lock()
 	defer n.unlock()
-	if n.known(id) {
-		return n.nodes[id].place.Loc
+	if st := n.node(id); st != nil && st.known {
+		return st.place.Loc
 	}
 	if id >= 0 && !n.local(id) {
 		return 0
@@ -598,8 +622,8 @@ func (n *Network) Latency(a, b runtime.NodeID) int64 {
 // end yet delivers without modeled delay rather than guess; only a
 // network of its own, which holds no lock, panics here.
 func (n *Network) latency(a, b runtime.NodeID) int64 {
-	if n.known(a) && n.known(b) {
-		return n.topo.Latency(n.nodes[a].place.Pos, n.nodes[b].place.Pos)
+	if sa, sb := n.node(a), n.node(b); sa != nil && sb != nil && sa.known && sb.known {
+		return n.topo.Latency(sa.place.Pos, sb.place.Pos)
 	}
 	if n.remote == nil {
 		panic(fmt.Sprintf("simnet: latency between %d and %d, one of them unknown", a, b))

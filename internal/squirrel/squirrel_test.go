@@ -55,10 +55,14 @@ func eachProtocol(t *testing.T, fn func(t *testing.T, p protocol)) {
 
 // joinSpy reports the address the deployment's last Join was given, so
 // a test can tell which ring member or trace hop is which of its peers.
+// With ghosts set, its oracle calls every node alive.
 type joinSpy struct {
 	runtime.Transport
-	last runtime.NodeID
+	last   runtime.NodeID
+	ghosts bool
 }
+
+func (j *joinSpy) Alive(id runtime.NodeID) bool { return j.ghosts || j.Transport.Alive(id) }
 
 func (j *joinSpy) Join(h runtime.Handler, p topology.Placement) runtime.NodeID {
 	j.last = j.Transport.Join(h, p)
@@ -483,6 +487,28 @@ func TestKilledDeploymentDrainsTheEventQueue(t *testing.T) {
 		}
 		if st := f.sys.Stats(); st[proto.StatAlivePeers] != 0 || st[proto.StatPeersSpawned] != 12 || len(f.members()) != 0 {
 			t.Fatalf("after the kill: stats %v, %d ring members", st, len(f.members()))
+		}
+	})
+}
+
+// TestAbandonedJoinIsCounted forces a peer's three ring joins to fail —
+// its one gateway is dead, but the oracle calls it alive, so every
+// attempt goes there and times out — and checks that the deployment
+// counts the peer under ring_join_abandoned once its last attempt has
+// failed, not before, and that the peer stays online off the ring.
+func TestAbandonedJoinIsCounted(t *testing.T) {
+	eachProtocol(t, func(t *testing.T, p protocol) {
+		f := newFixture(t, p, 3, 50, nil)
+		f.spawn(0, nil, runtime.Minute).kill()
+		f.net.ghosts = true
+		f.spawn(1, nil, runtime.Second)
+		if got := f.sys.Stats()[proto.StatRingJoinAbandoned]; got != 0 {
+			t.Fatalf("%v joins abandoned a second after the first attempt, want 0", got)
+		}
+		f.run(10 * runtime.Minute)
+		st := f.sys.Stats()
+		if st[proto.StatRingJoinAbandoned] != 1 || st[proto.StatAlivePeers] != 1 || len(f.members()) != 0 {
+			t.Fatalf("after the third failed join: stats %v, %d ring members; want 1 abandoned, 1 alive, none on the ring", st, len(f.members()))
 		}
 	})
 }
