@@ -162,8 +162,10 @@ fingerprint-check:
 # count, the timer re-armed: zero), flower's query path on a frozen
 # petal (a query while one is in flight and a gossip-path hit: zero; a
 # directory-path hit: the request, plus the directory's provider list
-# and reply) and a joining client's view seed
-# (the same count at 50 and 2 000 members), gossip's view (a shuffle
+# and reply), a joining client's view seed
+# (the same count at 50 and 2 000 members) and a member's pushed key
+# (zero; on a set a view seed's box holds, the copied bitmap, one
+# object; a member record stays 40 B), gossip's view (a shuffle
 # sample: its slice only, past 64 entries too; a 9-contact seed into an
 # empty view, which adopts it: zero; a lookup, removal or merge of a
 # known peer: zero), the LRU policy (an admission
@@ -180,8 +182,10 @@ fingerprint-check:
 # the engine one pending timer, its deadline never filed, and a socknet
 # Request round trip over loopback TCP under one object; and a join
 # storm of 19 599 nodes into simnet, whose paged node table allocates
-# within 2x the nodes' state (one slice grown by append read 5.5x). A
-# count repeats exactly, so unlike a timing these gate on one run.
+# within 2x the nodes' entries (one slice grown by append read 5.5x),
+# and a page of 256 dead ids, which keeps its 24 B places and no
+# handler storage. A count repeats exactly, so unlike a timing these
+# gate on one run.
 alloc-check:
 	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
 
@@ -256,6 +260,7 @@ fuzz-smoke:
 	go test ./internal/dring/ -run '^$$' -fuzz FuzzPositionRoundTrip $(FUZZFLAGS)
 	go test ./internal/trace/ -run '^$$' -fuzz FuzzRecordWire $(FUZZFLAGS)
 	go test ./internal/sim/ -run '^$$' -fuzz FuzzEngineOrder $(FUZZFLAGS)
+	go test ./internal/flower/ -run '^$$' -fuzz FuzzKeySet $(FUZZFLAGS)
 
 # dist-smoke is the distributed-sweep equality gate: the same CI-sized
 # grid runs once in-process, once sharded across a coordinator plus two

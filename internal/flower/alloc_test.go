@@ -2,6 +2,7 @@ package flower
 
 import (
 	"testing"
+	"unsafe"
 
 	"flowercdn/internal/cache"
 	"flowercdn/internal/content"
@@ -197,5 +198,39 @@ func TestViewSeedAllocsDoNotGrowWithThePetal(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { dir.viewSeed(runtime.None) }); got != warm {
 			t.Errorf("viewSeed at %d members, all seeded before, allocates %v objects, want %d", members, got, warm)
 		}
+	}
+}
+
+// TestAddKeyAllocs pins what recording a pushed key costs a directory:
+// nothing on a member's set no view seed holds, and on one a
+// ContactMeta box holds, the copied set alone — one object at Table
+// 1's 500 objects. A member stays 40 B, the set behind one pointer.
+func TestAddKeyAllocs(t *testing.T) {
+	if got := unsafe.Sizeof(memberInfo{}); got != 40 {
+		t.Errorf("memberInfo is %d B, want 40", got)
+	}
+	m := memberInfo{nid: 3, keys: newExactSummary(2)}
+	next := content.ObjectID(0)
+	if got := testing.AllocsPerRun(400, func() {
+		if !m.addKey(content.Key{Site: 2, Object: next}) {
+			t.Fatal("addKey refused a key of the set's site")
+		}
+		next++
+	}); got != 0 {
+		t.Errorf("addKey on an unboxed set allocates %v objects, want 0", got)
+	}
+	if m.keys.SizeBytes() != 8*int(next) {
+		t.Fatalf("set holds %d B of keys after %d adds", m.keys.SizeBytes(), next)
+	}
+	base := newExactSummary(2)
+	box := any(ContactMeta{Summary: base})
+	if got := testing.AllocsPerRun(100, func() {
+		m.keys, m.meta = base, box
+		m.addKey(content.Key{Site: 2, Object: 499})
+	}); got != 1 {
+		t.Errorf("addKey on a boxed set allocates %v objects, want 1, the copy", got)
+	}
+	if base.has(content.Key{Site: 2, Object: 499}) || !m.keys.has(content.Key{Site: 2, Object: 499}) || m.meta != nil {
+		t.Error("addKey wrote the boxed set, or kept the box")
 	}
 }

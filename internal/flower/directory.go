@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"flowercdn/internal/runtime"
 	"fmt"
-	"maps"
 	"slices"
 
 	"flowercdn/internal/chord"
@@ -19,9 +18,12 @@ import (
 // directoryState is the extra state a peer carries while holding a
 // D-ring directory position (Sec. 3.2): the directory-index mapping
 // objects to the content peers that cache them, the member view with
-// keepalive freshness, and — right after promotion — the content
-// summaries retained from its life as a content peer, used to answer
-// queries while the index rebuilds (Sec. 5.2.2).
+// keepalive freshness and the keys each member pushed, and — right
+// after promotion — the content summaries retained from its life as a
+// content peer, used to answer queries while the index rebuilds
+// (Sec. 5.2.2). A member's keys are a bitmap over its website's
+// objects (exactSummary), still charged 8 B per key when a view seed
+// ships them.
 type directoryState struct {
 	pos      ids.ID
 	instance int
@@ -53,7 +55,9 @@ type directoryState struct {
 type memberInfo struct {
 	nid      runtime.NodeID
 	lastSeen int64
-	keys     map[content.Key]struct{}
+	// keys are the keys the member pushed, a bitmap of the petal's
+	// website behind one pointer, so a member stays 40 B.
+	keys exactSummary
 	// meta is the boxed ContactMeta viewSeed last handed out for this
 	// member, reused while its dir-info and keys stand (see contactMeta
 	// and addKey); nil until the member is next sampled.
@@ -78,7 +82,7 @@ func (d *directoryState) member(nid runtime.NodeID) (int, bool) {
 
 // unindex drops a departing member's keys from the directory-index.
 func (d *directoryState) unindex(m memberInfo) {
-	for k := range m.keys {
+	for k := range m.keys.all {
 		d.index.Remove(k, m.nid)
 	}
 }
@@ -110,17 +114,6 @@ func (d *directoryState) MemberCount() int { return len(d.members) }
 // QueriesHandled returns how many client queries this instance
 // processed.
 func (d *directoryState) QueriesHandled() uint64 { return d.queriesHandled }
-
-// exactSummary adapts a directory's per-member key set to the
-// SummaryProvider interface so view seeds carry usable summaries.
-type exactSummary map[content.Key]struct{}
-
-func (s exactSummary) Contains(key uint64) bool {
-	_, ok := s[content.KeyFromUint64(key)]
-	return ok
-}
-
-func (s exactSummary) SizeBytes() int { return len(s) * 8 }
 
 // becomeFoundingDirectory creates a brand-new D-ring with this peer as
 // its first member at pos.
@@ -333,7 +326,7 @@ func (p *Peer) admitMember(nid runtime.NodeID) *memberInfo {
 	d := p.dir
 	i, ok := d.member(nid)
 	if !ok {
-		d.members = slices.Insert(d.members, i, memberInfo{nid: nid, keys: make(map[content.Key]struct{})})
+		d.members = slices.Insert(d.members, i, memberInfo{nid: nid, keys: newExactSummary(p.site)})
 	}
 	m := &d.members[i]
 	m.lastSeen = p.eng().Now()
@@ -358,8 +351,9 @@ func (p *Peer) onPush(from runtime.NodeID, r pushReq) (any, error) {
 	}
 	m := p.admitMember(from)
 	for _, k := range r.Keys {
-		m.addKey(k)
-		p.dir.index.Add(k, from)
+		if m.addKey(k) {
+			p.dir.index.Add(k, from)
+		}
 	}
 	return pushResp{}, nil
 }
@@ -512,20 +506,26 @@ func (p *Peer) contactMeta(m *memberInfo) any {
 	if cm, ok := m.meta.(ContactMeta); ok && cm.Dir == p.dirInfo {
 		return m.meta
 	}
-	m.meta = ContactMeta{Summary: exactSummary(m.keys), Dir: p.dirInfo}
+	m.meta = ContactMeta{Summary: m.keys, Dir: p.dirInfo}
 	return m.meta
 }
 
-// addKey records that the member holds k. A new key in a set that a
+// addKey records that the member holds k, and reports whether its set
+// holds k now: not if k is of another website, which no member's store
+// holds and the directory does not index. A new key in a set that a
 // contactMeta box holds goes into a copy, and the box goes.
-func (m *memberInfo) addKey(k content.Key) {
-	if _, ok := m.keys[k]; ok {
-		return
+func (m *memberInfo) addKey(k content.Key) bool {
+	if m.keys.has(k) {
+		return true
+	}
+	if !m.keys.fits(k) {
+		return false
 	}
 	if m.meta != nil {
-		m.keys, m.meta = maps.Clone(m.keys), nil
+		m.keys, m.meta = m.keys.clone(), nil
 	}
-	m.keys[k] = struct{}{}
+	m.keys.add(k)
+	return true
 }
 
 // ---- client query processing ----

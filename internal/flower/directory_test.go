@@ -26,18 +26,17 @@ func (f *fixture) findSeed(site content.SiteID, loc topology.Locality) *Peer {
 }
 
 func TestExactSummaryRoundTrip(t *testing.T) {
-	set := exactSummary{}
-	keys := []content.Key{{Site: 3, Object: 7}, {Site: 0, Object: 0}, {Site: 100, Object: 499}}
-	for _, k := range keys {
-		set[k] = struct{}{}
-	}
+	keys := []content.Key{{Site: 3, Object: 7}, {Site: 3, Object: 0}, {Site: 3, Object: 499}}
+	set := summaryOf(keys...)
 	for _, k := range keys {
 		if !set.Contains(k.Uint64()) {
 			t.Fatalf("exact summary missing %v", k)
 		}
 	}
-	if set.Contains(content.Key{Site: 3, Object: 8}.Uint64()) {
-		t.Fatal("exact summary has false positives")
+	for _, k := range []content.Key{{Site: 3, Object: 8}, {Site: 0, Object: 7}, {Site: 3, Object: -1}, {Site: 3, Object: 4000}} {
+		if set.Contains(k.Uint64()) {
+			t.Fatalf("exact summary has a false positive: %v", k)
+		}
 	}
 	if set.SizeBytes() != len(keys)*8 {
 		t.Fatalf("SizeBytes = %d", set.SizeBytes())
@@ -60,7 +59,7 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 	f.run(5 * runtime.Minute)
 	for _, m := range members {
 		mi := dir.admitMember(m.NodeID())
-		mi.keys[key] = struct{}{}
+		mi.addKey(key)
 		d.index.Add(key, m.NodeID())
 	}
 	asker := members[0].NodeID()
@@ -160,7 +159,7 @@ func TestMemberExpiryRemovesIndexEntries(t *testing.T) {
 	ghost := f.net.Join(&probePeer{}, f.beside(dir))
 	f.net.Fail(ghost)
 	mi := dir.admitMember(ghost)
-	mi.keys[key] = struct{}{}
+	mi.addKey(key)
 	d.index.Add(key, ghost)
 	// Two sweeps beyond the TTL clear it.
 	f.run(3 * f.sys.cfg.KeepaliveInterval)
@@ -180,7 +179,7 @@ func TestDeadProviderReportPrunesIndex(t *testing.T) {
 	key := content.Key{Site: 0, Object: 4}
 	dead := runtime.NodeID(777)
 	mi := dir.admitMember(dead)
-	mi.keys[key] = struct{}{}
+	mi.addKey(key)
 	d.index.Add(key, dead)
 	dir.HandleMessage(runtime.NodeID(1), deadProviderReport{Dead: dead})
 	if _, ok := d.member(dead); ok {

@@ -1,7 +1,6 @@
 package flower
 
 import (
-	"maps"
 	"reflect"
 	"slices"
 	"testing"
@@ -29,7 +28,8 @@ func loneDirectory(t *testing.T, seed uint64) (*fixture, *Peer) {
 
 // mapView is the member view as a map from id to member — the design
 // the id-ordered slice replaced — with the directory's operations over
-// it as they were. TestMemberViewMatchesMapModel runs both side by side.
+// it as they were, each member's keys a map as they were before they
+// became a bitmap. TestMemberViewMatchesMapModel runs both side by side.
 type mapView struct {
 	members map[runtime.NodeID]*mapMember
 	index   content.Holders
@@ -129,7 +129,7 @@ func (v *mapView) viewSeed(p *Peer, rng *rnd.RNG, exclude runtime.NodeID) []goss
 	for _, nid := range nids {
 		seed = append(seed, gossip.Entry{
 			Peer: nid,
-			Meta: ContactMeta{Summary: exactSummary(v.members[nid].keys), Dir: p.dirInfo},
+			Meta: ContactMeta{Summary: summaryOfMap(p.site, v.members[nid].keys), Dir: p.dirInfo},
 		})
 	}
 	if len(seed) < seedSize {
@@ -286,7 +286,7 @@ func TestMemberViewMatchesMapModel(t *testing.T) {
 					t.Fatalf("seed %d step %d (%s): view not in ascending id order at %d", seed, step, op, i)
 				}
 				w, ok := v.members[m.nid]
-				if !ok || w.lastSeen != m.lastSeen || !maps.Equal(w.keys, m.keys) {
+				if !ok || w.lastSeen != m.lastSeen || !sameKeys(m.keys, w.keys) {
 					t.Fatalf("seed %d step %d (%s): member %d differs from the map view's", seed, step, op, m.nid)
 				}
 			}

@@ -188,9 +188,11 @@ func (p *Peer) selfEntry() chord.Entry {
 func (p *Peer) selfMeta() ContactMeta {
 	var sum SummaryProvider
 	if p.sys.cfg.ExactSummaries {
-		set := make(exactSummary, p.store.Len())
+		set := newExactSummary(p.site)
 		for _, k := range p.store.Keys() {
-			set[k] = struct{}{}
+			if set.fits(k) {
+				set.add(k)
+			}
 		}
 		sum = set
 	} else {

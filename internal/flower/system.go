@@ -137,6 +137,9 @@ func NewSystem(cfg Config, env proto.Env) (*System, error) {
 	if k := env.Topo.Localities(); k > dring.MaxLocalities {
 		return nil, fmt.Errorf("flower: %d localities, but D-ring positions hold at most %d", k, dring.MaxLocalities)
 	}
+	if n := env.Workload.Config().ObjectsPerSite; n > exactSetObjects {
+		return nil, fmt.Errorf("flower: %d objects per site, but a member's key set holds at most %d", n, exactSetObjects)
+	}
 	s := &System{
 		cfg:       cfg,
 		net:       env.Net,

@@ -15,10 +15,11 @@ import (
 )
 
 // Binary wire marshallers for every flower message registered in
-// driver.go. Maps (the directory index, exact summaries) are encoded
-// with sorted keys and decoded enforcing strictly ascending order, so
-// the encoding stays canonical — any accepted byte stream re-encodes
-// to exactly the same bytes.
+// driver.go but exactSummary, whose are in exactsummary.go. The
+// directory index, a map, is encoded with sorted keys and decoded
+// enforcing strictly ascending order, as an exact summary is, so the
+// encoding stays canonical — any accepted byte stream re-encodes to
+// exactly the same bytes.
 
 func appendSite(w *runtime.WireWriter, s content.SiteID) { w.Varint(int64(s)) }
 
@@ -233,36 +234,4 @@ func (ContactMeta) DecodeWire(r *runtime.WireReader) any {
 	m.Dir.Node = r.Node()
 	m.Dir.Age = r.Int()
 	return m
-}
-
-func (s exactSummary) AppendWire(w *runtime.WireWriter) {
-	keys := make([]content.Key, 0, len(s))
-	for k := range s {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, byPackedKey)
-	content.AppendKeysWire(w, keys)
-}
-
-func (exactSummary) DecodeWire(r *runtime.WireReader) any {
-	n := r.ArrayLen(2)
-	var s exactSummary
-	if r.Err() == nil && n > 0 {
-		s = make(exactSummary, n)
-		var prev uint64
-		for i := 0; i < n; i++ {
-			k := content.DecodeKeyWire(r)
-			if r.Err() != nil {
-				break
-			}
-			if u := k.Uint64(); i > 0 && u <= prev {
-				r.Fail(fmt.Errorf("flower: summary keys out of order"))
-				break
-			} else {
-				prev = u
-			}
-			s[k] = struct{}{}
-		}
-	}
-	return s
 }

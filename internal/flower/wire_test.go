@@ -30,7 +30,7 @@ func TestWireRoundTrips(t *testing.T) {
 	}
 	seed := []gossip.Entry{
 		{Peer: 9, Age: 1, Meta: meta},
-		{Peer: 11, Age: 0, Meta: ContactMeta{Summary: exactSummary{k1: {}, k2: {}}}},
+		{Peer: 11, Age: 0, Meta: ContactMeta{Summary: summaryOf(k1, k2)}},
 	}
 	for _, msg := range []any{
 		clientQueryMsg{Seq: 4, Key: k1, Client: 8, Site: 1, Loc: 2, JoinOnly: true, Scanned: 1},
@@ -54,7 +54,7 @@ func TestWireRoundTrips(t *testing.T) {
 		handoffMsg{Pos: ids.ID(9)},
 		meta,
 		ContactMeta{Dir: DirInfo{Node: runtime.None}},
-		exactSummary{k1: {}, k2: {}},
+		summaryOf(k1, k2),
 	} {
 		wiretest.RoundTrip(t, msg)
 	}

@@ -98,24 +98,67 @@ func TestRequestAllocsNoDeadline(t *testing.T) {
 }
 
 // TestJoinAllocBytes holds a join storm to the table it leaves behind:
-// the node table grows a page at a time and a page never moves, so
-// joining N nodes allocates each node's state once — the pages, their
-// directory and the network itself, within 2x N nodes' state. One slice
-// grown by append's quarter steps allocated 5.5x at N = 19 599, the
-// table the benchmark's bigcell-join cell leaves at seed 11.
+// the node table's two columns grow a page at a time and a page never
+// moves, so joining N nodes allocates each node's place and handler
+// once — the pages, their directories and the network itself, within
+// 2x N nodes' entries. One slice grown by append's quarter steps
+// allocated 5.5x at N = 19 599, the table the benchmark's bigcell-join
+// cell leaves at seed 11.
 func TestJoinAllocBytes(t *testing.T) {
 	const nodes = 19599
 	f := newFixture(t)
 	place := f.topo.Place(f.rng)
-	table := uint64(nodes) * uint64(unsafe.Sizeof(nodeState{}))
+	table := uint64(nodes) * uint64(unsafe.Sizeof(nodePlace{})+unsafe.Sizeof(runtime.Handler(nil)))
 	got := transporttest.AllocBytes(1, func() {
 		net := New(f.eng.Clock(), f.topo)
 		for range nodes {
 			net.Join(nopNode{}, place)
 		}
 	})
-	t.Logf("joining %d nodes allocated %d bytes, %.2fx their %d bytes of state", nodes, got, float64(got)/float64(table), table)
+	t.Logf("joining %d nodes allocated %d bytes, %.2fx their %d bytes of entries", nodes, got, float64(got)/float64(table), table)
 	if got > 2*table {
-		t.Errorf("joining %d nodes allocated %d bytes, over 2x their %d bytes of state", nodes, got, table)
+		t.Errorf("joining %d nodes allocated %d bytes, over 2x their %d bytes of entries", nodes, got, table)
+	}
+}
+
+// TestDeadIDAllocsOnlyItsPlace holds a dead id to its place: once all
+// 256 ids of a page have joined and failed, the page keeps no handler
+// storage, while Locality and Latency still answer for its ids. A page
+// whose ids Join still mints keeps its storage through a moment with
+// no live handler. A place holds no pointer, so the collector never
+// scans the dead.
+func TestDeadIDAllocsOnlyItsPlace(t *testing.T) {
+	if got := unsafe.Sizeof(nodePlace{}); got != 24 {
+		t.Errorf("a place is %d B, want 24", got)
+	}
+	f := newFixture(t)
+	at := f.topo.Place(f.rng)
+	first := f.net.Join(nopNode{}, at)
+	f.net.Fail(first)
+	if f.net.handlers[0].h == nil {
+		t.Fatal("a page Join still mints into dropped its handlers")
+	}
+	ids := []runtime.NodeID{first}
+	for len(ids) < nodePageSize+1 {
+		ids = append(ids, f.net.Join(nopNode{}, at))
+	}
+	for _, id := range ids[1:nodePageSize] {
+		f.net.Fail(id)
+	}
+	if f.net.handlers[0].h != nil {
+		t.Error("a page whose 256 ids are all dead keeps its handlers")
+	}
+	if f.net.handlers[1].h == nil || f.net.handler(ids[nodePageSize]) == nil {
+		t.Error("the next page lost its live handler")
+	}
+	for _, id := range ids[:nodePageSize] {
+		if f.net.Alive(id) || f.net.Locality(id) != at.Loc || f.net.Latency(id, ids[nodePageSize]) != f.topo.Latency(at.Pos, at.Pos) {
+			t.Fatalf("dead id %d: alive %v, locality %d, latency %d", id, f.net.Alive(id), f.net.Locality(id), f.net.Latency(id, ids[nodePageSize]))
+		}
+	}
+	f.net.Send(ids[nodePageSize], ids[0], "to the dead")
+	f.eng.RunAll()
+	if st := f.net.Stats(); st.MessagesDropped != 1 || st.MessagesDelivered != 0 {
+		t.Errorf("a send to a dead id: %d dropped, %d delivered, want 1 and 0", st.MessagesDropped, st.MessagesDelivered)
 	}
 }

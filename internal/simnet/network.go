@@ -54,23 +54,40 @@ import (
 // rpcTimeout is the deadline of a Request called with timeout <= 0.
 const rpcTimeout = 4 * runtime.Second
 
-type nodeState struct {
-	handler runtime.Handler // nil once dead, and for a node another process owns
-	place   topology.Placement
-	known   bool // false for the ids of a group's table nobody has joined yet
-	alive   bool
-}
-
-// The node table grows a page of nodes at a time, and a page never
-// moves: a join storm allocates each node's state once, where one long
-// slice grown by append would copy the whole table at every regrowth
-// (TestJoinAllocBytes).
+// The node table is two columns indexed by NodeID, each grown a page of
+// 256 ids at a time. A page never moves: a join storm allocates each
+// entry once, where one long slice grown by append would copy the
+// whole table at every regrowth (TestJoinAllocBytes).
+//
+//   - places says where each id sits and whether it is known and alive.
+//     It outlives the node: ids are never reused, and protocols still
+//     rank and measure against ids they learned before one failed, so
+//     Locality and Latency answer for a dead id. It holds no pointer,
+//     so the collector never scans it.
+//   - handlers holds the handler of each live node this process owns. A
+//     page of it goes once every id in it has been minted and has died,
+//     so that under churn, where every arrival is a fresh id, a dead id
+//     costs its 24 B place and no handler word the collector scans.
 const (
 	nodePageBits = 8
 	nodePageSize = 1 << nodePageBits
 )
 
-type nodePage [nodePageSize]nodeState
+type nodePlace struct {
+	pos   topology.Point
+	loc   int32
+	known bool // false for the ids of a group's table nobody has joined yet
+	alive bool
+}
+
+type placePage [nodePageSize]nodePlace
+
+// handlerPage is one page of the handler column: nil until a handler
+// joins in it, and again once the page is done (kill).
+type handlerPage struct {
+	h    *[nodePageSize]runtime.Handler
+	live int // handlers in h
+}
 
 // Remote carries the legs whose far end another process of the group
 // owns. Its methods run on the clock's goroutine with no lock held.
@@ -109,8 +126,11 @@ type Network struct {
 	clock runtime.Clock
 	late  lateFiler // the clock's, if it offers one; nil on the wall clock
 	topo  *topology.Topology
-	nodes []*nodePage // indexed by NodeID, a page at a time (node)
-	stats runtime.TransportStats
+	// The node table's two columns, indexed by NodeID a page at a time
+	// (place, handler).
+	places   []*placePage
+	handlers []handlerPage
+	stats    runtime.TransportStats
 
 	// next is the NodeID Join mints next; stride steps it.
 	next, stride runtime.NodeID
@@ -204,12 +224,13 @@ func (n *Network) Deliver(from, to runtime.NodeID, msg any) {
 	}
 }
 
-// receiver counts a message that has reached `to`: delivered, with the
-// handler to run returned, or dropped, with nil, when `to` is dead.
+// receiver counts a message that has reached `to`, a node this process
+// owns: delivered, with the handler to run returned, or dropped, with
+// nil, when `to` is dead.
 func (n *Network) receiver(to runtime.NodeID) runtime.Handler {
-	if st := n.node(to); st != nil && st.alive {
+	if h := n.handler(to); h != nil {
 		n.stats.MessagesDelivered++
-		return st.handler
+		return h
 	}
 	n.stats.MessagesDropped++
 	return nil
@@ -511,7 +532,7 @@ func (n *Network) Join(h runtime.Handler, place topology.Placement) runtime.Node
 	defer n.unlock()
 	id := n.next
 	n.next += n.stride
-	n.add(id, nodeState{handler: h, place: place})
+	n.add(id, h, place)
 	return id
 }
 
@@ -521,29 +542,49 @@ func (n *Network) Mirror(id runtime.NodeID, place topology.Placement) {
 	n.lock()
 	defer n.unlock()
 	if id >= 0 && !n.local(id) && !n.known(id) {
-		n.add(id, nodeState{place: place})
+		n.add(id, nil, place)
 	}
 }
 
-// add records a node as joined and alive at id, growing the table over
-// the ids other processes of a group have not joined yet.
-func (n *Network) add(id runtime.NodeID, st nodeState) {
-	for int(id)>>nodePageBits >= len(n.nodes) {
-		n.nodes = append(n.nodes, new(nodePage))
+// add records a node as joined and alive at id, with its handler if
+// this process owns it, growing the table over the ids other processes
+// of a group have not joined yet.
+func (n *Network) add(id runtime.NodeID, h runtime.Handler, at topology.Placement) {
+	page := int(id) >> nodePageBits
+	for page >= len(n.places) {
+		n.places = append(n.places, new(placePage))
+		n.handlers = append(n.handlers, handlerPage{})
 	}
-	st.known, st.alive = true, true
-	*n.node(id) = st
+	*n.place(id) = nodePlace{pos: at.Pos, loc: int32(at.Loc), known: true, alive: true}
+	if h != nil {
+		hp := &n.handlers[page]
+		if hp.h == nil {
+			hp.h = new([nodePageSize]runtime.Handler)
+		}
+		hp.h[id&(nodePageSize-1)] = h
+		hp.live++
+	}
 }
 
-// node returns id's entry in the table, or nil for an id past it (or
-// negative). An entry nobody has added is the zero nodeState: neither
+// place returns id's entry in the table, or nil for an id past it (or
+// negative). An entry nobody has added is the zero nodePlace: neither
 // known nor alive.
-func (n *Network) node(id runtime.NodeID) *nodeState {
+func (n *Network) place(id runtime.NodeID) *nodePlace {
 	page := uint(id) >> nodePageBits
-	if page >= uint(len(n.nodes)) {
+	if page >= uint(len(n.places)) {
 		return nil
 	}
-	return &n.nodes[page][id&(nodePageSize-1)]
+	return &n.places[page][id&(nodePageSize-1)]
+}
+
+// handler returns the handler of id, a live node this process owns, or
+// nil.
+func (n *Network) handler(id runtime.NodeID) runtime.Handler {
+	page := uint(id) >> nodePageBits
+	if page >= uint(len(n.handlers)) || n.handlers[page].h == nil {
+		return nil
+	}
+	return n.handlers[page].h[id&(nodePageSize-1)]
 }
 
 // Fail marks a node dead. In-flight messages to it will be dropped on
@@ -563,27 +604,37 @@ func (n *Network) Fail(id runtime.NodeID) {
 func (n *Network) FailOwner(owner int) {
 	n.lock()
 	defer n.unlock()
-	for id := runtime.NodeID(owner); int(id) < len(n.nodes)*nodePageSize; id += n.stride {
-		if n.node(id).alive {
+	for id := runtime.NodeID(owner); int(id) < len(n.places)*nodePageSize; id += n.stride {
+		if n.place(id).alive {
 			n.kill(id)
 		}
 	}
 }
 
+// kill marks id dead and lets its handler go, releasing the protocol
+// state behind it for GC. The handler page goes with its last handler
+// once Join mints no more ids into it.
 func (n *Network) kill(id runtime.NodeID) {
-	st := n.node(id)
-	st.alive = false
-	st.handler = nil // release protocol state for GC
+	n.place(id).alive = false
+	page := int(id) >> nodePageBits
+	hp := &n.handlers[page]
+	if hp.h == nil || hp.h[id&(nodePageSize-1)] == nil {
+		return
+	}
+	hp.h[id&(nodePageSize-1)] = nil
+	if hp.live--; hp.live == 0 && int(n.next)>>nodePageBits > page {
+		hp.h = nil
+	}
 }
 
 func (n *Network) known(id runtime.NodeID) bool {
-	st := n.node(id)
-	return st != nil && st.known
+	pl := n.place(id)
+	return pl != nil && pl.known
 }
 
 func (n *Network) isAlive(id runtime.NodeID) bool {
-	st := n.node(id)
-	return st != nil && st.alive
+	pl := n.place(id)
+	return pl != nil && pl.alive
 }
 
 // Alive reports whether id is registered and not failed. For a node
@@ -601,8 +652,8 @@ func (n *Network) Alive(id runtime.NodeID) bool {
 func (n *Network) Locality(id runtime.NodeID) topology.Locality {
 	n.lock()
 	defer n.unlock()
-	if st := n.node(id); st != nil && st.known {
-		return st.place.Loc
+	if pl := n.place(id); pl != nil && pl.known {
+		return topology.Locality(pl.loc)
 	}
 	if id >= 0 && !n.local(id) {
 		return 0
@@ -622,8 +673,8 @@ func (n *Network) Latency(a, b runtime.NodeID) int64 {
 // end yet delivers without modeled delay rather than guess; only a
 // network of its own, which holds no lock, panics here.
 func (n *Network) latency(a, b runtime.NodeID) int64 {
-	if sa, sb := n.node(a), n.node(b); sa != nil && sb != nil && sa.known && sb.known {
-		return n.topo.Latency(sa.place.Pos, sb.place.Pos)
+	if pa, pb := n.place(a), n.place(b); pa != nil && pb != nil && pa.known && pb.known {
+		return n.topo.Latency(pa.pos, pb.pos)
 	}
 	if n.remote == nil {
 		panic(fmt.Sprintf("simnet: latency between %d and %d, one of them unknown", a, b))
