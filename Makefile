@@ -169,8 +169,12 @@ fingerprint-check:
 # sample: its slice only, past 64 entries too; a 9-contact seed into an
 # empty view, which adopts it: zero; a lookup, removal or merge of a
 # known peer: zero), the LRU policy (an admission
-# with its eviction, a touch: zero) and the bounded content store over
-# it, an RNG's New and Split (one object each), and the binary codec's
+# with its eviction, a touch: zero; filling a fresh capacity-40 slab
+# from empty: what building it costs, nothing more) and the bounded
+# content store over it, the run's metrics collector (10 000 queries
+# whose lookup latencies and transfer distances it has counted before:
+# zero, so its state follows the values seen, not the queries served),
+# an RNG's New and Split (one object each), and the binary codec's
 # budget per wire message (the packages whose
 # wire tests call wiretest.BinaryAllocs) — or to a byte count, a
 # TotalAlloc delta over thousands of rounds, where the thing pinned is a
@@ -187,7 +191,7 @@ fingerprint-check:
 # handler storage. A count repeats exactly, so unlike a timing these
 # gate on one run.
 alloc-check:
-	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/workload ./internal/rnd
+	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/metrics ./internal/workload ./internal/rnd
 
 # socket-smoke runs one population across three cooperating OS
 # processes on the socket backend: real TCP between peer groups — every

@@ -45,3 +45,43 @@ func TestAllocPins(t *testing.T) {
 		t.Errorf("touches changed the population: %d residents", p.Len())
 	}
 }
+
+// TestLRUFillAllocPins pins the presized slab: filling a fresh
+// capacity-40 LRU from empty, through the first admission that forces an
+// eviction, allocates exactly what building the policy does, so the fill
+// itself regrows neither the slab nor the map (a slab grown by append
+// read 17 objects here against 3 for the build). A huge capacity
+// reserves no more up front than the clamp.
+func TestLRUFillAllocPins(t *testing.T) {
+	var p Policy
+	build := func() { p, _ = New("lru", 40) }
+	fill := func() {
+		build()
+		for k := uint64(0); k <= 40; k++ {
+			p.OnAdd(k, 1)
+			if v, ok := p.Victim(); ok {
+				p.Remove(v)
+			}
+		}
+	}
+	built := testing.AllocsPerRun(100, build)
+	if got := testing.AllocsPerRun(100, fill); got != built {
+		t.Errorf("building and filling a capacity-40 LRU allocates %v objects, building it %v: the fill regrew the slab or the map", got, built)
+	}
+	if built > 8 {
+		t.Errorf("building a capacity-40 LRU allocates %v objects, want a handful", built)
+	}
+	if p.Len() != 40 {
+		t.Fatalf("%d residents at capacity 40", p.Len())
+	}
+	if got := cap(p.(*lruPolicy).nodes); got != 42 {
+		t.Errorf("a capacity-40 slab has room for %d nodes, want 42", got)
+	}
+	huge, err := New("lru", 1<<40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cap(huge.(*lruPolicy).nodes); got != maxLRUPresize {
+		t.Errorf("a capacity-2^40 slab has room for %d nodes, want the clamp %d", got, maxLRUPresize)
+	}
+}

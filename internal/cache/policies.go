@@ -66,11 +66,23 @@ type lruNode struct {
 	prev, next int32
 }
 
+// maxLRUPresize caps the slab a fresh LRU reserves up front, so a huge
+// capacity costs a peer nothing until its store fills.
+const maxLRUPresize = 1024
+
+// newLRU presizes the slab and the map for a bounded store's peak, so
+// filling it never regrows them: the sentinel, capacity residents and
+// the admission its eviction follows (the store is count-bounded: its
+// costs are 1).
 func newLRU(capacity int64) *lruPolicy {
+	room := int64(1)
+	if capacity > 0 {
+		room = min(capacity+2, maxLRUPresize)
+	}
 	return &lruPolicy{
 		capacity: capacity,
-		nodes:    make([]lruNode, 1), // the sentinel, linked to itself
-		items:    make(map[uint64]int32),
+		nodes:    make([]lruNode, 1, room), // the sentinel, linked to itself
+		items:    make(map[uint64]int32, room-1),
 	}
 }
 

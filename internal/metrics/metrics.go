@@ -11,7 +11,6 @@ package metrics
 import (
 	"flowercdn/internal/runtime"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -70,8 +69,10 @@ type Collector struct {
 	transferSum int64
 	served      uint64 // queries with a provider (hits + misses)
 
-	lookups   []int64
-	transfers []int64
+	// lookups and transfers count each served query's lookup latency
+	// and transfer distance by value, for the quantiles and histograms.
+	lookups   valueCounts
+	transfers valueCounts
 
 	win *Windowed
 }
@@ -82,7 +83,7 @@ func NewCollector(window int64) *Collector {
 	if window <= 0 {
 		window = runtime.Hour
 	}
-	return &Collector{win: NewWindowed(window)}
+	return &Collector{lookups: newValueCounts(), transfers: newValueCounts(), win: NewWindowed(window)}
 }
 
 // Observe implements Sink: query events feed the run-level aggregates
@@ -106,8 +107,8 @@ func (c *Collector) Observe(ev Event) {
 		c.served++
 		c.lookupSum += ev.LookupLatency
 		c.transferSum += ev.TransferDistance
-		c.lookups = append(c.lookups, ev.LookupLatency)
-		c.transfers = append(c.transfers, ev.TransferDistance)
+		c.lookups.add(ev.LookupLatency)
+		c.transfers.add(ev.TransferDistance)
 	}
 }
 
@@ -212,14 +213,9 @@ type Distribution struct {
 // NewDistribution bins values against bounds (which must be sorted
 // ascending).
 func NewDistribution(bounds []int64, values []int64) Distribution {
-	d := Distribution{
-		Bounds: append([]int64(nil), bounds...),
-		Counts: make([]uint64, len(bounds)+1),
-	}
+	d := newBins(bounds)
 	for _, v := range values {
-		idx := sort.Search(len(bounds), func(i int) bool { return v <= bounds[i] })
-		d.Counts[idx]++
-		d.Total++
+		d.add(v, 1)
 	}
 	return d
 }
@@ -281,12 +277,12 @@ func (d Distribution) String() string {
 
 // LookupDistribution bins the recorded lookup latencies (Fig. 4).
 func (c *Collector) LookupDistribution(bounds []int64) Distribution {
-	return NewDistribution(bounds, c.lookups)
+	return c.lookups.distribution(bounds)
 }
 
 // TransferDistribution bins the recorded transfer distances (Fig. 5).
 func (c *Collector) TransferDistribution(bounds []int64) Distribution {
-	return NewDistribution(bounds, c.transfers)
+	return c.transfers.distribution(bounds)
 }
 
 // Fig4Bounds are the lookup-latency buckets used in our Fig. 4

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math/rand/v2"
+	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -172,6 +174,65 @@ func TestPercentileMatchesOldFunction(t *testing.T) {
 		want.P50, want.P90, want.P99 = want.P50*2, want.P90*2, want.P99*2
 		if got := c.TransferSummary(); got != want {
 			t.Fatalf("n=%d: TransferSummary %+v, old function %+v", len(s), got, want)
+		}
+	}
+}
+
+// TestDistributionsMatchRawBinning: the histograms a collector bins from
+// its value counts are the ones NewDistribution bins from the served
+// queries' raw samples, over the figure bounds and random ones (repeated
+// edges and none at all among them), with samples on an edge, one either
+// side of it, zero, repeats, unresolved queries mixed in and an empty
+// collector.
+func TestDistributionsMatchRawBinning(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 11))
+	for trial := range 300 {
+		var bounds []int64
+		switch trial % 3 {
+		case 0:
+			bounds = Fig4Bounds
+		case 1:
+			bounds = Fig5Bounds
+		default:
+			bounds = make([]int64, rng.IntN(9))
+			for i := range bounds {
+				bounds[i] = rng.Int64N(3000)
+			}
+			slices.Sort(bounds)
+		}
+		sample := func() int64 {
+			switch rng.IntN(4) {
+			case 0:
+				if len(bounds) > 0 {
+					return bounds[rng.IntN(len(bounds))] + rng.Int64N(3) - 1
+				}
+				return 0
+			case 1:
+				return 0
+			default:
+				return rng.Int64N(3500)
+			}
+		}
+		n := rng.IntN(400)
+		if trial < 3 {
+			n = 0
+		}
+		c := NewCollector(sim.Hour)
+		var lookups, transfers []int64
+		for range n {
+			o := Outcome(rng.IntN(int(numOutcomes)))
+			l, d := sample(), sample()
+			c.Observe(QueryEvent(0, o, l, d))
+			if o != Unresolved {
+				lookups = append(lookups, l)
+				transfers = append(transfers, d)
+			}
+		}
+		if got, want := c.LookupDistribution(bounds), NewDistribution(bounds, lookups); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, bounds %v: LookupDistribution %+v, raw binning %+v", trial, bounds, got, want)
+		}
+		if got, want := c.TransferDistribution(bounds), NewDistribution(bounds, transfers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d, bounds %v: TransferDistribution %+v, raw binning %+v", trial, bounds, got, want)
 		}
 	}
 }
