@@ -161,8 +161,12 @@ fingerprint-check:
 # the harness's query tick (the draws, the question, an unjoined
 # count, the timer re-armed: zero), flower's query path on a frozen
 # petal (a query while one is in flight and a gossip-path hit: zero; a
-# directory-path hit: the request, plus the directory's provider list
-# and reply), a joining client's view seed
+# directory-path hit: the request, plus the directory's reply, one
+# record with its providers inline), a content peer's keepalive and
+# push round trips (each its request box: the directory records a known
+# member and its keys in place, the answer is a pooled step record), a
+# directory's sibling list (the list alone: the successor list is read
+# in place), a joining client's view seed
 # (the same count at 50 and 2 000 members) and a member's pushed key
 # (zero; on a set a view seed's box holds, the copied bitmap, one
 # object; a member record stays 40 B), gossip's view (a shuffle

@@ -494,6 +494,11 @@ func (n *Node) Successor() Entry {
 	return n.succs[0]
 }
 
+// Successors returns the successor list itself, for reading. The list is
+// copy-on-write (publishSuccs), so the slice stays what it was when
+// read, but it is the node's own: never write into it.
+func (n *Node) Successors() []Entry { return n.succs }
+
 // SuccessorList returns a copy of the successor list.
 func (n *Node) SuccessorList() []Entry {
 	out := make([]Entry, len(n.succs))

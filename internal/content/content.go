@@ -2,8 +2,9 @@
 // websites: object naming, per-peer stores with the push-delta
 // accounting the maintenance protocol needs (paper Sec. 5.1: a content
 // peer pushes updates "whenever the percentage of its changes reaches a
-// threshold"), Bloom summaries for gossip, and Holders, the "which peers
-// hold object k" index of both directory designs.
+// threshold"), Bloom summaries for gossip, and Holders, a ring home's
+// capped "which peers hold object k" list (flower's directory-index is
+// its member view: each member's pushed keys).
 //
 // The paper assumes "a content peer has enough storage potential to
 // avoid replacing its content through the experiment's duration" —
@@ -285,7 +286,7 @@ func (s *Store) Summary() *bloom.Filter {
 	return f
 }
 
-// Holders is a directory's "which peers hold object k": each key's
+// Holders is a ring home's "which peers hold object k": each key's
 // distinct holders, oldest first. Bound > 0 keeps only the newest Bound
 // per key. The zero value is an empty unbounded index, so it embeds by
 // value; set Bound before the first Add. A key's list keeps its backing
@@ -332,14 +333,3 @@ func (h *Holders) Of(k Key) []runtime.NodeID { return h.m[k] }
 
 // Len returns how many keys have at least one holder.
 func (h *Holders) Len() int { return h.n }
-
-// Clone copies the non-empty lists out, for a handoff to another peer.
-func (h *Holders) Clone() map[Key][]runtime.NodeID {
-	out := make(map[Key][]runtime.NodeID, h.n)
-	for k, hs := range h.m {
-		if len(hs) > 0 {
-			out[k] = slices.Clone(hs)
-		}
-	}
-	return out
-}

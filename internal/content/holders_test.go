@@ -89,23 +89,3 @@ func TestHoldersMatchesModel(t *testing.T) {
 		}
 	}
 }
-
-// TestHoldersCloneIsACopy pins the handoff copy: non-empty keys only,
-// and no list shared with the index it came from.
-func TestHoldersCloneIsACopy(t *testing.T) {
-	var h Holders
-	a, b := Key{Object: 1}, Key{Object: 2}
-	h.Add(a, 7)
-	h.Add(a, 8)
-	h.Add(b, 9)
-	h.Remove(b, 9)
-	c := h.Clone()
-	if len(c) != 1 || !slices.Equal(c[a], []runtime.NodeID{7, 8}) {
-		t.Fatalf("Clone = %v, want only %v: [7 8]", c, a)
-	}
-	h.Remove(a, 7)
-	h.Add(a, 10)
-	if !slices.Equal(c[a], []runtime.NodeID{7, 8}) {
-		t.Fatalf("the copy followed the index: %v", c[a])
-	}
-}

@@ -1,6 +1,7 @@
 package flower
 
 import (
+	goruntime "runtime"
 	"testing"
 	"unsafe"
 
@@ -48,7 +49,11 @@ func quietPetal(t *testing.T) (f *fixture, c *Peer, holders []*Peer, dir *Peer, 
 		keys = append(keys, k)
 		for _, h := range holders {
 			h.store.Add(k)
-			dir.dir.index.Add(k, h.NodeID())
+			i, ok := dir.dir.member(h.NodeID())
+			if !ok {
+				t.Fatalf("holder %d is not a member of its directory", h.NodeID())
+			}
+			dir.dir.members[i].addKey(k)
 		}
 	}
 	return f, c, holders, dir, keys
@@ -89,7 +94,9 @@ func (d cannedDirectory) HandleRequest(runtime.NodeID, any) (any, error) { retur
 //
 // At the parent of the change that introduced this file (closures per
 // step, sort.Slice, container/list, fetches boxed per send) the same
-// pins read 2, 8, 8 and 13.
+// pins read 2, 8, 8 and 13. Before the directory ranked its member view
+// and replied with one record, the directory hit read 3: the reply box
+// and its provider slice.
 func TestAllocPins(t *testing.T) {
 	f, c, holders, dir, keys := quietPetal(t)
 	setView := func(contacts []*Peer) {
@@ -104,9 +111,9 @@ func TestAllocPins(t *testing.T) {
 		c.dirInfo = DirInfo{Pos: dring.Position(0, 0, 0), Node: node}
 		c.syncedDir = node
 	}
-	canned := f.net.Join(cannedDirectory{reply: dirQueryReply{
-		Providers: []runtime.NodeID{holders[0].NodeID(), holders[1].NodeID()},
-	}}, f.beside(dir))
+	canned := f.net.Join(cannedDirectory{reply: newDirQueryReply(
+		[]runtime.NodeID{holders[0].NodeID(), holders[1].NodeID()}, false, nil,
+	)}, f.beside(dir))
 	next := 0
 	query := func() {
 		if !c.Query(keys[next%len(keys)]) {
@@ -140,8 +147,8 @@ func TestAllocPins(t *testing.T) {
 			setView(nil)
 			setDirectory(canned)
 		}, query},
-		// And at the directory the provider list and the reply holding it.
-		{"directory hit", 3, metrics.HitDirectory, func() { setDirectory(dir.NodeID()) }, query},
+		// And at the directory the reply, its providers inline.
+		{"directory hit", 2, metrics.HitDirectory, func() { setDirectory(dir.NodeID()) }, query},
 	}
 	for _, pin := range pins {
 		pin.setup()
@@ -169,6 +176,87 @@ func TestAllocPins(t *testing.T) {
 	if c.store.Len() != 8 || c.store.Evictions() == 0 {
 		t.Errorf("client store holds %d objects after %d evictions, want 8 and some: the pins must cross the eviction path",
 			c.store.Len(), c.store.Evictions())
+	}
+}
+
+// TestDirectoryExchangeAllocs pins what a content peer's exchanges with
+// its directory cost, the directory's side and the answer coming home
+// included: a keepalive round trip and a push round trip allocate their
+// request boxes and nothing else. The directory records a known member
+// and its pushed keys in place, and the answer is a pooled step record.
+// When the answers were closures and a content.Holders beside the view
+// indexed the pushed keys, a keepalive read 2, the request and the
+// closure, and a push 3, the index's list growing too.
+func TestDirectoryExchangeAllocs(t *testing.T) {
+	f, c, _, dir, _ := quietPetal(t)
+	i, ok := dir.dir.member(c.NodeID())
+	if !ok {
+		t.Fatal("the client is not a member of its directory")
+	}
+	c.dirInfo.Age = 1
+	if got := testing.AllocsPerRun(200, func() {
+		c.keepaliveTick()
+		f.run(2 * runtime.Second)
+	}); got != 1 {
+		t.Errorf("a keepalive round trip allocates %v objects, want 1, the request", got)
+	}
+	if c.dirInfo.Age != 0 || dir.dir.members[i].lastSeen < f.eng.Now()-2*runtime.Second {
+		t.Fatalf("the keepalives went unanswered: dir-info age %d, member last seen at %d",
+			c.dirInfo.Age, dir.dir.members[i].lastSeen)
+	}
+
+	// A push per round of one new object; the store's Add, which starts
+	// the delta, is not the push and is left out of the count.
+	f.sys.cfg.PushThreshold = 0.01
+	next := content.ObjectID(100)
+	newObject := func() {
+		c.store.Add(content.Key{Site: 0, Object: next})
+		next++
+	}
+	push := func() {
+		c.maybePush()
+		f.run(2 * runtime.Second)
+	}
+	if got := allocsOf(200, newObject, push); got != 1 {
+		t.Errorf("a push round trip allocates %v objects, want 1, the request", got)
+	}
+	if last := (content.Key{Site: 0, Object: next - 1}); !dir.dir.members[i].keys.has(last) || c.store.PendingChanges() != 0 {
+		t.Fatalf("the pushes did not reach the directory: %v indexed %v, %d changes pending",
+			last, dir.dir.members[i].keys.has(last), c.store.PendingChanges())
+	}
+}
+
+// allocsOf is testing.AllocsPerRun for duty alone: prepare runs before
+// each round, outside the count.
+func allocsOf(rounds int, prepare, duty func()) float64 {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	prepare()
+	duty()
+	var before, after goruntime.MemStats
+	var mallocs uint64
+	for range rounds {
+		prepare()
+		goruntime.ReadMemStats(&before)
+		duty()
+		goruntime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	return float64(mallocs / uint64(rounds))
+}
+
+// TestCollabSiblingsAllocs pins a directory's sibling list at the one
+// object it returns: the successor list is read in place. Reading it
+// through chord.Node.SuccessorList's copy made it 2.
+func TestCollabSiblingsAllocs(t *testing.T) {
+	f := newFixture(t, 25, nil)
+	f.seedRing()
+	f.run(10 * runtime.Minute)
+	dir := f.findSeed(1, 0)
+	if len(dir.collabSiblings()) == 0 {
+		t.Fatal("no collaboration siblings despite seeded site neighbours")
+	}
+	if got := testing.AllocsPerRun(100, func() { dir.collabSiblings() }); got != 1 {
+		t.Errorf("collabSiblings allocates %v objects, want 1, the list it returns", got)
 	}
 }
 

@@ -16,20 +16,19 @@ import (
 )
 
 // directoryState is the extra state a peer carries while holding a
-// D-ring directory position (Sec. 3.2): the directory-index mapping
-// objects to the content peers that cache them, the member view with
-// keepalive freshness and the keys each member pushed, and — right
-// after promotion — the content summaries retained from its life as a
+// D-ring directory position (Sec. 3.2): the member view with keepalive
+// freshness and the keys each member pushed, and — right after
+// promotion — the content summaries retained from its life as a
 // content peer, used to answer queries while the index rebuilds
-// (Sec. 5.2.2). A member's keys are a bitmap over its website's
-// objects (exactSummary), still charged 8 B per key when a view seed
-// ships them.
+// (Sec. 5.2.2). The member view is the directory-index mapping objects
+// to the content peers that cache them: a member's keys are a bitmap
+// over its website's objects (exactSummary), and "who holds k" is the
+// members whose bitmap has k (rankProviders). A member's keys are still
+// charged 8 B per key when a view seed ships them.
 type directoryState struct {
 	pos      ids.ID
 	instance int
 
-	// index is the directory-index; rankProviders orders it for an asker.
-	index content.Holders
 	// members is the member view in ascending NodeID order. Arrivals get
 	// ever larger ids, so admitting one is almost always an append.
 	members []memberInfo
@@ -56,7 +55,8 @@ type memberInfo struct {
 	nid      runtime.NodeID
 	lastSeen int64
 	// keys are the keys the member pushed, a bitmap of the petal's
-	// website behind one pointer, so a member stays 40 B.
+	// website behind one pointer, so a member stays 40 B. The bitmaps
+	// are the directory-index: there is no other record of who holds k.
 	keys exactSummary
 	// meta is the boxed ContactMeta viewSeed last handed out for this
 	// member, reused while its dir-info and keys stand (see contactMeta
@@ -78,13 +78,6 @@ func (d *directoryState) member(nid runtime.NodeID) (int, bool) {
 	return slices.BinarySearchFunc(d.members, nid, func(m memberInfo, nid runtime.NodeID) int {
 		return cmp.Compare(m.nid, nid)
 	})
-}
-
-// unindex drops a departing member's keys from the directory-index.
-func (d *directoryState) unindex(m memberInfo) {
-	for k := range m.keys.all {
-		d.index.Remove(k, m.nid)
-	}
 }
 
 // freshestMember picks the most recently seen member — likeliest to be
@@ -239,13 +232,7 @@ func (p *Peer) directorySweep() {
 	}
 	d := p.dir
 	cutoff := p.eng().Now() - p.memberTTL()
-	d.members = slices.DeleteFunc(d.members, func(m memberInfo) bool {
-		if m.lastSeen >= cutoff {
-			return false
-		}
-		d.unindex(m)
-		return true
-	})
+	d.members = slices.DeleteFunc(d.members, func(m memberInfo) bool { return m.lastSeen < cutoff })
 	if d.oldSummaries != nil && p.eng().Now() > d.summaryDeadline {
 		d.oldSummaries = nil
 	}
@@ -315,7 +302,6 @@ func (p *Peer) demoteToContentPeer(winner chord.Entry) {
 func (p *Peer) removeMember(nid runtime.NodeID) {
 	d := p.dir
 	if i, ok := d.member(nid); ok {
-		d.unindex(d.members[i])
 		d.members = slices.Delete(d.members, i, i+1)
 	}
 }
@@ -351,9 +337,7 @@ func (p *Peer) onPush(from runtime.NodeID, r pushReq) (any, error) {
 	}
 	m := p.admitMember(from)
 	for _, k := range r.Keys {
-		if m.addKey(k) {
-			p.dir.index.Add(k, from)
-		}
+		m.addKey(k)
 	}
 	return pushResp{}, nil
 }
@@ -366,12 +350,13 @@ func (p *Peer) onMemberQuery(from runtime.NodeID, r dirQueryReq) (any, error) {
 		p.admitMember(from)
 	}
 	p.dir.queriesHandled++
-	providers, fromSummary := p.providersFor(r.Key, from, from != p.nid)
-	reply := dirQueryReply{Providers: providers, FromSummary: fromSummary}
-	if len(providers) == 0 && !r.Foreign {
-		reply.CollabWith = p.collabSiblings()
+	var providers [maxProviders]runtime.NodeID
+	n, fromSummary := p.providersFor(&providers, r.Key, from, from != p.nid)
+	var collab []chord.Entry
+	if n == 0 && !r.Foreign {
+		collab = p.collabSiblings()
 	}
-	return reply, nil
+	return newDirQueryReply(providers[:n], fromSummary, collab), nil
 }
 
 // collabSiblings returns same-website directory peers drawn from this
@@ -402,25 +387,27 @@ func (p *Peer) collabSiblings() []chord.Entry {
 		}
 		out = append(out, e)
 	}
-	for _, e := range p.chordNode.SuccessorList() {
+	for _, e := range p.chordNode.Successors() {
 		consider(e)
 	}
 	consider(p.chordNode.Predecessor())
 	return out
 }
 
-// rankProviders resolves a key to candidate content peers: the
-// directory-index first, then (within the trust window) the promoted
-// peer's old content summaries. Providers are ordered by latency to the
-// asking client — the locality-aware server selection that keeps
-// transfer distances short — and cut to maxProviders. The asker
-// itself is never returned. The result is the System's scratch buffer:
-// read it before anything else ranks.
+// rankProviders resolves a key to candidate content peers: the members
+// whose pushed keys hold it — the directory-index — first, then (within
+// the trust window) the promoted peer's old content summaries.
+// Providers are ordered by latency to the asking client — the
+// locality-aware server selection that keeps transfer distances short —
+// and cut to maxProviders. The asker itself is never returned. The
+// result is the System's scratch buffer: read it before anything else
+// ranks.
 func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.NodeID) (ranked []provCand, fromSummary bool) {
 	ranked = p.sys.candScratch[:0]
-	for _, nid := range d.index.Of(key) {
-		if nid != asker {
-			ranked = append(ranked, provCand{peer: nid, lat: p.sys.oracle.Latency(asker, nid)})
+	for i := range d.members {
+		m := &d.members[i]
+		if m.nid != asker && m.keys.has(key) {
+			ranked = append(ranked, provCand{peer: m.nid, lat: p.sys.oracle.Latency(asker, m.nid)})
 		}
 	}
 	if len(ranked) == 0 && d.oldSummaries != nil {
@@ -430,28 +417,22 @@ func (d *directoryState) rankProviders(p *Peer, key content.Key, asker runtime.N
 	return p.sys.nearest(ranked, maxProviders), fromSummary
 }
 
-// providersFor is rankProviders as a reply carries it: a slice of its
-// own, with the directory — a content peer too — offered last when
-// offerSelf is set, it caches the object and the list has room.
-func (p *Peer) providersFor(key content.Key, asker runtime.NodeID, offerSelf bool) (providers []runtime.NodeID, fromSummary bool) {
+// providersFor is rankProviders as a reply carries it: the ranked peers
+// written into out, with the directory — a content peer too — offered
+// last when offerSelf is set, it caches the object and the list has
+// room. It returns how many it wrote.
+func (p *Peer) providersFor(out *[maxProviders]runtime.NodeID, key content.Key, asker runtime.NodeID, offerSelf bool) (n int, fromSummary bool) {
 	ranked, fromSummary := p.dir.rankProviders(p, key, asker)
-	// Has comes first: on a bounded store it is a touch, asked for or not.
-	offerSelf = p.store.Has(key) && offerSelf && len(ranked) < maxProviders
-	n := len(ranked)
-	if offerSelf {
+	for _, c := range ranked {
+		out[n] = c.peer
 		n++
 	}
-	if n == 0 {
-		return nil, fromSummary
+	// Has comes first: on a bounded store it is a touch, asked for or not.
+	if p.store.Has(key) && offerSelf && n < maxProviders {
+		out[n] = p.nid
+		n++
 	}
-	providers = make([]runtime.NodeID, 0, n)
-	for _, c := range ranked {
-		providers = append(providers, c.peer)
-	}
-	if offerSelf {
-		providers = append(providers, p.nid)
-	}
-	return providers, fromSummary
+	return n, fromSummary
 }
 
 // viewSeed samples member contacts for a joining client's initial view,
@@ -597,8 +578,12 @@ func (p *Peer) handleClientQuery(routedKey ids.ID, m clientQueryMsg, path []trac
 		Seed: p.viewSeed(m.Client),
 	}
 	if !m.JoinOnly {
-		resp.Providers, resp.FromSummary = p.providersFor(m.Key, m.Client, true)
-		if len(resp.Providers) == 0 {
+		var providers [maxProviders]runtime.NodeID
+		n, fromSummary := p.providersFor(&providers, m.Key, m.Client, true)
+		resp.FromSummary = fromSummary
+		if n > 0 {
+			resp.Providers = slices.Clone(providers[:n])
+		} else {
 			resp.CollabWith = p.collabSiblings()
 		}
 	}
@@ -684,10 +669,22 @@ func (p *Peer) Leave() {
 			for i, m := range p.dir.members {
 				members[i] = m.nid
 			}
-			p.net().Send(p.nid, best, handoffMsg{Pos: p.dir.pos, Index: p.dir.index.Clone(), Members: members})
+			p.net().Send(p.nid, best, handoffMsg{Pos: p.dir.pos, Index: p.dir.handoffIndex(), Members: members})
 		}
 	}
 	p.Kill()
+}
+
+// handoffIndex is the directory-index as a handoff carries it: every
+// key a member pushed, with the members holding it in id order.
+func (d *directoryState) handoffIndex() map[content.Key][]runtime.NodeID {
+	index := make(map[content.Key][]runtime.NodeID)
+	for _, m := range d.members {
+		for k := range m.keys.all {
+			index[k] = append(index[k], m.nid)
+		}
+	}
+	return index
 }
 
 // onHandoff runs at the member receiving a leaving directory's state:
@@ -706,7 +703,9 @@ func (p *Peer) onHandoff(m handoffMsg) {
 }
 
 // adoptView seeds this directory's view and index with a leaving
-// directory's transferred copy, leaving itself out.
+// directory's transferred copy, leaving itself out. A holder the copy
+// names outside its member list is not indexed: only a member's keys
+// expire with it.
 func (p *Peer) adoptView(m handoffMsg) {
 	for _, nid := range m.Members {
 		if nid != p.nid {
@@ -715,11 +714,7 @@ func (p *Peer) adoptView(m handoffMsg) {
 	}
 	for k, ps := range m.Index {
 		for _, nid := range ps {
-			if nid == p.nid {
-				continue
-			}
-			p.dir.index.Add(k, nid)
-			if i, ok := p.dir.member(nid); ok {
+			if i, ok := p.dir.member(nid); ok && nid != p.nid {
 				p.dir.members[i].addKey(k)
 			}
 		}

@@ -47,7 +47,6 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 	f := newFixture(t, 20, nil)
 	f.seedRing()
 	dir := f.findSeed(0, 0)
-	d := dir.Directory()
 	// Install three members holding the same key, at varying distances
 	// from a querying client.
 	key := content.Key{Site: 0, Object: 1}
@@ -60,10 +59,9 @@ func TestLookupProvidersOrderingAndCap(t *testing.T) {
 	for _, m := range members {
 		mi := dir.admitMember(m.NodeID())
 		mi.addKey(key)
-		d.index.Add(key, m.NodeID())
 	}
 	asker := members[0].NodeID()
-	providers, fromSummary := dir.providersFor(key, asker, false)
+	providers, fromSummary := providerList(dir, key, asker, false)
 	if fromSummary {
 		t.Fatal("index hit reported as summary hit")
 	}
@@ -98,7 +96,7 @@ func TestLookupProvidersFallsBackToSummaries(t *testing.T) {
 	d.oldSummaries = append(d.oldSummaries, gossipEntryFor(other.NodeID(), store))
 	// Any third party asks: ranking prices every candidate for the asker,
 	// so it has to be a node the network knows.
-	providers, fromSummary := dir.providersFor(key, f.findSeed(0, 0).NodeID(), false)
+	providers, fromSummary := providerList(dir, key, f.findSeed(0, 0).NodeID(), false)
 	if !fromSummary {
 		t.Fatal("summary fallback not flagged")
 	}
@@ -106,11 +104,34 @@ func TestLookupProvidersFallsBackToSummaries(t *testing.T) {
 		t.Fatalf("providers = %v", providers)
 	}
 	// The asker itself is excluded even on the summary path.
-	providers, _ = dir.providersFor(key, other.NodeID(), false)
+	providers, _ = providerList(dir, key, other.NodeID(), false)
 	if len(providers) != 0 {
 		t.Fatal("asker suggested to itself via summaries")
 	}
 }
+
+// providerList is providersFor's answer as a slice.
+func providerList(p *Peer, key content.Key, asker runtime.NodeID, offerSelf bool) ([]runtime.NodeID, bool) {
+	var out [maxProviders]runtime.NodeID
+	n, fromSummary := p.providersFor(&out, key, asker, offerSelf)
+	return out[:n], fromSummary
+}
+
+// holdersOf is the directory-index's entry for k, read off the member
+// view: the members whose pushed keys hold k, in id order.
+func holdersOf(d *directoryState, k content.Key) []runtime.NodeID {
+	var out []runtime.NodeID
+	for _, m := range d.members {
+		if m.keys.has(k) {
+			out = append(out, m.nid)
+		}
+	}
+	return out
+}
+
+// indexedKeys is how many keys the directory-index holds: the distinct
+// keys its members pushed.
+func indexedKeys(d *directoryState) int { return len(d.handoffIndex()) }
 
 func gossipEntryFor(nid runtime.NodeID, store *content.Store) gossip.Entry {
 	return gossip.Entry{Peer: nid, Meta: ContactMeta{Summary: store.Summary()}}
@@ -160,13 +181,12 @@ func TestMemberExpiryRemovesIndexEntries(t *testing.T) {
 	f.net.Fail(ghost)
 	mi := dir.admitMember(ghost)
 	mi.addKey(key)
-	d.index.Add(key, ghost)
 	// Two sweeps beyond the TTL clear it.
 	f.run(3 * f.sys.cfg.KeepaliveInterval)
 	if _, ok := d.member(ghost); ok {
 		t.Fatal("silent member survived the TTL sweep")
 	}
-	if len(d.index.Of(key)) != 0 {
+	if len(holdersOf(d, key)) != 0 {
 		t.Fatal("expired member's index entries survived")
 	}
 }
@@ -180,12 +200,11 @@ func TestDeadProviderReportPrunesIndex(t *testing.T) {
 	dead := runtime.NodeID(777)
 	mi := dir.admitMember(dead)
 	mi.addKey(key)
-	d.index.Add(key, dead)
 	dir.HandleMessage(runtime.NodeID(1), deadProviderReport{Dead: dead})
 	if _, ok := d.member(dead); ok {
 		t.Fatal("reported-dead member still in view")
 	}
-	if len(d.index.Of(key)) != 0 {
+	if len(holdersOf(d, key)) != 0 {
 		t.Fatal("reported-dead member still indexed")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"flowercdn/internal/chord"
 	"flowercdn/internal/content"
 	"flowercdn/internal/ids"
 	"flowercdn/internal/runtime"
@@ -51,8 +52,8 @@ func sameKeys(s exactSummary, model map[content.Key]struct{}) bool {
 // FuzzKeySet drives a member's key set and a map model through the same
 // steps: adds (through memberInfo.addKey, so a boxed set is copied and
 // the box dropped), lookups, boxing the set as contactMeta does,
-// ascending walks, unindexing from a directory index and wire round
-// trips. Objects span the first bitmap word, the inline words past it,
+// ascending walks, the directory-index a handoff carries for a
+// directory of this one member, and wire round trips. Objects span the first bitmap word, the inline words past it,
 // Table 1's catalog edge at 499, and the spill past 512; a few keys are
 // of another site or negative, which the set refuses.
 func FuzzKeySet(f *testing.F) {
@@ -94,15 +95,14 @@ func FuzzKeySet(f *testing.F) {
 				m.meta = ContactMeta{Summary: m.keys}
 				boxed, boxedModel = m.keys, maps.Clone(model)
 			case 4:
-				var idx content.Holders
-				for k := range model {
-					idx.Add(k, m.nid)
+				d := directoryState{members: []memberInfo{m}}
+				index := d.handoffIndex()
+				if len(index) != len(model) {
+					t.Fatalf("handoff index holds %d keys, model %d", len(index), len(model))
 				}
-				d := directoryState{index: idx}
-				d.unindex(m)
 				for k := range model {
-					if len(d.index.Of(k)) != 0 {
-						t.Fatalf("unindex left %v indexed", k)
+					if hs := index[k]; len(hs) != 1 || hs[0] != m.nid {
+						t.Fatalf("handoff index has %v held by %v, want [%d]", k, hs, m.nid)
 					}
 				}
 			case 5:
@@ -179,7 +179,9 @@ func TestContactMetaWireIsUnchanged(t *testing.T) {
 
 // TestKeySetDecodeRejects feeds the decoder key lists no set encodes:
 // keys out of order, keys of two sites, a negative object, and an
-// object past what a set holds.
+// object past what a set holds — and the directory reply's decoder a
+// provider list longer than a reply holds, which it must refuse, not
+// cut.
 func TestKeySetDecodeRejects(t *testing.T) {
 	for _, tc := range []struct {
 		keys []content.Key
@@ -198,5 +200,13 @@ func TestKeySetDecodeRejects(t *testing.T) {
 		if err := r.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("decoding %v: error %v, want one saying %q", tc.keys, err, tc.want)
 		}
+	}
+	w := runtime.NewWireWriter(nil)
+	w.Nodes([]runtime.NodeID{3, 9, 4, 8})
+	w.Bool(false)
+	chord.AppendEntriesWire(w, nil)
+	r := runtime.NewWireReader(w.Finish())
+	if got := (dirQueryReply{}).DecodeWire(r).(dirQueryReply); r.Err() == nil || !strings.Contains(r.Err().Error(), "more than 3") || got.a != nil {
+		t.Errorf("decoding a reply of 4 providers: %v and error %v, want none and one saying %q", got.Providers(), r.Err(), "more than 3")
 	}
 }

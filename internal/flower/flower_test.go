@@ -252,7 +252,7 @@ func TestPushPopulatesDirectoryIndex(t *testing.T) {
 	if dir == nil {
 		t.Fatal("no directory seed found")
 	}
-	if dir.Directory().index.Len() == 0 {
+	if indexedKeys(dir.Directory()) == 0 {
 		t.Fatal("directory index empty after client's first push")
 	}
 	if dir.Directory().MemberCount() == 0 {
@@ -461,7 +461,7 @@ func TestGracefulLeaveHandsOffDirectory(t *testing.T) {
 			dir = p
 		}
 	}
-	indexBefore := dir.Directory().index.Len()
+	indexBefore := indexedKeys(dir.Directory())
 	if indexBefore == 0 {
 		t.Fatal("setup: directory index empty")
 	}
@@ -476,7 +476,7 @@ func TestGracefulLeaveHandsOffDirectory(t *testing.T) {
 	if newDir == nil {
 		t.Fatal("handoff recipient did not take the position")
 	}
-	if newDir.Directory().index.Len() == 0 {
+	if indexedKeys(newDir.Directory()) == 0 {
 		t.Fatal("handoff lost the directory index")
 	}
 }

@@ -33,34 +33,33 @@ func (p *Peer) keepaliveTick() {
 		p.maybePush()
 		return
 	}
-	p.sendKeepalive(p.dirInfo.Node, p.dirAnswered(p.dirInfo.Node, false))
+	p.sendKeepalive(p.dirInfo.Node, p.sys.getStep(stepKeepalive, p, nil, p.dirInfo.Node).onDone)
 }
 
 func (p *Peer) sendKeepalive(dirNode runtime.NodeID, cb func(any, error)) {
 	p.net().Request(p.nid, dirNode, keepaliveReq{Site: p.site, Loc: p.loc}, p.sys.cfg.Chord.RPCTimeout, cb)
 }
 
-// dirAnswered is the callback of every exchange that doubles as a
-// liveness check of directory dirNode — keepalive, push (synced: the
-// directory now holds our full store) and confirming probe. A failure
-// counts towards replacement; an answer from what is still our
-// directory resets the miss count and the dir-info age.
-func (p *Peer) dirAnswered(dirNode runtime.NodeID, synced bool) func(any, error) {
-	return func(_ any, err error) {
-		if p.dead {
-			return
-		}
-		if err != nil {
-			p.dirContactFailed(dirNode)
-			return
-		}
-		if p.dirInfo.Node == dirNode {
-			p.dirMisses = 0
-			p.dirInfo.Age = 0
-		}
-		if synced {
-			p.syncedDir = dirNode
-		}
+// dirAnswered is the answer to every exchange that doubles as a
+// liveness check of directory dirNode — keepalive and confirming probe
+// (stepKeepalive), push (stepPush; synced: the directory now holds our
+// full store). A failure counts towards replacement; an answer from
+// what is still our directory resets the miss count and the dir-info
+// age.
+func (p *Peer) dirAnswered(dirNode runtime.NodeID, synced bool, err error) {
+	if p.dead {
+		return
+	}
+	if err != nil {
+		p.dirContactFailed(dirNode)
+		return
+	}
+	if p.dirInfo.Node == dirNode {
+		p.dirMisses = 0
+		p.dirInfo.Age = 0
+	}
+	if synced {
+		p.syncedDir = dirNode
 	}
 }
 
@@ -95,7 +94,7 @@ func (p *Peer) maybePush() {
 		return
 	}
 	p.net().Request(p.nid, p.dirInfo.Node, pushReq{Site: p.site, Loc: p.loc, Keys: keys},
-		p.sys.cfg.Chord.RPCTimeout, p.dirAnswered(p.dirInfo.Node, true))
+		p.sys.cfg.Chord.RPCTimeout, p.sys.getStep(stepPush, p, nil, p.dirInfo.Node).onDone)
 }
 
 // dirContactFailed handles one failed exchange with the directory. A
@@ -111,7 +110,7 @@ func (p *Peer) dirContactFailed(dirNode runtime.NodeID) {
 	if p.dirMisses < 2 {
 		p.eng().Schedule(2*runtime.Second, func() {
 			if !p.dead && p.dirInfo.Node == dirNode {
-				p.sendKeepalive(dirNode, p.dirAnswered(dirNode, false))
+				p.sendKeepalive(dirNode, p.sys.getStep(stepKeepalive, p, nil, dirNode).onDone)
 			}
 		}).Release()
 		return

@@ -33,7 +33,7 @@ func TestFullPushOnDirectoryChange(t *testing.T) {
 	}
 	total := 0
 	for _, d := range dirs {
-		total += d.Directory().index.Len()
+		total += indexedKeys(d.Directory())
 	}
 	if c.Alive() && c.Role() == RoleContent && total < objects {
 		t.Fatalf("index holds %d objects, want >= %d (full push on re-sync)", total, objects)

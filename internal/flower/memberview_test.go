@@ -3,6 +3,7 @@ package flower
 import (
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"flowercdn/internal/chord"
@@ -29,7 +30,9 @@ func loneDirectory(t *testing.T, seed uint64) (*fixture, *Peer) {
 // mapView is the member view as a map from id to member — the design
 // the id-ordered slice replaced — with the directory's operations over
 // it as they were, each member's keys a map as they were before they
-// became a bitmap. TestMemberViewMatchesMapModel runs both side by side.
+// became a bitmap, and the directory-index a content.Holders beside the
+// view, as it was before the members' key sets became the index.
+// TestMemberViewMatchesMapModel runs both side by side.
 type mapView struct {
 	members map[runtime.NodeID]*mapMember
 	index   content.Holders
@@ -96,15 +99,45 @@ func (v *mapView) handoff(self runtime.NodeID, h handoffMsg, now int64) {
 	}
 	for k, ps := range h.Index {
 		for _, nid := range ps {
-			if nid == self {
-				continue
-			}
-			v.index.Add(k, nid)
-			if m, ok := v.members[nid]; ok {
+			if m, ok := v.members[nid]; ok && nid != self {
 				m.keys[k] = struct{}{}
+				v.index.Add(k, nid)
 			}
 		}
 	}
+}
+
+// rank is rankProviders over the reference index: every holder of key
+// but asker, nearest to asker first and ties by id, then the old
+// summaries when no holder is left, cut to maxProviders.
+func (v *mapView) rank(p *Peer, key content.Key, asker runtime.NodeID) ([]provCand, bool) {
+	var cands []provCand
+	for _, nid := range v.index.Of(key) {
+		if nid != asker {
+			cands = append(cands, provCand{peer: nid, lat: p.sys.oracle.Latency(asker, nid)})
+		}
+	}
+	fromSummary := false
+	if len(cands) == 0 && p.dir.oldSummaries != nil {
+		cands = p.summaryCands(cands, p.dir.oldSummaries, key, asker)
+		fromSummary = len(cands) > 0
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if cands[i].lat != cands[j].lat {
+			return cands[i].lat < cands[j].lat
+		}
+		return cands[i].peer < cands[j].peer
+	})
+	return cands[:min(len(cands), maxProviders)], fromSummary
+}
+
+// tiedLatency prices every pair of ids, joined to the network or not —
+// the model's members are bare ids — from seven values, so rankings tie
+// often and fall back to ids.
+type tiedLatency struct{ runtime.Observer }
+
+func (tiedLatency) Latency(a, b runtime.NodeID) int64 {
+	return int64((uint32(a)*2654435761 ^ uint32(b)*40503) % 7)
 }
 
 // viewSeed is viewSeed over the map: collect every id but exclude, sort
@@ -149,10 +182,12 @@ func (v *mapView) viewSeed(p *Peer, rng *rnd.RNG, exclude runtime.NodeID) []goss
 // map it replaced through the same random steps: arrivals and known
 // members admitted, pushes, keepalives, sweeps that expire members,
 // removals, promotions, handoffs and view seeds. After every step both
-// must hold the same members with the same freshness and keys, pick the
-// same freshest member and index the same holders; a view seed drawn
-// from two same-seeded generators must return the same contacts, and
-// the generators' next draws must agree, so both consumed as many.
+// must hold the same members with the same freshness and keys and pick
+// the same freshest member, and for every key the directory must rank
+// the providers the reference index ranks, for a member, a non-member
+// and the directory itself asking; a view seed drawn from two
+// same-seeded generators must return the same contacts, and the
+// generators' next draws must agree, so both consumed as many.
 func TestMemberViewMatchesMapModel(t *testing.T) {
 	const seeds, steps = 20, 3000
 	keys := make([]content.Key, 24)
@@ -161,9 +196,10 @@ func TestMemberViewMatchesMapModel(t *testing.T) {
 	}
 	f, dir := loneDirectory(t, 40)
 	d := dir.dir
+	f.sys.oracle = tiedLatency{f.sys.oracle}
 	for seed := uint64(1); seed <= seeds; seed++ {
 		rng := rnd.New(seed)
-		d.members, d.index = nil, content.Holders{}
+		d.members = nil
 		v := &mapView{members: map[runtime.NodeID]*mapMember{}}
 		// Old-summary contacts back a small view until they expire.
 		d.oldSummaries = nil
@@ -296,9 +332,19 @@ func TestMemberViewMatchesMapModel(t *testing.T) {
 			if a, b := d.freshestMember(), v.freshest(); a != b {
 				t.Fatalf("seed %d step %d (%s): freshest member %d, map view picks %d", seed, step, op, a, b)
 			}
+			askers := []runtime.NodeID{next + 1, dir.nid}
+			if len(d.members) > 0 {
+				askers = append(askers, d.members[step%len(d.members)].nid)
+			}
 			for _, k := range keys {
-				if a, b := d.index.Of(k), v.index.Of(k); !slices.Equal(a, b) {
-					t.Fatalf("seed %d step %d (%s): %v indexed at %v, map view has %v", seed, step, op, k, a, b)
+				for _, asker := range askers {
+					got, gotSummary := d.rankProviders(dir, k, asker)
+					got = slices.Clone(got)
+					want, wantSummary := v.rank(dir, k, asker)
+					if !slices.Equal(got, want) || gotSummary != wantSummary {
+						t.Fatalf("seed %d step %d (%s): %v for %d ranks %v (summary %v), the reference index %v (summary %v)",
+							seed, step, op, k, asker, got, gotSummary, want, wantSummary)
+					}
 				}
 			}
 		}

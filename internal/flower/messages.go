@@ -119,11 +119,53 @@ type dirQueryReq struct {
 	Foreign bool
 }
 
-// dirQueryReply answers dirQueryReq.
-type dirQueryReply struct {
-	Providers   []runtime.NodeID
-	FromSummary bool
-	CollabWith  []chord.Entry
+// dirQueryReply answers dirQueryReq. Like exactSummary it is one
+// pointer to its record, so the transport boxes it without allocating:
+// a reply costs its record alone, the providers inline. The zero value
+// is the empty answer — no providers, no siblings — and every empty
+// answer is the zero value (newDirQueryReply), so it costs nothing and
+// decodes back to what was sent. The type's name fixes its binary codec
+// tag.
+type dirQueryReply struct{ a *dirAnswer }
+
+type dirAnswer struct {
+	providers   [maxProviders]runtime.NodeID
+	n           uint8
+	fromSummary bool
+	collabWith  []chord.Entry
+}
+
+// newDirQueryReply makes the reply naming providers, at most
+// maxProviders of them, which it copies.
+func newDirQueryReply(providers []runtime.NodeID, fromSummary bool, collabWith []chord.Entry) dirQueryReply {
+	if len(providers) == 0 && !fromSummary && len(collabWith) == 0 {
+		return dirQueryReply{}
+	}
+	a := &dirAnswer{fromSummary: fromSummary, collabWith: collabWith}
+	a.n = uint8(copy(a.providers[:], providers))
+	return dirQueryReply{a}
+}
+
+// Providers returns the providers, nearest to the asker first. The
+// slice is the reply's: read it, never write or keep it.
+func (r dirQueryReply) Providers() []runtime.NodeID {
+	if r.a == nil {
+		return nil
+	}
+	return r.a.providers[:r.a.n]
+}
+
+// FromSummary reports whether the providers came from a freshly
+// promoted directory's old gossip summaries rather than its index.
+func (r dirQueryReply) FromSummary() bool { return r.a != nil && r.a.fromSummary }
+
+// CollabWith returns the sibling directories worth asking when the
+// reply names no provider; the slice is the reply's, only ever read.
+func (r dirQueryReply) CollabWith() []chord.Entry {
+	if r.a == nil {
+		return nil
+	}
+	return r.a.collabWith
 }
 
 // keepaliveReq is the periodic liveness signal from a content peer to

@@ -510,9 +510,9 @@ func (p *Peer) directoryAnswered(q *activeQuery, seq uint64, dirNode runtime.Nod
 	p.dirInfo.Age = 0 // fresh contact
 	p.traceHop(q, trace.HopHome, dirNode, false)
 	rep := resp.(dirQueryReply)
-	q.source = sourceOf(rep.FromSummary)
-	q.setCandidates(rep.Providers)
-	q.collab = rep.CollabWith
+	q.source = sourceOf(rep.FromSummary())
+	q.setCandidates(rep.Providers())
+	q.collab = rep.CollabWith()
 	p.probeCandidate(q, false)
 }
 
@@ -561,12 +561,12 @@ func (p *Peer) siblingAnswered(q *activeQuery, seq uint64, sib runtime.NodeID, r
 	}
 	p.traceHop(q, trace.HopHome, sib, false)
 	rep := resp.(dirQueryReply)
-	if len(rep.Providers) == 0 {
+	if len(rep.Providers()) == 0 {
 		p.collabQuery(q, req)
 		return
 	}
 	q.source = srcDirectory
-	q.setCandidates(rep.Providers)
+	q.setCandidates(rep.Providers())
 	p.probeCandidate(q, false)
 }
 

@@ -5,12 +5,13 @@ import (
 	"flowercdn/internal/runtime"
 )
 
-// step is the pooled callback record of one RPC a query makes: a fetch
+// step is the pooled callback record of one RPC a query makes — a fetch
 // probe of a candidate provider, the question to the peer's directory,
-// the question to a sibling directory, or the origin fetch after a miss.
-// Like simnet's rpcState and chord's probe it binds the callback it
-// hands the transport once, when the record is made, and says through
-// kind what the answer is for.
+// the question to a sibling directory, or the origin fetch after a miss
+// — or of one exchange that checks the directory is alive: a keepalive,
+// a confirming probe or a push. Like simnet's rpcState and chord's probe
+// it binds the callback it hands the transport once, when the record is
+// made, and says through kind what the answer is for.
 //
 // Step state lives here and not in activeQuery because two chains of
 // steps can run on one query at once: a routed query that was retried
@@ -43,10 +44,13 @@ const (
 	stepDirectory                   // directoryQuery: dirQueryReq to the peer's directory
 	stepCollab                      // collabQuery: foreign dirQueryReq to a sibling
 	stepOriginFetch                 // resolve: FetchReq to the origin after a miss
+	stepKeepalive                   // keepaliveTick, dirContactFailed: keepaliveReq to the directory
+	stepPush                        // maybePush: pushReq to the directory, which then holds the store
 )
 
 // getStep takes a record for one RPC of p's query q (nil for the origin
-// fetch, which outlives its query) to node.
+// fetch, which outlives its query, and for a directory exchange) to
+// node.
 func (s *System) getStep(kind stepKind, p *Peer, q *activeQuery, node runtime.NodeID) *step {
 	var st *step
 	if n := len(s.freeSteps); n > 0 {
@@ -83,5 +87,7 @@ func (st *step) done(resp any, err error) {
 		if !p.dead && err == nil {
 			p.acquire(key)
 		}
+	case stepKeepalive, stepPush:
+		p.dirAnswered(node, kind == stepPush, err)
 	}
 }

@@ -1,6 +1,7 @@
 package flower
 
 import (
+	"slices"
 	"testing"
 
 	"flowercdn/internal/chord"
@@ -196,9 +197,10 @@ const time10s = 10 * runtime.Second
 // buffer keeps its capacity instead of being walked away by the probes.
 func TestCandidateBufferIsTheQuerysOwn(t *testing.T) {
 	f, c, holders, dir, keys := quietPetal(t)
-	providers := []runtime.NodeID{holders[2].NodeID(), holders[1].NodeID(), holders[0].NodeID(), 0, 0, 0}[:3]
-	want := append([]runtime.NodeID(nil), providers[:cap(providers)]...)
-	canned := f.net.Join(cannedDirectory{reply: dirQueryReply{Providers: providers}}, f.beside(dir))
+	reply := newDirQueryReply([]runtime.NodeID{holders[2].NodeID(), holders[1].NodeID(), holders[0].NodeID()}, false, nil)
+	providers := reply.Providers()
+	want := slices.Clone(providers)
+	canned := f.net.Join(cannedDirectory{reply: reply}, f.beside(dir))
 	for _, e := range c.gsp.Entries() {
 		c.gsp.RemoveContact(e.Peer)
 	}
@@ -226,9 +228,7 @@ func TestCandidateBufferIsTheQuerysOwn(t *testing.T) {
 	if f.coll.Count(metrics.HitLocalGossip) == 0 {
 		t.Fatal("the gossip-path query did not resolve in the petal")
 	}
-	for i, n := range providers[:cap(providers)] {
-		if n != want[i] {
-			t.Fatalf("the previous reply's provider array changed: %v, want %v", providers[:cap(providers)], want)
-		}
+	if !slices.Equal(providers, want) {
+		t.Fatalf("the previous reply's providers changed: %v, want %v", providers, want)
 	}
 }

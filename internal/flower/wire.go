@@ -105,17 +105,46 @@ func (dirQueryReq) DecodeWire(r *runtime.WireReader) any {
 }
 
 func (m dirQueryReply) AppendWire(w *runtime.WireWriter) {
-	w.Nodes(m.Providers)
-	w.Bool(m.FromSummary)
-	chord.AppendEntriesWire(w, m.CollabWith)
+	w.Nodes(m.Providers())
+	w.Bool(m.FromSummary())
+	chord.AppendEntriesWire(w, m.CollabWith())
 }
 
+// DecodeWire refuses a reply naming more than maxProviders providers,
+// which no directory sends and the record cannot hold.
 func (dirQueryReply) DecodeWire(r *runtime.WireReader) any {
-	var m dirQueryReply
-	m.Providers = r.Nodes()
-	m.FromSummary = r.Bool()
-	m.CollabWith = chord.DecodeEntriesWire(r)
-	return m
+	n := r.ArrayLen(1)
+	if n > maxProviders {
+		r.Fail(fmt.Errorf("flower: directory reply names %d providers, more than %d", n, maxProviders))
+		return dirQueryReply{}
+	}
+	var providers [maxProviders]runtime.NodeID
+	for i := range n {
+		providers[i] = r.Node()
+	}
+	fromSummary := r.Bool()
+	return newDirQueryReply(providers[:n], fromSummary, chord.DecodeEntriesWire(r))
+}
+
+// GobEncode implements gob.GobEncoder: the wire form.
+func (m dirQueryReply) GobEncode() ([]byte, error) {
+	w := runtime.NewWireWriter(nil)
+	m.AppendWire(w)
+	return w.Finish(), w.Err()
+}
+
+// GobDecode implements gob.GobDecoder.
+func (m *dirQueryReply) GobDecode(b []byte) error {
+	r := runtime.NewWireReader(b)
+	d := m.DecodeWire(r).(dirQueryReply)
+	switch {
+	case r.Err() != nil:
+		return r.Err()
+	case r.Len() != 0:
+		return fmt.Errorf("flower: %d trailing bytes after a directory reply", r.Len())
+	}
+	*m = d
+	return nil
 }
 
 func (m keepaliveReq) AppendWire(w *runtime.WireWriter) {

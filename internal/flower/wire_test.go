@@ -1,6 +1,8 @@
 package flower
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"flowercdn/internal/bloom"
@@ -38,7 +40,9 @@ func TestWireRoundTrips(t *testing.T) {
 		dirQueryResp{Seq: 5, Dir: chord.NoEntry},
 		vacantResp{Seq: 4, Pos: ids.ID(99)},
 		dirQueryReq{Key: k2, Client: 3, Foreign: true},
-		dirQueryReply{Providers: []runtime.NodeID{1}, CollabWith: []chord.Entry{dir}},
+		newDirQueryReply([]runtime.NodeID{1}, false, []chord.Entry{dir}),
+		newDirQueryReply([]runtime.NodeID{3, 9, 4}, true, nil),
+		dirQueryReply{},
 		keepaliveReq{Site: 1, Loc: 3},
 		keepaliveResp{},
 		pushReq{Site: 1, Loc: 2, Keys: []content.Key{k1, k2}},
@@ -57,5 +61,45 @@ func TestWireRoundTrips(t *testing.T) {
 		summaryOf(k1, k2),
 	} {
 		wiretest.RoundTrip(t, msg)
+	}
+}
+
+// TestDirQueryReplyWireIsUnchanged pins the directory reply to the bytes
+// the binary codec wrote when the reply was a struct of slices: no,
+// one and three providers, with and without sibling directories. Each
+// decodes back to the reply it was.
+func TestDirQueryReplyWireIsUnchanged(t *testing.T) {
+	c, err := runtime.NewCodec("binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibs := []chord.Entry{{Node: 5, ID: ids.ID(0xdeadbeef)}, {Node: 7, ID: ids.ID(0x0123456789abcdef)}}
+	three := []runtime.NodeID{3, 900, 1 << 20}
+	for _, tc := range []struct {
+		reply dirQueryReply
+		want  string
+	}{
+		{newDirQueryReply(nil, false, nil), "11000000"},
+		{newDirQueryReply(nil, false, sibs), "110000020a00000000deadbeef0e0123456789abcdef"},
+		{newDirQueryReply([]runtime.NodeID{42}, false, nil), "1101540000"},
+		{newDirQueryReply([]runtime.NodeID{42}, false, sibs[:1]), "11015400010a00000000deadbeef"},
+		{newDirQueryReply(three, true, nil), "110306880e808080010100"},
+		{newDirQueryReply(three, true, sibs), "110306880e8080800101020a00000000deadbeef0e0123456789abcdef"},
+	} {
+		b, err := c.AppendMessage(nil, tc.reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b); got != tc.want {
+			t.Errorf("reply with %v (summary %v) and siblings %v encodes to\n%s\nwant\n%s",
+				tc.reply.Providers(), tc.reply.FromSummary(), tc.reply.CollabWith(), got, tc.want)
+		}
+		back, err := c.DecodeMessage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, tc.reply) {
+			t.Errorf("decoded %#v, want %#v", back, tc.reply)
+		}
 	}
 }

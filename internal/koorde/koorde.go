@@ -241,7 +241,7 @@ func (n *Node) fixPointers() {
 			// We own our own de Bruijn image; our successor list already
 			// spans the landing arc.
 			set := []chord.Entry{n.ring.Self()}
-			n.dbSet = appendDistinct(set, n.ring.SuccessorList())
+			n.dbSet = appendDistinct(set, n.ring.Successors())
 			return
 		}
 		n.ring.Neighbors(owner, func(pred chord.Entry, succs []chord.Entry, err error) {
@@ -478,7 +478,7 @@ func (n *Node) nextToward(goal ids.ID) chord.Entry {
 			best, bestDist = e, d
 		}
 	}
-	for _, e := range n.ring.SuccessorList() {
+	for _, e := range n.ring.Successors() {
 		consider(e)
 	}
 	for _, e := range n.dbSet {

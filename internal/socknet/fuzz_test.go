@@ -3,15 +3,18 @@ package socknet
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"flowercdn/internal/runtime"
 )
 
-// fuzzSeedFrames is every frame kind the backend really sends, so the
-// fuzzers start from valid wire bytes and mutate outward.
+// fuzzSeedFrames is every frame kind the backend really sends, then a
+// send of every registered wire message, so the fuzzers start from
+// valid wire bytes — every message decoder's among them — and mutate
+// outward.
 func fuzzSeedFrames() []frame {
-	return []frame{
+	frames := []frame{
 		{Kind: frameJoin, ID: 12},
 		{Kind: frameFail, ID: 7},
 		{Kind: frameSend, From: 3, To: 9, Payload: benchPayload{Seq: 1, Keys: []uint64{2, 3}}},
@@ -19,6 +22,21 @@ func fuzzSeedFrames() []frame {
 		{Kind: frameResponse, ReqID: 99, HasErr: true, Err: "boom"},
 		{Kind: frameAnnounce, Payload: benchPayload{Seq: 8}},
 	}
+	for _, msg := range wireExemplars() {
+		frames = append(frames, frame{Kind: frameSend, From: 1, To: 2, Payload: msg})
+	}
+	return frames
+}
+
+// wireExemplars is a reflect-filled exemplar of every registered wire
+// type, as TestCodecEquivalence sends them.
+func wireExemplars() []any {
+	var out []any
+	seed := 0
+	for _, v := range runtime.WireTypes() {
+		out = append(out, fillValue(reflect.TypeOf(v), &seed))
+	}
+	return out
 }
 
 // FuzzFrameRoundTrip throws arbitrary bytes at the gob-codec frame
@@ -117,10 +135,10 @@ func FuzzBinaryDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, msg := range []any{
+	for _, msg := range append([]any{
 		nil,
 		benchPayload{Seq: 7, From: 3, Keys: []uint64{1, 2, 3}},
-	} {
+	}, wireExemplars()...) {
 		b, err := codec.AppendMessage(nil, msg)
 		if err != nil {
 			f.Fatal(err)
