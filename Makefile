@@ -153,7 +153,8 @@ fingerprint-check:
 
 # alloc-check runs the allocation pins: the tests that hold a hot path
 # to an exact object count with testing.AllocsPerRun — the engine's
-# one-shot timers, simnet's pooled deliveries, chord's steady-state
+# one-shot timers and its tickers (a new ticker: one object, the
+# PeriodicTimer; a firing: zero), simnet's pooled deliveries, chord's steady-state
 # maintenance over one deployment-wide record pool (a resolved lookup, a
 # ping round, a notify, a stabilize round answered with the successor's
 # one boxed reply, a routed payload, and a non-member client's lookup
@@ -165,8 +166,10 @@ fingerprint-check:
 # record with its providers inline), a content peer's keepalive and
 # push round trips (each its request box: the directory records a known
 # member and its keys in place, the answer is a pooled step record), a
-# directory's sibling list (the list alone: the successor list is read
-# in place), a joining client's view seed
+# directory's sibling list (zero while its ring neighbourhood stands;
+# the rebuilt list alone once the successor list changes), a push
+# delta (one object, made at the last push's length), a joining
+# client's view seed
 # (the same count at 50 and 2 000 members) and a member's pushed key
 # (zero; on a set a view seed's box holds, the copied bitmap, one
 # object; a member record stays 40 B), gossip's view (a shuffle
@@ -178,7 +181,12 @@ fingerprint-check:
 # content store over it, the run's metrics collector (10 000 queries
 # whose lookup latencies and transfer distances it has counted before:
 # zero, so its state follows the values seen, not the queries served),
-# an RNG's New and Split (one object each), and the binary codec's
+# an RNG's New and Split (one object each; SplitInto, which seeds a
+# stream its owner embeds: zero), a churn arrival (its lifetime
+# closure, one object), one session from its churn arrival through its
+# join, everything every peer allocates on the way (a flower session
+# through its first petal join: 22 objects; a squirrel session through
+# its Chord join: 21), and the binary codec's
 # budget per wire message (the packages whose
 # wire tests call wiretest.BinaryAllocs) — or to a byte count, a
 # TotalAlloc delta over thousands of rounds, where the thing pinned is a
@@ -195,7 +203,7 @@ fingerprint-check:
 # handler storage. A count repeats exactly, so unlike a timing these
 # gate on one run.
 alloc-check:
-	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/metrics ./internal/workload ./internal/rnd
+	go test -count=1 -run Alloc ./internal/sim ./internal/wallclock ./internal/simnet ./internal/socknet ./internal/chord ./internal/proto ./internal/flower ./internal/gossip ./internal/cache ./internal/content ./internal/metrics ./internal/workload ./internal/rnd ./internal/churn ./internal/harness
 
 # socket-smoke runs one population across three cooperating OS
 # processes on the socket backend: real TCP between peer groups — every

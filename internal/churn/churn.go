@@ -48,31 +48,45 @@ func (c Config) MeanInterarrival() int64 {
 	return gap
 }
 
+// Life is one arrival's session as the churn process sees it: Stop
+// fails it when its lifetime expires. Stop may also be reached by other
+// means first (a scheduled mass failure), so it must be idempotent.
+type Life interface {
+	Stop()
+}
+
 // Process drives arrivals. For every arrival it calls spawn, which
-// creates a protocol peer and returns a kill function; the process then
-// schedules that kill after an exponential lifetime. spawn may return
-// nil to decline the arrival (e.g. after the run's cool-down).
+// creates a protocol peer and returns its Life; the process then stops
+// that Life after an exponential lifetime. spawn may return nil to
+// decline the arrival (e.g. after the run's cool-down).
+//
+// An arrival costs the process one closure, the lifetime timer's: the
+// arrival timer's callback is bound once, when the process is built,
+// and the Life is whatever record the spawner already keeps.
 type Process struct {
 	cfg   Config
 	eng   runtime.Clock
 	rng   *rnd.RNG
-	spawn func() (kill func())
+	spawn func() Life
 
-	arrivals uint64
-	failures uint64
-	ticker   runtime.Timer
-	stopped  bool
+	arrivals  uint64
+	failures  uint64
+	ticker    runtime.Timer
+	onArrival func() // arrival, bound once
+	stopped   bool
 }
 
 // NewProcess builds a churn process; Start must be called to begin.
-func NewProcess(cfg Config, eng runtime.Clock, rng *rnd.RNG, spawn func() func()) (*Process, error) {
+func NewProcess(cfg Config, eng runtime.Clock, rng *rnd.RNG, spawn func() Life) (*Process, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if spawn == nil {
 		return nil, fmt.Errorf("churn: nil spawn")
 	}
-	return &Process{cfg: cfg, eng: eng, rng: rng, spawn: spawn}, nil
+	p := &Process{cfg: cfg, eng: eng, rng: rng, spawn: spawn}
+	p.onArrival = p.arrival
+	return p, nil
 }
 
 // Start schedules the first arrival.
@@ -85,23 +99,25 @@ func (p *Process) scheduleNext() {
 		return
 	}
 	gap := p.rng.ExpDuration(p.cfg.MeanInterarrival())
-	p.ticker = p.eng.Schedule(gap, func() {
-		runtime.DropTimer(&p.ticker) // fired: its record goes back to the clock
-		p.arrive()
-		p.scheduleNext()
-	})
+	p.ticker = p.eng.Schedule(gap, p.onArrival)
+}
+
+// arrival is the arrival timer's callback.
+func (p *Process) arrival() {
+	runtime.DropTimer(&p.ticker) // fired: its record goes back to the clock
+	p.arrive()
+	p.scheduleNext()
 }
 
 func (p *Process) arrive() {
-	kill := p.spawn()
-	if kill == nil {
+	life := p.spawn()
+	if life == nil {
 		return
 	}
 	p.arrivals++
-	life := p.Lifetime()
-	p.eng.Schedule(life, func() {
+	p.eng.Schedule(p.Lifetime(), func() {
 		p.failures++
-		kill()
+		life.Stop()
 	}).Release()
 }
 

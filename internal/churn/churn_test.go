@@ -8,6 +8,11 @@ import (
 	"flowercdn/internal/sim"
 )
 
+// stopFunc is a Life whose Stop is the func itself.
+type stopFunc func()
+
+func (f stopFunc) Stop() { f() }
+
 func TestConfigValidation(t *testing.T) {
 	if err := (Config{TargetPopulation: 0, MeanUptime: 1}).Validate(); err == nil {
 		t.Fatal("zero population accepted")
@@ -35,7 +40,7 @@ func TestMeanInterarrival(t *testing.T) {
 func TestNewProcessValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := rnd.New(1)
-	if _, err := NewProcess(Config{}, eng.Clock(), rng, func() func() { return nil }); err == nil {
+	if _, err := NewProcess(Config{}, eng.Clock(), rng, func() Life { return nil }); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	if _, err := NewProcess(DefaultConfig(), eng.Clock(), rng, nil); err == nil {
@@ -50,9 +55,9 @@ func TestPopulationConvergesToTarget(t *testing.T) {
 	rng := rnd.New(2)
 	cfg := Config{TargetPopulation: 500, MeanUptime: 30 * sim.Minute}
 	alive := 0
-	p, err := NewProcess(cfg, eng.Clock(), rng, func() func() {
+	p, err := NewProcess(cfg, eng.Clock(), rng, func() Life {
 		alive++
-		return func() { alive-- }
+		return stopFunc(func() { alive-- })
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -75,9 +80,9 @@ func TestSpawnInitialSeedsImmediately(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := rnd.New(3)
 	alive := 0
-	p, _ := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rng, func() func() {
+	p, _ := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rng, func() Life {
 		alive++
-		return func() { alive-- }
+		return stopFunc(func() { alive-- })
 	})
 	p.SpawnInitial(60)
 	if alive != 60 {
@@ -100,9 +105,9 @@ func TestStopHaltsArrivals(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := rnd.New(4)
 	spawned := 0
-	p, _ := NewProcess(Config{TargetPopulation: 1000, MeanUptime: sim.Hour}, eng.Clock(), rng, func() func() {
+	p, _ := NewProcess(Config{TargetPopulation: 1000, MeanUptime: sim.Hour}, eng.Clock(), rng, func() Life {
 		spawned++
-		return func() {}
+		return stopFunc(func() {})
 	})
 	p.Start()
 	eng.Run(10 * sim.Minute)
@@ -117,7 +122,7 @@ func TestStopHaltsArrivals(t *testing.T) {
 func TestNilKillDeclinesArrival(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := rnd.New(5)
-	p, _ := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rng, func() func() {
+	p, _ := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rng, func() Life {
 		return nil // decline every arrival
 	})
 	p.SpawnInitial(10)
@@ -133,7 +138,7 @@ func TestNilKillDeclinesArrival(t *testing.T) {
 func TestLifetimeDistribution(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := rnd.New(6)
-	p, _ := NewProcess(DefaultConfig(), eng.Clock(), rng, func() func() { return func() {} })
+	p, _ := NewProcess(DefaultConfig(), eng.Clock(), rng, func() Life { return stopFunc(func() {}) })
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -147,5 +152,41 @@ func TestLifetimeDistribution(t *testing.T) {
 	want := float64(60 * sim.Minute)
 	if math.Abs(mean-want) > 0.05*want {
 		t.Fatalf("mean lifetime %.0f, want ~%.0f", mean, want)
+	}
+}
+
+// lifeRecord is a Life as a spawner keeps it: a record of its own.
+type lifeRecord struct{ stops *int }
+
+func (l *lifeRecord) Stop() { *l.stops++ }
+
+// TestArrivalAllocs pins what one arrival costs the churn process: the
+// lifetime timer's closure and nothing else — the arrival callback is
+// bound once, and the Life is the spawner's own record. Before the
+// callback was bound and churn took a Life, an arrival also allocated
+// the arrival timer's closure and the spawner's kill func.
+func TestArrivalAllocs(t *testing.T) {
+	eng := sim.NewEngine()
+	stops := 0
+	life := &lifeRecord{stops: &stops}
+	p, err := NewProcess(Config{TargetPopulation: 100, MeanUptime: sim.Hour}, eng.Clock(), rnd.New(7), func() Life { return life })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	for i := 0; i < 2000; i++ {
+		eng.Step() // the engine's timer slab reaches its size
+	}
+	before := p.Arrivals()
+	if got := testing.AllocsPerRun(1000, func() {
+		for p.Arrivals() == before {
+			eng.Step()
+		}
+		before = p.Arrivals()
+	}); got != 1 {
+		t.Errorf("an arrival allocates %v objects, want 1 (its lifetime closure)", got)
+	}
+	if stops == 0 {
+		t.Fatal("no lifetime expired")
 	}
 }

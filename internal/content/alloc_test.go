@@ -72,3 +72,47 @@ func TestHoldersAllocs(t *testing.T) {
 		t.Errorf("100 Adds at the bound allocate %.0f objects, want 0", avg)
 	}
 }
+
+// TestDeltaAllocs pins what a push delta costs an unbounded store: once
+// one delta has been taken, the next, of the same length, is one object,
+// made at that length, where regrowing from nothing took log2 of it (5
+// objects for 16 keys). A delta taken earlier is never written again.
+// A dropped delta takes its array with it, so a store between sessions
+// holds none: the next one is made again, at the same length.
+func TestDeltaAllocs(t *testing.T) {
+	s := NewStore()
+	next := 0
+	add := func(n int) {
+		for range n {
+			s.Add(Key{Site: 1, Object: ObjectID(next)})
+			next++
+		}
+	}
+	add(16)
+	taken := s.TakeDelta()
+	want := append([]Key(nil), taken...)
+	if got := testing.AllocsPerRun(100, func() {
+		add(16)
+		s.TakeDelta()
+	}); got != 1 {
+		// The sorted key slice regrows too, a few times over the whole
+		// measurement: AllocsPerRun's mean truncates it.
+		t.Errorf("a 16-key delta allocates %v objects, want 1", got)
+	}
+	for i := range want {
+		if taken[i] != want[i] {
+			t.Fatalf("a taken delta changed at %d: %v, was %v", i, taken[i], want[i])
+		}
+	}
+	add(4)
+	s.DropDelta()
+	if got := testing.AllocsPerRun(100, func() {
+		add(4)
+		s.DropDelta()
+	}); got != 1 {
+		t.Errorf("a delta dropped and built again allocates %v objects, want 1", got)
+	}
+	if s.PendingChanges() != 0 {
+		t.Errorf("%d changes pending after DropDelta, want 0", s.PendingChanges())
+	}
+}

@@ -82,8 +82,9 @@ func (c *Catalog) Valid(k Key) bool {
 
 // Store is one peer's local content cache for the single website it is
 // interested in, with the delta accounting used by the push protocol.
-// The zero value is not usable; use NewStore (unbounded, the paper's
-// model) or NewStoreWith (capacity-bounded by an eviction policy).
+// The zero value is an empty unbounded store, the paper's model, as
+// NewStore returns; NewStoreWith, or Init in place, bounds one by an
+// eviction policy.
 type Store struct {
 	// have holds the cached keys packed (Key.Uint64) and sorted: 8
 	// bytes per key against a map's several-times-larger buckets, which
@@ -91,7 +92,12 @@ type Store struct {
 	// equals (site, object) order, so every iteration over the store is
 	// deterministic for free.
 	have  []uint64
-	delta []Key // keys added since the last MarkPushed
+	delta []Key // keys added since the last TakeDelta
+	// deltaHint is the length of the last delta taken: the next delta
+	// starts at that capacity, so a store whose pushes are about the
+	// same size allocates each delta once instead of regrowing it from
+	// nothing (1, 2, 4, 8, ...). The array a push took stays the push's.
+	deltaHint int
 
 	// summary is the interned Bloom filter of the current contents,
 	// invalidated (set nil) on every membership change and rebuilt
@@ -139,11 +145,17 @@ func NewStore() *Store {
 
 // NewStoreWith returns an empty store governed by the given options.
 func NewStoreWith(o StoreOptions) *Store {
-	s := NewStore()
-	s.policy = o.Policy
-	s.cost = o.Cost
-	s.onEvict = o.OnEvict
+	s := new(Store)
+	s.Init(o)
 	return s
+}
+
+// Init makes s, in place, an empty store governed by o: NewStoreWith's
+// one code path, for a store that lives inside its owner's record (the
+// harness keeps every individual's store in a page of its pool). A zero
+// Store is an empty unbounded one, NewStore's.
+func (s *Store) Init(o StoreOptions) {
+	*s = Store{policy: o.Policy, cost: o.Cost, onEvict: o.OnEvict}
 }
 
 // Bounded reports whether an eviction policy governs the store.
@@ -166,6 +178,9 @@ func (s *Store) Add(k Key) bool {
 	copy(s.have[i+1:], s.have[i:])
 	s.have[i] = u
 	s.summary = nil
+	if s.delta == nil && s.deltaHint > 0 {
+		s.delta = make([]Key, 0, s.deltaHint)
+	}
 	s.delta = append(s.delta, k)
 	if s.policy != nil {
 		c := int64(1)
@@ -249,11 +264,22 @@ func (s *Store) ChangedFraction() float64 {
 
 // TakeDelta returns the keys accumulated since the last push and resets
 // the delta, i.e. "the push happened". The returned slice is owned by
-// the caller.
+// the caller: the store never writes to its array again.
 func (s *Store) TakeDelta() []Key {
 	d := s.delta
 	s.delta = nil
+	if len(d) > 0 {
+		s.deltaHint = len(d)
+	}
 	return d
+}
+
+// DropDelta discards the delta without handing it out: a full push
+// subsumes it, and so does the first push of the store's next session.
+// The array goes with it, so a store between sessions holds none; the
+// next delta is made at the last push's length, as after TakeDelta.
+func (s *Store) DropDelta() {
+	s.delta = nil
 }
 
 // SummaryFPRate is the Bloom false-positive target for gossip

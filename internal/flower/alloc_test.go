@@ -244,9 +244,12 @@ func allocsOf(rounds int, prepare, duty func()) float64 {
 	return float64(mallocs / uint64(rounds))
 }
 
-// TestCollabSiblingsAllocs pins a directory's sibling list at the one
-// object it returns: the successor list is read in place. Reading it
-// through chord.Node.SuccessorList's copy made it 2.
+// TestCollabSiblingsAllocs pins a directory's sibling list at nothing
+// while its ring neighbourhood stands, and at the one object of the
+// rebuilt list once the node has published another successor list.
+// Before the directory kept its list, every call built one (1 object);
+// reading the successors through chord.Node.SuccessorList's copy made
+// it 2. TestSiblingListFollowsTheRing checks what the kept list holds.
 func TestCollabSiblingsAllocs(t *testing.T) {
 	f := newFixture(t, 25, nil)
 	f.seedRing()
@@ -255,8 +258,14 @@ func TestCollabSiblingsAllocs(t *testing.T) {
 	if len(dir.collabSiblings()) == 0 {
 		t.Fatal("no collaboration siblings despite seeded site neighbours")
 	}
-	if got := testing.AllocsPerRun(100, func() { dir.collabSiblings() }); got != 1 {
-		t.Errorf("collabSiblings allocates %v objects, want 1, the list it returns", got)
+	if got := testing.AllocsPerRun(100, func() { dir.collabSiblings() }); got != 0 {
+		t.Errorf("collabSiblings allocates %v objects on a standing ring, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		dir.dir.sibSuccs = nil // as if the node had published another list
+		dir.collabSiblings()
+	}); got != 1 {
+		t.Errorf("collabSiblings after a new successor list allocates %v objects, want 1, the rebuilt list", got)
 	}
 }
 

@@ -49,6 +49,18 @@ type directoryState struct {
 
 	queriesHandled uint64
 	queriesScanned uint64 // PetalUp forwards to the next instance
+
+	// siblings is collabSiblings' last list, built from the successor
+	// list sibSuccs and the predecessor sibPred; a nil sibSuccs means
+	// none is built yet (a started chord node's successor list is never
+	// empty). It is rebuilt, into a fresh slice, only when the
+	// chord node publishes another successor list (copy-on-write: a
+	// change is a new slice, and holding the old one keeps its array
+	// from being reused) or its predecessor moves. A list handed to a
+	// reply is never written again.
+	siblings []chord.Entry
+	sibSuccs []chord.Entry
+	sibPred  chord.Entry
 }
 
 type memberInfo struct {
@@ -366,10 +378,26 @@ func (p *Peer) onMemberQuery(from runtime.NodeID, r dirQueryReq) (any, error) {
 // extra lookups needed. Collaboration effectively widens a query's
 // reach from one petal to the website's whole set of petals, which is
 // what lets hit ratios grow with scale (Sec. 6.2.2).
+//
+// The list is the directory's, kept across replies while the ring
+// neighbourhood stands (directoryState.siblings): read it, never write
+// it.
 func (p *Peer) collabSiblings() []chord.Entry {
 	if !p.sys.cfg.DirCollaboration || p.chordNode == nil {
 		return nil
 	}
+	succs, pred := p.chordNode.Successors(), p.chordNode.Predecessor()
+	d := p.dir
+	if len(succs) > 0 && len(succs) == len(d.sibSuccs) && &succs[0] == &d.sibSuccs[0] && pred == d.sibPred {
+		return d.siblings
+	}
+	d.siblings, d.sibSuccs, d.sibPred = p.buildSiblings(succs, pred), succs, pred
+	return d.siblings
+}
+
+// buildSiblings collects, into a fresh list, the same-website
+// directories among succs and pred.
+func (p *Peer) buildSiblings(succs []chord.Entry, pred chord.Entry) []chord.Entry {
 	const maxSiblings = 5 // at most k-1 other localities matter
 	var out []chord.Entry
 	prefix := dring.SitePrefix(p.petalPos)
@@ -387,10 +415,10 @@ func (p *Peer) collabSiblings() []chord.Entry {
 		}
 		out = append(out, e)
 	}
-	for _, e := range p.chordNode.Successors() {
+	for _, e := range succs {
 		consider(e)
 	}
-	consider(p.chordNode.Predecessor())
+	consider(pred)
 	return out
 }
 

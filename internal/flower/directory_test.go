@@ -2,6 +2,7 @@ package flower
 
 import (
 	"flowercdn/internal/runtime"
+	"slices"
 	"testing"
 
 	"flowercdn/internal/chord"
@@ -232,6 +233,40 @@ func TestCollabSiblingsSameSiteOnly(t *testing.T) {
 	f2.run(10 * runtime.Minute)
 	if sibs := f2.findSeed(1, 0).collabSiblings(); len(sibs) != 0 {
 		t.Fatalf("collaboration disabled but siblings returned: %v", sibs)
+	}
+}
+
+// TestSiblingListFollowsTheRing: the sibling list a directory keeps is
+// the one it would build from its ring neighbourhood now, after that
+// neighbourhood changed under it, and a list it handed out before the
+// change is left as it was.
+func TestSiblingListFollowsTheRing(t *testing.T) {
+	f := newFixture(t, 25, nil)
+	f.seedRing()
+	f.run(10 * runtime.Minute)
+	dir := f.findSeed(1, 0)
+	handed := dir.collabSiblings()
+	if len(handed) == 0 {
+		t.Fatal("no collaboration siblings despite seeded site neighbours")
+	}
+	kept := slices.Clone(handed)
+	var gone *Peer
+	for _, p := range f.sys.Peers() {
+		if p.NodeID() == handed[0].Node {
+			gone = p
+		}
+	}
+	f.kill(gone)
+	f.run(10 * runtime.Minute) // stabilisation drops the dead sibling
+	now := dir.collabSiblings()
+	if want := dir.buildSiblings(dir.chordNode.Successors(), dir.chordNode.Predecessor()); !slices.Equal(now, want) {
+		t.Fatalf("kept sibling list %v, the ring gives %v", now, want)
+	}
+	if slices.ContainsFunc(now, func(e chord.Entry) bool { return e.Node == gone.NodeID() }) {
+		t.Fatalf("sibling list %v still names the dead directory %d", now, gone.NodeID())
+	}
+	if !slices.Equal(handed, kept) {
+		t.Fatalf("a handed-out sibling list changed: %v, was %v", handed, kept)
 	}
 }
 

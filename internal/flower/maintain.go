@@ -86,7 +86,7 @@ func (p *Peer) maybePush() {
 	var keys []content.Key
 	if full {
 		keys = p.store.Keys()
-		p.store.TakeDelta() // the full set subsumes any pending delta
+		p.store.DropDelta() // the full set subsumes any pending delta
 	} else {
 		keys = p.store.TakeDelta()
 	}

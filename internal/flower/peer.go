@@ -41,13 +41,19 @@ func (r Role) String() string {
 
 // Peer is one Flower-CDN participant. It implements runtime.Handler and
 // dispatches to its Chord, gossip and protocol components.
+//
+// What every session creates lives inside the Peer: its gossip state
+// and the stream it draws from, and its query record. A spawn allocates
+// the Peer, and the sub-states only some sessions need — the D-ring
+// node and lookup client, the directory state — stay behind pointers.
+// A big cell holds tens of thousands of peers: the struct is held to
+// the 480-byte size class (peer_test.go).
 type Peer struct {
 	sys *System
 	// rng is the individual's workload stream (proto.Identity.Work): a
 	// non-active client's membership request draws from it, not sys.rng.
 	rng *rnd.RNG
-	// nid and site share a word: a big cell holds tens of thousands of
-	// peers and this struct is held to the 176-byte size class.
+	// nid and site share a word.
 	nid  runtime.NodeID
 	site content.SiteID
 	loc  topology.Locality
@@ -60,7 +66,10 @@ type Peer struct {
 	role  Role
 	store *content.Store
 
-	gsp     *gossip.Protocol
+	// gsp is the peer's petal gossip, built in place (initGossip), and
+	// gspRNG the protocol stream it draws from, split for this session.
+	gsp     gossip.Protocol
+	gspRNG  rnd.RNG
 	dirInfo DirInfo
 
 	// Directory role state (nil unless RoleDirectory).
@@ -75,8 +84,11 @@ type Peer struct {
 	query *activeQuery
 	// qspare recycles the previous activeQuery: a query fires every few
 	// simulated minutes on every active peer, so per-query allocations
-	// add up across a whole run.
+	// add up across a whole run. It starts out as qrec, the peer's own
+	// record, which every session's first query or membership request
+	// takes: one record serves the whole session.
 	qspare *activeQuery
+	qrec   activeQuery
 
 	keepaliveTimer runtime.Ticker
 	dead           bool
@@ -123,11 +135,10 @@ func (p *Peer) Directory() *directoryState { return p.dir }
 func (p *Peer) Alive() bool { return !p.dead }
 
 func (p *Peer) initGossip() {
-	g, err := gossip.New(p.sys.cfg.Gossip, p.sys.net, p.sys.rng.Split("gossip"), p.nid, (*gossipApp)(p))
-	if err != nil {
+	p.sys.rng.SplitInto(&p.gspRNG, "gossip")
+	if err := p.gsp.Init(p.sys.cfg.Gossip, p.sys.net, &p.gspRNG, p.nid, (*gossipApp)(p)); err != nil {
 		panic(fmt.Sprintf("flower: gossip init: %v", err)) // config was validated
 	}
-	p.gsp = g
 	p.dirInfo = DirInfo{Node: runtime.None}
 	p.lastDeadDir = runtime.None
 	p.syncedDir = runtime.None
@@ -167,6 +178,9 @@ func (p *Peer) Kill() {
 		p.keepaliveTimer.Cancel()
 	}
 	p.query = nil
+	// The individual's next session pushes its whole store first
+	// (syncedDir starts at None), so the pending delta is garbage.
+	p.store.DropDelta()
 	p.sys.net.Fail(p.nid)
 }
 

@@ -66,6 +66,25 @@ func TestDeadPeerHandlersSilent(t *testing.T) {
 	}
 }
 
+// TestKilledPeerDropsItsDelta: a session's pending push delta dies with
+// it. The individual's store outlives the session, and its next session
+// pushes the whole store first, so a delta kept between sessions would
+// only hold memory.
+func TestKilledPeerDropsItsDelta(t *testing.T) {
+	f := newFixture(t, 62, nil)
+	f.seedRing()
+	c := f.spawn(0, 0)
+	f.run(5 * runtime.Minute)
+	c.store.Add(content.Key{Site: 0, Object: 49})
+	if c.store.PendingChanges() == 0 {
+		t.Fatal("no pending change after an Add")
+	}
+	f.kill(c)
+	if n := c.store.PendingChanges(); n != 0 {
+		t.Errorf("a killed peer's store keeps %d pending changes, want 0", n)
+	}
+}
+
 func TestStatsStringsAndSummaryBytes(t *testing.T) {
 	// Wire-size hints used for byte accounting must be positive and
 	// scale with payload size.
@@ -105,14 +124,17 @@ func TestDirInfoStringsViaSummary(t *testing.T) {
 }
 
 // TestPerPeerRecordsStayInTheirSizeClass guards the big cell's memory
-// budget (4 KiB per node, `make bigcell-smoke`): every peer has one Peer
-// and, after its first query, one activeQuery. The activeQuery sits
-// exactly on an allocator size class — one more word costs each peer 16
-// bytes — and the Peer (168 bytes) has one word to spare in the
-// 176-byte class.
+// budget (4 KiB per node, `make bigcell-smoke`): every peer is one Peer,
+// its gossip state, gossip stream and first query record inside it. The
+// Peer sits exactly on the 480-byte size class — one more word costs
+// each peer 32 bytes — and so does the activeQuery it embeds, on 144.
+// Before the sub-states moved in, the Peer (168 bytes) sat in the
+// 176-byte class, and the gossip state (144), its stream (32) and the
+// query record (144) were allocated beside it: 496 bytes in four
+// objects.
 func TestPerPeerRecordsStayInTheirSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Peer{}); got > 176 {
-		t.Errorf("Peer is %d bytes, over the 176-byte size class", got)
+	if got := unsafe.Sizeof(Peer{}); got > 480 {
+		t.Errorf("Peer is %d bytes, over the 480-byte size class", got)
 	}
 	if got := unsafe.Sizeof(activeQuery{}); got > 144 {
 		t.Errorf("activeQuery is %d bytes, over the 144-byte size class", got)

@@ -116,10 +116,10 @@ type activeQuery struct {
 	joinOnly bool
 }
 
-// getQuery takes the recycled query record (or allocates the peer's
-// first); putQuery returns it once the query fully resolved. The
-// candidate and path buffers and the bound timeout callback survive
-// recycling.
+// getQuery takes the recycled query record — the peer's own, qrec,
+// unless a caller abandoned it without putQuery — and putQuery returns
+// it once the query fully resolved. The candidate and path buffers and
+// the bound timeout callback survive recycling.
 func (p *Peer) getQuery() *activeQuery {
 	q := p.qspare
 	if q == nil {

@@ -293,6 +293,7 @@ func (s *System) newPeer(id proto.Identity) *Peer {
 		store:    id.Store,
 		rng:      id.Work,
 	}
+	p.qspare = &p.qrec
 	p.nid = s.net.Join(p, id.Placement)
 	p.initGossip()
 	s.peers.Add(p)

@@ -99,6 +99,13 @@ func (r shuffleResp) WireBytes() int { return 16 + len(r.Entries)*192 }
 
 // Protocol is one peer's gossip state. Like everything in the
 // simulation it is single-goroutine.
+//
+// A peer that runs one protocol for its whole life embeds the Protocol
+// and builds it in place (Init), next to the stream it draws from: a
+// spawned peer then pays nothing for its gossip state but the bound
+// tick that Start arms. New is the allocating form, for a protocol on
+// its own. Either way the protocol draws from rng and never owns it;
+// the view's entries and their metadata are the protocol's own.
 type Protocol struct {
 	cfg Config
 	net runtime.Net
@@ -125,19 +132,30 @@ type Protocol struct {
 
 // New builds the protocol for the peer at me.
 func New(cfg Config, net runtime.Net, rng *rnd.RNG, me runtime.NodeID, app App) (*Protocol, error) {
-	if err := cfg.Validate(); err != nil {
+	g := new(Protocol)
+	if err := g.Init(cfg, net, rng, me, app); err != nil {
 		return nil, err
 	}
-	if app == nil {
-		return nil, errors.New("gossip: nil app")
+	return g, nil
+}
+
+// Init builds the protocol for the peer at me in place, over whatever g
+// held: New's one code path, for an owner that embeds its Protocol.
+func (g *Protocol) Init(cfg Config, net runtime.Net, rng *rnd.RNG, me runtime.NodeID, app App) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	return &Protocol{
+	if app == nil {
+		return errors.New("gossip: nil app")
+	}
+	*g = Protocol{
 		cfg: cfg,
 		net: net,
 		rng: rng,
 		me:  me,
 		app: app,
-	}, nil
+	}
+	return nil
 }
 
 // Start schedules periodic shuffles, de-phased by a random offset so

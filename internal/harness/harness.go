@@ -609,7 +609,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	cacheCfg, _ := proto.CacheConfigFromOptions(cfg.Options) // vetted by New
-	pop, err := proto.NewPopulation(topo, work, popRNG, cfg.LocalitySkew, cacheCfg.StoreFactory(env))
+	pop, err := proto.NewPopulation(topo, work, popRNG, cfg.LocalitySkew, cacheCfg.StoreInit(env))
 	if err != nil {
 		return nil, err
 	}
@@ -714,6 +714,25 @@ type pool struct {
 	offline []int // indexes into inds
 	cap     int
 	onMint  func(idx int, ind proto.Identity) // Config.onMint
+	// slots is the current page of the individuals' own records (store
+	// and workload stream): made slotPage at a time and never grown, so
+	// a page never moves and every minted Identity keeps pointing into
+	// it. A page holds at most slotPage-1 unminted slots: a pool does not
+	// pay for its cap up front.
+	slots []proto.Slot
+}
+
+// slotPage is how many individuals' records one page of a pool holds:
+// 64 of about 140 B.
+const slotPage = 64
+
+// slot returns the records of the next individual to be minted.
+func (p *pool) slot() *proto.Slot {
+	if len(p.slots) == cap(p.slots) {
+		p.slots = make([]proto.Slot, 0, slotPage)
+	}
+	p.slots = p.slots[:len(p.slots)+1]
+	return &p.slots[len(p.slots)-1]
 }
 
 // take picks a random offline individual to revive, or mints an arrival
@@ -729,7 +748,7 @@ func (p *pool) take() (idx int, ok bool) {
 	if len(p.inds) >= p.cap {
 		return 0, false
 	}
-	return p.add(p.pop.Arrival()), true
+	return p.add(p.pop.ArrivalIn(p.slot())), true
 }
 
 // add registers a newly minted individual and returns its index.
@@ -747,11 +766,12 @@ func (p *pool) release(idx int) {
 }
 
 // session is one tracked online session of individual idx, with its
-// query timer. Its stop may be claimed by several schedulers at once —
-// its churn lifetime timer and a ChurnSchedule mass failure race freely
-// — so stop is idempotent: whichever fires first wins, every later call
-// is a no-op. A stopped session drops the handle: a timer still holding
-// the session must not keep the deployment's dead peer reachable.
+// query timer, and the churn.Life its lifetime timer stops. Its Stop
+// may be claimed by several schedulers at once — its churn lifetime
+// timer and a ChurnSchedule mass failure race freely — so Stop is
+// idempotent: whichever fires first wins, every later call is a no-op.
+// A stopped session drops the handle: a timer still holding the session
+// must not keep the deployment's dead peer reachable.
 type session struct {
 	h       proto.Session // nil once stopped
 	queries *proto.QueryTimer
@@ -763,7 +783,8 @@ type session struct {
 // Alive implements the proto.Roster entry.
 func (s *session) Alive() bool { return s.h != nil }
 
-func (s *session) stop() {
+// Stop implements churn.Life.
+func (s *session) Stop() {
 	if h := s.h; h != nil {
 		s.h = nil
 		s.live.Drop()
@@ -771,6 +792,42 @@ func (s *session) stop() {
 		h.Kill()
 		s.pool.release(s.idx)
 	}
+}
+
+// sessions brings the pool's individuals online in sys, one session at
+// a time, and tracks every online session, so that scheduled mass
+// failures can pick victims from the genuinely-alive set without
+// double-killing sessions whose own departure timer fires later.
+type sessions struct {
+	pool    *pool
+	sys     proto.System
+	queries *proto.Queries
+	live    proto.Roster[*session]
+}
+
+// track returns the record of a new session h of individual idx: the
+// churn.Life its lifetime timer stops.
+func (ss *sessions) track(idx int, h proto.Session) *session {
+	s := &session{h: h, queries: ss.queries.Start(ss.pool.inds[idx], h), idx: idx, pool: ss.pool, live: &ss.live}
+	ss.live.Add(s)
+	return s
+}
+
+// spawn is the churn process's: it brings an offline or newly minted
+// individual online, or returns nil when everyone is online already.
+func (ss *sessions) spawn() churn.Life {
+	idx, ok := ss.pool.take()
+	if !ok {
+		return nil
+	}
+	return ss.track(idx, ss.sys.Spawn(ss.pool.inds[idx]))
+}
+
+// seed mints bootstrap individual i and brings it online for its first
+// session.
+func (ss *sessions) seed(i int) *session {
+	ind := ss.pool.pop.SeedIn(i, ss.pool.slot())
+	return ss.track(ss.pool.add(ind), ss.sys.SpawnSeed(ind))
 }
 
 // drive runs the protocol-agnostic experiment choreography: spawn the
@@ -804,25 +861,9 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 	// Made at its cap, the pool never regrows: in a join storm append's
 	// quarter steps would copy it dozens of times.
 	pl.inds = make([]proto.Identity, 0, pl.cap)
-	// Every online session is tracked so scheduled mass failures can
-	// pick victims from the genuinely-alive set without double-killing
-	// sessions whose own departure timer fires later. track returns the
-	// stop func of a new session h of individual idx.
-	var live proto.Roster[*session]
-	track := func(idx int, h proto.Session) func() {
-		s := &session{h: h, queries: queries.Start(pl.inds[idx], h), idx: idx, pool: pl, live: &live}
-		live.Add(s)
-		return s.stop
-	}
-	spawn := func() func() {
-		idx, ok := pl.take()
-		if !ok {
-			return nil // everyone is online already
-		}
-		return track(idx, sys.Spawn(pl.inds[idx]))
-	}
+	ss := &sessions{pool: pl, sys: sys, queries: queries}
 	churnCfg := churn.Config{TargetPopulation: max(popShare, 1), MeanUptime: cfg.MeanUptime}
-	proc, err := churn.NewProcess(churnCfg, clock, churnRNG, spawn)
+	proc, err := churn.NewProcess(churnCfg, clock, churnRNG, ss.spawn)
 	if err != nil {
 		return 0, err
 	}
@@ -833,9 +874,8 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 			continue // another process hosts this seed
 		}
 		clock.Schedule(int64(i)*cfg.SeedStagger, func() {
-			ind := pop.Seed(i)
-			idx := pl.add(ind)
-			clock.Schedule(proc.Lifetime(), track(idx, sys.SpawnSeed(ind))).Release()
+			s := ss.seed(i)
+			clock.Schedule(proc.Lifetime(), s.Stop).Release()
 		}).Release()
 	}
 	// Client arrivals start once the bootstrap population is up.
@@ -847,19 +887,19 @@ func drive(cfg Config, rt runtime.Runtime, churnRNG *rnd.RNG, sys proto.System, 
 	// and get ordinary exponential lifetimes.
 	for _, ev := range cfg.ChurnSchedule {
 		clock.Schedule(ev.At, func() {
-			online := live.Online()
+			online := ss.live.Online()
 			if n := int(ev.FailFraction*float64(len(online)) + 0.5); n > 0 {
 				perm := churnRNG.Perm(len(online))
 				for _, j := range perm[:n] {
-					online[j].stop()
+					online[j].Stop()
 				}
 			}
 			for i := 0; i < groupShare(ev.Join, group, groups); i++ {
-				stop := spawn()
-				if stop == nil {
+				life := ss.spawn()
+				if life == nil {
 					break // pool exhausted
 				}
-				clock.Schedule(proc.Lifetime(), stop).Release()
+				clock.Schedule(proc.Lifetime(), life.Stop).Release()
 			}
 		}).Release()
 	}

@@ -68,16 +68,16 @@ func (c CacheConfig) Validate() error {
 // Bounded reports whether the configuration actually evicts.
 func (c CacheConfig) Bounded() bool { return c.Policy != cache.PolicyNone }
 
-// StoreFactory returns the per-peer store constructor for this run:
-// plain content.NewStore for "none" (the unbounded paper model, with
-// zero per-store overhead), otherwise a policy-bounded store that
-// streams one CounterEvictions event per evicted object through the
-// run's metrics pipeline. The harness calls it once per run, after
-// validation, for the run's Population; every store gets its own policy
-// instance.
-func (c CacheConfig) StoreFactory(env Env) func() *content.Store {
+// StoreInit returns the per-peer store constructor for this run, which
+// makes a store in place: nil for "none" (the zero content.Store is the
+// unbounded paper model, with zero per-store overhead), otherwise one
+// that bounds the store by a policy and streams one CounterEvictions
+// event per evicted object through the run's metrics pipeline. The
+// harness calls it once per run, after validation, for the run's
+// Population; every store gets its own policy instance.
+func (c CacheConfig) StoreInit(env Env) func(*content.Store) {
 	if !c.Bounded() {
-		return content.NewStore
+		return nil
 	}
 	info, _ := cache.Lookup(c.Policy)
 	capacity := int64(c.Capacity)
@@ -90,11 +90,11 @@ func (c CacheConfig) StoreFactory(env Env) func() *content.Store {
 		env.Metrics.Emit(metrics.CounterEvent(env.Clock.Now(), metrics.CounterEvictions, 1))
 	}
 	policy := c.Policy
-	return func() *content.Store {
+	return func(s *content.Store) {
 		pol, err := cache.New(policy, capacity)
 		if err != nil {
 			panic(err) // unreachable: the name validated above
 		}
-		return content.NewStoreWith(content.StoreOptions{Policy: pol, Cost: costFn, OnEvict: onEvict})
+		s.Init(content.StoreOptions{Policy: pol, Cost: costFn, OnEvict: onEvict})
 	}
 }

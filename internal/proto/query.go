@@ -35,9 +35,11 @@ func (q *Queries) Start(id Identity, s Session) *QueryTimer {
 	if !q.work.Active(id.Site) {
 		return nil
 	}
-	t := &QueryTimer{q: q, id: id, s: s, clock: id.Work.Split("clock"), objects: id.Work.Split("object")}
+	t := &QueryTimer{q: q, id: id, s: s}
+	id.Work.SplitInto(&t.clock, "clock")
+	id.Work.SplitInto(&t.objects, "object")
 	t.onTick = t.tick
-	t.timer = q.clock.Schedule(q.work.FirstQueryDelay(t.clock), t.onTick)
+	t.timer = q.clock.Schedule(q.work.FirstQueryDelay(&t.clock), t.onTick)
 	return t
 }
 
@@ -45,11 +47,16 @@ func (q *Queries) Start(id Identity, s Session) *QueryTimer {
 // object its store lacks (a store that holds the whole catalog has
 // nothing to ask for) and counts it under StatUnjoinedTicks if the
 // session has not joined its overlay.
+//
+// The timer owns its two streams: they are split from Identity.Work
+// into the record itself, so Start costs the record and its bound tick
+// and nothing else. The individual keeps Work; the timer keeps the
+// session only until Stop.
 type QueryTimer struct {
 	q              *Queries
 	id             Identity
 	s              Session
-	clock, objects *rnd.RNG
+	clock, objects rnd.RNG
 	timer          runtime.Timer
 	onTick         func() // tick, bound once: a tick allocates nothing
 }
@@ -60,10 +67,10 @@ func (t *QueryTimer) tick() {
 	if q.onTick != nil {
 		q.onTick(t.id, q.clock.Now())
 	}
-	if key, ok := q.work.PickObject(t.objects, t.id.Site, t.id.Store); ok && !t.s.Query(key) {
+	if key, ok := q.work.PickObject(&t.objects, t.id.Site, t.id.Store); ok && !t.s.Query(key) {
 		q.metrics.Emit(metrics.CounterEvent(q.clock.Now(), StatUnjoinedTicks, 1))
 	}
-	t.timer = q.clock.Schedule(q.work.NextQueryDelay(t.clock), t.onTick)
+	t.timer = q.clock.Schedule(q.work.NextQueryDelay(&t.clock), t.onTick)
 }
 
 // Stop cancels the timer and forgets the session, which a stopped timer

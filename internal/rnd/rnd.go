@@ -7,6 +7,11 @@
 // no stream after a protocol, so a seed mints one population for every
 // protocol and backend; a k-process socket run keys its streams by
 // group as well, and each process mints its own share.
+//
+// New and Split cost one allocation each; SplitInto costs none, seeding
+// a generator embedded in its owner's record (a query timer's streams, a
+// peer's gossip stream, an individual's workload stream in its pool
+// page), so that spawning a session splits its streams for free.
 package rnd
 
 import (
@@ -21,8 +26,10 @@ import (
 // before/after comparisons noisy).
 //
 // The source and the generator over it live inside the RNG, so New and
-// Split cost one allocation each. An RNG must not be copied by value:
-// the copy's generator would still draw from the original's source.
+// Split cost one allocation each, and SplitInto none: it seeds an RNG
+// the caller embeds in a record it already allocates. An RNG must not
+// be copied by value: the copy's generator would still draw from the
+// original's source.
 type RNG struct {
 	src rand.PCG
 	r   rand.Rand
@@ -31,22 +38,36 @@ type RNG struct {
 // New returns a generator seeded deterministically from seed.
 func New(seed uint64) *RNG {
 	g := &RNG{}
+	g.seed(seed)
+	return g
+}
+
+// seed (re)starts g, in place, on the stream of seed.
+func (g *RNG) seed(seed uint64) {
 	g.src.Seed(seed, seed^0x9e3779b97f4a7c15)
 	g.r = *rand.New(&g.src)
-	return g
 }
 
 // Split derives an independent generator from this one, labelled by tag.
 // Two Splits with different tags from the same parent produce
 // uncorrelated streams; the same tag always produces the same stream.
 func (g *RNG) Split(tag string) *RNG {
+	dst := &RNG{}
+	g.SplitInto(dst, tag)
+	return dst
+}
+
+// SplitInto is Split into a generator the caller owns: it seeds dst, in
+// place, with the stream Split(tag) would have returned, and allocates
+// nothing. dst must not be g, nor be copied afterwards.
+func (g *RNG) SplitInto(dst *RNG, tag string) {
 	h := uint64(1469598103934665603) // FNV-64 offset basis
 	for i := 0; i < len(tag); i++ {
 		h ^= uint64(tag[i])
 		h *= 1099511628211
 	}
 	// Mix the parent stream in once so different master seeds diverge.
-	return New(h ^ g.r.Uint64())
+	dst.seed(h ^ g.r.Uint64())
 }
 
 // Float64 returns a uniform draw in [0, 1).

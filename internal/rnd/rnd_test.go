@@ -186,3 +186,30 @@ func TestNormMoments(t *testing.T) {
 		t.Fatalf("Norm(10,2): mean=%.3f sd=%.3f", mean, sd)
 	}
 }
+
+// TestSplitIntoAllocs pins SplitInto at zero objects and checks
+// that it draws Split's stream: from two parents in the same state, one
+// Split and one SplitInto under the same tag give the same draws, and
+// leave their parents in the same state.
+func TestSplitIntoAllocs(t *testing.T) {
+	var dst RNG
+	parent := New(3)
+	if n := testing.AllocsPerRun(100, func() { parent.SplitInto(&dst, "peer") }); n != 0 {
+		t.Errorf("SplitInto allocates %v objects, want 0", n)
+	}
+	for _, tag := range []string{"", "clock", "object", "gossip"} {
+		a, b := New(11), New(11)
+		a.Uint64()
+		b.Uint64()
+		split := a.Split(tag)
+		b.SplitInto(&dst, tag)
+		for i := 0; i < 64; i++ {
+			if x, y := split.Uint64(), dst.Uint64(); x != y {
+				t.Fatalf("tag %q, draw %d: Split gives %#x, SplitInto %#x", tag, i, x, y)
+			}
+		}
+		if x, y := a.Uint64(), b.Uint64(); x != y {
+			t.Fatalf("tag %q: parents diverge after the split: %#x vs %#x", tag, x, y)
+		}
+	}
+}

@@ -29,6 +29,22 @@ func TestPeriodicFiringAllocs(t *testing.T) {
 	}
 }
 
+// TestEveryAllocs pins a new ticker at one object, the PeriodicTimer:
+// its firings call the caller's function straight from the record,
+// which sits first in the ticker so that the engine finds the ticker
+// from it. Every also bound the ticker's re-arming method once per
+// ticker, a second object, before the record carried a periodic bit.
+func TestEveryAllocs(t *testing.T) {
+	if off := unsafe.Offsetof(PeriodicTimer{}.inner); off != 0 {
+		t.Fatalf("PeriodicTimer.inner is at offset %d; the engine converts the record to its ticker, so it must be 0", off)
+	}
+	eng := NewEngine()
+	fn := func() {}
+	if got := testing.AllocsPerRun(100, func() { eng.Every(5, 5, fn).Cancel() }); got != 1 {
+		t.Errorf("Every allocates %v objects, want 1", got)
+	}
+}
+
 // TestOneShotAllocs is the same guard for the one-shot path, which
 // every simulated message takes: scheduling and firing an event costs
 // its share of a Timer slab and nothing else — filing, cascading

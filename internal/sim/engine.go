@@ -52,6 +52,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Time unit constants, in simulated milliseconds.
@@ -128,11 +129,23 @@ func (e *Engine) AtReserved(t int64, seq uint64, fn func()) *Timer {
 	return e.w.AtReserved(t, e.now, seq, fn)
 }
 
-// fire advances the clock to an event's time and runs it.
-func (e *Engine) fire(when int64, fn func()) {
+// fire advances the clock to an event's time and runs it, the function
+// fn of record t. A ticker's record is filed again once fn has run,
+// unless fn cancelled the ticker. Whether t is a ticker's is read
+// before fn runs: a one-shot record may be free already, and fn may
+// file its next timer in it.
+func (e *Engine) fire(when int64, t *Timer, fn func()) {
 	e.now = when
 	e.processed++
+	if t.key&timerPeriodic == 0 {
+		fn()
+		return
+	}
+	p := (*PeriodicTimer)(unsafe.Pointer(t)) // inner is p's first field
 	fn()
+	if !p.cancelled {
+		p.arm(e.now + p.period)
+	}
 }
 
 // Every schedules fn to run every period milliseconds, with the first
@@ -143,33 +156,37 @@ func (e *Engine) Every(firstDelay, period int64, fn func()) *PeriodicTimer {
 		panic(fmt.Sprintf("sim: Every called with non-positive period %d", period))
 	}
 	p := &PeriodicTimer{eng: e, period: period, fn: fn}
-	p.fire, p.inner.w = p.doFire, &e.w
-	e.w.arm(&p.inner, e.now+firstDelay, e.now, p.fire)
+	p.inner.w = &e.w
+	p.arm(e.now + firstDelay)
 	return p
 }
 
 // PeriodicTimer re-schedules itself after each firing until Cancel is
 // called. Its Timer is embedded rather than carved from the engine's
 // slab — a long-lived ticker would otherwise pin a whole slab — and is
-// re-armed across firings (with a single cached fire closure), so
-// steady-state periodic work allocates nothing per firing.
+// re-armed across firings with the caller's function itself: the
+// engine recognises the record by its periodic bit and, the Timer being
+// the first field, finds the ticker from it (fire). A ticker is one
+// allocation, and its firings none.
+//
+// That conversion reads a PeriodicTimer where the wheel handed over a
+// Timer, which is sound only for a record that is the head of a whole
+// PeriodicTimer. So timerPeriodic is set by arm below and nowhere else:
+// never on a slab or free record (Wheel.Check reports one that is),
+// whose memory past the Timer belongs to other records.
 type PeriodicTimer struct {
+	inner     Timer // first: fire converts a *Timer back to its ticker
 	eng       *Engine
 	period    int64
 	fn        func()
-	fire      func() // cached method value; one allocation per timer, not per firing
-	inner     Timer
 	cancelled bool
 }
 
-func (p *PeriodicTimer) doFire() {
-	if p.cancelled {
-		return
-	}
-	p.fn()
-	if !p.cancelled {
-		p.eng.w.arm(&p.inner, p.eng.now+p.period, p.eng.now, p.fire)
-	}
+// arm files the ticker's record to fire fn at when.
+func (p *PeriodicTimer) arm(when int64) {
+	w := &p.eng.w
+	w.arm(&p.inner, when, p.eng.now, p.fn)
+	p.inner.key |= timerPeriodic
 }
 
 // Cancel stops all future firings.
@@ -180,17 +197,16 @@ func (p *PeriodicTimer) Cancel() {
 	p.cancelled = true
 	p.inner.Cancel()
 	p.fn = nil
-	p.fire = nil
 }
 
 // Step executes the single next event, advancing the clock to its
 // timestamp. It returns false when the queue is empty.
 func (e *Engine) Step() bool {
-	when, fn := e.w.Pop(math.MaxInt64)
+	when, t, fn := e.w.pop(math.MaxInt64)
 	if fn == nil {
 		return false
 	}
-	e.fire(when, fn)
+	e.fire(when, t, fn)
 	return true
 }
 
@@ -203,11 +219,11 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until int64) uint64 {
 	start := e.processed
 	for !e.stopped {
-		when, fn := e.w.Pop(until)
+		when, t, fn := e.w.pop(until)
 		if fn == nil {
 			break
 		}
-		e.fire(when, fn)
+		e.fire(when, t, fn)
 	}
 	// Advance the clock to the boundary only if we were not stopped
 	// mid-run; a Stop leaves the clock at the last executed event so the

@@ -316,3 +316,32 @@ func TestUnreleasedTimerIsNeverReused(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckReportsAPeriodicMarkOffATicker: the engine reads a record
+// marked periodic as the head of a PeriodicTimer, which only a ticker's
+// own record is. Wheel.Check reports the mark on a free record and on a
+// slab record not yet handed out, and accepts a running ticker's.
+func TestCheckReportsAPeriodicMarkOffATicker(t *testing.T) {
+	e := NewEngine()
+	tk := e.Every(1, 1, func() {})
+	tm := e.Schedule(1, func() {})
+	e.Run(3)
+	tm.Release()
+	if err := e.w.Check(); err != nil {
+		t.Fatalf("a ticker and a free record: %v", err)
+	}
+	tm.key |= timerPeriodic
+	if e.w.Check() == nil {
+		t.Error("Check accepts a free record marked periodic")
+	}
+	tm.key &^= timerPeriodic
+	e.w.slab[0].key |= timerPeriodic
+	if e.w.Check() == nil {
+		t.Error("Check accepts a slab record marked periodic")
+	}
+	e.w.slab[0].key &^= timerPeriodic
+	tk.Cancel()
+	if err := e.w.Check(); err != nil {
+		t.Fatalf("after the ticker's Cancel: %v", err)
+	}
+}

@@ -26,12 +26,15 @@ type Timer struct {
 
 // A timer's state bits, below its sequence number in key. Fired and
 // cancelled are set as the timer leaves the wheel, at most one of
-// them; released is set by Release. On a guarded wheel every access to
-// key is atomic, so Release takes no lock.
+// them; released is set by Release. Periodic marks the record embedded
+// in an Engine's PeriodicTimer, set each time the ticker files it: the
+// engine files it again after its function runs. On a guarded wheel
+// every access to key is atomic, so Release takes no lock.
 const (
 	timerFired = 1 << iota
 	timerCancelled
 	timerReleased
+	timerPeriodic
 	stateBits = iota
 )
 
@@ -377,17 +380,25 @@ func (w *Wheel) Ahead() (start int64, ok bool) {
 // back, into the levels below, which are empty at that moment. A
 // released record is free again before its function runs.
 func (w *Wheel) Pop(limit int64) (when int64, fn func()) {
+	when, _, fn = w.pop(limit)
+	return when, fn
+}
+
+// pop is Pop that also returns the record it unfiled. The record may be
+// free again already: only its state bits may be read, and only before
+// fn runs, which may file a new timer in it.
+func (w *Wheel) pop(limit int64) (when int64, t *Timer, fn func()) {
 	for w.n > 0 {
 		if i, ok := w.firstOccupied(0, uint(w.base)%wheelSlots); ok {
 			if when = w.base&^(wheelSlots-1) | int64(i); when > limit {
-				return 0, nil
+				return 0, nil, nil
 			}
 			w.base = when
-			t := w.slots[0][i].head
+			t = w.slots[0][i].head
 			w.unlink(t, 0, i)
 			fn, t.fn = t.fn, nil
 			w.leave(t, timerFired)
-			return when, fn
+			return when, t, fn
 		}
 		l, i, start := w.above()
 		if start > limit {
@@ -395,16 +406,16 @@ func (w *Wheel) Pop(limit int64) (when int64, fn func()) {
 		}
 		w.base = start
 		s := &w.slots[l][i]
-		t := s.head
+		u := s.head
 		*s = slot{}
 		w.occupied[l][i/64] &^= 1 << (i % 64)
-		for t != nil {
-			after := t.next
-			w.file(t)
-			t = after
+		for u != nil {
+			after := u.next
+			w.file(u)
+			u = after
 		}
 	}
-	return 0, nil
+	return 0, nil, nil
 }
 
 // Check walks the wheel and its free records and reports the first
@@ -412,8 +423,9 @@ func (w *Wheel) Pop(limit int64) (when int64, fn func()) {
 // assign it to, or filed after it left; a slot whose sequence numbers
 // do not increase front to back; a broken back link or tail; an
 // occupied bit that disagrees with its slot; a count that differs from
-// what is filed; a free record that is filed, listed twice, or not
-// released and out of the wheel. A guarded wheel's owner holds the lock.
+// what is filed; a free record that is filed, listed twice, not
+// released and out of the wheel, or marked periodic; a slab record
+// marked periodic. A guarded wheel's owner holds the lock.
 func (w *Wheel) Check() error {
 	filed := map[*Timer]bool{}
 	for l := range w.slots {
@@ -454,9 +466,16 @@ func (w *Wheel) Check() error {
 			case filed[t]:
 				return fmt.Errorf("timer for %d is free while filed", t.when)
 			case st&timerReleased == 0 || st&(timerFired|timerCancelled) == 0:
-				return fmt.Errorf("timer for %d is free, state %03b: not released, or not out of the wheel", t.when, st)
+				return fmt.Errorf("timer for %d is free, state %04b: not released, or not out of the wheel", t.when, st)
+			case st&timerPeriodic != 0:
+				return fmt.Errorf("timer for %d is free and marked periodic: only a ticker's own record may be", t.when)
 			}
 			free[t] = true
+		}
+	}
+	for i := range w.slab {
+		if w.slab[i].key&timerPeriodic != 0 {
+			return fmt.Errorf("slab record %d, not yet handed out, is marked periodic", i)
 		}
 	}
 	return nil
