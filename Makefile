@@ -156,9 +156,10 @@ fingerprint-check:
 # one-shot timers and its tickers (a new ticker: one object, the
 # PeriodicTimer; a firing: zero), simnet's pooled deliveries, chord's steady-state
 # maintenance over one deployment-wide record pool (a resolved lookup, a
-# ping round, a notify, a stabilize round answered with the successor's
-# one boxed reply, a routed payload, and a non-member client's lookup
-# and routed payload through a gateway: zero),
+# ping round, a notify, a stabilize round answered with a pooled reply —
+# also right after the successor's list changed, which cost the list's
+# copy and a boxed reply before — a routed payload, and a non-member
+# client's lookup and routed payload through a gateway: zero),
 # the harness's query tick (the draws, the question, an unjoined
 # count, the timer re-armed: zero), flower's query path on a frozen
 # petal (a query while one is in flight and a gossip-path hit: zero; a

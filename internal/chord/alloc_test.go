@@ -54,6 +54,24 @@ func TestAllocPins(t *testing.T) {
 	}
 	var payload any = GatewayAnnounce{E: n.Self()}
 	run := func() { f.eng.Run(f.eng.Now() + 5*runtime.Second) }
+	// succ answers n's stabilize probes. Before each round of the
+	// "stabilize after a change" pin it rebuilds its list from next's,
+	// whose last two entries it skips every other round (its own list
+	// takes all but next's last), so every answer gives a list the
+	// successor did not hold when it last answered.
+	alive := f.aliveSorted()
+	succ, next := alive[2].node, alive[3].node
+	if n.Successor() != succ.Self() {
+		t.Fatalf("successor %v, want %v", n.Successor(), succ.Self())
+	}
+	changes, short := succ.SuccessorsVersion(), false
+	changeSuccessor := func() {
+		theirs := next.Successors()
+		if short = !short; short {
+			theirs = theirs[:len(theirs)-2]
+		}
+		succ.mergeSuccList(next.Self(), theirs)
+	}
 
 	pins := []struct {
 		name string
@@ -64,7 +82,11 @@ func TestAllocPins(t *testing.T) {
 		{"pingFingers", 0, n.pingFingers},
 		{"checkPredecessor", 0, n.checkPredecessor},
 		{"notifySuccessor", 0, n.notifySuccessor},
-		{"stabilize", 0, n.stabilize}, // the successor answers with its one boxed reply
+		{"stabilize", 0, n.stabilize}, // the successor answers with a pooled reply
+		{"stabilize after a change", 0, func() { // 2 before replies were pooled: the list's copy and the boxed reply
+			changeSuccessor()
+			n.stabilize()
+		}},
 		{"Route", 0, func() { // the owner lists the message again
 			n.Route(key, payload)
 			far.routed = far.routed[:0]
@@ -87,6 +109,9 @@ func TestAllocPins(t *testing.T) {
 		if got > pin.max {
 			t.Errorf("%s allocates %v objects per round, want at most %v", pin.name, got, pin.max)
 		}
+	}
+	if got := succ.SuccessorsVersion() - changes; got != 201 {
+		t.Errorf("the successor's list changed %d times, want once per round, 201", got)
 	}
 	if resolved != 2*201 || hops < 2 {
 		t.Errorf("lookups resolved %d times over %d hops, want %d times over several hops", resolved, hops, 2*201)

@@ -20,8 +20,8 @@
 // HandleMessage/HandleRequest (both report whether they consumed the
 // input).
 //
-// Steady-state maintenance allocates nothing. Four things make that
-// so, and each comes with a rule:
+// A member's maintenance allocates nothing once it has started. Four
+// things make that so, and each comes with a rule:
 //
 //   - A lookup is one *routeMsg for its whole life. The origin takes it
 //     from the pool, every hop bumps Hops and forwards the same
@@ -31,30 +31,33 @@
 //     path are read out of it. Whoever passes the message to Send gives
 //     it up (runtime.Net's ownership rule); a message that is lost ends
 //     as ordinary garbage.
-//   - Three free lists and one pending map per deployment, shared by
+//   - Four free lists and one pending map per deployment, shared by
 //     members and clients (Pool): those messages, pendingLookup records
-//     (one per Lookup, retries included) and probe records (one per
-//     stabilize / check-predecessor / finger-ping RPC). Each record
-//     binds its callback once, when it is first made, and goes back on
-//     its list before the caller's callback runs, because callbacks
-//     start new lookups. A listed record names no member, so a stopped
-//     member is garbage. A reply to an attempt that already timed out
-//     finds no pending entry under its request ID and is dropped; it is
-//     never matched to the record's next tenant, and a reply is taken
-//     only by the resolver that issued it.
-//   - The 64-entry finger table is made at its first write, so a
-//     claimant that loses never makes one. It has an index of its
-//     distinct nodes, rebuilt only after an entry changed value: in
-//     table order for the rotating liveness probe, and in top-down order
-//     for the greedy routing step, which so considers the same nodes in
-//     the same order as a scan of the whole table would.
-//   - A published successor list is never written again. Every rebuild
-//     happens in a spare array and is published as a copy only when it
-//     differs from the current list, and every other writer assigns a
-//     fresh slice. So a stabilize probe is answered with the list itself,
-//     and that answer is boxed once per version: one reply per
-//     (predecessor, published list), handed to every prober while both
-//     stand. Whoever receives a successor list only reads it.
+//     (one per Lookup, retries included), probe records (one per
+//     stabilize / check-predecessor / finger-ping RPC) and neighbours
+//     replies. Each record binds its callback once, when it is first
+//     made, and goes back on its list before the caller's callback runs,
+//     because callbacks start new lookups. A listed record names no
+//     member, so a stopped member is garbage. A reply to an attempt that
+//     already timed out finds no pending entry under its request ID and
+//     is dropped; it is never matched to the record's next tenant, and a
+//     reply is taken only by the resolver that issued it.
+//   - The 64-entry finger table is made at its first write, together
+//     with both views of an index of its distinct nodes, so a claimant
+//     that loses never makes one. The index is rebuilt only after an
+//     entry changed value: in table order for the rotating liveness
+//     probe, and in top-down order for the greedy routing step, which so
+//     considers the same nodes in the same order as a scan of the whole
+//     table would. The contact cache is made at its cap.
+//   - A successor list belongs to its node. The first list a node
+//     publishes makes two arrays of SuccessorListLen in one allocation;
+//     every rebuild is written into the spare one, and publishing a list
+//     that differs swaps the two and bumps SuccessorsVersion. So a list
+//     read out of a node holds only until the node's next event: read it
+//     there, and copy what you keep. A stabilize probe is answered with
+//     a *neighborsResp from the pool, filled with a copy of the
+//     predecessor and the list, so a reply is still a snapshot; the
+//     prober reads it and puts it back, and a lost reply is garbage.
 package chord
 
 import (
@@ -211,7 +214,7 @@ func init() {
 	// gob codec can decode them out of interface-typed frame fields.
 	runtime.RegisterWireType(
 		&routeMsg{}, notifyMsg{},
-		neighborsReq{}, neighborsResp{},
+		neighborsReq{}, &neighborsResp{},
 		pingReq{}, pingResp{},
 		claimReq{}, claimResp{}, claimTransfer{},
 	)
@@ -244,7 +247,9 @@ type notifyMsg struct {
 }
 
 // neighborsReq/neighborsResp implement the stabilize probe (fetch
-// predecessor and successor list in one RPC).
+// predecessor and successor list in one RPC). The reply travels by
+// pointer: the answering node fills a record from its pool, and the
+// prober puts it back once it has read it.
 type neighborsReq struct{}
 
 type neighborsResp struct {
@@ -426,9 +431,14 @@ type Node struct {
 
 	pred Entry
 	// succs[0] is the immediate successor; never empty once started.
-	// A published list is read-only: replies and callers may share it,
-	// so a change installs a new slice (publishSuccs or a fresh literal).
-	succs []Entry
+	// succs and succsSpare are the two halves of one allocation, made
+	// by the first list the node publishes: every rebuild is written
+	// into the spare, and publishSuccs swaps the two when the rebuild
+	// differs, bumping succsVersion. So a list read out of the node
+	// holds only until its next event.
+	succs        []Entry
+	succsSpare   []Entry
+	succsVersion uint64
 
 	// fingers is nil until its first write; write through setFinger,
 	// which makes the table and keeps the index honest.
@@ -441,22 +451,14 @@ type Node struct {
 	// fingerPing lists the table's distinct nodes in table order, each as
 	// its first entry; fingerScan lists its distinct entries in top-down
 	// order, the order closestPreceding has always considered them in.
+	// Both are made with the table (setFinger).
 	fingerPing  []Entry
 	fingerScan  []Entry
 	fingerStale bool
 
-	// succsSpare is the reusable backing array for the per-round
-	// successor-list rebuild, which fires on every node every
-	// maintenance interval. It is never published: publishSuccs copies
-	// a rebuild out of it only when the list changed.
-	succsSpare []Entry
-
-	// The one boxed notify this node ever sends, made when it starts,
-	// and the boxed neighborsResp of its current predecessor and
-	// published list (see onNeighbors). The records it recycles are the
-	// deployment's (resolver.pool).
-	notify    any
-	neighbors any
+	// The one boxed notify this node ever sends, made when it starts.
+	// The records it recycles are the deployment's (resolver.pool).
+	notify any
 
 	// claims holds the position reservations this node granted or was
 	// handed; nil until the first (see reserve).
@@ -465,10 +467,11 @@ type Node struct {
 	// contacts is a small cache of recently seen ring members used for
 	// emergency re-joins: a node whose successor list drains completely
 	// (every entry died before repair) would otherwise be stranded at
-	// succ == self forever, invisible to the ring.
+	// succ == self forever, invisible to the ring. It is made at its cap,
+	// maxContacts, by the first contact.
 	contacts []Entry
 
-	timers  []runtime.Ticker
+	timers  [4]runtime.Ticker // the maintenance loops, set by start
 	started bool
 }
 
@@ -494,10 +497,16 @@ func (n *Node) Successor() Entry {
 	return n.succs[0]
 }
 
-// Successors returns the successor list itself, for reading. The list is
-// copy-on-write (publishSuccs), so the slice stays what it was when
-// read, but it is the node's own: never write into it.
+// Successors returns the successor list itself, for reading. It is the
+// node's own array, which a later rebuild writes into: the slice holds
+// only until the node's next event, so read it there, copy what you
+// keep, and never write into it.
 func (n *Node) Successors() []Entry { return n.succs }
+
+// SuccessorsVersion counts the changes of the successor list: it moves
+// exactly when Successors starts returning another list. It is 0 before
+// the node has a list and at least 1 once it has started.
+func (n *Node) SuccessorsVersion() uint64 { return n.succsVersion }
 
 // SuccessorList returns a copy of the successor list.
 func (n *Node) SuccessorList() []Entry {
@@ -514,7 +523,7 @@ func (n *Node) Stopped() bool { return n.stopped }
 
 // Create starts a brand-new ring with this node as its only member.
 func (n *Node) Create() {
-	n.succs = []Entry{n.self}
+	n.setSuccessor(n.self)
 	n.pred = n.self
 	n.start()
 }
@@ -537,7 +546,7 @@ func (n *Node) Join(gateway Entry, cb func(error)) {
 			cb(fmt.Errorf("chord: join resolved to self"))
 			return
 		}
-		n.succs = []Entry{owner}
+		n.setSuccessor(owner)
 		n.pred = NoEntry
 		n.start()
 		// Stabilize immediately: a single-entry successor list is a
@@ -552,12 +561,12 @@ func (n *Node) start() {
 	n.started = true
 	n.notify = notifyMsg{From: n.self}
 	jitter := func(p int64) int64 { return n.rng.UniformDuration(0, p) }
-	n.timers = append(n.timers,
+	n.timers = [...]runtime.Ticker{
 		n.eng.Every(jitter(n.cfg.StabilizeInterval), n.cfg.StabilizeInterval, n.stabilize),
 		n.eng.Every(jitter(n.cfg.FixFingersInterval), n.cfg.FixFingersInterval, n.fixFingers),
 		n.eng.Every(jitter(n.cfg.FingerPingInterval), n.cfg.FingerPingInterval, n.pingFingers),
 		n.eng.Every(jitter(n.cfg.CheckPredInterval), n.cfg.CheckPredInterval, n.checkPredecessor),
-	)
+	}
 }
 
 // Stop cancels all maintenance. The owning peer calls it when failing
@@ -568,7 +577,9 @@ func (n *Node) Stop() {
 	}
 	n.stopped = true
 	for _, t := range n.timers {
-		t.Cancel()
+		if t != nil { // nil on a node that never started
+			t.Cancel()
+		}
 	}
 	// Its own attempts only: the pending map is the deployment's.
 	for id, p := range n.pool.pending {

@@ -118,7 +118,7 @@ func (n *Node) JoinAt(gateway Entry, cb func(current Entry, err error)) {
 					cb(cr.Current, ErrClaimDenied)
 					return
 				}
-				n.succs = []Entry{owner}
+				n.setSuccessor(owner)
 				n.pred = NoEntry
 				n.start()
 				// Announce immediately instead of waiting a stabilize

@@ -12,11 +12,11 @@ import (
 )
 
 // Pool is a deployment's stock of the records chord recycles — routed
-// messages, lookup records and maintenance probes — and its one map of
-// lookups awaiting a reply, keyed by request ID. Every member and client
-// of the deployment is built over the same Pool, so a record one of them
-// frees serves the next use by any other, and a member that never lasts
-// costs no lists of its own.
+// messages, lookup records, maintenance probes and neighbours replies —
+// and its one map of lookups awaiting a reply, keyed by request ID.
+// Every member and client of the deployment is built over the same
+// Pool, so a record one of them frees serves the next use by any other,
+// and a member that never lasts costs no lists of its own.
 //
 // A Pool is used only on its deployment's clock goroutine: deployments
 // that run at once each need their own. A listed record names no member
@@ -26,6 +26,11 @@ type Pool struct {
 	msgs    []*routeMsg
 	lookups []*pendingLookup
 	probes  []*probe
+	// replies lists neighbours replies their probers have read;
+	// repliesMade counts the replies the pool has made, which bounds the
+	// list (putNeighbors).
+	replies     []*neighborsResp
+	repliesMade int
 	// pending holds every attempt in flight from any resolver of the
 	// deployment; a record's r says whose it is.
 	pending map[uint64]*pendingLookup
@@ -114,6 +119,29 @@ func (pl *Pool) putProbe(p *probe) {
 	pl.probes = append(pl.probes, p)
 }
 
+// neighbors takes a cleared reply record off the list, or makes one.
+func (pl *Pool) neighbors() *neighborsResp {
+	if r := pop(&pl.replies); r != nil {
+		return r
+	}
+	pl.repliesMade++
+	return new(neighborsResp)
+}
+
+// putNeighbors lists a reply its prober has read, cleared, keeping the
+// list's array. It keeps a reply only while fewer are listed than the
+// pool has made: on a socket a prober reads decoded replies, not the
+// records its own members handed out, and one that probes more than it
+// is probed (koorde's Neighbors) would otherwise list more with every
+// round. A reply over the bound is left to the collector.
+func (pl *Pool) putNeighbors(r *neighborsResp) {
+	if len(pl.replies) >= pl.repliesMade {
+		return
+	}
+	r.Pred, r.Succs = NoEntry, r.Succs[:0]
+	pl.replies = append(pl.replies, r)
+}
+
 // pop takes the newest record off a free list; nil when it is empty.
 // It clears the slot, so the list's spare capacity does not keep a
 // record in use — nor the member it names — reachable.
@@ -131,11 +159,15 @@ func pop[T any](free *[]*T) *T {
 // Check reports the first broken rule of the lists, for tests to call
 // between events: a record listed twice, a listed lookup still pending
 // or still naming a resolver, callback or timer, a listed probe still
-// naming a member, a listed message with any field set, or a record left
-// in a list's spare capacity.
+// naming a member, a listed message with any field set, a listed reply
+// holding a predecessor or a list, more replies listed than made, or a
+// record left in a list's spare capacity.
 func (pl *Pool) Check() error {
-	if !spareIsClear(pl.msgs) || !spareIsClear(pl.lookups) || !spareIsClear(pl.probes) {
+	if !spareIsClear(pl.msgs) || !spareIsClear(pl.lookups) || !spareIsClear(pl.probes) || !spareIsClear(pl.replies) {
 		return errors.New("chord: a list's spare capacity still holds a record")
+	}
+	if len(pl.replies) > pl.repliesMade {
+		return fmt.Errorf("chord: %d replies listed, %d made", len(pl.replies), pl.repliesMade)
 	}
 	seen := make(map[any]bool)
 	listed := func(rec any) error {
@@ -170,6 +202,14 @@ func (pl *Pool) Check() error {
 		}
 		if p.n != nil {
 			return errors.New("chord: a listed probe still names its member")
+		}
+	}
+	for _, r := range pl.replies {
+		if err := listed(r); err != nil {
+			return err
+		}
+		if r.Pred != NoEntry || len(r.Succs) != 0 {
+			return fmt.Errorf("chord: a listed reply still holds pred %v succs %v", r.Pred, r.Succs)
 		}
 	}
 	return nil

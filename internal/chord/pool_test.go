@@ -11,8 +11,8 @@ import (
 )
 
 // TestLostClaimBuildsNoTables: a claimant that loses its position never
-// starts, so it never makes the finger table or the claims map a member
-// needs. Under the paper's churn most claimants lose.
+// starts, so it never makes the successor list, the finger table or the
+// claims map a member needs. Under the paper's churn most claimants lose.
 func TestLostClaimBuildsNoTables(t *testing.T) {
 	f := newRing(t, 11)
 	a := f.addPeer(1 << 20)
@@ -53,9 +53,9 @@ func TestLostClaimBuildsNoTables(t *testing.T) {
 			continue
 		}
 		lost[c.err]++
-		if c.n.fingers != nil || c.n.claims != nil || c.n.notify != nil {
-			t.Errorf("claimant %d lost (%v) but made fingers %v, claims %v, notify %v",
-				i, c.err, c.n.fingers != nil, c.n.claims != nil, c.n.notify != nil)
+		if c.n.succs != nil || c.n.fingers != nil || c.n.claims != nil || c.n.notify != nil {
+			t.Errorf("claimant %d lost (%v) but made successors %v, fingers %v, claims %v, notify %v",
+				i, c.err, c.n.succs != nil, c.n.fingers != nil, c.n.claims != nil, c.n.notify != nil)
 		}
 		c.n.Stop() // as a deployment discards a losing claimant
 	}
@@ -168,9 +168,9 @@ func TestStoppedMemberIsCollectable(t *testing.T) {
 	victim.node, n = nil, nil
 	// Long enough for every RPC to the dead member to time out.
 	f.settle(5 * runtime.Minute)
-	if len(f.pool.msgs) == 0 || len(f.pool.lookups) == 0 || len(f.pool.probes) == 0 {
-		t.Fatalf("lists hold %d messages, %d lookups, %d probes: nothing went through the pool",
-			len(f.pool.msgs), len(f.pool.lookups), len(f.pool.probes))
+	if len(f.pool.msgs) == 0 || len(f.pool.lookups) == 0 || len(f.pool.probes) == 0 || len(f.pool.replies) == 0 {
+		t.Fatalf("lists hold %d messages, %d lookups, %d probes, %d replies: nothing went through the pool",
+			len(f.pool.msgs), len(f.pool.lookups), len(f.pool.probes), len(f.pool.replies))
 	}
 	if err := f.pool.Check(); err != nil {
 		t.Fatal(err)
@@ -181,4 +181,67 @@ func TestStoppedMemberIsCollectable(t *testing.T) {
 		t.Fatal("a stopped member is still reachable after its records went back to the pool")
 	}
 	goruntime.KeepAlive(f)
+}
+
+// TestDecodedRepliesKeepTheListBounded: on a socket, the replies a
+// prober reads are decoded copies, not the records its pool handed out,
+// and a process whose members probe more than they are probed (koorde's
+// Neighbors) reads more replies than it makes. The list must keep no
+// more than the pool has made, and answers must come off it.
+func TestDecodedRepliesKeepTheListBounded(t *testing.T) {
+	c, err := runtime.NewCodec("binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newRing(t, 35)
+	for i := 0; i < 4; i++ {
+		f.addPeer(ids.HashString(fmt.Sprintf("bounded-%d", i)))
+	}
+	f.settle(10 * runtime.Minute)
+	f.freeze()
+	pl := NewPool() // one process's pool, beside the ring's
+	n, err := pl.NewNode(f.cfg, f.net, f.rng.Split("bounded"), &testPeer{}, runtime.None, ids.HashString("bounded"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Create()
+	answer := func() {
+		resp, err, handled := n.HandleRequest(runtime.None, neighborsReq{})
+		if err != nil || !handled {
+			t.Fatalf("neighbours probe: err %v, handled %v", err, handled)
+		}
+		if _, err := c.AppendMessage(nil, resp); err != nil { // the record leaves on the wire
+			t.Fatal(err)
+		}
+	}
+	answer()
+	answer()
+	// Replies from the ring's members, as decoded off the wire.
+	var wire [][]byte
+	for _, p := range f.peers {
+		resp, _, _ := p.node.HandleRequest(runtime.None, neighborsReq{})
+		b, err := c.AppendMessage(nil, resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire = append(wire, b)
+	}
+	for i := 0; i < 100; i++ {
+		dec, err := c.DecodeMessage(wire[i%len(wire)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl.putNeighbors(dec.(*neighborsResp))
+		if err := pl.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(pl.replies) != 2 || pl.repliesMade != 2 {
+		t.Fatalf("%d replies listed, %d made: want the two the pool made", len(pl.replies), pl.repliesMade)
+	}
+	answer()
+	answer()
+	if len(pl.replies) != 0 || pl.repliesMade != 2 {
+		t.Fatalf("after two more answers %d replies listed, %d made: want the listed ones used", len(pl.replies), pl.repliesMade)
+	}
 }

@@ -133,12 +133,21 @@ func (n *Node) closestPreceding(key ids.ID) Entry {
 	return best
 }
 
+// fingerViewCap is the room each view of the distinct-finger index is
+// made with. A ring of N members gives a node about log2 N + 1 distinct
+// fingers, so 12 holds rings of a few thousand members, the paper's; a
+// view of a larger ring outgrows it once and is moved by append. More
+// room would cost every member of a small ring live heap it never uses.
+const fingerViewCap = 12
+
 // setFinger is the only writer of the finger table: the first write
-// makes the table, and a write that changes an entry's value marks the
-// distinct-finger index stale.
+// makes the table and both index views in one allocation, and a write
+// that changes an entry's value marks the distinct-finger index stale.
 func (n *Node) setFinger(i int, e Entry) {
 	if n.fingers == nil {
-		n.fingers = make([]Entry, ids.Bits)
+		all := make([]Entry, ids.Bits+2*fingerViewCap)
+		n.fingers, all = all[:ids.Bits:ids.Bits], all[ids.Bits:]
+		n.fingerPing, n.fingerScan = all[:0:fingerViewCap], all[fingerViewCap:fingerViewCap]
 		for j := range n.fingers {
 			n.fingers[j] = NoEntry
 		}

@@ -33,7 +33,7 @@ func probeNeighbors(t *testing.T, n *Node) neighborsResp {
 	if err != nil || !handled {
 		t.Fatalf("neighbours probe: err %v, handled %v", err, handled)
 	}
-	return resp.(neighborsResp)
+	return *resp.(*neighborsResp)
 }
 
 // answer probes the node after step, checks that the reply shows the

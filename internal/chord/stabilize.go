@@ -66,7 +66,7 @@ func (n *Node) stabilize() {
 	if succ.Node == n.self.Node {
 		// Alone on the ring; if someone notified us, adopt them.
 		if n.pred.Valid() && n.pred.Node != n.self.Node {
-			n.succs = []Entry{n.pred}
+			n.setSuccessor(n.pred)
 			return
 		}
 		// Stranded: every known successor died before repair. Try an
@@ -77,13 +77,14 @@ func (n *Node) stabilize() {
 	n.request(probeSuccessor, succ, neighborsReq{})
 }
 
-// onStabilized finishes a stabilize round with succ's answer.
+// onStabilized finishes a stabilize round with succ's answer, and puts
+// the answer back once it has read it.
 func (n *Node) onStabilized(succ Entry, resp any, err error) {
 	if err != nil {
 		n.dropSuccessor(succ)
 		return
 	}
-	nb := resp.(neighborsResp)
+	nb := resp.(*neighborsResp)
 	if nb.Pred.Valid() && nb.Pred.Node != n.self.Node &&
 		ids.Between(nb.Pred.ID, n.self.ID, succ.ID) {
 		// A node slid in between us and our successor.
@@ -91,6 +92,7 @@ func (n *Node) onStabilized(succ Entry, resp any, err error) {
 	} else {
 		n.mergeSuccList(succ, nb.Succs)
 	}
+	n.pool.putNeighbors(nb)
 	n.notifySuccessor()
 }
 
@@ -100,7 +102,9 @@ func (n *Node) rememberContact(e Entry) {
 	if !e.Valid() || e.Node == n.self.Node {
 		return
 	}
-	const cap = 16
+	if n.contacts == nil {
+		n.contacts = make([]Entry, 0, maxContacts)
+	}
 	for i, c := range n.contacts {
 		if c.Node == e.Node {
 			// Move to the back (freshest) in place: this runs for every
@@ -111,7 +115,7 @@ func (n *Node) rememberContact(e Entry) {
 			return
 		}
 	}
-	if len(n.contacts) >= cap {
+	if len(n.contacts) >= maxContacts {
 		// Evict the stalest in place, keeping the backing array.
 		copy(n.contacts, n.contacts[1:])
 		n.contacts[len(n.contacts)-1] = e
@@ -119,6 +123,9 @@ func (n *Node) rememberContact(e Entry) {
 	}
 	n.contacts = append(n.contacts, e)
 }
+
+// maxContacts bounds the contact cache.
+const maxContacts = 16
 
 // rescue attempts an emergency re-join via the freshest cached contact:
 // resolve our own successor through it and re-enter the ring. One
@@ -140,7 +147,7 @@ func (n *Node) rescue() {
 			if n.Successor().Node != n.self.Node {
 				return // already rescued through another path
 			}
-			n.succs = []Entry{owner}
+			n.setSuccessor(owner)
 			n.notifySuccessor()
 			n.stabilize()
 		})
@@ -151,8 +158,7 @@ func (n *Node) rescue() {
 // adoptSuccessor makes e the immediate successor and keeps the tail.
 func (n *Node) adoptSuccessor(e Entry, tail []Entry) {
 	n.rememberContact(e)
-	list := n.succsSpare[:0]
-	list = append(list, e)
+	list := append(n.spareSuccs(), e)
 	for _, s := range n.succs {
 		if len(list) >= n.cfg.SuccessorListLen {
 			break
@@ -175,8 +181,7 @@ func (n *Node) adoptSuccessor(e Entry, tail []Entry) {
 // mergeSuccList rebuilds the successor list as succ followed by succ's
 // own list.
 func (n *Node) mergeSuccList(succ Entry, theirs []Entry) {
-	list := n.succsSpare[:0]
-	list = append(list, succ)
+	list := append(n.spareSuccs(), succ)
 	n.rememberContact(succ)
 	for _, s := range theirs {
 		n.rememberContact(s)
@@ -190,15 +195,33 @@ func (n *Node) mergeSuccList(succ Entry, theirs []Entry) {
 	n.publishSuccs(list)
 }
 
-// publishSuccs makes list, built in succsSpare, the successor list. A
-// published list is never written again (see the package comment): a
-// rebuild equal to it keeps it, and one that differs is published as a
-// copy, so the spare stays this node's own.
-func (n *Node) publishSuccs(list []Entry) {
-	n.succsSpare = list[:0]
-	if !slices.Equal(list, n.succs) {
-		n.succs = slices.Clone(list)
+// spareSuccs returns the spare array, emptied, for a rebuild of at most
+// SuccessorListLen entries. The node's first call makes both arrays, in
+// one allocation; a three-index slice keeps each half to its own.
+func (n *Node) spareSuccs() []Entry {
+	if n.succsSpare == nil {
+		l := n.cfg.SuccessorListLen
+		both := make([]Entry, 2*l)
+		n.succs, n.succsSpare = both[:0:l], both[l:l:2*l]
 	}
+	return n.succsSpare[:0]
+}
+
+// publishSuccs makes list, built in the spare array, the successor list.
+// It is the list's only writer. A rebuild equal to the current list is
+// dropped; one that differs swaps the two arrays, so the old list's
+// array is the next rebuild's, and counts a change.
+func (n *Node) publishSuccs(list []Entry) {
+	if slices.Equal(list, n.succs) {
+		return
+	}
+	n.succs, n.succsSpare = list, n.succs[:0]
+	n.succsVersion++
+}
+
+// setSuccessor makes e the whole successor list.
+func (n *Node) setSuccessor(e Entry) {
+	n.publishSuccs(append(n.spareSuccs(), e))
 }
 
 func containsNode(list []Entry, node runtime.NodeID) bool {
@@ -214,7 +237,7 @@ func containsNode(list []Entry, node runtime.NodeID) bool {
 // live candidate in the list; with the list exhausted the node points
 // at itself and waits to be re-discovered (it still owns its arc).
 func (n *Node) dropSuccessor(dead Entry) {
-	list := n.succsSpare[:0]
+	list := n.spareSuccs()
 	for _, s := range n.succs {
 		if s.Node != dead.Node {
 			list = append(list, s)
@@ -253,7 +276,7 @@ func (n *Node) onNotify(from Entry) {
 	}
 	// A lone node adopts its first contact as successor too.
 	if n.Successor().Node == n.self.Node {
-		n.succs = []Entry{from}
+		n.setSuccessor(from)
 	}
 }
 
@@ -307,22 +330,17 @@ func (n *Node) onClaimTransfer(m claimTransfer) {
 	n.reserve(m.Pos, m.Claimant)
 }
 
-// onNeighbors answers a stabilize probe. The answer shares the
-// published successor list, which is never written again, so it stays
-// the list as it was when this node answered. It is boxed once per
-// (predecessor, published list) and handed out again while both stand.
+// onNeighbors answers a stabilize probe with a reply record from the
+// pool, filled with a copy of the predecessor and the successor list:
+// the node's list is rewritten by its next rebuild, the reply is not.
+// The prober puts the record back once it has read it.
 func (n *Node) onNeighbors() any {
-	if c, ok := n.neighbors.(neighborsResp); !ok || c.Pred != n.pred || !samePublished(c.Succs, n.succs) {
-		n.neighbors = neighborsResp{Pred: n.pred, Succs: n.succs}
+	r := n.pool.neighbors()
+	if cap(r.Succs) < len(n.succs) {
+		r.Succs = make([]Entry, 0, n.cfg.SuccessorListLen)
 	}
-	return n.neighbors
-}
-
-// samePublished reports whether a and b are one published list: the
-// same length over the same backing array. A list held by a cached
-// reply stays reachable, so no later list can reuse its address.
-func samePublished(a, b []Entry) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+	r.Pred, r.Succs = n.pred, append(r.Succs, n.succs...)
+	return r
 }
 
 // checkPredecessor probes the predecessor and clears it on timeout, so
@@ -413,9 +431,10 @@ func (n *Node) Announce(to Entry) {
 // RPC stabilize uses, exported for overlays layered on the chord
 // substrate: internal/koorde refreshes its de Bruijn pointer set from
 // the ring neighborhood of a looked-up owner. cb runs once, on this
-// node's clock goroutine; it is not called after Stop. succs may be
-// target's published list itself, shared with every other prober: it is
-// read-only.
+// node's clock goroutine; it is not called after Stop. succs is valid
+// only during the callback: it is a pooled reply's, which goes back to
+// the pool when cb returns, so copy what you keep and never write into
+// it.
 func (n *Node) Neighbors(target Entry, cb func(pred Entry, succs []Entry, err error)) {
 	if !target.Valid() {
 		cb(NoEntry, nil, ErrLookupFailed)
@@ -430,8 +449,9 @@ func (n *Node) Neighbors(target Entry, cb func(pred Entry, succs []Entry, err er
 				cb(NoEntry, nil, err)
 				return
 			}
-			nb := resp.(neighborsResp)
+			nb := resp.(*neighborsResp)
 			cb(nb.Pred, nb.Succs, nil)
+			n.pool.putNeighbors(nb)
 		})
 }
 

@@ -86,13 +86,15 @@ func (neighborsReq) AppendWire(*runtime.WireWriter) {}
 
 func (neighborsReq) DecodeWire(*runtime.WireReader) any { return neighborsReq{} }
 
-func (m neighborsResp) AppendWire(w *runtime.WireWriter) {
+func (m *neighborsResp) AppendWire(w *runtime.WireWriter) {
 	m.Pred.AppendWire(w)
 	AppendEntriesWire(w, m.Succs)
 }
 
-func (neighborsResp) DecodeWire(r *runtime.WireReader) any {
-	var m neighborsResp
+// DecodeWire returns a *neighborsResp, matching the registered pointer
+// type; the prober lists it in its own pool once read.
+func (*neighborsResp) DecodeWire(r *runtime.WireReader) any {
+	m := new(neighborsResp)
 	m.Pred = DecodeEntryWire(r)
 	m.Succs = DecodeEntriesWire(r)
 	return m

@@ -1,6 +1,8 @@
 package chord
 
 import (
+	"encoding/hex"
+	"reflect"
 	"testing"
 
 	"flowercdn/internal/ids"
@@ -24,7 +26,7 @@ func TestWireRoundTrips(t *testing.T) {
 		&routeMsg{Key: ids.ID(42), ReqID: 9, Origin: 3, Hops: 4, Deliver: true, Reply: true, Owner: e},
 		notifyMsg{From: e},
 		neighborsReq{},
-		neighborsResp{Pred: e, Succs: []Entry{e, {Node: 8, ID: 1}}},
+		&neighborsResp{Pred: e, Succs: []Entry{e, {Node: 8, ID: 1}}},
 		pingReq{},
 		pingResp{},
 		claimReq{Pos: ids.ID(77), Claimant: e},
@@ -35,6 +37,47 @@ func TestWireRoundTrips(t *testing.T) {
 		GatewayRetract{Node: runtime.None},
 	} {
 		wiretest.RoundTrip(t, msg)
+	}
+}
+
+// TestNeighborsRespWireIsUnchanged pins the neighbours reply's body to
+// the bytes the binary codec wrote when the reply was a value: lists of
+// 0, 1 and 8 entries. The tag in front may differ, since tags follow the
+// registered type names; each decodes back to the *neighborsResp it was.
+func TestNeighborsRespWireIsUnchanged(t *testing.T) {
+	c, err := runtime.NewCodec("binary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := Entry{Node: 7, ID: ids.ID(0x9e3779b97f4a7c15)}
+	var eight []Entry
+	for i := range 8 {
+		eight = append(eight, Entry{Node: runtime.NodeID(1 << (3 * i)), ID: ids.ID(uint64(i+1) * 0x0123456789abcdef)})
+	}
+	for _, tc := range []struct {
+		reply *neighborsResp
+		body  string
+	}{
+		{&neighborsResp{Pred: NoEntry}, "01000000000000000000"},
+		{&neighborsResp{Pred: pred, Succs: eight[:1]}, "0e9e3779b97f4a7c1501020123456789abcdef"},
+		{&neighborsResp{Pred: pred, Succs: eight},
+			"0e9e3779b97f4a7c1508020123456789abcdef1002468acf13579bde80010369d0369d0369cd8008048d159e26af37bc80" +
+				"4005b05b05b05b05ab80800406d3a06d3a06d39a80802007f6e5d4c3b2a18980808002091a2b3c4d5e6f78"},
+	} {
+		b, err := c.AppendMessage(nil, tc.reply)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(b[1:]); got != tc.body {
+			t.Errorf("reply with %d successors encodes to body\n%s\nwant\n%s", len(tc.reply.Succs), got, tc.body)
+		}
+		back, err := c.DecodeMessage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r, ok := back.(*neighborsResp); !ok || !reflect.DeepEqual(r, tc.reply) {
+			t.Errorf("decoded %#v, want %#v", back, tc.reply)
+		}
 	}
 }
 

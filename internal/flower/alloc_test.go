@@ -262,7 +262,7 @@ func TestCollabSiblingsAllocs(t *testing.T) {
 		t.Errorf("collabSiblings allocates %v objects on a standing ring, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		dir.dir.sibSuccs = nil // as if the node had published another list
+		dir.dir.sibVersion = 0 // as if the node had published another list
 		dir.collabSiblings()
 	}); got != 1 {
 		t.Errorf("collabSiblings after a new successor list allocates %v objects, want 1, the rebuilt list", got)

@@ -50,17 +50,18 @@ type directoryState struct {
 	queriesHandled uint64
 	queriesScanned uint64 // PetalUp forwards to the next instance
 
-	// siblings is collabSiblings' last list, built from the successor
-	// list sibSuccs and the predecessor sibPred; a nil sibSuccs means
-	// none is built yet (a started chord node's successor list is never
-	// empty). It is rebuilt, into a fresh slice, only when the
-	// chord node publishes another successor list (copy-on-write: a
-	// change is a new slice, and holding the old one keeps its array
-	// from being reused) or its predecessor moves. A list handed to a
-	// reply is never written again.
-	siblings []chord.Entry
-	sibSuccs []chord.Entry
-	sibPred  chord.Entry
+	// siblings is collabSiblings' last list, built from version
+	// sibVersion of the chord node's successor list and from the
+	// predecessor sibPred. A directory's node has started, so its list
+	// is at version 1 or later and the zero sibVersion matches none: the
+	// first call builds. It is rebuilt, into a fresh slice, only when
+	// the successor list changes — the node rebuilds its list in place,
+	// so the version says so, not the slice's address — or the
+	// predecessor moves. A list handed to a reply is never written
+	// again.
+	siblings   []chord.Entry
+	sibVersion uint64
+	sibPred    chord.Entry
 }
 
 type memberInfo struct {
@@ -386,12 +387,12 @@ func (p *Peer) collabSiblings() []chord.Entry {
 	if !p.sys.cfg.DirCollaboration || p.chordNode == nil {
 		return nil
 	}
-	succs, pred := p.chordNode.Successors(), p.chordNode.Predecessor()
-	d := p.dir
-	if len(succs) > 0 && len(succs) == len(d.sibSuccs) && &succs[0] == &d.sibSuccs[0] && pred == d.sibPred {
+	node, d := p.chordNode, p.dir
+	version, pred := node.SuccessorsVersion(), node.Predecessor()
+	if version == d.sibVersion && pred == d.sibPred {
 		return d.siblings
 	}
-	d.siblings, d.sibSuccs, d.sibPred = p.buildSiblings(succs, pred), succs, pred
+	d.siblings, d.sibVersion, d.sibPred = p.buildSiblings(node.Successors(), pred), version, pred
 	return d.siblings
 }
 

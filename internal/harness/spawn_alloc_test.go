@@ -96,7 +96,9 @@ func mallocs() uint64 {
 // store and workload stream, split query and gossip streams, a gossip
 // protocol and a first query record each on their own; a second object
 // per ticker, its bound re-arming method; a sibling list built for
-// every reply — the same pins read 33 and 30.
+// every reply — the same pins read 33 and 30. Squirrel's read 21 while a
+// Chord member's tickers were a slice and its successor lists, spare and
+// contacts grew by append.
 func TestSessionSpawnAllocs(t *testing.T) {
 	for _, c := range []struct {
 		protocol string
@@ -106,7 +108,7 @@ func TestSessionSpawnAllocs(t *testing.T) {
 		{"flower", 22, func(_ *spawnWorld, s *session, _ int) bool {
 			return s.h.(*flower.Peer).Role() != flower.RoleClient
 		}},
-		{"squirrel", 21, func(w *spawnWorld, _ *session, ring int) bool {
+		{"squirrel", 20, func(w *spawnWorld, _ *session, ring int) bool {
 			return len(w.sys.(proto.RingInspector).RingMembers()) > ring
 		}},
 	} {

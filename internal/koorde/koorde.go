@@ -248,6 +248,8 @@ func (n *Node) fixPointers() {
 			if n.stopped || err != nil {
 				return
 			}
+			// succs is the pooled reply's, valid only in this
+			// callback: appendDistinct copies it into the set.
 			var set []chord.Entry
 			if pred.Valid() {
 				set = append(set, pred)
