@@ -8,7 +8,7 @@
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check cache-grid-smoke socket-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc
+.PHONY: build test race race-net wire-bench vet fmt check bench-smoke bigcell-smoke heap-growth-check fingerprint-check alloc-check cache-grid-smoke socket-smoke invariants-smoke trace-smoke fuzz-smoke dist-smoke docs-check staticcheck loc cover-report
 
 build:
 	go build ./...
@@ -340,6 +340,21 @@ loc:
 		printf '%-36s %8d %8d\n' "$${pkg#flowercdn/}" \
 			"$$(cd "$$dir" && cat $$src /dev/null | wc -l)" "$$(cd "$$dir" && cat $$tests /dev/null | wc -l)"; \
 	done | awk '{ print; src += $$2; tests += $$3 } END { printf "%-36s %8d %8d\n", "total", src, tests }'
+
+# cover-report runs every test once with coverage of every package of
+# the module and prints, per package, the statements no test reaches and
+# the statements it has, then the totals. It has no bound and gates
+# nothing: it shows where code runs untested. A failing test fails it,
+# after the report.
+cover-report:
+	@prof=$$(mktemp); status=0; go test -count=1 -coverpkg=flowercdn/... -coverprofile=$$prof ./... >/dev/null || status=$$?; \
+	printf '%-36s %9s %10s\n' package unreached statements; \
+	awk 'NR > 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in n) { p = b; sub(/\/[^\/]*:.*/, "", p); if (p != "flowercdn") sub(/^flowercdn\//, "", p); \
+				all[p] += n[b]; if (!(b in hit)) un[p] += n[b] } \
+			for (p in all) { printf "%-36s %9d %10d\n", p, un[p], all[p] | "sort"; u += un[p]; a += all[p] } \
+			close("sort"); printf "%-36s %9d %10d\n", "total", u, a }' $$prof; \
+	rm -f $$prof; exit $$status
 
 # cache-grid-smoke runs the CI-sized capacity grid under cache
 # pressure: LRU-bounded peer stores swept over per-peer capacities with

@@ -42,10 +42,11 @@ func TestDistSweepRunsCarryTheSummaryOnly(t *testing.T) {
 	dist, err := DistSweepCoordinator(cells, seeds, DistSweepOptions{
 		Listen: "127.0.0.1:0",
 		OutDir: t.TempDir(),
-		OnListen: func(addr string) {
+		OnListen: func(addr string) error {
 			go func() {
 				workerErr <- DistSweepWorker(cells, seeds, DistSweepWorkerOptions{Coordinator: addr})
 			}()
+			return nil
 		},
 	})
 	if err != nil {

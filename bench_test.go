@@ -1,8 +1,9 @@
 package flowercdn
 
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (Sec. 6), plus the ablations DESIGN.md calls out. Each
-// bench runs the relevant experiment at a reduced scale that preserves
+// evaluation (Sec. 6), plus ablations of the knobs the paper fixes
+// (gossip period, push threshold, collaboration, summaries, localities,
+// message loss). Each bench runs the relevant experiment at a reduced scale that preserves
 // the paper's proportions (use `cmd/flowerbench -full` for the 24-hour,
 // P-up-to-5000 runs) and reports the headline numbers as custom bench
 // metrics, so `go test -bench=.` doubles as a regression harness for
@@ -13,8 +14,6 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"testing"
-
-	"flowercdn/internal/petalup"
 )
 
 // benchConfig is the shared reduced-scale setup.
@@ -192,10 +191,6 @@ func BenchmarkPetalUpFlashCrowd(b *testing.B) {
 		b.ReportMetric(upRes.TailHitRatio, "petalup-hit")
 		b.ReportMetric(clRes.TailHitRatio, "classic-hit")
 	}
-	// The per-instance load inspection itself is exercised through
-	// internal/petalup's tests; keep its API referenced here so the
-	// bench file documents the entry point.
-	_ = petalup.DefaultFlashCrowd
 }
 
 // BenchmarkAblationGossipPeriod sweeps the gossip/keepalive period —

@@ -25,16 +25,11 @@
 //	flowerbench -grid compare -seeds 5 -dist-coordinator 127.0.0.1:0 -spawn-workers 2
 //
 // Every process must be given the same sweep flags (-grid, -scenario,
-// -seeds, -seed, -full, -p) on the same binary: configurations never
-// cross the wire; the coordinator verifies a spec fingerprint at
-// connect time and refuses a worker whose flags drifted. The sweep is
-// resumable: completed runs persist under -out-dir, and a restarted
-// coordinator (same flags, same directory) re-runs only what is
-// missing. Aggregates are bit-identical to the in-process sweep at any
-// worker count — `make dist-smoke` diffs the two CSVs in CI. The
-// processes speak the binary wire codec, and the timings are fixed: a
-// worker heartbeats every 2 s while it runs a job and forfeits the job
-// to reassignment after 2 minutes of silence. See docs/OPERATIONS.md.
+// -seeds, -seed, -full, -p) on the same binary: the coordinator checks a
+// spec fingerprint and refuses a worker whose flags drifted. Completed
+// runs persist under -out-dir, so a restarted coordinator re-runs only
+// what is missing, and the aggregates are bit-identical to the
+// in-process sweep at any worker count. Timings: docs/OPERATIONS.md.
 //
 // Grids: compare (every comparable protocol in the protocol list:
 // flower, petalup, squirrel, chord-global, koorde-global —
@@ -102,6 +97,7 @@ type options struct {
 	distVerbose  bool
 
 	cpuProfile, memProfile string
+	stdout, stderr         io.Writer
 }
 
 // declare registers every flag on fs, bound to the options field it
@@ -137,20 +133,28 @@ func declare(fs *flag.FlagSet) *options {
 	return o
 }
 
-func main() {
-	o := declare(flag.CommandLine)
-	flag.Parse()
-	if err := cli.Profiled(o.cpuProfile, o.memProfile, o.main); err != nil {
-		cli.Fatal(err)
+// Table 2's populations at quick and at paper scale; tests shrink quickPops.
+var quickPops, fullPops = []int{200, 300, 400, 500}, []int{2000, 3000, 4000, 5000}
+
+func main() { cli.Main(run) }
+
+// run is the command: it parses args and, under the profiles they ask
+// for, runs the sweep or renders the artifacts they select.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flowerbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := declare(fs)
+	if err := o.flags.Parse(args); err != nil {
+		return err
 	}
+	o.stdout, o.stderr = stdout, stderr
+	return cli.Profiled(o.cpuProfile, o.memProfile, o.main)
 }
 
 func (o *options) main() error {
-	cfg := flowercdn.QuickConfig()
-	pops := []int{200, 300, 400, 500}
+	cfg, pops := flowercdn.QuickConfig(), quickPops
 	if o.full {
-		cfg = flowercdn.DefaultConfig()
-		pops = []int{2000, 3000, 4000, 5000}
+		cfg, pops = flowercdn.DefaultConfig(), fullPops
 	}
 	cfg.Seed = o.seed
 	if o.pop > 0 {
@@ -158,8 +162,14 @@ func (o *options) main() error {
 	}
 
 	switch {
+	case o.fig != 0 && (o.fig < 3 || o.fig > 5):
+		return fmt.Errorf("-fig %d: no such figure (have 3, 4, 5; 0 = all)", o.fig)
+	case o.table < 0 || o.table > 2:
+		return fmt.Errorf("-table %d: no such table (have 1, 2; 0 = all)", o.table)
+	case o.extra != "" && o.extra != "petalup":
+		return fmt.Errorf("-extra %q: no such experiment (have petalup)", o.extra)
 	case o.trace:
-		return runTraceBreakdown(cfg)
+		return o.traceBreakdown(cfg)
 	case o.grid != "":
 		return o.runGrid(cfg, pops)
 	case o.dist.Listen != "" || o.distWorker != "":
@@ -173,39 +183,39 @@ func (o *options) main() error {
 		if err != nil {
 			return err
 		}
-		fmt.Println(t1)
+		fmt.Fprintln(o.stdout, t1)
 	}
 
 	if all || o.fig != 0 {
 		start := time.Now()
-		fmt.Printf("running %s vs %s on cell %q...\n", flowercdn.Flower, flowercdn.Squirrel, strings.Join(cfg.Cell(), " "))
+		fmt.Fprintf(o.stdout, "running %s vs %s on cell %q...\n", flowercdn.Flower, flowercdn.Squirrel, strings.Join(cfg.Cell(), " "))
 		f, s, err := flowercdn.RunComparison(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("done in %v\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(o.stdout, "done in %v\n\n", time.Since(start).Round(time.Millisecond))
 		formats := []func(f, s *flowercdn.Result) string{flowercdn.FormatFig3, flowercdn.FormatFig4, flowercdn.FormatFig5}
 		for i, format := range formats {
 			if all || o.fig == 3+i {
-				fmt.Println(format(f, s))
+				fmt.Fprintln(o.stdout, format(f, s))
 			}
 		}
-		fmt.Println(flowercdn.FormatSummary(f) + flowercdn.FormatSummary(s))
+		fmt.Fprintln(o.stdout, flowercdn.FormatSummary(f)+flowercdn.FormatSummary(s))
 	}
 
 	if all || o.table == 2 {
 		start := time.Now()
-		fmt.Printf("running Table 2 sweep over P=%v...\n", pops)
+		fmt.Fprintf(o.stdout, "running Table 2 sweep over P=%v...\n", pops)
 		rows, err := flowercdn.RunScalability(cfg, pops)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("done in %v\n\n", time.Since(start).Round(time.Millisecond))
-		fmt.Println(flowercdn.FormatTable2(rows))
+		fmt.Fprintf(o.stdout, "done in %v\n\n", time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(o.stdout, flowercdn.FormatTable2(rows))
 	}
 
 	if all || o.extra == "petalup" {
-		return runPetalUpExtra(cfg)
+		return o.petalUpExtra(cfg)
 	}
 	return nil
 }
@@ -265,7 +275,7 @@ func (o *options) runGrid(base flowercdn.Config, pops []int) error {
 	if o.distWorker != "" {
 		return flowercdn.DistSweepWorker(cells, seedSet, flowercdn.DistSweepWorkerOptions{
 			Coordinator: o.distWorker,
-			OnEvent:     func(e string) { fmt.Println(e) },
+			OnEvent:     func(e string) { fmt.Fprintln(o.stdout, e) },
 		})
 	}
 
@@ -287,25 +297,24 @@ func (o *options) runGrid(base flowercdn.Config, pops []int) error {
 	header := fmt.Sprintf("sweep %q on cell %q (scenario %s): %d cells x %d seeds",
 		o.grid, strings.Join(base.Cell(), " "), o.scenario, len(cells), len(seedSet))
 	if o.dist.Listen != "" {
-		fmt.Printf("distributed %s, out-dir %s\n", header, o.dist.OutDir)
+		fmt.Fprintf(o.stdout, "distributed %s, out-dir %s\n", header, o.dist.OutDir)
 		res, err = o.coordinate(cells, seedSet)
 	} else {
-		fmt.Printf("%s...\n", header)
+		fmt.Fprintf(o.stdout, "%s...\n", header)
 		res, err = flowercdn.Sweep(cells, seedSet, o.workers)
 	}
 	if err != nil {
 		return err
 	}
-	// res.Workers is the sweep's own resolved parallelism (GOMAXPROCS
-	// default, capped at the job count), not a re-derivation that could
-	// drift from it.
-	fmt.Printf("done in %v (%d runs, %d workers)\n\n",
+	// res.Workers is the sweep's own resolved parallelism (GOMAXPROCS by
+	// default, capped at the job count), not a re-derivation of it.
+	fmt.Fprintf(o.stdout, "done in %v (%d runs, %d workers)\n\n",
 		time.Since(start).Round(time.Millisecond), res.TotalRuns, res.Workers)
-	fmt.Print(res.Table())
-	if err := writeArtifact(o.csv, res.CSV); err != nil {
+	fmt.Fprint(o.stdout, res.Table())
+	if err := o.writeArtifact(o.csv, res.CSV); err != nil {
 		return err
 	}
-	return writeArtifact(o.seriesCSV, res.SeriesCSV)
+	return o.writeArtifact(o.seriesCSV, res.SeriesCSV)
 }
 
 // coordinate shards the sweep across worker processes, forking
@@ -313,25 +322,26 @@ func (o *options) runGrid(base flowercdn.Config, pops []int) error {
 func (o *options) coordinate(cells []flowercdn.SweepCell, seedSet []uint64) (*flowercdn.SweepResult, error) {
 	waitWorkers := func() []error { return nil }
 	opts := o.dist
-	opts.OnListen = func(addr string) {
-		fmt.Printf("coordinator listening on %s\n", addr)
+	opts.OnListen = func(addr string) error {
+		fmt.Fprintf(o.stdout, "coordinator listening on %s\n", addr)
 		if o.spawnWorkers <= 0 {
-			return
+			return nil
 		}
 		argv := make([][]string, o.spawnWorkers)
 		for w := range argv {
 			argv[w] = o.workerArgs(addr)
 		}
-		wait, err := cli.Spawn("w", argv)
+		wait, err := cli.Spawn("w", argv, o.stdout)
 		if err != nil {
-			cli.Fatal(err) // the coordinator would wait forever for workers that never started
+			return err // the coordinator would wait forever for workers that never started
 		}
 		waitWorkers = wait
-		fmt.Printf("spawned %d local worker(s) -> %s\n", o.spawnWorkers, addr)
+		fmt.Fprintf(o.stdout, "spawned %d local worker(s) -> %s\n", o.spawnWorkers, addr)
+		return nil
 	}
 	opts.OnEvent = func(e string) {
 		if o.distVerbose {
-			fmt.Printf("[coord] %s\n", e)
+			fmt.Fprintf(o.stdout, "[coord] %s\n", e)
 		}
 	}
 	res, err := flowercdn.DistSweepCoordinator(cells, seedSet, opts)
@@ -341,7 +351,7 @@ func (o *options) coordinate(cells []flowercdn.SweepCell, seedSet []uint64) (*fl
 	// informational.
 	for w, err := range waitWorkers() {
 		if err != nil {
-			cli.Warnf("worker %d: %v", w, err)
+			cli.Warnf(o.stderr, "worker %d: %v", w, err)
 		}
 	}
 	return res, err
@@ -358,49 +368,48 @@ func (o *options) workerArgs(addr string) []string {
 
 // writeArtifact sends one artifact to a file or stdout ("-"); with no
 // path the artifact is never rendered.
-func writeArtifact(path string, render func() string) error {
+func (o *options) writeArtifact(path string, render func() string) error {
 	if path == "" {
 		return nil
 	}
-	fmt.Println()
-	err := cli.WriteTo(path, func(w io.Writer) error {
+	fmt.Fprintln(o.stdout)
+	err := cli.WriteTo(path, o.stdout, func(w io.Writer) error {
 		_, err := io.WriteString(w, render())
 		return err
 	})
 	if err == nil && path != "-" {
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(o.stdout, "wrote %s\n", path)
 	}
 	return err
 }
 
-// runTraceBreakdown answers "where does flower's locality win come
+// traceBreakdown answers "where does flower's locality win come
 // from?" with data instead of argument: every comparable protocol runs
 // on the same cell with per-query tracing on, and each run's hop-by-hop
 // records are folded into a per-hop-kind latency breakdown (link vs
 // queue split via the modeled topology latency).
-func runTraceBreakdown(cfg flowercdn.Config) error {
+func (o *options) traceBreakdown(cfg flowercdn.Config) error {
 	cfg.Trace = true
 	for _, p := range flowercdn.CompareProtocols() {
-		c := cfg
-		c.Protocol = p
+		cfg.Protocol = p
 		start := time.Now()
-		res, err := flowercdn.Run(c)
+		res, err := flowercdn.Run(cfg)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("=== %s, cell %q (%d queries, hit %.3f, lookup %.0f ms; %v)\n", p, strings.Join(c.Cell(), " "),
+		fmt.Fprintf(o.stdout, "=== %s, cell %q (%d queries, hit %.3f, lookup %.0f ms; %v)\n", p, strings.Join(cfg.Cell(), " "),
 			res.Queries, res.TailHitRatio, res.MeanLookupMs, time.Since(start).Round(time.Millisecond))
-		fmt.Print(trace.Analyze(res.Traces, res.HopLatency).Format())
-		fmt.Println()
+		fmt.Fprint(o.stdout, trace.Analyze(res.Traces, res.HopLatency).Format())
+		fmt.Fprintln(o.stdout)
 	}
 	return nil
 }
 
-// runPetalUpExtra contrasts PetalUp-CDN with classic Flower-CDN on the
+// petalUpExtra contrasts PetalUp-CDN with classic Flower-CDN on the
 // same settings: the per-directory load stays bounded while hit
 // performance is preserved (the Sec. 4 claim).
-func runPetalUpExtra(cfg flowercdn.Config) error {
-	fmt.Println("PetalUp extension: directory-load bounding")
+func (o *options) petalUpExtra(cfg flowercdn.Config) error {
+	fmt.Fprintln(o.stdout, "PetalUp extension: directory-load bounding")
 	up := cfg
 	up.Protocol = flowercdn.PetalUp
 	up.PetalUpLoadLimit = 15
@@ -408,14 +417,12 @@ func runPetalUpExtra(cfg flowercdn.Config) error {
 	if err != nil {
 		return err
 	}
-	cl := cfg
-	cl.Protocol = flowercdn.Flower
-	clRes, err := flowercdn.Run(cl)
+	clRes, err := flowercdn.Run(cfg) // cfg runs flower: no flag here sets a protocol
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  classic  : hit %.3f, lookup %.0f ms\n", clRes.TailHitRatio, clRes.MeanLookupMs)
-	fmt.Printf("  petalup  : hit %.3f, lookup %.0f ms (load limit %d)\n",
+	fmt.Fprintf(o.stdout, "  classic  : hit %.3f, lookup %.0f ms\n", clRes.TailHitRatio, clRes.MeanLookupMs)
+	fmt.Fprintf(o.stdout, "  petalup  : hit %.3f, lookup %.0f ms (load limit %d)\n",
 		upRes.TailHitRatio, upRes.MeanLookupMs, up.PetalUpLoadLimit)
 	return nil
 }

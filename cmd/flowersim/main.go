@@ -36,7 +36,7 @@
 //	flowersim -backend socket -spawn-local 3 -population 50 -horizon 5s
 //
 // Every backend takes one path: declare fills the options, config builds
-// the harness.Config, run executes it, report prints it. A flag says
+// the harness.Config, simulate executes it, report prints it. A flag says
 // once which backends it applies to; the "ignored with -backend X"
 // warnings and -spawn-local's child arguments are read off that.
 package main
@@ -46,7 +46,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"slices"
 	"strings"
 	"time"
@@ -91,6 +90,7 @@ type options struct {
 	cpuProfile, memProfile string
 	listProtocols, series  bool
 	printParams, printFP   bool
+	stdout, stderr         io.Writer
 }
 
 // declare registers every flag on fs, bound to the options field it
@@ -134,7 +134,7 @@ func declare(fs *flag.FlagSet) *options {
 // no later stage has to know which flags its backend honours.
 func parse(fs *flag.FlagSet, args []string) (*options, []string, error) {
 	o := declare(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := o.flags.Parse(args); err != nil {
 		return nil, nil, err
 	}
 	// An unknown backend name takes the sim path, where the harness
@@ -152,23 +152,24 @@ func parse(fs *flag.FlagSet, args []string) (*options, []string, error) {
 	return o, warnings, nil
 }
 
-func main() {
-	o, warnings, err := parse(flag.CommandLine, os.Args[1:])
-	if err != nil {
-		cli.Fatal(err)
-	}
-	for _, w := range warnings {
-		cli.Warnf("%s", w)
-	}
-	if err := o.main(); err != nil {
-		cli.Fatal(err)
-	}
-}
+func main() { cli.Main(run) }
 
-func (o *options) main() error {
+// run is the command: it parses args, warns on stderr of every flag the
+// chosen backend ignores, and lists, prints or runs what they ask for.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("flowersim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o, warnings, err := parse(fs, args)
+	if err != nil {
+		return err
+	}
+	o.stdout, o.stderr = stdout, stderr
+	for _, w := range warnings {
+		cli.Warnf(stderr, "%s", w)
+	}
 	if o.listProtocols {
 		for _, p := range flowercdn.Protocols() {
-			fmt.Printf("%-14s %s\n", p, flowercdn.ProtocolSummary(p))
+			fmt.Fprintf(stdout, "%-14s %s\n", p, flowercdn.ProtocolSummary(p))
 		}
 		return nil
 	}
@@ -180,13 +181,13 @@ func (o *options) main() error {
 		return err
 	}
 	if !o.printFP { // every report opens with how to replay its cell
-		fmt.Println(strings.Join(append([]string{"cell:"}, o.exp.Cell()...), " "))
+		fmt.Fprintln(stdout, strings.Join(append([]string{"cell:"}, o.exp.Cell()...), " "))
 	}
 	if o.printParams {
-		fmt.Print(harness.FormatTable1(hc))
+		fmt.Fprint(stdout, harness.FormatTable1(hc))
 		return nil
 	}
-	res, elapsed, err := o.run(hc)
+	res, elapsed, err := o.simulate(hc)
 	if err != nil {
 		return err
 	}
@@ -231,9 +232,9 @@ func (o *options) config() (harness.Config, error) {
 // live: always, except for the followers of a socket group.
 func leads(hc harness.Config) bool { return hc.Socket == nil || hc.Socket.Group == 0 }
 
-// run executes hc between the profiles, serving the observability
+// simulate executes hc between the profiles, serving the observability
 // endpoint and printing live windows on the socket backend.
-func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error) {
+func (o *options) simulate(hc harness.Config) (*harness.Result, time.Duration, error) {
 	if o.obs != "" && leads(hc) {
 		// The harness stops the server when the run returns; the deferred
 		// Stop (idempotent) covers a run that fails before it starts.
@@ -244,17 +245,17 @@ func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error)
 		}
 		defer srv.Stop()
 		hc.Obs = srv
-		fmt.Printf("observability: serving /metrics and /traces on http://%s\n", bound)
+		fmt.Fprintf(o.stdout, "observability: serving /metrics and /traces on http://%s\n", bound)
 	}
 	if s := hc.Socket; s != nil {
 		hc.OnWindow = func(p metrics.SeriesPoint) {
-			fmt.Printf("[%5.1fs] hit-ratio %.3f  queries %4d  lookup %5.0fms  transfer %4.0fms\n",
+			fmt.Fprintf(o.stdout, "[%5.1fs] hit-ratio %.3f  queries %4d  lookup %5.0fms  transfer %4.0fms\n",
 				float64(p.Start+hc.SeriesWindow)/1000, p.HitRatio, p.Queries, p.MeanLookupMs, p.MeanTransferMs)
 		}
 		if s.Groups() > 1 {
-			fmt.Printf("socket group %d/%d on %s: ", s.Group, len(s.Peers), s.Listen)
+			fmt.Fprintf(o.stdout, "socket group %d/%d on %s: ", s.Group, len(s.Peers), s.Listen)
 		}
-		fmt.Printf("live %s run: population %d, horizon %v, %d ms windows\n",
+		fmt.Fprintf(o.stdout, "live %s run: population %d, horizon %v, %d ms windows\n",
 			hc.Protocol, hc.Population, o.horizon, hc.SeriesWindow)
 	}
 	var res *harness.Result
@@ -274,48 +275,45 @@ func (o *options) run(hc harness.Config) (*harness.Result, time.Duration, error)
 // is not reproducible).
 func (o *options) report(hc harness.Config, res *harness.Result, elapsed time.Duration) error {
 	if o.printFP {
-		fmt.Printf("%016x\n", res.Fingerprint)
+		fmt.Fprintf(o.stdout, "%016x\n", res.Fingerprint)
 		return nil
 	}
-	fmt.Printf("completed in %v\n", elapsed.Round(time.Millisecond))
+	fmt.Fprintf(o.stdout, "completed in %v\n", elapsed.Round(time.Millisecond))
 	if w := res.Wire; w != nil {
 		perBatch := float64(w.FramesSent) / float64(max(w.BatchesSent, 1))
-		fmt.Printf("wire: codec=%s, %d frames in %d batches out (%.1f frames/batch), %d bytes out, %d bytes in\n",
+		fmt.Fprintf(o.stdout, "wire: codec=%s, %d frames in %d batches out (%.1f frames/batch), %d bytes out, %d bytes in\n",
 			w.Codec, w.FramesSent, w.BatchesSent, perBatch, w.BytesSent, w.BytesRead)
 	}
 	if o.traceCSV != "" && leads(hc) {
-		err := cli.WriteTo(o.traceCSV, func(w io.Writer) error { return trace.WriteCSV(w, res.Traces) })
+		err := cli.WriteTo(o.traceCSV, o.stdout, func(w io.Writer) error { return trace.WriteCSV(w, res.Traces) })
 		if err != nil {
 			return err
 		}
-		fmt.Printf("traces: %d records written to %s\n", len(res.Traces), o.traceCSV)
+		fmt.Fprintf(o.stdout, "traces: %d records written to %s\n", len(res.Traces), o.traceCSV)
 	}
-	fmt.Print(harness.FormatSummary(res))
-	fmt.Printf("lookup: %.0f%% within 150 ms, %.0f%% beyond 1200 ms\n",
+	fmt.Fprint(o.stdout, harness.FormatSummary(res))
+	fmt.Fprintf(o.stdout, "lookup: %.0f%% within 150 ms, %.0f%% beyond 1200 ms\n",
 		100*res.LookupWithin150ms(), 100*res.LookupBeyond1200ms())
-	fmt.Printf("transfer: %.0f%% within 100 ms\n", 100*res.TransferWithin100ms())
+	fmt.Fprintf(o.stdout, "transfer: %.0f%% within 100 ms\n", 100*res.TransferWithin100ms())
 	if m := res.MemStats; m != nil {
-		fmt.Printf("memory: %.0f B/node live heap (%.1f MiB total; %.1f MiB allocated over the run, %d mallocs)\n",
+		fmt.Fprintf(o.stdout, "memory: %.0f B/node live heap (%.1f MiB total; %.1f MiB allocated over the run, %d mallocs)\n",
 			m.BytesPerNode, float64(m.HeapAllocBytes)/(1<<20), float64(m.TotalAllocBytes)/(1<<20), m.Mallocs)
 	}
 	if o.series {
-		fmt.Println("hour  hit-ratio  queries")
+		fmt.Fprintln(o.stdout, "hour  hit-ratio  queries")
 		for i, pt := range res.Series {
-			fmt.Printf("%4d  %9.3f  %7d\n", i+1, pt.HitRatio, pt.Queries)
+			fmt.Fprintf(o.stdout, "%4d  %9.3f  %7d\n", i+1, pt.HitRatio, pt.Queries)
 		}
 	}
 	if s := hc.Socket; s != nil {
 		// The socket smoke contract: this process issued queries and they
 		// were answered (served from a peer or the origin — not abandoned).
 		// A process that cannot say so exits non-zero.
-		switch answered := res.Hits + res.Misses; {
-		case res.Queries == 0:
-			return fmt.Errorf("no live queries issued in group %d", s.Group)
-		case answered == 0:
+		answered := res.Hits + res.Misses
+		if answered == 0 {
 			return fmt.Errorf("no live query answered in group %d (%d issued)", s.Group, res.Queries)
-		default:
-			fmt.Printf("group %d: clean shutdown, %d/%d queries answered\n", s.Group, answered, res.Queries)
 		}
+		fmt.Fprintf(o.stdout, "group %d: clean shutdown, %d/%d queries answered\n", s.Group, answered, res.Queries)
 	}
 	return nil
 }
@@ -364,28 +362,28 @@ func (o *options) spawnGroup() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("spawning %d local processes: %s\n", n, strings.Join(addrs, " "))
+	fmt.Fprintf(o.stdout, "spawning %d local processes: %s\n", n, strings.Join(addrs, " "))
 
 	argv, shared := make([][]string, n), o.childArgs()
 	for g := range argv {
 		slot := []string{"-listen", addrs[g], "-peers", strings.Join(addrs, ","), "-group", fmt.Sprint(g)}
 		argv[g] = append(slot, shared...)
 	}
-	wait, err := cli.Spawn("g", argv)
+	wait, err := cli.Spawn("g", argv, o.stdout)
 	if err != nil {
 		return err
 	}
 	failed := 0
 	for g, err := range wait() {
 		if err != nil {
-			cli.Warnf("group %d failed: %v", g, err)
+			cli.Warnf(o.stderr, "group %d failed: %v", g, err)
 			failed++
 		}
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d processes failed", failed, n)
 	}
-	fmt.Printf("all %d processes completed cleanly\n", n)
+	fmt.Fprintf(o.stdout, "all %d processes completed cleanly\n", n)
 	return nil
 }
 

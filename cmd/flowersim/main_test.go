@@ -1,10 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"flag"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"flowercdn"
@@ -181,5 +187,101 @@ func TestFlagNamesArePinned(t *testing.T) {
 	o.flags.VisitAll(func(fl *flag.Flag) { got = append(got, fl.Name) })
 	if !slices.Equal(got, want) {
 		t.Errorf("flowersim flags (%d) = %v\nwant the pinned %d: %v", len(got), got, len(want), want)
+	}
+}
+
+// TestMain doubles as a -spawn-local child: the group forks the running
+// executable, which here is the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("FLOWERSIM_TEST_CHILD") != "" {
+		cli.Main(run)
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// syncBuffer is a bytes.Buffer safe for the concurrent writes of a
+// group's relays.
+type syncBuffer struct {
+	mu sync.Mutex
+	bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.Buffer.Write(p)
+}
+
+// TestRun drives the command once per mode at a tiny cell: what each
+// prints, and the error of each way a command line can fail.
+func TestRun(t *testing.T) {
+	t.Setenv("FLOWERSIM_TEST_CHILD", "1") // read by the -spawn-local children only
+	dir := t.TempDir()
+	in := func(name string) string { return filepath.Join(dir, name) }
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		stdout []string // substrings, in order
+		stderr string   // a substring; "" = nothing on stderr
+		err    string   // a substring of the error; "" = success
+	}{
+		{"protocols", []string{"-protocols"}, []string{
+			"flower         Flower-CDN", "petalup", "squirrel", "chord-global", "koorde-global", "origin-only"}, "", ""},
+		{"params", []string{"-p", "60", "-hours", "1", "-print-params"}, []string{
+			"cell: -hours=1 -p=60\n", "60"}, "", ""},
+		{"sim", []string{"-p", "60", "-hours", "1", "-series", "-measure-mem", "-obs", ":0",
+			"-trace-csv", in("sim.csv"), "-cpuprofile", in("cpu.out"), "-memprofile", in("mem.out")}, []string{
+			"cell: -hours=1 -p=60\n", "completed in ", "traces: ", " records written to " + in("sim.csv"),
+			"flower P=60 (1 h): hit ratio", "lookup: ", "transfer: ", "memory: ", "hour  hit-ratio  queries\n   1  "},
+			"-obs is ignored with -backend sim", ""},
+		{"socket", []string{"-backend", "socket", "-population", "20", "-horizon", "1s", "-obs", "127.0.0.1:0",
+			"-trace-csv", in("sock.csv"), "-hours", "3"}, []string{
+			"observability: serving /metrics and /traces on http://127.0.0.1:", "live flower run: population 20, horizon 1s",
+			"hit-ratio", "completed in ", "wire: codec=binary", "traces: ", "group 0: clean shutdown, "},
+			"-hours is ignored with -backend socket", ""},
+		{"spawn-local", []string{"-backend", "socket", "-spawn-local", "2", "-population", "20", "-horizon", "2s"}, []string{
+			"spawning 2 local processes: 127.0.0.1:", "all 2 processes completed cleanly\n"}, "", ""},
+
+		{"bad flag", []string{"-bogus"}, nil, "flag provided but not defined: -bogus", "-bogus"},
+		{"bad backend", []string{"-backend", "bogus", "-p", "60", "-hours", "1"}, []string{"cell: "}, "", "[sim socket]"},
+		{"too many localities", []string{"-p", "60", "-hours", "1", "-k", "257"}, []string{"cell: "}, "", "256"},
+		{"unwritable trace", []string{"-p", "60", "-hours", "1", "-trace-csv", in("no/such/dir.csv")}, nil, "", "no such file"},
+		{"listen outside the group", []string{"-backend", "socket", "-listen", "c:1", "-peers", "a:1,b:1"}, nil, "", "not in -peers"},
+		{"bad obs address", []string{"-backend", "socket", "-obs", "127.0.0.1:-1"}, nil, "", "-1"},
+		{"group of one", []string{"-backend", "socket", "-spawn-local", "1"}, nil, "", "at least 2 processes"},
+		{"profiled group", []string{"-backend", "socket", "-spawn-local", "2", "-cpuprofile", in("x")}, nil, "", "profile one process"},
+		{"failed group", []string{"-backend", "socket", "-spawn-local", "2", "-protocol", "bogus", "-horizon", "1s"}, []string{
+			"spawning 2 local processes"}, "group 0 failed", "2 of 2 processes failed"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var stdout syncBuffer
+			var stderr bytes.Buffer
+			err := run(tc.args, &stdout, &stderr)
+			if tc.err == "" && err != nil || tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)) {
+				t.Fatalf("run %v: error %v, want %q", tc.args, err, tc.err)
+			}
+			out := stdout.String()
+			for _, want := range tc.stdout {
+				i := strings.Index(out, want)
+				if i < 0 {
+					t.Fatalf("stdout lacks %q in order:\n%s", want, stdout.String())
+				}
+				out = out[i+len(want):]
+			}
+			if got := stderr.String(); !strings.Contains(got, tc.stderr) || (tc.stderr == "") != (got == "") {
+				t.Errorf("stderr = %q, want %q in it", got, tc.stderr)
+			}
+		})
+	}
+}
+
+// TestPrintFingerprintIsOneLine: make fingerprint-check compares
+// exactly this line across processes.
+func TestPrintFingerprintIsOneLine(t *testing.T) {
+	var stdout bytes.Buffer
+	err := run([]string{"-p", "60", "-hours", "1", "-print-fingerprint"}, &stdout, io.Discard)
+	if err != nil || !regexp.MustCompile(`^[0-9a-f]{16}\n$`).MatchString(stdout.String()) {
+		t.Errorf("printed %q (error %v), want one line of 16 hex digits", stdout.String(), err)
 	}
 }

@@ -17,47 +17,42 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"flowercdn/internal/trace"
 )
 
-func main() {
-	if len(os.Args) != 3 {
-		fmt.Fprintln(os.Stderr, "usage: tracediff <a.csv> <b.csv>")
-		os.Exit(2)
-	}
-	a := readTraces(os.Args[1])
-	b := readTraces(os.Args[2])
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	labelA := filepath.Base(os.Args[1])
-	labelB := filepath.Base(os.Args[2])
+// run compares the trace CSVs that args name, reports on stdout, and
+// returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 2 {
+		fmt.Fprintln(stderr, "usage: tracediff <a.csv> <b.csv>")
+		return 2
+	}
+	var recs [2][]*trace.Record
+	for i, path := range args {
+		f, err := os.Open(path)
+		if err == nil {
+			recs[i], err = trace.ReadCSV(f)
+			f.Close()
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "tracediff: %s: %v\n", path, err)
+			return 2
+		}
+	}
+	labelA, labelB := filepath.Base(args[0]), filepath.Base(args[1])
 	if labelA == labelB {
-		labelA, labelB = os.Args[1], os.Args[2]
+		labelA, labelB = args[0], args[1]
 	}
-
-	rep := trace.Diff(labelA, a, labelB, b)
-	fmt.Print(rep.Format())
+	rep := trace.Diff(labelA, recs[0], labelB, recs[1])
+	fmt.Fprint(stdout, rep.Format())
 	if len(rep.Warnings) > 0 {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func readTraces(path string) []*trace.Record {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	recs, err := trace.ReadCSV(f)
-	if err != nil {
-		fatal(fmt.Errorf("%s: %w", path, err))
-	}
-	return recs
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracediff:", err)
-	os.Exit(2)
+	return 0
 }

@@ -14,8 +14,9 @@ type DistSweepOptions struct {
 	OutDir string
 	// OnListen, when set, receives the bound listen address before the
 	// coordinator blocks — the hook process spawners use to hand workers
-	// the actual port behind ":0".
-	OnListen func(addr string)
+	// the actual port behind ":0". An error from it closes the
+	// coordinator, and DistSweepCoordinator returns it.
+	OnListen func(addr string) error
 	// OnEvent, when set, receives one-line progress events (worker
 	// connects, job completions, lease reassignments). It may be called
 	// from multiple goroutines and must not block.
@@ -60,7 +61,10 @@ func DistSweepCoordinator(cells []SweepCell, seeds []uint64, opts DistSweepOptio
 		return nil, err
 	}
 	if opts.OnListen != nil {
-		opts.OnListen(coord.Addr())
+		if err := opts.OnListen(coord.Addr()); err != nil {
+			coord.Close()
+			return nil, err
+		}
 	}
 	res, err := coord.Wait()
 	if cerr := coord.Close(); err == nil && cerr != nil {

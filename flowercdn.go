@@ -31,6 +31,7 @@ import (
 	"fmt"
 
 	"flowercdn/internal/cache"
+	"flowercdn/internal/flower"
 	"flowercdn/internal/harness"
 	"flowercdn/internal/proto"
 	"flowercdn/internal/protocols"
@@ -186,7 +187,7 @@ func DefaultConfig() Config {
 		GossipEveryMinutes: 60,
 		PushThreshold:      0.5,
 		DirCollaboration:   true,
-		PetalUpLoadLimit:   30,
+		PetalUpLoadLimit:   flower.DefaultPetalUpLoadLimit,
 	}
 }
 

@@ -4,11 +4,13 @@
 // flags apply here" and "which flags does a child process get" are asked
 // of the declarations, not of hand-kept name lists — plus the
 // fork-self-and-relay helper behind -spawn-local and -spawn-workers, the
-// "-"-means-stdout writer, the -cpuprofile/-memprofile pair and Fatal.
+// "-"-means-stdout writer, the -cpuprofile/-memprofile pair and Main,
+// which runs a command's run function as the process.
 package cli
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -58,6 +60,19 @@ func Bind[T bool | int | uint64 | float64 | string | time.Duration](f *Flags, t 
 	}
 }
 
+// Parse parses args. Its error, but for flag.ErrHelp, is a usage
+// error: the command line's fault, already reported on the flag set's
+// output.
+func (f *Flags) Parse(args []string) error {
+	err := f.FlagSet.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
+}
+
+type usageError struct{ error }
+
 // VisitSet calls fn, in flag.Visit's lexical order, for every flag the
 // command line set explicitly and whose tag match accepts.
 func (f *Flags) VisitSet(match func(Tag) bool, fn func(*flag.Flag)) {
@@ -82,11 +97,12 @@ func (f *Flags) Args(match func(Tag) bool) []string {
 
 // Spawn starts one child of the running executable per argument list
 // and relays each child's standard output and error, line by line, to
-// this process's standard output as "[<prefix><i>] line". The returned
-// wait blocks until every child has exited and its output is drained,
-// and returns their exit errors, indexed like argv (nil: clean exit). If
-// a child cannot be started, those already running are killed first.
-func Spawn(prefix string, argv [][]string) (wait func() []error, err error) {
+// out as "[<prefix><i>] line": one Write per line, from one goroutine
+// per child. The returned wait blocks until every child has exited and
+// its output is drained, and returns their exit errors, indexed like
+// argv (nil: clean exit). If a child cannot be started, those already
+// running are killed first.
+func Spawn(prefix string, argv [][]string, out io.Writer) (wait func() []error, err error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, err
@@ -100,7 +116,7 @@ func Spawn(prefix string, argv [][]string) (wait func() []error, err error) {
 	}
 	for i, args := range argv {
 		cmd := exec.Command(exe, args...)
-		out, err := cmd.StdoutPipe()
+		pipe, err := cmd.StdoutPipe()
 		if err == nil {
 			cmd.Stderr = cmd.Stdout // interleave, same prefix
 			err = cmd.Start()
@@ -116,9 +132,9 @@ func Spawn(prefix string, argv [][]string) (wait func() []error, err error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := bufio.NewScanner(out)
+			sc := bufio.NewScanner(pipe)
 			for sc.Scan() {
-				fmt.Printf("[%s%d] %s\n", prefix, i, sc.Text())
+				fmt.Fprintf(out, "[%s%d] %s\n", prefix, i, sc.Text())
 			}
 			errs[i] = cmd.Wait() // only after the pipe is drained
 		}()
@@ -127,10 +143,10 @@ func Spawn(prefix string, argv [][]string) (wait func() []error, err error) {
 }
 
 // WriteTo runs write against the file at path — created or truncated —
-// or against standard output when path is "-".
-func WriteTo(path string, write func(io.Writer) error) error {
+// or against stdout when path is "-".
+func WriteTo(path string, stdout io.Writer, write func(io.Writer) error) error {
 	if path == "-" {
-		return write(os.Stdout)
+		return write(stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -146,12 +162,12 @@ func WriteTo(path string, write func(io.Writer) error) error {
 // Profiled runs body under a CPU profile written to cpuPath and, if
 // body succeeds, then writes a heap profile to memPath — after a forced
 // GC, so it shows live retention rather than garbage awaiting
-// collection. An empty path skips that profile.
+// collection. An empty path skips that profile; "-" is standard output.
 func Profiled(cpuPath, memPath string, body func() error) error {
 	run := body
 	if cpuPath != "" {
 		run = func() error {
-			return WriteTo(cpuPath, func(w io.Writer) error {
+			return WriteTo(cpuPath, os.Stdout, func(w io.Writer) error {
 				if err := pprof.StartCPUProfile(w); err != nil {
 					return err
 				}
@@ -163,19 +179,30 @@ func Profiled(cpuPath, memPath string, body func() error) error {
 	if err := run(); err != nil || memPath == "" {
 		return err
 	}
-	return WriteTo(memPath, func(w io.Writer) error {
+	return WriteTo(memPath, os.Stdout, func(w io.Writer) error {
 		runtime.GC()
 		return pprof.WriteHeapProfile(w)
 	})
 }
 
-// Warnf prints a diagnostic on standard error under the command's name.
-func Warnf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, filepath.Base(os.Args[0])+": "+format+"\n", args...)
+// Warnf prints a diagnostic on stderr under the command's name.
+func Warnf(stderr io.Writer, format string, args ...any) {
+	fmt.Fprintf(stderr, filepath.Base(os.Args[0])+": "+format+"\n", args...)
 }
 
-// Fatal reports err like Warnf and exits with status 1.
-func Fatal(err error) {
-	Warnf("%v", err)
+// Main runs a command's run function on this process's arguments and
+// standard streams, and exits with its outcome: 0 on success or -h, 2
+// on a usage error (Flags.Parse has reported it), else 1 with the error
+// reported like Warnf.
+func Main(run func(args []string, stdout, stderr io.Writer) error) {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	var usage usageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return
+	case errors.As(err, &usage):
+		os.Exit(2)
+	}
+	Warnf(os.Stderr, "%v", err)
 	os.Exit(1)
 }

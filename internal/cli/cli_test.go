@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -10,13 +11,31 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestMain doubles as the child process of TestSpawnRelaysAndCollects:
-// Spawn forks the running executable, which here is the test binary.
+// TestMain doubles as the child process of TestSpawnRelaysAndCollects
+// (Spawn forks the running executable, which here is the test binary)
+// and as the command TestMainExitStatus runs.
 func TestMain(m *testing.M) {
+	if os.Getenv("CLI_TEST_MAIN") != "" {
+		Main(func(args []string, stdout, stderr io.Writer) error {
+			f := NewFlags(flag.NewFlagSet("t", flag.ContinueOnError))
+			f.SetOutput(stderr)
+			fail := f.Bool("fail", false, "")
+			if err := f.Parse(args); err != nil {
+				return err
+			}
+			if *fail {
+				return errors.New("boom")
+			}
+			fmt.Fprintln(stdout, "ran")
+			return nil
+		})
+		os.Exit(0)
+	}
 	if os.Getenv("CLI_TEST_CHILD") != "" {
 		fmt.Println("out", os.Args[1])
 		fmt.Fprintln(os.Stderr, "err", os.Args[1])
@@ -28,37 +47,28 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// captureStdout runs fn with os.Stdout redirected and returns what it
-// wrote.
-func captureStdout(t *testing.T, fn func()) string {
-	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := os.Stdout
-	os.Stdout = w
-	done := make(chan string)
-	go func() {
-		b, _ := io.ReadAll(r)
-		done <- string(b)
-	}()
-	fn()
-	os.Stdout = saved
-	w.Close()
-	return <-done
+// lockedBuffer is a bytes.Buffer safe for the concurrent writes of
+// Spawn's relays.
+type lockedBuffer struct {
+	mu sync.Mutex
+	bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.Buffer.Write(p)
 }
 
 func TestSpawnRelaysAndCollects(t *testing.T) {
 	t.Setenv("CLI_TEST_CHILD", "1")
-	var errs []error
-	out := captureStdout(t, func() {
-		wait, err := Spawn("c", [][]string{{"ok"}, {"fail"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		errs = wait()
-	})
+	var buf lockedBuffer
+	wait, err := Spawn("c", [][]string{{"ok"}, {"fail"}}, &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := wait()
+	out := buf.String()
 	for _, want := range []string{"[c0] out ok\n", "[c0] err ok\n", "[c1] out fail\n", "[c1] err fail\n"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("relayed output lacks %q:\n%s", want, out)
@@ -109,20 +119,20 @@ func TestWriteTo(t *testing.T) {
 		return err
 	}
 	path := filepath.Join(t.TempDir(), "a.csv")
-	if err := WriteTo(path, write); err != nil {
+	var stdout bytes.Buffer
+	if err := WriteTo(path, &stdout, write); err != nil {
 		t.Fatal(err)
 	}
 	if b, _ := os.ReadFile(path); string(b) != "payload\n" {
 		t.Errorf("file holds %q", b)
 	}
-	if out := captureStdout(t, func() {
-		if err := WriteTo("-", write); err != nil {
-			t.Error(err)
-		}
-	}); out != "payload\n" {
-		t.Errorf(`"-" wrote %q to stdout`, out)
+	if stdout.Len() != 0 {
+		t.Errorf("a file write reached stdout: %q", stdout.String())
 	}
-	if err := WriteTo(filepath.Join(t.TempDir(), "no", "dir"), write); err == nil {
+	if err := WriteTo("-", &stdout, write); err != nil || stdout.String() != "payload\n" {
+		t.Errorf(`"-" wrote %q to stdout, err %v`, stdout.String(), err)
+	}
+	if err := WriteTo(filepath.Join(t.TempDir(), "no", "dir"), &stdout, write); err == nil {
 		t.Error("unwritable path: no error")
 	}
 }
@@ -148,5 +158,40 @@ func TestProfiledWritesBothFiles(t *testing.T) {
 	}
 	if err := Profiled(filepath.Join(dir, "no", "dir"), "", func() error { return nil }); err == nil {
 		t.Error("unwritable cpu profile path: no error")
+	}
+}
+
+// TestMainExitStatus runs a command through Main in a child process:
+// 0 on success or -h, 2 on a command line that does not parse, 1 with
+// the error on standard error when the command fails.
+func TestMainExitStatus(t *testing.T) {
+	t.Setenv("CLI_TEST_MAIN", "1")
+	for _, tc := range []struct {
+		args           []string
+		code           int
+		stdout, stderr string
+	}{
+		{nil, 0, "ran\n", ""},
+		{[]string{"-h"}, 0, "", "Usage of t:"},
+		{[]string{"-bogus"}, 2, "", "flag provided but not defined: -bogus"},
+		{[]string{"-fail"}, 1, "", ": boom\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(os.Args[0], tc.args...)
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		code := 0
+		if err := cmd.Run(); err != nil {
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatal(err)
+			}
+			code = exit.ExitCode()
+		}
+		if code != tc.code {
+			t.Errorf("%v: exit status %d, want %d", tc.args, code, tc.code)
+		}
+		if stdout.String() != tc.stdout || !strings.Contains(stderr.String(), tc.stderr) || (tc.stderr == "") != (stderr.Len() == 0) {
+			t.Errorf("%v: stdout %q, stderr %q; want %q and %q", tc.args, stdout.String(), stderr.String(), tc.stdout, tc.stderr)
+		}
 	}
 }

@@ -39,12 +39,13 @@ type fixture struct {
 
 func newFixture(t *testing.T, seed uint64, mut func(*Config)) *fixture {
 	t.Helper()
-	return newFixtureWith(t, seed, mut, nil)
+	return newFixtureWith(t, seed, mut, nil, nil)
 }
 
 // newFixtureWith is newFixture for tests that also change what the
-// system runs on (a tracer, a wrapped metrics emitter).
-func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), envMut func(*proto.Env)) *fixture {
+// system runs on (a tracer, a wrapped metrics emitter) or the catalog
+// and interests its peers query.
+func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), envMut func(*proto.Env), workMut func(*workload.Config)) *fixture {
 	t.Helper()
 	rng := rnd.New(seed)
 	tcfg := topology.DefaultConfig()
@@ -58,6 +59,9 @@ func newFixtureWith(t *testing.T, seed uint64, mut func(*Config), envMut func(*p
 	wcfg.ObjectsPerSite = 50
 	wcfg.ActiveSites = 3
 	wcfg.QueryMeanInterval = 2 * runtime.Minute
+	if workMut != nil {
+		workMut(&wcfg)
+	}
 	work, err := workload.New(wcfg)
 	if err != nil {
 		t.Fatal(err)

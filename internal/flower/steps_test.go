@@ -108,7 +108,7 @@ func TestPooledStepsSurviveStragglers(t *testing.T) {
 				coll.Emit(ev)
 			})
 			d.Metrics, d.Trace = sink, trace.New(sink, d.Oracle.Locality)
-		})
+		}, nil)
 		f.seedRing()
 		f.eng.Network().SetLossRate(0.1, rnd.New(5))
 		for _, p := range f.sys.Peers() {

@@ -38,7 +38,7 @@ var optionGetters = []string{"Int", "Duration", "Float", "Bool", "String"}
 // getter called on opts with any other key expression fails: a key
 // computed at run time is a key this test cannot see.
 func TestOptionKeysArePinned(t *testing.T) {
-	pkgs := []string{"flower", "petalup", "baseline", "squirrel", "koorde", "proto"}
+	pkgs := []string{"flower", "baseline", "squirrel", "koorde", "proto"}
 	fset := token.NewFileSet()
 	var files []*ast.File
 	consts := map[string]string{} // Opt* constant → key

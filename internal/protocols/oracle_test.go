@@ -43,7 +43,7 @@ var pinnedOracleReads = []oracleRead{
 func TestOracleReadsArePinned(t *testing.T) {
 	var got []oracleRead
 	fset := token.NewFileSet()
-	eachSource(t, fset, []string{"flower", "petalup", "baseline", "squirrel", "chord", "koorde", "gossip"},
+	eachSource(t, fset, []string{"flower", "baseline", "squirrel", "chord", "koorde", "gossip"},
 		func(pkg, file string, f *ast.File) {
 			for _, decl := range f.Decls {
 				fn, _ := decl.(*ast.FuncDecl)

@@ -1,8 +1,8 @@
 // Package simrt is a test and benchmark fixture: the discrete-event
 // engine (internal/sim) and the simulated message layer
 // (internal/simnet) in one handle, with the engine-level control
-// (RunAll, Engine) that package tests, examples/petalup and the
-// benchmark's ladder drive a deterministic world through. It is the same
+// (RunAll, Engine) that package tests and the benchmark's ladder drive
+// a deterministic world through. It is the same
 // pair the harness builds as its "sim" backend, and like it bit-for-bit
 // reproducible for a given seed.
 package simrt
