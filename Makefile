@@ -13,8 +13,11 @@ SHELL := /bin/bash
 build:
 	go build ./...
 
+# test shuffles the order of tests within each package, so that no test
+# depends on another having run first (internal/harness shares one run
+# per cell between its tests).
 test:
-	go test ./...
+	go test -shuffle=on ./...
 
 # race runs the suite under the race detector — the sweep fan-out, the
 # wall-clock run loops and the socket reader goroutines are the

@@ -31,14 +31,10 @@ func eachProtocolAtOnce(t *testing.T, cell func(t *testing.T, name string)) {
 // non-zero hit ratio.
 func TestCrossBackendSmokeSim(t *testing.T) {
 	for _, name := range protocols.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := demoConfig(50, 10_000)
 			cfg.Protocol = Protocol(name)
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runCell(t, cfg)
 			if res.Queries == 0 {
 				t.Fatal("no queries at all")
 			}
@@ -65,16 +61,12 @@ func TestCrossBackendSmokeSim(t *testing.T) {
 // completes cleanly on the deterministic backend.
 func TestCacheBoundedSmokeSim(t *testing.T) {
 	for _, name := range protocols.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := demoConfig(50, 10_000)
 			cfg.Protocol = Protocol(name)
 			cfg.Options["cache-policy"] = "lru"
 			cfg.Options["cache-capacity"] = 2
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runCell(t, cfg)
 			if res.Queries == 0 {
 				t.Fatal("no queries at all")
 			}
@@ -100,11 +92,7 @@ func TestCrossBackendSmokeRealtime(t *testing.T) {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
 	eachProtocolAtOnce(t, func(t *testing.T, name string) {
-		cfg := oneGroupConfig(Protocol(name), 1500)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runCell(t, oneGroupConfig(Protocol(name), 1500))
 		if res.Backend != "socket" {
 			t.Fatalf("result backend %q", res.Backend)
 		}
@@ -132,10 +120,7 @@ func TestCacheBoundedSmokeRealtime(t *testing.T) {
 		cfg := oneGroupConfig(Protocol(name), 1500)
 		cfg.Options["cache-policy"] = "lru"
 		cfg.Options["cache-capacity"] = 2
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runCell(t, cfg)
 		if res.Backend != "socket" {
 			t.Fatalf("result backend %q", res.Backend)
 		}

@@ -15,10 +15,7 @@ import (
 func TestOriginOnlyIsTheFloor(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocol = ProtocolOriginOnly
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if res.Queries == 0 {
 		t.Fatal("no queries recorded")
 	}
@@ -48,10 +45,7 @@ func TestChordGlobalProducesDirectoryHits(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocol = ProtocolChordGlobal
 	cfg.Duration = 5 * sim.Hour
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if res.Queries == 0 || res.Hits == 0 {
 		t.Fatalf("chord-global inactive: queries=%d hits=%d", res.Queries, res.Hits)
 	}
@@ -77,14 +71,7 @@ func TestBaselineDeterminism(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Protocol = p
 		cfg.Duration = 3 * sim.Hour
-		a, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		a, b := runCell(t, cfg), rerun(t, cfg)
 		if a.Queries != b.Queries || a.Hits != b.Hits || a.EventsProcessed != b.EventsProcessed {
 			t.Fatalf("%s: same seed diverged: %d/%d/%d vs %d/%d/%d", p,
 				a.Queries, a.Hits, a.EventsProcessed, b.Queries, b.Hits, b.EventsProcessed)
@@ -101,25 +88,11 @@ func TestBaselineDeterminism(t *testing.T) {
 // while a global directory aggregates the whole site.
 func TestBaselinesBracketFlower(t *testing.T) {
 	cfg := QuickConfig()
-
-	origin := cfg
-	origin.Protocol = ProtocolOriginOnly
-	or, err := Run(origin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := cfg
-	global.Protocol = ProtocolChordGlobal
-	gr, err := Run(global)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flower := cfg
-	flower.Protocol = ProtocolFlower
-	fr, err := Run(flower)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := runCell(t, cfg)
+	cfg.Protocol = ProtocolOriginOnly
+	or := runCell(t, cfg)
+	cfg.Protocol = ProtocolChordGlobal
+	gr := runCell(t, cfg)
 
 	if or.TailHitRatio != 0 {
 		t.Fatalf("origin-only tail hit ratio %.3f != 0", or.TailHitRatio)

@@ -23,20 +23,14 @@ import (
 const goldenTinyFingerprint = 0x319eefe7fb4cacab
 
 func TestCacheNoneIsBitIdenticalToSeed(t *testing.T) {
-	def, err := Run(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	def := runCell(t, tinyConfig())
 	if def.Fingerprint != goldenTinyFingerprint {
 		t.Fatalf("default run fingerprint %#x, want seed-era %#x — the unbounded path changed behavior",
 			def.Fingerprint, goldenTinyFingerprint)
 	}
 	explicit := tinyConfig()
 	explicit.Options = map[string]any{"cache-policy": "none", "cache-capacity": 0}
-	res, err := Run(explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, explicit)
 	if res.Fingerprint != goldenTinyFingerprint {
 		t.Fatalf("explicit cache-policy=none fingerprint %#x, want %#x",
 			res.Fingerprint, goldenTinyFingerprint)
@@ -51,14 +45,7 @@ func TestCacheNoneIsBitIdenticalToSeed(t *testing.T) {
 func TestBoundedCacheDeterministic(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Options = map[string]any{"cache-policy": "lru", "cache-capacity": 8}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runCell(t, cfg), rerun(t, cfg)
 	if a.Fingerprint != b.Fingerprint {
 		t.Fatalf("bounded runs diverged: %#x vs %#x", a.Fingerprint, b.Fingerprint)
 	}
@@ -80,11 +67,7 @@ func TestCacheBracketMonotone(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Duration = 5 * sim.Hour
 		cfg.Options = opts
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runCell(t, cfg)
 	}
 	tiny := run(map[string]any{"cache-policy": "lru", "cache-capacity": 4})
 	medium := run(map[string]any{"cache-policy": "lru", "cache-capacity": 24})
@@ -110,10 +93,7 @@ func TestCacheBracketMonotone(t *testing.T) {
 func TestEvictionsAppearInWindowSeries(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Options = map[string]any{"cache-policy": "lru", "cache-capacity": 4}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	var total float64
 	for _, p := range res.Series {
 		total += p.Evictions
@@ -130,10 +110,7 @@ func TestEvictionsAppearInWindowSeries(t *testing.T) {
 func TestSizeAwarePolicyRuns(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Options = map[string]any{"cache-policy": "size-aware", "cache-capacity": 8}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if res.ProtoStat("evictions") == 0 {
 		t.Fatal("size-aware at 8-object budget never evicted")
 	}

@@ -17,14 +17,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 	cfg.Duration /= 4
 	cfg.MessageLossRate = 0.05 // loss consumes RNG draws per send: the historically fragile path
 
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runCell(t, cfg), rerun(t, cfg)
 	if a.Fingerprint == 0 {
 		t.Fatal("zero fingerprint")
 	}
@@ -35,11 +28,7 @@ func TestFingerprintDeterministic(t *testing.T) {
 	// A different seed must perturb the fingerprint (the hash actually
 	// covers the run, not just the config).
 	cfg.Seed++
-	c, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Fingerprint == a.Fingerprint {
+	if c := runCell(t, cfg); c.Fingerprint == a.Fingerprint {
 		t.Fatalf("different seeds, same fingerprint %016x", a.Fingerprint)
 	}
 }
@@ -57,10 +46,7 @@ func TestBigPetalFingerprint(t *testing.T) {
 	cfg.Workload.Sites = 12
 	cfg.Workload.ActiveSites = 2
 	cfg.Workload.ObjectsPerSite = 150
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	const want = 0xdb01493358073919
 	if res.Fingerprint != want {
 		t.Fatalf("fingerprint %016x, pinned %016x", res.Fingerprint, uint64(want))
@@ -69,16 +55,14 @@ func TestBigPetalFingerprint(t *testing.T) {
 
 // TestOnWindowFiresLive checks the per-window observer: closed windows
 // are surfaced during the run, in order, and match the final series.
+// runCell's own hook sees them close and hands them on to cfg.OnWindow.
 func TestOnWindowFiresLive(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Population = 80
 	cfg.Duration /= 2
 	var live []metrics.SeriesPoint
 	cfg.OnWindow = func(p metrics.SeriesPoint) { live = append(live, p) }
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if len(live) == 0 {
 		t.Fatal("OnWindow never fired")
 	}

@@ -41,7 +41,7 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if _, err := Run(Config{}); err == nil {
+	if _, err := countedRun(Config{}, false); err == nil {
 		t.Fatal("Run accepted zero config")
 	}
 }
@@ -134,32 +134,24 @@ func TestValidateCheckAndNewAgreeOnBadOptions(t *testing.T) {
 // and run one with exactly as many.
 func TestPetalProtocolsBoundLocalities(t *testing.T) {
 	for _, p := range []Protocol{ProtocolFlower, ProtocolPetalUp} {
-		for _, k := range []int{dring.MaxLocalities, dring.MaxLocalities + 1} {
-			cfg := tinyConfig()
-			cfg.Protocol = p
-			cfg.Topology.Localities = k
-			cfg.Population = 100
-			cfg.Duration = sim.Hour
-			cfg.Workload.Sites, cfg.Workload.ActiveSites = 2, 1
-			res, err := Run(cfg)
-			switch {
-			case k <= dring.MaxLocalities && err != nil:
-				t.Errorf("%s, %d localities: %v", p, k, err)
-			case k <= dring.MaxLocalities && res.Queries == 0:
-				t.Errorf("%s, %d localities: no queries", p, k)
-			case k > dring.MaxLocalities && (err == nil || !strings.Contains(err.Error(), "at most 256")):
-				t.Errorf("%s, %d localities: Run = %v, want an error naming the limit", p, k, err)
-			}
+		cfg := tinyConfig()
+		cfg.Protocol = p
+		cfg.Topology.Localities = dring.MaxLocalities
+		cfg.Population = 100
+		cfg.Duration = sim.Hour
+		cfg.Workload.Sites, cfg.Workload.ActiveSites = 2, 1
+		if res := runCell(t, cfg); res.Queries == 0 {
+			t.Errorf("%s, %d localities: no queries", p, cfg.Topology.Localities)
+		}
+		cfg.Topology.Localities++
+		if _, err := countedRun(cfg, false); err == nil || !strings.Contains(err.Error(), "at most 256") {
+			t.Errorf("%s, %d localities: Run = %v, want an error naming the limit", p, cfg.Topology.Localities, err)
 		}
 	}
 }
 
 func TestFlowerRunProducesActivity(t *testing.T) {
-	cfg := tinyConfig()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, tinyConfig())
 	if res.Protocol != ProtocolFlower {
 		t.Fatalf("protocol = %q", res.Protocol)
 	}
@@ -183,10 +175,7 @@ func TestFlowerRunProducesActivity(t *testing.T) {
 func TestSquirrelRunProducesActivity(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocol = ProtocolSquirrel
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if res.Queries == 0 {
 		t.Fatal("no queries recorded")
 	}
@@ -202,11 +191,7 @@ func TestPetalUpRunWorks(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocol = ProtocolPetalUp
 	cfg.Options = map[string]any{"load-limit": 5}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
+	if res := runCell(t, cfg); res.Queries == 0 {
 		t.Fatal("no queries recorded")
 	}
 }
@@ -214,14 +199,7 @@ func TestPetalUpRunWorks(t *testing.T) {
 func TestDeterminismSameSeed(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = 2 * sim.Hour
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runCell(t, cfg), rerun(t, cfg)
 	if a.Queries != b.Queries || a.Hits != b.Hits || a.EventsProcessed != b.EventsProcessed {
 		t.Fatalf("same seed diverged: %d/%d/%d vs %d/%d/%d",
 			a.Queries, a.Hits, a.EventsProcessed, b.Queries, b.Hits, b.EventsProcessed)
@@ -231,9 +209,9 @@ func TestDeterminismSameSeed(t *testing.T) {
 func TestDifferentSeedsDiverge(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = 2 * sim.Hour
-	a, _ := Run(cfg)
+	a := runCell(t, cfg)
 	cfg.Seed = 999
-	b, _ := Run(cfg)
+	b := runCell(t, cfg)
 	if a.EventsProcessed == b.EventsProcessed && a.Queries == b.Queries && a.Hits == b.Hits {
 		t.Fatal("different seeds produced identical runs (suspicious)")
 	}
@@ -244,10 +222,9 @@ func TestComparisonShape(t *testing.T) {
 	// hit ratio under churn, and resolves queries much faster.
 	cfg := tinyConfig()
 	cfg.Duration = 6 * sim.Hour
-	f, s, err := RunComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := runCell(t, cfg)
+	cfg.Protocol = ProtocolSquirrel
+	s := runCell(t, cfg)
 	if f.TailHitRatio <= s.TailHitRatio {
 		t.Fatalf("Flower tail hit ratio %.3f not above Squirrel %.3f",
 			f.TailHitRatio, s.TailHitRatio)
@@ -265,11 +242,10 @@ func TestComparisonShape(t *testing.T) {
 func TestFormatters(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = 2 * sim.Hour
-	f, s, err := RunComparison(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	t1 := FormatTable1(cfg)
+	f := runCell(t, cfg)
+	cfg.Protocol = ProtocolSquirrel
+	s := runCell(t, cfg)
 	if !strings.Contains(t1, "Push threshold") || !strings.Contains(t1, "10") {
 		t.Fatalf("Table 1 render incomplete:\n%s", t1)
 	}
@@ -305,10 +281,7 @@ func TestDryWorkloadIsReported(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workload.ObjectsPerSite = 20
 	cfg.Duration = 10 * sim.Hour
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if res.DriesUp == 0 || 2*res.DriesUp > cfg.Duration {
 		t.Fatalf("workload ran dry at %d ms: not within the first half of the %d ms run", res.DriesUp, cfg.Duration)
 	}
@@ -324,9 +297,15 @@ func TestDryWorkloadIsReported(t *testing.T) {
 func TestRunTable2SmallSweep(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Duration = 2 * sim.Hour
-	rows, err := RunTable2(cfg, []int{100, 200})
+	pops := []int{100, 200}
+	rows, err := RunTable2(cfg, pops)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, cfg.Population = range pops { // RunTable2 calls Run itself: count its runs
+		for _, cfg.Protocol = range []Protocol{ProtocolFlower, ProtocolSquirrel} {
+			noteRun(cfg, false)
+		}
 	}
 	if len(rows) != 2 || rows[0].Population != 100 || rows[1].Population != 200 {
 		t.Fatalf("rows wrong: %+v", rows)

@@ -44,9 +44,7 @@ func TestLiveHeapIsFlatInSimulatedTime(t *testing.T) {
 			cfg.OnCheckpoint = func(int64, proto.System) {
 				held = append(held, float64(liveHeap())-float64(base))
 			}
-			if _, err := Run(cfg); err != nil {
-				t.Fatal(err)
-			}
+			runCell(t, cfg)
 			if len(held) != 2 || held[0] <= 0 {
 				t.Fatalf("checkpoints weighed %v", held)
 			}

@@ -102,10 +102,7 @@ func TestRingInvariantsUnderChurn(t *testing.T) {
 					}
 					snaps = append(snaps, snapshot{at: now, rep: ringcheck.Check(insp.RingMembers(), pc.opts)})
 				}
-				res, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				res := runCell(t, cfg)
 				if len(snaps) != len(sched.checkpoints) {
 					t.Fatalf("took %d snapshots, want %d", len(snaps), len(sched.checkpoints))
 				}
@@ -145,9 +142,7 @@ func TestChurnScheduleActuallyChurns(t *testing.T) {
 
 	fail := base
 	fail.ChurnSchedule = []ChurnEvent{{At: 2 * sim.Hour, FailFraction: 0.5}}
-	if _, err := Run(fail); err != nil {
-		t.Fatal(err)
-	}
+	runCell(t, fail)
 	if len(sizes) != 2 || sizes[1] >= sizes[0] {
 		t.Fatalf("mass failure did not shrink the ring: %v", sizes)
 	}
@@ -155,9 +150,7 @@ func TestChurnScheduleActuallyChurns(t *testing.T) {
 	sizes = nil
 	join := base
 	join.ChurnSchedule = []ChurnEvent{{At: 2 * sim.Hour, Join: 120}}
-	if _, err := Run(join); err != nil {
-		t.Fatal(err)
-	}
+	runCell(t, join)
 	if len(sizes) != 2 || sizes[1] <= sizes[0] {
 		t.Fatalf("mass join did not grow the ring: %v", sizes)
 	}

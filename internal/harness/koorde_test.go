@@ -17,10 +17,7 @@ func TestKoordeGlobalServesHits(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocol = ProtocolKoordeGlobal
 	cfg.Duration = 5 * sim.Hour
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if res.Queries == 0 || res.Hits == 0 {
 		t.Fatalf("koorde-global inactive: queries=%d hits=%d", res.Queries, res.Hits)
 	}
@@ -45,14 +42,7 @@ func TestKoordeGlobalDeterminism(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Protocol = ProtocolKoordeGlobal
 	cfg.Duration = 3 * sim.Hour
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runCell(t, cfg), rerun(t, cfg)
 	if a.Fingerprint != b.Fingerprint || a.EventsProcessed != b.EventsProcessed {
 		t.Fatalf("same seed diverged: %x/%d vs %x/%d",
 			a.Fingerprint, a.EventsProcessed, b.Fingerprint, b.EventsProcessed)
@@ -65,19 +55,10 @@ func TestKoordeGlobalDeterminism(t *testing.T) {
 // strictly fewer overlay hops than Chord's O(log n) finger walk.
 func TestKoordeBeatsChordOnHops(t *testing.T) {
 	cfg := QuickConfig()
-
-	chordCfg := cfg
-	chordCfg.Protocol = ProtocolChordGlobal
-	cr, err := Run(chordCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	koordeCfg := cfg
-	koordeCfg.Protocol = ProtocolKoordeGlobal
-	kr, err := Run(koordeCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.Protocol = ProtocolChordGlobal
+	cr := runCell(t, cfg)
+	cfg.Protocol = ProtocolKoordeGlobal
+	kr := runCell(t, cfg)
 
 	if cr.MeanHops <= 0 || kr.MeanHops <= 0 {
 		t.Fatalf("hop accounting missing: chord %.2f koorde %.2f", cr.MeanHops, kr.MeanHops)

@@ -1,12 +1,8 @@
 package harness
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
 	"testing"
 
-	"flowercdn/internal/content"
 	"flowercdn/internal/proto"
 	"flowercdn/internal/protocols"
 )
@@ -17,47 +13,6 @@ import (
 // Each runs over three seeds at tinyConfig scale.
 
 var relationSeeds = []uint64{1, 2, 3}
-
-// digests is what one run says about its population and its query
-// clock: the FNV-64a of every individual it minted — pool index,
-// interest, locality and placement — and of every query tick —
-// individual, interest and instant — with the counts.
-type digests struct {
-	population, ticks uint64
-	minted, ticked    int
-}
-
-// runDigests runs cfg and returns its digests.
-func runDigests(t *testing.T, cfg Config) digests {
-	t.Helper()
-	pop, ticks := fnv.New64a(), fnv.New64a()
-	var d digests
-	index := map[*content.Store]int{} // an individual's store is its own
-	cfg.onMint = func(idx int, ind proto.Identity) {
-		var b [40]byte
-		binary.LittleEndian.PutUint64(b[0:], uint64(idx))
-		binary.LittleEndian.PutUint64(b[8:], uint64(ind.Site))
-		binary.LittleEndian.PutUint64(b[16:], uint64(ind.Placement.Loc))
-		binary.LittleEndian.PutUint64(b[24:], math.Float64bits(ind.Placement.Pos.X))
-		binary.LittleEndian.PutUint64(b[32:], math.Float64bits(ind.Placement.Pos.Y))
-		pop.Write(b[:])
-		index[ind.Store] = idx
-		d.minted++
-	}
-	cfg.onTick = func(ind proto.Identity, at int64) {
-		var b [24]byte
-		binary.LittleEndian.PutUint64(b[0:], uint64(index[ind.Store]))
-		binary.LittleEndian.PutUint64(b[8:], uint64(ind.Site))
-		binary.LittleEndian.PutUint64(b[16:], uint64(at))
-		ticks.Write(b[:])
-		d.ticked++
-	}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	d.population, d.ticks = pop.Sum64(), ticks.Sum64()
-	return d
-}
 
 // TestOnePopulationForEveryProtocol: every protocol of one seed mints
 // the same individuals in the same order, and they query at the same
@@ -70,7 +25,7 @@ func TestOnePopulationForEveryProtocol(t *testing.T) {
 			cfg := tinyConfig()
 			cfg.Seed = seed
 			cfg.Protocol = Protocol(d.Info.Name)
-			got := runDigests(t, cfg)
+			got := cellOf(t, cfg).digests
 			if i == 0 {
 				want = got
 				if got.minted <= cfg.Workload.Sites*cfg.Topology.Localities || got.ticked == 0 {
@@ -98,16 +53,10 @@ func TestUnreachedLoadLimitIsFlower(t *testing.T) {
 	for _, seed := range relationSeeds {
 		cfg := tinyConfig()
 		cfg.Seed = seed
-		flower, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		flower := runCell(t, cfg)
 		cfg.Protocol = ProtocolPetalUp
 		cfg.Options = proto.Options{"load-limit": 100000}
-		petalup, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		petalup := runCell(t, cfg)
 		if petalup.ProtoStat("dir_promotions") != 0 {
 			t.Fatalf("seed %d: a petal reached the load limit", seed)
 		}
@@ -123,15 +72,9 @@ func TestUnreachedCapacityIsUnbounded(t *testing.T) {
 	for _, seed := range relationSeeds {
 		cfg := tinyConfig()
 		cfg.Seed = seed
-		unbounded, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		unbounded := runCell(t, cfg)
 		cfg.Options = proto.Options{"cache-policy": "lru", "cache-capacity": 1_000_000}
-		lru, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		lru := runCell(t, cfg)
 		if lru.ProtoStat("evictions") != 0 {
 			t.Fatalf("seed %d: capacity 10^6 evicted", seed)
 		}

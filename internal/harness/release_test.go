@@ -55,15 +55,9 @@ func TestNoTimerUsedAfterRelease(t *testing.T) {
 					checkedClock.ReportDropped()
 				}
 			}
-			plain, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := runCell(t, cfg)
 			cfg.buildSim = releaseChecked(t, &checkedClock)
-			checked, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			checked := rerun(t, cfg)
 			if checked.Fingerprint != plain.Fingerprint || checked.EventsProcessed != plain.EventsProcessed {
 				t.Fatalf("checked run %016x (%d events), plain run %016x (%d events)",
 					checked.Fingerprint, checked.EventsProcessed, plain.Fingerprint, plain.EventsProcessed)

@@ -68,10 +68,7 @@ func TestSerialiseOnSend(t *testing.T) {
 			cfg := tinyConfig()
 			cfg.Protocol = Protocol(name)
 			cfg.MessageLossRate = 0.02
-			plain, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			plain := runCell(t, cfg)
 			codec, err := runtime.NewCodec("binary")
 			if err != nil {
 				t.Fatal(err)
@@ -79,10 +76,7 @@ func TestSerialiseOnSend(t *testing.T) {
 			cfg.buildSim = func(clock runtime.Clock, newNet func(runtime.Clock) runtime.Transport) (runtime.Clock, runtime.Transport) {
 				return clock, &serialising{Transport: newNet(clock), codec: codec, t: t}
 			}
-			serialised, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			serialised := rerun(t, cfg)
 			if serialised.Fingerprint != plain.Fingerprint || serialised.EventsProcessed != plain.EventsProcessed {
 				t.Fatalf("serialised run %016x (%d events), plain run %016x (%d events)",
 					serialised.Fingerprint, serialised.EventsProcessed, plain.Fingerprint, plain.EventsProcessed)

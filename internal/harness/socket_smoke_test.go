@@ -64,7 +64,7 @@ func socketGroupOnce(t *testing.T, protocol Protocol, groups, population int, ho
 				Group:  g,
 			})
 			cfg.Protocol = protocol
-			results[g], errs[g] = Run(cfg)
+			results[g], errs[g] = countedRun(cfg, false)
 		}()
 	}
 	wg.Wait()
@@ -83,11 +83,14 @@ func oneGroupConfig(protocol Protocol, horizon int64) Config {
 // TestSocketBackendSmoke runs the flagship protocol across three
 // TCP-connected harness instances: queries must flow in every group,
 // hits must happen somewhere (content crossing process boundaries),
-// and every group must shut down cleanly.
+// and every group must shut down cleanly. It and the all-protocols smoke
+// run in parallel, after the serial tests: both sleep through wall-clock
+// horizons on ports of their own, so together they cost the longer one.
 func TestSocketBackendSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock run")
 	}
+	t.Parallel()
 	results := runSocketGroup(t, ProtocolFlower, 3, 45, 6_000)
 
 	var queries, hits, misses uint64
@@ -121,6 +124,7 @@ func TestSocketBackendSmokeAllProtocols(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second wall-clock runs")
 	}
+	t.Parallel()
 	eachProtocolAtOnce(t, func(t *testing.T, name string) {
 		results := runSocketGroup(t, Protocol(name), 2, 24, 4_000)
 		var queries, answered uint64

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"flowercdn/internal/metrics"
-	"flowercdn/internal/obs"
 	"flowercdn/internal/protocols"
 	"flowercdn/internal/trace"
 )
@@ -40,14 +38,7 @@ func traceCSV(t *testing.T, recs []*trace.Record) []byte {
 // determinism instead of weakening it.
 func TestTraceDeterminismSim(t *testing.T) {
 	cfg := tracedTinyConfig()
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := runCell(t, cfg), rerun(t, cfg)
 	if len(a.Traces) == 0 {
 		t.Fatal("traced run produced no records")
 	}
@@ -78,10 +69,7 @@ func TestTraceDigestsSim(t *testing.T) {
 		t.Run(string(c.protocol), func(t *testing.T) {
 			cfg := tracedTinyConfig()
 			cfg.Protocol = c.protocol
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runCell(t, cfg)
 			if len(res.Traces) == 0 {
 				t.Fatal("traced run produced no records")
 			}
@@ -97,16 +85,10 @@ func TestTraceDigestsSim(t *testing.T) {
 // TestTraceDoesNotChangeFingerprint pins the zero-overhead contract at
 // run level: enabling tracing must not move a single simulated event —
 // same fingerprint, same aggregates — because trace records ride their
-// own metrics kind and no message's modeled size grows.
+// own metrics kind and no message's modeled size grows. A traced sim
+// cell is not the untraced one, so these are two runs.
 func TestTraceDoesNotChangeFingerprint(t *testing.T) {
-	plain, err := Run(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := Run(tracedTinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, traced := runCell(t, tinyConfig()), runCell(t, tracedTinyConfig())
 	if plain.Fingerprint != traced.Fingerprint {
 		t.Fatalf("tracing changed the fingerprint: %x vs %x", plain.Fingerprint, traced.Fingerprint)
 	}
@@ -130,10 +112,7 @@ func TestTraceOnRecordCallback(t *testing.T) {
 		}
 		streamed++
 	}}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCell(t, cfg)
 	if streamed != len(res.Traces) {
 		t.Fatalf("callback saw %d records, collector kept %d", streamed, len(res.Traces))
 	}
@@ -172,15 +151,11 @@ func checkWellFormed(t *testing.T, recs []*trace.Record) {
 // the same delivery sites.
 func TestTraceConformanceSim(t *testing.T) {
 	for _, name := range protocols.Names() {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			cfg := demoConfig(50, 10_000)
 			cfg.Protocol = Protocol(name)
 			cfg.Trace = &TraceConfig{}
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runCell(t, cfg)
 			checkWellFormed(t, res.Traces)
 			d, _ := protocols.Lookup(name)
 			if d.Info.Compare && len(res.Traces) == 0 {
@@ -194,20 +169,16 @@ func TestTraceConformanceSim(t *testing.T) {
 }
 
 // TestTraceConformanceRealtime repeats the conformance check in real
-// time on a socket group of one (1.5 s per protocol, side by side): the
-// same invariants hold when hops are stamped from a real clock on live
+// time on a socket group of one (1.5 s per protocol, side by side; the
+// runs are traced, as runCell traces every socket cell): the same
+// invariants hold when hops are stamped from a real clock on live
 // goroutines.
 func TestTraceConformanceRealtime(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
 	eachProtocolAtOnce(t, func(t *testing.T, name string) {
-		cfg := oneGroupConfig(Protocol(name), 1500)
-		cfg.Trace = &TraceConfig{}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runCell(t, oneGroupConfig(Protocol(name), 1500))
 		checkWellFormed(t, res.Traces)
 		if got, want := res.TraceStats.MeanHops(), res.MeanHops; got != want {
 			t.Fatalf("trace-derived mean hops %v != counter-derived %v", got, want)
@@ -225,10 +196,7 @@ func TestGoldenTraces(t *testing.T) {
 	run := func(p Protocol) (*Result, trace.Breakdown) {
 		cfg := tracedTinyConfig()
 		cfg.Protocol = p
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runCell(t, cfg)
 		if len(res.Traces) == 0 {
 			t.Fatalf("%s: no traces", p)
 		}
@@ -280,52 +248,27 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // TestTraceLiveEndpoint exercises the observability server end to end
-// on a one-process socket run: /metrics serves the live aggregate lines and
-// /traces serves the collected records as JSON. The endpoints are
-// probed from the window hook — mid-run — because the harness stops an
-// attached server when the run returns; a post-run probe would hit a
-// closed listener by design. It also asserts exactly that: the
-// endpoint must be gone once Run is over.
+// on a one-process socket run: /metrics serves the live aggregate lines
+// and /traces the collected records as JSON. runCell serves every
+// socket cell on an endpoint and probes it from the window hook —
+// mid-run — because the harness stops an attached server when the run
+// returns; a post-run probe would hit a closed listener by design. The
+// test asserts exactly that too: the endpoint must be gone once the run
+// is over.
 func TestTraceLiveEndpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock test skipped in -short mode")
 	}
-	srv := obs.NewServer()
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-
-	// The window hook runs on the run loop, not the test goroutine, so
-	// it only records; all assertions happen after Run returns. Each
-	// window overwrites the bodies — the last successful probe wins.
-	var metricsBody, tracesBody string
-	cfg := oneGroupConfig(ProtocolFlower, 1500)
-	cfg.Trace = &TraceConfig{}
-	cfg.Obs = srv
-	cfg.OnWindow = func(metrics.SeriesPoint) {
-		if b, err := tryGet(fmt.Sprintf("http://%s/metrics", addr)); err == nil {
-			metricsBody = b
-		}
-		if b, err := tryGet(fmt.Sprintf("http://%s/traces", addr)); err == nil {
-			tracesBody = b
-		}
-	}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Queries == 0 {
+	c := cellOf(t, oneGroupConfig(ProtocolFlower, 1500))
+	if c.res.Queries == 0 {
 		t.Fatal("no queries on the live run")
 	}
-
-	if metricsBody == "" {
+	if c.liveMetrics == "" {
 		t.Fatal("no successful /metrics probe during the run")
 	}
 	for _, want := range []string{"queries_total", "hit_ratio", "traces_total"} {
-		if !strings.Contains(metricsBody, want) {
-			t.Fatalf("/metrics is missing %q:\n%s", want, metricsBody)
+		if !strings.Contains(c.liveMetrics, want) {
+			t.Fatalf("/metrics is missing %q:\n%s", want, c.liveMetrics)
 		}
 	}
 
@@ -335,7 +278,7 @@ func TestTraceLiveEndpoint(t *testing.T) {
 			Kind string `json:"kind"`
 		} `json:"hops"`
 	}
-	if err := json.Unmarshal([]byte(tracesBody), &traces); err != nil {
+	if err := json.Unmarshal([]byte(c.liveTraces), &traces); err != nil {
 		t.Fatalf("/traces is not JSON: %v", err)
 	}
 	if len(traces) == 0 {
@@ -347,7 +290,7 @@ func TestTraceLiveEndpoint(t *testing.T) {
 
 	// The run is over; the harness must have shut the endpoint down
 	// with it (the follower-shutdown contract).
-	if _, err := tryGet(fmt.Sprintf("http://%s/metrics", addr)); err == nil {
+	if c.servedAfter {
 		t.Fatal("obs endpoint still serving after the run returned")
 	}
 }
